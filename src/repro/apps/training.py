@@ -14,6 +14,7 @@ Figure 6 actually depends on — is preserved.
 from __future__ import annotations
 
 import random
+import zlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -114,8 +115,10 @@ class TrainingJob:
         sim = self.deployment.sim
         stub = self._stubs[worker]
         request_type = self.registered.binding("Update").request
+        # crc32, not hash(): str hashes change per process unless
+        # PYTHONHASHSEED is pinned, and gradients must be reproducible.
         gradient = synthetic_gradient(self.grad_len,
-                                      seed=hash(worker) % 2**31)
+                                      seed=zlib.crc32(worker.encode()))
         for iteration in range(iterations):
             yield sim.timeout(self.compute_s)   # forward + backward pass
             request = request_type(tensor=gradient)

@@ -72,54 +72,44 @@ def encode_items(kind: IEDTKind, value: Any, quantizer: Quantizer
     through the server when the switch reports overflow, so a saturated
     encoding is still corrected downstream — but callers may want to
     warn).
+
+    The kind is dispatched once per field, not per element: map keys are
+    type-checked up front, then one loop encodes (float kinds) or
+    type-checks (integer kinds) the elements.
     """
-    overflows = 0
-    items: List[Tuple[Any, int]] = []
     if kind.is_array:
-        for index, element in enumerate(value):
-            fixed, over = _encode_one(kind, element, quantizer)
+        pairs = enumerate(value)
+    else:
+        key_type = int if kind is IEDTKind.INT_INT_MAP else str
+        for key in value:
+            if not isinstance(key, key_type):
+                raise TypeError(f"{kind.value} keys must be "
+                                f"{key_type.__name__}, got "
+                                f"{type(key).__name__}")
+        pairs = value.items()
+    if kind.is_float:
+        encode = quantizer.encode
+        overflows = 0
+        items: List[Tuple[Any, int]] = []
+        for key, element in pairs:
+            fixed, over = encode(float(element))
             overflows += over
-            items.append((index, fixed))
+            items.append((key, fixed))
         return items, overflows
-    for key, element in value.items():
-        _check_key(kind, key)
-        fixed, over = _encode_one(kind, element, quantizer)
-        overflows += over
-        items.append((key, fixed))
-    return items, overflows
+    # Integer kinds pass through: the (key, element) pairs are the items.
+    items = list(pairs)
+    for _key, element in items:
+        if not isinstance(element, int) or isinstance(element, bool):
+            raise TypeError(f"{kind.value} holds integers, got "
+                            f"{type(element).__name__}")
+    return items, 0
 
 
 def decode_items(kind: IEDTKind, values: Dict[Any, int],
                  quantizer: Quantizer, length: int = 0) -> Any:
     """Convert INC result values back into an IEDT field value."""
+    convert = quantizer.decode if kind.is_float else int
     if kind.is_array:
-        out = []
-        for index in range(length):
-            fixed = values.get(index, 0)
-            out.append(quantizer.decode(fixed) if kind.is_float
-                       else int(fixed))
-        return out
-    if kind.is_float:
-        return {key: quantizer.decode(v) for key, v in values.items()}
-    return {key: int(v) for key, v in values.items()}
-
-
-def _encode_one(kind: IEDTKind, element: Any, quantizer: Quantizer
-                ) -> Tuple[int, int]:
-    if kind.is_float:
-        fixed, over = quantizer.encode(float(element))
-        return fixed, int(over)
-    if not isinstance(element, int) or isinstance(element, bool):
-        raise TypeError(f"{kind.value} holds integers, got "
-                        f"{type(element).__name__}")
-    return element, 0
-
-
-def _check_key(kind: IEDTKind, key: Any) -> None:
-    if kind is IEDTKind.INT_INT_MAP:
-        if not isinstance(key, int):
-            raise TypeError(f"{kind.value} keys must be int, got "
-                            f"{type(key).__name__}")
-    elif not isinstance(key, str):
-        raise TypeError(f"{kind.value} keys must be str, got "
-                        f"{type(key).__name__}")
+        get = values.get
+        return [convert(get(index, 0)) for index in range(length)]
+    return {key: convert(fixed) for key, fixed in values.items()}

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Tuple
 
 from repro.protocol import (
@@ -49,13 +50,9 @@ class AppConfig:
         if self.linear and self.value_region.size % 32 != 0:
             raise ValueError("linear regions must be multiples of 32")
 
-    @property
-    def quantizer(self) -> Quantizer:
-        return Quantizer(self.program.precision)
-
-    @property
+    @cached_property
     def codec(self):
-        """The value codec for this app's wire format.
+        """The value codec for this app's wire format (built once).
 
         Fp aggregations carry ordered fp encodings — the shared table-fp
         codec for agg=fadd, its biased variant for agg=fmax (a cleared

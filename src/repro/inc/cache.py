@@ -12,7 +12,7 @@ implemented behind one interface.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Set
+from typing import AbstractSet, Dict, Iterable, List
 
 __all__ = [
     "CachePolicy",
@@ -31,18 +31,24 @@ class CachePolicy:
     shows up, and :meth:`window_update` at the end of each cache update
     window with the aggregated use counts reported by clients.
     :meth:`evictions` then names mapped addresses to displace.
+
+    ``mapped`` is read-only (``len`` / ``in`` / iteration).  :meth:`wants`
+    runs once per miss and gets the manager's *live* view, not a copy —
+    a policy must not keep it expecting a snapshot; :meth:`evictions`
+    runs once per window and gets a ``set`` snapshot.
     """
 
     name = "base"
 
-    def wants(self, logical: int, mapped: Set[int], capacity: int) -> bool:
+    def wants(self, logical: int, mapped: AbstractSet[int],
+              capacity: int) -> bool:
         """Should ``logical`` get a mapping now (space permitting)?"""
         raise NotImplementedError
 
     def window_update(self, counts: Dict[int, int]) -> None:
         """Feed one window's use counts (logical address -> count)."""
 
-    def evictions(self, mapped: Set[int], capacity: int,
+    def evictions(self, mapped: AbstractSet[int], capacity: int,
                   pending: Iterable[int]) -> List[int]:
         """Mapped addresses to evict to make room for ``pending`` ones."""
         return []
@@ -53,7 +59,8 @@ class FCFSPolicy(CachePolicy):
 
     name = "fcfs"
 
-    def wants(self, logical: int, mapped: Set[int], capacity: int) -> bool:
+    def wants(self, logical: int, mapped: AbstractSet[int],
+              capacity: int) -> bool:
         return len(mapped) < capacity
 
 
@@ -75,7 +82,8 @@ class PowerOfNPolicy(CachePolicy):
     def note_use(self, logical: int, count: int = 1) -> None:
         self._hits[logical] = self._hits.get(logical, 0) + count
 
-    def wants(self, logical: int, mapped: Set[int], capacity: int) -> bool:
+    def wants(self, logical: int, mapped: AbstractSet[int],
+              capacity: int) -> bool:
         self.note_use(logical)
         if len(mapped) >= capacity:
             return False
@@ -97,7 +105,8 @@ class HashAddressPolicy(CachePolicy):
 
     name = "hash"
 
-    def wants(self, logical: int, mapped: Set[int], capacity: int) -> bool:
+    def wants(self, logical: int, mapped: AbstractSet[int],
+              capacity: int) -> bool:
         return True  # admission is decided by slot availability instead
 
     @staticmethod
@@ -128,7 +137,8 @@ class PeriodicLRUPolicy(CachePolicy):
         self.max_evict_fraction = max_evict_fraction
         self._windows: List[Dict[int, int]] = []
 
-    def wants(self, logical: int, mapped: Set[int], capacity: int) -> bool:
+    def wants(self, logical: int, mapped: AbstractSet[int],
+              capacity: int) -> bool:
         return len(mapped) < capacity
 
     def window_update(self, counts: Dict[int, int]) -> None:
@@ -143,7 +153,7 @@ class PeriodicLRUPolicy(CachePolicy):
                 merged[logical] = merged.get(logical, 0) + count
         return merged
 
-    def evictions(self, mapped: Set[int], capacity: int,
+    def evictions(self, mapped: AbstractSet[int], capacity: int,
                   pending: Iterable[int]) -> List[int]:
         pending = [p for p in pending if p not in mapped]
         if not pending:
@@ -155,21 +165,21 @@ class PeriodicLRUPolicy(CachePolicy):
         candidates = sorted(mapped, key=lambda a: counts.get(a, 0))
         pending_hot = sorted(pending, key=lambda a: -counts.get(a, 0))
         max_evict = max(1, int(capacity * self.max_evict_fraction))
-        evict: List[int] = []
+        # The victims are a prefix of `candidates`: walk it by index.
+        n_evict = 0
         admitted = 0
         for new in pending_hot:
-            if len(evict) >= max_evict:
+            if n_evict >= max_evict:
                 break
-            if len(mapped) - len(evict) + admitted < capacity:
+            if len(mapped) - n_evict + admitted < capacity:
                 admitted += 1  # free slot available for this one
                 continue
-            if not candidates:
+            if n_evict == len(candidates):
                 break
-            coldest = candidates[0]
-            if counts.get(new, 0) > counts.get(coldest, 0):
-                evict.append(candidates.pop(0))
+            if counts.get(new, 0) > counts.get(candidates[n_evict], 0):
+                n_evict += 1
                 admitted += 1
-        return evict
+        return candidates[:n_evict]
 
 
 def make_policy(name: str, **kwargs) -> CachePolicy:

@@ -28,7 +28,6 @@ from repro.protocol import (
     ClearPolicy,
     ForwardTarget,
     KVBlock,
-    KVPair,
     KV_PAIRS_PER_PACKET,
     Packet,
     RIPProgram,
@@ -224,7 +223,7 @@ class ClientAgent:
         chunk = _ChunkState(0, [], mapped=False, awaiting_result=True)
         tstate.chunks[0] = chunk
         tstate.unresolved += 1
-        pkt = self._base_packet(config, task, 0, [])
+        pkt = self._base_packet(config, task, 0, KVBlock())
         pkt.is_cross = True
         state.round_chunks[(config.gaid, task.round, 0)] = task.task_id
         state.pick_flow().enqueue(pkt)
@@ -293,21 +292,26 @@ class ClientAgent:
                   tstate: _TaskState) -> None:
         task = tstate.task
         prog = config.program
+        emit = self._emit_map_chunk
         if not prog.uses_map and config.has_switch:
             # Pure routing methods (e.g. a CntFwd-to-ALL broadcast): the
             # kv pairs are opaque to the switch, no addressing needed.
             for start in range(0, len(task.items), KV_PAIRS_PER_PACKET):
-                self._emit_map_chunk(
-                    state, config, tstate,
-                    [KVPair(0, value, True, key) for key, value
-                     in task.items[start:start + KV_PAIRS_PER_PACKET]],
-                    start, cross=False)
+                chunk_items = task.items[start:start + KV_PAIRS_PER_PACKET]
+                emit(state, config, tstate, [0] * len(chunk_items),
+                     [value for _, value in chunk_items],
+                     [key for key, _ in chunk_items], start, cross=False)
             return
-        # Classification builds the wire KVPair objects directly (each one
-        # ends up in exactly one packet), so emitting a chunk is a slice —
-        # no intermediate triples, no second construction pass.
-        mapped_pairs: List[KVPair] = []   # addr = granted physical
-        cross_pairs: List[KVPair] = []    # addr = logical (0 if collided)
+        # Classification fills (addr, value, key) columns — mapped pairs
+        # carry the granted physical address, cross pairs the logical one
+        # (0 if collided) — so emitting a chunk is three column slices
+        # straight into a KVBlock, with no per-pair object in between.
+        m_addrs: List[int] = []
+        m_values: List[int] = []
+        m_keys: List[Any] = []
+        x_addrs: List[int] = []
+        x_values: List[int] = []
+        x_keys: List[Any] = []
         # Per-item loop over every task (hot): hoist the state lookups and
         # consult the address-space memo directly (one dict probe) so only
         # first-seen keys pay the resolve() call.
@@ -318,14 +322,14 @@ class ClientAgent:
         grants_get = state.grants.get
         phys_to_key = state.phys_to_key
         has_switch = config.has_switch
-        mapped_append = mapped_pairs.append
-        cross_append = cross_pairs.append
         for key, value in task.items:
             logical = memo_get(key, _MISS)
             if logical is _MISS:
                 logical = resolve(key)
             if logical is None or not has_switch:
-                cross_append(KVPair(0, value, False, key))
+                x_addrs.append(0)
+                x_values.append(value)
+                x_keys.append(key)
                 continue
             logical_to_key[logical] = key
             if logical in usage_counts:
@@ -334,79 +338,85 @@ class ClientAgent:
                 usage_counts[logical] = 1
             phys = grants_get(logical)
             if phys is None:
-                cross_append(KVPair(logical, value, False, key))
+                x_addrs.append(logical)
+                x_values.append(value)
+                x_keys.append(key)
             else:
                 phys_to_key[phys] = key
-                mapped_append(KVPair(phys, value, True, key))
+                m_addrs.append(phys)
+                m_values.append(value)
+                m_keys.append(key)
 
         offset = 0
         if prog.cntfwd.counts:
             # Counting applications (locks, votes): one key per packet so
             # each packet has a well-defined counter register.
-            for pair in mapped_pairs:
-                offset = self._emit_map_chunk(
-                    state, config, tstate, [pair], offset,
-                    cross=False, cnt_index=pair.addr)
-            for pair in cross_pairs:
-                offset = self._emit_map_chunk(
-                    state, config, tstate, [pair], offset, cross=True)
+            for addr, value, key in zip(m_addrs, m_values, m_keys):
+                offset = emit(state, config, tstate, [addr], [value], [key],
+                              offset, cross=False, cnt_index=addr)
+            for addr, value, key in zip(x_addrs, x_values, x_keys):
+                offset = emit(state, config, tstate, [addr], [value], [key],
+                              offset, cross=True)
             return
 
         # Pack mapped pairs subject to the one-access-per-segment rule:
         # two pairs whose registers share a memory segment cannot ride the
         # same packet (§5.2.2 "implementation on the switch").
-        packet_pairs: List[KVPair] = []
+        start = 0
         used_segments: set = set()
         mem_segments = self.cal.memory_segments
-        for pair in mapped_pairs:
-            segment = pair.addr % mem_segments
+        for i, addr in enumerate(m_addrs):
+            segment = addr % mem_segments
             if segment in used_segments or \
-                    len(packet_pairs) >= KV_PAIRS_PER_PACKET:
-                offset = self._emit_map_chunk(state, config, tstate,
-                                              packet_pairs, offset,
-                                              cross=False)
-                packet_pairs, used_segments = [], set()
-            packet_pairs.append(pair)
+                    i - start >= KV_PAIRS_PER_PACKET:
+                offset = emit(state, config, tstate, m_addrs[start:i],
+                              m_values[start:i], m_keys[start:i], offset,
+                              cross=False)
+                start = i
+                used_segments = set()
             used_segments.add(segment)
-        if packet_pairs:
-            offset = self._emit_map_chunk(state, config, tstate,
-                                          packet_pairs, offset, cross=False)
-        for start in range(0, len(cross_pairs), KV_PAIRS_PER_PACKET):
-            offset = self._emit_map_chunk(
-                state, config, tstate,
-                cross_pairs[start:start + KV_PAIRS_PER_PACKET],
-                offset, cross=True)
+        if start < len(m_addrs):
+            offset = emit(state, config, tstate, m_addrs[start:],
+                          m_values[start:], m_keys[start:], offset,
+                          cross=False)
+        for start in range(0, len(x_addrs), KV_PAIRS_PER_PACKET):
+            stop = start + KV_PAIRS_PER_PACKET
+            offset = emit(state, config, tstate, x_addrs[start:stop],
+                          x_values[start:stop], x_keys[start:stop], offset,
+                          cross=True)
 
     def _emit_map_chunk(self, state: _AppClientState, config: AppConfig,
-                        tstate: _TaskState,
-                        pairs: List[KVPair], offset: int,
+                        tstate: _TaskState, addrs: List[int],
+                        values: List[int], keys: List[Any], offset: int,
                         cross: bool, cnt_index: int = 0) -> int:
-        if not pairs:
-            return offset
+        """Send one non-empty chunk given as fresh column lists."""
         task = tstate.task
+        n_pairs = len(addrs)
         # Counting applications (locks, votes) complete on the threshold
         # result, never on a bare transport ACK: an absorbed attempt must
         # keep its chunk pending (blocking-lock semantics).
         awaiting = task.expect_result or config.program.cntfwd.counts
-        chunk = _ChunkState(offset, [(p.key, p.value) for p in pairs],
+        chunk = _ChunkState(offset, list(zip(keys, values)),
                             mapped=not cross, awaiting_result=awaiting)
         tstate.chunks[offset] = chunk
         tstate.unresolved += 1
         if cross:
-            tstate.fallback_pairs += len(pairs)
+            tstate.fallback_pairs += n_pairs
         else:
-            tstate.mapped_pairs += len(pairs)
-        pkt = self._base_packet(config, task, offset, pairs)
+            tstate.mapped_pairs += n_pairs
+        kv = KVBlock.from_columns(addrs, values,
+                                  mapped_mask=0 if cross else -1, keys=keys)
+        pkt = self._base_packet(config, task, offset, kv)
         pkt.is_cross = cross
         if not cross and config.program.cntfwd.counts:
             pkt.is_cnf = True
             pkt.cnt_index = cnt_index
         state.round_chunks[(config.gaid, task.round, offset)] = task.task_id
         state.pick_flow().enqueue(pkt)
-        return offset + len(pairs)
+        return offset + n_pairs
 
     def _base_packet(self, config: AppConfig, task: Task, offset: int,
-                     kv: List[KVPair]) -> Packet:
+                     kv: KVBlock) -> Packet:
         pkt = Packet(
             gaid=config.gaid, src=self.host.name, dst=config.server,
             kv=kv, task_id=task.task_id, offset=offset,

@@ -16,7 +16,7 @@ window).
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional, Set, Tuple
+from typing import Deque, Dict, KeysView, List, Optional, Set, Tuple
 
 from .cache import CachePolicy, HashAddressPolicy, PeriodicLRUPolicy
 
@@ -136,6 +136,9 @@ class MemoryManager:
         self.policy = policy or PeriodicLRUPolicy()
         self.quarantine_s = quarantine_s
         self._logical_to_phys: Dict[int, int] = {}
+        # Live read-only set view of the mapped logicals, created once:
+        # the dict is only ever mutated in place, so the view tracks it.
+        self._mapped = self._logical_to_phys.keys()
         self._phys_to_logical: Dict[int, int] = {}
         self._free = FreeList(region.base, region.size)
         self._quarantined: Deque[Tuple[float, int]] = deque()
@@ -158,8 +161,13 @@ class MemoryManager:
     def logical_of(self, phys: int) -> Optional[int]:
         return self._phys_to_logical.get(phys)
 
-    def mapped_logicals(self) -> Set[int]:
-        return set(self._logical_to_phys)
+    def mapped_logicals(self) -> KeysView[int]:
+        """Live view of the mapped logical addresses (no copy).
+
+        It changes as mappings are granted and evicted: snapshot it
+        (``list(...)``) before a loop that unmaps.
+        """
+        return self._mapped
 
     # ------------------------------------------------------------------
     def request(self, logical: int, now: float) -> Optional[int]:
@@ -184,8 +192,7 @@ class MemoryManager:
             self._free.discard(slot)
             return slot
 
-        mapped = self.mapped_logicals()
-        if not self.policy.wants(logical, mapped, self.capacity):
+        if not self.policy.wants(logical, self._mapped, self.capacity):
             self._pending_hot.add(logical)
             self.stats["denied"] += 1
             return None
@@ -219,8 +226,13 @@ class MemoryManager:
         """
         self.policy.window_update(self._window_counts)
         self._window_counts = {}
-        victims = self.policy.evictions(self.mapped_logicals(), self.capacity,
-                                        self._pending_hot)
+        # Once per window (not per miss) the policy gets a set snapshot
+        # rather than the live view: the counting-LRU breaks ties among
+        # equally cold candidates by iteration order, and the order that
+        # Fig. 12 and the golden pins record is this set's, not the
+        # dict's insertion order.
+        victims = self.policy.evictions(set(self._logical_to_phys),
+                                        self.capacity, self._pending_hot)
         self._pending_hot = set()
         out = []
         for logical in victims:

@@ -32,7 +32,6 @@ from repro.protocol import (
     ClearPolicy,
     ForwardTarget,
     KVBlock,
-    KVPair,
     Packet,
     RIPProgram,
     StreamOp,
@@ -58,6 +57,12 @@ def _payload_size(payload: Any) -> int:
         return sum(_payload_size(part) for part in payload
                    if isinstance(part, (bytes, bytearray))) or 16
     return 16
+
+
+def _result_block(values: Dict[Any, int]) -> KVBlock:
+    """Software-computed results as an unmapped kv block (addr 0)."""
+    return KVBlock.from_columns([0] * len(values), values.values(),
+                                keys=list(values))
 
 
 class _McastFlow:
@@ -492,8 +497,7 @@ class ServerAgent:
             # Software equivalent of the switch's threshold multicast.
             # Without switch support there is no multicast either, so the
             # result goes out as one reliable unicast per client.
-            kv_out = [KVPair(addr=0, value=v, mapped=False, key=k)
-                      for k, v in values.items()]
+            kv_out = _result_block(values)
             if config.has_switch:
                 result = Packet(gaid=pkt.gaid, src=self.host.name,
                                 dst=config.clients[0], is_sa=True, kv=kv_out,
@@ -506,17 +510,16 @@ class ServerAgent:
                 for client in config.clients:
                     self._reply(state, config, client,
                                 dict(gaid=pkt.gaid,
-                                     kv=[p.copy() for p in kv_out],
+                                     kv=kv_out.copy(),
                                      task_id=pkt.task_id, offset=pkt.offset,
                                      round=pkt.round))
             return
         self._send_ack(state, config, pkt)
         if values and (prog.uses_get or prog.cntfwd.counts):
-            kv_out = [KVPair(addr=0, value=v, mapped=False, key=k)
-                      for k, v in values.items()]
             self._reply(state, config, pkt.src,
-                        dict(gaid=pkt.gaid, kv=kv_out, task_id=pkt.task_id,
-                             offset=pkt.offset, round=pkt.round))
+                        dict(gaid=pkt.gaid, kv=_result_block(values),
+                             task_id=pkt.task_id, offset=pkt.offset,
+                             round=pkt.round))
 
     def _software_count(self, state: _AppServerState, prog: RIPProgram,
                         key: Any) -> bool:
@@ -639,8 +642,7 @@ class ServerAgent:
             self._send_ack(state, config, origin)
             if not values:
                 return
-            kv_out = [KVPair(addr=0, value=v, mapped=False, key=k)
-                      for k, v in values.items()]
+            kv_out = _result_block(values)
             if prog.cntfwd.counts and \
                     prog.cntfwd.target is ForwardTarget.ALL:
                 result = Packet(gaid=origin.gaid, src=self.host.name,
@@ -722,11 +724,10 @@ class ServerAgent:
                 values[key] = state.soft.get(key) + \
                     self._register_part(state, config, key)
         if values:
-            kv_out = [KVPair(addr=0, value=v, mapped=False, key=k)
-                      for k, v in values.items()]
             self._reply(state, config, pkt.src,
-                        dict(gaid=pkt.gaid, kv=kv_out, task_id=pkt.task_id,
-                             offset=pkt.offset, round=pkt.round))
+                        dict(gaid=pkt.gaid, kv=_result_block(values),
+                             task_id=pkt.task_id, offset=pkt.offset,
+                             round=pkt.round))
 
     def _register_part(self, state: _AppServerState, config: AppConfig,
                        key: Any) -> int:

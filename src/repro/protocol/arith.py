@@ -81,16 +81,18 @@ class Quantizer:
 
         Returns ``(fixed, overflowed)``.  A value too large for int32
         saturates and reports overflow so the agent can route it through
-        the software path up front; ±inf saturates the same way rather
+        the software path up front; ±inf — and a finite value whose
+        scaled product overflows to inf — saturates the same way rather
         than leaking ``round()``'s OverflowError.  NaN is rejected — it
         has no fixed-point image and silently aggregating one would
         poison the result.
         """
-        if not math.isfinite(value):
-            if math.isnan(value):
+        scaled = value * self.scale
+        if not math.isfinite(scaled):
+            if math.isnan(scaled):
                 raise ValueError("cannot quantize NaN to fixed point")
-            return (INT32_MAX if value > 0 else INT32_MIN), True
-        fixed = round(value * self.scale)
+            return (INT32_MAX if scaled > 0 else INT32_MIN), True
+        fixed = round(scaled)
         if fixed > INT32_MAX:
             return INT32_MAX, True
         if fixed < INT32_MIN:

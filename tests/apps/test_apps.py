@@ -1,5 +1,11 @@
 """Integration tests for the four application types (paper Table 1)."""
 
+import json
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
 from repro.apps import (
@@ -41,6 +47,34 @@ class TestTraining:
         job.server_stub.bind_round(lambda r, values: seen.update({r: values}))
         job.run(iterations=1)
         assert 0 in seen
+
+    def test_gradients_do_not_depend_on_the_string_hash_seed(self):
+        """Two interpreters with different PYTHONHASHSEED must agree on
+        the first round's aggregate: worker gradients were once seeded
+        with ``hash(worker)``, which changes per process."""
+        script = textwrap.dedent("""
+            import json
+            from repro.apps import TrainingJob
+            from repro.control import build_rack
+            from repro.workloads import MODELS
+            job = TrainingJob(build_rack(2, 1), MODELS["ResNet50"],
+                              scale=50_000)
+            seen = {}
+            job.server_stub.bind_round(
+                lambda r, values: seen.update({r: values}))
+            job.run(iterations=1)
+            print(json.dumps(sorted(seen[0].items())))
+        """)
+        aggregates = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                       PYTHONPATH=os.pathsep.join(sys.path))
+            done = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True,
+                                  timeout=120, check=True)
+            aggregates.append(json.loads(done.stdout))
+        assert aggregates[0] == aggregates[1]
+        assert any(value for _index, value in aggregates[0])
 
 
 class TestWordCount:

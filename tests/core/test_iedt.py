@@ -5,7 +5,21 @@ from hypothesis import given, strategies as st
 
 from repro.core import IEDTKind, decode_items, encode_items, is_iedt
 from repro.core.iedt import default_value, iedt_kind
-from repro.protocol import INT32_MAX, Quantizer
+from repro.protocol import (DEFAULT_FMAX_CODEC, DEFAULT_FP_CODEC, INT32_MAX,
+                            INT32_MIN, Quantizer)
+
+FLOAT_KINDS = [IEDTKind.FP_ARRAY, IEDTKind.FP_MAP]
+INT_KINDS = [IEDTKind.INT_ARRAY, IEDTKind.STR_INT_MAP, IEDTKind.INT_INT_MAP]
+MAP_KINDS = [IEDTKind.STR_INT_MAP, IEDTKind.INT_INT_MAP, IEDTKind.FP_MAP]
+
+
+def field_value(kind, elements):
+    """``elements`` shaped as a value of ``kind`` (valid key types)."""
+    if kind.is_array:
+        return list(elements)
+    if kind is IEDTKind.INT_INT_MAP:
+        return dict(enumerate(elements))
+    return {f"k{i}": element for i, element in enumerate(elements)}
 
 
 class TestKinds:
@@ -63,6 +77,56 @@ class TestEncoding:
         assert overflows == 1
         assert items[0][1] == INT32_MAX
 
+    # Every rejection on every kind it applies to: the per-field dispatch
+    # must not lose a check that the per-element one made.
+    @pytest.mark.parametrize("kind", FLOAT_KINDS)
+    def test_nan_rejected(self, kind):
+        with pytest.raises(ValueError):
+            encode_items(kind, field_value(kind, [0.5, float("nan")]),
+                         Quantizer(2))
+
+    @pytest.mark.parametrize("kind", FLOAT_KINDS)
+    def test_infinities_saturate_and_count(self, kind):
+        value = field_value(kind, [float("inf"), 0.25, float("-inf")])
+        items, overflows = encode_items(kind, value, Quantizer(2))
+        assert [fixed for _key, fixed in items] == \
+            [INT32_MAX, 25, INT32_MIN]
+        assert [key for key, _fixed in items] == \
+            (list(value) if kind.is_map else [0, 1, 2])
+        assert overflows == 2
+
+    @pytest.mark.parametrize("kind", INT_KINDS)
+    @pytest.mark.parametrize("bad", [True, False, 1.5, "7", None])
+    def test_non_integer_element_rejected(self, kind, bad):
+        with pytest.raises(TypeError):
+            encode_items(kind, field_value(kind, [3, bad]), Quantizer(0))
+
+    @pytest.mark.parametrize("kind", MAP_KINDS)
+    def test_wrong_key_type_rejected(self, kind):
+        good = field_value(kind, [1, 2])
+        bad_key = "seven" if kind is IEDTKind.INT_INT_MAP else 7
+        with pytest.raises(TypeError):
+            encode_items(kind, {**good, bad_key: 3}, Quantizer(0))
+
+    @pytest.mark.parametrize("kind", list(IEDTKind))
+    def test_empty_field(self, kind):
+        assert encode_items(kind, default_value(kind), Quantizer(3)) == \
+            ([], 0)
+
+    @pytest.mark.parametrize("kind", FLOAT_KINDS)
+    @pytest.mark.parametrize("codec", [Quantizer(0), Quantizer(6),
+                                       DEFAULT_FP_CODEC, DEFAULT_FMAX_CODEC],
+                             ids=["q0", "q6", "fadd", "fmax"])
+    @given(st.lists(st.floats(allow_nan=False), max_size=40))
+    def test_matches_per_element_codec(self, kind, codec, elements):
+        value = field_value(kind, elements)
+        items, overflows = encode_items(kind, value, codec)
+        encoded = [codec.encode(float(element)) for element in elements]
+        keys = list(value) if kind.is_map else list(range(len(elements)))
+        assert items == [(key, fixed)
+                         for key, (fixed, _over) in zip(keys, encoded)]
+        assert overflows == sum(over for _fixed, over in encoded)
+
 
 class TestDecoding:
     def test_fp_array_dequantizes(self):
@@ -82,6 +146,11 @@ class TestDecoding:
     def test_fp_map_decoding(self):
         out = decode_items(IEDTKind.FP_MAP, {"a": 250}, Quantizer(2))
         assert out == {"a": 2.5}
+
+    def test_int_map_decoding(self):
+        out = decode_items(IEDTKind.INT_INT_MAP, {3: 5, 4: -1},
+                           Quantizer(0))
+        assert out == {3: 5, 4: -1}
 
     @given(st.lists(st.floats(min_value=-100, max_value=100,
                               allow_nan=False), max_size=40),

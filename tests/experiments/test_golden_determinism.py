@@ -11,8 +11,11 @@ shifts ``sim.now`` or the event count and fails here.
 """
 
 from repro.control import build_rack
-from repro.experiments.common import run_chaos_sync_round, run_sync_aggregation
-from repro.netsim import ChaosSchedule
+from repro.experiments.common import (async_programs, run_chaos_sync_round,
+                                      run_sync_aggregation)
+from repro.inc import Task
+from repro.netsim import ChaosSchedule, scaled
+from repro.workloads import ZipfGenerator
 
 # Golden values captured on the pre-optimization simulator (and
 # verified unchanged after the overhaul): 2 clients x 4096 values,
@@ -108,3 +111,70 @@ def test_chaos_run_is_bit_identical():
          second.failure, second.switch_stats)
     assert first.ok
     assert first.final_time_s == GOLDEN_CHAOS_FINAL_TIME_S
+
+
+# --- keyed AsyncAgtr admission pin --------------------------------------
+# A small keyed run whose vocabulary (512) is four times the switch
+# reservation (128), with a cache-update window short enough that the
+# counting-LRU evicts and re-grants: the denial path, the victim choice
+# and the quarantine are all live.  Values captured on the commit before
+# the admission path stopped copying the mapping per miss; any later
+# "speed-up" that changes which keys are granted, denied or evicted —
+# even only the tie order among equally cold victims — moves them.
+GOLDEN_KEYED = {
+    "event_count": 10902,
+    "final_time_s": 0.00039574400000000245,
+    "link_pkts": 3834,
+    "cache_hit_ratio": 0.5393229166666667,
+    "software_pairs": 3538,
+    "mm_stats": {"grants": 178, "denied": 3194, "evictions": 58},
+}
+
+
+def _run_keyed_once():
+    distinct, tasks, batch = 512, 60, 64
+    cal = scaled(cache_update_window_s=25e-6, mapping_quarantine_s=30e-6)
+    dep = build_rack(2, 1, cal=cal, seed=7)
+    reduce_cfg, _query_cfg = dep.controller.register(
+        async_programs("GOLD"), server="s0", clients=dep.client_names,
+        value_slots=128, cache_policy="netrpc")
+    sim = dep.sim
+    pairs = {"mapped": 0, "fallback": 0}
+
+    def client(index):
+        # One outstanding 64-pair call per client, Zipf keys whose hot
+        # set rotates twice so the policy has something to chase.
+        zipf = ZipfGenerator(distinct, s=1.1, seed=7 + index)
+        agent = dep.client_agent(index)
+        for n in range(tasks):
+            shift = n * 3 // tasks * (distinct // 3)
+            items = [(f"key-{(zipf.sample_index() + shift) % distinct}", 1)
+                     for _ in range(batch)]
+            result = yield agent.submit(
+                Task(app=reduce_cfg, items=items, expect_result=False))
+            pairs["mapped"] += result.mapped_pairs
+            pairs["fallback"] += result.fallback_pairs
+
+    sim.run_until(sim.all_of([sim.process(client(i)) for i in range(2)]),
+                  limit=1.0)
+    snap = dep.metrics.snapshot()
+    server = dep.server_agent(0)
+    return {
+        "event_count": sim._sequence,
+        "final_time_s": sim.now,
+        "link_pkts": sum(value for name, value in snap.items()
+                         if name.startswith("link.")
+                         and name.endswith(".sent_pkts")),
+        "cache_hit_ratio":
+            pairs["mapped"] / (pairs["mapped"] + pairs["fallback"]),
+        "software_pairs": server.stats["software_pairs"],
+        "mm_stats": dict(server.app_state("GOLD").mm.stats),
+    }
+
+
+def test_keyed_admission_matches_golden_snapshot():
+    run = _run_keyed_once()
+    assert run == GOLDEN_KEYED
+    # The pin is only worth having while every admission outcome occurs.
+    assert all(run["mm_stats"].values())
+    assert 0 < run["cache_hit_ratio"] < 1

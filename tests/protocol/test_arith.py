@@ -123,6 +123,13 @@ class TestQuantizer:
             assert q.encode(float("inf")) == (INT32_MAX, True)
             assert q.encode(float("-inf")) == (INT32_MIN, True)
 
+    def test_finite_value_scaling_to_infinity_saturates(self):
+        # 1e305 is finite but 1e305 * 10**6 is not: same leak, one
+        # multiplication later (found by tests/core/test_iedt.py).
+        q = Quantizer(6)
+        assert q.encode(1e305) == (INT32_MAX, True)
+        assert q.encode(-1e305) == (INT32_MIN, True)
+
     def test_nan_is_rejected_explicitly(self):
         q = Quantizer(4)
         with pytest.raises(ValueError, match="NaN"):

@@ -24,6 +24,16 @@ the table moved.
 ``run(**{**kwargs, **overlay})`` in a sweep worker under its own
 profiler, so a whole parameter grid profiles in one parallel pass and
 each run's profile stays attributable.
+
+    # e2e mode: one iteration of a benchmark workload, by function
+    PYTHONPATH=src python tools/profile_experiment.py \
+        --e2e wordcount_zipf --seed 5 --top 15
+
+``--e2e`` profiles the run phase of one ``benchmarks/e2e`` workload
+(after an unprofiled warm iteration, like the harness's traced child)
+and prints the top functions by self time.  The harness's ``--trace 1``
+splits the same time per *package*; this is the per-*function* view that
+tells which function inside the package to open.
 """
 
 from __future__ import annotations
@@ -207,6 +217,46 @@ def profile_single(name: str, run, kwargs: dict, args) -> None:
         print(f"raw stats written to {args.dump}")
 
 
+def profile_e2e(args) -> int:
+    """Profile one iteration of a ``benchmarks/e2e`` workload.
+
+    The benchmark's ``workloads.py`` is imported as is (nothing under
+    ``benchmarks/e2e`` is edited or written); only ``workload.run`` —
+    the harness's timed region — sits inside the profiler.
+    """
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent
+                           / "benchmarks" / "e2e"))
+    from workloads import WORKLOADS
+
+    if args.e2e not in WORKLOADS:
+        print(f"unknown workload {args.e2e!r}; known: {sorted(WORKLOADS)}",
+              file=sys.stderr)
+        return 2
+    workload = WORKLOADS[args.e2e]()
+    inputs = workload.inputs(args.seed)
+    workload.run(workload.setup(args.seed), inputs)   # warm, unprofiled
+    ctx = workload.setup(args.seed)
+    profiler = cProfile.Profile()
+    start = perf_counter()
+    profiler.enable()
+    try:
+        out = workload.run(ctx, inputs)
+    finally:
+        profiler.disable()
+    wall = perf_counter() - start
+    report = workload.report(ctx, inputs, out)
+
+    stats = pstats.Stats(profiler, stream=sys.stdout)
+    stats.sort_stats(args.sort).print_stats(args.top)
+    print(f"{args.e2e} seed {args.seed}: {report.ops:,} ops, "
+          f"{report.failed} failed, {wall:.2f} s wall "
+          f"(includes profiler overhead)")
+    if args.dump:
+        stats.dump_stats(args.dump)
+        print(f"raw stats written to {args.dump}")
+    return 1 if report.failed else 0
+
+
 def profile_sweep(name: str, kwargs: dict, overlays: list, args) -> int:
     from repro.sweep import RunFailure, RunSpec, SweepEngine
 
@@ -248,9 +298,17 @@ def profile_sweep(name: str, kwargs: dict, overlays: list, args) -> int:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("experiment",
+    parser.add_argument("experiment", nargs="?",
                         help="experiment module, e.g. exp_micro or "
                              "repro.experiments.exp_micro")
+    parser.add_argument("--e2e", default=None, metavar="WORKLOAD",
+                        help="instead of an experiment, profile one "
+                             "iteration of this benchmarks/e2e workload "
+                             "(e.g. wordcount_zipf) and print the top "
+                             "functions by self time")
+    parser.add_argument("--seed", type=int, default=0,
+                        help="workload seed in --e2e mode "
+                             "(default: %(default)s)")
     parser.add_argument("--sort", default="tottime",
                         choices=["tottime", "cumtime", "ncalls"],
                         help="pstats sort column (default: %(default)s)")
@@ -288,6 +346,13 @@ def main(argv=None) -> int:
     if args.trace and args.sweep is not None:
         parser.error("--trace applies to single-run mode only "
                      "(sweep workers run in separate processes)")
+    if (args.e2e is None) == (args.experiment is None):
+        parser.error("give an experiment module or --e2e WORKLOAD")
+    if args.e2e is not None:
+        if args.shards is not None or args.sweep is not None or args.trace:
+            parser.error("--e2e combines only with --seed, --sort, --top "
+                         "and --dump")
+        return profile_e2e(args)
 
     name = args.experiment
     if "." not in name:
