@@ -6,7 +6,8 @@ attaching a NetFilter to an ``rpc`` definition offloads the method's
 computation into the network.
 """
 
-from .iedt import IEDTKind, decode_items, default_value, encode_items, is_iedt
+from .iedt import (IEDTKind, decode_column, decode_items, default_value,
+                   encode_column, encode_items, is_iedt)
 from .idl import (
     MethodDescriptor,
     ProtoFile,
@@ -25,6 +26,7 @@ __all__ = [
     "ServiceDescriptor", "MethodDescriptor",
     "Message", "MessageDescriptor", "FieldDescriptor",
     "IEDTKind", "is_iedt", "encode_items", "decode_items", "default_value",
+    "encode_column", "decode_column",
     "parse_netfilter", "netfilter_to_json", "NetFilterError",
     "NetRPCService", "RegisteredService", "register_service",
     "Channel", "ClientStub", "ServerStub", "CallInfo",

@@ -13,12 +13,16 @@ precision) and back.
 from __future__ import annotations
 
 import enum
-from typing import Any, Dict, List, Tuple
+from typing import Any, Collection, Dict, List, Sequence, Tuple
 
 from repro.protocol import Quantizer
 
 __all__ = ["IEDTKind", "IEDT_TYPES", "is_iedt", "iedt_kind",
-           "encode_items", "decode_items", "default_value"]
+           "encode_items", "decode_items", "encode_column", "decode_column",
+           "default_value"]
+
+_REAL_TYPES = frozenset((float, int))
+_INT_TYPES = frozenset((int,))
 
 
 class IEDTKind(enum.Enum):
@@ -62,6 +66,55 @@ def default_value(kind: IEDTKind) -> Any:
     return [] if kind.is_array else {}
 
 
+def _checked(kind: IEDTKind, elements: Collection[Any]) -> Collection[Any]:
+    """``elements`` once each is known to be a number ``kind`` holds.
+
+    One C-level pass over the element types settles the common field;
+    only a field holding something other than plain ``int``/``float``
+    is walked in Python, to name the offender or to admit a subclass
+    (which float kinds hand on as a plain float).
+    """
+    if kind.is_float:
+        if set(map(type, elements)) <= _REAL_TYPES:
+            return elements
+        for element in elements:
+            if isinstance(element, bool) or \
+                    not isinstance(element, (int, float)):
+                raise TypeError(f"{kind.value} holds real numbers, got "
+                                f"{type(element).__name__}")
+        return [float(element) for element in elements]
+    if set(map(type, elements)) <= _INT_TYPES:
+        return elements
+    for element in elements:
+        if not isinstance(element, int) or isinstance(element, bool):
+            raise TypeError(f"{kind.value} holds integers, got "
+                            f"{type(element).__name__}")
+    return elements
+
+
+def encode_column(kind: IEDTKind, value: Sequence[Any], quantizer: Quantizer
+                  ) -> Tuple[List[int], int]:
+    """Convert an array field into its int32 value column.
+
+    Returns ``(column, precheck_overflows)``; the indices are implicit
+    (position ``i`` is index ``i``).  This is the only array encoder:
+    the dense SyncAgtr path ships the column as is, and
+    :func:`encode_items` derives its rows from it.
+    """
+    elements = _checked(kind, value)
+    if kind.is_float:
+        return quantizer.encode_many(elements)
+    return list(elements), 0
+
+
+def decode_column(kind: IEDTKind, column: Sequence[int],
+                  quantizer: Quantizer) -> List[Any]:
+    """Convert an int32 result column back into an array field value."""
+    if kind.is_float:
+        return quantizer.decode_many(column)
+    return list(column)
+
+
 def encode_items(kind: IEDTKind, value: Any, quantizer: Quantizer
                  ) -> Tuple[List[Tuple[Any, int]], int]:
     """Convert an IEDT field value into INC stream items.
@@ -74,42 +127,32 @@ def encode_items(kind: IEDTKind, value: Any, quantizer: Quantizer
     warn).
 
     The kind is dispatched once per field, not per element: map keys are
-    type-checked up front, then one loop encodes (float kinds) or
-    type-checks (integer kinds) the elements.
+    type-checked up front, then the elements are type-checked and (float
+    kinds) encoded as one column.
     """
     if kind.is_array:
-        pairs = enumerate(value)
-    else:
-        key_type = int if kind is IEDTKind.INT_INT_MAP else str
-        for key in value:
-            if not isinstance(key, key_type):
-                raise TypeError(f"{kind.value} keys must be "
-                                f"{key_type.__name__}, got "
-                                f"{type(key).__name__}")
-        pairs = value.items()
+        column, overflows = encode_column(kind, value, quantizer)
+        return list(enumerate(column)), overflows
+    key_type = int if kind is IEDTKind.INT_INT_MAP else str
+    for key in value:
+        if not isinstance(key, key_type):
+            raise TypeError(f"{kind.value} keys must be "
+                            f"{key_type.__name__}, got "
+                            f"{type(key).__name__}")
+    elements = _checked(kind, value.values())
     if kind.is_float:
-        encode = quantizer.encode
-        overflows = 0
-        items: List[Tuple[Any, int]] = []
-        for key, element in pairs:
-            fixed, over = encode(float(element))
-            overflows += over
-            items.append((key, fixed))
-        return items, overflows
+        column, overflows = quantizer.encode_many(elements)
+        return list(zip(value, column)), overflows
     # Integer kinds pass through: the (key, element) pairs are the items.
-    items = list(pairs)
-    for _key, element in items:
-        if not isinstance(element, int) or isinstance(element, bool):
-            raise TypeError(f"{kind.value} holds integers, got "
-                            f"{type(element).__name__}")
-    return items, 0
+    return list(value.items()), 0
 
 
 def decode_items(kind: IEDTKind, values: Dict[Any, int],
                  quantizer: Quantizer, length: int = 0) -> Any:
     """Convert INC result values back into an IEDT field value."""
-    convert = quantizer.decode if kind.is_float else int
     if kind.is_array:
         get = values.get
-        return [convert(get(index, 0)) for index in range(length)]
+        return decode_column(
+            kind, [get(index, 0) for index in range(length)], quantizer)
+    convert = quantizer.decode if kind.is_float else int
     return {key: convert(fixed) for key, fixed in values.items()}

@@ -20,7 +20,7 @@ from repro.inc import Task, TaskResult
 from repro.netsim.events import Event
 from repro.protocol import Quantizer
 
-from .iedt import decode_items, encode_items
+from .iedt import decode_column, decode_items, encode_column, encode_items
 from .messages import Message
 from .service import RegisteredService
 from .status import RpcError, StatusCode
@@ -83,12 +83,18 @@ class ClientStub:
 
         quantizer = config.codec
         items: list = []
+        column: Optional[list] = None
         stream_len = 0
         if binding.stream_field is not None:
+            kind = binding.stream_field.kind
             value = getattr(request, binding.stream_field.name)
-            items, _overflows = encode_items(
-                binding.stream_field.kind, value, quantizer)
-            stream_len = len(items)
+            if config.linear and kind.is_array:
+                # Dense SyncAgtr tensor: the agent takes the value column.
+                column, _overflows = encode_column(kind, value, quantizer)
+                stream_len = len(column)
+            else:
+                items, _overflows = encode_items(kind, value, quantizer)
+                stream_len = len(items)
 
         scalar_bytes = request.to_bytes(include_iedt=False)
         payload = None
@@ -103,7 +109,7 @@ class ClientStub:
         program = binding.program
         indexed = bool(config.linear and binding.stream_field is not None
                        and binding.stream_field.kind.is_map)
-        task = Task(app=config, items=items, round=round,
+        task = Task(app=config, items=items, column=column, round=round,
                     expect_result=(program.uses_get
                                    or program.cntfwd.counts
                                    or binding.is_plain),
@@ -130,10 +136,13 @@ class ClientStub:
                 setattr(reply, fd.name, getattr(served, fd.name))
         if binding.result_field is not None:
             kind = binding.result_field.kind
-            length = stream_len if kind.is_array else 0
-            setattr(reply, binding.result_field.name,
-                    decode_items(kind, result.values, quantizer,
-                                 length=length))
+            if kind.is_array and result.column is not None:
+                value = decode_column(kind, result.column, quantizer)
+            else:
+                value = decode_items(
+                    kind, result.values, quantizer,
+                    length=stream_len if kind.is_array else 0)
+            setattr(reply, binding.result_field.name, value)
         outer.succeed((reply, CallInfo(result)))
 
     # ------------------------------------------------------------------

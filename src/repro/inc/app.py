@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Tuple
+from typing import Optional, Tuple
 
 from repro.protocol import (
     DEFAULT_FMAX_CODEC,
@@ -59,7 +59,9 @@ class AppConfig:
         register must sit below every value there).  Everything else
         keeps the paper's fixed-point :class:`Quantizer`.  All three
         expose the same ``encode(float) -> (int, bool)`` /
-        ``decode(int) -> float`` surface the RPC layer codes against.
+        ``decode(int) -> float`` surface, and its whole-tensor form
+        ``encode_many`` / ``decode_many``, which the RPC layer codes
+        against.
         """
         if self.program.agg is AggOp.FMAX:
             return DEFAULT_FMAX_CODEC
@@ -86,17 +88,38 @@ class AppConfig:
             chunk_number % self.counter_region.size
 
 
+def _dense_column(rows: list) -> list:
+    """The value column of ``[(0, v0), (1, v1), ...]`` rows.
+
+    Density is one tuple comparison, not a walk: ``zip`` transposes the
+    rows and the index column must equal ``0 .. n-1``.
+    """
+    if not rows:
+        return []
+    indices, values = zip(*rows, strict=True)
+    if indices != tuple(range(len(indices))):
+        raise ValueError(
+            "linear tasks must be dense arrays indexed from 0 "
+            "(set indexed=True for sparse index addressing)")
+    return list(values)
+
+
 @dataclass
 class Task:
     """One data stream handed to a client agent (an RPC call's arguments).
 
-    ``items`` is a list of ``(key, value)`` pairs with already-quantized
-    int32 values; for linear (SyncAgtr) tasks the keys are array indices
-    and must be dense from 0.
+    A task's data has one of two shapes.  Map-addressed and ``indexed``
+    tasks hold ``items``, ``(key, value)`` rows with already-quantized
+    int32 values.  A dense linear (SyncAgtr) task *is* a value column:
+    ``column[i]`` is the value at array index ``i`` and no index is ever
+    stored.  The RPC layer builds it with ``column=``; direct callers may
+    still hand over ``items=[(0, v0), (1, v1), ...]`` — the rows must be
+    dense from 0, are transposed once here and then dropped, so the agent
+    sees the same task either way.
     """
 
     app: AppConfig
-    items: list                        # [(key_or_index, int32), ...]
+    items: list = field(default_factory=list)  # [(key_or_index, int32), ...]
     round: int = 0
     expect_result: bool = True         # the call reads values back
     payload: object = None
@@ -106,31 +129,57 @@ class Task:
     # per consensus instance).
     indexed: bool = False
     task_id: int = field(default_factory=lambda: next(_task_ids))
+    column: Optional[list] = None      # dense linear tasks: [int32, ...]
+    size: int = field(init=False)      # kv pairs in the task
 
     def __post_init__(self):
         if self.app.linear and not self.indexed:
-            for position, (index, _value) in enumerate(self.items):
-                if index != position:
-                    raise ValueError(
-                        "linear tasks must be dense arrays indexed from 0 "
-                        "(set indexed=True for sparse index addressing)")
-        if self.app.linear and self.indexed:
+            if self.column is None:
+                self.column = _dense_column(self.items)
+            elif self.items:
+                raise ValueError("give a dense task items or a column, "
+                                 "not both")
+            self.items = []
+            self.size = len(self.column)
+            return
+        if self.column is not None:
+            raise ValueError("only dense linear tasks are value columns")
+        if self.app.linear:
             for index, _value in self.items:
                 if not isinstance(index, int) or index < 0:
                     raise ValueError("indexed tasks need non-negative "
                                      "integer indices")
+        self.size = len(self.items)
 
 
-@dataclass
 class TaskResult:
-    """Outcome of a completed task, delivered via the task's done event."""
+    """Outcome of a completed task, delivered via the task's done event.
 
-    task: Task
-    values: dict                       # key -> int32 result (if expected)
-    overflow_chunks: int = 0           # chunks corrected in software
-    fallback_pairs: int = 0            # pairs that took the server path
-    mapped_pairs: int = 0              # pairs processed on the switch
-    payload: object = None             # opaque reply payload (non-INC data)
+    What a dense linear task read back arrives as ``column`` — one int32
+    per array index, 0 where no result packet covered the index — and
+    ``values`` derives the ``index -> value`` dict from it on first
+    access, so row-style callers read every result the same way.  Every
+    other task hands in its ``key -> value`` dict and has no column.
+    """
+
+    def __init__(self, task: Task, values: Optional[dict] = None,
+                 column: Optional[list] = None, overflow_chunks: int = 0,
+                 fallback_pairs: int = 0, mapped_pairs: int = 0,
+                 payload: object = None):
+        self.task = task
+        self.column = column
+        self._values = values
+        self.overflow_chunks = overflow_chunks  # corrected in software
+        self.fallback_pairs = fallback_pairs    # took the server path
+        self.mapped_pairs = mapped_pairs        # processed on the switch
+        self.payload = payload                  # opaque non-INC reply data
+
+    @property
+    def values(self) -> dict:
+        """key -> int32 result (empty unless the task expected one)."""
+        if self._values is None:
+            self._values = dict(enumerate(self.column or ()))
+        return self._values
 
     @property
     def cache_hit_ratio(self) -> float:

@@ -43,12 +43,17 @@ _MISS = object()   # sentinel: key absent from the logical-address memo
 
 
 class _ChunkState:
-    """One in-flight chunk (<= 32 kv pairs) of a task."""
+    """One in-flight chunk (<= 32 kv pairs) of a task.
+
+    ``items`` is what the chunk sent: ``(key, value)`` rows, or for a
+    chunk of a dense linear task the bare value slice (slot ``i`` is
+    array index ``offset + i``).
+    """
 
     __slots__ = ("offset", "items", "resolved", "overflowed", "mapped",
                  "awaiting_result")
 
-    def __init__(self, offset: int, items: List[Tuple[Any, int]],
+    def __init__(self, offset: int, items: list,
                  mapped: bool, awaiting_result: bool):
         self.offset = offset
         self.items = items
@@ -64,16 +69,52 @@ class _TaskState:
         self.done = done
         self.chunks: Dict[int, _ChunkState] = {}
         self.unresolved = 0
-        self.values: Dict[Any, int] = {}
+        # Results by key — or, for a dense linear task that reads values
+        # back, by position in a preallocated column (TaskResult.column).
+        self.values: Optional[Dict[Any, int]] = {}
+        self.column: Optional[List[int]] = None
+        if task.column is not None and (
+                task.expect_result or task.app.program.cntfwd.counts):
+            self.values = None
+            self.column = [0] * task.size
         self.mapped_pairs = 0
         self.fallback_pairs = 0
         self.overflow_chunks = 0
         self.reply_payload: Any = None
 
+    def assign(self, chunk: _ChunkState, block: KVBlock) -> bool:
+        """Slice-assign a dense chunk's result block into the column.
+
+        Applies when the block answers exactly this chunk — its keys are
+        ``offset .. offset+n-1`` — and its values need no baseline
+        adjustment (any clear policy but lazy).  Every other result is
+        extracted and stored by key.
+        """
+        if self.task.app.program.clear is ClearPolicy.LAZY:
+            return False
+        offset = chunk.offset
+        stop = offset + len(chunk.items)
+        if block.keys != list(range(offset, stop)):
+            return False
+        self.column[offset:stop] = block.values
+        return True
+
+    def store(self, values: Dict[Any, int]) -> None:
+        """Record one chunk's results, given by key."""
+        column = self.column
+        if column is None:
+            self.values.update(values)
+            return
+        # Another client's longer tensor may report indices past ours.
+        size = len(column)
+        for index, value in values.items():
+            if 0 <= index < size:
+                column[index] = value
+
     def finish_if_complete(self) -> bool:
         if self.unresolved == 0 and not self.done.triggered:
             result = TaskResult(
-                task=self.task, values=self.values,
+                task=self.task, values=self.values, column=self.column,
                 overflow_chunks=self.overflow_chunks,
                 fallback_pairs=self.fallback_pairs,
                 mapped_pairs=self.mapped_pairs,
@@ -206,7 +247,7 @@ class ClientAgent:
             done.add_callback(_trace_done)
         tstate = _TaskState(task, done)
         state.tasks[task.task_id] = tstate
-        if config.linear and task.items:
+        if config.linear and task.size:
             self._send_linear(state, config, tstate)
         else:
             self._send_map(state, config, tstate)
@@ -242,7 +283,8 @@ class ClientAgent:
     def _send_linear(self, state: _AppClientState, config: AppConfig,
                      tstate: _TaskState) -> None:
         task = tstate.task
-        items = task.items
+        dense = task.column is not None
+        items = task.column if dense else task.items
         # Software-only deployments have no register region; addresses are
         # placeholders (the packets take the is_cross path anyway).
         half = config.active_region_size or 1
@@ -258,18 +300,22 @@ class ClientAgent:
         else:
             chunk_size = KV_PAIRS_PER_PACKET
         awaiting = task.expect_result or config.program.cntfwd.counts
-        for offset in range(0, len(items), chunk_size):
+        for offset in range(0, task.size, chunk_size):
             chunk_items = items[offset:offset + chunk_size]
             chunk = _ChunkState(offset, chunk_items, mapped=True,
                                 awaiting_result=awaiting)
             tstate.chunks[offset] = chunk
             tstate.unresolved += 1
             tstate.mapped_pairs += len(chunk_items)
-            # Columns built directly — no per-pair objects on this path.
-            indices = [item[0] for item in chunk_items]
+            if dense:
+                # The slice of the task's column is the value column.
+                indices = list(range(offset, offset + len(chunk_items)))
+                values = chunk_items
+            else:
+                indices = [item[0] for item in chunk_items]
+                values = [item[1] for item in chunk_items]
             kv = KVBlock.from_columns(
-                [base + index % half for index in indices],
-                [item[1] for item in chunk_items],
+                [base + index % half for index in indices], values,
                 mapped_mask=-1, keys=indices)
             pkt = self._base_packet(config, task, offset, kv)
             first_index = indices[0]
@@ -420,7 +466,7 @@ class ClientAgent:
         pkt = Packet(
             gaid=config.gaid, src=self.host.name, dst=config.server,
             kv=kv, task_id=task.task_id, offset=offset,
-            task_total=len(task.items), round=task.round,
+            task_total=task.size, round=task.round,
             payload=task.payload if offset == 0 else None,
             payload_bytes=task.payload_bytes if offset == 0 else 0)
         pkt.select_all_slots()
@@ -563,8 +609,11 @@ class ClientAgent:
                 self._resend_overflow(state, config, tstate, chunk)
             return
 
-        values = self._extract_values(state, config, tstate, chunk, pkt,
-                                      corrected=corrected)
+        if tstate.column is not None and tstate.assign(chunk, pkt.kv):
+            values: Dict[Any, int] = {}    # already in the result column
+        else:
+            values = self._extract_values(state, config, tstate, chunk, pkt,
+                                          corrected=corrected)
         self._resolve_chunk(state, config, tstate, chunk, values)
 
     def _extract_values(self, state: _AppClientState, config: AppConfig,
@@ -617,7 +666,7 @@ class ClientAgent:
         if chunk.awaiting_result:
             if values is None:
                 return  # ACKed but still waiting for data
-            tstate.values.update(values)
+            tstate.store(values)
         chunk.resolved = True
         tstate.unresolved -= 1
         self.stats["results"] += 1
@@ -645,14 +694,19 @@ class ClientAgent:
         """Replay a chunk's raw data through the server (§5.2.1)."""
         self.stats["overflow_resends"] += 1
         items = chunk.items
-        kv = KVBlock.from_columns(
-            [0] * len(items), [value for _, value in items],
-            mapped_mask=0, keys=[key for key, _ in items])
+        if tstate.task.column is not None:      # dense: a value slice
+            keys = list(range(chunk.offset, chunk.offset + len(items)))
+            values = items
+        else:
+            keys = [key for key, _ in items]
+            values = [value for _, value in items]
+        kv = KVBlock.from_columns([0] * len(items), values,
+                                  mapped_mask=0, keys=keys)
         pkt = Packet(
             gaid=config.gaid, src=self.host.name, dst=config.server,
             kv=kv, is_of=True, is_cross=True,
             task_id=tstate.task.task_id,
-            offset=chunk.offset, task_total=len(tstate.task.items),
+            offset=chunk.offset, task_total=tstate.task.size,
             round=tstate.task.round)
         pkt.select_all_slots()
         state.pick_flow().enqueue(pkt)

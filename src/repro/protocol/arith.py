@@ -12,7 +12,9 @@ including the documented MAX_INT false-positive).
 from __future__ import annotations
 
 import math
-from typing import Tuple
+from itertools import repeat
+from operator import mul, truediv
+from typing import Callable, Collection, Iterable, List, Tuple
 
 __all__ = [
     "INT32_MAX",
@@ -21,6 +23,7 @@ __all__ = [
     "saturating_add",
     "wrap32",
     "is_overflow_sentinel",
+    "encode_each",
     "Quantizer",
 ]
 
@@ -57,6 +60,19 @@ def is_overflow_sentinel(value: int) -> bool:
     retry, never an incorrect result).
     """
     return value == INT32_MAX or value == INT32_MIN
+
+
+def encode_each(encode: Callable[[float], Tuple[int, bool]],
+                values: Iterable[float]) -> Tuple[List[int], int]:
+    """``(column, overflow count)`` from one ``encode`` call per value:
+    the reference every codec's ``encode_many`` must agree with."""
+    column: List[int] = []
+    overflows = 0
+    for value in values:
+        fixed, over = encode(value)
+        overflows += over
+        column.append(fixed)
+    return column, overflows
 
 
 class Quantizer:
@@ -104,6 +120,34 @@ class Quantizer:
         if self.scale == 1:
             return float(fixed)
         return fixed / self.scale
+
+    def encode_many(self, values: Collection[float]
+                    ) -> Tuple[List[int], int]:
+        """Quantize a whole tensor: ``(int32 column, overflow count)``.
+
+        Element for element the result of :meth:`encode`.  The common
+        tensor — finite floats inside the int32 range — is scaled and
+        rounded without entering Python per value, then range-checked
+        with one ``min``/``max``; anything else (NaN, ±inf, a saturating
+        value, an element ``float.__round__`` does not take) re-runs the
+        per-element loop, so every check :meth:`encode` makes still
+        decides the outcome.
+        """
+        try:
+            column = list(map(float.__round__,
+                              map(mul, values, repeat(float(self.scale)))))
+            if not column or (min(column) >= INT32_MIN
+                              and max(column) <= INT32_MAX):
+                return column, 0
+        except (TypeError, ValueError, OverflowError):
+            pass                # NaN, ±inf or a non-float product
+        return encode_each(self.encode, values)
+
+    def decode_many(self, column: Iterable[int]) -> List[float]:
+        """Map a fixed-point column back to floats (see :meth:`decode`)."""
+        if self.scale == 1:
+            return list(map(float, column))
+        return list(map(truediv, column, repeat(self.scale)))
 
     def roundtrip_error_bound(self) -> float:
         """Worst-case absolute quantization error for one value."""

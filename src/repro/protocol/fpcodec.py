@@ -40,7 +40,9 @@ IEEE float64 reference and asserts the bound.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
+
+from .arith import encode_each
 
 __all__ = ["FPCodec", "OrderedMaxCodec", "DEFAULT_FP_CODEC",
            "DEFAULT_FMAX_CODEC"]
@@ -131,6 +133,14 @@ class FPCodec:
             value = math.ldexp(m | self._implicit,
                                e - self.bias - self.mantissa_bits)
         return -value if negative else value
+
+    def encode_many(self, values: Iterable[float]) -> Tuple[List[int], int]:
+        """Whole-tensor :meth:`encode`: ``(column, overflow count)``."""
+        return encode_each(self.encode, values)
+
+    def decode_many(self, column: Iterable[int]) -> List[float]:
+        """Whole-tensor :meth:`decode`."""
+        return list(map(self.decode, column))
 
     # ------------------------------------------------------------------
     # table arithmetic (what the switch pipeline executes per register)
@@ -260,6 +270,12 @@ class OrderedMaxCodec:
         if biased == 0:          # cleared register: below everything
             return -self.base.max_value
         return self.base.decode(biased - self.offset)
+
+    def encode_many(self, values: Iterable[float]) -> Tuple[List[int], int]:
+        return encode_each(self.encode, values)
+
+    def decode_many(self, column: Iterable[int]) -> List[float]:
+        return list(map(self.decode, column))
 
     def roundtrip_error_bound(self, value: float) -> float:
         return self.base.roundtrip_error_bound(value)

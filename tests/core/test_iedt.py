@@ -1,9 +1,13 @@
 """Tests for INC-enabled data type encoding/decoding."""
 
+import re
+from decimal import Decimal
+
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core import IEDTKind, decode_items, encode_items, is_iedt
+from repro.core import (IEDTKind, decode_column, decode_items, encode_column,
+                        encode_items, is_iedt)
 from repro.core.iedt import default_value, iedt_kind
 from repro.protocol import (DEFAULT_FMAX_CODEC, DEFAULT_FP_CODEC, INT32_MAX,
                             INT32_MIN, Quantizer)
@@ -11,6 +15,14 @@ from repro.protocol import (DEFAULT_FMAX_CODEC, DEFAULT_FP_CODEC, INT32_MAX,
 FLOAT_KINDS = [IEDTKind.FP_ARRAY, IEDTKind.FP_MAP]
 INT_KINDS = [IEDTKind.INT_ARRAY, IEDTKind.STR_INT_MAP, IEDTKind.INT_INT_MAP]
 MAP_KINDS = [IEDTKind.STR_INT_MAP, IEDTKind.INT_INT_MAP, IEDTKind.FP_MAP]
+# (bad element, kind): what each kind must refuse to encode.  Integer
+# kinds take ints only; float kinds take real numbers, not whatever
+# float() happens to accept.
+BAD_ELEMENTS = (
+    [(bad, kind) for kind in INT_KINDS
+     for bad in (True, False, 1.5, "7", None)]
+    + [(bad, kind) for kind in FLOAT_KINDS
+       for bad in (True, False, "7", "x", b"7", None, 1j, Decimal(1))])
 
 
 def field_value(kind, elements):
@@ -95,11 +107,28 @@ class TestEncoding:
             (list(value) if kind.is_map else [0, 1, 2])
         assert overflows == 2
 
-    @pytest.mark.parametrize("kind", INT_KINDS)
-    @pytest.mark.parametrize("bad", [True, False, 1.5, "7", None])
+    @pytest.mark.parametrize(
+        "bad,kind", BAD_ELEMENTS,
+        ids=[f"{bad}-{kind}" for bad, kind in BAD_ELEMENTS])
     def test_non_integer_element_rejected(self, kind, bad):
-        with pytest.raises(TypeError):
-            encode_items(kind, field_value(kind, [3, bad]), Quantizer(0))
+        # ... nor, on the float kinds, a non-real one.  The message names
+        # the kind, on the row path and on the column path alike.
+        names_kind = re.escape(kind.value)
+        with pytest.raises(TypeError, match=names_kind):
+            encode_items(kind, field_value(kind, [3, bad]), Quantizer(2))
+        if kind.is_array:
+            with pytest.raises(TypeError, match=names_kind):
+                encode_column(kind, [3, bad], Quantizer(2))
+
+    @pytest.mark.parametrize("kind", FLOAT_KINDS)
+    def test_float_kinds_take_ints_and_float_subclasses(self, kind):
+        class Celsius(float):
+            pass
+
+        value = field_value(kind, [7, Celsius(0.5), -2.25])
+        items, overflows = encode_items(kind, value, Quantizer(2))
+        assert [fixed for _key, fixed in items] == [700, 50, -225]
+        assert overflows == 0
 
     @pytest.mark.parametrize("kind", MAP_KINDS)
     def test_wrong_key_type_rejected(self, kind):
@@ -126,6 +155,15 @@ class TestEncoding:
         assert items == [(key, fixed)
                          for key, (fixed, _over) in zip(keys, encoded)]
         assert overflows == sum(over for _fixed, over in encoded)
+        if kind.is_array:
+            # The column encoder is the array encoder: same values with
+            # the indices left implicit, and back through one decoder.
+            column, column_overflows = encode_column(kind, value, codec)
+            assert column == [fixed for fixed, _over in encoded]
+            assert column_overflows == overflows
+            assert decode_column(kind, column, codec) == \
+                [codec.decode(fixed) for fixed in column] == \
+                decode_items(kind, dict(items), codec, length=len(column))
 
 
 class TestDecoding:
@@ -133,6 +171,14 @@ class TestDecoding:
         out = decode_items(IEDTKind.FP_ARRAY, {0: 50, 1: -125},
                            Quantizer(2), length=2)
         assert out == [0.5, -1.25]
+
+    def test_int_column_roundtrip_copies(self):
+        value = [5, -3, 0]
+        column, overflows = encode_column(IEDTKind.INT_ARRAY, value,
+                                          Quantizer(0))
+        assert (column, overflows) == (value, 0) and column is not value
+        decoded = decode_column(IEDTKind.INT_ARRAY, column, Quantizer(0))
+        assert decoded == value and decoded is not column
 
     def test_missing_indices_decode_to_zero(self):
         out = decode_items(IEDTKind.INT_ARRAY, {1: 7}, Quantizer(0),

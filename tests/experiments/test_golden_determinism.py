@@ -10,12 +10,18 @@ that reorders same-timestamp events or perturbs a float computation
 shifts ``sim.now`` or the event count and fails here.
 """
 
+import hashlib
+import struct
+
 from repro.control import build_rack
 from repro.experiments.common import (async_programs, run_chaos_sync_round,
                                       run_sync_aggregation)
 from repro.inc import Task
 from repro.netsim import ChaosSchedule, scaled
 from repro.workloads import ZipfGenerator
+
+from ..core.test_dense_column import (all_reduce, random_tensors,
+                                      stub_deployment)
 
 # Golden values captured on the pre-optimization simulator (and
 # verified unchanged after the overhaul): 2 clients x 4096 values,
@@ -178,3 +184,56 @@ def test_keyed_admission_matches_golden_snapshot():
     # The pin is only worth having while every admission outcome occurs.
     assert all(run["mm_stats"].values())
     assert 0 < run["cache_hit_ratio"] < 1
+
+
+# --- dense SyncAgtr through the stubs -----------------------------------
+# The paper's headline path as a user drives it: 2 workers x 3 rounds of
+# a 1,000-float tensor (31 full chunks and one of 8) at precision 6,
+# ``stub.call_async`` to reply message.  Captured on the commit before
+# the dense path went columnar (one int32 column from stub to wire and
+# back): packets, bytes, event order and every reply float must not
+# move when host-side work is removed.
+GOLDEN_DENSE = {
+    "event_count": 1457,
+    "final_time_s": 1.775135999999998e-05,
+    "link_pkts": 584,
+    "link_bytes": 109824,
+    "mapped_pairs": 6000,
+    "replies_sha256":
+        "3b6e6e902b9367a63d4fd5837900f54dfea373b09012669db596c750045eaaa5",
+}
+
+
+def _run_dense_once():
+    workers, rounds, length = 2, 3, 1000
+    dep, reg, stubs = stub_deployment(workers, seed=7)
+    grads = random_tensors(workers, rounds, length, seed=7)
+    out = all_reduce(dep, reg, stubs, grads)
+    replies = {key: tensor for key, (tensor, _info) in out.items()}
+    digest = hashlib.sha256()
+    for key in sorted(replies):
+        digest.update(struct.pack(f"<{length}d", *replies[key]))
+    snap = dep.metrics.snapshot()
+
+    def links(suffix):
+        return sum(value for name, value in snap.items()
+                   if name.startswith("link.") and name.endswith(suffix))
+
+    return {
+        "event_count": dep.sim._sequence,
+        "final_time_s": dep.sim.now,
+        "link_pkts": links(".sent_pkts"),
+        "link_bytes": links(".sent_bytes"),
+        "mapped_pairs": sum(info.mapped_pairs for _t, info in out.values()),
+        "replies_sha256": digest.hexdigest(),
+    }, grads, replies
+
+
+def test_dense_sync_matches_golden_snapshot():
+    run, grads, replies = _run_dense_once()
+    assert run == GOLDEN_DENSE
+    # ... and the pinned floats are the right ones: every worker reads
+    # the quantised sum of that round's tensors.
+    for (_w, r), tensor in replies.items():
+        for got, a, b in zip(tensor, grads[0][r], grads[1][r]):
+            assert abs(got - (a + b)) <= 1e-6 + 1e-12

@@ -33,13 +33,17 @@ each run's profile stays attributable.
 (after an unprofiled warm iteration, like the harness's traced child)
 and prints the top functions by self time.  The harness's ``--trace 1``
 splits the same time per *package*; this is the per-*function* view that
-tells which function inside the package to open.
+tells which function inside the package to open.  The last line reports
+the cyclic garbage collector over the unprofiled iteration — collections
+per generation and seconds paused (``gc.callbacks``) — the cost of
+allocating container objects per value, which no profile row shows.
 """
 
 from __future__ import annotations
 
 import argparse
 import cProfile
+import gc
 import importlib
 import json
 import pstats
@@ -217,6 +221,29 @@ def profile_single(name: str, run, kwargs: dict, args) -> None:
         print(f"raw stats written to {args.dump}")
 
 
+class _GcMeter:
+    """Counts cyclic-GC collections and their pause time while active."""
+
+    def __init__(self):
+        self.collections = [0, 0, 0]        # per generation
+        self.paused_s = 0.0
+        self._started = 0.0
+
+    def __call__(self, phase: str, info: dict) -> None:
+        if phase == "start":
+            self._started = perf_counter()
+        else:
+            self.paused_s += perf_counter() - self._started
+            self.collections[info["generation"]] += 1
+
+    def __enter__(self) -> "_GcMeter":
+        gc.callbacks.append(self)
+        return self
+
+    def __exit__(self, *_exc) -> None:
+        gc.callbacks.remove(self)
+
+
 def profile_e2e(args) -> int:
     """Profile one iteration of a ``benchmarks/e2e`` workload.
 
@@ -234,7 +261,14 @@ def profile_e2e(args) -> int:
         return 2
     workload = WORKLOADS[args.e2e]()
     inputs = workload.inputs(args.seed)
-    workload.run(workload.setup(args.seed), inputs)   # warm, unprofiled
+    # The warm iteration runs unprofiled, so it is also where the cyclic
+    # collector's share is measured: cProfile cannot see a collection (it
+    # is not a call) and slows the code between two of them.
+    ctx = workload.setup(args.seed)
+    start = perf_counter()
+    with _GcMeter() as collector:
+        workload.run(ctx, inputs)
+    warm_wall = perf_counter() - start
     ctx = workload.setup(args.seed)
     profiler = cProfile.Profile()
     start = perf_counter()
@@ -251,6 +285,12 @@ def profile_e2e(args) -> int:
     print(f"{args.e2e} seed {args.seed}: {report.ops:,} ops, "
           f"{report.failed} failed, {wall:.2f} s wall "
           f"(includes profiler overhead)")
+    print(f"cyclic GC (unprofiled iteration, {warm_wall:.2f} s wall): "
+          f"{sum(collector.collections)} collections (gen0/1/2 = "
+          f"{'/'.join(map(str, collector.collections))}), "
+          f"{collector.paused_s:.3f} s paused "
+          f"({collector.paused_s / warm_wall if warm_wall > 0 else 0.0:.1%}"
+          f" of the run)")
     if args.dump:
         stats.dump_stats(args.dump)
         print(f"raw stats written to {args.dump}")
