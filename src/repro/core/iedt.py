@@ -34,17 +34,12 @@ class IEDTKind(enum.Enum):
     INT_INT_MAP = "netrpc.INTINTMap"   # integer keys -> int32 values
     FP_MAP = "netrpc.STRFPMap"         # string keys -> float values
 
-    @property
-    def is_array(self) -> bool:
-        return self in (IEDTKind.FP_ARRAY, IEDTKind.INT_ARRAY)
-
-    @property
-    def is_map(self) -> bool:
-        return not self.is_array
-
-    @property
-    def is_float(self) -> bool:
-        return self in (IEDTKind.FP_ARRAY, IEDTKind.FP_MAP)
+    def __init__(self, type_name: str):
+        # Shape flags are plain member attributes, fixed when the enum is
+        # built: the codecs and stubs test them per field on every call.
+        self.is_array: bool = type_name.endswith("Array")
+        self.is_map: bool = not self.is_array
+        self.is_float: bool = "FP" in type_name
 
 
 IEDT_TYPES: Dict[str, IEDTKind] = {kind.value: kind for kind in IEDTKind}

@@ -7,11 +7,17 @@ attribute access, validation, equality, and a binary wire format.
 IEDT fields (``netrpc.FPArray`` etc.) are first-class: the stubs pull
 them out of a message to feed the INC channel, while scalar fields are
 marshalled into the opaque payload.
+
+Everything a field's type decides — the Python type it holds, its
+default, how it is written to and read from the wire — is resolved once,
+when the :class:`FieldDescriptor` is built; constructing, marshalling and
+parsing a message then only look those up.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+import struct
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from . import wire
 from .iedt import IEDTKind, default_value, iedt_kind, is_iedt
@@ -28,11 +34,26 @@ _WIRE_VARINT = 0
 _WIRE_FIXED64 = 1
 _WIRE_BYTES = 2
 
+# Scalar type name -> (Python type, default); every other scalar is an int.
+_SCALAR_PYTHON = {
+    "double": (float, 0.0), "float": (float, 0.0), "bool": (bool, False),
+    "string": (str, ""), "bytes": (bytes, b""),
+}
+
+Decoder = Callable[[bytes, int], Tuple[Any, int]]
+
 
 class FieldDescriptor:
-    """One field of a message: name, type, tag."""
+    """One field of a message: name, type, tag — and its compiled codec.
 
-    __slots__ = ("name", "type_name", "tag", "kind")
+    ``py_type`` is the exact Python type a value normally has (``list`` /
+    ``dict`` for IEDT kinds); ``encode(value)`` returns the field's wire
+    bytes, header included; ``decode(data, offset)`` reads a value whose
+    header announced ``wire_type`` and returns ``(value, new_offset)``.
+    """
+
+    __slots__ = ("name", "type_name", "tag", "kind", "py_type", "encode",
+                 "wire_type", "decode", "_default")
 
     def __init__(self, name: str, type_name: str, tag: int):
         if not name.isidentifier():
@@ -47,37 +68,33 @@ class FieldDescriptor:
         self.tag = tag
         self.kind: Optional[IEDTKind] = (
             iedt_kind(type_name) if is_iedt(type_name) else None)
+        if self.kind is not None:
+            self.py_type: type = type(default_value(self.kind))
+            self._default = None        # a fresh container per message
+        else:
+            self.py_type, self._default = _SCALAR_PYTHON.get(type_name,
+                                                             (int, 0))
+        self.wire_type, self.decode = _decoder(type_name, self.kind)
+        header = wire.encode_varint(tag << 3 | self.wire_type)
+        self.encode: Callable[[Any], bytes] = _encoder(type_name, self.kind,
+                                                       header)
 
     @property
     def is_iedt(self) -> bool:
         return self.kind is not None
 
     def default(self) -> Any:
-        if self.kind is not None:
-            return default_value(self.kind)
-        if self.type_name in ("double", "float"):
-            return 0.0
-        if self.type_name == "bool":
-            return False
-        if self.type_name == "string":
-            return ""
-        if self.type_name == "bytes":
-            return b""
-        return 0
+        return self.py_type() if self.kind is not None else self._default
 
     def validate(self, value: Any) -> Any:
-        if self.kind is not None:
-            if self.kind.is_array and not isinstance(value, list):
-                raise TypeError(f"{self.name}: expected list for "
-                                f"{self.type_name}")
-            if self.kind.is_map and not isinstance(value, dict):
-                raise TypeError(f"{self.name}: expected dict for "
-                                f"{self.type_name}")
+        expected = self.py_type
+        if type(value) is expected:
             return value
-        expected = {
-            "double": float, "float": float, "bool": bool,
-            "string": str, "bytes": bytes,
-        }.get(self.type_name, int)
+        if self.kind is not None:
+            if not isinstance(value, expected):
+                raise TypeError(f"{self.name}: expected {expected.__name__} "
+                                f"for {self.type_name}")
+            return value
         if expected is float and isinstance(value, int) and \
                 not isinstance(value, bool):
             return float(value)
@@ -105,12 +122,22 @@ class MessageDescriptor:
             raise ValueError(f"duplicate field names in message {name}")
         if len(self.by_tag) != len(fields):
             raise ValueError(f"duplicate field tags in message {name}")
+        # A new message starts as a copy of the defaults template; only
+        # the IEDT fields, whose defaults are mutable, are then replaced
+        # by a container of their own.
+        self._template = {f.name: f._default for f in fields}
+        self._containers = tuple((f.name, f.py_type) for f in fields
+                                 if f.is_iedt)
+        self._scalars = tuple(f for f in fields if not f.is_iedt)
+        # Wire header byte(s) as an int -> the field it announces, for
+        # headers whose wire type is the field's own.
+        self._by_header = {f.tag << 3 | f.wire_type: f for f in fields}
 
     def iedt_fields(self) -> List[FieldDescriptor]:
         return [f for f in self.fields if f.is_iedt]
 
     def scalar_fields(self) -> List[FieldDescriptor]:
-        return [f for f in self.fields if not f.is_iedt]
+        return list(self._scalars)
 
     def __call__(self, **kwargs) -> "Message":
         return Message(self, **kwargs)
@@ -119,44 +146,55 @@ class MessageDescriptor:
         return f"<MessageDescriptor {self.name} ({len(self.fields)} fields)>"
 
 
+_set_slot = object.__setattr__
+
+
 class Message:
     """A dynamic message instance with attribute-style field access."""
 
-    __slots__ = ("_descriptor", "_values")
+    __slots__ = ("descriptor", "_values")
 
     def __init__(self, descriptor: MessageDescriptor, **kwargs):
-        object.__setattr__(self, "_descriptor", descriptor)
-        object.__setattr__(self, "_values",
-                           {f.name: f.default() for f in descriptor.fields})
-        for name, value in kwargs.items():
-            setattr(self, name, value)
-
-    @property
-    def descriptor(self) -> MessageDescriptor:
-        return self._descriptor
+        values = descriptor._template.copy()
+        for name, container in descriptor._containers:
+            values[name] = container()
+        _set_slot(self, "descriptor", descriptor)
+        _set_slot(self, "_values", values)
+        if kwargs:
+            by_name = descriptor.by_name
+            for name, value in kwargs.items():
+                field = by_name.get(name)
+                if field is None:
+                    raise AttributeError(
+                        f"message {descriptor.name} has no field {name!r}")
+                values[name] = field.validate(value)
 
     def __getattr__(self, name: str) -> Any:
-        values = object.__getattribute__(self, "_values")
-        if name in values:
-            return values[name]
-        raise AttributeError(
-            f"message {self._descriptor.name} has no field {name!r}")
+        # Only reached for names that are not slots, i.e. field reads.
+        if name == "_values":       # half-built instance (copy, pickle)
+            raise AttributeError(name)
+        try:
+            return self._values[name]
+        except KeyError:
+            raise AttributeError(
+                f"message {self.descriptor.name} has no field {name!r}"
+            ) from None
 
     def __setattr__(self, name: str, value: Any) -> None:
-        field = self._descriptor.by_name.get(name)
+        field = self.descriptor.by_name.get(name)
         if field is None:
             raise AttributeError(
-                f"message {self._descriptor.name} has no field {name!r}")
+                f"message {self.descriptor.name} has no field {name!r}")
         self._values[name] = field.validate(value)
 
     def __eq__(self, other: Any) -> bool:
         return (isinstance(other, Message)
-                and other._descriptor.name == self._descriptor.name
+                and other.descriptor.name == self.descriptor.name
                 and other._values == self._values)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         inner = ", ".join(f"{k}={v!r}" for k, v in self._values.items())
-        return f"{self._descriptor.name}({inner})"
+        return f"{self.descriptor.name}({inner})"
 
     # ------------------------------------------------------------------
     # wire format
@@ -168,26 +206,36 @@ class Message:
         form the client stub uses for the packet payload while the IEDT
         fields travel as INC streams.
         """
-        out = bytearray()
-        for field in self._descriptor.fields:
-            if field.is_iedt and not include_iedt:
-                continue
-            value = self._values[field.name]
-            out += _encode_field(field, value)
-        return bytes(out)
+        descriptor = self.descriptor
+        fields = descriptor.fields if include_iedt else descriptor._scalars
+        values = self._values
+        return b"".join([field.encode(values[field.name])
+                         for field in fields])
 
     @classmethod
     def from_bytes(cls, descriptor: MessageDescriptor, data: bytes
                    ) -> "Message":
         msg = cls(descriptor)
+        values = msg._values
+        by_header = descriptor._by_header
         offset = 0
-        while offset < len(data):
-            header, offset = wire.decode_varint(data, offset)
-            tag, wtype = header >> 3, header & 0x7
-            field = descriptor.by_tag.get(tag)
-            value, offset = _decode_field_value(field, wtype, data, offset)
+        end = len(data)
+        while offset < end:
+            header = data[offset]
+            if header < 0x80:
+                offset += 1
+            else:
+                header, offset = wire.decode_varint(data, offset)
+            field = by_header.get(header)
             if field is not None:
-                msg._values[field.name] = value
+                values[field.name], offset = field.decode(data, offset)
+                continue
+            # An unknown tag, or a known one under another wire type.
+            field = descriptor.by_tag.get(header >> 3)
+            value, offset = _decode_field_value(field, header & 0x7, data,
+                                                offset)
+            if field is not None:
+                values[field.name] = value
         return msg
 
     def byte_size(self, include_iedt: bool = True) -> int:
@@ -195,32 +243,78 @@ class Message:
 
 
 # ---------------------------------------------------------------------------
-def _header(tag: int, wtype: int) -> bytes:
-    return wire.encode_varint(tag << 3 | wtype)
+# field codecs, chosen once per FieldDescriptor
+# ---------------------------------------------------------------------------
+def _encoder(type_name: str, kind: Optional[IEDTKind], header: bytes
+             ) -> Callable[[Any], bytes]:
+    """The ``value -> header + body`` function of one field."""
+    varint = wire.encode_varint
+    if kind is not None:
+        def encode(value: Any) -> bytes:
+            body = _encode_iedt(kind, value)
+            return header + varint(len(body)) + body
+    elif type_name in ("double", "float"):
+        pack = struct.Struct("<d").pack
+
+        def encode(value: float) -> bytes:
+            return header + pack(value)
+    elif type_name == "string":
+        def encode(value: str) -> bytes:
+            body = value.encode("utf-8")
+            return header + varint(len(body)) + body
+    elif type_name == "bytes":
+        def encode(value: bytes) -> bytes:
+            return header + varint(len(value)) + value
+    elif type_name == "bool":
+        def encode(value: bool) -> bytes:
+            return header + varint(int(value))
+    elif type_name in ("uint32", "uint64"):
+        def encode(value: int) -> bytes:
+            return header + varint(value)
+    else:
+        zigzag = wire.zigzag
+
+        def encode(value: int) -> bytes:
+            return header + varint(zigzag(value))
+    return encode
 
 
-def _encode_field(field: FieldDescriptor, value: Any) -> bytes:
-    if field.kind is not None:
-        return _header(field.tag, _WIRE_BYTES) + \
-            wire.encode_bytes(_encode_iedt(field.kind, value))
-    t = field.type_name
-    if t in ("double", "float"):
-        return _header(field.tag, _WIRE_FIXED64) + wire.encode_double(value)
-    if t == "string":
-        return _header(field.tag, _WIRE_BYTES) + \
-            wire.encode_bytes(value.encode("utf-8"))
-    if t == "bytes":
-        return _header(field.tag, _WIRE_BYTES) + wire.encode_bytes(value)
-    if t == "bool":
-        return _header(field.tag, _WIRE_VARINT) + \
-            wire.encode_varint(int(value))
-    if t in ("uint32", "uint64"):
-        return _header(field.tag, _WIRE_VARINT) + wire.encode_varint(value)
-    return _header(field.tag, _WIRE_VARINT) + wire.encode_signed(value)
+def _decode_bool(data: bytes, offset: int) -> Tuple[bool, int]:
+    raw, offset = wire.decode_varint(data, offset)
+    return bool(raw), offset
+
+
+def _decode_string(data: bytes, offset: int) -> Tuple[str, int]:
+    blob, offset = wire.decode_bytes(data, offset)
+    return blob.decode("utf-8"), offset
+
+
+def _decoder(type_name: str, kind: Optional[IEDTKind]
+             ) -> Tuple[int, Decoder]:
+    """``(wire type, decode(data, offset) -> (value, offset))`` of a field."""
+    if kind is not None:
+        def decode(data: bytes, offset: int) -> Tuple[Any, int]:
+            blob, offset = wire.decode_bytes(data, offset)
+            return _decode_iedt(kind, blob), offset
+        return _WIRE_BYTES, decode
+    if type_name in ("double", "float"):
+        return _WIRE_FIXED64, wire.decode_double
+    if type_name == "string":
+        return _WIRE_BYTES, _decode_string
+    if type_name == "bytes":
+        return _WIRE_BYTES, wire.decode_bytes
+    if type_name == "bool":
+        return _WIRE_VARINT, _decode_bool
+    if type_name in ("uint32", "uint64"):
+        return _WIRE_VARINT, wire.decode_varint
+    return _WIRE_VARINT, wire.decode_signed
 
 
 def _decode_field_value(field: Optional[FieldDescriptor], wtype: int,
                         data: bytes, offset: int) -> Tuple[Any, int]:
+    """Generic decode by *wire* type: skips an unknown tag's value
+    (``field`` None) and reads a known field that arrived under a wire
+    type other than its own.  Matching fields use ``field.decode``."""
     if wtype == _WIRE_VARINT:
         raw, offset = wire.decode_varint(data, offset)
         if field is None:

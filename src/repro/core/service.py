@@ -71,6 +71,9 @@ class NetRPCService:
             binding = self._bind(method, program)
             self.bindings.append(binding)
             app_names.add(program.app_name)
+        self._by_name: Dict[str, _MethodBinding] = {}
+        for binding in self.bindings:
+            self._by_name.setdefault(binding.name, binding)
         if len(app_names) > 1:
             raise NetFilterError(
                 f"all NetFilters of service {service_name} must share one "
@@ -147,11 +150,11 @@ class NetRPCService:
         return fd
 
     def binding(self, method_name: str) -> _MethodBinding:
-        for binding in self.bindings:
-            if binding.name == method_name:
-                return binding
-        raise KeyError(f"service {self.descriptor.name} has no method "
-                       f"{method_name!r}")
+        try:
+            return self._by_name[method_name]
+        except KeyError:
+            raise KeyError(f"service {self.descriptor.name} has no method "
+                           f"{method_name!r}") from None
 
 
 @dataclass
@@ -164,17 +167,22 @@ class RegisteredService:
     clients: Tuple[str, ...]
     configs: Dict[str, AppConfig] = field(default_factory=dict)
 
+    def __post_init__(self):
+        self._by_gaid: Dict[int, _MethodBinding] = {}
+        for name, config in self.configs.items():
+            self._by_gaid.setdefault(config.gaid, self.service.binding(name))
+
     def config(self, method_name: str) -> AppConfig:
         return self.configs[method_name]
 
-    def binding(self, method_name: str):
+    def binding(self, method_name: str) -> _MethodBinding:
         return self.service.binding(method_name)
 
-    def binding_for_gaid(self, gaid: int):
-        for name, config in self.configs.items():
-            if config.gaid == gaid:
-                return self.service.binding(name)
-        raise KeyError(f"no method bound to GAID {gaid}")
+    def binding_for_gaid(self, gaid: int) -> _MethodBinding:
+        try:
+            return self._by_gaid[gaid]
+        except KeyError:
+            raise KeyError(f"no method bound to GAID {gaid}") from None
 
 
 def register_service(deployment: Deployment, service: NetRPCService,
@@ -206,9 +214,8 @@ def register_service(deployment: Deployment, service: NetRPCService,
         linear=linear, cache_policy=cache_policy, cc_enabled=cc_enabled,
         flows_per_host=flows_per_host, software_only=software_only,
         mcast_groups=group_list)
-    registered = RegisteredService(
+    return RegisteredService(
         service=service, deployment=deployment, server=server,
-        clients=tuple(clients))
-    for binding, config in zip(service.bindings, configs):
-        registered.configs[binding.name] = config
-    return registered
+        clients=tuple(clients),
+        configs={binding.name: config
+                 for binding, config in zip(service.bindings, configs)})

@@ -14,11 +14,11 @@ for vanilla RPCs.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.inc import Task, TaskResult
 from repro.netsim.events import Event
-from repro.protocol import Quantizer
 
 from .iedt import decode_column, decode_items, encode_column, encode_items
 from .messages import Message
@@ -59,75 +59,104 @@ class Channel:
         return ClientStub(self)
 
 
+class _CallPlan:
+    """Everything about one method that is the same for every call.
+
+    Resolved from the binding and its :class:`AppConfig` the first time a
+    stub calls the method, so ``call_async`` only reads it.
+    """
+
+    __slots__ = ("binding", "config", "codec", "stream", "stream_kind",
+                 "dense", "indexed", "plain", "expect_result")
+
+    def __init__(self, binding, config):
+        self.binding = binding
+        self.config = config
+        self.codec = config.codec
+        stream = binding.stream_field
+        self.stream: Optional[str] = None if stream is None else stream.name
+        self.stream_kind = None if stream is None else stream.kind
+        # Dense SyncAgtr tensor: the agent takes the value column.  A map
+        # under linear addressing is sparse integer indices instead.
+        self.dense = bool(stream is not None and config.linear
+                          and stream.kind.is_array)
+        self.indexed = bool(stream is not None and config.linear
+                            and stream.kind.is_map)
+        self.plain: bool = binding.is_plain
+        program = binding.program
+        self.expect_result = bool(program.uses_get or program.cntfwd.counts
+                                  or self.plain)
+
+
 class ClientStub:
     """Issues calls on a channel.  ``stub.MethodName(request)`` works."""
 
     def __init__(self, channel: Channel):
-        self._channel = channel
         self._registered = channel.registered
+        self._agent = channel.agent
+        self._sim = channel.deployment.sim
         self._rounds: Dict[str, int] = {}
+        self._plans: Dict[str, _CallPlan] = {}
 
     # ------------------------------------------------------------------
     def call_async(self, method_name: str, request: Message,
                    round: Optional[int] = None) -> Event:
         """Start a call; the event succeeds with ``(reply, CallInfo)``."""
-        binding = self._registered.binding(method_name)
-        config = self._registered.config(method_name)
-        if request.descriptor.name != binding.request.name:
+        plan = self._plans.get(method_name)
+        if plan is None:
+            plan = self._plans[method_name] = _CallPlan(
+                self._registered.binding(method_name),
+                self._registered.config(method_name))
+        expected = plan.binding.request.name
+        if request.descriptor.name != expected:
             raise RpcError(StatusCode.INVALID_ARGUMENT,
-                           f"{method_name} expects {binding.request.name}, "
+                           f"{method_name} expects {expected}, "
                            f"got {request.descriptor.name}")
         if round is None:
             round = self._rounds.get(method_name, 0)
             self._rounds[method_name] = round + 1
 
-        quantizer = config.codec
         items: list = []
         column: Optional[list] = None
         stream_len = 0
-        if binding.stream_field is not None:
-            kind = binding.stream_field.kind
-            value = getattr(request, binding.stream_field.name)
-            if config.linear and kind.is_array:
-                # Dense SyncAgtr tensor: the agent takes the value column.
-                column, _overflows = encode_column(kind, value, quantizer)
+        if plan.stream is not None:
+            value = getattr(request, plan.stream)
+            if plan.dense:
+                column, _overflows = encode_column(plan.stream_kind, value,
+                                                   plan.codec)
                 stream_len = len(column)
             else:
-                items, _overflows = encode_items(kind, value, quantizer)
+                items, _overflows = encode_items(plan.stream_kind, value,
+                                                 plan.codec)
                 stream_len = len(items)
 
-        scalar_bytes = request.to_bytes(include_iedt=False)
         payload = None
         payload_bytes = 0
-        if binding.is_plain:
+        if plan.plain:
             payload = ("rpc-call", request.to_bytes())
             payload_bytes = len(payload[1]) + 8
-        elif scalar_bytes:
-            payload = ("rpc-data", method_name, scalar_bytes)
-            payload_bytes = len(scalar_bytes) + 8
+        else:
+            scalar_bytes = request.to_bytes(include_iedt=False)
+            if scalar_bytes:
+                payload = ("rpc-data", method_name, scalar_bytes)
+                payload_bytes = len(scalar_bytes) + 8
 
-        program = binding.program
-        indexed = bool(config.linear and binding.stream_field is not None
-                       and binding.stream_field.kind.is_map)
-        task = Task(app=config, items=items, column=column, round=round,
-                    expect_result=(program.uses_get
-                                   or program.cntfwd.counts
-                                   or binding.is_plain),
+        task = Task(app=plan.config, items=items, column=column, round=round,
+                    expect_result=plan.expect_result,
                     payload=payload, payload_bytes=payload_bytes,
-                    indexed=indexed)
-        inner = self._channel.agent.submit(task)
-        outer = self._channel.deployment.sim.event()
-        inner.add_callback(
-            lambda event: self._finish(event, binding, quantizer,
-                                       stream_len, outer))
+                    indexed=plan.indexed)
+        inner = self._agent.submit(task)
+        outer = self._sim.event()
+        inner.add_callback(partial(self._finish, plan, stream_len, outer))
         return outer
 
-    def _finish(self, event: Event, binding, quantizer: Quantizer,
-                stream_len: int, outer: Event) -> None:
+    def _finish(self, plan: _CallPlan, stream_len: int, outer: Event,
+                event: Event) -> None:
         if not event.ok:  # pragma: no cover - defensive
             outer.fail(event.value)
             return
         result: TaskResult = event.value
+        binding = plan.binding
         reply = binding.reply()
         if isinstance(result.payload, tuple) and result.payload and \
                 result.payload[0] == "rpc-reply" and result.payload[1]:
@@ -137,10 +166,10 @@ class ClientStub:
         if binding.result_field is not None:
             kind = binding.result_field.kind
             if kind.is_array and result.column is not None:
-                value = decode_column(kind, result.column, quantizer)
+                value = decode_column(kind, result.column, plan.codec)
             else:
                 value = decode_items(
-                    kind, result.values, quantizer,
+                    kind, result.values, plan.codec,
                     length=stream_len if kind.is_array else 0)
             setattr(reply, binding.result_field.name, value)
         outer.succeed((reply, CallInfo(result)))
@@ -155,7 +184,7 @@ class ClientStub:
         Application processes running inside the simulator must
         ``yield call_async(...)`` instead.
         """
-        sim = self._channel.deployment.sim
+        sim = self._sim
         event = self.call_async(method_name, request, round=round)
         try:
             return sim.run_until(event, limit=sim.now + timeout)

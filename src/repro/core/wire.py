@@ -20,8 +20,15 @@ __all__ = [
 ]
 
 
+# Most varints on the RPC path are field headers, lengths and small
+# counters: one byte, served from a table instead of the LEB128 loop.
+_ONE_BYTE = tuple(bytes((value,)) for value in range(0x80))
+
+
 def encode_varint(value: int) -> bytes:
     """LEB128 encoding of a non-negative integer."""
+    if 0 <= value < 0x80:
+        return _ONE_BYTE[value]
     if value < 0:
         raise ValueError("varints encode non-negative integers; "
                          "use encode_signed for signed values")
@@ -38,6 +45,10 @@ def encode_varint(value: int) -> bytes:
 
 def decode_varint(data: bytes, offset: int = 0) -> Tuple[int, int]:
     """Returns (value, new_offset)."""
+    if offset < len(data):
+        byte = data[offset]
+        if byte < 0x80:
+            return byte, offset + 1
     result = 0
     shift = 0
     while True:

@@ -69,11 +69,13 @@ class AppConfig:
             return DEFAULT_FP_CODEC
         return Quantizer(self.program.precision)
 
-    @property
+    # ``program`` and ``value_region`` are fixed at construction, so what
+    # follows from them is derived once, like ``codec``.
+    @cached_property
     def shadow(self) -> bool:
         return self.program.clear is ClearPolicy.SHADOW
 
-    @property
+    @cached_property
     def active_region_size(self) -> int:
         """Usable value slots; shadow double-buffering halves the region."""
         return self.value_region.size // 2 if self.shadow \

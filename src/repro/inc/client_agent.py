@@ -272,12 +272,15 @@ class ClientAgent:
     def _maybe_finish(self, state: _AppClientState,
                       tstate: _TaskState) -> None:
         if tstate.finish_if_complete():
-            state.tasks.pop(tstate.task.task_id, None)
-            gaids = tuple(state.configs)
-            for gaid in gaids:
-                for offset in tstate.chunks:
-                    state.round_chunks.pop(
-                        (gaid, tstate.task.round, offset), None)
+            task = tstate.task
+            state.tasks.pop(task.task_id, None)
+            # Entries are only ever written under the task's own gaid; a
+            # co-located role's task for the same round (an acceptor's
+            # CastVote next to this proposer's Propose) keeps its own.
+            gaid, round_no = task.app.gaid, task.round
+            round_chunks = state.round_chunks
+            for offset in tstate.chunks:
+                round_chunks.pop((gaid, round_no, offset), None)
 
     # --- linear (SyncAgtr / index-addressed counters) -------------------
     def _send_linear(self, state: _AppClientState, config: AppConfig,
@@ -293,44 +296,51 @@ class ClientAgent:
         shadow_offset = 0
         if config.shadow:
             shadow_offset = half if parity == 0 else -half
+        indexed = task.indexed
+        counts = config.program.cntfwd.counts
+        has_switch = config.has_switch
         # One chunk per sparse index when counting (each packet needs a
         # well-defined counter register), else 32 pairs per packet.
-        if task.indexed and config.program.cntfwd.counts:
-            chunk_size = 1
-        else:
-            chunk_size = KV_PAIRS_PER_PACKET
-        awaiting = task.expect_result or config.program.cntfwd.counts
+        chunk_size = 1 if indexed and counts else KV_PAIRS_PER_PACKET
+        awaiting = task.expect_result or counts
+        chunks = tstate.chunks
+        round_chunks = state.round_chunks
+        gaid, round_no, task_id = config.gaid, task.round, task.task_id
         for offset in range(0, task.size, chunk_size):
             chunk_items = items[offset:offset + chunk_size]
-            chunk = _ChunkState(offset, chunk_items, mapped=True,
-                                awaiting_result=awaiting)
-            tstate.chunks[offset] = chunk
+            chunks[offset] = _ChunkState(offset, chunk_items, mapped=True,
+                                         awaiting_result=awaiting)
             tstate.unresolved += 1
             tstate.mapped_pairs += len(chunk_items)
-            if dense:
-                # The slice of the task's column is the value column.
-                indices = list(range(offset, offset + len(chunk_items)))
-                values = chunk_items
+            if chunk_size == 1:
+                (first_index, value), = chunk_items
+                indices = [first_index]
+                values = [value]
+                addrs = [base + first_index % half]
             else:
-                indices = [item[0] for item in chunk_items]
-                values = [item[1] for item in chunk_items]
-            kv = KVBlock.from_columns(
-                [base + index % half for index in indices], values,
-                mapped_mask=-1, keys=indices)
+                if dense:
+                    # The slice of the task's column is the value column.
+                    indices = list(range(offset, offset + len(chunk_items)))
+                    values = chunk_items
+                else:
+                    indices = [item[0] for item in chunk_items]
+                    values = [item[1] for item in chunk_items]
+                first_index = indices[0]
+                addrs = [base + index % half for index in indices]
+            kv = KVBlock.from_columns(addrs, values, mapped_mask=-1,
+                                      keys=indices)
             pkt = self._base_packet(config, task, offset, kv)
-            first_index = indices[0]
-            if not task.indexed:
+            if not indexed:
                 pkt.linear_base = kv.addrs[0]
             pkt.shadow_offset = shadow_offset
-            if config.program.cntfwd.counts and config.has_switch:
-                pkt.is_cnf = True
-                counter_slot = (first_index if task.indexed
-                                else first_index // 32)
-                pkt.cnt_index = config.counter_addr(counter_slot)
-            if not config.has_switch:
+            if has_switch:
+                if counts:
+                    pkt.is_cnf = True
+                    pkt.cnt_index = config.counter_addr(
+                        first_index if indexed else first_index // 32)
+            else:
                 pkt.is_cross = True
-            state.round_chunks[(config.gaid, task.round, offset)] = \
-                task.task_id
+            round_chunks[(gaid, round_no, offset)] = task_id
             state.pick_flow().enqueue(pkt)
 
     # --- map-addressed (AsyncAgtr / KeyValue / Agreement) ----------------

@@ -37,6 +37,13 @@ _ACK_SEQ_BYTES = 4
 
 _packet_ids = itertools.count()
 
+# Instance state that is not a dataclass field and that ``Packet.copy``
+# does not carry over: the size cache and the switch's recirculation and
+# processed marks.  First transmissions put the pending-table entry
+# itself on the wire, so the processed mark lands on the sender's own
+# object; a retransmit copy must not inherit that first trip.
+_NON_FIELD_STATE = ("_size", "_recirculated", "switch_processed")
+
 
 def full_bitmap(n: int = KV_PAIRS_PER_PACKET) -> int:
     """Bitmap selecting the first ``n`` kv slots for processing."""
@@ -185,20 +192,17 @@ class Packet:
         """Deep-enough copy for multicast/retransmission (kv duplicated)."""
         # Hand-rolled (no dataclasses.replace): copy() sits on the
         # retransmit and multicast hot paths and replace() re-runs the
-        # 30-field __init__.  Non-field state (the size cache, the
-        # switch's recirculation mark) deliberately does not carry over,
+        # 30-field __init__.  The instance dict is copied once and handed
+        # over; non-field state deliberately does not carry over,
         # matching replace() semantics.
         dup = object.__new__(Packet)
-        state = dict(self.__dict__)
+        state = self.__dict__.copy()
         state["kv"] = self.kv.copy()
         state["uid"] = next(_packet_ids)
-        state.pop("_size", None)
-        state.pop("_recirculated", None)
-        # First transmissions put the pending-table entry itself on the
-        # wire, so the switch's processed mark lands on the sender's own
-        # object; a retransmit copy must not inherit that first trip.
-        state.pop("switch_processed", None)
-        dup.__dict__.update(state)
+        for key in _NON_FIELD_STATE:
+            if key in state:
+                del state[key]
+        dup.__dict__ = state
         return dup
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -162,6 +162,30 @@ class TestPaxos:
         assert report.latency.count == 30
         assert report.latency.p(99) < 1e-3  # sub-millisecond consensus
 
+    def test_colocated_proposer_and_acceptor_roles_never_retransmit(self):
+        # c0 and c1 propose *and* accept, so a host holds a Propose task
+        # and a CastVote task for the same instance (same round, offset
+        # 0, different gaid).  Finishing the Propose used to erase the
+        # vote's (gaid, round, offset) correlation entry too; the
+        # decision multicast then matched nothing and the vote was
+        # retransmitted until abandoned.
+        dep = build_rack(7, 1, cal=CAL)
+        cluster = PaxosCluster(dep, proposers=["c0", "c1"],
+                               acceptors=["c0", "c1", "c2"],
+                               learners=["c3", "c4"])
+        report = cluster.run(400, window=2)
+        assert report.decided == {
+            i: f"cmd-c{i % 2}-{i}" for i in range(400)}
+        snap = dep.metrics.snapshot()
+
+        def total(suffix):
+            return sum(value for name, value in snap.items()
+                       if name.endswith(suffix))
+
+        assert total(".flows.sent") == 1600     # 400 x (1 propose + 3 votes)
+        assert total(".flows.retransmits") == 0
+        assert total(".flows.abandoned") == 0
+
 
 class TestLock:
     def test_acquire_release_cycle(self):

@@ -11,8 +11,11 @@ shifts ``sim.now`` or the event count and fails here.
 """
 
 import hashlib
+import json
 import struct
+import sys
 
+from repro.apps import PaxosCluster
 from repro.control import build_rack
 from repro.experiments.common import (async_programs, run_chaos_sync_round,
                                       run_sync_aggregation)
@@ -237,3 +240,81 @@ def test_dense_sync_matches_golden_snapshot():
     for (_w, r), tensor in replies.items():
         for got, a, b in zip(tensor, grads[0][r], grads[1][r]):
             assert abs(got - (a + b)) <= 1e-6 + 1e-12
+
+
+# --- one-pair RPCs through the stubs (the Agreement application) ---------
+# Paxos on the benchmark's calibration: 2 proposers, 2 acceptors,
+# 3 learners, 300 instances at window 2 — 900 RPCs of one kv pair plus
+# two or three scalar fields each, where per-call host work is the whole
+# cost.  Captured on the commit before message codecs were compiled into
+# the descriptors and call_async got a per-method plan: host-side work
+# may go, the simulated outcome may not move.
+GOLDEN_ONEPAIR = {
+    "event_count": 9981,
+    "final_time_s": 0.002454857439999998,
+    "link_pkts": 4200,
+    "link_bytes": 413660,
+    "p50_s": 1.0119999999999964e-05,
+    "decided_sha256":
+        "57f71804227bf7a3c9e589829b63ea211173ee844a61ac771a33a5a415a639cf",
+}
+ONEPAIR_RPCS = 300 * (1 + 2)        # a Propose and two CastVotes each
+
+
+def _onepair_cluster():
+    cal = scaled(host_pkt_cpu_s=1.5e-6, host_agent_cores=2)
+    dep = build_rack(7, 1, cal=cal, seed=7)
+    return dep, PaxosCluster(dep, proposers=["c0", "c1"],
+                             acceptors=["c2", "c3"],
+                             learners=["c4", "c5", "c6"])
+
+
+def _onepair_outcome(dep, report):
+    snap = dep.metrics.snapshot()
+
+    def links(suffix):
+        return sum(value for name, value in snap.items()
+                   if name.startswith("link.") and name.endswith(suffix))
+
+    decided = json.dumps(sorted(report.decided.items()))
+    return {
+        "event_count": dep.sim._sequence,
+        "final_time_s": dep.sim.now,
+        "link_pkts": links(".sent_pkts"),
+        "link_bytes": links(".sent_bytes"),
+        "p50_s": report.latency.p(50),
+        "decided_sha256": hashlib.sha256(decided.encode()).hexdigest(),
+    }
+
+
+def test_onepair_rpcs_match_golden_snapshot():
+    dep, cluster = _onepair_cluster()
+    report = cluster.run(300, window=2)
+    assert _onepair_outcome(dep, report) == GOLDEN_ONEPAIR
+    assert report.decided == {i: f"cmd-c{i % 2}-{i}" for i in range(300)}
+    assert report.latency.count == 300
+
+
+def test_onepair_rpc_costs_core_a_bounded_number_of_calls():
+    # Python-level calls executed inside ``repro.core`` per RPC, the
+    # benchmark's ``core.calls`` / 12,000 on a run a fortieth the size
+    # (the figure does not depend on the machine).  With the codec
+    # walked generically per field and the binding, config and kind
+    # flags re-derived per call it was 89; with both compiled once it is
+    # 35.  The bound sits between the two.
+    calls = [0]
+
+    def profiler(frame, event, _arg):
+        if event == "call" and "/repro/core/" in \
+                frame.f_code.co_filename.replace("\\", "/"):
+            calls[0] += 1
+
+    dep, cluster = _onepair_cluster()
+    sys.setprofile(profiler)
+    try:
+        report = cluster.run(300, window=2)
+    finally:
+        sys.setprofile(None)
+    # Observing changes nothing.
+    assert _onepair_outcome(dep, report) == GOLDEN_ONEPAIR
+    assert 0 < calls[0] / ONEPAIR_RPCS < 46

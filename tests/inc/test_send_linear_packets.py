@@ -8,7 +8,10 @@ reference: for every tensor length around the 32-pair chunk size, both
 clear policies that move addresses (copy, shadow in both round
 parities), counting and non-counting programs, with and without a
 switch, both must emit exactly the same packets — and a task built from
-rows must be indistinguishable from one built from the column.
+rows must be indistinguishable from one built from the column.  The same
+reference checks the other shape ``_send_linear`` serves: ``indexed``
+tasks, whose sparse ``(index, value)`` rows go out one pair per packet
+under a counting program (one vote per consensus instance).
 """
 
 import pytest
@@ -50,17 +53,21 @@ def _describe(pkt):
 
 
 def _reference(rows, config, task):
-    """The row packetiser (the body ``_send_linear`` had for dense
-    tasks): ``[(packet fields, pairs in the chunk)]``."""
+    """The row packetiser (the body ``_send_linear`` had before dense
+    tasks became columns and the per-task invariants were hoisted):
+    ``[(packet fields, pairs in the chunk)]``."""
     half = config.active_region_size or 1
     parity = task.round % 2 if config.shadow else 0
     base = config.value_region.base + parity * half
     shadow_offset = 0
     if config.shadow:
         shadow_offset = half if parity == 0 else -half
+    # One chunk per sparse index when counting, else 32 pairs per packet.
+    chunk_size = 1 if task.indexed and config.program.cntfwd.counts \
+        else KV_PAIRS_PER_PACKET
     out = []
-    for offset in range(0, len(rows), KV_PAIRS_PER_PACKET):
-        chunk_items = rows[offset:offset + KV_PAIRS_PER_PACKET]
+    for offset in range(0, len(rows), chunk_size):
+        chunk_items = rows[offset:offset + chunk_size]
         indices = [item[0] for item in chunk_items]
         kv = KVBlock.from_columns(
             [base + index % half for index in indices],
@@ -73,11 +80,13 @@ def _reference(rows, config, task):
             payload=task.payload if offset == 0 else None,
             payload_bytes=task.payload_bytes if offset == 0 else 0)
         pkt.select_all_slots()
-        pkt.linear_base = kv.addrs[0]
+        if not task.indexed:
+            pkt.linear_base = kv.addrs[0]
         pkt.shadow_offset = shadow_offset
         if config.program.cntfwd.counts and config.has_switch:
             pkt.is_cnf = True
-            pkt.cnt_index = config.counter_addr(indices[0] // 32)
+            pkt.cnt_index = config.counter_addr(
+                indices[0] if task.indexed else indices[0] // 32)
         if not config.has_switch:
             pkt.is_cross = True
         out.append((_describe(pkt), len(chunk_items)))
@@ -144,6 +153,53 @@ def test_dense_send_emits_the_row_packet_sequence(
         assert tstate.column == [0] * len(values) and tstate.values is None
     else:
         assert tstate.column is None and tstate.values == {}
+
+
+@settings(max_examples=120, deadline=None)
+@given(rows=st.lists(st.tuples(st.integers(0, 10_000), int32), max_size=70,
+                     unique_by=lambda row: row[0]),
+       clear=st.sampled_from([ClearPolicy.COPY, ClearPolicy.SHADOW]),
+       round_no=st.integers(0, 3),
+       counting=st.booleans(), has_switch=st.booleans(),
+       expect_result=st.booleans())
+def test_indexed_send_emits_the_row_packet_sequence(
+        rows, clear, round_no, counting, has_switch, expect_result):
+    # Sparse integer indices (one vote counter per consensus instance):
+    # rows stay rows, a counting program sends one pair per packet — the
+    # Paxos path — and every packet, chunk record and correlation entry
+    # is the one the unhoisted loop produced.
+    config = AppConfig(gaid=3, program=_program(counting, clear),
+                       server="s0", clients=("c0", "c1"),
+                       value_region=VALUE_REGION if has_switch
+                       else MemoryRegion(0, 0),
+                       counter_region=COUNTER_REGION, linear=True,
+                       has_switch=has_switch)
+    task = Task(app=config, items=list(rows), round=round_no, indexed=True,
+                expect_result=expect_result, payload=PAYLOAD,
+                payload_bytes=11)
+    assert task.column is None and task.size == len(rows)
+
+    _agent, state, tstate, sent = _send(config, task)
+
+    want = _reference(rows, config, task)
+    assert [_describe(pkt) for _flow, pkt in sent] == [d for d, _ in want]
+    assert [flow for flow, _pkt in sent] == \
+        [n % 2 for n in range(len(sent))]          # round-robin flows
+    if counting:
+        assert [n for _d, n in want] == [1] * len(rows)
+    offsets = [d[5] for d, _ in want]
+    assert list(tstate.chunks) == offsets
+    assert tstate.unresolved == len(want)
+    for offset, (_d, n_pairs) in zip(offsets, want):
+        chunk = tstate.chunks[offset]
+        assert chunk.offset == offset
+        assert chunk.items == rows[offset:offset + n_pairs]
+        assert chunk.mapped is True
+        assert chunk.awaiting_result is (expect_result or counting)
+    assert tstate.mapped_pairs == len(rows) and tstate.fallback_pairs == 0
+    assert state.round_chunks == {(3, round_no, offset): task.task_id
+                                  for offset in offsets}
+    assert tstate.column is None and tstate.values == {}
 
 
 @given(values=st.lists(int32, min_size=1, max_size=70),

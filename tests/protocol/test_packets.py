@@ -1,5 +1,7 @@
 """Tests for the NetRPC packet format and size model (Figure 14)."""
 
+import dataclasses
+
 import pytest
 
 from repro.protocol import (
@@ -96,6 +98,48 @@ class TestCopySemantics:
     def test_copy_gets_fresh_uid(self):
         pkt = make_packet(1)
         assert pkt.copy().uid != pkt.uid
+
+    @pytest.mark.parametrize("marked", [True, False],
+                             ids=["switch-marked", "never-sent"])
+    def test_copy_contract(self, marked):
+        # What multicast and retransmission rely on: every dataclass
+        # field carries over, the kv block is detached, the uid is fresh
+        # and no non-field state (size cache, recirculation and
+        # processed marks) follows — whether the original had any or not.
+        kv = [KVPair(addr=8, value=5, mapped=True, key="k"),
+              KVPair(addr=9, value=6)]
+        pkt = Packet(gaid=3, src="c1", dst="s0", seq=4, flip=1, srrt=2,
+                     flow_id=1, kv=kv, is_cnf=True, cnt_index=11,
+                     payload=("rpc-data", "M", b"x"), payload_bytes=9,
+                     acks=(1, 2), grants=((5, 6),), task_id=7, offset=32,
+                     task_total=64, round=9)
+        pkt.select_all_slots()
+        if marked:
+            assert pkt.size_bytes == pkt._size == 105
+            pkt._recirculated = True
+            pkt.switch_processed = True
+        before = dict(vars(pkt))
+        dup = pkt.copy()
+
+        names = [f.name for f in dataclasses.fields(Packet)]
+        assert set(vars(dup)) == set(names)       # fields, nothing else
+        for name in names:
+            if name not in ("uid", "kv"):
+                assert getattr(dup, name) == getattr(pkt, name), name
+        assert dup.uid != pkt.uid
+        assert dup.kv is not pkt.kv
+        assert [slot.copy() for slot in dup.kv] == kv
+        assert dup._size is None and dup.size_bytes == 105
+        assert not hasattr(dup, "_recirculated")
+        assert not hasattr(dup, "switch_processed")
+
+        dup.dst, dup.is_mcast, dup.ecn_echo, dup.seq = "c4", True, True, 99
+        dup.kv[0].value = 1000
+        dup.kv.keys[0] = "other"
+        dup.switch_processed = True
+        assert vars(pkt) == before
+        assert pkt.kv[0].value == 5 and pkt.kv.keys[0] == "k"
+        assert hasattr(pkt, "switch_processed") is marked
 
     def test_chunk_id_identifies_task_and_offset(self):
         pkt = make_packet(1, task_id=5, offset=64)

@@ -33,10 +33,19 @@ each run's profile stays attributable.
 (after an unprofiled warm iteration, like the harness's traced child)
 and prints the top functions by self time.  The harness's ``--trace 1``
 splits the same time per *package*; this is the per-*function* view that
-tells which function inside the package to open.  The last line reports
-the cyclic garbage collector over the unprofiled iteration — collections
-per generation and seconds paused (``gc.callbacks``) — the cost of
-allocating container objects per value, which no profile row shows.
+tells which function inside the package to open.  cProfile charges its
+own per-call overhead to the code it measures, so it over-weights code
+made of many small calls (on ``paxos_small`` it slows the run about 3x
+and moves whole percentage points between layers): a row's share is a lead
+to confirm with an unprofiled A/B on ``benchmarks/e2e/run.py``, not a
+measurement.  What does not depend on the machine or the profiler is the
+*number* of Python calls, printed after the table: in total, per op (and
+per RPC where the workload counts them) and per ``repro.<package>`` —
+the harness's ``<layer>.calls``, the figure the call-count pins in
+``tests/`` bound.  The last line reports the cyclic garbage collector
+over the unprofiled iteration — collections per generation and seconds
+paused (``gc.callbacks``) — the cost of allocating container objects per
+value, which no profile row shows.
 """
 
 from __future__ import annotations
@@ -244,15 +253,38 @@ class _GcMeter:
         gc.callbacks.remove(self)
 
 
+def _print_python_calls(layers: dict, ops: int, rpcs: int) -> None:
+    """Python-level calls of the profiled iteration, by source package.
+
+    ``layers`` is ``benchmarks/e2e/layers.attribute`` of the profile, so
+    each figure is the harness's ``<layer>.calls``; unlike the time
+    columns they are the same on every machine and every run.
+    """
+    def per(calls: int) -> str:
+        text = f"{calls / ops:,.1f}/op"
+        return text + (f", {calls / rpcs:,.1f}/RPC" if rpcs else "")
+
+    total = sum(row["calls"] for row in layers.values())
+    counted = f"{ops:,} ops" + (f", {rpcs:,} RPCs" if rpcs else "")
+    print(f"python calls      : {total:,} ({per(total)}; {counted})")
+    for layer, row in layers.items():
+        if row["calls"]:
+            name = "other" if layer == "other" else f"repro.{layer}"
+            print(f"  {name:<15} : {row['calls']:>11,} ({per(row['calls'])})")
+
+
 def profile_e2e(args) -> int:
     """Profile one iteration of a ``benchmarks/e2e`` workload.
 
-    The benchmark's ``workloads.py`` is imported as is (nothing under
-    ``benchmarks/e2e`` is edited or written); only ``workload.run`` —
-    the harness's timed region — sits inside the profiler.
+    The benchmark's ``workloads.py`` and ``layers.py`` are imported as
+    they are (nothing under ``benchmarks/e2e`` is edited or written);
+    only ``workload.run`` — the harness's timed region — sits inside the
+    profiler.  The time columns are inflated unevenly by the profiler
+    (see the module docstring); the call counts are exact.
     """
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent
                            / "benchmarks" / "e2e"))
+    from layers import attribute
     from workloads import WORKLOADS
 
     if args.e2e not in WORKLOADS:
@@ -285,6 +317,8 @@ def profile_e2e(args) -> int:
     print(f"{args.e2e} seed {args.seed}: {report.ops:,} ops, "
           f"{report.failed} failed, {wall:.2f} s wall "
           f"(includes profiler overhead)")
+    _print_python_calls(attribute(stats.stats), report.ops,
+                        int(report.counters.get("core.rpcs", 0)))
     print(f"cyclic GC (unprofiled iteration, {warm_wall:.2f} s wall): "
           f"{sum(collector.collections)} collections (gen0/1/2 = "
           f"{'/'.join(map(str, collector.collections))}), "
