@@ -264,16 +264,12 @@ class _BenchPacket:
         self.size_bytes = size_bytes
 
 
-def drive_link(n_packets: int = LINK_PACKETS,
-               chain_batch_min: int = None) -> float:
+def drive_link(n_packets: int = LINK_PACKETS) -> float:
     """Blast packets through one lossless link; delivered packets/sec.
 
-    Packets are offered back-to-back so the backlog goes deep: with the
-    default ``chain_batch_min`` the link switches to the batched chain
-    walk (the production fast path for this shape).  Pass a
-    ``chain_batch_min`` larger than ``n_packets`` to pin the per-event
-    path — two scheduler events per packet — which is what the trace
-    overhead gate measures guards against.
+    Packets are offered back-to-back, so all but the first queue and
+    take the fused path's two scheduler events (serialization start +
+    delivery) — the path every trace guard sits on.
     """
     sim = Simulator(seed=0)
     src = Node(sim, "src")
@@ -284,12 +280,9 @@ def drive_link(n_packets: int = LINK_PACKETS,
         delivered[0] += 1
 
     dst.set_handler(on_packet)
-    link_kwargs = {}
-    if chain_batch_min is not None:
-        link_kwargs["chain_batch_min"] = chain_batch_min
     link = Link(sim, src, dst, bandwidth_bps=100e9, delay_s=1e-6,
                 queue_capacity_pkts=n_packets + 1,
-                ecn_threshold_pkts=n_packets + 1, **link_kwargs)
+                ecn_threshold_pkts=n_packets + 1)
     src.attach_egress(link)
     packets = [_BenchPacket() for _ in range(n_packets)]
     start = perf_counter()

@@ -11,11 +11,8 @@ A/B-benchmarking two checkouts (which is hostage to machine load):
 
 1. microbenchmark the exact disabled-path guard, net of loop overhead;
 2. measure the per-packet cost of the lossless-link smoke driver
-   (``bench_simcore.drive_link``) with tracing disabled and the deep-
-   backlog chain batching pinned off — the *per-event* path is where
-   every trace guard lives (a traced run always takes it; the batch
-   walk elides those events entirely), so it is the honest per-packet
-   budget to amortize the guards against;
+   (``bench_simcore.drive_link``) with tracing disabled — the budget
+   the guards are amortized against;
 3. assert ``guard_cost * GUARDS_PER_PACKET / per_packet_cost <= 2%``,
    with ``GUARDS_PER_PACKET`` a deliberate over-count of the trace
    guards a packet can cross per simulated hop;
@@ -111,10 +108,7 @@ def _sharded_per_event_s() -> float:
 
 def main() -> int:
     guard = _guard_cost_s()
-    # chain_batch_min above n_packets keeps the link on the per-event
-    # path every trace guard sits on (see module docstring).
-    link_pps = max(drive_link(50_000, chain_batch_min=1 << 30)
-                   for _ in range(3))
+    link_pps = max(drive_link(50_000) for _ in range(3))
     events_per_sec = max(drive_raw_events(200_000) for _ in range(3))
     per_packet = 1.0 / link_pps
 

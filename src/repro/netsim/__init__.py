@@ -32,7 +32,6 @@ from .link import (
 )
 from .node import Host, Node
 from .simulator import Process, SimulationError, Simulator, WallClockExceeded
-from .store import Store, StoreFull
 from .topology import (
     Topology,
     chain,
@@ -43,12 +42,11 @@ from .topology import (
     multi_rack_structure,
     star,
 )
-from .trace import Counter, LatencyRecorder, RateMeter, TimeSeries, mean, percentile
+from .trace import Counter, LatencyRecorder, RateMeter, mean, percentile
 
 __all__ = [
     "Simulator", "Process", "SimulationError", "WallClockExceeded",
     "Event", "Timeout", "AnyOf", "AllOf", "Interrupt", "EventFailed",
-    "Store", "StoreFull",
     "Link", "duplex_link", "LossModel", "NoLoss", "RandomLoss", "BurstLoss",
     "ScriptedLoss", "ETHERNET_OVERHEAD_BYTES",
     "FaultModel", "Reorder", "Duplicate", "Corrupt", "LinkFlap",
@@ -57,7 +55,7 @@ __all__ = [
     "Node", "Host",
     "Topology", "star", "dumbbell", "chain",
     "multi_rack_structure", "fat_tree_structure", "multi_rack", "fat_tree",
-    "Counter", "TimeSeries", "RateMeter", "LatencyRecorder",
+    "Counter", "RateMeter", "LatencyRecorder",
     "mean", "percentile",
     "Calibration", "DEFAULT_CALIBRATION", "scaled",
 ]

@@ -512,20 +512,15 @@ class InvariantChecker:
             self._violate(f"register pool leaked: accounted {total} slots, "
                           f"expected {self._pool_baseline}")
 
-        # Chain-fusion gating: a link carrying a fault/loss model must
+        # Fused-path gating: a link carrying a fault/loss model must
         # run the two-event path (the injector draws at serialization
-        # end), so it must never be fused and must hold no batch-fused
-        # residue from before the fault was installed.
+        # end), so it must never be fused.
         topology = getattr(self.deployment, "topology", None)
         links = getattr(topology, "links", None) or {}
         for key, link in links.items():
-            if type(link.loss) is not NoLoss:
-                if link._fused:
-                    self._violate(f"link {key}: fault model installed but "
-                                  f"fused fast path still active")
-                if link._virtual_starts:
-                    self._violate(f"link {key}: fault model installed with "
-                                  f"batch-fused packets still in flight")
+            if type(link.loss) is not NoLoss and link._fused:
+                self._violate(f"link {key}: fault model installed but "
+                              f"fused fast path still active")
 
     def check_result(self, label: str, expected: Any, got: Any) -> bool:
         """Bit-exact result comparison; a mismatch is a silent wrong

@@ -114,19 +114,6 @@ class Link:
     loss model installed fall back to the two-event path because the
     loss decision must be drawn from the simulator RNG at serialization
     end.
-
-    **Fused event chains** (DESIGN.md §4.7): once the backlog exceeds
-    ``chain_batch_min`` packets, the whole serialize→propagate→deliver
-    chain of every queued packet is computed analytically in one pass —
-    one delivery callback per packet, zero intermediate events.  Queue
-    occupancy seen by later ``send()`` calls stays exact: the drained
-    packets' serialization-start times go into a *virtual occupancy*
-    deque, and a packet counts as queued until its serialization start
-    passes.  The batch path turns itself off automatically whenever the
-    intermediate events carry meaning: links with a loss model or a
-    ``faults.py`` injector never take it (they are not fused at all),
-    and an armed tracer disables it so every serialize/propagate span
-    boundary is emitted at its true instant.
     """
 
     def __init__(self, sim: Simulator, src: Any, dst: Any,
@@ -134,8 +121,7 @@ class Link:
                  queue_capacity_pkts: int = 512,
                  ecn_threshold_pkts: Optional[int] = None,
                  loss: Optional[LossModel] = None,
-                 name: str = "",
-                 chain_batch_min: int = 2048):
+                 name: str = ""):
         if bandwidth_bps <= 0:
             raise ValueError("bandwidth must be positive")
         if delay_s < 0:
@@ -151,18 +137,10 @@ class Link:
                                    else max(1, queue_capacity_pkts // 8))
         self.name = name or f"{getattr(src, 'name', src)}->" \
                             f"{getattr(dst, 'name', dst)}"
-        self.chain_batch_min = chain_batch_min
         self._queue: Deque[Any] = deque()
         self._busy = False          # legacy (lossy) path state
         self._free_at = 0.0         # fused path: transmitter busy until
         self._pop_pending = False   # fused path: _start_next scheduled
-        # Batch-fused packets leave _queue early; their serialization
-        # start times wait here so occupancy checks stay exact.
-        self._virtual_starts: Deque[float] = deque()
-        # Precomputed (delivery_time, packet) chain for batch-fused
-        # packets; only the head is ever in the scheduler.
-        self._batch: Deque[Tuple[float, Any]] = deque()
-        self._batch_active = False
         self.stats = Counter()
         self.loss = loss or NoLoss()
 
@@ -173,21 +151,17 @@ class Link:
 
     @loss.setter
     def loss(self, model: LossModel) -> None:
-        # Swap while the link is idle (deployment loss injection happens
-        # at setup time); a swap mid-serialization would let the two
-        # paths overlap.
+        # The model's type selects the transmit path, so a swap while a
+        # packet is queued or serializing would leave both state
+        # machines live (packets stranded in _queue).  Every installer
+        # (deployment loss injection, chaos schedules) swaps at setup.
+        if self._queue or self._busy or self._pop_pending \
+                or self.sim.now < self._free_at:
+            raise RuntimeError(
+                f"link {self.name}: loss model swapped while the "
+                f"transmitter is busy; install it while the link is idle")
         self._loss = model
         self._fused = type(model) is NoLoss
-
-    @property
-    def queue_len(self) -> int:
-        starts = self._virtual_starts
-        if starts:
-            now = self.sim.now
-            while starts and starts[0] <= now:
-                starts.popleft()
-            return len(self._queue) + len(starts)
-        return len(self._queue)
 
     def send(self, packet: Any) -> bool:
         """Enqueue ``packet`` for transmission.
@@ -195,23 +169,9 @@ class Link:
         Returns ``False`` if the packet was tail-dropped at the queue.
         """
         stats = self.stats
-        if stats.enabled:
-            counts = stats._counts
-            try:
-                counts["offered_pkts"] += 1
-            except KeyError:
-                counts["offered_pkts"] = 1
+        stats["offered_pkts"] += 1
         queue = self._queue
         qlen = len(queue)
-        starts = self._virtual_starts
-        if starts:
-            # Batch-fused packets count as queued until their
-            # serialization start passes, so drop-tail and ECN see the
-            # same occupancy the per-packet model would.
-            now = self.sim.now
-            while starts and starts[0] <= now:
-                starts.popleft()
-            qlen += len(starts)
         if qlen >= self.queue_capacity_pkts:
             stats.add("queue_drops")
             if TRACE.enabled:
@@ -272,73 +232,16 @@ class Link:
             TRACE.record("link.propagate", free, free + self.delay_s,
                          self.name)
         if queue:
-            if len(queue) >= self.chain_batch_min and not TRACE.enabled:
-                self._drain_batch(free)
-            else:
-                sim.schedule_at(free, self._start_next, None)
+            sim.schedule_at(free, self._start_next, None)
         else:
             self._pop_pending = False
 
-    def _drain_batch(self, free: float) -> None:
-        # Deep-backlog chain fusion: the transmitter is committed to
-        # serializing the entire backlog back-to-back, so every queued
-        # packet's serialize→propagate→deliver chain is determined right
-        # now.  Precompute the delivery timestamps (bit-identical to the
-        # per-packet path — same accumulation expression), park the
-        # serialization-start times in the virtual-occupancy deque, and
-        # walk the deliveries as a *chain*: only the head delivery is
-        # ever in the scheduler, each delivery scheduling the next.  One
-        # event per packet instead of two, and the scheduler's pending
-        # set stays O(1) deep instead of O(backlog).
-        queue = self._queue
-        starts = self._virtual_starts
-        batch = self._batch
-        bandwidth = self.bandwidth_bps
-        delay = self.delay_s
-        batched = len(queue)
-        while queue:
-            packet = queue.popleft()
-            starts.append(free)
-            size = getattr(packet, "_size", None) or packet.size_bytes
-            free = free + (size + ETHERNET_OVERHEAD_BYTES) * 8.0 / bandwidth
-            batch.append((free + delay, packet))
-        self._free_at = free
-        self._pop_pending = False
-        if not self._batch_active:
-            self._batch_active = True
-            when, head = batch.popleft()
-            self.sim.schedule_at(when, self._deliver_batched, head)
-        stats = self.stats
-        if stats.enabled:
-            stats.add("chain_batches")
-            stats.add("chain_fused_pkts", batched)
-
-    def _deliver_batched(self, packet: Any) -> None:
-        self._deliver_fused(packet)
-        batch = self._batch
-        if batch:
-            when, nxt = batch.popleft()
-            self.sim.schedule_at(when, self._deliver_batched, nxt)
-        else:
-            self._batch_active = False
-
     def _deliver_fused(self, packet: Any) -> None:
+        size = getattr(packet, "_size", None) or packet.size_bytes
         stats = self.stats
-        if stats.enabled:
-            counts = stats._counts
-            size = getattr(packet, "_size", None) or packet.size_bytes
-            try:
-                counts["sent_pkts"] += 1
-            except KeyError:
-                counts["sent_pkts"] = 1
-            try:
-                counts["sent_bytes"] += size
-            except KeyError:
-                counts["sent_bytes"] = size
-            try:
-                counts["delivered_pkts"] += 1
-            except KeyError:
-                counts["delivered_pkts"] = 1
+        stats["sent_pkts"] += 1
+        stats["sent_bytes"] += size
+        stats["delivered_pkts"] += 1
         self.dst.receive(packet, self)
 
     # -- legacy (lossy) path -------------------------------------------

@@ -54,8 +54,7 @@ from __future__ import annotations
 import heapq
 import random
 from time import perf_counter
-from typing import (Any, Callable, Dict, Generator, Iterable, List, Optional,
-                    Tuple)
+from typing import Any, Callable, Dict, Generator, Iterable, List, Optional
 
 from repro.obs.tracer import TRACE
 
@@ -68,10 +67,11 @@ __all__ = ["Simulator", "Process", "TimerHandle", "SimulationError",
 _heappush = heapq.heappush
 _heappop = heapq.heappop
 
-# Every _WALL_CHECK_EVERY dispatched events a deadline-guarded loop
-# consults perf_counter(); coarse enough to stay off the hot path,
-# fine enough that a runaway run is cancelled within milliseconds.
+# Every _WALL_CHECK_EVERY dispatched events the run loops consult
+# perf_counter(); coarse enough to stay off the hot path, fine enough
+# that a runaway run is cancelled within milliseconds.
 _WALL_CHECK_EVERY = 2048
+_INF = float("inf")
 
 # Process-wide wall deadline (absolute perf_counter() time).  Sweep
 # workers install it *before* the run constructs its Simulator; every
@@ -98,9 +98,7 @@ def set_global_wall_deadline(deadline: Optional[float]) -> None:
     """Install (or clear, with ``None``) the process-wide wall deadline.
 
     ``deadline`` is an absolute :func:`time.perf_counter` timestamp.
-    Only simulators constructed while the deadline is set are guarded —
-    the disabled path of :meth:`Simulator.run` stays byte-for-byte the
-    pre-guard dispatch loop.
+    Only simulators constructed while the deadline is set inherit it.
     """
     global _GLOBAL_WALL_DEADLINE
     _GLOBAL_WALL_DEADLINE = deadline
@@ -271,7 +269,7 @@ class Simulator:
         self._sequence = 0
         self.rng = random.Random(seed)
         self._finished = False
-        self._wall_deadline = _GLOBAL_WALL_DEADLINE
+        self.set_wall_deadline(_GLOBAL_WALL_DEADLINE)
         self._wall_countdown = _WALL_CHECK_EVERY
         # Scheduler statistics (amortized: touched per cohort or per
         # timer, never per plain schedule into an existing cohort).
@@ -294,12 +292,12 @@ class Simulator:
         The guard makes a runaway run *cancellable*: :meth:`run`,
         :meth:`run_until`, and :meth:`step` raise
         :class:`WallClockExceeded` once the deadline passes, checked
-        every ``_WALL_CHECK_EVERY`` events so the guarded loop stays
-        within noise of the unguarded one.  It never alters event order
+        every ``_WALL_CHECK_EVERY`` events.  It never alters event order
         or timestamps, so a run that finishes under its deadline is
-        bit-identical to an unguarded run.
+        bit-identical to an unguarded run.  An unset deadline is stored
+        as ``inf``: the same check, never true.
         """
-        self._wall_deadline = deadline
+        self._wall_deadline = _INF if deadline is None else deadline
 
     def _check_wall_deadline(self) -> None:
         if perf_counter() > self._wall_deadline:
@@ -403,17 +401,6 @@ class Simulator:
             cohort.append(handle)
         return handle
 
-    def schedule_event(self, delay: float, event: Event, value: Any = None
-                       ) -> None:
-        """Trigger ``event`` (succeed) after ``delay`` seconds."""
-        self.schedule(delay, self._trigger_event, (event, value))
-
-    @staticmethod
-    def _trigger_event(pair: Tuple[Event, Any]) -> None:
-        event, value = pair
-        if not event.triggered:
-            event.succeed(value)
-
     # ------------------------------------------------------------------
     # event factories
     # ------------------------------------------------------------------
@@ -444,11 +431,10 @@ class Simulator:
         cancelled timers — one *live* callback runs per call.  Raises
         :class:`IndexError` when nothing is pending.
         """
-        if self._wall_deadline is not None:
-            self._wall_countdown -= 1
-            if self._wall_countdown <= 0:
-                self._wall_countdown = _WALL_CHECK_EVERY
-                self._check_wall_deadline()
+        self._wall_countdown -= 1
+        if self._wall_countdown <= 0:
+            self._wall_countdown = _WALL_CHECK_EVERY
+            self._check_wall_deadline()
         ready = self._ready
         i = self._ready_i
         try:
@@ -478,7 +464,7 @@ class Simulator:
         """
         if self._ready_i < len(self._ready):
             return self.now
-        return self._times[0] if self._times else float("inf")
+        return self._times[0] if self._times else _INF
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until the schedule drains, or the clock reaches ``until``.
@@ -493,60 +479,39 @@ class Simulator:
         # The dispatch loop drains one same-timestamp cohort per outer
         # iteration: one heap pop and one clock assignment amortize over
         # every event in the cohort, and the inner loop is index/unpack/
-        # call with no comparisons.  The wall-deadline guard gets its own
-        # copy of the loop so the common (unguarded) path pays nothing.
+        # call plus the wall-deadline countdown.
         cohorts = self._cohorts
         times = self._times
         pop = _heappop
+        countdown = self._wall_countdown
         ready = self._ready
         i = self._ready_i
         try:
-            if self._wall_deadline is None:
-                while True:
-                    n = len(ready)
-                    while i < n:
-                        callback, value = ready[i]
-                        i += 1
-                        if callback is not None:
-                            callback(value)
-                    if not times:
-                        break
-                    when = times[0]
-                    if until is not None and when > until:
-                        break
-                    pop(times)
-                    self.now = when
-                    ready = cohorts.pop(when)
-                    i = 0
-                    self._cohorts_drained += 1
-            else:
-                countdown = self._wall_countdown
-                while True:
-                    n = len(ready)
-                    while i < n:
-                        callback, value = ready[i]
-                        i += 1
-                        if callback is not None:
-                            callback(value)
-                        countdown -= 1
-                        if countdown == 0:
-                            countdown = _WALL_CHECK_EVERY
-                            self._wall_countdown = countdown
-                            self._check_wall_deadline()
-                    if not times:
-                        break
-                    when = times[0]
-                    if until is not None and when > until:
-                        break
-                    pop(times)
-                    self.now = when
-                    ready = cohorts.pop(when)
-                    i = 0
-                    self._cohorts_drained += 1
-                self._wall_countdown = countdown
+            while True:
+                n = len(ready)
+                while i < n:
+                    callback, value = ready[i]
+                    i += 1
+                    if callback is not None:
+                        callback(value)
+                    countdown -= 1
+                    if countdown == 0:
+                        countdown = _WALL_CHECK_EVERY
+                        self._check_wall_deadline()
+                if not times:
+                    break
+                when = times[0]
+                if until is not None and when > until:
+                    break
+                pop(times)
+                self.now = when
+                ready = cohorts.pop(when)
+                i = 0
+                self._cohorts_drained += 1
         finally:
             self._ready = ready
             self._ready_i = i
+            self._wall_countdown = countdown
         if until is not None:
             self.now = max(self.now, until)
 
@@ -562,7 +527,6 @@ class Simulator:
         cohorts = self._cohorts
         times = self._times
         pop = _heappop
-        deadline = self._wall_deadline
         countdown = self._wall_countdown
         ready = self._ready
         i = self._ready_i
@@ -574,11 +538,10 @@ class Simulator:
                     if callback is None:
                         continue
                     callback(value)
-                    if deadline is not None:
-                        countdown -= 1
-                        if countdown == 0:
-                            countdown = _WALL_CHECK_EVERY
-                            self._check_wall_deadline()
+                    countdown -= 1
+                    if countdown == 0:
+                        countdown = _WALL_CHECK_EVERY
+                        self._check_wall_deadline()
                     continue
                 if not times:
                     raise SimulationError(
@@ -596,8 +559,7 @@ class Simulator:
         finally:
             self._ready = ready
             self._ready_i = i
-            if deadline is not None:
-                self._wall_countdown = countdown
+            self._wall_countdown = countdown
         if not event.ok:
             raise EventFailed(event.value)
         return event.value

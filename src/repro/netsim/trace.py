@@ -1,4 +1,4 @@
-"""Measurement helpers: counters, time series, rate meters, percentiles."""
+"""Measurement helpers: counters, rate meters, percentiles."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
     "Counter",
-    "TimeSeries",
     "RateMeter",
     "LatencyRecorder",
     "percentile",
@@ -39,80 +38,29 @@ def percentile(values: Sequence[float], pct: float) -> float:
     return ordered[lower] * (1.0 - frac) + ordered[upper] * frac
 
 
-class Counter:
-    """Named integer counters with dict-style access.
+class Counter(dict):
+    """Named numeric counters: a ``dict`` whose missing keys read 0.
 
-    ``add`` sits on the per-packet hot path (several calls per hop), so
-    the class is slotted and the increment avoids a ``dict.get`` in the
-    common already-present-key case.  Bulk drivers that do not read the
-    counters should go through
-    :meth:`repro.obs.MetricsRegistry.disable_all` rather than disabling
-    instances one by one, so enable state cannot desynchronise across
-    the deployment (per-instance :meth:`disable` remains for tests).
+    Increments sit on the per-packet hot path (several per hop), so hot
+    callers write ``stats[key] += 1`` directly — two C-level dict
+    operations, no method call.  Reading a missing key returns 0
+    without inserting it, so snapshots only ever show counters that
+    were actually bumped.
     """
 
-    __slots__ = ("_counts", "enabled", "__weakref__")
+    __slots__ = ()
 
-    def __init__(self):
-        self._counts: Dict[str, float] = {}
-        self.enabled = True
+    def __missing__(self, key: str) -> float:
+        return 0
 
     def add(self, key: str, amount: float = 1) -> None:
-        if not self.enabled:
-            return
-        counts = self._counts
-        try:
-            counts[key] += amount
-        except KeyError:
-            counts[key] = amount
-
-    def disable(self) -> None:
-        """Stop recording (bulk-run fast path); existing counts remain."""
-        self.enabled = False
-
-    def enable(self) -> None:
-        self.enabled = True
-
-    def __getitem__(self, key: str) -> float:
-        return self._counts.get(key, 0)
+        self[key] += amount
 
     def get(self, key: str, default: float = 0) -> float:
-        return self._counts.get(key, default)
+        return dict.get(self, key, default)
 
     def as_dict(self) -> Dict[str, float]:
-        return dict(self._counts)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Counter({self._counts!r})"
-
-
-class TimeSeries:
-    """Append-only (time, value) samples."""
-
-    def __init__(self, name: str = ""):
-        self.name = name
-        self.times: List[float] = []
-        self.values: List[float] = []
-
-    def record(self, time: float, value: float) -> None:
-        if self.times and time < self.times[-1]:
-            raise ValueError("time series must be recorded in time order")
-        self.times.append(time)
-        self.values.append(value)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def last(self) -> Optional[Tuple[float, float]]:
-        if not self.times:
-            return None
-        return self.times[-1], self.values[-1]
-
-    def window_mean(self, start: float, end: float) -> float:
-        """Mean of samples whose time lies in [start, end)."""
-        selected = [v for t, v in zip(self.times, self.values)
-                    if start <= t < end]
-        return mean(selected)
+        return dict(self)
 
 
 class RateMeter:

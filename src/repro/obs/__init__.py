@@ -48,17 +48,13 @@ from .registry import (
     MetricsRegistry,
     all_registries,
     collected_snapshots,
-    disable_all_metrics,
-    enable_all_metrics,
     keep_registries,
-    set_default_enabled,
 )
 from .tracer import DEFAULT_CAPACITY, TRACE, FlightRecorder
 
 __all__ = [
     "TRACE", "FlightRecorder", "DEFAULT_CAPACITY",
-    "MetricsRegistry", "all_registries", "disable_all_metrics",
-    "enable_all_metrics", "set_default_enabled", "keep_registries",
+    "MetricsRegistry", "all_registries", "keep_registries",
     "collected_snapshots", "KEEP_LIMIT",
     "chrome_trace", "write_chrome_trace", "write_metrics_jsonl",
     "load_trace", "load_metrics_jsonl", "validate_chrome_trace",

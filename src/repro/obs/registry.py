@@ -1,19 +1,17 @@
 """One namespaced registry over the repo's ad-hoc metric instruments.
 
-Before this module, every layer owned loose ``Counter`` / ``TimeSeries``
-/ ``RateMeter`` / ``LatencyRecorder`` instances (plus plain stats
-dicts on the agents), each enabled/disabled independently — two bulk
-drivers that disabled different subsets would silently diverge.  A
-:class:`MetricsRegistry` subsumes them:
+Before this module, every layer owned loose ``Counter`` / ``RateMeter``
+/ ``LatencyRecorder`` instances (plus plain stats dicts on the agents).
+A :class:`MetricsRegistry` subsumes them:
 
 * ``register(name, obj)`` files any instrument under a dotted name
   (``"link.c0->sw0"``, ``"pipeline.sw0"``, ``"control.audit"``);
   duplicate names get a ``#N`` suffix instead of clobbering;
 * ``snapshot()`` / ``diff()`` flatten everything into one
-  ``{"entry.key": value}`` dict for judging and export;
-* ``disable_all()`` / ``enable_all()`` route the bulk on/off switch
-  through one place, so enable state cannot desynchronise across
-  instances (the registry re-applies its state to late registrations).
+  ``{"entry.key": value}`` dict for judging and export.
+
+Instruments always record: benchmark fingerprints are metrics
+snapshots, so the registry has no off switch.
 
 Lifetime: the registry holds strong references to its instruments (they
 are owned by the same deployment and die together); the module-level
@@ -26,8 +24,8 @@ would otherwise be dead by export time.
 
 Duck-typed snapshots keep this module import-free of the instrument
 classes (no cycles): anything with ``as_dict``/``summary``/
-``average_gbps``/``window_mean`` — or a ``snapshot`` callable passed at
-registration — participates.
+``average_gbps`` — or a ``snapshot`` callable passed at registration —
+participates.
 """
 
 from __future__ import annotations
@@ -40,9 +38,6 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 __all__ = [
     "MetricsRegistry",
     "all_registries",
-    "disable_all_metrics",
-    "enable_all_metrics",
-    "set_default_enabled",
     "keep_registries",
     "collected_snapshots",
     "KEEP_LIMIT",
@@ -50,7 +45,6 @@ __all__ = [
 
 _IDS = itertools.count()
 _ALL: "weakref.WeakSet[MetricsRegistry]" = weakref.WeakSet()
-_DEFAULT_ENABLED = True
 
 # Traced-run collection: strong refs to the most recent registries plus
 # frozen snapshots of evicted ones (bounded memory for long sweeps).
@@ -70,12 +64,6 @@ def _auto_snapshot(obj: Any) -> Dict[str, Any]:
     if hasattr(obj, "average_gbps"):              # RateMeter
         return {"total_bytes": obj.total_bytes,
                 "average_gbps": obj.average_gbps()}
-    if hasattr(obj, "window_mean"):               # TimeSeries
-        last = obj.last()
-        out: Dict[str, Any] = {"samples": len(obj)}
-        if last is not None:
-            out["last_t"], out["last_v"] = last
-        return out
     if isinstance(obj, dict):
         return dict(obj)
     stats = getattr(obj, "stats", None)
@@ -91,18 +79,17 @@ def _has_strategy(obj: Any) -> bool:
     if isinstance(obj, dict):
         return True
     if any(hasattr(obj, attr) for attr in
-           ("as_dict", "summary", "average_gbps", "window_mean")):
+           ("as_dict", "summary", "average_gbps")):
         return True
     stats = getattr(obj, "stats", None)
     return stats is not None and _has_strategy(stats)
 
 
 class MetricsRegistry:
-    """Namespaced collection of metric instruments with one on/off state."""
+    """Namespaced collection of metric instruments."""
 
     def __init__(self, name: str = ""):
         self.name = f"{name or 'registry'}-{next(_IDS)}"
-        self.enabled = _DEFAULT_ENABLED
         # name -> (instrument, snapshot_fn)
         self._entries: Dict[str, Tuple[Any, Callable[[Any], Dict]]] = {}
         _ALL.add(self)
@@ -115,12 +102,7 @@ class MetricsRegistry:
     # ------------------------------------------------------------------
     def register(self, name: str, obj: Any,
                  snapshot: Optional[Callable[[Any], Dict]] = None) -> Any:
-        """File ``obj`` under ``name``; returns ``obj`` for chaining.
-
-        The registry's current enabled state is applied immediately, so
-        an instrument registered after ``disable_all()`` cannot stay
-        enabled by accident (the desync this module exists to prevent).
-        """
+        """File ``obj`` under ``name``; returns ``obj`` for chaining."""
         if snapshot is None and not _has_strategy(obj):
             raise TypeError(f"no snapshot strategy for "
                             f"{type(obj).__name__}; pass snapshot= "
@@ -130,7 +112,6 @@ class MetricsRegistry:
             n += 1
             unique = f"{name}#{n}"
         self._entries[unique] = (obj, snapshot or _auto_snapshot)
-        self._apply_state(obj)
         return obj
 
     def names(self) -> List[str]:
@@ -141,25 +122,6 @@ class MetricsRegistry:
 
     def __contains__(self, name: str) -> bool:
         return name in self._entries
-
-    # ------------------------------------------------------------------
-    # the single bulk on/off switch (satellite: no per-instance desync)
-    # ------------------------------------------------------------------
-    def _apply_state(self, obj: Any) -> None:
-        method = getattr(obj, "enable" if self.enabled else "disable", None)
-        if method is not None:
-            method()
-
-    def disable_all(self) -> None:
-        """Turn every registered instrument off (bulk-run fast path)."""
-        self.enabled = False
-        for obj, _snap in self._entries.values():
-            self._apply_state(obj)
-
-    def enable_all(self) -> None:
-        self.enabled = True
-        for obj, _snap in self._entries.values():
-            self._apply_state(obj)
 
     # ------------------------------------------------------------------
     # snapshot / diff / export
@@ -219,32 +181,6 @@ class MetricsRegistry:
 def all_registries() -> List[MetricsRegistry]:
     """Every live registry, oldest first (deterministic by creation id)."""
     return sorted(_ALL, key=lambda r: int(r.name.rsplit("-", 1)[1]))
-
-
-def disable_all_metrics() -> int:
-    """``disable_all()`` on every live registry; returns how many."""
-    regs = all_registries()
-    for reg in regs:
-        reg.disable_all()
-    return len(regs)
-
-
-def enable_all_metrics() -> int:
-    regs = all_registries()
-    for reg in regs:
-        reg.enable_all()
-    return len(regs)
-
-
-def set_default_enabled(enabled: bool) -> None:
-    """Whether *future* registries start enabled.
-
-    The profile/bulk drivers set this False before building deployments
-    so every instrument a deployment registers is born disabled through
-    the same single switch.
-    """
-    global _DEFAULT_ENABLED
-    _DEFAULT_ENABLED = enabled
 
 
 def keep_registries(keep: bool) -> None:

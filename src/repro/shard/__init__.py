@@ -5,8 +5,8 @@ Partition a topology at link boundaries into per-rack
 parallel worker processes, and exchange cross-shard packets under
 adaptive conservative horizons derived from each cut link's
 propagation delay.  Boundary traffic rides zero-copy shared-memory
-frames packed by a fixed-width codec (``REPRO_SHARD_TRANSPORT=pipe``
-selects the pickled-pipe fallback).  ``workers=1`` runs the identical
+frames packed by a fixed-width codec (pickled frames over the control
+pipes where POSIX shm is missing).  ``workers=1`` runs the identical
 protocol in-process; ``workers=N`` is byte-identical to it under
 either transport.
 """
@@ -23,8 +23,7 @@ from .runner import (ShardRunResult, UnshardedRunResult, WORKERS_ENV,
                      run_unsharded)
 from .spec import (FlowSpec, ShardScenario, rack_chaos_schedule,
                    synth_workload)
-from .transport import (ShmChannelBus, TRANSPORT_ENV, TRANSPORTS,
-                        default_transport)
+from .transport import ShmChannelBus, TRANSPORTS
 
 __all__ = [
     "FlowSpec", "ShardScenario", "synth_workload", "rack_chaos_schedule",
@@ -37,5 +36,5 @@ __all__ = [
     "UnshardedRunResult", "run_sharded", "run_unsharded",
     "results_identical",
     "CodecTables", "encode_frame", "decode_frame", "frame_nbytes",
-    "TRANSPORT_ENV", "TRANSPORTS", "default_transport", "ShmChannelBus",
+    "TRANSPORTS", "ShmChannelBus",
 ]

@@ -11,31 +11,34 @@ float timestamps a same-simulator :class:`~repro.netsim.link.Link`
 would have produced.
 
 Timing identity is load-bearing and pinned by a differential test
-(``tests/shard/test_boundary.py``): the serialization expressions below
-must stay *byte-identical* to ``Link``'s three paths —
+(``tests/shard/test_boundary.py``): the serialization expression below
+must stay *byte-identical* to ``Link``'s fused path —
 
 * idle transmitter:   ``free = now + (size + OH) * 8.0 / bandwidth``
 * queued packet:      same expression evaluated at ``now == _free_at``
-* batched backlog:    ``free = free + (size + OH) * 8.0 / bandwidth``
 
-all of which reduce to the single accumulation used here, with the
-serialization start parked in the virtual-occupancy deque exactly as
-``Link._drain_batch`` does.  Lookahead comes for free: the record for a
-packet is known at serialization-*scheduling* time, a full propagation
-delay before its delivery, so the barrier protocol always has
-``delay_s`` of safe horizon per channel.
+both of which reduce to the single accumulation used here.  The stub is
+analytic where ``Link`` is event-driven: a queued packet leaves no
+``_start_next`` event behind, its serialization start is parked in the
+virtual-occupancy deque and counts as queued until that instant passes.
+Lookahead comes for free: the record for a packet is known at
+serialization-*scheduling* time, a full propagation delay before its
+delivery, so the barrier protocol always has ``delay_s`` of safe horizon
+per channel.
 
-Lossy/faulted cut links (rare; the chaos generator avoids them) fall
-back to ``Link``'s legacy two-event path so loss draws still happen at
-serialization end against this shard's RNG — only the final delivery
-scheduling is redirected into the outbox.
+That is also why a cut link must stay lossless: a loss or fault model
+draws at serialization *end*, after the record would already have been
+handed to the receiving shard.  The stub rejects one outright
+(``_install_chaos`` already refuses a fault on a cut link).
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Tuple
+from collections import deque
+from typing import Any, Deque, List, Tuple
 
-from repro.netsim.link import ETHERNET_OVERHEAD_BYTES, Link
+from repro.netsim.link import (ETHERNET_OVERHEAD_BYTES, Link, LossModel,
+                               NoLoss)
 from repro.netsim.simulator import Simulator
 from repro.netsim.trace import Counter
 from repro.obs.tracer import TRACE
@@ -67,10 +70,9 @@ class ShardEgressLink(Link):
     ``outbox`` accumulates ``(deliver_time, packet)`` in emission order;
     the shard runner drains it at every barrier.  Counter split across
     the cut: this side counts ``offered_pkts``/``queue_drops``/
-    ``ecn_marks``/``sent_pkts``/``sent_bytes`` (and ``wire_drops`` on
-    the lossy path); the matching :class:`IngressBridge` counts
-    ``delivered_pkts``.  Summing the two halves reproduces the counters
-    a same-simulator ``Link`` reports.
+    ``ecn_marks``/``sent_pkts``/``sent_bytes``; the matching
+    :class:`IngressBridge` counts ``delivered_pkts``.  Summing the two
+    halves reproduces the counters a same-simulator ``Link`` reports.
     """
 
     def __init__(self, sim: Simulator, src: Any, dst_name: str,
@@ -81,23 +83,27 @@ class ShardEgressLink(Link):
                 f"(it is the channel lookahead), got {delay_s!r}")
         super().__init__(sim, src, RemoteNode(dst_name), bandwidth_bps,
                          delay_s, **kwargs)
+        # Serialization starts of packets still waiting for the
+        # transmitter: the queue occupancy drop-tail and ECN decide on.
+        self._virtual_starts: Deque[float] = deque()
         self.outbox: List[Tuple[float, Any]] = []
         # The receiving shard, set by build_fabric; lets the runner
         # group drained records into one frame per (channel, round).
         self.dst_shard: int = -1
 
+    @Link.loss.setter
+    def loss(self, model: LossModel) -> None:
+        if type(model) is not NoLoss:
+            raise ValueError(
+                f"boundary link {self.name} must stay lossless: its "
+                f"deliveries are handed to the receiving shard a full "
+                f"propagation delay ahead (the channel lookahead), before "
+                f"a loss model could draw; got {type(model).__name__}")
+        self._loss = model
+
     def send(self, packet: Any) -> bool:
-        if not self._fused:
-            # Lossy path: Link's legacy two-event machinery runs
-            # unchanged; only _tx_done (below) diverts deliveries.
-            return super().send(packet)
         stats = self.stats
-        if stats.enabled:
-            counts = stats._counts
-            try:
-                counts["offered_pkts"] += 1
-            except KeyError:
-                counts["offered_pkts"] = 1
+        stats["offered_pkts"] += 1
         now = self.sim.now
         starts = self._virtual_starts
         while starts and starts[0] <= now:
@@ -121,19 +127,11 @@ class ShardEgressLink(Link):
         self._free_at = free
         if start > now:
             # A queued packet occupies the queue until its serialization
-            # start passes — same convention as Link._drain_batch, and
-            # the same "start <= now means popped" tie-breaking.
+            # start passes: "start <= now means popped", the instant
+            # Link._start_next pops it.
             starts.append(start)
-        if stats.enabled:
-            counts = stats._counts
-            try:
-                counts["sent_pkts"] += 1
-            except KeyError:
-                counts["sent_pkts"] = 1
-            try:
-                counts["sent_bytes"] += size
-            except KeyError:
-                counts["sent_bytes"] = size
+        stats["sent_pkts"] += 1
+        stats["sent_bytes"] += size
         self.outbox.append((free + self.delay_s, packet))
         if TRACE.enabled:
             # (flow, seq) is one half of the cross-shard stitch key —
@@ -146,32 +144,6 @@ class ShardEgressLink(Link):
             TRACE.record("link.propagate", free, free + self.delay_s,
                          self.name)
         return True
-
-    # -- legacy (lossy) path: divert deliveries into the outbox --------
-    def _tx_done(self, packet: Any) -> None:
-        self.stats.add("sent_pkts")
-        self.stats.add("sent_bytes", packet.size_bytes)
-        now = self.sim.now
-        plan = getattr(self._loss, "plan", None)
-        if plan is not None:
-            deliveries = list(plan(packet, self))
-            if TRACE.enabled and not deliveries:
-                TRACE.instant("link.drop", now, self.name, ("wire",))
-            for extra, out in deliveries:
-                self.outbox.append((now + self.delay_s + extra, out))
-                if TRACE.enabled:
-                    TRACE.record("link.propagate", now,
-                                 now + self.delay_s + extra, self.name)
-        elif self._loss.drops(packet, self.sim.rng):
-            self.stats.add("wire_drops")
-            if TRACE.enabled:
-                TRACE.instant("link.drop", now, self.name, ("wire",))
-        else:
-            self.outbox.append((now + self.delay_s, packet))
-            if TRACE.enabled:
-                TRACE.record("link.propagate", now, now + self.delay_s,
-                             self.name)
-        self._transmit_next()
 
     def _deliver_fused(self, packet: Any) -> None:  # pragma: no cover
         raise AssertionError("egress stub must never deliver locally")
@@ -205,13 +177,7 @@ class IngressBridge:
         self.sim.schedule_at(when, self._deliver, packet)
 
     def _deliver(self, packet: Any) -> None:
-        stats = self.stats
-        if stats.enabled:
-            counts = stats._counts
-            try:
-                counts["delivered_pkts"] += 1
-            except KeyError:
-                counts["delivered_pkts"] = 1
+        self.stats["delivered_pkts"] += 1
         if TRACE.enabled:
             flow_id = getattr(packet, "flow_id", None)
             TRACE.instant("boundary.deliver", self.sim.now, self.name,

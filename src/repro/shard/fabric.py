@@ -249,17 +249,14 @@ class ShardFabric:
             if id(link) in seen:       # duplex registers both directions
                 continue
             seen.add(id(link))
-            counts = dict(link.stats._counts)
-            if counts:
-                out[link.name] = counts
+            if link.stats:
+                out[link.name] = link.stats.as_dict()
         for name, link in self.egress.items():
-            counts = dict(link.stats._counts)
-            if counts:
-                out[name] = counts
+            if link.stats:
+                out[name] = link.stats.as_dict()
         for name, bridge in self.ingress.items():
-            counts = dict(bridge.stats._counts)
-            if counts:
-                out[name] = counts
+            if bridge.stats:
+                out[name] = bridge.stats.as_dict()
         return out
 
 

@@ -21,9 +21,10 @@ shard interconnect:
   shared-memory slots (`repro.shard.transport`) packed by the binary
   codec (`repro.shard.codec`) — no pickle on the hot path — while the
   pipes carry only tiny control words (horizons, peeks, per-channel
-  counts and earliest-delivery bounds).  ``REPRO_SHARD_TRANSPORT=pipe``
-  selects the pickled-pipe fallback; ``workers=1`` stays in-process
-  with plain calls.  All three paths run the identical protocol.
+  counts and earliest-delivery bounds).  ``transport="pipe"`` — also the
+  automatic fallback on hosts without POSIX shm — sends the frames
+  pickled over the pipes instead; ``workers=1`` stays in-process with
+  plain calls.  All three paths run the identical protocol.
 
 Determinism: shard decomposition, per-shard seeds, channel order, and
 injection order are all pure functions of ``(scenario, partition)``;
@@ -57,7 +58,7 @@ from .codec import CodecTables, decode_frame, encode_frame, frame_nbytes
 from .fabric import ShardFabric, build_fabric, compute_routes
 from .partition import Partition, PartitionError, partition_structure
 from .spec import ShardScenario
-from .transport import ShmChannelBus, default_transport
+from .transport import ShmChannelBus, TRANSPORTS
 
 __all__ = ["WORKERS_ENV", "default_workers", "ShardRunResult",
            "UnshardedRunResult", "run_sharded", "run_unsharded",
@@ -195,24 +196,15 @@ class _ShardWorker:
         self.registry: Optional[MetricsRegistry] = None
         self.obs_sync: Dict[str, Any] = {}
         if capture:
-            # Observe-only registration: every entry is a bound method
-            # or plain dict, so MetricsRegistry._apply_state finds no
-            # enable()/disable() to call — arming capture cannot flip
-            # any instrument's enabled state (that would change link
-            # counters and break traced-vs-untraced bit-identity).
             registry = MetricsRegistry(f"shard{shard_id}")
             registry.register("scheduler", self.sim.scheduler_stats,
                               snapshot=lambda fn: dict(fn()))
             for name in self.fabric.egress_names:
-                registry.register(
-                    f"egress.{name}",
-                    self.fabric.egress[name].stats.as_dict,
-                    snapshot=lambda fn: dict(fn()))
+                registry.register(f"egress.{name}",
+                                  self.fabric.egress[name].stats)
             for name in sorted(self.fabric.ingress):
-                registry.register(
-                    f"ingress.{name}",
-                    self.fabric.ingress[name].stats.as_dict,
-                    snapshot=lambda fn: dict(fn()))
+                registry.register(f"ingress.{name}",
+                                  self.fabric.ingress[name].stats)
             # Deterministic sync summary only (simulated clock, event
             # and frame counts) — wall-time accounting stays out so a
             # capture is byte-equal across pools and transports.
@@ -794,10 +786,14 @@ def run_sharded(scenario: ShardScenario,
     """Execute ``scenario`` sharded; ``workers=1`` stays in-process.
 
     ``transport`` picks the ``workers>1`` interconnect: ``"shm"``
-    (zero-copy shared-memory frames, the default) or ``"pipe"`` (the
-    pickled-pipe fallback); unset, ``$REPRO_SHARD_TRANSPORT`` decides.
-    Results are bit-identical either way.
+    (zero-copy shared-memory frames, the default, falling back to pipes
+    on a host without POSIX shm) or ``"pipe"`` (pickled frames over the
+    control pipes).  Results are bit-identical either way.
     """
+    transport = transport or "shm"
+    if transport not in TRANSPORTS:
+        raise ValueError(f"transport={transport!r}; choose from "
+                         f"{TRANSPORTS}")
     if partition is None:
         if n_shards is None:
             raise ValueError("pass a partition or n_shards")
@@ -823,7 +819,7 @@ def run_sharded(scenario: ShardScenario,
         pool = _InProcessPool(scenario, partition, profile_for, capture)
     else:
         pool = _SubprocessPool(scenario, partition, workers, profile_for,
-                               transport or default_transport(), capture)
+                               transport, capture)
     try:
         rounds_log: Optional[List[Dict[str, Any]]] = \
             [] if capture else None

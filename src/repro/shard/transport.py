@@ -37,7 +37,6 @@ the name being gone already, so cleanup is idempotent.
 
 from __future__ import annotations
 
-import os
 import pickle
 import struct
 from typing import List, Optional, Sequence
@@ -45,30 +44,16 @@ from typing import List, Optional, Sequence
 from .codec import (CodecTables, KIND_PACKED, KIND_PICKLED, Message, RECORD,
                     pack_records, packable, unpack_records)
 
-__all__ = ["TRANSPORT_ENV", "TRANSPORTS", "SLOT_BYTES_ENV",
-           "DEFAULT_SLOT_BYTES", "default_transport", "ShmChannelBus"]
+__all__ = ["TRANSPORTS", "DEFAULT_SLOT_BYTES", "ShmChannelBus"]
 
-TRANSPORT_ENV = "REPRO_SHARD_TRANSPORT"
+# ``workers>1`` interconnects: shm is the default, pipe (pickled frames
+# over the control pipes) its fallback on hosts without POSIX shm.
 TRANSPORTS = ("shm", "pipe")
-SLOT_BYTES_ENV = "REPRO_SHARD_SHM_SLOT_BYTES"
 DEFAULT_SLOT_BYTES = 1 << 18           # 256 KiB per (channel, parity) slot
 
 # stamp (1-based round), payload nbytes, record count, frame kind
 _SLOT_HEADER = struct.Struct("<QIIB")
 _SLOT_HEADER_BYTES = 24                # header padded to a fixed stride
-
-
-def default_transport() -> str:
-    """Transport for ``workers>1`` runs: ``$REPRO_SHARD_TRANSPORT`` or
-    shared memory.  ``pipe`` is the pickle-over-pipe fallback — same
-    protocol, same results, no shm segment."""
-    env = os.environ.get(TRANSPORT_ENV)
-    if env is None:
-        return "shm"
-    if env not in TRANSPORTS:
-        raise ValueError(f"{TRANSPORT_ENV}={env!r}; choose from "
-                         f"{TRANSPORTS}")
-    return env
 
 
 class ShmChannelBus:
@@ -80,8 +65,7 @@ class ShmChannelBus:
         # POSIX shm) never touch the module.
         from multiprocessing import shared_memory
         if slot_bytes is None:
-            slot_bytes = int(os.environ.get(SLOT_BYTES_ENV,
-                                            DEFAULT_SLOT_BYTES))
+            slot_bytes = DEFAULT_SLOT_BYTES
         if slot_bytes < RECORD.size:
             raise ValueError(f"slot_bytes {slot_bytes} below one record "
                              f"({RECORD.size}B)")

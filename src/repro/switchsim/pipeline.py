@@ -77,18 +77,10 @@ class RIPPipeline:
 
     def _observe_kernel(self, stats: Counter, select: int, op: str,
                         now: float) -> None:
-        """Record one register-kernel batch (off the no-observe path)."""
+        """Record one register-kernel batch."""
         pairs = select.bit_count()
-        if stats.enabled:
-            counts = stats._counts
-            try:
-                counts["kernel_ops"] += 1
-            except KeyError:
-                counts["kernel_ops"] = 1
-            try:
-                counts["kernel_pairs"] += pairs
-            except KeyError:
-                counts["kernel_pairs"] = pairs
+        stats["kernel_ops"] += 1
+        stats["kernel_pairs"] += pairs
         if TRACE.enabled:
             TRACE.instant("regs.kernel", now, self.name, (op, pairs))
 
@@ -136,25 +128,19 @@ class RIPPipeline:
         """Packets from the server agent: clear on the way back (§5.2.2)."""
         recirc = False
         stats = self.stats
-        if stats.enabled:
-            counts = stats._counts
-            try:
-                counts["return_pkts"] += 1
-            except KeyError:
-                counts["return_pkts"] = 1
+        stats["return_pkts"] += 1
         if pkt.is_clr and not retrans:
             block = pkt.kv
             select = block.mapped_mask & pkt.bitmap
             if select:
                 self.registers.clear_block(block.addrs, select,
                                            -self.phys_base)
-                if stats.enabled or TRACE.enabled:
-                    pairs = select.bit_count()
-                    stats.add("clear_ops")
-                    stats.add("clear_pairs", pairs)
-                    if TRACE.enabled:
-                        TRACE.instant("regs.kernel", now, self.name,
-                                      ("clear", pairs))
+                pairs = select.bit_count()
+                stats.add("clear_ops")
+                stats.add("clear_pairs", pairs)
+                if TRACE.enabled:
+                    TRACE.instant("regs.kernel", now, self.name,
+                                  ("clear", pairs))
             if pkt.is_cnf:
                 local = self._local(pkt.cnt_index)
                 if local is not None:
@@ -181,12 +167,7 @@ class RIPPipeline:
         base = self.phys_base
         select = block.mapped_mask & bitmap
         stats = self.stats
-        if stats.enabled:
-            counts = stats._counts
-            try:
-                counts["data_pkts"] += 1
-            except KeyError:
-                counts["data_pkts"] = 1
+        stats["data_pkts"] += 1
 
         # --- Stream.modify (stateless; the edge switch applies it once) --
         if prog.modify_op is not StreamOp.NOP and entry.edge:
@@ -198,13 +179,12 @@ class RIPPipeline:
             if not retrans and select:
                 regs.clear_block(block.addrs, select,
                                  pkt.shadow_offset - base)
-                if stats.enabled or TRACE.enabled:
-                    pairs = select.bit_count()
-                    stats.add("shadow_clear_ops")
-                    stats.add("shadow_clear_pairs", pairs)
-                    if TRACE.enabled:
-                        TRACE.instant("regs.kernel", now, self.name,
-                                      ("shadow_clear", pairs))
+                pairs = select.bit_count()
+                stats.add("shadow_clear_ops")
+                stats.add("shadow_clear_pairs", pairs)
+                if TRACE.enabled:
+                    TRACE.instant("regs.kernel", now, self.name,
+                                  ("shadow_clear", pairs))
             recirc = True
 
         # --- Map.addTo + Map.get -----------------------------------------
@@ -214,7 +194,6 @@ class RIPPipeline:
         # addresses require.
         if select:
             do_add = prog.uses_add_to and not retrans
-            observe = stats.enabled or TRACE.enabled
             agg = prog.agg
             if agg is AggOp.FADD or agg is AggOp.FMAX:
                 # Table-fp aggregation: no fused kernel (the fp add is a
@@ -224,34 +203,28 @@ class RIPPipeline:
                     if agg is AggOp.FADD:
                         if regs.fadd_block(block, select, base):
                             pkt.is_of = True
-                        if observe:
-                            self._observe_kernel(stats, select, "fadd", now)
+                        self._observe_kernel(stats, select, "fadd", now)
                     else:
                         if regs.fmax_block(block, select, base):
                             pkt.is_of = True
-                        if observe:
-                            self._observe_kernel(stats, select, "fmax", now)
+                        self._observe_kernel(stats, select, "fmax", now)
                 if prog.uses_get:
                     if regs.get_block(block, select, base):
                         pkt.is_of = True
-                    if observe:
-                        self._observe_kernel(stats, select, "get", now)
+                    self._observe_kernel(stats, select, "get", now)
             elif do_add and prog.uses_get and pkt.linear_base is not None:
                 if regs.add_get_block(block, select, base):
                     pkt.is_of = True
-                if observe:
-                    self._observe_kernel(stats, select, "add_get", now)
+                self._observe_kernel(stats, select, "add_get", now)
             else:
                 if do_add:
                     if regs.add_block(block, select, base):
                         pkt.is_of = True
-                    if observe:
-                        self._observe_kernel(stats, select, "add", now)
+                    self._observe_kernel(stats, select, "add", now)
                 if prog.uses_get:
                     if regs.get_block(block, select, base):
                         pkt.is_of = True
-                    if observe:
-                        self._observe_kernel(stats, select, "get", now)
+                    self._observe_kernel(stats, select, "get", now)
             if pkt.is_of:
                 stats.add("overflow_pkts")
 

@@ -196,15 +196,9 @@ class NetRPCSwitch(PlainSwitch):
     # data plane
     # ------------------------------------------------------------------
     def receive(self, packet: Any, link: Optional[Link]) -> None:
-        # Per-packet hot path: counter increments inlined, lookups hoisted.
         sim = self.sim
         stats = self.stats
-        counts = stats._counts if stats.enabled else None
-        if counts is not None:
-            try:
-                counts["rx_pkts"] += 1
-            except KeyError:
-                counts["rx_pkts"] = 1
+        stats["rx_pkts"] += 1
         if not isinstance(packet, Packet):
             sim.schedule(self.cal.switch_pipeline_delay_s,
                          self._forward, packet)
@@ -236,11 +230,7 @@ class NetRPCSwitch(PlainSwitch):
             packet.switch_processed = True
         if verdict.retransmission:
             stats.add("retransmissions_detected")
-        if counts is not None:
-            try:
-                counts["inc_pkts"] += 1
-            except KeyError:
-                counts["inc_pkts"] = 1
+        stats["inc_pkts"] += 1
         if TRACE.enabled:
             now = sim.now
             TRACE.record("switch.pipeline", now,

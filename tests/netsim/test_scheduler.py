@@ -1,12 +1,11 @@
 """Unit tests for the tiered scheduler: cancellable timers, cohort
 semantics, shared step()/run() dispatch state, scheduler statistics,
-and the deep-backlog link chain fusion."""
+and the two link transmit models compared packet by packet."""
 
 import pytest
 
 from repro.netsim import Simulator
-from repro.netsim.link import Link
-from repro.obs.tracer import TRACE
+from repro.netsim.link import Link, NoLoss, RandomLoss
 
 
 class TestTimers:
@@ -161,12 +160,11 @@ class _Sink:
         self.deliveries.append((self.sim.now, packet.index, packet.ecn))
 
 
-def _drive(chain_batch_min, n=600, capacity=200, trace=False):
+def _drive(loss, n=600, capacity=200):
     sim = Simulator(seed=0)
     sink = _Sink(sim)
     link = Link(sim, "src", sink, 10e9, 1e-6,
-                queue_capacity_pkts=capacity,
-                chain_batch_min=chain_batch_min, name="t")
+                queue_capacity_pkts=capacity, loss=loss, name="t")
     accepted = [link.send(_Packet(i)) for i in range(n)]
     late = []
 
@@ -174,55 +172,29 @@ def _drive(chain_batch_min, n=600, capacity=200, trace=False):
         late.append(link.send(_Packet(9000)))
 
     sim.schedule(2e-5, arrival, None)   # lands mid-drain
-    if trace:
-        TRACE.start()
-    try:
-        sim.run()
-    finally:
-        if trace:
-            TRACE.clear()
+    sim.run()
     return accepted + late, sink.deliveries, sim._sequence, link
 
 
-class TestChainFusion:
-    def test_batch_path_bit_identical_to_per_packet_path(self):
-        ref_accepted, ref_deliveries, ref_events, _ = _drive(10**9)
-        accepted, deliveries, events, link = _drive(8)
-        assert accepted == ref_accepted
+class TestTransmitModels:
+    """``Link`` picks its transmit model from the installed loss model's
+    type: fused for ``NoLoss``, two-event for anything else.  That is
+    only safe if the two agree on everything but the event count, so
+    the same offered schedule goes through both.  ``RandomLoss(0.0)``
+    forces the two-event path and, unlike ``NoLoss``, is not special-
+    cased; at rate 0 it draws nothing from the RNG."""
+
+    @pytest.mark.parametrize("capacity", [200, 64])
+    def test_fused_path_identical_to_two_event_path(self, capacity):
+        ref_accepted, ref_deliveries, ref_events, ref_link = _drive(
+            RandomLoss(0.0), capacity=capacity)
+        accepted, deliveries, events, link = _drive(
+            NoLoss(), capacity=capacity)
+        assert link._fused and not ref_link._fused
+        assert accepted == ref_accepted     # same accept/drop pattern
+        assert False in accepted and accepted[-1] is True
+        # Same delivery timestamps (== on floats) and ECN bits.
         assert deliveries == ref_deliveries
+        assert any(ecn for _t, _i, ecn in deliveries)
+        assert link.stats == ref_link.stats
         assert events < ref_events          # fewer scheduler entries
-        assert link.stats.get("chain_batches") > 0
-
-    def test_batch_keeps_drop_tail_and_ecn_occupancy_exact(self):
-        # Small capacity: drops and ECN marks decided against virtual
-        # occupancy must match the per-packet model decision for
-        # every packet.
-        ref = _drive(10**9, n=600, capacity=64)
-        fused = _drive(8, n=600, capacity=64)
-        assert fused[0] == ref[0]           # same accept/drop pattern
-        assert fused[1] == ref[1]           # same deliveries + ECN bits
-
-    def test_tracer_disables_batch_fusion(self):
-        _, _, _, link = _drive(8, trace=True)
-        assert link.stats.get("chain_batches") == 0
-
-    def test_queue_len_counts_virtual_occupancy(self):
-        sim = Simulator(seed=0)
-        sink = _Sink(sim)
-        link = Link(sim, "src", sink, 10e9, 1e-6,
-                    queue_capacity_pkts=5000, chain_batch_min=4, name="t")
-        for i in range(100):
-            link.send(_Packet(i))
-        probes = []
-
-        def probe(_):
-            probes.append(link.queue_len)
-
-        # After the first serialization ends the batch has drained the
-        # physical queue; occupancy must still decay one packet per
-        # serialization time, not collapse to zero.
-        wire_s = (1500 + 24) * 8.0 / 10e9
-        sim.schedule_at(wire_s * 10 + 1e-12, probe, None)
-        sim.schedule_at(wire_s * 50 + 1e-12, probe, None)
-        sim.run()
-        assert probes == [100 - 11, 100 - 51]

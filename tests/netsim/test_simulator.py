@@ -355,4 +355,11 @@ class TestWallClockDeadline:
         finally:
             set_global_wall_deadline(None)
         assert global_wall_deadline() is None
-        assert Simulator(seed=0)._wall_deadline is None
+        # Unset again: a simulator built now runs past the old deadline
+        # (one that expired long ago) without the guard ever firing.
+        log = []
+        sim = Simulator(seed=0)
+        for i in range(5000):               # > one countdown period
+            sim.schedule(i * 1e-9, log.append, i)
+        sim.run()
+        assert len(log) == 5000

@@ -1,4 +1,4 @@
-"""Unit tests for counters, time series, meters, and percentiles."""
+"""Unit tests for counters, meters, and percentiles."""
 
 import pytest
 
@@ -6,7 +6,6 @@ from repro.netsim import (
     Counter,
     LatencyRecorder,
     RateMeter,
-    TimeSeries,
     mean,
     percentile,
 )
@@ -60,29 +59,22 @@ class TestCounter:
         c.add("a")
         assert snap == {"a": 5}
 
+    def test_missing_key_reads_zero_without_inserting(self):
+        c = Counter()
+        assert c["missing"] == 0 and c.get("missing") == 0
+        assert c.get("missing", None) is None
+        assert "missing" not in c and c.as_dict() == {}
+        c["hit"] += 2                       # the hot-path spelling
+        assert c.as_dict() == {"hit": 2}
 
-class TestTimeSeries:
-    def test_record_and_last(self):
-        ts = TimeSeries("x")
-        ts.record(1.0, 10.0)
-        ts.record(2.0, 20.0)
-        assert ts.last() == (2.0, 20.0)
-        assert len(ts) == 2
-
-    def test_out_of_order_rejected(self):
-        ts = TimeSeries()
-        ts.record(2.0, 1.0)
-        with pytest.raises(ValueError):
-            ts.record(1.0, 1.0)
-
-    def test_window_mean(self):
-        ts = TimeSeries()
-        for t, v in [(0.0, 1.0), (1.0, 3.0), (2.0, 100.0)]:
-            ts.record(t, v)
-        assert ts.window_mean(0.0, 2.0) == 2.0
-
-    def test_empty_last_is_none(self):
-        assert TimeSeries().last() is None
+    def test_as_dict_is_a_detached_plain_dict(self):
+        c = Counter()
+        c.add("a")
+        snap = c.as_dict()
+        assert type(snap) is dict
+        snap["a"] = 99
+        snap["b"] = 1
+        assert c.as_dict() == {"a": 1}
 
 
 class TestRateMeter:
@@ -162,29 +154,6 @@ class TestPercentileEdges:
 
     def test_unsorted_input_is_sorted_first(self):
         assert percentile([5, 1, 3, 2, 4], 50) == 3
-
-
-class TestTimeSeriesWindowMean:
-    def _series(self):
-        ts = TimeSeries("x")
-        for t, v in [(0.0, 10.0), (1.0, 20.0), (2.0, 30.0), (3.0, 40.0)]:
-            ts.record(t, v)
-        return ts
-
-    def test_window_is_half_open(self):
-        # [1.0, 3.0) includes t=1,2 but excludes t=3.
-        assert self._series().window_mean(1.0, 3.0) == 25.0
-
-    def test_start_boundary_included(self):
-        assert self._series().window_mean(0.0, 0.5) == 10.0
-
-    def test_empty_window_is_zero(self):
-        assert self._series().window_mean(0.25, 0.75) == 0.0
-
-    def test_out_of_order_record_rejected(self):
-        ts = self._series()
-        with pytest.raises(ValueError):
-            ts.record(2.5, 1.0)
 
 
 class TestRateMeterWindows:

@@ -231,13 +231,3 @@ class TestDeploymentRegistry:
         # Counters that were empty before the run surface as +key.
         assert any(key.lstrip("+").startswith("pipeline.sw0.")
                    for key in diff)
-
-    def test_disable_all_silences_deployment_counters(self):
-        deployment = build_rack(2, 1, seed=0)
-        deployment.metrics.disable_all()
-        run_sync_aggregation(n_values=512, seed=0, deployment=deployment)
-        snap = deployment.metrics.snapshot()
-        assert snap.get("switch.sw0.rx_pkts", 0) == 0
-        assert snap.get("pipeline.sw0.data_pkts", 0) == 0
-        deployment.metrics.enable_all()
-        assert deployment.switches[0].stats.enabled

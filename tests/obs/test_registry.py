@@ -1,18 +1,15 @@
-"""MetricsRegistry unit tests: naming, enable-state, snapshot/diff."""
+"""MetricsRegistry unit tests: naming, snapshot/diff."""
 
 import json
 
 import pytest
 
-from repro.netsim import Counter, LatencyRecorder, RateMeter, TimeSeries
+from repro.netsim import Counter, LatencyRecorder, RateMeter
 from repro.obs import (
     MetricsRegistry,
     all_registries,
     collected_snapshots,
-    disable_all_metrics,
-    enable_all_metrics,
     keep_registries,
-    set_default_enabled,
 )
 
 
@@ -39,45 +36,6 @@ class TestRegistration:
         assert reg.snapshot() == {"x.v": 1}
 
 
-class TestEnableState:
-    def test_disable_all_reaches_every_instrument(self):
-        reg = MetricsRegistry("t")
-        a, b = reg.register("a", Counter()), reg.register("b", Counter())
-        reg.disable_all()
-        assert not a.enabled and not b.enabled
-        reg.enable_all()
-        assert a.enabled and b.enabled
-
-    def test_late_registration_inherits_state(self):
-        # The anti-desync satellite: an instrument registered after
-        # disable_all() must not stay enabled by accident.
-        reg = MetricsRegistry("t")
-        reg.disable_all()
-        late = reg.register("late", Counter())
-        assert not late.enabled
-        late.add("k")
-        assert late.as_dict() == {}
-
-    def test_default_enabled_applies_to_new_registries(self):
-        set_default_enabled(False)
-        try:
-            reg = MetricsRegistry("t")
-            counter = reg.register("a", Counter())
-            assert not reg.enabled
-            assert not counter.enabled
-        finally:
-            set_default_enabled(True)
-
-    def test_module_level_bulk_switch(self):
-        reg = MetricsRegistry("t")
-        counter = reg.register("a", Counter())
-        assert disable_all_metrics() >= 1
-        assert not counter.enabled
-        assert reg in all_registries()
-        enable_all_metrics()
-        assert counter.enabled
-
-
 class TestSnapshotDiff:
     def _loaded(self):
         reg = MetricsRegistry("t")
@@ -87,8 +45,6 @@ class TestSnapshotDiff:
         lat.record(0.5)
         meter = reg.register("rate", RateMeter(bucket_s=0.01))
         meter.record(0.0, 1000)
-        series = reg.register("ts", TimeSeries())
-        series.record(1.0, 2.0)
         reg.register("raw", {"k": 1})
         return reg
 
@@ -97,13 +53,12 @@ class TestSnapshotDiff:
         assert snap["pkts.rx"] == 3
         assert snap["lat.count"] == 1
         assert snap["rate.total_bytes"] == 1000
-        assert snap["ts.samples"] == 1
         assert snap["raw.k"] == 1
 
     def test_snapshot_nested_one_dict_per_instrument(self):
         nested = self._loaded().snapshot_nested()
         assert nested["pkts"] == {"rx": 3}
-        assert set(nested) == {"pkts", "lat", "rate", "ts", "raw"}
+        assert set(nested) == {"pkts", "lat", "rate", "raw"}
 
     def test_diff_reports_numeric_deltas_only_for_changes(self):
         reg = MetricsRegistry("t")
@@ -124,11 +79,11 @@ class TestSnapshotDiff:
         reg = self._loaded()
         path = tmp_path / "metrics.jsonl"
         lines = reg.export_jsonl(path)
-        assert lines == 5
+        assert lines == 4
         parsed = [json.loads(line) for line in
                   path.read_text().splitlines()]
         assert {p["metric"] for p in parsed} == \
-            {"pkts", "lat", "rate", "ts", "raw"}
+            {"pkts", "lat", "rate", "raw"}
         assert all(p["registry"] == reg.name for p in parsed)
 
 
@@ -138,6 +93,7 @@ class TestCollection:
         try:
             reg = MetricsRegistry("kept")
             reg.register("c", Counter()).add("x")
+            assert reg in all_registries()
             collected = dict(collected_snapshots())
             assert reg.name in collected
             assert collected[reg.name]["c"] == {"x": 1}

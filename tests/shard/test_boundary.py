@@ -9,7 +9,9 @@ delivery timestamps (outbox vs actual receive events) and the merged
 counter dicts to match exactly.
 """
 
-from repro.netsim import Simulator
+import pytest
+
+from repro.netsim import NoLoss, RandomLoss, Reorder, Simulator
 from repro.netsim.link import Link
 from repro.netsim.node import Node
 from repro.shard import FlowPacket, IngressBridge, ShardEgressLink
@@ -53,7 +55,7 @@ def _drive(schedule, **link_kwargs):
     real_deliveries = [(t, seq, ecn) for t, _f, seq, ecn in dst.seen]
     stub_deliveries = [(when, p.seq, p.ecn) for when, p in stub.outbox]
     return (real_deliveries, stub_deliveries,
-            dict(real.stats._counts), dict(stub.stats._counts))
+            real.stats.as_dict(), stub.stats.as_dict())
 
 
 def _sender_side(stats):
@@ -103,7 +105,7 @@ def test_counter_split_sums_to_link_counters():
     sim.run()
 
     merged = dict(stub_stats)
-    for key, value in bridge.stats._counts.items():
+    for key, value in bridge.stats.items():
         merged[key] = merged.get(key, 0) + value
     assert merged == real_stats
     assert [t for t, *_ in dst.seen] == [t for t, *_ in real]
@@ -118,3 +120,19 @@ def test_egress_requires_positive_delay():
         pass
     else:
         raise AssertionError("zero-delay boundary link must be rejected")
+
+
+@pytest.mark.parametrize("model", [RandomLoss(0.0), Reorder(1e-6)],
+                         ids=["loss", "fault"])
+def test_egress_rejects_loss_models(model):
+    # A cut link hands deliveries over a propagation delay ahead of
+    # time; a model that draws at serialization end cannot run there.
+    sim = Simulator(seed=0)
+    src = _Recorder(sim, "src")
+    with pytest.raises(ValueError, match=r"src->dst.*lookahead"):
+        ShardEgressLink(sim, src, "dst", BW, DELAY, loss=model)
+    stub = ShardEgressLink(sim, src, "dst", BW, DELAY, loss=NoLoss())
+    with pytest.raises(ValueError, match=r"src->dst.*lookahead"):
+        stub.loss = model
+    stub.loss = NoLoss()
+    assert stub.send(_pkt(0))

@@ -17,8 +17,8 @@ from repro.netsim.topology import multi_rack_structure
 from repro.shard import partition_structure, run_sharded
 from repro.shard.codec import CodecTables, RECORD
 from repro.shard.fabric import FlowPacket
-from repro.shard.transport import (DEFAULT_SLOT_BYTES, ShmChannelBus,
-                                   TRANSPORT_ENV, default_transport)
+from repro.shard import transport
+from repro.shard.transport import DEFAULT_SLOT_BYTES, ShmChannelBus
 
 CAL = scaled(switch_link_delay_s=10e-6)
 
@@ -88,14 +88,11 @@ def test_overflow_spills(tables):
         bus.unlink()
 
 
-def test_default_transport_env(monkeypatch):
-    monkeypatch.delenv(TRANSPORT_ENV, raising=False)
-    assert default_transport() == "shm"
-    monkeypatch.setenv(TRANSPORT_ENV, "pipe")
-    assert default_transport() == "pipe"
-    monkeypatch.setenv(TRANSPORT_ENV, "bogus")
-    with pytest.raises(ValueError):
-        default_transport()
+def test_unknown_transport_rejected():
+    scenario_obj, partition = build_scenario("rack2", fast=True, seed=0)
+    with pytest.raises(ValueError, match="bogus"):
+        run_sharded(scenario_obj, partition=partition, workers=2,
+                    transport="bogus")
 
 
 def test_slot_bytes_default():
@@ -121,17 +118,13 @@ def test_shm_pipe_inproc_identical():
     assert shm.transport_bytes > 0 and shm.frames_sent > 0
 
 
-def test_tiny_slots_force_spill_same_results():
+def test_tiny_slots_force_spill_same_results(monkeypatch):
     # Slots sized for a single record: nearly every frame spills over
     # the control pipe, and results still cannot move.
     scenario_obj, partition = build_scenario("rack2", fast=True, seed=0)
     reference = run_sharded(scenario_obj, partition=partition, workers=1)
-    import os
-    os.environ["REPRO_SHARD_SHM_SLOT_BYTES"] = str(RECORD.size)
-    try:
-        squeezed = run_sharded(scenario_obj, partition=partition,
-                               workers=2, transport="shm")
-    finally:
-        del os.environ["REPRO_SHARD_SHM_SLOT_BYTES"]
+    monkeypatch.setattr(transport, "DEFAULT_SLOT_BYTES", RECORD.size)
+    squeezed = run_sharded(scenario_obj, partition=partition,
+                           workers=2, transport="shm")
     assert squeezed.comparable_state() == reference.comparable_state()
     assert squeezed.shm_spills > 0
