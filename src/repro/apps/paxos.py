@@ -127,7 +127,7 @@ class PaxosCluster:
         sim = self.deployment.sim
 
         def on_broadcast(pkt, _acceptor=acceptor, _stub=stub):
-            if pkt.gaid != self._propose_gaid or not pkt.kv:
+            if pkt.gaid != self._propose_gaid or not pkt.kv.addrs:
                 return
             proposal = self._decode_scalars(pkt, self._proposal_msg)
             if proposal is None:
@@ -159,15 +159,23 @@ class PaxosCluster:
         sim = self.deployment.sim
 
         def on_broadcast(pkt):
-            if pkt.gaid != self._vote_gaid or not pkt.kv:
+            if pkt.gaid != self._vote_gaid:
+                return
+            decided = self.decided
+            # Every learner sees each decision; only the first finds an
+            # undecided instance, so only it decodes the vote.
+            for instance in pkt.kv.keys or ():
+                if instance is not None and instance not in decided:
+                    break
+            else:
                 return
             vote = self._decode_scalars(pkt, self._vote_msg)
             if vote is None:
                 return
-            for instance in pkt.kv.keys or ():
-                if instance is None or instance in self.decided:
+            for instance in pkt.kv.keys:
+                if instance is None or instance in decided:
                     continue
-                self.decided[instance] = vote.value
+                decided[instance] = vote.value
                 self._pending.pop(instance, None)
                 self.latency.record(sim.now - vote.sent_at)
 
@@ -176,12 +184,13 @@ class PaxosCluster:
     @staticmethod
     def _chain_broadcast(agent, app_key: str, handler) -> None:
         """Hosts can play several roles; chain their broadcast handlers."""
-        state = agent.app_state(app_key)
-        previous = state.broadcast_handler
+        previous = agent.app_state(app_key).broadcast_handler
+        if previous is None:
+            agent.set_broadcast_handler(app_key, handler)
+            return
 
         def chained(pkt):
-            if previous is not None:
-                previous(pkt)
+            previous(pkt)
             handler(pkt)
 
         agent.set_broadcast_handler(app_key, chained)

@@ -122,6 +122,11 @@ class MessageDescriptor:
             raise ValueError(f"duplicate field names in message {name}")
         if len(self.by_tag) != len(fields):
             raise ValueError(f"duplicate field tags in message {name}")
+        # Field values live in the instance dict, which would shadow these.
+        reserved = sorted(f.name for f in fields if hasattr(Message, f.name))
+        if reserved:
+            raise ValueError(f"message {name}: field names {reserved} are "
+                             f"reserved by the Message interface")
         # A new message starts as a copy of the defaults template; only
         # the IEDT fields, whose defaults are mutable, are then replaced
         # by a container of their own.
@@ -150,16 +155,21 @@ _set_slot = object.__setattr__
 
 
 class Message:
-    """A dynamic message instance with attribute-style field access."""
+    """A dynamic message instance with attribute-style field access.
 
-    __slots__ = ("descriptor", "_values")
+    The field values *are* the instance ``__dict__``, so reading a field
+    is a plain attribute lookup; writes go through :meth:`__setattr__`,
+    which validates.
+    """
+
+    __slots__ = ("descriptor", "__dict__")
 
     def __init__(self, descriptor: MessageDescriptor, **kwargs):
         values = descriptor._template.copy()
         for name, container in descriptor._containers:
             values[name] = container()
         _set_slot(self, "descriptor", descriptor)
-        _set_slot(self, "_values", values)
+        _set_slot(self, "__dict__", values)
         if kwargs:
             by_name = descriptor.by_name
             for name, value in kwargs.items():
@@ -167,33 +177,30 @@ class Message:
                 if field is None:
                     raise AttributeError(
                         f"message {descriptor.name} has no field {name!r}")
-                values[name] = field.validate(value)
+                values[name] = value if type(value) is field.py_type \
+                    else field.validate(value)
 
     def __getattr__(self, name: str) -> Any:
-        # Only reached for names that are not slots, i.e. field reads.
-        if name == "_values":       # half-built instance (copy, pickle)
+        # Only reached for names that are neither slots nor fields.
+        if name == "descriptor":       # half-built instance (copy, pickle)
             raise AttributeError(name)
-        try:
-            return self._values[name]
-        except KeyError:
-            raise AttributeError(
-                f"message {self.descriptor.name} has no field {name!r}"
-            ) from None
+        raise AttributeError(
+            f"message {self.descriptor.name} has no field {name!r}")
 
     def __setattr__(self, name: str, value: Any) -> None:
         field = self.descriptor.by_name.get(name)
         if field is None:
             raise AttributeError(
                 f"message {self.descriptor.name} has no field {name!r}")
-        self._values[name] = field.validate(value)
+        self.__dict__[name] = field.validate(value)
 
     def __eq__(self, other: Any) -> bool:
         return (isinstance(other, Message)
                 and other.descriptor.name == self.descriptor.name
-                and other._values == self._values)
+                and other.__dict__ == self.__dict__)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        inner = ", ".join(f"{k}={v!r}" for k, v in self._values.items())
+        inner = ", ".join(f"{k}={v!r}" for k, v in self.__dict__.items())
         return f"{self.descriptor.name}({inner})"
 
     # ------------------------------------------------------------------
@@ -208,7 +215,7 @@ class Message:
         """
         descriptor = self.descriptor
         fields = descriptor.fields if include_iedt else descriptor._scalars
-        values = self._values
+        values = self.__dict__
         return b"".join([field.encode(values[field.name])
                          for field in fields])
 
@@ -216,7 +223,7 @@ class Message:
     def from_bytes(cls, descriptor: MessageDescriptor, data: bytes
                    ) -> "Message":
         msg = cls(descriptor)
-        values = msg._values
+        values = msg.__dict__
         by_header = descriptor._by_header
         offset = 0
         end = len(data)

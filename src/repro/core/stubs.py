@@ -146,13 +146,13 @@ class ClientStub:
                     payload=payload, payload_bytes=payload_bytes,
                     indexed=plan.indexed)
         inner = self._agent.submit(task)
-        outer = self._sim.event()
+        outer = Event(self._sim)
         inner.add_callback(partial(self._finish, plan, stream_len, outer))
         return outer
 
     def _finish(self, plan: _CallPlan, stream_len: int, outer: Event,
                 event: Event) -> None:
-        if not event.ok:  # pragma: no cover - defensive
+        if not event._ok:  # pragma: no cover - defensive
             outer.fail(event.value)
             return
         result: TaskResult = event.value
@@ -239,7 +239,10 @@ class ServerStub:
         """Synchronous-aggregation handler: ``handler(round, values)``.
 
         ``values`` maps array index -> aggregated int32; invoked once per
-        completed round under the copy clear policy.
+        completed round under the copy clear policy.  The server keeps
+        round state only while a handler is bound, so the handler sees
+        every round whose first chunk arrives after this call — bind it
+        before the first call of a round.
         """
         self._round_handler = handler
         self.agent.set_round_handler(self._app_key, handler)

@@ -130,7 +130,7 @@ class Task:
     # gradients); True = sparse integer indices (e.g. one vote counter
     # per consensus instance).
     indexed: bool = False
-    task_id: int = field(default_factory=lambda: next(_task_ids))
+    task_id: int = field(default_factory=_task_ids.__next__)
     column: Optional[list] = None      # dense linear tasks: [int32, ...]
     size: int = field(init=False)      # kv pairs in the task
 

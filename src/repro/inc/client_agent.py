@@ -111,17 +111,6 @@ class _TaskState:
             if 0 <= index < size:
                 column[index] = value
 
-    def finish_if_complete(self) -> bool:
-        if self.unresolved == 0 and not self.done.triggered:
-            result = TaskResult(
-                task=self.task, values=self.values, column=self.column,
-                overflow_chunks=self.overflow_chunks,
-                fallback_pairs=self.fallback_pairs,
-                mapped_pairs=self.mapped_pairs,
-                payload=self.reply_payload)
-            self.done.succeed(result)
-        return self.done.triggered
-
 
 class _AppClientState:
     """Shared per-application state (all RPC methods of the app)."""
@@ -232,7 +221,7 @@ class ClientAgent:
         """Send one task; the returned event succeeds with a TaskResult."""
         config = task.app
         state = self._apps[config.program.app_name]
-        done = self.sim.event()
+        done = Event(self.sim)
         if TRACE.enabled:
             # Span recorded at completion time; the exporter re-sorts by
             # start timestamp so late recording never breaks monotonicity.
@@ -255,7 +244,8 @@ class ClientAgent:
             # A plain (non-INC) call: one payload-only packet through the
             # server, resolved by the server stub's reply.
             self._send_plain(state, config, tstate)
-        self._maybe_finish(state, tstate)   # empty task completes at once
+        if not tstate.unresolved:
+            self._finish(state, tstate)     # an empty task completes at once
         return done
 
     def _send_plain(self, state: _AppClientState, config: AppConfig,
@@ -269,18 +259,24 @@ class ClientAgent:
         state.round_chunks[(config.gaid, task.round, 0)] = task.task_id
         state.pick_flow().enqueue(pkt)
 
-    def _maybe_finish(self, state: _AppClientState,
-                      tstate: _TaskState) -> None:
-        if tstate.finish_if_complete():
-            task = tstate.task
-            state.tasks.pop(task.task_id, None)
-            # Entries are only ever written under the task's own gaid; a
-            # co-located role's task for the same round (an acceptor's
-            # CastVote next to this proposer's Propose) keeps its own.
-            gaid, round_no = task.app.gaid, task.round
-            round_chunks = state.round_chunks
-            for offset in tstate.chunks:
-                round_chunks.pop((gaid, round_no, offset), None)
+    def _finish(self, state: _AppClientState, tstate: _TaskState) -> None:
+        """Complete a task whose every chunk resolved, then forget it."""
+        task = tstate.task
+        if not tstate.done._triggered:
+            tstate.done.succeed(TaskResult(
+                task=task, values=tstate.values, column=tstate.column,
+                overflow_chunks=tstate.overflow_chunks,
+                fallback_pairs=tstate.fallback_pairs,
+                mapped_pairs=tstate.mapped_pairs,
+                payload=tstate.reply_payload))
+        state.tasks.pop(task.task_id, None)
+        # Entries are only ever written under the task's own gaid; a
+        # co-located role's task for the same round (an acceptor's
+        # CastVote next to this proposer's Propose) keeps its own.
+        gaid, round_no = task.app.gaid, task.round
+        round_chunks = state.round_chunks
+        for offset in tstate.chunks:
+            round_chunks.pop((gaid, round_no, offset), None)
 
     # --- linear (SyncAgtr / index-addressed counters) -------------------
     def _send_linear(self, state: _AppClientState, config: AppConfig,
@@ -473,14 +469,13 @@ class ClientAgent:
 
     def _base_packet(self, config: AppConfig, task: Task, offset: int,
                      kv: KVBlock) -> Packet:
-        pkt = Packet(
+        return Packet(
             gaid=config.gaid, src=self.host.name, dst=config.server,
             kv=kv, task_id=task.task_id, offset=offset,
             task_total=task.size, round=task.round,
             payload=task.payload if offset == 0 else None,
-            payload_bytes=task.payload_bytes if offset == 0 else 0)
-        pkt.select_all_slots()
-        return pkt
+            payload_bytes=task.payload_bytes if offset == 0 else 0,
+            bitmap=(1 << len(kv.addrs)) - 1)     # every slot selected
 
     # ------------------------------------------------------------------
     # receive path
@@ -491,7 +486,8 @@ class ClientAgent:
             return
         state = self._apps[app_key]
         config = state.configs[pkt.gaid]
-        self._apply_grants(state, pkt)
+        if pkt.grants or pkt.revokes:
+            self._apply_grants(state, pkt)
         if pkt.is_ack:
             self._on_server_ack(state, pkt)
             return
@@ -500,8 +496,8 @@ class ClientAgent:
         if pkt.is_sa:
             self._on_server_reply(state, config, pkt)
             return
-        if pkt.is_mcast:
-            self._on_switch_multicast(state, config, pkt)
+        if pkt.is_mcast:       # a switch multicast: a round's result
+            self._record_result(state, config, pkt, from_server=False)
             return
         if pkt.src == self.host.name:
             self._on_own_bounce(state, config, pkt)
@@ -536,16 +532,12 @@ class ClientAgent:
             flow = state.flows[pkt.ack_flow]
             for seq in pkt.acks:
                 original = flow.ack(seq, ecn=pkt.ecn_echo)
-                if original is not None and not pkt.kv:
+                if original is not None and not pkt.kv.addrs:
                     self._chunk_acked(state, original, values=None)
-        if pkt.kv or pkt.is_clr or pkt.payload is not None:
+        if pkt.kv.addrs or pkt.is_clr or pkt.payload is not None:
             corrected = not pkt.is_of and pkt.is_mcast
             self._record_result(state, config, pkt,
                                 from_server=True, corrected=corrected)
-
-    def _on_switch_multicast(self, state: _AppClientState, config: AppConfig,
-                             pkt: Packet) -> None:
-        self._record_result(state, config, pkt, from_server=False)
 
     # ------------------------------------------------------------------
     def _queue_ack(self, config: AppConfig, pkt: Packet) -> None:
@@ -605,9 +597,9 @@ class ClientAgent:
         # uplink mark when the result is another client's bounced data
         # packet (shared uplink direction) — never the server's downlink.
         ecn_signal = pkt.ecn_echo or (pkt.ecn and not pkt.is_sa)
+        chunk_id = (tstate.task.task_id, pkt.offset)
         for flow in state.flows:
-            if flow.ack_chunk((tstate.task.task_id, pkt.offset),
-                              ecn=ecn_signal):
+            if flow.ack_chunk(chunk_id, ecn=ecn_signal):
                 break
 
         if pkt.is_of and not corrected:
@@ -682,7 +674,8 @@ class ClientAgent:
         self.stats["results"] += 1
         if state.resolve_listener is not None:
             state.resolve_listener(len(chunk.items))
-        self._maybe_finish(state, tstate)
+        if not tstate.unresolved:
+            self._finish(state, tstate)
 
     def _chunk_acked(self, state: _AppClientState, original: Packet,
                      values: Optional[Dict[Any, int]]) -> None:

@@ -23,26 +23,26 @@ __all__ = ["AIMDController", "DCTCPController", "make_controller"]
 
 
 class AIMDController:
-    """Per-flow congestion window state."""
+    """Per-flow congestion window state.
+
+    ``cwnd`` (usable window in packets, always within [min_cwnd, w_max])
+    and ``rtt_estimate`` are plain attributes the controller keeps
+    current, so the transport reads them per packet without a call.
+    """
 
     def __init__(self, cal: Calibration = DEFAULT_CALIBRATION,
                  enabled: bool = True):
         self.cal = cal
         self.enabled = enabled
-        self._cwnd = float(cal.initial_cwnd if enabled else cal.w_max)
+        self._set_cwnd(float(cal.initial_cwnd if enabled else cal.w_max))
         self._last_decrease = -1.0
         self._rtt_ewma = 0.0
+        self.rtt_estimate = cal.retransmit_timeout_s / 2.0
         self.stats = {"decreases": 0, "timeouts": 0, "acks": 0}
 
-    # ------------------------------------------------------------------
-    @property
-    def cwnd(self) -> int:
-        """Usable window in packets, always within [min_cwnd, w_max]."""
-        return max(self.cal.min_cwnd, min(self.cal.w_max, int(self._cwnd)))
-
-    @property
-    def rtt_estimate(self) -> float:
-        return self._rtt_ewma or self.cal.retransmit_timeout_s / 2.0
+    def _set_cwnd(self, cwnd: float) -> None:
+        self._cwnd = cwnd
+        self.cwnd = max(self.cal.min_cwnd, min(self.cal.w_max, int(cwnd)))
 
     # ------------------------------------------------------------------
     def observe_rtt(self, sample_s: float) -> None:
@@ -52,6 +52,7 @@ class AIMDController:
             self._rtt_ewma = sample_s
         else:
             self._rtt_ewma = 0.875 * self._rtt_ewma + 0.125 * sample_s
+        self.rtt_estimate = self._rtt_ewma
 
     def on_ack(self, ecn: bool, now: float) -> None:
         """One packet acknowledged; ``ecn`` is the echoed congestion mark."""
@@ -62,15 +63,18 @@ class AIMDController:
             # At most one multiplicative decrease per RTT, so a burst of
             # marked ACKs from the same congestion event counts once.
             if now - self._last_decrease >= self.rtt_estimate:
-                self._cwnd = max(self.cal.min_cwnd,
-                                 self._cwnd * self.cal.aimd_decrease)
+                self._set_cwnd(max(self.cal.min_cwnd,
+                                   self._cwnd * self.cal.aimd_decrease))
                 self._last_decrease = now
                 self.stats["decreases"] += 1
                 if TRACE.enabled:
                     TRACE.instant("cc.decrease", now, "cc", (self.cwnd,))
             return
-        self._cwnd = min(float(self.cal.w_max),
-                         self._cwnd + self.cal.aimd_increase / self._cwnd)
+        # The per-ACK ramp, inline (_set_cwnd's clamp; cwnd <= w_max here).
+        cal = self.cal
+        cwnd = self._cwnd = min(float(cal.w_max),
+                                self._cwnd + cal.aimd_increase / self._cwnd)
+        self.cwnd = max(cal.min_cwnd, int(cwnd))
 
     def on_fast_loss(self, now: float) -> None:
         """Loss inferred from out-of-order ACKs.
@@ -130,8 +134,8 @@ class DCTCPController(AIMDController):
             fraction = self._window_marked / self._window_acks
             self.alpha = (1 - self.G) * self.alpha + self.G * fraction
             if self.alpha > 0:
-                self._cwnd = max(self.cal.min_cwnd,
-                                 self._cwnd * (1 - self.alpha / 2))
+                self._set_cwnd(max(self.cal.min_cwnd,
+                                   self._cwnd * (1 - self.alpha / 2)))
                 if fraction > 0:
                     self.stats["decreases"] += 1
                     if TRACE.enabled:
@@ -141,9 +145,9 @@ class DCTCPController(AIMDController):
             self._window_acks = 0
             self._window_marked = 0
         if not ecn:
-            self._cwnd = min(float(self.cal.w_max),
-                             self._cwnd + self.cal.aimd_increase
-                             / max(1.0, self._cwnd))
+            self._set_cwnd(min(float(self.cal.w_max),
+                               self._cwnd + self.cal.aimd_increase
+                               / max(1.0, self._cwnd)))
 
 
 def make_controller(mode: str, cal: Calibration = DEFAULT_CALIBRATION,

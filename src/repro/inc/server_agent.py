@@ -23,7 +23,7 @@ exactly one authoritative counter/accumulator at any time.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.netsim import Calibration, DEFAULT_CALIBRATION, Host, Simulator
 from repro.obs.tracer import TRACE
@@ -372,22 +372,27 @@ class ServerAgent:
         state.mcast.send(ret)
         if pkt.is_of:
             return  # corrected result will follow from the raw replays
-        block = pkt.kv
-        self._store_round_chunk(
-            state, config, pkt,
-            dict(zip(range(pkt.offset, pkt.offset + len(block)),
-                     block.values)))
+        self._store_round_chunk(state, pkt, pkt.kv.values)
 
-    def _store_round_chunk(self, state: _AppServerState, config: AppConfig,
-                           pkt: Packet, values: Dict[Any, int]) -> None:
+    def _store_round_chunk(self, state: _AppServerState, pkt: Packet,
+                           values: Sequence[int]) -> None:
+        """Fold one chunk's aggregate (the value column, array index
+        ``pkt.offset`` onwards) into its round for the round handler.
+
+        Nobody else reads the round store, so with no handler bound it
+        stays empty; a handler therefore sees only the rounds whose first
+        chunk arrived after it was bound.
+        """
+        if state.on_round is None:
+            return
         info = state.rounds.setdefault(
             pkt.round, {"values": {}, "pairs": 0, "total": pkt.task_total})
-        info["values"].update(values)
+        info["values"].update(zip(range(pkt.offset, pkt.offset + len(values)),
+                                  values))
         info["pairs"] += len(values)
         if info["total"] and info["pairs"] >= info["total"]:
             done = state.rounds.pop(pkt.round)
-            if state.on_round is not None:
-                state.on_round(pkt.round, done["values"])
+            state.on_round(pkt.round, done["values"])
 
     # ------------------------------------------------------------------
     # software (cross) path
@@ -763,8 +768,7 @@ class ServerAgent:
                         task_total=pkt.task_total, round=pkt.round)
         result.select_all_slots()
         state.mcast.send(result)
-        self._store_round_chunk(state, config, pkt,
-                                dict(zip(key_range, corrected)))
+        self._store_round_chunk(state, pkt, corrected)
 
     def _merge_evicted(self, state: _AppServerState, key: Any,
                        value: int) -> None:

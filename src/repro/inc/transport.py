@@ -113,19 +113,17 @@ class ReliableFlow:
         packet.seq = self._next_seq
         packet.flip = (packet.seq // self.cal.w_max) % 2
         self._next_seq += 1
-        self._chunk_to_seq[packet.chunk_id] = packet.seq
+        self._chunk_to_seq[(packet.task_id, packet.offset)] = packet.seq
         self._queue.append(packet)
         self._pump()
 
     def _pump(self) -> None:
-        while self._queue and self._can_send(self._queue[0].seq):
-            packet = self._queue.popleft()
-            self._transmit(packet, first=True)
-
-    def _can_send(self, seq: int) -> bool:
-        # cwnd <= w_max, so this also enforces the flip-bit window
+        # cwnd <= w_max, so the window check also enforces the flip-bit
         # invariant (seq - w_max must be ACKed before seq departs).
-        return seq < self._send_base + self.cc.cwnd
+        queue = self._queue
+        cc = self.cc
+        while queue and queue[0].seq < self._send_base + cc.cwnd:
+            self._transmit(queue.popleft(), first=True)
 
     def _transmit(self, packet: Packet, first: bool) -> None:
         now = self.sim.now
@@ -254,18 +252,20 @@ class ReliableFlow:
                           (self.flow_id, seq))
             TRACE.instant("cc.window", now, self.host.name,
                           (self.flow_id, self.cc.cwnd))
-        self._chunk_to_seq.pop(entry.packet.chunk_id, None)
-        self._advance_base()
-        self._fast_retransmit_check(seq)
-        self._pump()
-        return entry.packet
+        packet = entry.packet
+        self._chunk_to_seq.pop((packet.task_id, packet.offset), None)
+        if seq == self._send_base:
+            self._advance_base()
+        if seq - self._send_base >= self.REORDER_GAP:
+            self._fast_retransmit_check()
+        if self._queue:
+            self._pump()
+        return packet
 
-    def _fast_retransmit_check(self, acked_seq: int) -> None:
+    def _fast_retransmit_check(self) -> None:
         """Selective-ACK loss inference: heal the window head early."""
         head = self._pending.get(self._send_base)
         if head is None:
-            return
-        if acked_seq - self._send_base < self.REORDER_GAP:
             return
         if self.sim.now - head.sent_at <= self.cc.rtt_estimate:
             return
@@ -286,6 +286,8 @@ class ReliableFlow:
         return self.ack(seq, ecn=ecn)
 
     def _advance_base(self) -> None:
+        # The base itself is never in _acked between calls, so ``ack``
+        # calls this only when the seq it settles is the base.
         while self._send_base in self._acked:
             self._acked.discard(self._send_base)
             self._send_base += 1

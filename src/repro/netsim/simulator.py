@@ -193,8 +193,8 @@ class Process(Event):
     def _resume(self, send_value: Any) -> None:
         # The generator is driven directly (no per-step closure): this
         # method runs once per process step, on the simulator's hottest
-        # path.
-        if self.triggered:
+        # path, so it reads the event's fields, not its properties.
+        if self._triggered:
             return
         try:
             target = self.generator.send(send_value)
@@ -230,10 +230,10 @@ class Process(Event):
         target.add_callback(self._event_done)
 
     def _event_done(self, event: Event) -> None:
-        if self.triggered or self._waiting_on is not event:
+        if self._triggered or self._waiting_on is not event:
             return
         self._waiting_on = None
-        if event.ok:
+        if event._ok:
             self._resume(event.value)
         else:
             self._throw(EventFailed(event.value))

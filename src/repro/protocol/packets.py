@@ -132,23 +132,24 @@ class Packet:
     offset: int = 0                # first kv's position within the task
     task_total: int = 0            # total kv pairs in the task (0 = unknown)
     round: int = 0                 # application round (RPC call ordinal)
-    uid: int = field(default_factory=lambda: next(_packet_ids))
+    uid: int = field(default_factory=_packet_ids.__next__)
     sent_at: float = 0.0
     is_retransmit: bool = False
 
     # Cached wire size (plain class attribute, not a dataclass field).
     # Every size-affecting field is settled before a packet first hits a
     # link, so the first ``size_bytes`` read freezes the value; ``copy``
-    # drops the cache.
+    # drops the cache (only the switch's multicast fan-out, which changes
+    # no size-affecting field, hands it on to its copies).
     _size = None
 
     def __post_init__(self):
         if not isinstance(self.kv, KVBlock):
             self.kv = KVBlock.from_pairs(self.kv)
-        if len(self.kv) > KV_PAIRS_PER_PACKET:
+        if len(self.kv.addrs) > KV_PAIRS_PER_PACKET:
             raise ValueError(
                 f"a packet carries at most {KV_PAIRS_PER_PACKET} kv pairs, "
-                f"got {len(self.kv)}")
+                f"got {len(self.kv.addrs)}")
         if self.payload_bytes < 0:
             raise ValueError("payload_bytes must be >= 0")
 
@@ -159,7 +160,7 @@ class Packet:
         size = self._size
         if size is not None:
             return size
-        nkv = len(self.kv)
+        nkv = len(self.kv.addrs)
         size = _BASE_HEADER_BYTES + nkv * _BYTES_PER_VALUE
         if self.linear_base is None:
             size += nkv * _BYTES_PER_KEY
@@ -186,7 +187,7 @@ class Packet:
         return bool(self.bitmap >> index & 1)
 
     def select_all_slots(self) -> None:
-        self.bitmap = full_bitmap(len(self.kv))
+        self.bitmap = (1 << len(self.kv.addrs)) - 1
 
     def copy(self) -> "Packet":
         """Deep-enough copy for multicast/retransmission (kv duplicated)."""

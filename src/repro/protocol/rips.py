@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 from .ops import StreamOp
@@ -154,7 +155,7 @@ class CntFwdSpec:
             raise ValueError(
                 f"CntFwd threshold must be >= 0, got {self.threshold}")
 
-    @property
+    @cached_property
     def counts(self) -> bool:
         """Whether this spec actually counts (vs. unconditional forward)."""
         return self.threshold > 0
@@ -209,15 +210,18 @@ class RIPProgram:
                     f"cannot subtract a baseline in table-fp arithmetic")
 
     # ------------------------------------------------------------------
-    @property
+    # Derived flags are read per packet (switch pipeline, host agents);
+    # the program is frozen, so each resolves once and is then a plain
+    # instance-dict read.  The same holds for ``CntFwdSpec.counts``.
+    @cached_property
     def uses_get(self) -> bool:
         return self.get_field is not None
 
-    @property
+    @cached_property
     def uses_add_to(self) -> bool:
         return self.add_to_field is not None
 
-    @property
+    @cached_property
     def uses_map(self) -> bool:
         """Whether any primitive touches INC map registers.
 

@@ -32,9 +32,6 @@ class AppEntry:
     # process their local kv pairs and pass the packet along.
     edge: bool = True
 
-    def touch(self, now: float) -> None:
-        self.last_seen = now
-
 
 class AdmissionTable:
     """GAID -> :class:`AppEntry` match table."""

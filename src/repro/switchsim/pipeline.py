@@ -93,7 +93,7 @@ class RIPPipeline:
 
     # ------------------------------------------------------------------
     def process(self, pkt: Packet, entry: AppEntry, now: float) -> Verdict:
-        entry.touch(now)
+        entry.last_seen = now
         prog = entry.program
 
         retrans = False
@@ -103,7 +103,7 @@ class RIPPipeline:
         pkt.is_retransmit = retrans
 
         if pkt.is_ack:
-            self.stats.add("ack_pkts")
+            self.stats["ack_pkts"] += 1
             return Verdict(Action.FORWARD, dst=pkt.dst,
                            retransmission=retrans)
         if pkt.is_sa:
@@ -112,12 +112,12 @@ class RIPPipeline:
             return self._return_path(pkt, prog, entry, retrans, now)
         if pkt.is_of:
             # Fallback bypass: raw data straight to the server agent.
-            self.stats.add("bypass_pkts")
+            self.stats["bypass_pkts"] += 1
             return Verdict(Action.FORWARD, dst=entry.server,
                            retransmission=retrans)
         if pkt.is_cross:
             # Unmapped keys: the server executes the primitives in software.
-            self.stats.add("bypass_pkts")
+            self.stats["bypass_pkts"] += 1
             return Verdict(Action.FORWARD, dst=entry.server,
                            retransmission=retrans)
         return self._data_path(pkt, prog, entry, retrans, now)
@@ -136,8 +136,8 @@ class RIPPipeline:
                 self.registers.clear_block(block.addrs, select,
                                            -self.phys_base)
                 pairs = select.bit_count()
-                stats.add("clear_ops")
-                stats.add("clear_pairs", pairs)
+                stats["clear_ops"] += 1
+                stats["clear_pairs"] += pairs
                 if TRACE.enabled:
                     TRACE.instant("regs.kernel", now, self.name,
                                   ("clear", pairs))
@@ -180,8 +180,8 @@ class RIPPipeline:
                 regs.clear_block(block.addrs, select,
                                  pkt.shadow_offset - base)
                 pairs = select.bit_count()
-                stats.add("shadow_clear_ops")
-                stats.add("shadow_clear_pairs", pairs)
+                stats["shadow_clear_ops"] += 1
+                stats["shadow_clear_pairs"] += pairs
                 if TRACE.enabled:
                     TRACE.instant("regs.kernel", now, self.name,
                                   ("shadow_clear", pairs))
@@ -226,7 +226,7 @@ class RIPPipeline:
                         pkt.is_of = True
                     self._observe_kernel(stats, select, "get", now)
             if pkt.is_of:
-                stats.add("overflow_pkts")
+                stats["overflow_pkts"] += 1
 
         if not entry.edge:
             # Upstream switch in a chain: local pairs are done, the
@@ -237,8 +237,8 @@ class RIPPipeline:
         # --- CntFwd (edge switch only) -----------------------------------
         spec = prog.cntfwd
         if pkt.is_cnf and spec.counts:
-            cnt_local = self._local(pkt.cnt_index)
-            if cnt_local is None:
+            cnt_local = pkt.cnt_index - base
+            if not 0 <= cnt_local < regs.capacity:
                 return Verdict(Action.FORWARD, dst=pkt.dst,
                                recirculate=recirc, retransmission=retrans)
             # When the counter register is one of the packet's own kv
@@ -252,9 +252,9 @@ class RIPPipeline:
             if not retrans and not counted_by_add:
                 regs.add(cnt_local, 1)
             count = regs.read_raw(cnt_local)
-            stats.add("cntfwd_checks")
+            stats["cntfwd_checks"] += 1
             if count == spec.threshold:
-                stats.add("cntfwd_fires")
+                stats["cntfwd_fires"] += 1
                 if spec.threshold > 1:
                     # Multi-party rounds: re-arm the counter for the next
                     # round.  test&set (threshold 1) persists until an

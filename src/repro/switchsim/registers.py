@@ -91,7 +91,8 @@ class RegisterFile:
 
     def read_raw(self, addr: int) -> int:
         """Control-plane read: the exact stored value, ignoring sticky bits."""
-        self._check(addr)
+        if addr < 0 or addr >= self.capacity:      # CntFwd hot path
+            self._check(addr)
         return self._values.get(addr, 0)
 
     def add(self, addr: int, value: int) -> bool:

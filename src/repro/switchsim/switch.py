@@ -262,37 +262,48 @@ class NetRPCSwitch(PlainSwitch):
             self.sim.schedule(done, self._apply_verdict, (packet, verdict))
             return
 
-        if verdict.action is Action.DROP:
+        action = verdict.action
+        if action is Action.DROP:
             # Reached after any recirculation, so absorbed shadow packets
             # still paid for their loopback pass.
-            self.stats.add("cntfwd_absorbed")
+            self.stats["cntfwd_absorbed"] += 1
             return
 
-        if verdict.action is Action.MULTICAST:
-            self.stats.add("multicasts")
-            targets = verdict.group or (packet.dst,)
-            for target in targets:
+        if action is Action.MULTICAST:
+            stats = self.stats
+            stats["multicasts"] += 1
+            # A copy differs from the packet only in dst, is_mcast and
+            # ecn_echo — no size-affecting field — so the group shares the
+            # packet's wire size and one ECN-echo decision.  Each copy
+            # then takes Node.send's two steps inline.
+            size = packet.size_bytes
+            echo = self._ecn_echo(packet.gaid)
+            egress = self.egress
+            for target in verdict.group or (packet.dst,):
                 copy = packet.copy()
                 copy.dst = target
                 copy.is_mcast = True
-                self._stamp_ecn(copy)
-                self.send(copy, self.next_hop_for(target))
+                copy._size = size
+                if echo:
+                    copy.ecn_echo = True
+                link = egress.get(target)
+                if link is None:
+                    link = self.link_to(self.next_hop_for(target))
+                stats["tx_pkts"] += 1
+                link.send(copy)
             return
 
         # FORWARD / BOUNCE
         packet.dst = verdict.dst
-        if verdict.action is Action.BOUNCE:
-            self.stats.add("bounced_pkts")
-        if self._towards_clients(packet, verdict):
-            self._stamp_ecn(packet)
+        if action is Action.BOUNCE:
+            self.stats["bounced_pkts"] += 1
+        if (action is Action.BOUNCE or packet.is_sa or packet.is_ack) \
+                and self._ecn_echo(packet.gaid):
+            packet.ecn_echo = True     # heading back towards the clients
         self.send(packet, self.next_hop_for(packet.dst))
 
-    def _towards_clients(self, packet: Packet, verdict: Verdict) -> bool:
-        return (verdict.action is Action.BOUNCE or packet.is_sa
-                or packet.is_ack)
-
-    def _stamp_ecn(self, packet: Packet) -> None:
-        marked_at = self._ecn_marked_at.get(packet.gaid)
-        if marked_at is not None and \
-                self.sim.now - marked_at < self.cal.ecn_freshness_s:
-            packet.ecn_echo = True
+    def _ecn_echo(self, gaid: int) -> bool:
+        """Whether the app's recorded data-path congestion is still fresh."""
+        marked_at = self._ecn_marked_at.get(gaid)
+        return marked_at is not None and \
+            self.sim.now - marked_at < self.cal.ecn_freshness_s

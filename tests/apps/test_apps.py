@@ -162,6 +162,28 @@ class TestPaxos:
         assert report.latency.count == 30
         assert report.latency.p(99) < 1e-3  # sub-millisecond consensus
 
+    def test_learners_record_each_instance_once(self, monkeypatch):
+        # Three learners see every decision; the first records it with
+        # its proposer's value, the other two find it decided and do not
+        # even decode the vote.
+        dep = build_rack(7, 1, cal=scaled(host_pkt_cpu_s=1.5e-6,
+                                          host_agent_cores=2))
+        cluster = self.make_cluster(dep)
+        decoded = []
+        decode = PaxosCluster._decode_scalars
+
+        def counting_decode(pkt, descriptor):
+            decoded.append(descriptor.name)
+            return decode(pkt, descriptor)
+
+        monkeypatch.setattr(PaxosCluster, "_decode_scalars",
+                            staticmethod(counting_decode))
+        report = cluster.run(4000, window=2)
+        assert report.decided == {
+            i: f"cmd-c{i % 2}-{i}" for i in range(4000)}
+        assert report.latency.count == 4000
+        assert decoded.count("Vote") == 4000
+
     def test_colocated_proposer_and_acceptor_roles_never_retransmit(self):
         # c0 and c1 propose *and* accept, so a host holds a Propose task
         # and a CastVote task for the same instance (same round, offset

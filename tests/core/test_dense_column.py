@@ -11,14 +11,14 @@ the quantiser no longer grows with the tensor.
 """
 
 import dataclasses
+import os
 import random
-import sys
 
 import pytest
 
 from repro.apps.training import GRAD_PROTO, gradient_filter
 from repro.control import build_rack
-from repro.core import Channel, NetRPCService, register_service
+from repro.core import Channel, NetRPCService, ServerStub, register_service
 from repro.inc import Task
 from repro.inc.app import AppConfig
 from repro.inc.client_agent import _ChunkState, _TaskState
@@ -26,6 +26,8 @@ from repro.inc.memory import MemoryRegion
 from repro.netsim import CompositeFault, Duplicate, RandomLoss, Simulator
 from repro.protocol import (ClearPolicy, CntFwdSpec, ForwardTarget, KVBlock,
                             Packet, RIPProgram)
+
+from ..callcount import count_calls, package_of
 
 SYNC_PROGRAM = RIPProgram(
     app_name="DC", get_field="r.t", add_to_field="q.t",
@@ -226,25 +228,21 @@ class TestHostWorkPerCall:
         dep, reg, stubs = stub_deployment(1)
         tensor = random_tensors(1, 1, length, seed=length)[0][0]
         request = reg.binding("Update").request(tensor=tensor)
-        calls = [0]
 
-        def profiler(frame, event, _arg):
-            if event == "call":
-                filename = frame.f_code.co_filename.replace("\\", "/")
-                if "/repro/core/" in filename or \
-                        filename.endswith("/repro/protocol/arith.py"):
-                    calls[0] += 1
+        def core_or_quantiser(filename):
+            package = package_of(filename)
+            if package == "core" or (package == "protocol" and
+                                     os.path.basename(filename) == "arith.py"):
+                return "counted"
+            return None
 
-        sys.setprofile(profiler)
-        try:
-            reply, info = stubs[0].call("Update", request)
-        finally:
-            sys.setprofile(None)
+        (reply, info), calls = count_calls(stubs[0].call, "Update", request,
+                                           bucket=core_or_quantiser)
         assert info.mapped_pairs == length
         assert len(reply.tensor) == length
         assert max(abs(a - b) for a, b in zip(reply.tensor, tensor)) \
             <= 0.5e-6 + 1e-12
-        return calls[0]
+        return calls["counted"]
 
     def test_core_and_quantiser_calls_do_not_grow_with_the_tensor(self):
         # Per value the row path made one Python call to encode and one
@@ -254,3 +252,42 @@ class TestHostWorkPerCall:
         large = self._python_calls(4096)
         assert small == large
         assert 0 < small < 100
+
+
+class TestServerRoundStore:
+    """The server backs up each round's aggregate chunk by chunk only for
+    a bound round handler; nothing else reads that store."""
+
+    @staticmethod
+    def _round_state(dep, reg):
+        return dep.server_agents["s0"].app_state(reg.service.app_name)
+
+    def test_without_a_round_handler_no_round_state_is_kept(self):
+        class WatchedRounds(dict):
+            def setdefault(self, key, default=None):
+                writes.append(key)
+                return super().setdefault(key, default)
+
+        writes = []
+        dep, reg, stubs = stub_deployment(2)
+        self._round_state(dep, reg).rounds = WatchedRounds()
+        grads = random_tensors(2, 3, 70, seed=4)
+        _assert_sums(all_reduce(dep, reg, stubs, grads), grads)
+        assert self._round_state(dep, reg).rounds == {}
+        assert writes == []          # not even a round in progress
+
+    def test_a_handler_bound_first_sees_every_round_in_full(self):
+        dep, reg, stubs = stub_deployment(2)
+        rounds = {}
+        ServerStub(reg).bind_round(
+            lambda r, values: rounds.setdefault(r, dict(values)))
+        grads = random_tensors(2, 3, 70, seed=4)
+        out = all_reduce(dep, reg, stubs, grads)
+        codec = reg.config("Update").codec
+        assert sorted(rounds) == [0, 1, 2]
+        for r, values in rounds.items():
+            assert sorted(values) == list(range(70))
+            # The backed-up aggregate is what every worker read back.
+            assert codec.decode_many([values[i] for i in range(70)]) == \
+                out[(0, r)][0] == out[(1, r)][0]
+        assert self._round_state(dep, reg).rounds == {}

@@ -402,7 +402,7 @@ class TestCompiledCodecMatchesTheGenericOne:
         assert data == ref_to_bytes(spec, values, include_iedt)
         assert desc(**values).byte_size(include_iedt) == len(data)
         decoded = Message.from_bytes(desc, data)
-        assert decoded._values == ref_from_bytes(spec, data)
+        assert vars(decoded) == ref_from_bytes(spec, data)
         if include_iedt:
             assert decoded == desc(**values)
 
@@ -411,12 +411,12 @@ class TestCompiledCodecMatchesTheGenericOne:
         desc = descriptor_of(spec)
         defaults = {name: _ref_default(type_name)
                     for name, type_name, _tag in spec}
-        assert desc()._values == defaults
-        assert [type(v) for v in desc()._values.values()] == \
+        assert vars(desc()) == defaults
+        assert [type(v) for v in vars(desc()).values()] == \
             [type(v) for v in defaults.values()]
         data = desc().to_bytes()
         assert data == ref_to_bytes(spec, defaults)
-        assert Message.from_bytes(desc, data)._values == defaults
+        assert vars(Message.from_bytes(desc, data)) == defaults
 
     @given(spec_and_values(min_size=1), st.data())
     def test_unknown_tags_are_skipped(self, drawn, data):
@@ -424,8 +424,8 @@ class TestCompiledCodecMatchesTheGenericOne:
         kept = data.draw(st.lists(st.sampled_from(spec), unique=True))
         wire_bytes = descriptor_of(spec)(**values).to_bytes()
         decoded = Message.from_bytes(descriptor_of(kept), wire_bytes)
-        assert decoded._values == ref_from_bytes(kept, wire_bytes)
-        assert decoded._values == {
+        assert vars(decoded) == ref_from_bytes(kept, wire_bytes)
+        assert vars(decoded) == {
             name: values[name] for name, _type, _tag in kept}
 
     @given(spec_and_values(min_size=1), st.data())
@@ -441,8 +441,8 @@ class TestCompiledCodecMatchesTheGenericOne:
         wire_bytes = descriptor_of(spec)(**values).to_bytes()
 
         def compiled():
-            return Message.from_bytes(descriptor_of(reader),
-                                      wire_bytes)._values
+            return vars(Message.from_bytes(descriptor_of(reader),
+                                           wire_bytes))
 
         # Compared by repr: foreign bytes read as doubles can be NaN,
         # which no value equals (and repr tells True from 1, 0.0 from -0.0).
@@ -457,7 +457,7 @@ class TestCompiledCodecMatchesTheGenericOne:
         cut = wire_bytes[:data.draw(st.integers(0, len(wire_bytes) - 1))]
 
         def compiled():
-            return Message.from_bytes(desc, cut)._values
+            return vars(Message.from_bytes(desc, cut))
 
         assert outcome(compiled) == outcome(ref_from_bytes, spec, cut)
 

@@ -111,6 +111,48 @@ class TestNetRPCSwitchDataPath:
         rx0[0].kv[0].value = 777
         assert rx1[0].kv[0].value != 777
 
+    def test_multicast_copies_carry_the_size_of_their_own_fields(self):
+        # The fan-out hands every copy the trigger's cached wire size.
+        # That is only sound because a copy differs from it in no
+        # size-affecting field: the size must equal a fresh computation
+        # from the copy's own fields (Packet.copy drops the cache).
+        vote = RIPProgram(app_name="v", add_to_field="v.k",
+                          cntfwd=CntFwdSpec(target=ForwardTarget.ALL,
+                                            threshold=2))
+        sim = Simulator()
+        switch, hosts, _ = build_rack(sim)
+        switch.install_app(AppEntry(gaid=1, program=vote, server="h2",
+                                    clients=("h0", "h1", "h2")))
+        rx = [collect(h) for h in hosts]
+        for index, src in enumerate(("h0", "h1")):
+            hosts[index].send(kv_packet(
+                src=src, values=((0, 5), (1, 6), (2, 7)), is_cnf=True,
+                cnt_index=10, acks=(3, 4), payload_bytes=40), "sw0")
+        sim.run()
+        copies = [pkt for received in rx for pkt in received]
+        assert len(copies) == 3 and all(p.is_mcast for p in copies)
+        for pkt in copies:
+            assert pkt._size is not None             # handed on, not read
+            assert pkt.size_bytes == pkt.copy().size_bytes == \
+                56 + 3 * 8 + 8 + 2 * 4 + 40
+
+    def test_multicast_copies_share_one_fresh_ecn_echo(self):
+        vote = RIPProgram(app_name="v", add_to_field="v.k",
+                          cntfwd=CntFwdSpec(target=ForwardTarget.ALL,
+                                            threshold=2))
+        sim = Simulator()
+        switch, hosts, _ = build_rack(sim)
+        switch.install_app(AppEntry(gaid=1, program=vote, server="h2",
+                                    clients=("h0", "h1")))
+        rx = [collect(h) for h in hosts[:2]]
+        marked = kv_packet(src="h0", is_cnf=True, cnt_index=10)
+        marked.ecn = True                 # data-path congestion on record
+        hosts[0].send(marked, "sw0")
+        hosts[1].send(kv_packet(src="h1", is_cnf=True, cnt_index=10), "sw0")
+        sim.run()
+        assert [len(received) for received in rx] == [1, 1]
+        assert all(received[0].ecn_echo for received in rx)
+
     def test_below_threshold_absorbed(self):
         vote = RIPProgram(app_name="v", add_to_field="v.k",
                           cntfwd=CntFwdSpec(target=ForwardTarget.ALL,

@@ -42,10 +42,11 @@ measurement.  What does not depend on the machine or the profiler is the
 *number* of Python calls, printed after the table: in total, per op (and
 per RPC where the workload counts them) and per ``repro.<package>`` —
 the harness's ``<layer>.calls``, the figure the call-count pins in
-``tests/`` bound.  The last line reports the cyclic garbage collector
-over the unprofiled iteration — collections per generation and seconds
-paused (``gc.callbacks``) — the cost of allocating container objects per
-value, which no profile row shows.
+``tests/`` bound — then the ten functions called most, per op and per
+RPC: the ledger a call budget is written in.  The last line reports the
+cyclic garbage collector over the unprofiled iteration — collections per
+generation and seconds paused (``gc.callbacks``) — the cost of
+allocating container objects per value, which no profile row shows.
 """
 
 from __future__ import annotations
@@ -253,6 +254,11 @@ class _GcMeter:
         gc.callbacks.remove(self)
 
 
+def _per(calls: int, ops: int, rpcs: int) -> str:
+    text = f"{calls / ops:,.1f}/op"
+    return text + (f", {calls / rpcs:,.1f}/RPC" if rpcs else "")
+
+
 def _print_python_calls(layers: dict, ops: int, rpcs: int) -> None:
     """Python-level calls of the profiled iteration, by source package.
 
@@ -260,17 +266,31 @@ def _print_python_calls(layers: dict, ops: int, rpcs: int) -> None:
     each figure is the harness's ``<layer>.calls``; unlike the time
     columns they are the same on every machine and every run.
     """
-    def per(calls: int) -> str:
-        text = f"{calls / ops:,.1f}/op"
-        return text + (f", {calls / rpcs:,.1f}/RPC" if rpcs else "")
-
     total = sum(row["calls"] for row in layers.values())
     counted = f"{ops:,} ops" + (f", {rpcs:,} RPCs" if rpcs else "")
-    print(f"python calls      : {total:,} ({per(total)}; {counted})")
+    print(f"python calls      : {total:,} ({_per(total, ops, rpcs)}; "
+          f"{counted})")
     for layer, row in layers.items():
         if row["calls"]:
             name = "other" if layer == "other" else f"repro.{layer}"
-            print(f"  {name:<15} : {row['calls']:>11,} ({per(row['calls'])})")
+            print(f"  {name:<15} : {row['calls']:>11,} "
+                  f"({_per(row['calls'], ops, rpcs)})")
+
+
+def _print_top_calls(stats: dict, ops: int, rpcs: int, top: int = 10) -> None:
+    """The ``top`` Python functions by number of calls, per op and RPC.
+
+    The machine-independent ledger a call budget is written in: which
+    function a call-count pin pays for, not which one is slow.
+    """
+    rows = sorted(((nc, func) for func, (_cc, nc, *_rest) in stats.items()
+                   if func[0] != "~"), reverse=True)[:top]
+    print(f"top {top} Python functions by calls:")
+    for calls, (filename, line, name) in rows:
+        at = filename.replace("\\", "/").rfind("/src/repro/")
+        where = filename[at + 5:] if at >= 0 else Path(filename).name
+        print(f"  {calls:>9,} ({_per(calls, ops, rpcs)})  "
+              f"{where}:{line}({name})")
 
 
 def profile_e2e(args) -> int:
@@ -317,8 +337,9 @@ def profile_e2e(args) -> int:
     print(f"{args.e2e} seed {args.seed}: {report.ops:,} ops, "
           f"{report.failed} failed, {wall:.2f} s wall "
           f"(includes profiler overhead)")
-    _print_python_calls(attribute(stats.stats), report.ops,
-                        int(report.counters.get("core.rpcs", 0)))
+    rpcs = int(report.counters.get("core.rpcs", 0))
+    _print_python_calls(attribute(stats.stats), report.ops, rpcs)
+    _print_top_calls(stats.stats, report.ops, rpcs)
     print(f"cyclic GC (unprofiled iteration, {warm_wall:.2f} s wall): "
           f"{sum(collector.collections)} collections (gen0/1/2 = "
           f"{'/'.join(map(str, collector.collections))}), "
