@@ -4,24 +4,14 @@ Each benchmark regenerates one table or figure of the paper's §6 on the
 simulated dataplane, prints the reproduced artifact, attaches headline
 numbers to pytest-benchmark's ``extra_info``, and asserts the *shape*
 (orderings, ratios, crossovers) the paper reports.  Absolute values
-belong to the calibrated simulator, not to Tofino silicon.
-
-Every benchmark module's ``extra_info`` is also persisted to
-``BENCH_<artifact>.json`` in the working directory (``bench_simcore.py``
--> ``BENCH_simcore.json``), so headline numbers can be diffed across
-commits without re-parsing pytest output.  Existing files are merged
-into, not clobbered — the standalone ``benchmarks/runner.py`` writes
-its richer payload into the same ``BENCH_simcore.json``.
+belong to the calibrated simulator, not to Tofino silicon.  To keep the
+headline numbers for a diff across commits, pass pytest-benchmark's
+``--benchmark-json PATH``: its output carries every ``extra_info``.
 
 Run with:  pytest benchmarks/ --benchmark-only
 """
 
-import json
-from pathlib import Path
-
 import pytest
-
-_EXTRA_INFO = {}
 
 
 @pytest.fixture
@@ -38,31 +28,3 @@ def run_experiment(benchmark, capsys):
         return result
 
     return runner
-
-
-@pytest.fixture(autouse=True)
-def _collect_extra_info(request):
-    """Stash each benchmark's extra_info for the session-end JSON dump."""
-    bench = (request.getfixturevalue("benchmark")
-             if "benchmark" in request.fixturenames else None)
-    yield
-    if bench is None or not bench.extra_info:
-        return
-    module = request.node.module.__name__.rpartition(".")[2]
-    artifact = module.removeprefix("bench_")
-    _EXTRA_INFO.setdefault(artifact, {})[request.node.name] = \
-        dict(bench.extra_info)
-
-
-def pytest_sessionfinish(session, exitstatus):
-    for artifact, payload in _EXTRA_INFO.items():
-        path = Path(f"BENCH_{artifact}.json")
-        merged = {}
-        if path.exists():
-            try:
-                merged = json.loads(path.read_text())
-            except ValueError:
-                merged = {}
-        merged.setdefault("pytest_extra_info", {}).update(payload)
-        path.write_text(json.dumps(merged, indent=2, sort_keys=True,
-                                   default=str) + "\n")

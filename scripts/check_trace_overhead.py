@@ -10,9 +10,9 @@ This script verifies the contract *deterministically* instead of
 A/B-benchmarking two checkouts (which is hostage to machine load):
 
 1. microbenchmark the exact disabled-path guard, net of loop overhead;
-2. measure the per-packet cost of the lossless-link smoke driver
-   (``bench_simcore.drive_link``) with tracing disabled — the budget
-   the guards are amortized against;
+2. measure the per-packet cost of the lossless-link driver
+   (``drive_link`` below) with tracing disabled — the budget the guards
+   are amortized against;
 3. assert ``guard_cost * GUARDS_PER_PACKET / per_packet_cost <= 2%``,
    with ``GUARDS_PER_PACKET`` a deliberate over-count of the trace
    guards a packet can cross per simulated hop;
@@ -37,10 +37,8 @@ from time import perf_counter
 
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
-sys.path.insert(0, str(REPO / "benchmarks"))
 
-from bench_simcore import drive_link, drive_raw_events    # noqa: E402
-
+from repro.netsim import Host, Link, Node, Simulator     # noqa: E402
 from repro.obs.tracer import TRACE                        # noqa: E402
 
 # Generous over-count of `if TRACE.enabled` sites one packet can cross
@@ -60,10 +58,49 @@ SHARD_GUARDS_PER_EVENT = 6
 # Catastrophe floors (~3x below the recorded baseline rates): these
 # fire only if the hot path fundamentally regressed, not on CI jitter.
 MIN_LINK_PPS = 120_000.0
-MIN_RAW_EVENTS_PER_SEC = 350_000.0
 MIN_SHARD_EVENTS_PER_SEC = 30_000.0
 
 _N = 2_000_000
+LINK_PACKETS = 50_000
+
+
+class _BenchPacket:
+    """Minimal transmittable object (mirrors the test-suite FakePacket)."""
+
+    __slots__ = ("size_bytes",)
+
+    def __init__(self, size_bytes: int = 256):
+        self.size_bytes = size_bytes
+
+
+def drive_link(n_packets: int = LINK_PACKETS) -> float:
+    """Blast packets through one lossless link; delivered packets/sec.
+
+    Packets are offered back-to-back, so all but the first queue and
+    take the link's two scheduler events (serialization start +
+    delivery) — the path every trace guard sits on.
+    """
+    sim = Simulator(seed=0)
+    src = Node(sim, "src")
+    dst = Host(sim, "dst", cores=1, rx_cpu_cost_s=0.0)
+    delivered = [0]
+
+    def on_packet(_pkt, _link):
+        delivered[0] += 1
+
+    dst.set_handler(on_packet)
+    link = Link(sim, src, dst, bandwidth_bps=100e9, delay_s=1e-6,
+                queue_capacity_pkts=n_packets + 1,
+                ecn_threshold_pkts=n_packets + 1)
+    src.attach_egress(link)
+    packets = [_BenchPacket() for _ in range(n_packets)]
+    start = perf_counter()
+    for packet in packets:
+        link.send(packet)
+    sim.run()
+    elapsed = perf_counter() - start
+    assert delivered[0] == n_packets
+    return n_packets / elapsed
 
 
 def _guard_cost_s() -> float:
@@ -108,8 +145,7 @@ def _sharded_per_event_s() -> float:
 
 def main() -> int:
     guard = _guard_cost_s()
-    link_pps = max(drive_link(50_000) for _ in range(3))
-    events_per_sec = max(drive_raw_events(200_000) for _ in range(3))
+    link_pps = max(drive_link() for _ in range(3))
     per_packet = 1.0 / link_pps
 
     shard_per_event = _sharded_per_event_s()
@@ -120,7 +156,6 @@ def main() -> int:
     print(f"disabled guard     : {guard * 1e9:8.1f} ns")
     print(f"lossless link      : {link_pps:12,.0f} pkts/s "
           f"({per_packet * 1e9:.0f} ns/pkt)")
-    print(f"raw event dispatch : {events_per_sec:12,.0f} events/s")
     print(f"sharded fabric     : {shard_events_per_sec:12,.0f} events/s "
           f"({shard_per_event * 1e9:.0f} ns/event, rack2 workers=1)")
     print(f"worst-case overhead: {overhead:.2%} "
@@ -144,10 +179,6 @@ def main() -> int:
     if link_pps < MIN_LINK_PPS:
         failures.append(f"link driver collapsed: {link_pps:,.0f} pkts/s "
                         f"< floor {MIN_LINK_PPS:,.0f}")
-    if events_per_sec < MIN_RAW_EVENTS_PER_SEC:
-        failures.append(f"event dispatch collapsed: "
-                        f"{events_per_sec:,.0f}/s "
-                        f"< floor {MIN_RAW_EVENTS_PER_SEC:,.0f}")
     if shard_events_per_sec < MIN_SHARD_EVENTS_PER_SEC:
         failures.append(f"sharded fabric collapsed: "
                         f"{shard_events_per_sec:,.0f} events/s "

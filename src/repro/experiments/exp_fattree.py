@@ -20,8 +20,8 @@ Scenarios
     pods, 4 shards (one per pod) plus the core rack.
 ``rackscale``
     A k=8 fat tree (128 hosts, 80 switches) with tens of thousands of
-    flows in non-fast mode — the speedup workload for
-    ``benchmarks/runner.py``.
+    flows in non-fast mode — the shard-speedup workload (the
+    ``fabric_rackscale`` end-to-end benchmark runs it).
 """
 
 from __future__ import annotations

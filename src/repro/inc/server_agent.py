@@ -411,7 +411,7 @@ class ServerAgent:
                                  state.on_call(pkt.src, pkt.gaid,
                                                pkt.payload[1]))
             self._reply(state, config, pkt.src,
-                        dict(gaid=pkt.gaid, kv=[], task_id=pkt.task_id,
+                        dict(gaid=pkt.gaid, task_id=pkt.task_id,
                              offset=pkt.offset, round=pkt.round,
                              payload=reply_payload,
                              payload_bytes=_payload_size(reply_payload)))
@@ -564,8 +564,12 @@ class ServerAgent:
         # Seed the register with whatever accumulated in software so the
         # switch becomes the single authority for this key.
         if config.program.agg.is_float:
+            # ``fget`` reads an absent key as raw 0 (a cleared register);
+            # encoding 0.0 instead would seed fmax's biased zero, a real
+            # value that floors every negative maximum.
             state.soft.clear_counter(key)
-            seed, _of = config.codec.encode(state.soft.fclear(key))
+            seed = state.soft.fget(key, config.codec)
+            state.soft.fclear(key)
         else:
             seed = state.soft.clear(key) + state.soft.clear_counter(key)
         if seed:

@@ -560,24 +560,6 @@ class InvariantChecker:
                         count += 1
         return count
 
-    def scrub_residue(self, config: Any) -> int:
-        """Clear leftover occupancy in ``config``'s regions (an explicit
-        control-plane read-and-clear, logged as a violation-free event);
-        returns how many registers were non-empty."""
-        scrubbed = 0
-        for switch in self.deployment.switches:
-            base = switch.phys_base
-            stale = []
-            for region in (config.value_region, config.counter_region):
-                lo, hi = region.base, region.base + region.size
-                stale.extend(base + local
-                             for local in switch.registers.occupied_addrs()
-                             if lo <= base + local < hi)
-            if stale:
-                switch.ctrl_read_and_clear(stale)
-                scrubbed += len(stale)
-        return scrubbed
-
     # -- internals ------------------------------------------------------
     def _violate(self, message: str) -> None:
         self.violations.append(f"t={self.deployment.sim.now!r}: {message}")

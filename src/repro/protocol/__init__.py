@@ -19,9 +19,9 @@ from .fpcodec import (
     FPCodec,
     OrderedMaxCodec,
 )
-from .kvblock import KVBlock, KVSlot
+from .kvblock import KVBlock
 from .ops import StreamOp, apply_stream_op
-from .packets import KV_PAIRS_PER_PACKET, KVPair, Packet, full_bitmap
+from .packets import KV_PAIRS_PER_PACKET, Packet, full_bitmap
 from .quantize import Int8BlockCodec, topk_indices, topk_sparsify
 from .rips import (
     AggOp,
@@ -38,7 +38,7 @@ __all__ = [
     "FPCodec", "OrderedMaxCodec", "DEFAULT_FP_CODEC", "DEFAULT_FMAX_CODEC",
     "Int8BlockCodec", "topk_indices", "topk_sparsify",
     "StreamOp", "apply_stream_op",
-    "Packet", "KVPair", "KVBlock", "KVSlot", "KV_PAIRS_PER_PACKET",
+    "Packet", "KVBlock", "KV_PAIRS_PER_PACKET",
     "full_bitmap",
     "RIPProgram", "CntFwdSpec", "ClearPolicy", "ForwardTarget", "RetryMode",
     "AggOp",

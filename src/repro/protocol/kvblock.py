@@ -2,7 +2,7 @@
 
 The paper's headline numbers come from the switch processing all 32 kv
 slots of a packet in one pipeline pass (Fig. 14, §5.2.3).  Modelling
-that payload as 32 ``KVPair`` objects made every multicast,
+that payload as 32 per-slot row objects made every multicast,
 retransmission, and server return pay 32 object constructions and every
 pipeline primitive pay 32 rounds of attribute chasing.  :class:`KVBlock`
 stores the same data as parallel columns:
@@ -19,85 +19,18 @@ stores the same data as parallel columns:
 Copying a block is a handful of C-level buffer copies
 (:meth:`KVBlock.copy`), and slot access from the batch kernels
 (:meth:`~repro.switchsim.registers.RegisterFile.add_block` and friends)
-is index arithmetic on the columns.  :class:`KVSlot` is a write-through
-view of one slot, so existing row-oriented code (``pkt.kv[0].value``)
-keeps working without materialising objects on the hot paths.
+is index arithmetic on the columns.  Slots are read and written through
+the columns (``pkt.kv.values[0]``); there is no per-slot row object.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Any, Iterable, Iterator, List, Optional
+from typing import Any, Iterable, List, Optional
 
 from .ops import StreamOp, apply_stream_op
 
-__all__ = ["KVBlock", "KVSlot"]
-
-
-class KVSlot:
-    """Write-through view of one kv slot of a :class:`KVBlock`.
-
-    Mirrors the old ``KVPair`` attribute interface (``addr``, ``value``,
-    ``mapped``, ``key``); reads and writes go straight to the block's
-    columns.  Created on demand by ``block[i]`` / iteration — hot code
-    should index the columns instead.
-    """
-
-    __slots__ = ("_block", "_index")
-
-    def __init__(self, block: "KVBlock", index: int):
-        self._block = block
-        self._index = index
-
-    @property
-    def addr(self) -> int:
-        return self._block.addrs[self._index]
-
-    @addr.setter
-    def addr(self, addr: int) -> None:
-        self._block.addrs[self._index] = addr
-
-    @property
-    def value(self) -> int:
-        return self._block.values[self._index]
-
-    @value.setter
-    def value(self, value: int) -> None:
-        self._block.values[self._index] = value
-
-    @property
-    def mapped(self) -> bool:
-        return bool(self._block.mapped_mask >> self._index & 1)
-
-    @mapped.setter
-    def mapped(self, mapped: bool) -> None:
-        if mapped:
-            self._block.mapped_mask |= 1 << self._index
-        else:
-            self._block.mapped_mask &= ~(1 << self._index)
-
-    @property
-    def key(self) -> Any:
-        keys = self._block.keys
-        return keys[self._index] if keys is not None else None
-
-    @key.setter
-    def key(self, key: Any) -> None:
-        block = self._block
-        if block.keys is None:
-            if key is None:
-                return
-            block.keys = [None] * len(block.addrs)
-        block.keys[self._index] = key
-
-    def copy(self):
-        """A detached row-object snapshot of this slot (a ``KVPair``)."""
-        from .packets import KVPair
-        return KVPair(self.addr, self.value, self.mapped, self.key)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (f"<KVSlot addr={self.addr} value={self.value} "
-                f"mapped={self.mapped} key={self.key!r}>")
+__all__ = ["KVBlock"]
 
 
 class KVBlock:
@@ -118,25 +51,6 @@ class KVBlock:
     # construction
     # ------------------------------------------------------------------
     @classmethod
-    def from_pairs(cls, pairs: Iterable[Any]) -> "KVBlock":
-        """Build a block from row objects (``KVPair`` or slot views)."""
-        addrs = array("q")
-        values = array("q")
-        mask = 0
-        keys: Optional[List[Any]] = None
-        for index, pair in enumerate(pairs):
-            addrs.append(pair.addr)
-            values.append(pair.value)
-            if pair.mapped:
-                mask |= 1 << index
-            key = pair.key
-            if key is not None and keys is None:
-                keys = [None] * index
-            if keys is not None:
-                keys.append(key)
-        return cls(addrs, values, mask, keys)
-
-    @classmethod
     def from_columns(cls, addrs: Iterable[int], values: Iterable[int],
                      mapped_mask: int = 0,
                      keys: Optional[List[Any]] = None) -> "KVBlock":
@@ -152,42 +66,14 @@ class KVBlock:
                     keys)
         return block
 
-    def append(self, addr: int, value: int, mapped: bool = False,
-               key: Any = None) -> None:
-        index = len(self.addrs)
-        self.addrs.append(addr)
-        self.values.append(value)
-        if mapped:
-            self.mapped_mask |= 1 << index
-        if key is not None and self.keys is None:
-            self.keys = [None] * index
-        if self.keys is not None:
-            self.keys.append(key)
-
     # ------------------------------------------------------------------
-    # container protocol (compat with the old List[KVPair] interface)
+    # size
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         return len(self.addrs)
 
     def __bool__(self) -> bool:
         return len(self.addrs) > 0
-
-    def __getitem__(self, index: int) -> KVSlot:
-        n = len(self.addrs)
-        if index < 0:
-            index += n
-        if not 0 <= index < n:
-            raise IndexError(f"kv slot {index} out of range (block of {n})")
-        return KVSlot(self, index)
-
-    def __iter__(self) -> Iterator[KVSlot]:
-        for index in range(len(self.addrs)):
-            yield KVSlot(self, index)
-
-    def key_at(self, index: int) -> Any:
-        keys = self.keys
-        return keys[index] if keys is not None else None
 
     # ------------------------------------------------------------------
     # bulk operations (the packet-copy / kernel fast paths)
@@ -201,9 +87,6 @@ class KVBlock:
     @property
     def any_mapped(self) -> bool:
         return self.mapped_mask != 0
-
-    def full_mask(self) -> int:
-        return (1 << len(self.addrs)) - 1
 
     def selected_contains(self, addr: int, select: int) -> bool:
         """Whether any ``select``-ed slot carries ``addr``.
@@ -237,20 +120,6 @@ class KVBlock:
     def values_list(self) -> List[int]:
         """Plain-list snapshot of the value column."""
         return self.values.tolist()
-
-    def __eq__(self, other: Any) -> bool:
-        if not isinstance(other, KVBlock):
-            return NotImplemented
-        if (self.addrs != other.addrs or self.values != other.values
-                or self.mapped_mask != other.mapped_mask):
-            return False
-        a, b = self.keys, other.keys
-        if a == b:
-            return True
-        # A keys column of all-None is equivalent to no keys column.
-        none_a = a is None or not any(k is not None for k in a)
-        none_b = b is None or not any(k is not None for k in b)
-        return none_a and none_b
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<KVBlock n={len(self.addrs)} "

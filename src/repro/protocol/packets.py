@@ -17,11 +17,10 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Optional, Tuple
 
-from .kvblock import KVBlock, KVSlot
+from .kvblock import KVBlock
 from .ops import StreamOp
 
-__all__ = ["KVPair", "KVBlock", "KVSlot", "Packet", "KV_PAIRS_PER_PACKET",
-           "full_bitmap"]
+__all__ = ["KVBlock", "Packet", "KV_PAIRS_PER_PACKET", "full_bitmap"]
 
 KV_PAIRS_PER_PACKET = 32
 
@@ -50,25 +49,6 @@ def full_bitmap(n: int = KV_PAIRS_PER_PACKET) -> int:
     if not 0 <= n <= KV_PAIRS_PER_PACKET:
         raise ValueError(f"bitmap width must be in [0, {KV_PAIRS_PER_PACKET}]")
     return (1 << n) - 1
-
-
-@dataclass(slots=True)
-class KVPair:
-    """One <key/index, value> tuple in the packet's data section.
-
-    ``addr`` is a *physical* switch address when the client already holds
-    a mapping grant, otherwise the 32-bit logical address (the ``mapped``
-    flag distinguishes them).  ``key`` keeps the original application key
-    so the server agent can process fallback pairs without a reverse map.
-    """
-
-    addr: int
-    value: int
-    mapped: bool = False
-    key: Any = None
-
-    def copy(self) -> "KVPair":
-        return KVPair(self.addr, self.value, self.mapped, self.key)
 
 
 @dataclass
@@ -114,8 +94,7 @@ class Packet:
     client_id: int = 0
 
     # --- data -----------------------------------------------------------
-    # Stored columnar (a KVBlock); list-of-KVPair arguments are converted
-    # in __post_init__ so row-oriented construction keeps working.
+    # Stored columnar: one KVBlock, built with KVBlock.from_columns.
     kv: KVBlock = field(default_factory=KVBlock)
     linear_base: Optional[int] = None  # linear addressing: keys elided
     payload: Any = None
@@ -144,8 +123,6 @@ class Packet:
     _size = None
 
     def __post_init__(self):
-        if not isinstance(self.kv, KVBlock):
-            self.kv = KVBlock.from_pairs(self.kv)
         if len(self.kv.addrs) > KV_PAIRS_PER_PACKET:
             raise ValueError(
                 f"a packet carries at most {KV_PAIRS_PER_PACKET} kv pairs, "

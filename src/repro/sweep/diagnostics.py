@@ -3,9 +3,9 @@
 The engine's failure-containment and overlap properties need runnable
 workloads that are importable from worker processes (a spec names its
 callable by dotted path, so closures defined in test bodies cannot be
-used).  These live in the package itself: the benchmark runner uses
+used).  These live in the package itself: the test suite uses
 :func:`blocking_run` to measure fan-out overlap independent of core
-count, and the test suite uses the rest to provoke each failure mode.
+count, and the rest to provoke each failure mode.
 """
 
 from __future__ import annotations

@@ -2,13 +2,14 @@
 
 ``ClientAgent._send_map`` classifies a task's pairs into column lists and
 slices them straight into ``KVBlock.from_columns``.  The path it replaced
-built one ``KVPair`` row object per pair and let ``Packet`` re-walk them
-through ``KVBlock.from_pairs``.  That row-object packetiser lives on here
-as the reference: for random key sets — segment conflicts, hash
+built one row object per pair and re-walked the rows into columns.  That
+row-object packetiser lives on here as the reference: for random key sets — segment conflicts, hash
 collisions, ungranted keys, no switch, counting and routing-only
 programs — both must emit exactly the same packet sequence and leave the
 same chunk and address-space state behind.
 """
+
+from collections import namedtuple
 
 from hypothesis import given, settings, strategies as st
 
@@ -20,9 +21,11 @@ from repro.inc.client_agent import (ClientAgent, _AppClientState,
 from repro.inc.memory import MemoryRegion
 from repro.netsim import DEFAULT_CALIBRATION, Host, Simulator
 from repro.protocol import (CntFwdSpec, ForwardTarget, KV_PAIRS_PER_PACKET,
-                            KVPair, Packet, RIPProgram)
+                            KVBlock, Packet, RIPProgram)
 
 SEGMENTS = DEFAULT_CALIBRATION.memory_segments
+
+KVPair = namedtuple("KVPair", "addr value mapped key")
 
 PROGRAMS = {
     "reduce": RIPProgram(app_name="PK", add_to_field="r.kvs",
@@ -63,11 +66,20 @@ def _describe(pkt):
             block.mapped_mask, pkt.bitmap, pkt.task_total)
 
 
+def _block(pairs):
+    """Columns of the rows; no keys column when every key is ``None``."""
+    keys = [pair.key for pair in pairs]
+    return KVBlock.from_columns(
+        [pair.addr for pair in pairs], [pair.value for pair in pairs],
+        sum(1 << index for index, pair in enumerate(pairs) if pair.mapped),
+        keys if any(key is not None for key in keys) else None)
+
+
 def _reference(items, granted, has_switch, program):
     """The row-object packetiser: ``[(packet fields, chunk items)]``."""
     def packet(pairs, offset, cross, cnt_index=0):
-        pkt = Packet(gaid=1, src="c0", dst="s0", kv=pairs, offset=offset,
-                     task_total=len(items))
+        pkt = Packet(gaid=1, src="c0", dst="s0", kv=_block(pairs),
+                     offset=offset, task_total=len(items))
         pkt.select_all_slots()
         pkt.is_cross = cross
         if not cross and program.cntfwd.counts:

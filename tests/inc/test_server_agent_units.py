@@ -47,11 +47,10 @@ class TestServerDedup:
         dep.sim.run(until=dep.sim.now + 0.01)
         state = dep.server_agent(0).app_state("U")
         # Replay the identical wire packet at the server by hand.
-        from repro.protocol import KVPair, Packet
+        from repro.protocol import KVBlock, Packet
         replay = Packet(gaid=config.gaid, src="c0", dst="s0", seq=0,
                         flow_id=0, is_cross=True,
-                        kv=[KVPair(addr=0, value=5, mapped=False,
-                                   key="k")])
+                        kv=KVBlock.from_columns([0], [5], keys=["k"]))
         replay.select_all_slots()
         before = dict(state.soft.snapshot())
         dep.server_agent(0)._on_packet(replay, None)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.inc import AIMDController, ReliableFlow
 from repro.netsim import Host, Link, Node, Simulator, scaled
-from repro.protocol import KVPair, Packet, RetryMode
+from repro.protocol import KVBlock, Packet, RetryMode
 
 
 CAL = scaled(initial_cwnd=4, w_max=16, retransmit_timeout_s=1e-3)
@@ -96,7 +96,7 @@ def make_flow(sim, retry_mode=RetryMode.PERSIST, cc_enabled=True):
 
 def make_packet(task_id=1, offset=0):
     pkt = Packet(gaid=1, src="h0", dst="server",
-                 kv=[KVPair(addr=0, value=1)], task_id=task_id,
+                 kv=KVBlock.from_columns([0], [1]), task_id=task_id,
                  offset=offset)
     pkt.select_all_slots()
     return pkt

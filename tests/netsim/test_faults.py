@@ -217,9 +217,9 @@ class TestFlowStateResync:
             pkt = _FakePacket(i)
             pkt.task_id, pkt.offset = 1, i * 32
             pkt.chunk_id = (1, i * 32)
-            from repro.protocol import KVPair, Packet
+            from repro.protocol import KVBlock, Packet
             flow.enqueue(Packet(gaid=1, src="h0", dst="server",
-                                kv=[KVPair(addr=0, value=1)],
+                                kv=KVBlock.from_columns([0], [1]),
                                 task_id=1, offset=i * 32))
         sim.run(until=1e-4)
         for seq in (0, 1, 2, 5):   # 5 is acked out of order

@@ -6,14 +6,14 @@ import pytest
 
 from repro.protocol import (
     KV_PAIRS_PER_PACKET,
-    KVPair,
+    KVBlock,
     Packet,
     full_bitmap,
 )
 
 
 def make_packet(n_kv=0, **kwargs):
-    kv = [KVPair(addr=i, value=i * 10) for i in range(n_kv)]
+    kv = KVBlock.from_columns(range(n_kv), [i * 10 for i in range(n_kv)])
     pkt = Packet(gaid=1, src="c0", dst="s0", kv=kv, **kwargs)
     pkt.select_all_slots()
     return pkt
@@ -85,8 +85,8 @@ class TestCopySemantics:
     def test_copy_duplicates_kv_pairs(self):
         pkt = make_packet(3)
         dup = pkt.copy()
-        dup.kv[0].value = 999
-        assert pkt.kv[0].value == 0
+        dup.kv.values[0] = 999
+        assert pkt.kv.values[0] == 0
 
     def test_copy_preserves_fields(self):
         pkt = make_packet(2, is_cnf=True, cnt_index=7)
@@ -106,8 +106,7 @@ class TestCopySemantics:
         # field carries over, the kv block is detached, the uid is fresh
         # and no non-field state (size cache, recirculation and
         # processed marks) follows — whether the original had any or not.
-        kv = [KVPair(addr=8, value=5, mapped=True, key="k"),
-              KVPair(addr=9, value=6)]
+        kv = KVBlock.from_columns([8, 9], [5, 6], 0b01, ["k", None])
         pkt = Packet(gaid=3, src="c1", dst="s0", seq=4, flip=1, srrt=2,
                      flow_id=1, kv=kv, is_cnf=True, cnt_index=11,
                      payload=("rpc-data", "M", b"x"), payload_bytes=9,
@@ -128,17 +127,19 @@ class TestCopySemantics:
                 assert getattr(dup, name) == getattr(pkt, name), name
         assert dup.uid != pkt.uid
         assert dup.kv is not pkt.kv
-        assert [slot.copy() for slot in dup.kv] == kv
+        assert (list(dup.kv.addrs), list(dup.kv.values), dup.kv.mapped_mask,
+                dup.kv.keys) == ([8, 9], [5, 6], 0b01, ["k", None])
+        assert dup.kv.keys is not pkt.kv.keys
         assert dup._size is None and dup.size_bytes == 105
         assert not hasattr(dup, "_recirculated")
         assert not hasattr(dup, "switch_processed")
 
         dup.dst, dup.is_mcast, dup.ecn_echo, dup.seq = "c4", True, True, 99
-        dup.kv[0].value = 1000
+        dup.kv.values[0] = 1000
         dup.kv.keys[0] = "other"
         dup.switch_processed = True
         assert vars(pkt) == before
-        assert pkt.kv[0].value == 5 and pkt.kv.keys[0] == "k"
+        assert pkt.kv.values[0] == 5 and pkt.kv.keys[0] == "k"
         assert hasattr(pkt, "switch_processed") is marked
 
     def test_chunk_id_identifies_task_and_offset(self):

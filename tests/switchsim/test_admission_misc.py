@@ -3,7 +3,8 @@
 import pytest
 
 from repro.netsim import Host, Simulator, scaled, star
-from repro.protocol import CntFwdSpec, ForwardTarget, KVPair, Packet, RIPProgram
+from repro.protocol import (CntFwdSpec, ForwardTarget, KVBlock, Packet,
+                            RIPProgram)
 from repro.switchsim import AdmissionTable, AppEntry, NetRPCSwitch
 
 CAL = scaled(host_pkt_cpu_s=0.0)
@@ -51,7 +52,7 @@ class TestSwitchRemoval:
         switch.install_app(AppEntry(gaid=1, program=PROG, server="h1",
                                     clients=("h0",)))
         pkt = Packet(gaid=1, src="h0", dst="h1",
-                     kv=[KVPair(addr=0, value=1, mapped=True)])
+                     kv=KVBlock.from_columns([0], [1], mapped_mask=-1))
         pkt.select_all_slots()
         pkt.ecn = True
         hosts[1].set_handler(lambda p, l: None)

@@ -2,8 +2,8 @@
 
 The columnar kernels (``add_block`` / ``get_block`` / ``add_get_block``
 / ``clear_block``) exist purely for speed — each must be bit-identical
-to the scalar reference it fused: a per-slot loop over ``KVPair`` rows
-calling ``RegisterFile.add`` / ``read`` / ``clear`` exactly the way the
+to the scalar reference it fused: a per-slot loop over plain
+address/value lists calling ``RegisterFile.add`` / ``read`` / ``clear`` exactly the way the
 pre-columnar pipeline did.  Hypothesis drives both implementations with
 the same random program (slots, selection bitmap, phys-base window,
 pre-existing register state including sticky bits) and the final
@@ -23,7 +23,7 @@ Covered corners, per the scalar contract:
 from hypothesis import given, settings, strategies as st
 import pytest
 
-from repro.protocol import INT32_MAX, INT32_MIN, KVBlock, KVPair
+from repro.protocol import INT32_MAX, INT32_MIN, KVBlock
 from repro.switchsim import RegisterFile
 
 SEGMENTS = 4
@@ -73,27 +73,27 @@ def state(regs):
 # ----------------------------------------------------------------------
 # Scalar references: the pre-columnar per-kv loops, verbatim semantics.
 # ----------------------------------------------------------------------
-def scalar_add(regs, pairs, select, base):
+def scalar_add(regs, addrs, values, select, base):
     overflowed = False
-    for index, pair in enumerate(pairs):
+    for index, addr in enumerate(addrs):
         if select >> index & 1:
-            local = pair.addr - base
+            local = addr - base
             if 0 <= local < regs.capacity:
-                if regs.add(local, pair.value):
-                    pair.value = INT32_MAX
+                if regs.add(local, values[index]):
+                    values[index] = INT32_MAX
                     overflowed = True
     return overflowed
 
 
-def scalar_get(regs, pairs, select, base):
+def scalar_get(regs, addrs, values, select, base):
     overflowed = False
-    for index, pair in enumerate(pairs):
+    for index, addr in enumerate(addrs):
         if select >> index & 1:
-            local = pair.addr - base
+            local = addr - base
             if 0 <= local < regs.capacity:
                 if regs.is_sticky(local):
                     overflowed = True
-                pair.value = regs.read(local)
+                values[index] = regs.read(local)
     return overflowed
 
 
@@ -114,13 +114,14 @@ def test_add_block_matches_scalar_add(slots, select, base, pre_values,
     kernel_regs, ref_regs = seeded_registers(pre_values, pre_sticky)
     block = KVBlock.from_columns([addr for addr, _ in slots],
                                  [value for _, value in slots])
-    pairs = [KVPair(addr=addr, value=value) for addr, value in slots]
+    addrs = [addr for addr, _ in slots]
+    values = [value for _, value in slots]
 
     kernel_of = kernel_regs.add_block(block, select, base)
-    ref_of = scalar_add(ref_regs, pairs, select, base)
+    ref_of = scalar_add(ref_regs, addrs, values, select, base)
 
     assert kernel_of == ref_of
-    assert block.values_list() == [pair.value for pair in pairs]
+    assert block.values_list() == values
     assert state(kernel_regs) == state(ref_regs)
 
 
@@ -132,13 +133,14 @@ def test_get_block_matches_scalar_read(slots, select, base, pre_values,
     kernel_regs, ref_regs = seeded_registers(pre_values, pre_sticky)
     block = KVBlock.from_columns([addr for addr, _ in slots],
                                  [value for _, value in slots])
-    pairs = [KVPair(addr=addr, value=value) for addr, value in slots]
+    addrs = [addr for addr, _ in slots]
+    values = [value for _, value in slots]
 
     kernel_of = kernel_regs.get_block(block, select, base)
-    ref_of = scalar_get(ref_regs, pairs, select, base)
+    ref_of = scalar_get(ref_regs, addrs, values, select, base)
 
     assert kernel_of == ref_of
-    assert block.values_list() == [pair.value for pair in pairs]
+    assert block.values_list() == values
     assert state(kernel_regs) == state(ref_regs)   # reads mutate nothing
 
 

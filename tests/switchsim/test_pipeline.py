@@ -7,7 +7,7 @@ from repro.protocol import (
     ClearPolicy,
     CntFwdSpec,
     ForwardTarget,
-    KVPair,
+    KVBlock,
     Packet,
     RIPProgram,
     StreamOp,
@@ -32,7 +32,9 @@ def make_entry(program, clients=("c0", "c1"), server="s0"):
 
 
 def data_packet(kv_addrs_values, seq=0, srrt=-1, **kwargs):
-    kv = [KVPair(addr=a, value=v, mapped=True) for a, v in kv_addrs_values]
+    kv = KVBlock.from_columns([a for a, _ in kv_addrs_values],
+                              [v for _, v in kv_addrs_values],
+                              mapped_mask=-1)
     pkt = Packet(gaid=1, src="c0", dst="s0", seq=seq, srrt=srrt,
                  flip=(seq // 8) % 2, kv=kv, **kwargs)
     pkt.select_all_slots()
@@ -87,7 +89,7 @@ class TestMapPrimitives:
         pkt = data_packet([(0, 5)])
         pipe.process(pkt, entry, 0.0)
         # addTo ran first (100 + 5), then get read the result back.
-        assert pkt.kv[0].value == 105
+        assert pkt.kv.values[0] == 105
 
     def test_get_only_program_does_not_write(self):
         prog = RIPProgram(app_name="q", get_field="r.kvs",
@@ -97,13 +99,13 @@ class TestMapPrimitives:
         pkt = data_packet([(4, 999)])
         verdict = pipe.process(pkt, make_entry(prog), 0.0)
         assert regs.read(4) == 50
-        assert pkt.kv[0].value == 50
+        assert pkt.kv.values[0] == 50
         assert verdict.action is Action.BOUNCE and verdict.dst == "c0"
 
     def test_unmapped_pairs_skipped(self):
         pipe, regs, _ = make_pipeline()
         pkt = data_packet([(0, 5)])
-        pkt.kv[0].mapped = False
+        pkt.kv.mapped_mask &= ~1
         pipe.process(pkt, make_entry(AGGR), 0.0)
         assert regs.read(0) == 0
 
@@ -122,7 +124,7 @@ class TestMapPrimitives:
         pkt = data_packet([(0, 10)])
         pipe.process(pkt, entry, 0.0)
         assert pkt.is_of
-        assert pkt.kv[0].value == INT32_MAX
+        assert pkt.kv.values[0] == INT32_MAX
         # The register keeps the recoverable pre-overflow value.
         assert regs.read_raw(0) == INT32_MAX - 1
 
@@ -136,7 +138,7 @@ class TestMapPrimitives:
         prog_get = RIPProgram(app_name="g", get_field="x.y")
         pkt2 = data_packet([(0, 0)])
         pipe.process(pkt2, make_entry(prog_get), 0.0)
-        assert pkt2.is_of and pkt2.kv[0].value == INT32_MAX
+        assert pkt2.is_of and pkt2.kv.values[0] == INT32_MAX
 
 
 class TestStreamModify:
@@ -146,7 +148,7 @@ class TestStreamModify:
         pipe, _, _ = make_pipeline()
         pkt = data_packet([(0, 1), (1, 2)])
         pipe.process(pkt, make_entry(prog), 0.0)
-        assert [kv.value for kv in pkt.kv] == [11, 12]
+        assert list(pkt.kv.values) == [11, 12]
 
     def test_modify_does_not_touch_map(self):
         prog = RIPProgram(app_name="m", modify_op=StreamOp.ASSIGN,
@@ -180,9 +182,9 @@ class TestRetransmissionIdempotence:
         entry = make_entry(AGGR)
         pipe.process(data_packet([(0, 5)], seq=0, srrt=slot), entry, 0.0)
         retx = data_packet([(0, 0)], seq=0, srrt=slot)
-        retx.kv[0].value = 0
+        retx.kv.values[0] = 0
         pipe.process(retx, entry, 0.0)
-        assert retx.kv[0].value == 5  # read the aggregate
+        assert retx.kv.values[0] == 5  # read the aggregate
 
     def test_new_seq_same_slot_processes(self):
         pipe, regs, flows = make_pipeline()
@@ -215,7 +217,7 @@ class TestCntFwd:
         verdict = pipe.process(pkt, entry, 0.0)
         assert verdict.action is Action.MULTICAST
         assert verdict.group == ("c0", "c1")
-        assert pkt.kv[0].value == 12  # aggregated result rides along
+        assert pkt.kv.values[0] == 12  # aggregated result rides along
 
     def test_counter_rearms_after_round(self):
         pipe, regs, flows = make_pipeline()
@@ -254,7 +256,7 @@ class TestCntFwd:
                            cnt_index=100)
         verdict = pipe.process(retx, entry, 0.0)
         assert verdict.action is Action.BOUNCE and verdict.dst == "c0"
-        assert retx.kv[0].value == 12
+        assert retx.kv.values[0] == 12
 
     def test_test_and_set_grants_first_only(self):
         lock = RIPProgram(app_name="lock",

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from repro.protocol import (
     CntFwdSpec,
     ForwardTarget,
-    KVPair,
+    KVBlock,
     Packet,
     RIPProgram,
 )
@@ -31,7 +31,7 @@ def fresh_pipeline():
 def packet(seq, addr, value, srrt):
     pkt = Packet(gaid=1, src="c0", dst="s0", seq=seq,
                  flip=(seq // W_MAX) % 2, srrt=srrt,
-                 kv=[KVPair(addr=addr, value=value, mapped=True)])
+                 kv=KVBlock.from_columns([addr], [value], mapped_mask=-1))
     pkt.select_all_slots()
     return pkt
 

@@ -7,7 +7,7 @@ from repro.protocol import (
     ClearPolicy,
     CntFwdSpec,
     ForwardTarget,
-    KVPair,
+    KVBlock,
     Packet,
     RIPProgram,
 )
@@ -32,7 +32,8 @@ def collect(host):
 
 def kv_packet(gaid=1, src="h0", dst="h2", seqno=0, values=((0, 5),),
               **kwargs):
-    kv = [KVPair(addr=a, value=v, mapped=True) for a, v in values]
+    kv = KVBlock.from_columns([a for a, _ in values],
+                              [v for _, v in values], mapped_mask=-1)
     pkt = Packet(gaid=gaid, src=src, dst=dst, seq=seqno, kv=kv, **kwargs)
     pkt.select_all_slots()
     return pkt
@@ -89,7 +90,7 @@ class TestNetRPCSwitchDataPath:
         sim.run()
         assert switch.registers.read(0) == 5
         assert len(rx) == 1
-        assert rx[0].kv[0].value == 5  # get read the aggregate back
+        assert rx[0].kv.values[0] == 5  # get read the aggregate back
 
     def test_multicast_copies_to_all_clients(self):
         vote = RIPProgram(app_name="v", get_field="v.k", add_to_field="v.k",
@@ -108,8 +109,8 @@ class TestNetRPCSwitchDataPath:
         assert len(rx0) == 1 and len(rx1) == 1
         assert not rx2  # server not involved: sub-RTT path
         # Copies must not alias.
-        rx0[0].kv[0].value = 777
-        assert rx1[0].kv[0].value != 777
+        rx0[0].kv.values[0] = 777
+        assert rx1[0].kv.values[0] != 777
 
     def test_multicast_copies_carry_the_size_of_their_own_fields(self):
         # The fan-out hands every copy the trigger's cached wire size.
@@ -179,7 +180,7 @@ class TestNetRPCSwitchDataPath:
         hosts[0].send(kv_packet(src="h0", values=((0, 0),)), "sw0")
         sim.run()
         assert len(rx) == 1
-        assert rx[0].kv[0].value == 42
+        assert rx[0].kv.values[0] == 42
         assert switch.stats["bounced_pkts"] == 1
 
     def test_recirculation_adds_latency(self):
