@@ -88,13 +88,14 @@ class _TaskState:
         Applies when the block answers exactly this chunk — its keys are
         ``offset .. offset+n-1`` — and its values need no baseline
         adjustment (any clear policy but lazy).  Every other result is
-        extracted and stored by key.
+        extracted and stored by key.  Range keys compare in O(1).
         """
         if self.task.app.program.clear is ClearPolicy.LAZY:
             return False
         offset = chunk.offset
         stop = offset + len(chunk.items)
-        if block.keys != list(range(offset, stop)):
+        keys = range(offset, stop)
+        if block.keys != keys and block.keys != list(keys):
             return False
         self.column[offset:stop] = block.values
         return True
@@ -313,14 +314,20 @@ class ClientAgent:
                 indices = [first_index]
                 values = [value]
                 addrs = [base + first_index % half]
+            elif dense:
+                # The slice of the task's column is the value column; keys
+                # and (unless the chunk wraps its region half) addresses
+                # are ranges, which the switch takes as one register row.
+                first_index = offset
+                indices = range(offset, offset + len(chunk_items))
+                values = chunk_items
+                start = offset % half
+                stop = start + len(chunk_items)
+                addrs = range(base + start, base + stop) if stop <= half \
+                    else [base + index % half for index in indices]
             else:
-                if dense:
-                    # The slice of the task's column is the value column.
-                    indices = list(range(offset, offset + len(chunk_items)))
-                    values = chunk_items
-                else:
-                    indices = [item[0] for item in chunk_items]
-                    values = [item[1] for item in chunk_items]
+                indices = [item[0] for item in chunk_items]
+                values = [item[1] for item in chunk_items]
                 first_index = indices[0]
                 addrs = [base + index % half for index in indices]
             kv = KVBlock.from_columns(addrs, values, mapped_mask=-1,

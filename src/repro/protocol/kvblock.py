@@ -8,16 +8,22 @@ pipeline primitive pay 32 rounds of attribute chasing.  :class:`KVBlock`
 stores the same data as parallel columns:
 
 * ``addrs``  — ``array('q')`` of switch addresses (physical when mapped,
-  logical otherwise);
+  logical otherwise), or a step-1 ``range`` when they are consecutive;
 * ``values`` — ``array('q')`` of slot values (int32 payloads; 64-bit
   headroom for the software path's exact arithmetic);
 * ``mapped_mask`` — an int bitmask, bit *i* set when slot *i* carries a
   granted physical address;
-* ``keys``   — a side list of opaque application keys, or ``None`` when
-  every key is ``None``.
+* ``keys``   — a side sequence of opaque application keys (a list, or a
+  step-1 ``range`` of array indices), or ``None`` when every key is
+  ``None``.
+
+A dense linear chunk carries ``range`` addresses and keys end to end;
+the register file takes such a block as one row by the column type
+alone.  Ranges are immutable: only ``values`` is written in place.
 
 Copying a block is a handful of C-level buffer copies
-(:meth:`KVBlock.copy`), and slot access from the batch kernels
+(:meth:`KVBlock.copy`; a ``range`` slices in O(1)), and slot access from
+the batch kernels
 (:meth:`~repro.switchsim.registers.RegisterFile.add_block` and friends)
 is index arithmetic on the columns.  Slots are read and written through
 the columns (``pkt.kv.values[0]``); there is no per-slot row object.
@@ -26,7 +32,7 @@ the columns (``pkt.kv.values[0]``); there is no per-slot row object.
 from __future__ import annotations
 
 from array import array
-from typing import Any, Iterable, List, Optional
+from typing import Any, Iterable, List, Optional, Sequence
 
 from .ops import StreamOp, apply_stream_op
 
@@ -38,10 +44,10 @@ class KVBlock:
 
     __slots__ = ("addrs", "values", "mapped_mask", "keys")
 
-    def __init__(self, addrs: Optional[array] = None,
+    def __init__(self, addrs: Optional[Sequence[int]] = None,
                  values: Optional[array] = None,
                  mapped_mask: int = 0,
-                 keys: Optional[List[Any]] = None):
+                 keys: Optional[Sequence[Any]] = None):
         self.addrs = addrs if addrs is not None else array("q")
         self.values = values if values is not None else array("q")
         self.mapped_mask = mapped_mask
@@ -53,13 +59,14 @@ class KVBlock:
     @classmethod
     def from_columns(cls, addrs: Iterable[int], values: Iterable[int],
                      mapped_mask: int = 0,
-                     keys: Optional[List[Any]] = None) -> "KVBlock":
+                     keys: Optional[Sequence[Any]] = None) -> "KVBlock":
         """Build directly from columns (no per-slot object traffic).
 
-        ``mapped_mask`` of ``-1`` selects every slot.  ``keys`` is kept
-        by reference — hand over a fresh list.
+        ``mapped_mask`` of ``-1`` selects every slot.  A ``range`` of
+        addresses is kept as it is; ``keys`` is kept by reference — hand
+        over a fresh list or a range.
         """
-        addr_col = array("q", addrs)
+        addr_col = addrs if type(addrs) is range else array("q", addrs)
         block = cls(addr_col, array("q", values),
                     mapped_mask if mapped_mask >= 0
                     else (1 << len(addr_col)) - 1,

@@ -8,6 +8,12 @@ index ``p // segments``, so a run of 32 consecutive addresses touches
 every segment exactly once (which is what lets a full packet be
 processed in one pipeline pass).
 
+The store follows the same layout: one *row* per register index, a list
+holding that index across every segment.  A linear packet whose address
+column is a row-aligned ``range`` is one row, so its ``Map.addTo`` /
+``Map.get`` / ``Map.clear`` are column operations on one list instead of
+a Python step per slot; every other block walks its slots one by one.
+
 Overflow handling refines §5.2.1: instead of saturating the register
 itself (which destroys the accumulated value), a 1-bit *sticky overflow
 sidecar* is set and the register is left intact.  Reads of a sticky
@@ -18,7 +24,9 @@ remains recoverable by the control plane (see DESIGN.md §4.3).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Tuple
+from array import array
+from operator import add
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.protocol import DEFAULT_FP_CODEC, INT32_MAX, INT32_MIN
 
@@ -65,9 +73,10 @@ class RegisterFile:
         self.registers_per_segment = registers_per_segment
         self.capacity = segments * registers_per_segment
         self.layout = layout or StageLayout(segments=segments)
-        # Sparse storage: zero registers dominate, a dict keeps memory sane
-        # while still modelling the full 32 x 40K address space.
-        self._values: Dict[int, int] = {}
+        # Sparse rows: register ``p`` is ``_rows[p // segments][p %
+        # segments]``.  A row exists once one of its registers was written
+        # and goes away on a whole-row clear; absent rows read as zeros.
+        self._rows: Dict[int, List[int]] = {}
         self._sticky_overflow: set = set()
 
     # ------------------------------------------------------------------
@@ -81,19 +90,33 @@ class RegisterFile:
         self._check(addr)
         return addr % self.segments
 
+    def _get(self, addr: int) -> int:
+        row = self._rows.get(addr // self.segments)
+        return 0 if row is None else row[addr % self.segments]
+
+    def _set(self, addr: int, value: int) -> None:
+        index = addr // self.segments
+        row = self._rows.get(index)
+        if row is None:
+            if not value:
+                return
+            row = self._rows[index] = [0] * self.segments
+        row[addr % self.segments] = value
+
     # ------------------------------------------------------------------
     def read(self, addr: int) -> int:
         """Map.get: returns the sentinel for sticky-overflowed registers."""
         self._check(addr)
         if addr in self._sticky_overflow:
             return INT32_MAX
-        return self._values.get(addr, 0)
+        return self._get(addr)
 
     def read_raw(self, addr: int) -> int:
         """Control-plane read: the exact stored value, ignoring sticky bits."""
         if addr < 0 or addr >= self.capacity:      # CntFwd hot path
             self._check(addr)
-        return self._values.get(addr, 0)
+        row = self._rows.get(addr // self.segments)
+        return 0 if row is None else row[addr % self.segments]
 
     def add(self, addr: int, value: int) -> bool:
         """Map.addTo.  Returns True when the add overflowed.
@@ -102,36 +125,32 @@ class RegisterFile:
         stored value is left unchanged and the sticky bit is set, so the
         packet's contribution must be replayed through the server agent.
         """
-        # Hot path (one call per mapped kv pair per packet): the bounds
-        # check and saturating_add are inlined.
+        # Hot path (CntFwd counters, once per packet): row access inlined.
         if addr < 0 or addr >= self.capacity:
             self._check(addr)
         if addr in self._sticky_overflow:
             return True
-        values = self._values
-        result = values.get(addr, 0) + value
+        index, slot = addr // self.segments, addr % self.segments
+        row = self._rows.get(index)
+        result = (0 if row is None else row[slot]) + value
         if result > INT32_MAX or result < INT32_MIN:
             self._sticky_overflow.add(addr)
             return True
-        if result:
-            values[addr] = result
-        else:
-            values.pop(addr, None)
+        if row is None:
+            row = self._rows[index] = [0] * self.segments
+        row[slot] = result
         return False
 
     def write(self, addr: int, value: int) -> None:
         """Direct write (control plane / test&set reset paths)."""
         self._check(addr)
         self._sticky_overflow.discard(addr)
-        if value:
-            self._values[addr] = value
-        else:
-            self._values.pop(addr, None)
+        self._set(addr, value)
 
     def clear(self, addr: int) -> None:
         """Map.clear: zero the register and reset its sticky bit."""
         self._check(addr)
-        self._values.pop(addr, None)
+        self._set(addr, 0)
         self._sticky_overflow.discard(addr)
 
     def is_sticky(self, addr: int) -> bool:
@@ -153,15 +172,11 @@ class RegisterFile:
             self._check(addr)
         if addr in self._sticky_overflow:
             return True
-        values = self._values
-        result, overflowed = codec.add_bits(values.get(addr, 0), ordered)
+        result, overflowed = codec.add_bits(self._get(addr), ordered)
         if overflowed:
             self._sticky_overflow.add(addr)
             return True
-        if result:
-            values[addr] = result
-        else:
-            values.pop(addr, None)
+        self._set(addr, result)
         return False
 
     def fmax(self, addr: int, ordered: int) -> bool:
@@ -172,14 +187,8 @@ class RegisterFile:
             self._check(addr)
         if addr in self._sticky_overflow:
             return True
-        values = self._values
-        result = values.get(addr, 0)
-        if ordered > result:
-            result = ordered
-            if result:
-                values[addr] = result
-            else:
-                values.pop(addr, None)
+        if ordered > self._get(addr):
+            self._set(addr, ordered)
         return False
 
     # ------------------------------------------------------------------
@@ -193,7 +202,54 @@ class RegisterFile:
     # per-kv ``_local`` test.  Each kernel mirrors the scalar method's
     # semantics bit for bit (see tests/switchsim/test_kvblock_kernels.py
     # for the differential proof).
+    #
+    # Whole-row path: a block whose address column is a ``range`` (dense
+    # linear chunks, see KVBlock) that starts on a row boundary inside
+    # the window and fits in that row, with every slot selected and no
+    # sticky register anywhere, is one list operation on one row.  The
+    # fact rides the column type; addresses are never re-scanned to find
+    # it.  Everything else takes the per-slot ``_*_slots`` loops.
     # ------------------------------------------------------------------
+    def _row_index(self, addrs: range, select: int,
+                   base: int) -> Optional[int]:
+        """Row that ``addrs`` (translated by ``-base``) covers from its
+        first register, or None when the whole-row path does not apply.
+        Callers test ``type(addrs) is range`` first, so that array blocks
+        reach the per-slot loop with no call in between."""
+        if self._sticky_overflow:
+            return None
+        count = len(addrs)
+        segments = self.segments
+        local = addrs.start - base
+        if addrs.step != 1 or not 0 < count <= segments or \
+                select != (1 << count) - 1 or local % segments or \
+                not 0 <= local < self.capacity:
+            return None
+        return local // segments
+
+    def _row_add(self, block, select: int, base: int) -> Optional[List[int]]:
+        """Whole-row ``Map.addTo`` of ``block``: the sums, or None — with
+        nothing written — when the row path does not apply or a sum
+        leaves int32 (the per-slot path then applies the sticky semantics
+        slot by slot)."""
+        index = self._row_index(block.addrs, select, base)
+        if index is None:
+            return None
+        rows = self._rows
+        row = rows.get(index)
+        values = block.values
+        sums = list(values) if row is None else list(map(add, row, values))
+        if max(sums) > INT32_MAX or min(sums) < INT32_MIN:
+            return None
+        count = len(sums)
+        if count == self.segments:
+            rows[index] = sums
+        elif row is None:
+            rows[index] = sums + [0] * (self.segments - count)
+        else:
+            row[:count] = sums
+        return sums
+
     def add_block(self, block, select: int, base: int = 0) -> bool:
         """Batch ``Map.addTo``: one :meth:`add` per selected in-window slot.
 
@@ -202,13 +258,39 @@ class RegisterFile:
         says whether any slot overflowed, so the caller can set the
         packet's ``is_of`` flag.
         """
+        if type(block.addrs) is range and \
+                self._row_add(block, select, base) is not None:
+            return False
+        return self._add_slots(block, select, base, False)
+
+    def add_get_block(self, block, select: int, base: int = 0) -> bool:
+        """Fused ``Map.addTo`` + ``Map.get`` in one pass over the block.
+
+        Only valid when the selected slots carry *distinct* addresses
+        (guaranteed for linear-addressed packets, which use consecutive
+        addresses): with duplicates, the two-pass kernels would return
+        the final register value for every duplicate slot, while a fused
+        pass would return partial sums.  Callers gate on
+        ``pkt.linear_base is not None``.
+        """
+        if type(block.addrs) is range:
+            sums = self._row_add(block, select, base)
+            if sums is not None:
+                block.values[:] = array("q", sums)
+                return False
+        return self._add_slots(block, select, base, True)
+
+    def _add_slots(self, block, select: int, base: int,
+                   readback: bool) -> bool:
+        """Per-slot ``Map.addTo``, writing each sum back when ``readback``."""
         addrs = block.addrs
         slot_values = block.values
-        values = self._values
+        rows = self._rows
+        get_row = rows.get
+        segments = self.segments
         sticky = self._sticky_overflow
         capacity = self.capacity
         overflowed = False
-        get = values.get
         full = select == (1 << len(addrs)) - 1
         for index, addr in enumerate(addrs):
             if full or select >> index & 1:
@@ -221,15 +303,19 @@ class RegisterFile:
                         slot_values[index] = INT32_MAX
                         overflowed = True
                         continue
-                    result = get(local, 0) + slot_values[index]
+                    row = get_row(local // segments)
+                    if row is None:
+                        row = rows[local // segments] = [0] * segments
+                    slot = local % segments
+                    result = row[slot] + slot_values[index]
                     if result > INT32_MAX or result < INT32_MIN:
                         sticky.add(local)
                         slot_values[index] = INT32_MAX
                         overflowed = True
-                    elif result:
-                        values[local] = result
                     else:
-                        values.pop(local, None)
+                        row[slot] = result
+                        if readback:
+                            slot_values[index] = result
         return overflowed
 
     def get_block(self, block, select: int, base: int = 0) -> bool:
@@ -238,13 +324,24 @@ class RegisterFile:
         Sticky registers read as ``INT32_MAX``; returns whether any slot
         was sticky (the packet-level overflow signal).
         """
+        index = None if type(block.addrs) is not range else \
+            self._row_index(block.addrs, select, base)
+        if index is None:
+            return self._get_slots(block, select, base)
+        row = self._rows.get(index)
+        count = len(block.values)
+        block.values[:] = array("q", [0] * count if row is None
+                                else row[:count])
+        return False
+
+    def _get_slots(self, block, select: int, base: int) -> bool:
         addrs = block.addrs
         slot_values = block.values
-        values = self._values
+        get_row = self._rows.get
+        segments = self.segments
         sticky = self._sticky_overflow
         capacity = self.capacity
         overflowed = False
-        get = values.get
         full = select == (1 << len(addrs)) - 1
         for index, addr in enumerate(addrs):
             if full or select >> index & 1:
@@ -254,64 +351,9 @@ class RegisterFile:
                         slot_values[index] = INT32_MAX
                         overflowed = True
                     else:
-                        slot_values[index] = get(local, 0)
-        return overflowed
-
-    def add_get_block(self, block, select: int, base: int = 0) -> bool:
-        """Fused ``Map.addTo`` + ``Map.get`` in one pass over the block.
-
-        Only valid when the selected slots carry *distinct* addresses
-        (guaranteed for linear-addressed packets, which use consecutive
-        addresses): with duplicates, the two-pass kernels would return
-        the final register value for every duplicate slot, while a fused
-        pass would return partial sums.  Callers gate on
-        ``pkt.linear_base is not None``.
-        """
-        addrs = block.addrs
-        slot_values = block.values
-        values = self._values
-        sticky = self._sticky_overflow
-        capacity = self.capacity
-        overflowed = False
-        get = values.get
-        if not sticky and select == (1 << len(addrs)) - 1:
-            # Fast path for the steady state of a full linear packet:
-            # every slot selected, no sticky registers anywhere — the
-            # per-slot mask test and sticky membership test drop out.
-            for index, addr in enumerate(addrs):
-                local = addr - base
-                if 0 <= local < capacity:
-                    result = get(local, 0) + slot_values[index]
-                    if result > INT32_MAX or result < INT32_MIN:
-                        sticky.add(local)
-                        slot_values[index] = INT32_MAX
-                        overflowed = True
-                    elif result:
-                        values[local] = result
-                        slot_values[index] = result
-                    else:
-                        values.pop(local, None)
-                        slot_values[index] = 0
-            return overflowed
-        for index, addr in enumerate(addrs):
-            if select >> index & 1:
-                local = addr - base
-                if 0 <= local < capacity:
-                    if local in sticky:
-                        slot_values[index] = INT32_MAX
-                        overflowed = True
-                        continue
-                    result = get(local, 0) + slot_values[index]
-                    if result > INT32_MAX or result < INT32_MIN:
-                        sticky.add(local)
-                        slot_values[index] = INT32_MAX
-                        overflowed = True
-                    elif result:
-                        values[local] = result
-                        slot_values[index] = result
-                    else:
-                        values.pop(local, None)
-                        slot_values[index] = 0
+                        row = get_row(local // segments)
+                        slot_values[index] = \
+                            0 if row is None else row[local % segments]
         return overflowed
 
     def fadd_block(self, block, select: int, base: int = 0,
@@ -324,11 +366,10 @@ class RegisterFile:
         """
         addrs = block.addrs
         slot_values = block.values
-        values = self._values
         sticky = self._sticky_overflow
         capacity = self.capacity
         overflowed = False
-        get = values.get
+        get, put = self._get, self._set
         add_bits = codec.add_bits
         full = select == (1 << len(addrs)) - 1
         for index, addr in enumerate(addrs):
@@ -339,16 +380,14 @@ class RegisterFile:
                         slot_values[index] = INT32_MAX
                         overflowed = True
                         continue
-                    result, slot_of = add_bits(get(local, 0),
+                    result, slot_of = add_bits(get(local),
                                                slot_values[index])
                     if slot_of:
                         sticky.add(local)
                         slot_values[index] = INT32_MAX
                         overflowed = True
-                    elif result:
-                        values[local] = result
                     else:
-                        values.pop(local, None)
+                        put(local, result)
         return overflowed
 
     def fmax_block(self, block, select: int, base: int = 0) -> bool:
@@ -359,11 +398,10 @@ class RegisterFile:
         """
         addrs = block.addrs
         slot_values = block.values
-        values = self._values
         sticky = self._sticky_overflow
         capacity = self.capacity
         overflowed = False
-        get = values.get
+        get, put = self._get, self._set
         full = select == (1 << len(addrs)) - 1
         for index, addr in enumerate(addrs):
             if full or select >> index & 1:
@@ -374,12 +412,8 @@ class RegisterFile:
                         overflowed = True
                         continue
                     ordered = slot_values[index]
-                    current = get(local, 0)
-                    if ordered > current:
-                        if ordered:
-                            values[local] = ordered
-                        else:
-                            values.pop(local, None)
+                    if ordered > get(local):
+                        put(local, ordered)
         return overflowed
 
     def clear_block(self, addrs: Iterable[int], select: int = -1,
@@ -390,48 +424,57 @@ class RegisterFile:
         are skipped silently — the pipeline's return path and shadow
         clear both tolerate pairs owned by the other switch in a chain.
         """
-        values = self._values
-        sticky = self._sticky_overflow
+        if select == -1:
+            select = (1 << len(addrs)) - 1
+        index = None if type(addrs) is not range else \
+            self._row_index(addrs, select, -offset)
+        if index is None:
+            self._clear_slots(addrs, select, offset)
+        elif len(addrs) == self.segments:
+            self._rows.pop(index, None)
+        elif index in self._rows:
+            self._rows[index][:len(addrs)] = [0] * len(addrs)
+
+    def _clear_slots(self, addrs: Iterable[int], select: int,
+                     offset: int) -> None:
+        get_row = self._rows.get
+        segments = self.segments
+        discard = self._sticky_overflow.discard
         capacity = self.capacity
-        pop = values.pop
-        discard = sticky.discard
-        if select == -1 or select == (1 << len(addrs)) - 1:
-            for addr in addrs:
-                local = addr + offset
-                if 0 <= local < capacity:
-                    pop(local, None)
-                    discard(local)
-            return
+        full = select == (1 << len(addrs)) - 1
         for index, addr in enumerate(addrs):
-            if select >> index & 1:
+            if full or select >> index & 1:
                 local = addr + offset
                 if 0 <= local < capacity:
-                    pop(local, None)
+                    row = get_row(local // segments)
+                    if row is not None:
+                        row[local % segments] = 0
                     discard(local)
 
     # ------------------------------------------------------------------
     def read_and_clear(self, addrs: Iterable[int]) -> List[Tuple[int, int, bool]]:
         """Control-plane eviction: (addr, exact value, was_sticky) triples."""
         out = []
-        values = self._values
         sticky = self._sticky_overflow
         addr_list = list(addrs)
         for addr in addr_list:
             self._check(addr)
-            out.append((addr, values.get(addr, 0), addr in sticky))
+            out.append((addr, self._get(addr), addr in sticky))
         self.clear_block(addr_list)
         return out
 
     @property
     def occupied(self) -> int:
         """Number of non-zero registers (diagnostic)."""
-        return len(self._values)
+        return sum(len(row) - row.count(0) for row in self._rows.values())
 
     def occupied_addrs(self) -> List[int]:
         """Addresses of all non-zero registers (diagnostic snapshot)."""
-        return sorted(self._values)
+        segments = self.segments
+        return [index * segments + slot for index in sorted(self._rows)
+                for slot, value in enumerate(self._rows[index]) if value]
 
     def power_cycle(self) -> None:
         """Reboot: register memory and sticky bits are volatile SRAM."""
-        self._values.clear()
+        self._rows.clear()
         self._sticky_overflow.clear()

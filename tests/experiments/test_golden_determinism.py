@@ -15,16 +15,20 @@ import json
 import struct
 
 from repro.apps import PaxosCluster
+from repro.apps.training import GRAD_PROTO, gradient_filter
 from repro.control import build_rack
+from repro.core import Channel, NetRPCService, register_service
 from repro.experiments.common import (async_programs, run_chaos_sync_round,
                                       run_sync_aggregation)
 from repro.inc import Task
 from repro.netsim import ChaosSchedule, scaled
+from repro.switchsim import RegisterFile
 from repro.workloads import ZipfGenerator
 
 from ..callcount import count_calls
 from ..core.test_dense_column import (all_reduce, random_tensors,
                                       stub_deployment)
+from ..switchsim.test_kvblock_kernels import SLOT_KERNELS
 
 # Golden values captured on the pre-optimization simulator (and
 # verified unchanged after the overhaul): 2 clients x 4096 values,
@@ -240,6 +244,49 @@ def test_dense_sync_matches_golden_snapshot():
     for (_w, r), tensor in replies.items():
         for got, a, b in zip(tensor, grads[0][r], grads[1][r]):
             assert abs(got - (a + b)) <= 1e-6 + 1e-12
+
+
+# The register file stores whole rows, and a dense chunk's address column
+# is a range: every packet of the run above starts on a row boundary (the
+# region starts at 0, chunks at multiples of 32), so with the per-slot
+# kernels refused outright the run must still reproduce the pin.
+def test_every_dense_packet_takes_the_whole_row_path(monkeypatch):
+    def refuse(*_args):
+        raise AssertionError("a dense packet took the per-slot path")
+
+    for name in SLOT_KERNELS:
+        monkeypatch.setattr(RegisterFile, name, refuse)
+    run, _grads, _replies = _run_dense_once()
+    assert run == GOLDEN_DENSE
+
+
+def test_dense_region_off_a_row_boundary_walks_the_slots(monkeypatch):
+    # A 65-slot application registered first pushes the gradient
+    # region's base to 65: no chunk starts on a row, so every packet
+    # falls back to the per-slot kernels — with the same replies.
+    _run, _grads, aligned = _run_dense_once()
+    walked = []
+
+    def counting(self, *args, _real=RegisterFile._add_slots):
+        walked.append(args[0].addrs)
+        return _real(self, *args)
+
+    monkeypatch.setattr(RegisterFile, "_add_slots", counting)
+    dep = build_rack(2, 1, seed=7)
+    dep.controller.register(async_programs("PAD"), server="s0",
+                            clients=dep.client_names, value_slots=65)
+    service = NetRPCService.from_text(
+        GRAD_PROTO, "GradientService",
+        {"agtr.nf": gradient_filter(2, precision=6)})
+    reg = register_service(dep, service, server="s0",
+                           clients=dep.client_names, value_slots=4096,
+                           counter_slots=512)
+    assert reg.config("Update").value_region.base == 65
+    stubs = [Channel(reg, name).stub() for name in dep.client_names]
+    out = all_reduce(dep, reg, stubs, random_tensors(2, 3, 1000, seed=7))
+    assert {key: tensor for key, (tensor, _info) in out.items()} == aligned
+    assert len(walked) == 2 * 3 * 32              # every data packet
+    assert all(type(addrs) is range for addrs in walked)
 
 
 # --- one-pair RPCs through the stubs (the Agreement application) ---------

@@ -47,7 +47,7 @@ def _describe(pkt):
     block = pkt.kv
     return (pkt.gaid, pkt.src, pkt.dst, pkt.task_id, pkt.round, pkt.offset,
             pkt.task_total, list(block.addrs), list(block.values),
-            block.keys, block.mapped_mask, pkt.bitmap, pkt.linear_base,
+            list(block.keys), block.mapped_mask, pkt.bitmap, pkt.linear_base,
             pkt.shadow_offset, pkt.is_cnf, pkt.cnt_index, pkt.is_cross,
             pkt.is_of, pkt.payload, pkt.payload_bytes)
 

@@ -3,9 +3,10 @@
 Mirrors the scalar-vs-kernel structure of ``test_kvblock_kernels.py``:
 Hypothesis drives the batch kernels (``fadd_block`` / ``fmax_block``)
 and a scalar per-slot reference loop with the same random program
-(slots, selection bitmap, phys-base window, pre-existing register state
-including sticky bits) — final register state, payload mutations, and
-overflow flags must agree bit for bit.
+(slots — scattered, or a consecutive run carried as a ``range`` address
+column — selection bitmap, phys-base window, pre-existing register
+state including sticky bits) — final register state, payload
+mutations, and overflow flags must agree bit for bit.
 
 On top of that, the *arithmetic* itself is differentially verified
 against the IEEE float64 reference: table-accumulated sums must stay
@@ -31,6 +32,8 @@ from repro.protocol import (
     KVBlock,
 )
 from repro.switchsim import RegisterFile
+
+from .test_kvblock_kernels import make_sticky, state
 
 pytestmark = pytest.mark.fpinc
 
@@ -58,7 +61,14 @@ tensor_st = st.lists(floats_st, min_size=1, max_size=24)
 
 ordered_st = st.builds(lambda v: C.encode(v)[0], floats_st)
 addr_st = st.integers(min_value=0, max_value=CAPACITY + 15)
-slots_st = st.lists(st.tuples(addr_st, ordered_st), min_size=1, max_size=8)
+# Scattered slots, or a run of consecutive addresses (a dense linear
+# chunk's row) that the block carries as a ``range`` column.
+slots_st = st.one_of(
+    st.lists(st.tuples(addr_st, ordered_st), min_size=1, max_size=8),
+    st.builds(lambda start, values: list(zip(range(start, start + 8),
+                                             values)),
+              st.sampled_from([0, 4, 5, CAPACITY - 4, CAPACITY + 4]),
+              st.lists(ordered_st, min_size=1, max_size=8)))
 base_st = st.sampled_from([-8, 0, 8, CAPACITY + 8])
 select_st = st.integers(min_value=0, max_value=255)
 pre_values_st = st.dictionaries(
@@ -69,6 +79,14 @@ pre_sticky_st = st.sets(st.integers(min_value=0, max_value=CAPACITY - 1),
                         max_size=3)
 
 
+def slot_block(slots):
+    """KVBlock of ``slots``; consecutive addresses become a range."""
+    addrs = [addr for addr, _ in slots]
+    if addrs == list(range(addrs[0], addrs[0] + len(addrs))):
+        addrs = range(addrs[0], addrs[0] + len(addrs))
+    return KVBlock.from_columns(addrs, [value for _, value in slots])
+
+
 def seeded_registers(pre_values, pre_sticky):
     """Two identical register files with the given starting state."""
     out = []
@@ -77,15 +95,10 @@ def seeded_registers(pre_values, pre_sticky):
                             registers_per_segment=REGS_PER_SEGMENT)
         for addr, value in pre_values.items():
             regs.write(addr, value)
-        # Test scaffolding: sticky bits with arbitrary preserved values
-        # are not constructible through single public calls.
-        regs._sticky_overflow.update(pre_sticky)
+        for addr in sorted(pre_sticky):
+            make_sticky(regs, addr)
         out.append(regs)
     return out
-
-
-def state(regs):
-    return dict(regs._values), set(regs._sticky_overflow)
 
 
 # ----------------------------------------------------------------------
@@ -124,8 +137,7 @@ def scalar_fmax(regs, slots, select, base):
 def test_fadd_block_matches_scalar_fadd(slots, select, base, pre_values,
                                         pre_sticky):
     kernel_regs, ref_regs = seeded_registers(pre_values, pre_sticky)
-    block = KVBlock.from_columns([addr for addr, _ in slots],
-                                 [value for _, value in slots])
+    block = slot_block(slots)
     ref_slots = list(slots)
 
     kernel_of = kernel_regs.fadd_block(block, select, base)
@@ -142,8 +154,7 @@ def test_fadd_block_matches_scalar_fadd(slots, select, base, pre_values,
 def test_fmax_block_matches_scalar_fmax(slots, select, base, pre_values,
                                         pre_sticky):
     kernel_regs, ref_regs = seeded_registers(pre_values, pre_sticky)
-    block = KVBlock.from_columns([addr for addr, _ in slots],
-                                 [value for _, value in slots])
+    block = slot_block(slots)
     ref_slots = list(slots)
 
     kernel_of = kernel_regs.fmax_block(block, select, base)

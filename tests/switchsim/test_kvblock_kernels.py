@@ -15,9 +15,18 @@ Covered corners, per the scalar contract:
 * reads of sticky registers returning the ``INT32_MAX`` sentinel;
 * bitmap subsets (unselected slots untouched);
 * out-of-window addresses under a non-zero phys base (skipped silently);
-* zero-result adds evicting the register from the sparse store;
+* zero-result adds leaving the register zero and out of ``occupied``;
 * ``add_get_block`` equivalence to ``add_block`` + ``get_block`` for
-  distinct addresses (the linear-packet precondition it is gated on).
+  distinct addresses (the linear-packet precondition it is gated on);
+* whole-row blocks — a ``range`` address column, as dense linear chunks
+  carry — at aligned and unaligned starts, in and out of window, with
+  sticky registers present and sums past either int32 bound, under 4
+  and 32 segments: the same results as the scalar reference, and the
+  row path taken exactly when its preconditions hold; an ``array`` of
+  the same row's addresses in permuted order walks the slots.
+
+Register state is read through the public API only (``occupied_addrs``,
+``read_raw``, ``is_sticky``), so the proof holds for any storage layout.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -51,23 +60,34 @@ pre_sticky_st = st.sets(st.integers(min_value=0, max_value=CAPACITY - 1),
                         max_size=3)
 
 
-def seeded_registers(pre_values, pre_sticky):
+def make_sticky(regs, addr):
+    """Set ``addr``'s sticky bit, keeping its stored value: the one add
+    that lands just past the int32 bound on its side of zero."""
+    value = regs.read_raw(addr)
+    delta = INT32_MAX + 1 - value if value >= 0 else INT32_MIN - 1 - value
+    assert regs.add(addr, delta) and regs.read_raw(addr) == value
+
+
+def seeded_registers(pre_values, pre_sticky, segments=SEGMENTS,
+                     registers_per_segment=REGS_PER_SEGMENT):
     """Two identical register files with the given starting state."""
     out = []
     for _ in range(2):
-        regs = RegisterFile(segments=SEGMENTS,
-                            registers_per_segment=REGS_PER_SEGMENT)
+        regs = RegisterFile(segments=segments,
+                            registers_per_segment=registers_per_segment)
         for addr, value in pre_values.items():
             regs.write(addr, value)
-        # Test scaffolding: sticky bits with arbitrary preserved values
-        # are not constructible through single public calls.
-        regs._sticky_overflow.update(pre_sticky)
+        for addr in sorted(pre_sticky):
+            make_sticky(regs, addr)
         out.append(regs)
     return out
 
 
 def state(regs):
-    return dict(regs._values), set(regs._sticky_overflow)
+    """Register contents through the public API only: the non-zero
+    registers with their exact values, and the sticky addresses."""
+    return ({addr: regs.read_raw(addr) for addr in regs.occupied_addrs()},
+            {addr for addr in range(regs.capacity) if regs.is_sticky(addr)})
 
 
 # ----------------------------------------------------------------------
@@ -235,3 +255,195 @@ def test_read_and_clear_still_raises_per_address():
     assert regs.read_raw(3) == 42
     assert regs.read_and_clear([3]) == [(3, 42, False)]
     assert regs.occupied == 0
+
+
+# ----------------------------------------------------------------------
+# Whole-row blocks: range address columns against the scalar reference.
+# ----------------------------------------------------------------------
+GEOMETRIES = [(4, 8), (32, 4)]       # (segments, registers per segment)
+SLOT_KERNELS = ("_add_slots", "_get_slots", "_clear_slots")
+
+
+def spy_slot_paths(regs):
+    """Count the per-slot fallbacks ``regs`` takes from here on."""
+    calls = []
+    for name in SLOT_KERNELS:
+        method = getattr(regs, name)
+
+        def spy(*args, _method=method, _name=name):
+            calls.append(_name)
+            return _method(*args)
+        setattr(regs, name, spy)
+    return calls
+
+
+@st.composite
+def row_programs(draw):
+    segments, per_segment = draw(st.sampled_from(GEOMETRIES))
+    capacity = segments * per_segment
+    base = draw(st.sampled_from([-segments, 0, 8, capacity + 8]))
+    # Mostly in-window aligned rows; one row either side of the window
+    # and off-boundary starts for the rest.
+    row = draw(st.one_of(st.integers(0, per_segment - 1),
+                         st.sampled_from([-1, per_segment])))
+    shift = draw(st.sampled_from([0, 0, 0, 1, segments - 1]))
+    count = draw(st.one_of(st.just(segments),
+                           st.integers(min_value=1, max_value=segments)))
+    start = base + row * segments + shift
+    values = draw(st.lists(values_st, min_size=count, max_size=count))
+    full = (1 << count) - 1
+    select = full if draw(st.sampled_from([True, True, True, False])) \
+        else draw(st.integers(0, full))
+    pre_value_st = st.one_of(
+        st.integers(min_value=-100, max_value=100).filter(bool),
+        st.sampled_from([INT32_MAX, INT32_MIN]))
+    pre_values = draw(st.dictionaries(
+        st.integers(min_value=0, max_value=capacity - 1), pre_value_st,
+        max_size=6))
+    # Registers under the block itself, so that sums cross int32.
+    local = start - base
+    pre_values.update(
+        (local + slot, value) for slot, value in draw(st.dictionaries(
+            st.integers(0, count - 1), pre_value_st, max_size=4)).items()
+        if 0 <= local + slot < capacity)
+    pre_sticky = set() if draw(st.sampled_from([True, True, False])) \
+        else draw(st.sets(st.integers(0, capacity - 1), min_size=1,
+                          max_size=2))
+    return (segments, per_segment, base, range(start, start + count),
+            values, select, pre_values, pre_sticky)
+
+
+def takes_row_path(regs, addrs, select, base, values=None):
+    """The whole-row preconditions, spelled out independently."""
+    local = addrs.start - base
+    if local % regs.segments or not 0 <= local < regs.capacity or \
+            len(addrs) > regs.segments or \
+            select != (1 << len(addrs)) - 1 or \
+            any(regs.is_sticky(a) for a in range(regs.capacity)):
+        return False
+    return values is None or all(
+        INT32_MIN <= regs.read_raw(addr - base) + value <= INT32_MAX
+        for addr, value in zip(addrs, values))
+
+
+@settings(max_examples=300, deadline=None)
+@given(program=row_programs(),
+       kernel=st.sampled_from(["add", "get", "add_get", "clear"]))
+def test_range_blocks_match_scalar_reference(program, kernel):
+    segments, per_segment, base, addrs, values, select, pre_values, \
+        pre_sticky = program
+    kernel_regs, ref_regs = seeded_registers(pre_values, pre_sticky,
+                                             segments, per_segment)
+    block = KVBlock.from_columns(addrs, values)
+    assert block.addrs is addrs                  # the fact rides the type
+    ref_values = list(values)
+    row_path = takes_row_path(kernel_regs, addrs, select, base,
+                              values if kernel in ("add", "add_get")
+                              else None)
+    calls = spy_slot_paths(kernel_regs)
+
+    if kernel == "clear":
+        kernel_regs.clear_block(addrs, select, -base)
+        scalar_clear(ref_regs, list(addrs), select, -base)
+        kernel_of = ref_of = False
+    elif kernel == "add":
+        kernel_of = kernel_regs.add_block(block, select, base)
+        ref_of = scalar_add(ref_regs, list(addrs), ref_values, select, base)
+    elif kernel == "get":
+        kernel_of = kernel_regs.get_block(block, select, base)
+        ref_of = scalar_get(ref_regs, list(addrs), ref_values, select, base)
+    else:
+        kernel_of = kernel_regs.add_get_block(block, select, base)
+        ref_of = scalar_add(ref_regs, list(addrs), ref_values, select, base)
+        ref_of = scalar_get(ref_regs, list(addrs), ref_values, select,
+                            base) or ref_of
+
+    assert kernel_of == ref_of
+    assert block.values_list() == ref_values
+    assert state(kernel_regs) == state(ref_regs)
+    assert kernel_regs.occupied == ref_regs.occupied
+    if row_path:
+        assert calls == []
+    else:
+        assert len(calls) == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(geometry=st.sampled_from(GEOMETRIES), data=st.data())
+def test_permuted_row_in_an_array_walks_the_slots(geometry, data):
+    # The same addresses as a whole aligned row, out of order and in an
+    # array: not a range, so the per-slot kernels run — and still agree
+    # with the scalar reference.
+    segments, per_segment = geometry
+    row = data.draw(st.integers(0, per_segment - 1))
+    addrs = data.draw(st.permutations(
+        range(row * segments, (row + 1) * segments)))
+    values = data.draw(st.lists(values_st, min_size=segments,
+                                max_size=segments))
+    kernel_regs, ref_regs = seeded_registers({}, set(), segments,
+                                             per_segment)
+    block = KVBlock.from_columns(addrs, values)
+    calls = spy_slot_paths(kernel_regs)
+    full = (1 << segments) - 1
+    ref_values = list(values)
+    kernel_of = kernel_regs.add_get_block(block, full)
+    ref_of = scalar_add(ref_regs, addrs, ref_values, full, 0)
+    ref_of = scalar_get(ref_regs, addrs, ref_values, full, 0) or ref_of
+    assert kernel_of == ref_of
+    assert block.values_list() == ref_values
+    assert state(kernel_regs) == state(ref_regs)
+    kernel_regs.clear_block(block.addrs)
+    assert calls == ["_add_slots", "_clear_slots"]
+    assert kernel_regs.occupied == 0
+
+
+def test_overflowing_row_falls_back_to_per_slot_sticky_semantics():
+    kernel_regs, ref_regs = seeded_registers({5: INT32_MAX, 6: 3}, set())
+    block = KVBlock.from_columns(range(4, 8), [1, 1, 1, 1])
+    ref_values = [1, 1, 1, 1]
+    assert kernel_regs.add_get_block(block, 0b1111)
+    scalar_add(ref_regs, list(range(4, 8)), ref_values, 0b1111, 0)
+    scalar_get(ref_regs, list(range(4, 8)), ref_values, 0b1111, 0)
+    assert block.values_list() == ref_values == [1, INT32_MAX, 4, 1]
+    assert state(kernel_regs) == state(ref_regs)
+    assert kernel_regs.read_raw(5) == INT32_MAX and kernel_regs.is_sticky(5)
+
+
+def test_row_diagnostics_count_nonzero_registers_only():
+    regs = RegisterFile(segments=SEGMENTS,
+                        registers_per_segment=REGS_PER_SEGMENT)
+    block = KVBlock.from_columns(range(4, 8), [3, 0, -2, 0])
+    assert not regs.add_get_block(block, 0b1111)
+    assert block.values_list() == [3, 0, -2, 0]
+    assert regs.occupied == 2
+    assert regs.occupied_addrs() == [4, 6]
+    # A partial row from its first register; the rest stays as it was.
+    regs.add_block(KVBlock.from_columns(range(4, 6), [1, 9]), 0b11)
+    assert regs.occupied_addrs() == [4, 5, 6]
+    assert [regs.read(a) for a in range(4, 8)] == [4, 9, -2, 0]
+    probe = KVBlock.from_columns(range(4, 7), [7, 7, 7])
+    assert not regs.get_block(probe, 0b111)
+    assert probe.values_list() == [4, 9, -2]
+    # Cleared registers inside a live row leave the count.
+    regs.clear_block(range(4, 6))
+    assert regs.occupied_addrs() == [6]
+    # read_and_clear reports exact values and drops them.
+    regs.write(12, 5)
+    assert regs.read_and_clear(range(4, 8)) == \
+        [(4, 0, False), (5, 0, False), (6, -2, False), (7, 0, False)]
+    assert regs.occupied_addrs() == [12]
+    regs.clear_block(range(12, 16))               # a whole row goes
+    assert regs.occupied == 0 and regs.occupied_addrs() == []
+
+
+def test_power_cycle_forgets_rows_and_sticky_bits():
+    regs = RegisterFile(segments=SEGMENTS,
+                        registers_per_segment=REGS_PER_SEGMENT)
+    regs.add_get_block(KVBlock.from_columns(range(8, 12), [1, 2, 3, 4]),
+                       0b1111)
+    regs.write(30, 7)
+    make_sticky(regs, 30)
+    assert regs.occupied == 5 and regs.is_sticky(30)
+    regs.power_cycle()
+    assert regs.occupied == 0 and not regs.is_sticky(30)
+    assert [regs.read(a) for a in (8, 11, 30)] == [0, 0, 0]

@@ -43,10 +43,21 @@ measurement.  What does not depend on the machine or the profiler is the
 per RPC where the workload counts them) and per ``repro.<package>`` —
 the harness's ``<layer>.calls``, the figure the call-count pins in
 ``tests/`` bound — then the ten functions called most, per op and per
-RPC: the ledger a call budget is written in.  The last line reports the
-cyclic garbage collector over the unprofiled iteration — collections per
-generation and seconds paused (``gc.callbacks``) — the cost of
-allocating container objects per value, which no profile row shows.
+RPC: the ledger a call budget is written in.  Then the cyclic garbage
+collector over the unprofiled iteration — collections per generation and
+seconds paused (``gc.callbacks``) — the cost of allocating container
+objects per value, which no profile row shows.  Last comes one more
+unprofiled iteration under a stack sampler on the stdlib ``ITIMER_PROF``
+timer: every 0.5 ms of process CPU time (or every kernel tick, if that
+is coarser) the sample goes to the Python function running (a C
+builtin's time lands on its Python caller, as in the harness's layer
+split), and the tool prints raw self-time shares per
+``repro.<package>`` and for the top functions, with the sample count,
+their spacing and the sampler's own cost.  These are the shares to rank by:
+cProfile taxes every call, so it under-ranks code that does its work in
+few calls (the per-slot ``RegisterFile.add_get_block`` read 9 % of
+``train_sync`` under cProfile and 14.5 % raw) and over-ranks code made
+of many small ones.
 """
 
 from __future__ import annotations
@@ -57,9 +68,11 @@ import gc
 import importlib
 import json
 import pstats
+import signal
 import sys
+from collections import Counter
 from pathlib import Path
-from time import perf_counter
+from time import perf_counter, process_time
 
 
 def _print_scheduler_stats(sims: list) -> None:
@@ -254,6 +267,73 @@ class _GcMeter:
         gc.callbacks.remove(self)
 
 
+def _where(filename: str) -> str:
+    """``package/module.py`` under ``src/repro/``, else the bare name."""
+    at = filename.replace("\\", "/").rfind("/src/repro/")
+    return filename[at + 5:] if at >= 0 else Path(filename).name
+
+
+class _RawSampler:
+    """Raw self time by sampling: ``SIGPROF`` every ``interval_s`` of CPU.
+
+    The handler runs between two bytecodes of the frame that was
+    executing, so each sample names the Python function whose own code —
+    or whose C builtin — held the CPU, with no per-call tax.  The
+    handler times itself (``overhead_s``).
+    """
+
+    def __init__(self, interval_s: float = 0.0005):
+        self.interval_s = interval_s
+        self.samples: Counter = Counter()      # code object -> samples
+        self.overhead_s = 0.0
+        self.cpu_s = 0.0
+
+    def _sample(self, _signum, frame) -> None:
+        start = perf_counter()
+        if frame is not None:
+            self.samples[frame.f_code] += 1
+        self.overhead_s += perf_counter() - start
+
+    def __enter__(self) -> "_RawSampler":
+        self._previous = signal.signal(signal.SIGPROF, self._sample)
+        signal.setitimer(signal.ITIMER_PROF, self.interval_s,
+                         self.interval_s)
+        self.cpu_s = -process_time()
+        return self
+
+    def __exit__(self, *_exc) -> None:
+        self.cpu_s += process_time()
+        signal.setitimer(signal.ITIMER_PROF, 0.0)
+        signal.signal(signal.SIGPROF, self._previous)
+
+
+def _print_raw_shares(sampler: _RawSampler, wall: float, layer_of,
+                      top: int = 10) -> None:
+    """Per-package and top-function shares of the sampled self time."""
+    total = sum(sampler.samples.values())
+    # The kernel may coarsen the interval to its tick: report the spacing
+    # the samples actually had.
+    spacing = sampler.cpu_s / total * 1e3 if total else 0.0
+    print(f"raw self time (ITIMER_PROF sampler, unprofiled iteration, "
+          f"{wall:.2f} s wall): {total:,} samples, one per {spacing:.1f} "
+          f"ms CPU; sampler overhead "
+          f"{sampler.overhead_s / wall if wall > 0 else 0.0:.2%}")
+    if not total:
+        return
+    layers: Counter = Counter()
+    functions: Counter = Counter()
+    for code, count in sampler.samples.items():
+        layers[layer_of(code.co_filename)] += count
+        functions[(code.co_filename, code.co_firstlineno,
+                   code.co_name)] += count
+    for layer, count in layers.most_common():
+        name = "other" if layer == "other" else f"repro.{layer}"
+        print(f"  {name:<15} : {count / total:6.1%}")
+    print(f"top {top} functions by raw self time:")
+    for (filename, line, name), count in functions.most_common(top):
+        print(f"  {count / total:6.1%}  {_where(filename)}:{line}({name})")
+
+
 def _per(calls: int, ops: int, rpcs: int) -> str:
     text = f"{calls / ops:,.1f}/op"
     return text + (f", {calls / rpcs:,.1f}/RPC" if rpcs else "")
@@ -287,10 +367,8 @@ def _print_top_calls(stats: dict, ops: int, rpcs: int, top: int = 10) -> None:
                    if func[0] != "~"), reverse=True)[:top]
     print(f"top {top} Python functions by calls:")
     for calls, (filename, line, name) in rows:
-        at = filename.replace("\\", "/").rfind("/src/repro/")
-        where = filename[at + 5:] if at >= 0 else Path(filename).name
         print(f"  {calls:>9,} ({_per(calls, ops, rpcs)})  "
-              f"{where}:{line}({name})")
+              f"{_where(filename)}:{line}({name})")
 
 
 def profile_e2e(args) -> int:
@@ -304,7 +382,7 @@ def profile_e2e(args) -> int:
     """
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent
                            / "benchmarks" / "e2e"))
-    from layers import attribute
+    from layers import attribute, layer_of
     from workloads import WORKLOADS
 
     if args.e2e not in WORKLOADS:
@@ -346,6 +424,12 @@ def profile_e2e(args) -> int:
           f"{collector.paused_s:.3f} s paused "
           f"({collector.paused_s / warm_wall if warm_wall > 0 else 0.0:.1%}"
           f" of the run)")
+    if hasattr(signal, "setitimer"):
+        ctx = workload.setup(args.seed)
+        start = perf_counter()
+        with _RawSampler() as sampler:
+            workload.run(ctx, inputs)
+        _print_raw_shares(sampler, perf_counter() - start, layer_of)
     if args.dump:
         stats.dump_stats(args.dump)
         print(f"raw stats written to {args.dump}")
