@@ -145,17 +145,13 @@ class ClientStub:
                     expect_result=plan.expect_result,
                     payload=payload, payload_bytes=payload_bytes,
                     indexed=plan.indexed)
-        inner = self._agent.submit(task)
-        outer = Event(self._sim)
-        inner.add_callback(partial(self._finish, plan, stream_len, outer))
-        return outer
+        # The agent's own event is the call's: it succeeds with what
+        # _finish makes of the task result.
+        return self._agent.submit(task,
+                                  partial(self._finish, plan, stream_len))
 
-    def _finish(self, plan: _CallPlan, stream_len: int, outer: Event,
-                event: Event) -> None:
-        if not event._ok:  # pragma: no cover - defensive
-            outer.fail(event.value)
-            return
-        result: TaskResult = event.value
+    def _finish(self, plan: _CallPlan, stream_len: int,
+                result: TaskResult) -> Tuple[Message, CallInfo]:
         binding = plan.binding
         reply = binding.reply()
         if isinstance(result.payload, tuple) and result.payload and \
@@ -172,7 +168,7 @@ class ClientStub:
                     kind, result.values, plan.codec,
                     length=stream_len if kind.is_array else 0)
             setattr(reply, binding.result_field.name, value)
-        outer.succeed((reply, CallInfo(result)))
+        return reply, CallInfo(result)
 
     # ------------------------------------------------------------------
     def call(self, method_name: str, request: Message,

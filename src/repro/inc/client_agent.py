@@ -19,7 +19,7 @@ The client agent sits between the RPC layer and the network.  It:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.netsim import Calibration, DEFAULT_CALIBRATION, Host, Simulator
 from repro.netsim.events import Event
@@ -45,18 +45,20 @@ _MISS = object()   # sentinel: key absent from the logical-address memo
 class _ChunkState:
     """One in-flight chunk (<= 32 kv pairs) of a task.
 
-    ``items`` is what the chunk sent: ``(key, value)`` rows, or for a
-    chunk of a dense linear task the bare value slice (slot ``i`` is
-    array index ``offset + i``).
+    ``keys`` and ``values`` are the columns the chunk sent, the very
+    sequences its packet's block was built from: application keys, or
+    for a linear task the array indices (a ``range`` for a dense chunk).
     """
 
-    __slots__ = ("offset", "items", "resolved", "overflowed", "mapped",
-                 "awaiting_result")
+    __slots__ = ("offset", "keys", "values", "resolved", "overflowed",
+                 "mapped", "awaiting_result")
 
-    def __init__(self, offset: int, items: list,
-                 mapped: bool, awaiting_result: bool):
+    def __init__(self, offset: int, keys: Sequence[Any],
+                 values: Sequence[int], mapped: bool,
+                 awaiting_result: bool):
         self.offset = offset
-        self.items = items
+        self.keys = keys
+        self.values = values
         self.mapped = mapped
         self.awaiting_result = awaiting_result
         self.resolved = False
@@ -64,9 +66,11 @@ class _ChunkState:
 
 
 class _TaskState:
-    def __init__(self, task: Task, done: Event):
+    def __init__(self, task: Task, done: Event,
+                 finish: Optional[Callable[[TaskResult], Any]] = None):
         self.task = task
         self.done = done
+        self.finish = finish
         self.chunks: Dict[int, _ChunkState] = {}
         self.unresolved = 0
         # Results by key — or, for a dense linear task that reads values
@@ -93,7 +97,7 @@ class _TaskState:
         if self.task.app.program.clear is ClearPolicy.LAZY:
             return False
         offset = chunk.offset
-        stop = offset + len(chunk.items)
+        stop = offset + len(chunk.values)
         keys = range(offset, stop)
         if block.keys != keys and block.keys != list(keys):
             return False
@@ -164,6 +168,9 @@ class ClientAgent:
         # (gaid, server, flow_id) -> list of seqs awaiting flush.
         self._ack_batch: Dict[Tuple[int, str, int], List[int]] = {}
         self._ack_ecn: Dict[Tuple[int, str, int], bool] = {}
+        # Header prototypes, one per (gaid, destination): the hot send
+        # paths copy one and store the fields that differ.
+        self._protos: Dict[Tuple[int, str], Packet] = {}
 
     # ------------------------------------------------------------------
     # registration (driven by the controller)
@@ -218,8 +225,14 @@ class ClientAgent:
     # ------------------------------------------------------------------
     # task submission (called by the RPC layer)
     # ------------------------------------------------------------------
-    def submit(self, task: Task) -> Event:
-        """Send one task; the returned event succeeds with a TaskResult."""
+    def submit(self, task: Task,
+               finish: Optional[Callable[[TaskResult], Any]] = None
+               ) -> Event:
+        """Send one task; the returned event succeeds with a TaskResult.
+
+        With ``finish``, it succeeds with ``finish(result)`` instead: the
+        RPC stub builds its reply there, so a call costs one event.
+        """
         config = task.app
         state = self._apps[config.program.app_name]
         done = Event(self.sim)
@@ -235,7 +248,7 @@ class ClientAgent:
                                  (task_id,))
 
             done.add_callback(_trace_done)
-        tstate = _TaskState(task, done)
+        tstate = _TaskState(task, done, finish)
         state.tasks[task.task_id] = tstate
         if config.linear and task.size:
             self._send_linear(state, config, tstate)
@@ -252,7 +265,7 @@ class ClientAgent:
     def _send_plain(self, state: _AppClientState, config: AppConfig,
                     tstate: _TaskState) -> None:
         task = tstate.task
-        chunk = _ChunkState(0, [], mapped=False, awaiting_result=True)
+        chunk = _ChunkState(0, [], [], mapped=False, awaiting_result=True)
         tstate.chunks[0] = chunk
         tstate.unresolved += 1
         pkt = self._base_packet(config, task, 0, KVBlock())
@@ -264,12 +277,15 @@ class ClientAgent:
         """Complete a task whose every chunk resolved, then forget it."""
         task = tstate.task
         if not tstate.done._triggered:
-            tstate.done.succeed(TaskResult(
+            result = TaskResult(
                 task=task, values=tstate.values, column=tstate.column,
                 overflow_chunks=tstate.overflow_chunks,
                 fallback_pairs=tstate.fallback_pairs,
                 mapped_pairs=tstate.mapped_pairs,
-                payload=tstate.reply_payload))
+                payload=tstate.reply_payload)
+            finish = tstate.finish
+            tstate.done.succeed(
+                result if finish is None else finish(result))
         state.tasks.pop(task.task_id, None)
         # Entries are only ever written under the task's own gaid; a
         # co-located role's task for the same round (an acceptor's
@@ -305,8 +321,6 @@ class ClientAgent:
         gaid, round_no, task_id = config.gaid, task.round, task.task_id
         for offset in range(0, task.size, chunk_size):
             chunk_items = items[offset:offset + chunk_size]
-            chunks[offset] = _ChunkState(offset, chunk_items, mapped=True,
-                                         awaiting_result=awaiting)
             tstate.unresolved += 1
             tstate.mapped_pairs += len(chunk_items)
             if chunk_size == 1:
@@ -330,6 +344,8 @@ class ClientAgent:
                 values = [item[1] for item in chunk_items]
                 first_index = indices[0]
                 addrs = [base + index % half for index in indices]
+            chunks[offset] = _ChunkState(offset, indices, values, mapped=True,
+                                         awaiting_result=awaiting)
             kv = KVBlock.from_columns(addrs, values, mapped_mask=-1,
                                       keys=indices)
             pkt = self._base_packet(config, task, offset, kv)
@@ -455,8 +471,8 @@ class ClientAgent:
         # result, never on a bare transport ACK: an absorbed attempt must
         # keep its chunk pending (blocking-lock semantics).
         awaiting = task.expect_result or config.program.cntfwd.counts
-        chunk = _ChunkState(offset, list(zip(keys, values)),
-                            mapped=not cross, awaiting_result=awaiting)
+        chunk = _ChunkState(offset, keys, values, mapped=not cross,
+                            awaiting_result=awaiting)
         tstate.chunks[offset] = chunk
         tstate.unresolved += 1
         if cross:
@@ -476,13 +492,26 @@ class ClientAgent:
 
     def _base_packet(self, config: AppConfig, task: Task, offset: int,
                      kv: KVBlock) -> Packet:
-        return Packet(
-            gaid=config.gaid, src=self.host.name, dst=config.server,
-            kv=kv, task_id=task.task_id, offset=offset,
-            task_total=task.size, round=task.round,
-            payload=task.payload if offset == 0 else None,
-            payload_bytes=task.payload_bytes if offset == 0 else 0,
-            bitmap=(1 << len(kv.addrs)) - 1)     # every slot selected
+        proto = self._protos.get((config.gaid, config.server))
+        if proto is None:
+            proto = self._prototype(config.gaid, config.server)
+        pkt = proto.copy(kv)
+        pkt.task_id = task.task_id
+        pkt.offset = offset
+        pkt.task_total = task.size
+        pkt.round = task.round
+        pkt.bitmap = (1 << len(kv.addrs)) - 1     # every slot selected
+        if offset == 0:
+            pkt.payload = task.payload
+            pkt.payload_bytes = task.payload_bytes
+        return pkt
+
+    def _prototype(self, gaid: int, dst: str) -> Packet:
+        """Build (through the validating constructor, once) and keep the
+        header every hot-path packet from this host to ``dst`` copies."""
+        proto = self._protos[(gaid, dst)] = Packet(
+            gaid=gaid, src=self.host.name, dst=dst)
+        return proto
 
     # ------------------------------------------------------------------
     # receive path
@@ -565,9 +594,15 @@ class ClientAgent:
         if not batch:
             return
         gaid, server, flow_id = key
-        ack = Packet(gaid=gaid, src=self.host.name, dst=server,
-                     is_ack=True, acks=tuple(batch), ack_flow=flow_id,
-                     ecn=self._ack_ecn.pop(key, False))
+        proto = self._protos.get((gaid, server))
+        if proto is None:
+            proto = self._prototype(gaid, server)
+        ack = proto.copy()
+        ack.is_ack = True
+        ack.acks = tuple(batch)
+        ack.ack_flow = flow_id
+        if self._ack_ecn.pop(key, False):
+            ack.ecn = True
         self.host.send(ack, self.tor)
 
     def _on_own_bounce(self, state: _AppClientState, config: AppConfig,
@@ -680,7 +715,7 @@ class ClientAgent:
         tstate.unresolved -= 1
         self.stats["results"] += 1
         if state.resolve_listener is not None:
-            state.resolve_listener(len(chunk.items))
+            state.resolve_listener(len(chunk.values))
         if not tstate.unresolved:
             self._finish(state, tstate)
 
@@ -703,15 +738,9 @@ class ClientAgent:
                          tstate: _TaskState, chunk: _ChunkState) -> None:
         """Replay a chunk's raw data through the server (§5.2.1)."""
         self.stats["overflow_resends"] += 1
-        items = chunk.items
-        if tstate.task.column is not None:      # dense: a value slice
-            keys = list(range(chunk.offset, chunk.offset + len(items)))
-            values = items
-        else:
-            keys = [key for key, _ in items]
-            values = [value for _, value in items]
-        kv = KVBlock.from_columns([0] * len(items), values,
-                                  mapped_mask=0, keys=keys)
+        values = chunk.values
+        kv = KVBlock.from_columns([0] * len(values), values,
+                                  mapped_mask=0, keys=list(chunk.keys))
         pkt = Packet(
             gaid=config.gaid, src=self.host.name, dst=config.server,
             kv=kv, is_of=True, is_cross=True,

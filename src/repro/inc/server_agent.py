@@ -147,6 +147,10 @@ class ServerAgent:
         self.stats = {"data_rx": 0, "software_pairs": 0, "replays": 0,
                       "evictions": 0, "corrected_chunks": 0,
                       "unprocessed_rx": 0}
+        # Header prototypes, one per (gaid, destination): the hot send
+        # paths (ACKs, SyncAgtr returns) copy one and store the fields
+        # that differ.
+        self._protos: Dict[Tuple[int, str], Packet] = {}
 
     # ------------------------------------------------------------------
     # registration (driven by the controller)
@@ -295,13 +299,25 @@ class ServerAgent:
     # ------------------------------------------------------------------
     def _send_ack(self, state: _AppServerState, config: AppConfig,
                   pkt: Packet, extra_grants: Tuple = ()) -> None:
-        grants = tuple(state.pending_grants.pop(pkt.src, ())) + extra_grants
-        revokes = tuple(state.pending_revokes)
-        ack = Packet(gaid=pkt.gaid, src=self.host.name, dst=pkt.src,
-                     is_ack=True, acks=(pkt.seq,), ack_flow=pkt.flow_id,
-                     grants=grants, revokes=revokes)
+        proto = self._protos.get((pkt.gaid, pkt.src))
+        if proto is None:
+            proto = self._prototype(pkt.gaid, pkt.src)
+        ack = proto.copy()
+        ack.is_ack = True
+        ack.acks = (pkt.seq,)
+        ack.ack_flow = pkt.flow_id
+        ack.grants = tuple(state.pending_grants.pop(pkt.src, ())) \
+            + extra_grants
+        ack.revokes = tuple(state.pending_revokes)
         state.acked.setdefault((pkt.src, pkt.flow_id), set()).add(pkt.seq)
         self.host.send(ack, self.tor)
+
+    def _prototype(self, gaid: int, dst: str) -> Packet:
+        """Build (through the validating constructor, once) and keep the
+        header every hot-path packet from this host to ``dst`` copies."""
+        proto = self._protos[(gaid, dst)] = Packet(
+            gaid=gaid, src=self.host.name, dst=dst)
+        return proto
 
     def _reply(self, state: _AppServerState, config: AppConfig, client: str,
                pkt_fields: dict) -> None:
@@ -361,14 +377,21 @@ class ServerAgent:
         state.sync_emitted.add((pkt.round, pkt.offset))
         if len(state.sync_emitted) > 1 << 17:
             state.sync_emitted.clear()  # bounded memory; ancient entries
-        ret = Packet(gaid=pkt.gaid, src=self.host.name, dst=config.clients[0],
-                     is_sa=True, is_clr=True, is_cnf=True,
-                     cnt_index=pkt.cnt_index, is_of=pkt.is_of,
-                     kv=pkt.kv.copy(),
-                     linear_base=pkt.linear_base,
-                     task_id=pkt.task_id, offset=pkt.offset,
-                     task_total=pkt.task_total, round=pkt.round)
-        ret.select_all_slots()
+        dst = config.clients[0]
+        proto = self._protos.get((pkt.gaid, dst))
+        if proto is None:
+            proto = self._prototype(pkt.gaid, dst)
+        kv = pkt.kv.copy()
+        ret = proto.copy(kv)
+        ret.is_sa = ret.is_clr = ret.is_cnf = True
+        ret.cnt_index = pkt.cnt_index
+        ret.is_of = pkt.is_of
+        ret.linear_base = pkt.linear_base
+        ret.task_id = pkt.task_id
+        ret.offset = pkt.offset
+        ret.task_total = pkt.task_total
+        ret.round = pkt.round
+        ret.bitmap = (1 << len(kv.addrs)) - 1     # every slot selected
         state.mcast.send(ret)
         if pkt.is_of:
             return  # corrected result will follow from the raw replays

@@ -19,11 +19,19 @@ stores the same data as parallel columns:
 
 A dense linear chunk carries ``range`` addresses and keys end to end;
 the register file takes such a block as one row by the column type
-alone.  Ranges are immutable: only ``values`` is written in place.
+alone.
 
-Copying a block is a handful of C-level buffer copies
-(:meth:`KVBlock.copy`; a ``range`` slices in O(1)), and slot access from
-the batch kernels
+**Read-only columns.**  ``addrs`` and ``keys`` are never written in
+place — not by the switch, not by the agents, not by a copy's owner —
+and are assigned only when a block is built.  Only ``values`` is
+rewritten (the switch's in-network computation).  So a copy shares the
+two read-only columns and duplicates just the value buffer
+(:meth:`KVBlock.copy`): a multicast fan-out or a retransmission pays one
+C-level slice, not three: the copy-on-write payload sharing that ns-3's
+``Packet::Copy`` does, for the same reason.  Hand :meth:`from_columns`
+a key list nobody will append to afterwards.
+
+Slot access from the batch kernels
 (:meth:`~repro.switchsim.registers.RegisterFile.add_block` and friends)
 is index arithmetic on the columns.  Slots are read and written through
 the columns (``pkt.kv.values[0]``); there is no per-slot row object.
@@ -37,6 +45,8 @@ from typing import Any, Iterable, List, Optional, Sequence
 from .ops import StreamOp, apply_stream_op
 
 __all__ = ["KVBlock"]
+
+_new = object.__new__
 
 
 class KVBlock:
@@ -63,14 +73,18 @@ class KVBlock:
         """Build directly from columns (no per-slot object traffic).
 
         ``mapped_mask`` of ``-1`` selects every slot.  A ``range`` of
-        addresses is kept as it is; ``keys`` is kept by reference — hand
-        over a fresh list or a range.
+        addresses is kept as it is; ``keys`` is kept by reference (it is
+        read-only from here on).
         """
-        addr_col = addrs if type(addrs) is range else array("q", addrs)
-        block = cls(addr_col, array("q", values),
-                    mapped_mask if mapped_mask >= 0
-                    else (1 << len(addr_col)) - 1,
-                    keys)
+        # Built slot by slot, without the __init__ hop: one block per
+        # chunk on every send path.
+        block = _new(cls)
+        block.addrs = addr_col = \
+            addrs if type(addrs) is range else array("q", addrs)
+        block.values = array("q", values)
+        block.mapped_mask = mapped_mask if mapped_mask >= 0 \
+            else (1 << len(addr_col)) - 1
+        block.keys = keys
         return block
 
     # ------------------------------------------------------------------
@@ -86,10 +100,13 @@ class KVBlock:
     # bulk operations (the packet-copy / kernel fast paths)
     # ------------------------------------------------------------------
     def copy(self) -> "KVBlock":
-        """O(columns) duplicate: buffer copies, no per-slot objects."""
-        keys = self.keys
-        return KVBlock(self.addrs[:], self.values[:], self.mapped_mask,
-                       keys[:] if keys is not None else None)
+        """Duplicate the value column; share the read-only ones."""
+        dup = _new(KVBlock)
+        dup.addrs = self.addrs
+        dup.values = self.values[:]
+        dup.mapped_mask = self.mapped_mask
+        dup.keys = self.keys
+        return dup
 
     @property
     def any_mapped(self) -> bool:

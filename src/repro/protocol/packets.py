@@ -34,14 +34,8 @@ _CNTFWD_FIELD_BYTES = 8
 _GRANT_BYTES = 8
 _ACK_SEQ_BYTES = 4
 
-_packet_ids = itertools.count()
-
-# Instance state that is not a dataclass field and that ``Packet.copy``
-# does not carry over: the size cache and the switch's recirculation and
-# processed marks.  First transmissions put the pending-table entry
-# itself on the wire, so the processed mark lands on the sender's own
-# object; a retransmit copy must not inherit that first trip.
-_NON_FIELD_STATE = ("_size", "_recirculated", "switch_processed")
+_next_uid = itertools.count().__next__
+_new = object.__new__
 
 
 def full_bitmap(n: int = KV_PAIRS_PER_PACKET) -> int:
@@ -111,7 +105,7 @@ class Packet:
     offset: int = 0                # first kv's position within the task
     task_total: int = 0            # total kv pairs in the task (0 = unknown)
     round: int = 0                 # application round (RPC call ordinal)
-    uid: int = field(default_factory=_packet_ids.__next__)
+    uid: int = field(default_factory=_next_uid)
     sent_at: float = 0.0
     is_retransmit: bool = False
 
@@ -166,20 +160,42 @@ class Packet:
     def select_all_slots(self) -> None:
         self.bitmap = (1 << len(self.kv.addrs)) - 1
 
-    def copy(self) -> "Packet":
-        """Deep-enough copy for multicast/retransmission (kv duplicated)."""
-        # Hand-rolled (no dataclasses.replace): copy() sits on the
-        # retransmit and multicast hot paths and replace() re-runs the
-        # 30-field __init__.  The instance dict is copied once and handed
+    def copy(self, kv: Optional[KVBlock] = None) -> "Packet":
+        """A new packet with this one's header and a fresh ``uid``.
+
+        Carries ``kv`` when given, else a copy of this packet's block
+        (which shares its read-only columns).  This is the one fast way
+        to make a packet: multicast and retransmission copy the packet
+        in hand, and the agents' hot send paths copy a header prototype
+        built once through the constructor, then store the fields that
+        differ.
+        """
+        # Hand-rolled (no dataclasses.replace): replace() re-runs the
+        # 37-field __init__.  The instance dict is copied once and handed
         # over; non-field state deliberately does not carry over,
         # matching replace() semantics.
-        dup = object.__new__(Packet)
+        dup = _new(Packet)
         state = self.__dict__.copy()
-        state["kv"] = self.kv.copy()
-        state["uid"] = next(_packet_ids)
-        for key in _NON_FIELD_STATE:
-            if key in state:
-                del state[key]
+        if kv is None:
+            # KVBlock.copy inlined — one per multicast receiver and per
+            # retransmission: a value slice, the read-only columns shared.
+            own = self.kv
+            kv = _new(KVBlock)
+            kv.addrs = own.addrs
+            kv.values = own.values[:]
+            kv.mapped_mask = own.mapped_mask
+            kv.keys = own.keys
+        state["kv"] = kv
+        state["uid"] = _next_uid()
+        # Instance state that is not a dataclass field: the size cache
+        # and the switch's recirculation and processed marks.  First
+        # transmissions put the pending-table entry itself on the wire,
+        # so the processed mark lands on the sender's own object; a
+        # retransmit copy must not inherit that first trip.
+        pop = state.pop
+        pop("_size", None)
+        pop("_recirculated", None)
+        pop("switch_processed", None)
         dup.__dict__ = state
         return dup
 

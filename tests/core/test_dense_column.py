@@ -180,8 +180,8 @@ class TestResultColumn:
                            counter_region=MemoryRegion(64, 8), linear=True)
         tstate = _TaskState(Task(app=config, column=list(range(size))),
                             Simulator().event())
-        chunk = _ChunkState(32, list(range(32, size)), mapped=True,
-                            awaiting_result=True)
+        chunk = _ChunkState(32, range(32, size), list(range(32, size)),
+                            mapped=True, awaiting_result=True)
         return tstate, chunk
 
     @staticmethod

@@ -4,7 +4,8 @@ import pytest
 
 from repro.control import build_rack
 from repro.core import Channel, NetRPCService, ServerStub, register_service
-from repro.netsim import scaled
+from repro.netsim import EventFailed, scaled
+from repro.obs.tracer import TRACE
 
 CAL = scaled()
 
@@ -106,3 +107,65 @@ class TestMultiClientSharing:
         dep.sim.run(until=dep.sim.now + 0.02)
         reply, _ = stub0.call("Read", read(kvs={"shared": 0}))
         assert reply.kvs["shared"] == 15
+
+
+class TestOneEventPerCall:
+    """A stub call is the agent's task event: ``submit(task, finish)``
+    succeeds it with the reply the stub builds from the task result."""
+
+    @staticmethod
+    def _start(dep, registered):
+        stub = Channel(registered, "c0").stub()
+        push = registered.binding("Push").request
+        event = stub.call_async("Push", push(kvs={"a": 1, "b": 2}))
+        (tstate,) = dep.client_agents["c0"].app_state("KV-1") \
+            .tasks.values()
+        return event, tstate
+
+    def test_call_async_returns_the_agents_own_event(self):
+        dep, registered = make()
+        event, tstate = self._start(dep, registered)
+        assert tstate.done is event
+        reply, info = dep.sim.run_until(event, limit=dep.sim.now + 1.0)
+        assert info.mapped_pairs + info.fallback_pairs == 2
+        assert reply.descriptor.name == "PushAck"
+
+    def test_a_failed_task_fails_the_call(self):
+        dep, registered = make()
+        sim = dep.sim
+        event, _tstate = self._start(dep, registered)
+        seen = []
+
+        def caller():
+            try:
+                yield event
+            except EventFailed as exc:
+                seen.append(exc.cause)
+
+        proc = sim.process(caller())
+        boom = RuntimeError("task lost")
+        sim.schedule(0.0, lambda _value: event.fail(boom), None)
+        sim.run_until(proc, limit=sim.now + 1.0)
+        assert seen == [boom]
+        sim.run(until=sim.now + 1e-3)       # the late results are dropped
+        assert event.value is boom
+
+    def test_the_task_span_is_recorded_before_the_caller_resumes(self):
+        dep, registered = make()
+        sim = dep.sim
+        at_resume = []
+        TRACE.clear()
+        TRACE.start()
+        try:
+            event, _tstate = self._start(dep, registered)
+
+            def caller():
+                reply, _info = yield event
+                at_resume.append((TRACE.count("client.task"),
+                                  reply.descriptor.name))
+
+            sim.run_until(sim.process(caller()), limit=sim.now + 1.0)
+        finally:
+            TRACE.stop()
+            TRACE.clear()
+        assert at_resume == [(1, "PushAck")]

@@ -103,7 +103,7 @@ def test_extract_values_agrees(clear):
         task = Task(app=config, column=[0] * (OFFSET + COUNT),
                     expect_result=True)
         tstate = _TaskState(task, sim.event())
-        chunk = _ChunkState(OFFSET, [0] * COUNT, mapped=True,
+        chunk = _ChunkState(OFFSET, KEYS, [0] * COUNT, mapped=True,
                             awaiting_result=True)
         values = agent._extract_values(state, config, tstate, chunk,
                                        _packet(as_range, is_mcast=True),
@@ -122,7 +122,7 @@ def test_assign_agrees(keys):
         config = _config()
         tstate = _TaskState(Task(app=config, column=[0] * (OFFSET + COUNT),
                                  expect_result=True), Simulator().event())
-        chunk = _ChunkState(OFFSET, [0] * COUNT, mapped=True,
+        chunk = _ChunkState(OFFSET, KEYS, [0] * COUNT, mapped=True,
                             awaiting_result=True)
         block = KVBlock.from_columns([0] * len(keys), VALUES[:len(keys)],
                                      mapped_mask=-1, keys=column)

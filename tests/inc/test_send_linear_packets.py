@@ -140,8 +140,9 @@ def test_dense_send_emits_the_row_packet_sequence(
     assert list(tstate.chunks) == offsets
     for offset, (_d, n_pairs) in zip(offsets, want):
         chunk = tstate.chunks[offset]
-        assert chunk.offset == offset and len(chunk.items) == n_pairs
-        assert chunk.items == values[offset:offset + n_pairs]
+        assert chunk.offset == offset and len(chunk.values) == n_pairs
+        assert chunk.values == values[offset:offset + n_pairs]
+        assert chunk.keys == range(offset, offset + n_pairs)
         assert chunk.mapped is True
         assert chunk.awaiting_result is (expect_result or counting)
     assert tstate.mapped_pairs == len(values)
@@ -193,7 +194,8 @@ def test_indexed_send_emits_the_row_packet_sequence(
     for offset, (_d, n_pairs) in zip(offsets, want):
         chunk = tstate.chunks[offset]
         assert chunk.offset == offset
-        assert chunk.items == rows[offset:offset + n_pairs]
+        assert list(zip(chunk.keys, chunk.values)) == \
+            rows[offset:offset + n_pairs]
         assert chunk.mapped is True
         assert chunk.awaiting_result is (expect_result or counting)
     assert tstate.mapped_pairs == len(rows) and tstate.fallback_pairs == 0

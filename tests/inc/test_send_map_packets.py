@@ -76,7 +76,8 @@ def _block(pairs):
 
 
 def _reference(items, granted, has_switch, program):
-    """The row-object packetiser: ``[(packet fields, chunk items)]``."""
+    """The row-object packetiser: ``[(packet fields, (chunk keys, chunk
+    values))]``."""
     def packet(pairs, offset, cross, cnt_index=0):
         pkt = Packet(gaid=1, src="c0", dst="s0", kv=_block(pairs),
                      offset=offset, task_total=len(items))
@@ -85,7 +86,8 @@ def _reference(items, granted, has_switch, program):
         if not cross and program.cntfwd.counts:
             pkt.is_cnf = True
             pkt.cnt_index = cnt_index
-        return _describe(pkt), [(p.key, p.value) for p in pairs]
+        return _describe(pkt), ([p.key for p in pairs],
+                                [p.value for p in pairs])
 
     out = []
     if not program.uses_map and has_switch:
@@ -179,8 +181,11 @@ def test_send_map_emits_the_row_object_packet_sequence(
     assert [_describe(pkt) for _flow, pkt in sent] == [d for d, _ in want]
     assert [flow for flow, _pkt in sent] == \
         [n % 2 for n in range(len(sent))]          # round-robin flows
-    assert [tstate.chunks[d[0]].items for d, _ in want] == \
-        [chunk_items for _, chunk_items in want]
+    # A chunk keeps the key and value columns its packet was built from.
+    assert [(tstate.chunks[d[0]].keys, tstate.chunks[d[0]].values)
+            for d, _ in want] == [columns for _, columns in want]
+    for _flow, pkt in sent:
+        assert tstate.chunks[pkt.offset].keys is pkt.kv.keys
     assert len(tstate.chunks) == tstate.unresolved == len(want)
     for (_, is_cross, *_rest), chunk in zip((d for d, _ in want),
                                             tstate.chunks.values()):

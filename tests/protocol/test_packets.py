@@ -103,9 +103,11 @@ class TestCopySemantics:
                              ids=["switch-marked", "never-sent"])
     def test_copy_contract(self, marked):
         # What multicast and retransmission rely on: every dataclass
-        # field carries over, the kv block is detached, the uid is fresh
-        # and no non-field state (size cache, recirculation and
-        # processed marks) follows — whether the original had any or not.
+        # field carries over, the kv block is a new one whose value
+        # column is detached and whose read-only address and key columns
+        # are shared, the uid is fresh and no non-field state (size
+        # cache, recirculation and processed marks) follows — whether
+        # the original had any or not.
         kv = KVBlock.from_columns([8, 9], [5, 6], 0b01, ["k", None])
         pkt = Packet(gaid=3, src="c1", dst="s0", seq=4, flip=1, srrt=2,
                      flow_id=1, kv=kv, is_cnf=True, cnt_index=11,
@@ -129,18 +131,28 @@ class TestCopySemantics:
         assert dup.kv is not pkt.kv
         assert (list(dup.kv.addrs), list(dup.kv.values), dup.kv.mapped_mask,
                 dup.kv.keys) == ([8, 9], [5, 6], 0b01, ["k", None])
-        assert dup.kv.keys is not pkt.kv.keys
+        assert dup.kv.addrs is pkt.kv.addrs and dup.kv.keys is pkt.kv.keys
+        assert dup.kv.values is not pkt.kv.values
         assert dup._size is None and dup.size_bytes == 105
         assert not hasattr(dup, "_recirculated")
         assert not hasattr(dup, "switch_processed")
 
         dup.dst, dup.is_mcast, dup.ecn_echo, dup.seq = "c4", True, True, 99
         dup.kv.values[0] = 1000
-        dup.kv.keys[0] = "other"
+        dup.kv.mapped_mask = 0b11
         dup.switch_processed = True
         assert vars(pkt) == before
-        assert pkt.kv.values[0] == 5 and pkt.kv.keys[0] == "k"
+        assert pkt.kv.values[0] == 5 and pkt.kv.mapped_mask == 0b01
         assert hasattr(pkt, "switch_processed") is marked
+
+    def test_copy_attaches_a_given_block(self):
+        pkt = make_packet(2, task_id=4)
+        pkt.switch_processed = True
+        kv = KVBlock.from_columns([7], [1], keys=["x"])
+        dup = pkt.copy(kv)
+        assert dup.kv is kv and pkt.kv is not kv
+        assert dup.task_id == 4 and dup.uid != pkt.uid
+        assert not hasattr(dup, "switch_processed")
 
     def test_chunk_id_identifies_task_and_offset(self):
         pkt = make_packet(1, task_id=5, offset=64)

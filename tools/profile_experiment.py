@@ -43,7 +43,14 @@ measurement.  What does not depend on the machine or the profiler is the
 per RPC where the workload counts them) and per ``repro.<package>`` —
 the harness's ``<layer>.calls``, the figure the call-count pins in
 ``tests/`` bound — then the ten functions called most, per op and per
-RPC: the ledger a call budget is written in.  Then the cyclic garbage
+RPC: the ledger a call budget is written in.  Code compiled from a string
+(a dataclass's generated ``__init__``/``__eq__``) has one row per owning
+function in every table here, e.g.
+``<string>:2(repro.protocol.packets.Packet.__init__)``, where stock
+``pstats`` keeps one ``<string>:2(__init__)`` row with only the last
+class's counts; the per-package lines put such code under ``other``, as
+the harness does (the call-count pins count it for the class's package,
+see ``tests/callcount.py``).  Then the cyclic garbage
 collector over the unprofiled iteration — collections per generation and
 seconds paused (``gc.callbacks``) — the cost of allocating container
 objects per value, which no profile row shows.  Last comes one more
@@ -70,6 +77,7 @@ import json
 import pstats
 import signal
 import sys
+import types
 from collections import Counter
 from pathlib import Path
 from time import perf_counter, process_time
@@ -214,7 +222,7 @@ def profile_single(name: str, run, kwargs: dict, args) -> None:
 
     sims: list = []
     track_simulators(sims)
-    profiler = cProfile.Profile()
+    profiler = _Profile()
     start = perf_counter()
     profiler.enable()
     try:
@@ -273,6 +281,98 @@ def _where(filename: str) -> str:
     return filename[at + 5:] if at >= 0 else Path(filename).name
 
 
+# Code compiled from a string — a dataclass's generated ``__init__`` and
+# ``__eq__``, a namedtuple's ``__new__`` — shares the file ``<string>``
+# and, mostly, line and name: (file, line, name), the key ``pstats`` and a
+# naive sampler table use, merges every class's ``__init__`` into one row
+# (pstats even keeps only the last code object's counts).  Such code is
+# named here by the function that holds it, else by its caller.
+_GENERATED = "<string>"
+
+
+def _generated_owners() -> dict:
+    """Code object -> ``module.Class.method`` for every live function
+    compiled from a string."""
+    owners = {}
+    for obj in gc.get_objects():
+        if type(obj) is types.FunctionType and \
+                obj.__code__.co_filename == _GENERATED:
+            owners[obj.__code__] = f"{obj.__module__}.{obj.__qualname__}"
+    return owners
+
+
+def _label(code, owners: dict, caller=None) -> tuple:
+    """The (file, line, name) row key of ``code``; a C builtin's name is
+    a string, keyed as cProfile keys it."""
+    if isinstance(code, str):
+        return ("~", 0, code)
+    if code.co_filename != _GENERATED:
+        return (code.co_filename, code.co_firstlineno, code.co_name)
+    name = owners.get(code)
+    if name is None:
+        name = code.co_qualname
+        if caller is not None:
+            name += f" via {_where(caller.co_filename)}:{caller.co_name}"
+    return (_GENERATED, code.co_firstlineno, name)
+
+
+class _Profile(cProfile.Profile):
+    """cProfile whose stats table keeps generated code apart.
+
+    The stock snapshot keys each function by (file, line, name) and
+    overwrites on a clash, so one ``<string>:2(__init__)`` row stood for
+    whichever dataclass constructor came last.  This one keys generated
+    code by :func:`_label` (its owner, else its most frequent caller) and
+    sums any rows that still share a key.
+    """
+
+    def snapshot_stats(self) -> None:
+        entries = self.getstats()
+        owners = _generated_owners()
+        callers_of: dict = {}          # ownerless generated code
+        for entry in entries:
+            if isinstance(entry.code, str):
+                continue
+            for sub in entry.calls or ():
+                code = sub.code
+                if not isinstance(code, str) and \
+                        code.co_filename == _GENERATED and code not in owners:
+                    callers_of.setdefault(code, Counter())[entry.code] += \
+                        sub.callcount
+
+        def label(code) -> tuple:
+            callers = callers_of.get(code)
+            return _label(code, owners,
+                          callers.most_common(1)[0][0] if callers else None)
+
+        stats: dict = {}
+        caller_tables: dict = {}
+        for entry in entries:
+            func = label(entry.code)
+            nc = entry.callcount
+            cc = nc - entry.reccallcount
+            row = stats.get(func)
+            if row is None:
+                row = (0, 0, 0.0, 0.0, {})
+            stats[func] = (row[0] + cc, row[1] + nc,
+                           row[2] + entry.inlinetime,
+                           row[3] + entry.totaltime, row[4])
+            caller_tables[id(entry.code)] = row[4]
+        for entry in entries:
+            func = label(entry.code)
+            for sub in entry.calls or ():
+                callers = caller_tables.get(id(sub.code))
+                if callers is None:
+                    continue
+                nc = sub.callcount
+                prev = callers.get(func, (0, 0, 0.0, 0.0))
+                callers[func] = (prev[0] + nc,
+                                 prev[1] + nc - sub.reccallcount,
+                                 prev[2] + sub.inlinetime,
+                                 prev[3] + sub.totaltime)
+        self.stats = stats
+
+
 class _RawSampler:
     """Raw self time by sampling: ``SIGPROF`` every ``interval_s`` of CPU.
 
@@ -284,14 +384,18 @@ class _RawSampler:
 
     def __init__(self, interval_s: float = 0.0005):
         self.interval_s = interval_s
-        self.samples: Counter = Counter()      # code object -> samples
+        # (code, caller code for generated code, else None) -> samples
+        self.samples: Counter = Counter()
         self.overhead_s = 0.0
         self.cpu_s = 0.0
 
     def _sample(self, _signum, frame) -> None:
         start = perf_counter()
         if frame is not None:
-            self.samples[frame.f_code] += 1
+            code = frame.f_code
+            caller = frame.f_back if code.co_filename == _GENERATED \
+                else None
+            self.samples[(code, caller and caller.f_code)] += 1
         self.overhead_s += perf_counter() - start
 
     def __enter__(self) -> "_RawSampler":
@@ -322,10 +426,10 @@ def _print_raw_shares(sampler: _RawSampler, wall: float, layer_of,
         return
     layers: Counter = Counter()
     functions: Counter = Counter()
-    for code, count in sampler.samples.items():
+    owners = _generated_owners()
+    for (code, caller), count in sampler.samples.items():
         layers[layer_of(code.co_filename)] += count
-        functions[(code.co_filename, code.co_firstlineno,
-                   code.co_name)] += count
+        functions[_label(code, owners, caller)] += count
     for layer, count in layers.most_common():
         name = "other" if layer == "other" else f"repro.{layer}"
         print(f"  {name:<15} : {count / total:6.1%}")
@@ -400,7 +504,7 @@ def profile_e2e(args) -> int:
         workload.run(ctx, inputs)
     warm_wall = perf_counter() - start
     ctx = workload.setup(args.seed)
-    profiler = cProfile.Profile()
+    profiler = _Profile()
     start = perf_counter()
     profiler.enable()
     try:
