@@ -14,14 +14,15 @@ NetRPC switch marks congestion on queue buildup (paper §5.1).
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, Optional, Tuple
+from typing import Any, Deque, Dict, Optional, Tuple
 
 from repro.obs.tracer import TRACE
 
 from .simulator import Simulator
-from .trace import Counter
 
 __all__ = [
+    "LinkStats",
+    "LINK_COUNTERS",
     "LossModel",
     "NoLoss",
     "RandomLoss",
@@ -35,6 +36,66 @@ __all__ = [
 # Preamble (8) + FCS (4) + inter-frame gap (12): on-the-wire cost added to
 # every frame beyond its declared size.
 ETHERNET_OVERHEAD_BYTES = 24
+
+
+#: Every counter a link keeps: the closed set that ``Link``, the fault
+#: models (:mod:`repro.netsim.faults`) and the shard boundary stubs write.
+LINK_COUNTERS = ("offered_pkts", "queue_drops", "ecn_marks", "sent_pkts",
+                 "sent_bytes", "delivered_pkts", "wire_drops",
+                 "reordered_pkts", "dup_pkts", "corrupt_pkts", "flap_drops")
+_LINK_COUNTER_SET = frozenset(LINK_COUNTERS)
+
+
+class LinkStats:
+    """A link's counters, one slot each (DESIGN.md §4.12).
+
+    Links bump several counters per packet, and a slot ``+= 1`` costs
+    well under half a :class:`~repro.netsim.trace.Counter` item ``+= 1``,
+    so the transmit paths write ``stats.sent_pkts += 1``.  Everything
+    else reads it the way it reads a ``Counter``: ``stats[key]``,
+    ``get``, ``add``, and :meth:`as_dict`, which — like a ``Counter``'s —
+    holds only the counters that were bumped (non-zero).  Truthiness and
+    ``==`` (against another ``LinkStats``, a ``Counter`` or a dict) go
+    through that view.  A key outside :data:`LINK_COUNTERS` raises
+    ``AttributeError`` rather than reading 0, so a misspelt counter
+    cannot pass silently.
+    """
+
+    __slots__ = LINK_COUNTERS
+
+    def __init__(self):
+        for key in LINK_COUNTERS:
+            setattr(self, key, 0)
+
+    def __getitem__(self, key: str) -> float:
+        if key not in _LINK_COUNTER_SET:
+            raise AttributeError(f"no link counter {key!r}; "
+                                 f"link counters: {LINK_COUNTERS}")
+        return getattr(self, key)
+
+    def get(self, key: str, default: float = 0) -> float:
+        """``as_dict().get(key, default)`` for a known counter."""
+        return self[key] or default
+
+    def add(self, key: str, amount: float = 1) -> None:
+        setattr(self, key, self[key] + amount)
+
+    def as_dict(self) -> Dict[str, float]:
+        return {key: getattr(self, key) for key in LINK_COUNTERS
+                if getattr(self, key)}
+
+    def __bool__(self) -> bool:
+        return any(getattr(self, key) for key in LINK_COUNTERS)
+
+    def __eq__(self, other: Any) -> bool:
+        if isinstance(other, LinkStats):
+            other = other.as_dict()
+        elif not isinstance(other, dict):
+            return NotImplemented
+        return self.as_dict() == other
+
+    def __repr__(self) -> str:
+        return f"LinkStats({self.as_dict()!r})"
 
 
 class LossModel:
@@ -141,7 +202,7 @@ class Link:
         self._busy = False          # legacy (lossy) path state
         self._free_at = 0.0         # fused path: transmitter busy until
         self._pop_pending = False   # fused path: _start_next scheduled
-        self.stats = Counter()
+        self.stats = LinkStats()
         self.loss = loss or NoLoss()
 
     # ------------------------------------------------------------------
@@ -169,18 +230,18 @@ class Link:
         Returns ``False`` if the packet was tail-dropped at the queue.
         """
         stats = self.stats
-        stats["offered_pkts"] += 1
+        stats.offered_pkts += 1
         queue = self._queue
         qlen = len(queue)
         if qlen >= self.queue_capacity_pkts:
-            stats.add("queue_drops")
+            stats.queue_drops += 1
             if TRACE.enabled:
                 TRACE.instant("link.drop", self.sim.now, self.name,
                               ("queue",))
             return False
         if qlen >= self.ecn_threshold_pkts and hasattr(packet, "ecn"):
             packet.ecn = True
-            stats.add("ecn_marks")
+            stats.ecn_marks += 1
             if TRACE.enabled:
                 TRACE.instant("link.ecn", self.sim.now, self.name)
         if self._fused:
@@ -239,9 +300,9 @@ class Link:
     def _deliver_fused(self, packet: Any) -> None:
         size = getattr(packet, "_size", None) or packet.size_bytes
         stats = self.stats
-        stats["sent_pkts"] += 1
-        stats["sent_bytes"] += size
-        stats["delivered_pkts"] += 1
+        stats.sent_pkts += 1
+        stats.sent_bytes += size
+        stats.delivered_pkts += 1
         self.dst.receive(packet, self)
 
     # -- legacy (lossy) path -------------------------------------------
@@ -259,8 +320,9 @@ class Link:
             TRACE.record("link.serialize", now, now + tx_time, self.name)
 
     def _tx_done(self, packet: Any) -> None:
-        self.stats.add("sent_pkts")
-        self.stats.add("sent_bytes", packet.size_bytes)
+        stats = self.stats
+        stats.sent_pkts += 1
+        stats.sent_bytes += packet.size_bytes
         plan = getattr(self._loss, "plan", None)
         if plan is not None:
             # Fault-model path: the model plans each packet's deliveries
@@ -277,7 +339,7 @@ class Link:
                     TRACE.record("link.propagate", now,
                                  now + self.delay_s + extra, self.name)
         elif self._loss.drops(packet, self.sim.rng):
-            self.stats.add("wire_drops")
+            stats.wire_drops += 1
             if TRACE.enabled:
                 TRACE.instant("link.drop", self.sim.now, self.name,
                               ("wire",))
@@ -290,7 +352,7 @@ class Link:
         self._transmit_next()
 
     def _deliver(self, packet: Any) -> None:
-        self.stats.add("delivered_pkts")
+        self.stats.delivered_pkts += 1
         self.dst.receive(packet, self)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -271,9 +271,11 @@ class Simulator:
         self._finished = False
         self.set_wall_deadline(_GLOBAL_WALL_DEADLINE)
         self._wall_countdown = _WALL_CHECK_EVERY
-        # Scheduler statistics (amortized: touched per cohort or per
-        # timer, never per plain schedule into an existing cohort).
-        self._cohorts_created = 0
+        # Scheduler statistics.  The dispatch loops write none of them
+        # per event or per cohort: run()/run_until() count drained
+        # cohorts in a local and fold it in on exit, and the number of
+        # cohorts created is derived (every spill-heap push opens one,
+        # every pop drains one) — see scheduler_stats().
         self._cohorts_drained = 0
         self._timers_created = 0
         self._timers_cancelled = 0
@@ -320,7 +322,6 @@ class Simulator:
             self._cohorts[when] = [(callback, value)]
             times = self._times
             _heappush(times, when)
-            self._cohorts_created += 1
             if len(times) > self._peak_spill:
                 self._peak_spill = len(times)
         else:
@@ -344,7 +345,6 @@ class Simulator:
             self._cohorts[when] = [(callback, value)]
             times = self._times
             _heappush(times, when)
-            self._cohorts_created += 1
             if len(times) > self._peak_spill:
                 self._peak_spill = len(times)
         else:
@@ -371,7 +371,6 @@ class Simulator:
             self._cohorts[when] = [handle]
             times = self._times
             _heappush(times, when)
-            self._cohorts_created += 1
             if len(times) > self._peak_spill:
                 self._peak_spill = len(times)
         else:
@@ -394,7 +393,6 @@ class Simulator:
             self._cohorts[when] = [handle]
             times = self._times
             _heappush(times, when)
-            self._cohorts_created += 1
             if len(times) > self._peak_spill:
                 self._peak_spill = len(times)
         else:
@@ -486,6 +484,7 @@ class Simulator:
         countdown = self._wall_countdown
         ready = self._ready
         i = self._ready_i
+        drained = 0
         try:
             while True:
                 n = len(ready)
@@ -507,11 +506,12 @@ class Simulator:
                 self.now = when
                 ready = cohorts.pop(when)
                 i = 0
-                self._cohorts_drained += 1
+                drained += 1
         finally:
             self._ready = ready
             self._ready_i = i
             self._wall_countdown = countdown
+            self._cohorts_drained += drained
         if until is not None:
             self.now = max(self.now, until)
 
@@ -530,6 +530,7 @@ class Simulator:
         countdown = self._wall_countdown
         ready = self._ready
         i = self._ready_i
+        drained = 0
         try:
             while not event._triggered:
                 if i < len(ready):
@@ -555,11 +556,12 @@ class Simulator:
                 self.now = when
                 ready = cohorts.pop(when)
                 i = 0
-                self._cohorts_drained += 1
+                drained += 1
         finally:
             self._ready = ready
             self._ready_i = i
             self._wall_countdown = countdown
+            self._cohorts_drained += drained
         if not event.ok:
             raise EventFailed(event.value)
         return event.value
@@ -570,12 +572,17 @@ class Simulator:
     def scheduler_stats(self) -> Dict[str, float]:
         """Counters describing how the tiered scheduler was exercised.
 
-        Cheap to maintain (touched per cohort / per timer, not per
-        event) and cheap to read; meant for the profiling CLI and perf
-        forensics, not for simulation logic.
+        Nothing here is written per event: timers are counted as they
+        are armed and cancelled, and the run loops fold their drained-
+        cohort count in when they return.  A cohort is created by each
+        spill-heap push and drained by each pop, so the cohorts created
+        are those drained plus those still pending.  Exact between
+        dispatch calls; read from inside a callback, the count of the
+        run in progress is not folded in yet.  Meant for the profiling
+        CLI and perf forensics, not for simulation logic.
         """
         events = self._sequence
-        created = self._cohorts_created
+        created = self._cohorts_drained + len(self._times)
         timers = self._timers_created
         return {
             "events_scheduled": events,

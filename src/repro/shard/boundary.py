@@ -37,10 +37,9 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Deque, List, Tuple
 
-from repro.netsim.link import (ETHERNET_OVERHEAD_BYTES, Link, LossModel,
-                               NoLoss)
+from repro.netsim.link import (ETHERNET_OVERHEAD_BYTES, Link, LinkStats,
+                               LossModel, NoLoss)
 from repro.netsim.simulator import Simulator
-from repro.netsim.trace import Counter
 from repro.obs.tracer import TRACE
 
 __all__ = ["RemoteNode", "ShardEgressLink", "IngressBridge"]
@@ -103,20 +102,20 @@ class ShardEgressLink(Link):
 
     def send(self, packet: Any) -> bool:
         stats = self.stats
-        stats["offered_pkts"] += 1
+        stats.offered_pkts += 1
         now = self.sim.now
         starts = self._virtual_starts
         while starts and starts[0] <= now:
             starts.popleft()
         qlen = len(starts)
         if qlen >= self.queue_capacity_pkts:
-            stats.add("queue_drops")
+            stats.queue_drops += 1
             if TRACE.enabled:
                 TRACE.instant("link.drop", now, self.name, ("queue",))
             return False
         if qlen >= self.ecn_threshold_pkts and hasattr(packet, "ecn"):
             packet.ecn = True
-            stats.add("ecn_marks")
+            stats.ecn_marks += 1
             if TRACE.enabled:
                 TRACE.instant("link.ecn", now, self.name)
         free_at = self._free_at
@@ -130,8 +129,8 @@ class ShardEgressLink(Link):
             # start passes: "start <= now means popped", the instant
             # Link._start_next pops it.
             starts.append(start)
-        stats["sent_pkts"] += 1
-        stats["sent_bytes"] += size
+        stats.sent_pkts += 1
+        stats.sent_bytes += size
         self.outbox.append((free + self.delay_s, packet))
         if TRACE.enabled:
             # (flow, seq) is one half of the cross-shard stitch key —
@@ -171,13 +170,13 @@ class IngressBridge:
         self.bandwidth_bps = bandwidth_bps
         self.delay_s = delay_s
         self.name = f"{src_name}->{getattr(dst, 'name', dst)}"
-        self.stats = Counter()
+        self.stats = LinkStats()
 
     def inject(self, when: float, packet: Any) -> None:
         self.sim.schedule_at(when, self._deliver, packet)
 
     def _deliver(self, packet: Any) -> None:
-        self.stats["delivered_pkts"] += 1
+        self.stats.delivered_pkts += 1
         if TRACE.enabled:
             flow_id = getattr(packet, "flow_id", None)
             TRACE.instant("boundary.deliver", self.sim.now, self.name,

@@ -111,18 +111,20 @@ class FabricSwitch(Node):
     The next-hop choice hashes ``(flow_id, switch name)`` through CRC32
     so a flow pins one path per switch (no intra-flow reordering) while
     different flows spread across the equal-cost set.  The choice is
-    cached per flow — forwarding is the hot path at rack scale.
+    cached per flow as the egress ``Link`` itself, resolved once through
+    ``link_to`` — forwarding is the hot path at rack scale, so a cached
+    flow goes straight to ``Link.send`` with no ``Node.send`` hop.
     """
 
     def __init__(self, sim: Simulator, name: str):
         super().__init__(sim, name)
         self.routes: Dict[str, Tuple[str, ...]] = {}
-        self._flow_choice: Dict[int, str] = {}
+        self._flow_link: Dict[int, Link] = {}
 
     def receive(self, packet: Any, link: Any) -> None:
         flow_id = packet.flow_id
-        peer = self._flow_choice.get(flow_id)
-        if peer is None:
+        out = self._flow_link.get(flow_id)
+        if out is None:
             hops = self.routes.get(packet.dst)
             if not hops:
                 self.stats.add("no_route_drops")
@@ -132,8 +134,9 @@ class FabricSwitch(Node):
             else:
                 key = f"{flow_id}:{self.name}".encode()
                 peer = hops[zlib.crc32(key) % len(hops)]
-            self._flow_choice[flow_id] = peer
-        self.send(packet, peer)
+            out = self._flow_link[flow_id] = self.link_to(peer)
+        self.stats["tx_pkts"] += 1
+        out.send(packet)
 
 
 class FabricHost(Node):

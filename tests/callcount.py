@@ -75,3 +75,24 @@ def count_calls(fn, *args, bucket=package_of, **kwargs):
     finally:
         sys.setprofile(None)
     return result, calls
+
+
+def callers_of(code, fn, *args, **kwargs):
+    """Run ``fn(*args, **kwargs)`` under ``sys.setprofile``.
+
+    Returns ``(result, callers)``, where ``callers`` is a
+    :class:`Counter` of the code objects that called the function whose
+    code object is ``code`` while ``fn`` ran.
+    """
+    callers = Counter()
+
+    def profiler(frame, event, _arg):
+        if event == "call" and frame.f_code is code:
+            callers[frame.f_back.f_code] += 1
+
+    sys.setprofile(profiler)
+    try:
+        result = fn(*args, **kwargs)
+    finally:
+        sys.setprofile(None)
+    return result, callers

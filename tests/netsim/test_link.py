@@ -3,6 +3,7 @@
 import pytest
 
 from repro.netsim import (
+    Counter,
     ETHERNET_OVERHEAD_BYTES,
     BurstLoss,
     Host,
@@ -14,6 +15,9 @@ from repro.netsim import (
     Simulator,
     duplex_link,
 )
+from repro.netsim.link import LinkStats
+from repro.obs import MetricsRegistry
+from repro.shard import boundary
 
 
 class FakePacket:
@@ -230,3 +234,74 @@ class TestHost:
         host = Host(sim, "h")
         with pytest.raises(KeyError):
             host.send(FakePacket(), "nowhere")
+
+
+# The counters the fault models (repro.netsim.faults) bump with ``add``.
+_FAULT_COUNTERS = ("reordered_pkts", "dup_pkts", "corrupt_pkts",
+                   "wire_drops", "flap_drops")
+
+
+class TestLinkStats:
+    """``LinkStats`` reads like the ``Counter`` it replaced on links."""
+
+    def test_reads_like_a_counter(self):
+        stats, counter = LinkStats(), Counter()
+        assert not stats and stats == counter and stats == {}
+        for key, amount in (("sent_pkts", 1), ("sent_bytes", 1500),
+                            ("sent_pkts", 1), ("ecn_marks", 1)):
+            stats.add(key, amount)
+            counter.add(key, amount)
+        assert stats
+        assert stats["sent_pkts"] == 2 and stats.sent_pkts == 2
+        assert stats["queue_drops"] == 0      # known but never bumped
+        assert stats.get("sent_bytes") == 1500
+        assert stats.get("queue_drops", -1) == counter.get("queue_drops",
+                                                           -1) == -1
+        assert stats.as_dict() == counter.as_dict() == {
+            "sent_pkts": 2, "sent_bytes": 1500, "ecn_marks": 1}
+        assert stats == counter and counter == stats
+        assert stats == dict(counter)
+        counter.add("queue_drops")
+        assert stats != counter and stats != {"sent_pkts": 2}
+        other = LinkStats()
+        assert stats != other
+        for key, value in stats.as_dict().items():
+            other.add(key, value)
+        assert stats == other
+
+    def test_unknown_key_raises(self):
+        stats = LinkStats()
+        for read in (lambda: stats["sent_pktz"], lambda: stats.get("x"),
+                     lambda: stats.add("x"), lambda: stats["as_dict"]):
+            with pytest.raises(AttributeError):
+                read()
+        with pytest.raises(AttributeError):
+            stats.sent_pktz = 1
+
+    @pytest.mark.parametrize("key", _FAULT_COUNTERS)
+    def test_fault_counter_add_shows_in_registry(self, key, sim):
+        link = Link(sim, None, Sink(sim), 1e9, 0.0, name="l")
+        reg = MetricsRegistry("t")
+        reg.register("link.l", link.stats)
+        link.stats.add(key)
+        link.stats.add(key, 2)
+        assert reg.snapshot() == {f"link.l.{key}": 3}
+
+    def test_every_link_type_uses_it(self, sim):
+        egress = boundary.ShardEgressLink(sim, Sink(sim), "far", 1e9, 1e-6)
+        bridge = boundary.IngressBridge(sim, Sink(sim), "far", 1e9, 1e-6)
+        for link in (Link(sim, None, Sink(sim), 1e9, 0.0), egress, bridge):
+            assert type(link.stats) is LinkStats
+
+    def test_snapshot_matches_traffic(self, sim):
+        sink = Sink(sim)
+        link = Link(sim, None, sink, 1e9, 1e-6, queue_capacity_pkts=2,
+                    ecn_threshold_pkts=1)
+        for _ in range(4):
+            link.send(FakePacket(100))
+        sim.run()
+        # One packet on the wire, two queued (the second marked at
+        # depth 1), the fourth tail-dropped at depth 2.
+        assert link.stats == {"offered_pkts": 4, "queue_drops": 1,
+                              "ecn_marks": 1, "sent_pkts": 3,
+                              "sent_bytes": 300, "delivered_pkts": 3}

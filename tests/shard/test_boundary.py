@@ -105,7 +105,7 @@ def test_counter_split_sums_to_link_counters():
     sim.run()
 
     merged = dict(stub_stats)
-    for key, value in bridge.stats.items():
+    for key, value in bridge.stats.as_dict().items():
         merged[key] = merged.get(key, 0) + value
     assert merged == real_stats
     assert [t for t, *_ in dst.seen] == [t for t, *_ in real]
