@@ -169,10 +169,6 @@ class ConvergenceReport:
     losses: List[float]
     overflow_chunks: int = 0
 
-    @property
-    def final_loss(self) -> float:
-        return self.losses[-1]
-
 
 def _make_dataset(dim: int, workers: int, samples: int, seed: int
                   ) -> Tuple[List[float], List[Tuple[list, list]]]:

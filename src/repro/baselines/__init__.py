@@ -3,9 +3,10 @@
 Each baseline implements the mechanism that differentiates its measured
 behaviour: SwitchML's in-order slot pool, ATP's server-ACK windows,
 BytePS's software parameter servers, P4xos's in-switch acceptors,
-libpaxos/DPDK-paxos's host-side message flow, ElasticSketch's two-part
-sketch, ASK's hash-addressed cache, and a software-only NetRPC stack as
-the pure-DPDK baseline.
+libpaxos/DPDK-paxos's host-side message flow and ElasticSketch's
+two-part sketch.  ASK (hash-addressed cache) and the pure-DPDK software
+INC are NetRPC itself reconfigured — ``cache_policy="hash"`` and
+``software_only=True`` at registration (``exp_micro``).
 """
 
 from .aggregation import (
@@ -16,12 +17,10 @@ from .aggregation import (
 )
 from .paxos import P4xosCluster, PaxosBaselineReport, SoftwarePaxosCluster
 from .sketch import ElasticSketch, SketchPacket, SketchSwitch
-from .wrappers import ask_programs, register_ask, register_software_inc
 
 __all__ = [
     "AggregationJob", "AggChunkPacket", "BaselineAggSwitch",
     "build_aggregation_job",
     "P4xosCluster", "SoftwarePaxosCluster", "PaxosBaselineReport",
     "ElasticSketch", "SketchSwitch", "SketchPacket",
-    "register_ask", "register_software_inc", "ask_programs",
 ]

@@ -81,24 +81,10 @@ class ElasticSketch:
             estimate += pos
             in_heavy_clean = not flag
         if not in_heavy_clean:
-            estimate += self._light_query(flow)
+            estimate += min(self._light[row][_hash(flow, row + 1)
+                                             % self.light_counters]
+                            for row in range(self.light_rows))
         return estimate
-
-    def _light_query(self, flow: str) -> int:
-        return min(self._light[row][_hash(flow, row + 1)
-                                    % self.light_counters]
-                   for row in range(self.light_rows))
-
-    def heavy_hitters(self, threshold: int) -> Dict[str, int]:
-        out = {}
-        for bucket in self._heavy:
-            if bucket is None:
-                continue
-            flow = bucket[0]
-            estimate = self.query(flow)
-            if estimate >= threshold:
-                out[flow] = estimate
-        return out
 
 
 @dataclass

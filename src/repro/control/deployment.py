@@ -1,8 +1,9 @@
 """Deployment builders: assemble a full NetRPC dataplane in one call.
 
 These mirror the paper's testbed shapes (§6.1): a single-rack star and
-the dumbbell of two switches with hosts on each side, plus an N-switch
-chain for the multi-switch experiment (§6.6).
+an N-switch chain, clients at the head and servers at the tail — two
+switches is the paper's dumbbell, more is the multi-switch experiment
+(§6.6).
 """
 
 from __future__ import annotations
@@ -20,14 +21,13 @@ from repro.netsim import (
     Topology,
 )
 from repro.netsim.topology import chain as chain_topo
-from repro.netsim.topology import dumbbell as dumbbell_topo
 from repro.netsim.topology import star as star_topo
 from repro.obs import MetricsRegistry
 from repro.switchsim import NetRPCSwitch
 
 from .controller import Controller
 
-__all__ = ["Deployment", "build_rack", "build_dumbbell", "build_chain"]
+__all__ = ["Deployment", "build_rack", "build_chain"]
 
 LossFactory = Callable[[], LossModel]
 
@@ -87,28 +87,6 @@ def build_rack(n_clients: int, n_servers: int = 1,
         for link in topo.links.values():
             link.loss = loss_factory()
     return _finish(sim, cal, topo, [switch], clients, servers)
-
-
-def build_dumbbell(n_left: int, n_right: int,
-                   cal: Calibration = DEFAULT_CALIBRATION, seed: int = 0,
-                   loss_factory: Optional[LossFactory] = None) -> Deployment:
-    """The paper's testbed: clients behind sw0, servers behind sw1."""
-    sim = Simulator(seed=seed)
-    sw0 = NetRPCSwitch(sim, "sw0", cal=cal, phys_base=0)
-    sw1 = NetRPCSwitch(sim, "sw1", cal=cal,
-                       phys_base=sw0.registers.capacity)
-    clients = [_make_host(sim, f"c{i}", cal) for i in range(n_left)]
-    servers = [_make_host(sim, f"s{i}", cal) for i in range(n_right)]
-    topo = dumbbell_topo(sim, sw0, sw1, clients, servers, cal=cal,
-                         loss=_loss(loss_factory))
-    if loss_factory is not None:
-        for link in topo.links.values():
-            link.loss = loss_factory()
-    for host in clients:
-        sw1.add_route(host.name, "sw0")
-    for host in servers:
-        sw0.add_route(host.name, "sw1")
-    return _finish(sim, cal, topo, [sw0, sw1], clients, servers)
 
 
 def build_chain(n_switches: int, n_clients: int, n_servers: int = 1,

@@ -16,9 +16,9 @@ from .idl import (
     parse_proto,
 )
 from .messages import FieldDescriptor, Message, MessageDescriptor
-from .netfilter import NetFilterError, netfilter_to_json, parse_netfilter
+from .netfilter import NetFilterError, parse_netfilter
 from .service import NetRPCService, RegisteredService, register_service
-from .status import RpcError, Status, StatusCode
+from .status import RpcError, StatusCode
 from .stubs import CallInfo, Channel, ClientStub, ServerStub
 
 __all__ = [
@@ -27,8 +27,8 @@ __all__ = [
     "Message", "MessageDescriptor", "FieldDescriptor",
     "IEDTKind", "is_iedt", "encode_items", "decode_items", "default_value",
     "encode_column", "decode_column",
-    "parse_netfilter", "netfilter_to_json", "NetFilterError",
+    "parse_netfilter", "NetFilterError",
     "NetRPCService", "RegisteredService", "register_service",
     "Channel", "ClientStub", "ServerStub", "CallInfo",
-    "Status", "StatusCode", "RpcError",
+    "StatusCode", "RpcError",
 ]

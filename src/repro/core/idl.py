@@ -50,11 +50,6 @@ class ServiceDescriptor:
     name: str
     methods: List[MethodDescriptor] = field(default_factory=list)
 
-    def method(self, name: str) -> MethodDescriptor:
-        for method in self.methods:
-            if method.name == name:
-                return method
-        raise KeyError(f"service {self.name} has no method {name!r}")
 
 
 @dataclass

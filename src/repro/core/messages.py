@@ -83,9 +83,6 @@ class FieldDescriptor:
     def is_iedt(self) -> bool:
         return self.kind is not None
 
-    def default(self) -> Any:
-        return self.py_type() if self.kind is not None else self._default
-
     def validate(self, value: Any) -> Any:
         expected = self.py_type
         if type(value) is expected:
@@ -140,9 +137,6 @@ class MessageDescriptor:
 
     def iedt_fields(self) -> List[FieldDescriptor]:
         return [f for f in self.fields if f.is_iedt]
-
-    def scalar_fields(self) -> List[FieldDescriptor]:
-        return list(self._scalars)
 
     def __call__(self, **kwargs) -> "Message":
         return Message(self, **kwargs)
@@ -244,9 +238,6 @@ class Message:
             if field is not None:
                 values[field.name] = value
         return msg
-
-    def byte_size(self, include_iedt: bool = True) -> int:
-        return len(self.to_bytes(include_iedt=include_iedt))
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ Example (the paper's gradient-aggregation filter)::
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Optional, Tuple
 
 from repro.protocol import (
     AggOp,
@@ -33,7 +33,7 @@ from repro.protocol import (
     StreamOp,
 )
 
-__all__ = ["parse_netfilter", "netfilter_to_json", "NetFilterError"]
+__all__ = ["parse_netfilter", "NetFilterError"]
 
 _KNOWN_KEYS = {"AppName", "Precision", "get", "addTo", "clear", "modify",
                "CntFwd", "retry", "agg"}
@@ -176,22 +176,3 @@ def _parse_cntfwd(value: Any) -> CntFwdSpec:
     return CntFwdSpec(target=target, threshold=threshold, key=key)
 
 
-def netfilter_to_json(program: RIPProgram) -> str:
-    """Render a RIP program back to canonical NetFilter JSON."""
-    config: Dict[str, Any] = {
-        "AppName": program.app_name,
-        "Precision": program.precision,
-        "get": program.get_field or "nop",
-        "addTo": program.add_to_field or "nop",
-        "clear": program.clear.value,
-        "modify": (program.modify_op.value if program.modify_para == 0
-                   else f"{program.modify_op.value}:{program.modify_para}"),
-        "CntFwd": {
-            "to": program.cntfwd.target.value.upper(),
-            "threshold": program.cntfwd.threshold,
-            "key": program.cntfwd.key,
-        },
-        "retry": program.retry.value,
-        "agg": program.agg.value,
-    }
-    return json.dumps(config, indent=2)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 
-__all__ = ["StatusCode", "Status", "RpcError"]
+__all__ = ["StatusCode", "RpcError"]
 
 
 class StatusCode(enum.Enum):
@@ -16,22 +16,6 @@ class StatusCode(enum.Enum):
     NOT_FOUND = 5
     UNIMPLEMENTED = 12
     UNAVAILABLE = 14
-
-
-class Status:
-    """Outcome of an RPC, modelled on grpc::Status."""
-
-    __slots__ = ("code", "details")
-
-    def __init__(self, code: StatusCode = StatusCode.OK, details: str = ""):
-        self.code = code
-        self.details = details
-
-    def ok(self) -> bool:
-        return self.code is StatusCode.OK
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Status({self.code.name}, {self.details!r})"
 
 
 class RpcError(Exception):

@@ -18,7 +18,7 @@ from .cache import (
 from .client_agent import ClientAgent
 from .congestion import AIMDController, DCTCPController, make_controller
 from .incmap import SoftwareINCMap
-from .memory import LinearAllocator, MemoryManager, MemoryRegion
+from .memory import MemoryManager, MemoryRegion
 from .server_agent import ServerAgent
 from .transport import ReliableFlow
 
@@ -30,5 +30,5 @@ __all__ = [
     "ClientAgent", "ServerAgent",
     "AIMDController", "DCTCPController", "make_controller", "ReliableFlow",
     "SoftwareINCMap",
-    "MemoryManager", "MemoryRegion", "LinearAllocator",
+    "MemoryManager", "MemoryRegion",
 ]

@@ -75,13 +75,3 @@ class LogicalSpace:
         memo[key] = addr
         return addr
 
-    def owner_of(self, addr: int) -> Optional[Any]:
-        return self._owner.get(addr)
-
-    @property
-    def collision_count(self) -> int:
-        return len(self._collided)
-
-    @property
-    def assigned_count(self) -> int:
-        return len(self._owner)

@@ -100,14 +100,11 @@ class HashAddressPolicy(CachePolicy):
     There is no admission decision to make — a key is cached iff its
     hash slot is free; collisions fall back to the server forever.  The
     server agent special-cases this policy when assigning physical
-    addresses (see :class:`~repro.inc.memory.MemoryManager`).
+    addresses (see :class:`~repro.inc.memory.MemoryManager`), so it is
+    never asked :meth:`wants`.
     """
 
     name = "hash"
-
-    def wants(self, logical: int, mapped: AbstractSet[int],
-              capacity: int) -> bool:
-        return True  # admission is decided by slot availability instead
 
     @staticmethod
     def slot_for(logical: int, capacity: int) -> int:

@@ -16,7 +16,7 @@ dataplane against.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Tuple
+from typing import Any, Dict, Iterable, List
 
 from repro.protocol import DEFAULT_FP_CODEC, StreamOp, apply_stream_op
 
@@ -111,9 +111,6 @@ class SoftwareINCMap:
             return True
         return False
 
-    def counter(self, key: Any) -> int:
-        return self._counters.get(key, 0)
-
     def clear_counter(self, key: Any) -> int:
         return self._counters.pop(key, 0)
 
@@ -131,12 +128,3 @@ class SoftwareINCMap:
 
     def snapshot(self) -> Dict[Any, int]:
         return dict(self._values)
-
-    def items(self) -> Iterable[Tuple[Any, int]]:
-        return self._values.items()
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-    def __contains__(self, key: Any) -> bool:
-        return key in self._values

@@ -20,7 +20,7 @@ from typing import Deque, Dict, KeysView, List, Optional, Set, Tuple
 
 from .cache import CachePolicy, HashAddressPolicy, PeriodicLRUPolicy
 
-__all__ = ["MemoryRegion", "MemoryManager", "LinearAllocator", "FreeList"]
+__all__ = ["MemoryRegion", "MemoryManager", "FreeList"]
 
 
 class FreeList:
@@ -50,12 +50,6 @@ class FreeList:
 
     def __bool__(self) -> bool:
         return len(self) > 0
-
-    def __contains__(self, addr: int) -> bool:
-        if addr in self._recycled:
-            return True
-        return (self._fresh_next <= addr < self._fresh_end
-                and addr not in self._holes)
 
     def popleft(self) -> int:
         holes = self._holes
@@ -92,39 +86,8 @@ class MemoryRegion:
         self.base = base
         self.size = size
 
-    def __contains__(self, addr: int) -> bool:
-        return self.base <= addr < self.base + self.size
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"MemoryRegion[{self.base}, {self.base + self.size})"
-
-
-class LinearAllocator:
-    """Circular-buffer addressing for synchronous aggregation (§5.2.2).
-
-    SyncAgtr streams a large contiguous array through a fixed region: the
-    array index ``i`` maps to ``base + (i % size)``.  Correctness needs
-    the in-flight span to stay below ``size`` (registers are cleared by
-    the round's return stream before the buffer wraps onto them); the
-    client agent enforces that bound.
-    """
-
-    def __init__(self, region: MemoryRegion):
-        if region.size % 32 != 0 or region.size == 0:
-            raise ValueError(
-                "a linear region must be a positive multiple of 32 so that "
-                "aligned chunks cover every memory segment once")
-        self.region = region
-
-    def physical(self, index: int) -> int:
-        if index < 0:
-            raise ValueError("array indices are non-negative")
-        return self.region.base + index % self.region.size
-
-    @property
-    def window_chunks(self) -> int:
-        """Max packets (32-pair chunks) safely in flight."""
-        return self.region.size // 32
 
 
 class MemoryManager:
@@ -148,18 +111,11 @@ class MemoryManager:
 
     # ------------------------------------------------------------------
     @property
-    def mapped_count(self) -> int:
-        return len(self._logical_to_phys)
-
-    @property
     def capacity(self) -> int:
         return self.region.size
 
     def lookup(self, logical: int) -> Optional[int]:
         return self._logical_to_phys.get(logical)
-
-    def logical_of(self, phys: int) -> Optional[int]:
-        return self._phys_to_logical.get(phys)
 
     def mapped_logicals(self) -> KeysView[int]:
         """Live view of the mapped logical addresses (no copy).

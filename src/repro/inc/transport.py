@@ -93,19 +93,6 @@ class ReliableFlow:
                       "abandoned": 0, "fresh_retries": 0}
 
     # ------------------------------------------------------------------
-    @property
-    def in_flight(self) -> int:
-        return len(self._pending)
-
-    @property
-    def backlog(self) -> int:
-        return len(self._queue)
-
-    @property
-    def idle(self) -> bool:
-        return not self._queue and not self._pending
-
-    # ------------------------------------------------------------------
     def enqueue(self, packet: Packet) -> None:
         """Hand a packet to the flow; seq/flip are assigned in order."""
         packet.srrt = self.srrt
@@ -321,8 +308,3 @@ class ReliableFlow:
                 # Stored bit must differ from the arriving flip bit.
                 bits |= 1 << index
         return bits
-
-    # ------------------------------------------------------------------
-    def pending_packet(self, seq: int) -> Optional[Packet]:
-        entry = self._pending.get(seq)
-        return entry.packet if entry else None

@@ -35,7 +35,6 @@ from .simulator import Process, SimulationError, Simulator, WallClockExceeded
 from .topology import (
     Topology,
     chain,
-    dumbbell,
     fat_tree,
     fat_tree_structure,
     multi_rack,
@@ -53,7 +52,7 @@ __all__ = [
     "CompositeFault", "LinkFault", "SwitchReboot", "HostPause",
     "ChaosSchedule", "InvariantChecker",
     "Node", "Host",
-    "Topology", "star", "dumbbell", "chain",
+    "Topology", "star", "chain",
     "multi_rack_structure", "fat_tree_structure", "multi_rack", "fat_tree",
     "Counter", "RateMeter", "LatencyRecorder",
     "mean", "percentile",

@@ -61,10 +61,11 @@ class FaultModel(LossModel):
     """A loss model that can also delay, duplicate, or mutate packets.
 
     Subclasses implement :meth:`apply`, which maps one packet to the
-    list of ``(extra_delay_s, packet)`` deliveries it becomes.  Faults
-    are active only inside the ``[start, until)`` window; outside it the
-    packet passes through untouched and — crucially for determinism —
-    no RNG draw is made.
+    list of ``(extra_delay_s, packet)`` deliveries it becomes; links
+    consult :meth:`plan`, never ``drops``.  Faults are active only
+    inside the ``[start, until)`` window; outside it the packet passes
+    through untouched and — crucially for determinism — no RNG draw is
+    made.
     """
 
     def __init__(self, start: float = 0.0, until: float = _INF):
@@ -82,11 +83,6 @@ class FaultModel(LossModel):
         if not self.active(link.sim.now):
             return [(0.0, packet)]
         return self.apply(packet, link)
-
-    # FaultModels ride the ``plan`` hook; ``drops`` is never consulted,
-    # but keep the LossModel contract callable for defensive callers.
-    def drops(self, packet: Any, rng) -> bool:  # pragma: no cover
-        return False
 
 
 def fault_rng(link: Link):

@@ -53,12 +53,12 @@ class LinkStats:
     well under half a :class:`~repro.netsim.trace.Counter` item ``+= 1``,
     so the transmit paths write ``stats.sent_pkts += 1``.  Everything
     else reads it the way it reads a ``Counter``: ``stats[key]``,
-    ``get``, ``add``, and :meth:`as_dict`, which — like a ``Counter``'s —
-    holds only the counters that were bumped (non-zero).  Truthiness and
-    ``==`` (against another ``LinkStats``, a ``Counter`` or a dict) go
-    through that view.  A key outside :data:`LINK_COUNTERS` raises
-    ``AttributeError`` rather than reading 0, so a misspelt counter
-    cannot pass silently.
+    ``add``, and :meth:`as_dict`, which — like a ``Counter``'s — holds
+    only the counters that were bumped (non-zero).  Truthiness goes
+    through that view; ``==`` does not (it is identity), so compare
+    ``as_dict()``.  There is no ``get``.  A key outside
+    :data:`LINK_COUNTERS` raises ``AttributeError`` rather than reading
+    0, so a misspelt counter cannot pass silently.
     """
 
     __slots__ = LINK_COUNTERS
@@ -73,10 +73,6 @@ class LinkStats:
                                  f"link counters: {LINK_COUNTERS}")
         return getattr(self, key)
 
-    def get(self, key: str, default: float = 0) -> float:
-        """``as_dict().get(key, default)`` for a known counter."""
-        return self[key] or default
-
     def add(self, key: str, amount: float = 1) -> None:
         setattr(self, key, self[key] + amount)
 
@@ -86,13 +82,6 @@ class LinkStats:
 
     def __bool__(self) -> bool:
         return any(getattr(self, key) for key in LINK_COUNTERS)
-
-    def __eq__(self, other: Any) -> bool:
-        if isinstance(other, LinkStats):
-            other = other.as_dict()
-        elif not isinstance(other, dict):
-            return NotImplemented
-        return self.as_dict() == other
 
     def __repr__(self) -> str:
         return f"LinkStats({self.as_dict()!r})"

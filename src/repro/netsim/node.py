@@ -165,10 +165,3 @@ class Host(Node):
         sim.schedule(done - now, fn, arg)
         if TRACE.enabled:
             TRACE.record("host.cpu", start, done, self.name)
-
-    def cpu_utilisation_until(self, horizon: float) -> float:
-        """Fraction of core-time consumed, assuming no further arrivals."""
-        if horizon <= 0:
-            return 0.0
-        busy = sum(min(t, horizon) for t in self._core_free)
-        return busy / (self.cores * horizon)

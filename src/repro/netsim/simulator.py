@@ -151,10 +151,6 @@ class TimerHandle(list):
         self._sim._timers_cancelled += 1
         return True
 
-    @property
-    def cancelled(self) -> bool:
-        return self[0] is None
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "cancelled" if self[0] is None else f"at {self.when!r}"
         return f"<TimerHandle {state}>"
@@ -179,10 +175,6 @@ class Process(Event):
         # Start the process at the current simulation time, but via the
         # event queue so creation order is preserved deterministically.
         sim.schedule(0.0, self._resume, None)
-
-    @property
-    def is_alive(self) -> bool:
-        return not self.triggered
 
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at the current time."""

@@ -23,7 +23,7 @@ from .link import Link, LossModel, duplex_link
 from .node import Node
 from .simulator import Simulator
 
-__all__ = ["Topology", "star", "dumbbell", "chain",
+__all__ = ["Topology", "star", "chain",
            "multi_rack_structure", "fat_tree_structure",
            "multi_rack", "fat_tree"]
 
@@ -63,15 +63,6 @@ class Topology:
         self.links[(b.name, a.name)] = bwd
         return fwd, bwd
 
-    def link(self, src: str, dst: str) -> Link:
-        try:
-            return self.links[(src, dst)]
-        except KeyError:
-            raise KeyError(f"no link {src} -> {dst}") from None
-
-    def node(self, name: str) -> Node:
-        return self.nodes[name]
-
 
 def star(sim: Simulator, center: Node, leaves: Sequence[Node],
          cal: Calibration = DEFAULT_CALIBRATION,
@@ -81,31 +72,6 @@ def star(sim: Simulator, center: Node, leaves: Sequence[Node],
     topo.add_node(center)
     for leaf in leaves:
         topo.connect(leaf, center, cal.link_bandwidth_bps,
-                     cal.host_link_delay_s, loss=loss,
-                     queue_capacity_pkts=cal.switch_queue_capacity_pkts,
-                     ecn_threshold_pkts=cal.switch_ecn_threshold_pkts)
-    return topo
-
-
-def dumbbell(sim: Simulator, left_switch: Node, right_switch: Node,
-             left_hosts: Sequence[Node], right_hosts: Sequence[Node],
-             cal: Calibration = DEFAULT_CALIBRATION,
-             loss: Optional[LossModel] = None) -> Topology:
-    """The paper's testbed: two switches, hosts hanging off each (§6.1)."""
-    topo = Topology(sim)
-    topo.add_node(left_switch)
-    topo.add_node(right_switch)
-    topo.connect(left_switch, right_switch, cal.link_bandwidth_bps,
-                 cal.switch_link_delay_s, loss=loss,
-                 queue_capacity_pkts=cal.switch_queue_capacity_pkts,
-                 ecn_threshold_pkts=cal.switch_ecn_threshold_pkts)
-    for host in left_hosts:
-        topo.connect(host, left_switch, cal.link_bandwidth_bps,
-                     cal.host_link_delay_s, loss=loss,
-                     queue_capacity_pkts=cal.switch_queue_capacity_pkts,
-                     ecn_threshold_pkts=cal.switch_ecn_threshold_pkts)
-    for host in right_hosts:
-        topo.connect(host, right_switch, cal.link_bandwidth_bps,
                      cal.host_link_delay_s, loss=loss,
                      queue_capacity_pkts=cal.switch_queue_capacity_pkts,
                      ecn_threshold_pkts=cal.switch_ecn_threshold_pkts)

@@ -45,7 +45,8 @@ class Counter(dict):
     callers write ``stats[key] += 1`` directly — two C-level dict
     operations, no method call.  Reading a missing key returns 0
     without inserting it, so snapshots only ever show counters that
-    were actually bumped.
+    were actually bumped.  ``get`` is plain ``dict.get``: it returns
+    ``None`` (or the given default) for a missing key, not 0.
     """
 
     __slots__ = ()
@@ -55,9 +56,6 @@ class Counter(dict):
 
     def add(self, key: str, amount: float = 1) -> None:
         self[key] += amount
-
-    def get(self, key: str, default: float = 0) -> float:
-        return dict.get(self, key, default)
 
     def as_dict(self) -> Dict[str, float]:
         return dict(self)
@@ -120,9 +118,6 @@ class LatencyRecorder:
         if latency_s < 0:
             raise ValueError("latency must be >= 0")
         insort(self._sorted, latency_s)
-
-    def __len__(self) -> int:
-        return len(self._sorted)
 
     @property
     def count(self) -> int:

@@ -31,7 +31,6 @@ participates.
 from __future__ import annotations
 
 import itertools
-import json
 import weakref
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -114,15 +113,6 @@ class MetricsRegistry:
         self._entries[unique] = (obj, snapshot or _auto_snapshot)
         return obj
 
-    def names(self) -> List[str]:
-        return list(self._entries)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._entries
-
     # ------------------------------------------------------------------
     # snapshot / diff / export
     # ------------------------------------------------------------------
@@ -162,17 +152,6 @@ class MetricsRegistry:
             if key not in after:
                 out[f"-{key}"] = value
         return out
-
-    def export_jsonl(self, path) -> int:
-        """Write one JSON line per instrument; returns the line count."""
-        lines = 0
-        with open(path, "w") as fh:
-            for name, values in self.snapshot_nested().items():
-                fh.write(json.dumps({"registry": self.name, "metric": name,
-                                     "values": values}, sort_keys=True,
-                                    default=str) + "\n")
-                lines += 1
-        return lines
 
 
 # ---------------------------------------------------------------------------

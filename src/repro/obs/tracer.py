@@ -134,18 +134,11 @@ class FlightRecorder:
         """Records evicted by ring wrap-around (oldest-first)."""
         return max(0, self.total - self.capacity)
 
-    def __len__(self) -> int:
-        return min(self.total, self.capacity)
-
     def records(self) -> List[Record]:
         """Surviving records in insertion order (oldest first)."""
         if self.total < self.capacity:
             return list(self._buf[:self._next])
         return list(self._buf[self._next:]) + list(self._buf[:self._next])
-
-    def count(self, kind: str) -> int:
-        """Total records of ``kind`` ever pushed (including evicted)."""
-        return self.counts.get(kind, 0)
 
     def records_by_epoch(self) -> Dict[int, List[Record]]:
         """Surviving records bucketed by epoch, insertion order kept.

@@ -22,7 +22,7 @@ from .fpcodec import (
 from .kvblock import KVBlock
 from .ops import StreamOp, apply_stream_op
 from .packets import KV_PAIRS_PER_PACKET, Packet, full_bitmap
-from .quantize import Int8BlockCodec, topk_indices, topk_sparsify
+from .quantize import Int8BlockCodec, topk_indices
 from .rips import (
     AggOp,
     ClearPolicy,
@@ -36,7 +36,7 @@ __all__ = [
     "INT32_MAX", "INT32_MIN", "Quantizer", "is_overflow_sentinel",
     "saturating_add", "wrap32",
     "FPCodec", "OrderedMaxCodec", "DEFAULT_FP_CODEC", "DEFAULT_FMAX_CODEC",
-    "Int8BlockCodec", "topk_indices", "topk_sparsify",
+    "Int8BlockCodec", "topk_indices",
     "StreamOp", "apply_stream_op",
     "Packet", "KVBlock", "KV_PAIRS_PER_PACKET",
     "full_bitmap",

@@ -215,11 +215,6 @@ class FPCodec:
         return math.ldexp(abs(value), -(self.mantissa_bits + 1)) + \
             self.tiny / 2
 
-    def add_error_bound(self, a: float, b: float) -> float:
-        """Worst-case extra error of one table add vs an exact add."""
-        largest = max(abs(a), abs(b), abs(a + b))
-        return math.ldexp(largest, 1 - self.mantissa_bits) + 2 * self.tiny
-
     def sum_error_bound(self, values: Iterable[float]) -> float:
         """Worst-case |table-accumulated - exact sum| for a sequential
         accumulation of already-encoded ``values`` (any order).

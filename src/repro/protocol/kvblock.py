@@ -93,9 +93,6 @@ class KVBlock:
     def __len__(self) -> int:
         return len(self.addrs)
 
-    def __bool__(self) -> bool:
-        return len(self.addrs) > 0
-
     # ------------------------------------------------------------------
     # bulk operations (the packet-copy / kernel fast paths)
     # ------------------------------------------------------------------

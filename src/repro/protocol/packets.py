@@ -153,10 +153,6 @@ class Packet:
         """
         return (self.task_id, self.offset)
 
-    def slot_selected(self, index: int) -> bool:
-        """Whether kv slot ``index`` is selected by the bitmap."""
-        return bool(self.bitmap >> index & 1)
-
     def select_all_slots(self) -> None:
         self.bitmap = (1 << len(self.kv.addrs)) - 1
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-__all__ = ["Int8BlockCodec", "topk_indices", "topk_sparsify"]
+__all__ = ["Int8BlockCodec", "topk_indices"]
 
 INT8_MAX = 127
 INT8_MIN = -127  # symmetric range so negation round-trips
@@ -91,13 +91,3 @@ def topk_indices(values: Sequence[float], k: int) -> List[int]:
     return sorted(ranked[:k])
 
 
-def topk_sparsify(values: Sequence[float], k: int,
-                  indices: Optional[Sequence[int]] = None,
-                  ) -> Tuple[List[int], List[float]]:
-    """Sparsify ``values`` to ``(indices, selected values)``.
-
-    Pass ``indices`` to force a coordinated selection (the INC path);
-    omit it for local top-k of this vector.
-    """
-    idx = list(indices) if indices is not None else topk_indices(values, k)
-    return idx, [float(values[i]) for i in idx]

@@ -231,26 +231,3 @@ class RIPProgram:
         return (self.uses_get or self.uses_add_to or self.cntfwd.counts
                 or self.clear is not ClearPolicy.NOP)
 
-    @property
-    def uses_floats(self) -> bool:
-        return self.precision > 0
-
-    def describe(self) -> str:
-        """One-line human summary, used in controller logs."""
-        parts = [f"app={self.app_name}", f"precision={self.precision}"]
-        if self.agg is not AggOp.ADD:
-            parts.append(f"agg={self.agg.value}")
-        if self.uses_get:
-            parts.append(f"get={self.get_field}")
-        if self.uses_add_to:
-            parts.append(f"addTo={self.add_to_field}")
-        if self.clear is not ClearPolicy.NOP:
-            parts.append(f"clear={self.clear.value}")
-        if self.modify_op is not StreamOp.NOP:
-            parts.append(f"modify={self.modify_op.value}({self.modify_para})")
-        if self.cntfwd.counts:
-            parts.append(f"cntfwd(to={self.cntfwd.target.value}, "
-                         f"th={self.cntfwd.threshold})")
-        else:
-            parts.append(f"fwd={self.cntfwd.target.value}")
-        return " ".join(parts)

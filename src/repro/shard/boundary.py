@@ -144,10 +144,10 @@ class ShardEgressLink(Link):
                          self.name)
         return True
 
-    def _deliver_fused(self, packet: Any) -> None:  # pragma: no cover
+    def _deliver_fused(self, packet: Any) -> None:
         raise AssertionError("egress stub must never deliver locally")
 
-    def _deliver(self, packet: Any) -> None:  # pragma: no cover
+    def _deliver(self, packet: Any) -> None:
         raise AssertionError("egress stub must never deliver locally")
 
 

@@ -50,10 +50,6 @@ class FlowPacket:
         self.size_bytes = size_bytes
         self.ecn = ecn
 
-    def copy(self) -> "FlowPacket":
-        return FlowPacket(self.flow_id, self.seq, self.src, self.dst,
-                          self.size_bytes, self.ecn)
-
     def __reduce__(self):
         return (FlowPacket, (self.flow_id, self.seq, self.src, self.dst,
                              self.size_bytes, self.ecn))

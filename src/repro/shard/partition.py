@@ -67,12 +67,6 @@ class Partition:
     def shard_map(self) -> Dict[str, int]:
         return dict(self.shard_of)
 
-    def channel_map(self) -> Dict[Tuple[int, int], Tuple[CutLink, ...]]:
-        return dict(self.channels)
-
-    def lookahead_map(self) -> Dict[Tuple[int, int], float]:
-        return dict(self.lookahead)
-
     @property
     def min_lookahead(self) -> float:
         bounds = [la for _pair, la in self.lookahead]

@@ -860,7 +860,7 @@ def run_sharded(scenario: ShardScenario,
     }
     # The sharded-run metrics namespace (always built, traced or not):
     # per-shard scheduler stats and barrier-wait accounting become
-    # first-class registry entries so export_jsonl / snapshot-diff
+    # first-class registry entries so the metrics JSONL / snapshot-diff
     # cover sharded runs like any single-simulator deployment.
     registry = MetricsRegistry("shard-run")
     for sid, payload in enumerate(ordered):

@@ -32,7 +32,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor, TimeoutError as _FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
 from time import perf_counter
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.netsim.simulator import (
     WallClockExceeded,
@@ -154,13 +154,6 @@ class SweepEngine:
         if self.workers == 1 or _IN_WORKER:
             return self._run_inprocess(specs)
         return self._run_pool(specs)
-
-    def map(self, fn: str, kwargs_grid: Sequence[Dict[str, Any]],
-            timeout_s: Optional[float] = None) -> List[Outcome]:
-        """Sweep one callable over a grid of kwargs dicts."""
-        return self.run([RunSpec(fn=fn, kwargs=dict(kwargs),
-                                 timeout_s=timeout_s or self.timeout_s)
-                         for kwargs in kwargs_grid])
 
     # -- serial reference path ------------------------------------------
     def _run_inprocess(self, specs: List[RunSpec]) -> List[Outcome]:

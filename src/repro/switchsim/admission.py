@@ -71,8 +71,5 @@ class AdmissionTable:
         """Last-seen time per GAID, polled by the controller."""
         return {gaid: e.last_seen for gaid, e in self._entries.items()}
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
     def __contains__(self, gaid: int) -> bool:
         return gaid in self._entries

@@ -47,11 +47,6 @@ class FlowStateTable:
     def release(self, slot: int) -> None:
         self._bits.pop(slot, None)
 
-    def expected_flip(self, slot: int, seq: int) -> int:
-        """The stored bit for ``seq`` (diagnostic/test helper)."""
-        bits = self._bits.get(slot, self._all_ones)
-        return bits >> (seq % self.w_max) & 1
-
     def check_and_update(self, slot: int, seq: int, flip: int) -> bool:
         """Returns True when the packet is a retransmission.
 
@@ -75,7 +70,8 @@ class FlowStateTable:
 
     @property
     def next_slot(self) -> int:
-        """Allocator position (diagnostic; slot handout is bump-only)."""
+        """Allocator position (the chaos invariants check it survives a
+        reboot; slot handout is bump-only)."""
         return self._next_slot
 
     def clear_state(self) -> None:

@@ -463,11 +463,6 @@ class RegisterFile:
         self.clear_block(addr_list)
         return out
 
-    @property
-    def occupied(self) -> int:
-        """Number of non-zero registers (diagnostic)."""
-        return sum(len(row) - row.count(0) for row in self._rows.values())
-
     def occupied_addrs(self) -> List[int]:
         """Addresses of all non-zero registers (diagnostic snapshot)."""
         segments = self.segments

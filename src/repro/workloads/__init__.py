@@ -6,13 +6,13 @@ key-distribution helpers.  Each generator reproduces the statistics the
 evaluation actually exercises (tensor sizes, key skew, flow-size tail).
 """
 
-from .keys import UniformKeys, ZipfGenerator, key_loop
+from .keys import ZipfGenerator
 from .models import MODELS, ModelProfile, synthetic_gradient
 from .text import SyntheticCorpus, word_count
 from .traces import FlowRecord, SyntheticTrace
 
 __all__ = [
-    "ZipfGenerator", "UniformKeys", "key_loop",
+    "ZipfGenerator",
     "ModelProfile", "MODELS", "synthetic_gradient",
     "SyntheticCorpus", "word_count",
     "FlowRecord", "SyntheticTrace",

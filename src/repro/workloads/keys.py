@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import bisect
 import random
-from typing import Iterator, List
+from typing import List
 
-__all__ = ["ZipfGenerator", "UniformKeys", "key_loop"]
+__all__ = ["ZipfGenerator"]
 
 
 class ZipfGenerator:
@@ -21,15 +21,13 @@ class ZipfGenerator:
     sampling is O(log n) and exact.
     """
 
-    def __init__(self, n: int, s: float = 1.0, seed: int = 0,
-                 prefix: str = "key"):
+    def __init__(self, n: int, s: float = 1.0, seed: int = 0):
         if n < 1:
             raise ValueError("need at least one key")
         if s < 0:
             raise ValueError("zipf exponent must be >= 0")
         self.n = n
         self.s = s
-        self.prefix = prefix
         self.rng = random.Random(seed)
         weights = [1.0 / (rank ** s) for rank in range(1, n + 1)]
         total = 0.0
@@ -42,43 +40,3 @@ class ZipfGenerator:
     def sample_index(self) -> int:
         u = self.rng.random() * self._total
         return bisect.bisect_left(self._cdf, u)
-
-    def sample(self) -> str:
-        return f"{self.prefix}-{self.sample_index()}"
-
-    def stream(self, count: int) -> Iterator[str]:
-        for _ in range(count):
-            yield self.sample()
-
-    def hot_set(self, fraction: float) -> List[str]:
-        """The most popular keys holding ``fraction`` of the probability."""
-        if not 0 < fraction <= 1:
-            raise ValueError("fraction must be in (0, 1]")
-        target = fraction * self._total
-        cut = bisect.bisect_left(self._cdf, target) + 1
-        return [f"{self.prefix}-{i}" for i in range(min(cut, self.n))]
-
-
-class UniformKeys:
-    """Uniformly random keys from a fixed universe."""
-
-    def __init__(self, n: int, seed: int = 0, prefix: str = "key"):
-        if n < 1:
-            raise ValueError("need at least one key")
-        self.n = n
-        self.prefix = prefix
-        self.rng = random.Random(seed)
-
-    def sample(self) -> str:
-        return f"{self.prefix}-{self.rng.randrange(self.n)}"
-
-    def stream(self, count: int) -> Iterator[str]:
-        for _ in range(count):
-            yield self.sample()
-
-
-def key_loop(n: int, repeats: int, prefix: str = "key") -> Iterator[str]:
-    """Loop over n distinct keys ``repeats`` times (the §6.6 workload)."""
-    for _ in range(repeats):
-        for index in range(n):
-            yield f"{prefix}-{index}"

@@ -209,6 +209,16 @@ class TestPaxos:
         assert total(".flows.abandoned") == 0
 
 
+    def test_acceptor_that_also_learns(self):
+        # c2 accepts and learns, so its agent chains two broadcast
+        # handlers: the decision must still reach its learner half.
+        dep = build_rack(4, 1, cal=CAL)
+        cluster = PaxosCluster(dep, proposers=["c0"],
+                               acceptors=["c1", "c2"],
+                               learners=["c2", "c3"])
+        report = cluster.run(50, window=2)
+        assert report.decided == {i: f"cmd-c0-{i}" for i in range(50)}
+
 class TestLock:
     def test_acquire_release_cycle(self):
         dep = build_rack(2, 1, cal=CAL)

@@ -41,9 +41,13 @@ class TestElasticSketchStructure:
         truth = trace.exact_counts(records)
         for record in records:
             sketch.insert(record.flow_id)
-        top_true = sorted(truth, key=truth.get, reverse=True)[:5]
-        hitters = sketch.heavy_hitters(threshold=truth[top_true[-1]])
-        assert set(top_true) <= set(hitters)
+        ranked = sorted(truth, key=truth.get, reverse=True)
+        top_true, rest = ranked[:5], ranked[5:]
+        threshold = truth[top_true[-1]]
+        # The heavy part holds the top flows exactly, and no other
+        # flow's estimate reaches the threshold.
+        assert all(sketch.query(flow) == truth[flow] for flow in top_true)
+        assert all(sketch.query(flow) < threshold for flow in rest)
 
     def test_eviction_moves_counts_to_light_part(self):
         sketch = ElasticSketch(heavy_buckets=1, eviction_lambda=1)

@@ -1,28 +1,35 @@
-"""Tests for the ASK / software-INC wrapper baselines."""
+"""Tests for the ASK / software-INC baselines.
 
-import pytest
+Both are NetRPC itself reconfigured at registration, as ``exp_micro``
+builds them: ASK is the keyed reduce/query pair under the hash-addressed
+cache policy, the pure-DPDK baseline the same pair in software-only mode.
+"""
 
-from repro.baselines import ask_programs, register_ask, register_software_inc
 from repro.control import build_rack
+from repro.experiments.common import async_programs
 from repro.inc import Task
 from repro.netsim import scaled
 
 CAL = scaled()
 
 
+def register(dep, **options):
+    return dep.controller.register(async_programs("X"), server="s0",
+                                   clients=["c0"], **options)
+
+
 class TestAskWrapper:
     def test_ask_uses_hash_addressing(self):
         dep = build_rack(1, 1, cal=CAL)
-        reduce_cfg, _query_cfg = register_ask(dep, server="s0",
-                                              clients=["c0"])
+        reduce_cfg, _query_cfg = register(dep, value_slots=65536,
+                                          cache_policy="hash")
         assert reduce_cfg.cache_policy == "hash"
         assert reduce_cfg.has_switch
 
     def test_ask_aggregates_exactly(self):
         dep = build_rack(1, 1, cal=CAL)
-        reduce_cfg, query_cfg = register_ask(dep, server="s0",
-                                             clients=["c0"],
-                                             value_slots=1024)
+        reduce_cfg, query_cfg = register(dep, value_slots=1024,
+                                         cache_policy="hash")
         agent = dep.client_agent(0)
         for _ in range(3):
             done = agent.submit(Task(app=reduce_cfg, items=[("k", 4)],
@@ -35,7 +42,7 @@ class TestAskWrapper:
         assert result.values["k"] == 12
 
     def test_program_shapes(self):
-        reduce_prog, query_prog = ask_programs("X")
+        reduce_prog, query_prog = async_programs("X")
         assert reduce_prog.uses_add_to and not reduce_prog.uses_get
         assert query_prog.uses_get and not query_prog.uses_add_to
 
@@ -43,13 +50,13 @@ class TestAskWrapper:
 class TestSoftwareIncWrapper:
     def test_registers_without_switch(self):
         dep = build_rack(1, 1, cal=CAL)
-        configs = register_software_inc(dep, server="s0", clients=["c0"])
+        configs = register(dep, value_slots=0, software_only=True)
         assert all(not c.has_switch for c in configs)
 
     def test_software_results_exact(self):
         dep = build_rack(1, 1, cal=CAL)
-        reduce_cfg, query_cfg = register_software_inc(
-            dep, server="s0", clients=["c0"])
+        reduce_cfg, query_cfg = register(dep, value_slots=0,
+                                         software_only=True)
         agent = dep.client_agent(0)
         done = agent.submit(Task(app=reduce_cfg,
                                  items=[("a", 1), ("b", 2)],

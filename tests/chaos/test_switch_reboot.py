@@ -103,10 +103,10 @@ class TestMidRoundReboot:
             assert not result.violations
             assert result.ok or result.failure
             assert result.audit.get("failovers") == 1
-            assert TRACE.count("control.failover") == 1
-            assert TRACE.count("control.reboot") == \
+            assert TRACE.counts.get("control.failover", 0) == 1
+            assert TRACE.counts.get("control.reboot", 0) == \
                 result.switch_stats.get("reboots")
-            assert TRACE.count("inc.resync") == \
+            assert TRACE.counts.get("inc.resync", 0) == \
                 result.audit.get("flows_resynced")
         finally:
             TRACE.clear()

@@ -128,7 +128,7 @@ class TestRegistration:
         total = server_state.soft.get("k")
         # Value may live in software or on the switch; either way nothing
         # was lost.
-        if server_state.mm.mapped_count:
+        if len(server_state.mm.mapped_logicals()):
             phys = server_state.mm.lookup(
                 next(iter(server_state.mm.mapped_logicals())))
             total += dep.switches[0].ctrl_read([phys])[0][1]

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.control import build_chain, build_dumbbell, build_rack
+from repro.control import build_chain, build_rack
 from repro.netsim import scaled
 
 CAL = scaled()
@@ -34,15 +34,17 @@ class TestRack:
 
 
 class TestDumbbell:
+    """The paper's testbed: a two-switch chain, clients on sw0."""
+
     def test_two_switches_with_routes(self):
-        dep = build_dumbbell(2, 1, cal=CAL)
+        dep = build_chain(2, 2, 1, cal=CAL)
         assert len(dep.switches) == 2
         # Cross-side routes installed.
         assert dep.switches[0].next_hop_for("s0") == "sw1"
         assert dep.switches[1].next_hop_for("c0") == "sw0"
 
     def test_phys_bases_partition_address_space(self):
-        dep = build_dumbbell(1, 1, cal=CAL)
+        dep = build_chain(2, 1, 1, cal=CAL)
         sw0, sw1 = dep.switches
         assert sw0.phys_base == 0
         assert sw1.phys_base == sw0.registers.capacity

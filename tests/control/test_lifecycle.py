@@ -87,7 +87,7 @@ class TestDeregistrationLifecycle:
         dep.sim.run_until(done, limit=dep.sim.now + 5.0)
         snapshot = dep.server_agent(0).app_state("KEEP")
         total = snapshot.soft.get("k")
-        if snapshot.mm.mapped_count:
+        if len(snapshot.mm.mapped_logicals()):
             from repro.inc.addressing import logical_address
             phys = snapshot.mm.lookup(logical_address("k"))
             if phys is not None:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.control import build_chain, build_dumbbell
+from repro.control import build_chain
 from repro.inc import Task
 from repro.netsim import scaled
 from repro.protocol import CntFwdSpec, ForwardTarget, RIPProgram
@@ -19,8 +19,10 @@ def async_programs(name="MR"):
 
 
 class TestDumbbell:
+    """The paper's testbed: a two-switch chain, clients on sw0."""
+
     def test_aggregation_across_the_dumbbell(self):
-        dep = build_dumbbell(2, 1, cal=CAL)
+        dep = build_chain(2, 2, 1, cal=CAL)
         reduce_cfg, query_cfg = dep.controller.register(
             list(async_programs()), server="s0", clients=["c0", "c1"],
             value_slots=1024)
@@ -35,7 +37,7 @@ class TestDumbbell:
         assert result.values["k"] == 10
 
     def test_memory_pool_spans_both_switches(self):
-        dep = build_dumbbell(1, 1, cal=CAL)
+        dep = build_chain(2, 1, 1, cal=CAL)
         per_switch = dep.switches[0].registers.capacity
         assert dep.controller.pool.total == 2 * per_switch
 

@@ -45,7 +45,7 @@ class TestTwoLevelTimeout:
         server_state = dep.server_agent(0).app_state("APP")
         # All value mass is back in server software after retrieval.
         assert server_state.soft.get("k") == 10
-        assert server_state.mm.mapped_count == 0
+        assert len(server_state.mm.mapped_logicals()) == 0
 
     def test_second_level_expires_and_reports(self):
         dep = build_rack(1, 1, cal=CAL)
@@ -91,3 +91,27 @@ class TestTwoLevelTimeout:
         dep.sim.run(until=dep.sim.now + 0.03)
         assert not monitor.second_level_fired("APP")
         assert not monitor.first_level_fired("APP")  # re-armed
+
+    def test_stop_silences_both_levels(self):
+        dep = build_rack(1, 1, cal=CAL)
+        config = make_app(dep)
+        monitor = TimeoutMonitor(dep.sim, dep.controller, cal=CAL)
+        done = dep.client_agent(0).submit(
+            Task(app=config, items=[("k", 9)], expect_result=False))
+        dep.sim.run_until(done, limit=5.0)
+        monitor.stop()
+        dep.sim.run(until=dep.sim.now + 1.0)   # past both levels
+        assert monitor.events == []
+        assert not monitor.first_level_fired("APP")
+
+    def test_stop_leaves_no_poll_timer(self):
+        # Every registered app keeps agent loops alive, so use none:
+        # the monitor's poll loop is then the only thing scheduled.
+        dep = build_rack(1, 1, cal=CAL)
+        monitor = TimeoutMonitor(dep.sim, dep.controller, cal=CAL)
+        dep.sim.run(until=0.05)                # two polls
+        monitor.stop()
+        dep.sim.run(until=0.1)
+        assert dep.sim.peek() == float("inf")
+        dep.sim.run()                          # returns: nothing re-arms
+        assert dep.sim.now == 0.1

@@ -35,7 +35,7 @@ class TestBlockingCallErrors:
         stub = Channel(registered, "c0").stub()
         request = registered.binding("Get").request(kvs={"k": 0})
         # Sever the client's uplink so nothing ever completes.
-        dep.topology.link("c0", "sw0").loss = type(
+        dep.topology.links[("c0", "sw0")].loss = type(
             "Drop", (), {"drops": staticmethod(lambda p, r: True)})()
         with pytest.raises(RpcError):
             stub.call("Get", request, timeout=0.002)

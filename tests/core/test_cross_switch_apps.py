@@ -4,7 +4,7 @@ opposite switches), exercising multi-hop routing through the RPC API."""
 import pytest
 
 from repro.apps import LockService, WordCountJob
-from repro.control import build_dumbbell
+from repro.control import build_chain
 from repro.netsim import scaled
 from repro.workloads import SyntheticCorpus, word_count
 
@@ -13,7 +13,7 @@ CAL = scaled()
 
 class TestWordCountAcrossDumbbell:
     def test_counts_exact_across_switches(self):
-        dep = build_dumbbell(2, 1, cal=CAL)
+        dep = build_chain(2, 2, 1, cal=CAL)
         corpus = SyntheticCorpus(vocabulary_size=150, seed=8)
         shards = {"c0": list(corpus.documents(3)),
                   "c1": list(corpus.documents(3))}
@@ -28,7 +28,7 @@ class TestWordCountAcrossDumbbell:
 
 class TestLockAcrossDumbbell:
     def test_mutual_exclusion_across_switches(self):
-        dep = build_dumbbell(2, 1, cal=CAL)
+        dep = build_chain(2, 2, 1, cal=CAL)
         lock = LockService(dep)
         lock.acquire("c0", "L")
         blocked = lock.acquire_async("c1", "L")
@@ -39,7 +39,7 @@ class TestLockAcrossDumbbell:
 
     def test_sub_rtt_grant_on_retry_path(self):
         """Once granted a mapping, lock attempts bounce at the edge switch."""
-        dep = build_dumbbell(1, 1, cal=CAL)
+        dep = build_chain(2, 1, 1, cal=CAL)
         lock = LockService(dep)
         lock.acquire("c0", "L")     # grants the mapping
         lock.release("c0", "L")

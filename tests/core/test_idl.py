@@ -28,7 +28,7 @@ class TestPaperExample:
     def test_service_and_filter_clause(self):
         proto = parse_proto(PAPER_EXAMPLE)
         service = proto.service("GradientService")
-        method = service.method("Update")
+        (method,) = [m for m in service.methods if m.name == "Update"]
         assert method.request_type == "NewGrad"
         assert method.reply_type == "AgtrGrad"
         assert method.filter_file == "agtr.nf"
@@ -65,7 +65,7 @@ class TestSyntaxVariants:
         message A { int32 x = 1; }
         service S { rpc Plain (A) returns (A); }
         """)
-        assert proto.service("S").method("Plain").filter_file is None
+        assert proto.service("S").methods[0].filter_file is None
 
     def test_multiple_rpcs(self):
         proto = parse_proto("""

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.core import NetFilterError, netfilter_to_json, parse_netfilter
+from repro.core import NetFilterError, parse_netfilter
 from repro.protocol import ClearPolicy, ForwardTarget, RetryMode, StreamOp
 
 PAPER_AGTR = """{
@@ -133,12 +133,15 @@ class TestValidation:
 
 
 class TestRoundtrip:
+    """A NetFilter parses the same from its JSON text and its dict."""
+
     def test_json_roundtrip(self):
         program = parse_netfilter(PAPER_AGTR)
-        again = parse_netfilter(netfilter_to_json(program))
-        assert again == program
+        assert parse_netfilter(json.loads(PAPER_AGTR)) == program
 
     def test_roundtrip_with_modify_parameter(self):
-        program = parse_netfilter({"AppName": "A", "modify": "bxor:255"})
-        again = parse_netfilter(netfilter_to_json(program))
-        assert again == program
+        config = {"AppName": "A", "modify": "bxor:255"}
+        program = parse_netfilter(config)
+        assert parse_netfilter(json.dumps(config)) == program
+        assert program.modify_op is StreamOp.BXOR
+        assert program.modify_para == 255

@@ -6,6 +6,8 @@ the intended RIP programs — the strongest evidence the user-facing
 language matches the publication.
 """
 
+import json
+
 import pytest
 
 from repro.core import NetRPCService, parse_netfilter, parse_proto
@@ -161,7 +163,7 @@ class TestAppendixDMonitor:
         assert mon.program.cntfwd.target is ForwardTarget.SERVER
         assert mon.program.add_to_field == "MonitorRequest.kvs"
         # The scalar payload field rides outside the INC stream.
-        scalars = [f.name for f in mon.request.scalar_fields()]
+        scalars = [f.name for f in mon.request.fields if not f.is_iedt]
         assert scalars == ["payload"]
 
 
@@ -171,6 +173,6 @@ class TestFilterRoundTrips:
         FIG20_RELEASE, FIG23_MONITOR, FIG23_QUERY,
     ])
     def test_all_paper_filters_roundtrip(self, source):
-        from repro.core import netfilter_to_json
         program = parse_netfilter(source)
-        assert parse_netfilter(netfilter_to_json(program)) == program
+        assert program.uses_map
+        assert parse_netfilter(json.loads(source)) == program

@@ -161,7 +161,7 @@ class TestOneEventPerCall:
 
             def caller():
                 reply, _info = yield event
-                at_resume.append((TRACE.count("client.task"),
+                at_resume.append((TRACE.counts.get("client.task", 0),
                                   reply.descriptor.name))
 
             sim.run_until(sim.process(caller()), limit=sim.now + 1.0)

@@ -38,11 +38,15 @@ class TestLogicalAddress:
 
 
 class TestLogicalSpace:
+    # Integer keys hash by a multiplication modulo 2**32, so ``k`` and
+    # ``k + 2**32`` share a logical address: a real collision.
     def test_first_resolution_owns_address(self):
         space = LogicalSpace()
-        addr = space.resolve("k")
-        assert addr == logical_address("k")
-        assert space.owner_of(addr) == "k"
+        assert space.resolve("k") == logical_address("k")
+        addr = space.resolve(7)
+        assert addr == logical_address(7) == logical_address(7 + 2**32)
+        assert space.resolve(7 + 2**32) is None
+        assert space.resolve(7) == addr
 
     def test_same_key_resolves_consistently(self):
         space = LogicalSpace()
@@ -50,22 +54,20 @@ class TestLogicalSpace:
 
     def test_collision_diverts_second_key(self):
         space = LogicalSpace()
-        addr = space.resolve("winner")
-        # Simulate a hash collision by planting a same-address key.
-        space._owner[addr] = "winner"
-        space._collided.add("loser")
-        assert space.resolve("loser") is None
-        assert space.collision_count == 1
+        winner = space.resolve(7)
+        assert space.resolve(7 + 2**32) is None
+        assert space.resolve(7 + 2**33) is None
+        assert space.resolve(8) not in (None, winner)
 
     def test_collision_is_permanent(self):
         space = LogicalSpace()
-        space._collided.add("x")
-        assert space.resolve("x") is None
-        assert space.resolve("x") is None
+        space.resolve(7)
+        assert space.resolve(7 + 2**32) is None
+        assert space.resolve(7 + 2**32) is None
 
     def test_assigned_count(self):
         space = LogicalSpace()
-        space.resolve("a")
-        space.resolve("b")
-        space.resolve("a")
-        assert space.assigned_count == 2
+        first = space.resolve("a")
+        second = space.resolve("b")
+        assert space.resolve("a") == first
+        assert None not in (first, second) and first != second

@@ -5,6 +5,8 @@ import pytest
 from repro.inc import (
     FCFSPolicy,
     HashAddressPolicy,
+    MemoryManager,
+    MemoryRegion,
     PeriodicLRUPolicy,
     PowerOfNPolicy,
     make_policy,
@@ -63,8 +65,12 @@ class TestHashAddress:
         assert HashAddressPolicy.slot_for(8, 8) == 0
 
     def test_always_wants(self):
-        policy = HashAddressPolicy()
-        assert policy.wants(1, {1, 2, 3}, capacity=2)
+        # Admission is the hash slot's availability alone: the manager
+        # grants every logical address whose slot is free, until full.
+        mm = MemoryManager(MemoryRegion(0, 2), policy=HashAddressPolicy())
+        assert mm.request(1, 0.0) == 1
+        assert mm.request(2, 0.0) == 0
+        assert mm.request(3, 0.0) is None       # slot 1 is taken
 
 
 class TestPeriodicLRU:

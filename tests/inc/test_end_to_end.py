@@ -57,7 +57,7 @@ class TestAsyncAggregation:
         server_state = dep.server_agent(0).app_state("MR")
         # Values were granted mappings and migrated onto the switch.
         dep.sim.run(until=dep.sim.now + 2 * CAL.ctrl_rtt_s)
-        assert server_state.mm.mapped_count == 2
+        assert len(server_state.mm.mapped_logicals()) == 2
 
     def test_second_task_uses_switch_path(self):
         dep = build_rack(1, 1, cal=CAL)

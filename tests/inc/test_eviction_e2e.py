@@ -35,7 +35,7 @@ class TestEvictionLifecycle:
         # Fill the cache with cold keys.
         push(dep, reduce_cfg, [(f"cold-{i}", 1) for i in range(8)])
         dep.sim.run(until=dep.sim.now + 1e-4)
-        assert server_state.mm.mapped_count == 8
+        assert len(server_state.mm.mapped_logicals()) == 8
         # Hammer hot keys for several windows.
         for _ in range(30):
             push(dep, reduce_cfg, [(f"hot-{i}", 1) for i in range(4)])

@@ -72,7 +72,7 @@ class TestDeterministicDrops:
         """Drop early server->switch packets: the clearing returns."""
         dep = build_rack(2, 1, cal=CAL, seed=1)
         # Inject loss only on the server's uplink.
-        dep.topology.link("s0", "sw0").loss = ScriptedLoss([0, 1, 2])
+        dep.topology.links[("s0", "sw0")].loss = ScriptedLoss([0, 1, 2])
         (config,) = dep.controller.register(
             [sync_program(2)], server="s0", clients=["c0", "c1"],
             value_slots=4096, counter_slots=512, linear=True)

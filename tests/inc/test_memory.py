@@ -1,18 +1,20 @@
-"""Tests for the server-side memory manager and linear allocator."""
+"""Tests for the server-side memory manager and linear allocation."""
 
 import random
 
 import pytest
 
-from repro.inc import LinearAllocator, MemoryManager, MemoryRegion
+from repro.inc import AppConfig, MemoryManager, MemoryRegion
 from repro.inc.cache import FCFSPolicy, HashAddressPolicy, make_policy
+from repro.protocol import RIPProgram
 
 
 class TestMemoryRegion:
     def test_contains(self):
-        region = MemoryRegion(100, 50)
-        assert 100 in region and 149 in region
-        assert 99 not in region and 150 not in region
+        # A manager on the region grants exactly [base, base + size).
+        mm = MemoryManager(MemoryRegion(100, 50), policy=FCFSPolicy())
+        granted = {mm.request(logical, 0.0) for logical in range(60)}
+        assert granted == set(range(100, 150)) | {None}
 
     def test_invalid_region(self):
         with pytest.raises(ValueError):
@@ -22,35 +24,31 @@ class TestMemoryRegion:
 
 
 class TestLinearAllocator:
-    def test_circular_addressing(self):
-        alloc = LinearAllocator(MemoryRegion(1000, 64))
-        assert alloc.physical(0) == 1000
-        assert alloc.physical(63) == 1063
-        assert alloc.physical(64) == 1000  # wraps
+    """SyncAgtr's linear allocation: aligned 32-pair chunks must cover
+    every memory segment once, so a linear app's region is a multiple of
+    32 (``AppConfig`` checks it; the client agent does the addressing)."""
 
-    def test_window_chunks(self):
-        alloc = LinearAllocator(MemoryRegion(0, 320))
-        assert alloc.window_chunks == 10
+    @staticmethod
+    def _config(size):
+        program = RIPProgram(app_name="LIN", add_to_field="r.kvs",
+                             get_field="r.kvs")
+        return AppConfig(gaid=1, program=program, server="s0",
+                         clients=("c0",), value_region=MemoryRegion(0, size),
+                         counter_region=MemoryRegion(size, 8), linear=True)
 
     def test_region_must_be_multiple_of_32(self):
-        with pytest.raises(ValueError):
-            LinearAllocator(MemoryRegion(0, 30))
-        with pytest.raises(ValueError):
-            LinearAllocator(MemoryRegion(0, 0))
-
-    def test_negative_index_rejected(self):
-        alloc = LinearAllocator(MemoryRegion(0, 32))
-        with pytest.raises(ValueError):
-            alloc.physical(-1)
+        assert self._config(64).value_region.size == 64
+        with pytest.raises(ValueError, match="multiples of 32"):
+            self._config(30)
 
 
 class TestMemoryManager:
     def test_grant_assigns_from_region(self):
         mm = MemoryManager(MemoryRegion(500, 4))
         phys = mm.request(logical=777, now=0.0)
-        assert phys in MemoryRegion(500, 4)
+        assert 500 <= phys < 504
         assert mm.lookup(777) == phys
-        assert mm.logical_of(phys) == 777
+        assert 777 in mm.mapped_logicals()
 
     def test_repeat_request_returns_same_mapping(self):
         mm = MemoryManager(MemoryRegion(0, 4))
@@ -99,7 +97,7 @@ class TestMemoryManager:
         mm = MemoryManager(MemoryRegion(0, 4))
         assert mm.capacity == 4
         mm.request(1, 0.0)
-        assert mm.mapped_count == 1
+        assert len(mm.mapped_logicals()) == 1
 
     def test_mapped_logicals_is_a_live_view(self):
         mm = MemoryManager(MemoryRegion(0, 4))

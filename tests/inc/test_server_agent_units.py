@@ -57,7 +57,7 @@ class TestServerDedup:
         dep.sim.run(until=dep.sim.now + 0.01)
         # Seen-set dedup: the value must not be double-counted.
         total = state.soft.get("k")
-        if state.mm.mapped_count:
+        if len(state.mm.mapped_logicals()):
             from repro.inc.addressing import logical_address
             phys = state.mm.lookup(logical_address("k"))
             if phys is not None:

@@ -126,8 +126,13 @@ class TestReliableFlow:
         for i in range(20):
             flow.enqueue(make_packet(offset=i * 32))
         sim.run(until=1e-5)
-        assert flow.in_flight == CAL.initial_cwnd
-        assert flow.backlog == 20 - CAL.initial_cwnd
+        assert flow.stats["sent"] == len(sink.received) == CAL.initial_cwnd
+        # The other packets wait until ACKs open the window.
+        while len(sink.received) < 20:
+            for pkt in sink.received:
+                flow.ack(pkt.seq)
+            sim.run(until=sim.now + 1e-5)
+        assert flow.stats["sent"] == 20 and flow.stats["retransmits"] == 0
 
     def test_ack_opens_window(self):
         sim = Simulator()
@@ -165,8 +170,8 @@ class TestReliableFlow:
         sim.run(until=1e-5)
         flow.ack(0)
         sim.run(until=20 * CAL.retransmit_timeout_s)
+        sim.run()           # runs dry: nothing is left to retransmit
         assert flow.stats["retransmits"] == 0
-        assert flow.idle
 
     def test_duplicate_ack_ignored(self):
         sim = Simulator()
@@ -199,12 +204,13 @@ class TestReliableFlow:
         for i in range(4):
             flow.enqueue(make_packet(offset=i * 32))
         sim.run(until=1e-5)
-        flow.ack(2)
-        flow.ack(3)
-        assert flow.in_flight == 2  # 0 and 1 still pending
-        flow.ack(0)
-        flow.ack(1)
-        assert flow.idle
+        assert flow.ack(2) is not None and flow.ack(3) is not None
+        assert flow.stats["acked"] == 2
+        # 0 and 1 are still pending: their ACKs settle them.
+        assert flow.ack(0) is not None and flow.ack(1) is not None
+        assert flow.stats["sent"] == flow.stats["acked"] == 4
+        sim.run()           # returns: nothing is left to retransmit
+        assert flow.stats["retransmits"] == 0
 
     def test_gives_up_after_max_attempts(self):
         sim = Simulator()
@@ -215,7 +221,11 @@ class TestReliableFlow:
         flow.enqueue(make_packet())
         sim.run(until=2.0)
         assert len(gave_up) == 1
-        assert flow.idle
+        assert flow.stats["abandoned"] == 1
+        assert flow.ack(0) is None      # no longer pending
+        sent = len(sink.received)
+        sim.run()           # returns: the flow keeps no RTO timer
+        assert len(sink.received) == sent
 
 
 class TestFastRetransmit:

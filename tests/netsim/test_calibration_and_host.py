@@ -68,10 +68,10 @@ class TestHostCpuModel:
         class P:
             size_bytes = 10
 
-        host.set_handler(lambda p, l: None)
+        done = []
+        host.set_handler(lambda p, l: done.append(sim.now))
         for _ in range(4):
             host.receive(P(), None)
         sim.run()
-        # 4 packets x 1 ms over 2 cores within a 2 ms horizon: full.
-        assert host.cpu_utilisation_until(2e-3) == pytest.approx(1.0)
-        assert host.cpu_utilisation_until(4e-3) == pytest.approx(0.5)
+        # 4 packets x 1 ms over 2 cores: two finish at 1 ms, two at 2 ms.
+        assert done == [pytest.approx(1e-3)] * 2 + [pytest.approx(2e-3)] * 2

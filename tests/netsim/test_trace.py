@@ -61,7 +61,8 @@ class TestCounter:
 
     def test_missing_key_reads_zero_without_inserting(self):
         c = Counter()
-        assert c["missing"] == 0 and c.get("missing") == 0
+        assert c["missing"] == 0
+        assert c.get("missing") is None     # ``get`` is plain dict.get
         assert c.get("missing", None) is None
         assert "missing" not in c and c.as_dict() == {}
         c["hit"] += 2                       # the hot-path spelling

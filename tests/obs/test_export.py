@@ -212,7 +212,7 @@ def _event_count(seed: int) -> int:
 class TestDeploymentRegistry:
     def test_registry_spans_every_layer(self):
         deployment = build_rack(2, 1, seed=0)
-        names = deployment.metrics.names()
+        names = list(deployment.metrics.snapshot_nested())
         assert "sim" in names
         assert any(n.startswith("link.") for n in names)
         assert "switch.sw0" in names

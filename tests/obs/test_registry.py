@@ -11,6 +11,7 @@ from repro.obs import (
     collected_snapshots,
     keep_registries,
 )
+from repro.obs.export import write_metrics_jsonl
 
 
 class TestRegistration:
@@ -18,15 +19,14 @@ class TestRegistration:
         reg = MetricsRegistry("t")
         counter = Counter()
         assert reg.register("a", counter) is counter
-        assert "a" in reg
-        assert len(reg) == 1
+        assert list(reg.snapshot_nested()) == ["a"]
 
     def test_duplicate_names_get_suffix(self):
         reg = MetricsRegistry("t")
         reg.register("a", Counter())
         reg.register("a", Counter())
         reg.register("a", Counter())
-        assert reg.names() == ["a", "a#2", "a#3"]
+        assert list(reg.snapshot_nested()) == ["a", "a#2", "a#3"]
 
     def test_unknown_instrument_requires_snapshot(self):
         reg = MetricsRegistry("t")
@@ -78,13 +78,15 @@ class TestSnapshotDiff:
     def test_export_jsonl_round_trips(self, tmp_path):
         reg = self._loaded()
         path = tmp_path / "metrics.jsonl"
-        lines = reg.export_jsonl(path)
-        assert lines == 4
+        lines = write_metrics_jsonl(path)
         parsed = [json.loads(line) for line in
                   path.read_text().splitlines()]
-        assert {p["metric"] for p in parsed} == \
-            {"pkts", "lat", "rate", "raw"}
-        assert all(p["registry"] == reg.name for p in parsed)
+        assert lines == len(parsed)
+        mine = [p for p in parsed if p["registry"] == reg.name]
+        assert sorted(p["metric"] for p in mine) == \
+            ["lat", "pkts", "rate", "raw"]
+        assert {p["metric"]: p["values"] for p in mine}["pkts"] == \
+            {"rx": 3}
 
 
 class TestCollection:

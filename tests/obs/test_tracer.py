@@ -9,7 +9,7 @@ class TestLifecycle:
     def test_starts_disabled(self):
         rec = FlightRecorder()
         assert not rec.enabled
-        assert len(rec) == 0
+        assert len(rec.records()) == 0
         assert rec.records() == []
 
     def test_start_arms_and_clears(self):
@@ -35,7 +35,7 @@ class TestLifecycle:
         rec.record("a", 0.0, 1.0, "x")
         rec.stop()
         assert not rec.enabled
-        assert len(rec) == 1
+        assert len(rec.records()) == 1
 
     def test_clear_releases_everything(self):
         rec = FlightRecorder(capacity=4)
@@ -51,7 +51,7 @@ class TestLifecycle:
         rec = FlightRecorder(capacity=4)
         rec.record("a", 0.0, 1.0, "x")
         assert rec.enabled
-        assert len(rec) == 1
+        assert len(rec.records()) == 1
 
     def test_default_capacity(self):
         assert FlightRecorder().capacity == DEFAULT_CAPACITY
@@ -75,7 +75,7 @@ class TestRing:
         starts = [r[2] for r in rec.records()]
         assert starts == [2.0, 3.0, 4.0]
         assert rec.dropped == 2
-        assert len(rec) == 3
+        assert len(rec.records()) == 3
         assert rec.total == 5
 
     def test_exact_capacity_boundary(self):
@@ -92,9 +92,9 @@ class TestRing:
         for _ in range(5):
             rec.record("a", 0.0, None, "w")
         rec.record("b", 0.0, None, "w")
-        assert rec.count("a") == 5
-        assert rec.count("b") == 1
-        assert rec.count("missing") == 0
+        assert rec.counts.get("a", 0) == 5
+        assert rec.counts.get("b", 0) == 1
+        assert rec.counts.get("missing", 0) == 0
 
 
 class TestRecordShape:

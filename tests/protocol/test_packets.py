@@ -29,18 +29,21 @@ class TestBitmap:
         with pytest.raises(ValueError):
             full_bitmap(33)
 
+    # make_packet puts address i in slot i.
     def test_slot_selection(self):
         pkt = make_packet(4)
         pkt.bitmap = 0b1010
-        assert not pkt.slot_selected(0)
-        assert pkt.slot_selected(1)
-        assert not pkt.slot_selected(2)
-        assert pkt.slot_selected(3)
+        assert not pkt.kv.selected_contains(0, pkt.bitmap)
+        assert pkt.kv.selected_contains(1, pkt.bitmap)
+        assert not pkt.kv.selected_contains(2, pkt.bitmap)
+        assert pkt.kv.selected_contains(3, pkt.bitmap)
 
     def test_select_all_slots(self):
         pkt = make_packet(5)
-        assert all(pkt.slot_selected(i) for i in range(5))
-        assert not pkt.slot_selected(5)
+        assert pkt.bitmap == 0b11111
+        assert all(pkt.kv.selected_contains(i, pkt.bitmap)
+                   for i in range(5))
+        assert not pkt.kv.selected_contains(5, pkt.bitmap)
 
 
 class TestSizeModel:

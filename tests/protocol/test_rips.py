@@ -8,7 +8,6 @@ from repro.protocol import (
     ForwardTarget,
     RIPProgram,
     RetryMode,
-    StreamOp,
 )
 
 
@@ -64,7 +63,7 @@ class TestRIPProgram:
         assert not prog.uses_get
         assert not prog.uses_add_to
         assert not prog.uses_map
-        assert not prog.uses_floats
+        assert prog.precision == 0
 
     def test_gradient_aggregation_program(self):
         # The paper's Figure 3 NetFilter.
@@ -75,7 +74,7 @@ class TestRIPProgram:
             cntfwd=CntFwdSpec(target=ForwardTarget.ALL, threshold=2,
                               key="ClientID"))
         assert prog.uses_get and prog.uses_add_to and prog.uses_map
-        assert prog.uses_floats
+        assert prog.precision == 8
         assert prog.cntfwd.counts
 
     def test_empty_app_name_rejected(self):
@@ -93,18 +92,6 @@ class TestRIPProgram:
                           cntfwd=CntFwdSpec(threshold=1,
                                             target=ForwardTarget.SRC))
         assert prog.uses_map
-
-    def test_describe_mentions_enabled_primitives(self):
-        prog = RIPProgram(app_name="x", get_field="R.kvs",
-                          clear=ClearPolicy.LAZY,
-                          modify_op=StreamOp.ADD, modify_para=5,
-                          cntfwd=CntFwdSpec(target=ForwardTarget.SRC,
-                                            threshold=3))
-        text = prog.describe()
-        assert "get=R.kvs" in text
-        assert "clear=lazy" in text
-        assert "modify=add(5)" in text
-        assert "cntfwd" in text and "th=3" in text
 
     def test_programs_are_immutable(self):
         prog = RIPProgram(app_name="x")

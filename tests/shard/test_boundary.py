@@ -15,6 +15,7 @@ from repro.netsim import NoLoss, RandomLoss, Reorder, Simulator
 from repro.netsim.link import Link
 from repro.netsim.node import Node
 from repro.shard import FlowPacket, IngressBridge, ShardEgressLink
+from repro.shard.boundary import RemoteNode
 
 BW = 100e9
 DELAY = 10e-6
@@ -136,3 +137,14 @@ def test_egress_rejects_loss_models(model):
         stub.loss = model
     stub.loss = NoLoss()
     assert stub.send(_pkt(0))
+
+
+def test_egress_half_never_delivers_locally():
+    # The sender half of a cut link only fills its outbox; a local
+    # delivery would mean a packet skipped the shard channel.
+    sim = Simulator(seed=0)
+    stub = ShardEgressLink(sim, _Recorder(sim, "src"), "dst", BW, DELAY)
+    for deliver in (stub._deliver, stub._deliver_fused,
+                    lambda pkt: RemoteNode("dst").receive(pkt, stub)):
+        with pytest.raises(AssertionError, match="locally"):
+            deliver(_pkt(0))

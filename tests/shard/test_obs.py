@@ -15,7 +15,7 @@ The contract under test (ISSUE 10 / DESIGN.md §4.11):
 * a single-shard sharded run records exactly what the single-simulator
   reference records on the same (cut-free) topology;
 * the always-on ``shard-run`` registry namespace exposes per-shard
-  scheduler/sync stats to export_jsonl/diff.
+  scheduler/sync stats to the metrics JSONL and diff.
 
 Runs are memoized per (traced, workers, transport, scenario) so the
 suite pays for each configuration once.
@@ -26,7 +26,7 @@ import json
 import pytest
 
 from repro.experiments.exp_fattree import build_scenario
-from repro.obs.export import validate_chrome_trace
+from repro.obs.export import validate_chrome_trace, write_metrics_jsonl
 from repro.obs.merge import merged_chrome_trace, stitch_flow_pairs
 from repro.obs.registry import MetricsRegistry, keep_registries
 from repro.obs.tracer import DEFAULT_CAPACITY, TRACE
@@ -208,7 +208,7 @@ class TestRegistryNamespace:
         result = _run(traced=False, workers=1)
         registry = result.registry
         assert registry is not None
-        names = set(registry.names())
+        names = set(registry.snapshot_nested())
         assert {"shard0.scheduler", "shard0.sync",
                 "shard1.scheduler", "shard1.sync", "transport"} <= names
         snap = registry.snapshot_nested()
@@ -222,11 +222,11 @@ class TestRegistryNamespace:
     def test_export_jsonl_covers_sharded_run(self, tmp_path):
         result = _run(traced=False, workers=1)
         path = tmp_path / "shard_metrics.jsonl"
-        count = result.registry.export_jsonl(path)
-        assert count == len(result.registry)
+        write_metrics_jsonl(path)
         lines = [json.loads(line) for line in
-                 path.read_text().splitlines()]
+                 path.read_text().splitlines()
+                 if json.loads(line)["registry"] == result.registry.name]
+        assert result.registry.name.startswith("shard-run")
+        assert len(lines) == len(result.registry.snapshot_nested())
         assert {line["metric"] for line in lines} \
-            == set(result.registry.names())
-        assert all(line["registry"].startswith("shard-run")
-                   for line in lines)
+            == set(result.registry.snapshot_nested())

@@ -89,7 +89,7 @@ class TestFailureContainment:
         specs = [RunSpec(RAISE, {"message": "kaboom"}),
                  RunSpec(CHECKSUM, {"n": 20}, seed=0)]
         failure, result = SweepEngine(workers=workers).run(specs)
-        assert isinstance(failure, RunFailure)
+        assert isinstance(failure, RunFailure) and not failure.ok
         assert failure.kind == "error"
         assert "kaboom" in failure.message
         assert "ValueError" in failure.traceback

@@ -40,7 +40,8 @@ class TestAdmissionTable:
     def test_len_and_contains(self):
         table = AdmissionTable()
         table.install(AppEntry(gaid=3, program=PROG, server="s0"))
-        assert len(table) == 1 and 3 in table and 4 not in table
+        assert 3 in table and 4 not in table
+        assert list(table.timestamps()) == [3]
 
 
 class TestSwitchRemoval:
@@ -69,7 +70,8 @@ class TestSwitchRemoval:
         slot = switch.allocate_flow_slot()
         switch.install_app(AppEntry(gaid=1, program=PROG, server="s"))
         switch.remove_app(1)
-        assert switch.flow_state.expected_flip(slot, 0) == 1  # intact
+        # intact: seq 0 still holds the all-ones bit, so flip 1 repeats
+        assert switch.flow_state.check_and_update(slot, 0, 1)
 
 
 class TestPacketFieldSizes:

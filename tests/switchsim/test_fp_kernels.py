@@ -331,9 +331,9 @@ def test_fadd_exact_cancellation_evicts_register():
                         registers_per_segment=REGS_PER_SEGMENT)
     value, _ = C.encode(1.5)
     regs.fadd(2, value)
-    assert regs.occupied == 1
+    assert len(regs.occupied_addrs()) == 1
     regs.fadd(2, -value)
-    assert regs.occupied == 0
+    assert len(regs.occupied_addrs()) == 0
     assert regs.read(2) == 0
 
 

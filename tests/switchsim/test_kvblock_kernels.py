@@ -227,9 +227,9 @@ def test_zero_result_add_evicts_register():
     regs = RegisterFile(segments=SEGMENTS,
                         registers_per_segment=REGS_PER_SEGMENT)
     regs.add_block(KVBlock.from_columns([5], [7]), 1)
-    assert regs.occupied == 1
+    assert len(regs.occupied_addrs()) == 1
     regs.add_block(KVBlock.from_columns([5], [-7]), 1)
-    assert regs.occupied == 0
+    assert len(regs.occupied_addrs()) == 0
     assert regs.read(5) == 0
 
 
@@ -241,7 +241,7 @@ def test_out_of_window_slots_are_skipped():
     assert not regs.add_block(block, 7, base)
     assert regs.occupied_addrs() == [0, 1]
     regs.clear_block(block.addrs, -1, -base)
-    assert regs.occupied == 0
+    assert len(regs.occupied_addrs()) == 0
 
 
 def test_read_and_clear_still_raises_per_address():
@@ -254,7 +254,7 @@ def test_read_and_clear_still_raises_per_address():
     # The failed bulk read must not have cleared the valid address.
     assert regs.read_raw(3) == 42
     assert regs.read_and_clear([3]) == [(3, 42, False)]
-    assert regs.occupied == 0
+    assert len(regs.occupied_addrs()) == 0
 
 
 # ----------------------------------------------------------------------
@@ -361,7 +361,7 @@ def test_range_blocks_match_scalar_reference(program, kernel):
     assert kernel_of == ref_of
     assert block.values_list() == ref_values
     assert state(kernel_regs) == state(ref_regs)
-    assert kernel_regs.occupied == ref_regs.occupied
+    assert len(kernel_regs.occupied_addrs()) == len(ref_regs.occupied_addrs())
     if row_path:
         assert calls == []
     else:
@@ -394,7 +394,7 @@ def test_permuted_row_in_an_array_walks_the_slots(geometry, data):
     assert state(kernel_regs) == state(ref_regs)
     kernel_regs.clear_block(block.addrs)
     assert calls == ["_add_slots", "_clear_slots"]
-    assert kernel_regs.occupied == 0
+    assert len(kernel_regs.occupied_addrs()) == 0
 
 
 def test_overflowing_row_falls_back_to_per_slot_sticky_semantics():
@@ -415,7 +415,7 @@ def test_row_diagnostics_count_nonzero_registers_only():
     block = KVBlock.from_columns(range(4, 8), [3, 0, -2, 0])
     assert not regs.add_get_block(block, 0b1111)
     assert block.values_list() == [3, 0, -2, 0]
-    assert regs.occupied == 2
+    assert len(regs.occupied_addrs()) == 2
     assert regs.occupied_addrs() == [4, 6]
     # A partial row from its first register; the rest stays as it was.
     regs.add_block(KVBlock.from_columns(range(4, 6), [1, 9]), 0b11)
@@ -433,7 +433,7 @@ def test_row_diagnostics_count_nonzero_registers_only():
         [(4, 0, False), (5, 0, False), (6, -2, False), (7, 0, False)]
     assert regs.occupied_addrs() == [12]
     regs.clear_block(range(12, 16))               # a whole row goes
-    assert regs.occupied == 0 and regs.occupied_addrs() == []
+    assert len(regs.occupied_addrs()) == 0 and regs.occupied_addrs() == []
 
 
 def test_power_cycle_forgets_rows_and_sticky_bits():
@@ -443,7 +443,7 @@ def test_power_cycle_forgets_rows_and_sticky_bits():
                        0b1111)
     regs.write(30, 7)
     make_sticky(regs, 30)
-    assert regs.occupied == 5 and regs.is_sticky(30)
+    assert len(regs.occupied_addrs()) == 5 and regs.is_sticky(30)
     regs.power_cycle()
-    assert regs.occupied == 0 and not regs.is_sticky(30)
+    assert len(regs.occupied_addrs()) == 0 and not regs.is_sticky(30)
     assert [regs.read(a) for a in (8, 11, 30)] == [0, 0, 0]

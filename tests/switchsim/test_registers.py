@@ -75,7 +75,7 @@ class TestBasicAccess:
         regs.add(1, 5)
         regs.add(2, 5)
         regs.add(2, -5)  # back to zero
-        assert regs.occupied == 1
+        assert len(regs.occupied_addrs()) == 1
 
 
 class TestStickyOverflow:

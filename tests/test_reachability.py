@@ -1,0 +1,76 @@
+"""The census collector of ``tools/reachability.py`` sees every call.
+
+Each case below was once lost by a naive collector: a ``setprofile``
+hook is removed by ``sys.setprofile(None)`` and replaced by cProfile,
+and an ``atexit`` dump never runs in a fork-started ``multiprocessing``
+child, which leaves through ``os._exit``.
+"""
+
+import importlib.util
+import os
+import subprocess
+import sys
+import textwrap
+
+_TOOL = os.path.join(os.path.dirname(os.path.dirname(__file__)), "tools",
+                     "reachability.py")
+_spec = importlib.util.spec_from_file_location("reachability_tool", _TOOL)
+reachability = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(reachability)
+
+MODULE = """\
+def after_setprofile_none():
+    return 1
+
+def inside_cprofile():
+    return 2
+
+def in_fork_child():
+    return 3
+
+def never_called():
+    return 4
+"""
+
+SCRIPT = """\
+import cProfile
+import multiprocessing
+import sys
+
+import throwaway
+
+sys.setprofile(None)
+throwaway.after_setprofile_none()
+
+profiler = cProfile.Profile()
+profiler.enable()
+throwaway.inside_cprofile()
+profiler.disable()
+
+child = multiprocessing.get_context("fork").Process(
+    target=throwaway.in_fork_child)
+child.start()
+child.join()
+assert child.exitcode == 0
+"""
+
+
+def test_collector_records_calls_every_naive_hook_misses(tmp_path):
+    code_dir = tmp_path / "code"
+    code_dir.mkdir()
+    (code_dir / "throwaway.py").write_text(MODULE)
+    (code_dir / "script.py").write_text(textwrap.dedent(SCRIPT))
+    site = str(tmp_path / "site")
+    dumps = str(tmp_path / "dumps")
+    reachability.write_sitecustomize(site)
+    env = reachability.traced_env(site, dumps, root=str(code_dir),
+                                  extra_path=[str(code_dir)])
+    subprocess.run([sys.executable, str(code_dir / "script.py")], env=env,
+                   check=True, timeout=120)
+    names = {qualname.rsplit(".", 1)[-1]
+             for (filename, _line), qualname
+             in reachability.load_dumps(dumps).items()
+             if filename.endswith("throwaway.py")}
+    assert {"after_setprofile_none", "inside_cprofile",
+            "in_fork_child"} <= names
+    assert "never_called" not in names

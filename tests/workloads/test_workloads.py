@@ -7,9 +7,7 @@ from repro.workloads import (
     ModelProfile,
     SyntheticCorpus,
     SyntheticTrace,
-    UniformKeys,
     ZipfGenerator,
-    key_loop,
     synthetic_gradient,
     word_count,
 )
@@ -17,15 +15,14 @@ from repro.workloads import (
 
 class TestZipf:
     def test_deterministic_with_seed(self):
-        a = list(ZipfGenerator(100, seed=1).stream(50))
-        b = list(ZipfGenerator(100, seed=1).stream(50))
-        assert a == b
+        a = ZipfGenerator(100, seed=1)
+        b = ZipfGenerator(100, seed=1)
+        assert [a.sample_index() for _ in range(50)] == \
+            [b.sample_index() for _ in range(50)]
 
     def test_keys_within_universe(self):
         gen = ZipfGenerator(10, seed=0)
-        for key in gen.stream(200):
-            index = int(key.rsplit("-", 1)[1])
-            assert 0 <= index < 10
+        assert all(0 <= gen.sample_index() < 10 for _ in range(200))
 
     def test_skew_concentrates_on_low_ranks(self):
         gen = ZipfGenerator(1000, s=1.2, seed=0)
@@ -39,29 +36,11 @@ class TestZipf:
         counts = [samples.count(i) for i in range(10)]
         assert max(counts) < 2 * min(counts)
 
-    def test_hot_set(self):
-        gen = ZipfGenerator(1000, s=1.2, seed=0)
-        hot = gen.hot_set(0.5)
-        assert 0 < len(hot) < 1000
-        assert hot[0] == "key-0"
-
     def test_validation(self):
         with pytest.raises(ValueError):
             ZipfGenerator(0)
         with pytest.raises(ValueError):
             ZipfGenerator(10, s=-1)
-        with pytest.raises(ValueError):
-            ZipfGenerator(10).hot_set(0)
-
-
-class TestUniformAndLoop:
-    def test_uniform_keys(self):
-        gen = UniformKeys(5, seed=0)
-        assert all(k.startswith("key-") for k in gen.stream(20))
-
-    def test_key_loop_visits_every_key_per_repeat(self):
-        keys = list(key_loop(3, repeats=2))
-        assert keys == ["key-0", "key-1", "key-2"] * 2
 
 
 class TestCorpus:
