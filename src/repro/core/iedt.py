@@ -121,24 +121,29 @@ def encode_items(kind: IEDTKind, value: Any, quantizer: Quantizer
     encoding is still corrected downstream — but callers may want to
     warn).
 
-    The kind is dispatched once per field, not per element: map keys are
-    type-checked up front, then the elements are type-checked and (float
-    kinds) encoded as one column.
+    The kind is dispatched once per field, not per element: map keys and
+    then the elements are type-checked by one C-level pass over their
+    types (Python walks them only to name an offender or admit a
+    subclass), and float kinds are encoded as one column.
     """
     if kind.is_array:
         column, overflows = encode_column(kind, value, quantizer)
         return list(enumerate(column)), overflows
     key_type = int if kind is IEDTKind.INT_INT_MAP else str
-    for key in value:
-        if not isinstance(key, key_type):
-            raise TypeError(f"{kind.value} keys must be "
-                            f"{key_type.__name__}, got "
-                            f"{type(key).__name__}")
-    elements = _checked(kind, value.values())
+    if not set(map(type, value)) <= {key_type}:
+        # Admits a subclass; names the first key of another type.
+        for key in value:
+            if not isinstance(key, key_type):
+                raise TypeError(f"{kind.value} keys must be "
+                                f"{key_type.__name__}, got "
+                                f"{type(key).__name__}")
     if kind.is_float:
-        column, overflows = quantizer.encode_many(elements)
+        column, overflows = quantizer.encode_many(
+            _checked(kind, value.values()))
         return list(zip(value, column)), overflows
     # Integer kinds pass through: the (key, element) pairs are the items.
+    if not set(map(type, value.values())) <= _INT_TYPES:
+        _checked(kind, value.values())
     return list(value.items()), 0
 
 

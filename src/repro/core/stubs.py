@@ -66,12 +66,13 @@ class _CallPlan:
     stub calls the method, so ``call_async`` only reads it.
     """
 
-    __slots__ = ("binding", "config", "codec", "stream", "stream_kind",
-                 "dense", "indexed", "plain", "expect_result")
+    __slots__ = ("binding", "config", "reply_class", "codec", "stream",
+                 "stream_kind", "dense", "indexed", "plain", "expect_result")
 
     def __init__(self, binding, config):
         self.binding = binding
         self.config = config
+        self.reply_class = binding.reply.message_class
         self.codec = config.codec
         stream = binding.stream_field
         self.stream: Optional[str] = None if stream is None else stream.name
@@ -153,12 +154,12 @@ class ClientStub:
     def _finish(self, plan: _CallPlan, stream_len: int,
                 result: TaskResult) -> Tuple[Message, CallInfo]:
         binding = plan.binding
-        reply = binding.reply()
-        if isinstance(result.payload, tuple) and result.payload and \
-                result.payload[0] == "rpc-reply" and result.payload[1]:
-            served = Message.from_bytes(binding.reply, result.payload[1])
-            for fd in binding.reply.fields:
-                setattr(reply, fd.name, getattr(served, fd.name))
+        payload = result.payload
+        if isinstance(payload, tuple) and payload and \
+                payload[0] == "rpc-reply" and payload[1]:
+            reply = plan.reply_class.parse(payload[1])
+        else:
+            reply = plan.reply_class()
         if binding.result_field is not None:
             kind = binding.result_field.kind
             if kind.is_array and result.column is not None:
@@ -271,7 +272,7 @@ class ServerStub:
         handler = self._call_handlers.get(binding.name)
         if handler is None:
             return b""
-        request = Message.from_bytes(binding.request, request_bytes)
+        request = binding.request.message_class.parse(request_bytes)
         reply = handler(client, request)
         if reply is None:
             return b""
@@ -287,5 +288,5 @@ class ServerStub:
         if handler is None:
             return
         binding = self._registered.binding(method_name)
-        request = Message.from_bytes(binding.request, scalar_bytes)
+        request = binding.request.message_class.parse(scalar_bytes)
         handler(client, request)

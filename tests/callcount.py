@@ -8,7 +8,9 @@ counts for the module of its ``self``'s class (``Packet.__init__`` is
 ``protocol``), else for its caller's.  The benchmark's ``<layer>.calls``
 and the per-package lines of ``tools/profile_experiment.py --e2e`` still
 bucket by file alone, so they file those frames under ``other``.  The
-figure does
+message classes ``repro.core`` generates are compiled under a file name
+inside the package (``.../core/messages.py<Proposal>``), so every
+counter files them under ``core``.  The figure does
 not depend on the machine or on the run, so a bound on it is exact where
 a timing is not.  Python 3.12 inlines comprehensions, so the same code
 counts a little lower there than on 3.10/3.11; write bounds for the

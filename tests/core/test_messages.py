@@ -1,13 +1,27 @@
-"""Tests for message descriptors, dynamic messages, and marshalling."""
+"""Tests for message descriptors, generated message classes, and
+marshalling.
 
+The differential suites (``TestCompiledCodecMatchesTheGenericOne``) carry
+the ``codec`` marker; ``CODEC_MAX_EXAMPLES`` sets their Hypothesis budget
+(the CI codec step re-runs them at 500).
+"""
+
+import copy
+import os
 import struct
+import traceback
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from repro.core import messages
 from repro.core.iedt import IEDT_TYPES
 from repro.core.messages import (SCALAR_TYPES, FieldDescriptor, Message,
                                  MessageDescriptor)
+
+from ..callcount import package_of
+
+CODEC_EXAMPLES = int(os.environ.get("CODEC_MAX_EXAMPLES", "100"))
 
 
 def grad_descriptor():
@@ -379,17 +393,42 @@ _VALUES = {
         st.text(max_size=5), st.floats(allow_nan=False), max_size=4),
 }
 assert set(_VALUES) == SCALAR_TYPES | set(IEDT_TYPES)
+# One value of each type, multi-byte encodings among them.
+_SAMPLES = {
+    "int32": -7, "sint32": 300, "int64": -2**40, "sint64": 2**40,
+    "uint32": 2**31, "uint64": 2**63, "bool": True, "double": -1.5,
+    "float": 2.25, "string": "h\u00e9llo", "bytes": b"\x00\xff" * 70,
+    "netrpc.FPArray": [0.5, -1.0], "netrpc.INT32Array": [1, -2],
+    "netrpc.STRINTMap": {"a": 1}, "netrpc.INTINTMap": {-3: 4},
+    "netrpc.STRFPMap": {"b": 0.25},
+}
+assert set(_SAMPLES) == set(_VALUES)
 type_names = st.sampled_from(sorted(_VALUES))
 # One- and multi-byte headers: tag << 3 needs two bytes from tag 16 on.
 tags = st.one_of(st.integers(1, 15), st.integers(16, 2**20))
+
+
+# Field names the generated class must survive: Python keywords (valid
+# proto names, but no Python parameter can be called that) and the names
+# the generated code itself uses for its arguments, locals and helpers.
+KEYWORD_NAMES = ("from", "class", "lambda", "None", "__debug__")
+GENERATED_NAMES = ("self", "data", "o", "extra", "values", "pos", "end",
+                   "byte", "msg", "include_iedt", "cls", "MISSING", "type",
+                   "len", "int", "str", "dict", "join", "ONE", "field0",
+                   "x0", "n0", "v0", "unknown", "rest")
+field_names = st.sampled_from(KEYWORD_NAMES + GENERATED_NAMES)
 
 
 @st.composite
 def specs(draw, min_size=0):
     tag_list = draw(st.lists(tags, min_size=min_size, max_size=6,
                              unique=True))
-    return [(f"f{i}", draw(type_names), tag)
-            for i, tag in enumerate(tag_list)]
+    names = []
+    for i in range(len(tag_list)):
+        name = draw(st.one_of(st.just(f"f{i}"), field_names))
+        names.append(f"f{i}" if name in names else name)
+    return [(name, draw(type_names), tag)
+            for name, tag in zip(names, tag_list)]
 
 
 @st.composite
@@ -399,7 +438,9 @@ def spec_and_values(draw, min_size=0):
                   for name, type_name, _tag in spec}
 
 
+@pytest.mark.codec
 class TestCompiledCodecMatchesTheGenericOne:
+    @settings(max_examples=CODEC_EXAMPLES)
     @given(spec_and_values(), st.booleans())
     def test_encode_and_decode(self, drawn, include_iedt):
         spec, values = drawn
@@ -412,6 +453,7 @@ class TestCompiledCodecMatchesTheGenericOne:
         if include_iedt:
             assert decoded == desc(**values)
 
+    @settings(max_examples=CODEC_EXAMPLES)
     @given(specs())
     def test_all_default_message(self, spec):
         desc = descriptor_of(spec)
@@ -424,6 +466,7 @@ class TestCompiledCodecMatchesTheGenericOne:
         assert data == ref_to_bytes(spec, defaults)
         assert vars(Message.from_bytes(desc, data)) == defaults
 
+    @settings(max_examples=CODEC_EXAMPLES)
     @given(spec_and_values(min_size=1), st.data())
     def test_unknown_tags_are_skipped(self, drawn, data):
         spec, values = drawn
@@ -434,6 +477,7 @@ class TestCompiledCodecMatchesTheGenericOne:
         assert vars(decoded) == {
             name: values[name] for name, _type, _tag in kept}
 
+    @settings(max_examples=CODEC_EXAMPLES)
     @given(spec_and_values(min_size=1), st.data())
     def test_a_known_tag_under_another_wire_type(self, drawn, data):
         # The reader declares the same tags with independently drawn
@@ -455,6 +499,7 @@ class TestCompiledCodecMatchesTheGenericOne:
         assert repr(outcome(compiled)) == repr(outcome(
             ref_from_bytes, reader, wire_bytes))
 
+    @settings(max_examples=CODEC_EXAMPLES)
     @given(spec_and_values(min_size=1), st.data())
     def test_truncation_raises_the_same_error(self, drawn, data):
         spec, values = drawn
@@ -483,10 +528,30 @@ class TestCompiledCodecMatchesTheGenericOne:
         with pytest.raises(ValueError, match="unsupported wire type 7"):
             Message.from_bytes(desc, b"\x0f")
 
-    def test_negative_unsigned_is_rejected_at_encode(self):
+    def test_negative_unsigned_is_rejected_at_construction(self):
         desc = descriptor_of([("n", "uint32", 1)])
         with pytest.raises(ValueError, match="non-negative"):
             desc(n=-1).to_bytes()
+
+    @pytest.mark.parametrize("names", [KEYWORD_NAMES, GENERATED_NAMES],
+                             ids=["keywords", "generated-code-names"])
+    def test_fields_named_like_python_or_the_generated_code(self, names):
+        type_cycle = sorted(_VALUES)
+        spec = [(name, type_cycle[i % len(type_cycle)], i + 1)
+                for i, name in enumerate(names)]
+        values = {name: _SAMPLES[type_name] for name, type_name, _tag in spec}
+        desc = descriptor_of(spec)
+        msg = desc(**values)
+        assert vars(msg) == values
+        assert vars(desc()) == {name: _ref_default(type_name)
+                                for name, type_name, _tag in spec}
+        for include_iedt in (True, False):
+            data = msg.to_bytes(include_iedt=include_iedt)
+            assert data == ref_to_bytes(spec, values, include_iedt)
+            assert vars(Message.from_bytes(desc, data)) == \
+                ref_from_bytes(spec, data)
+        with pytest.raises(AttributeError, match="has no field 'nope'"):
+            desc(nope=1)
 
 
 class TestConstructor:
@@ -522,8 +587,8 @@ class TestConstructor:
             grad_descriptor()(tensor=(1.0,))
 
     def test_default_containers_are_per_message(self):
-        # The defaults come from a template copied per message; the
-        # mutable ones must still be fresh objects every time.
+        # The generated constructor and parser write the defaults as
+        # literals; the mutable ones must be fresh objects every time.
         desc = descriptor_of([("inst", "netrpc.INTINTMap", 1),
                               ("t", "netrpc.FPArray", 2),
                               ("s", "string", 3)])
@@ -534,3 +599,101 @@ class TestConstructor:
         assert second.inst == {} and second.t == []
         assert desc().inst == {} and desc().t == []
         assert Message.from_bytes(desc, b"").inst == {}
+
+
+# Inclusive ends of each integer scalar's range.
+_RANGES = {
+    "int32": (-2**31, 2**31 - 1), "sint32": (-2**31, 2**31 - 1),
+    "uint32": (0, 2**32 - 1), "int64": (-2**63, 2**63 - 1),
+    "sint64": (-2**63, 2**63 - 1), "uint64": (0, 2**64 - 1),
+}
+
+
+class TestIntegerRanges:
+    @pytest.mark.parametrize("type_name", sorted(_RANGES))
+    def test_values_are_range_checked_where_they_enter(self, type_name):
+        low, high = _RANGES[type_name]
+        desc = MessageDescriptor("Ranged", [FieldDescriptor("n", type_name,
+                                                            1)])
+        assert desc(n=low).n == low and desc(n=high).n == high
+        msg = desc()
+        msg.n = high
+        assert Message.from_bytes(desc, msg.to_bytes()).n == high
+        for bad in (low - 1, high + 1):
+            with pytest.raises(ValueError) as raised:
+                desc(n=bad)
+            text = str(raised.value)
+            assert f"message Ranged: field 'n' is {type_name}," in text
+            assert text.endswith(f"; got {bad}")
+            with pytest.raises(ValueError,
+                               match="message Ranged: field 'n' is"):
+                msg.n = bad
+            assert msg.n == high
+
+    def test_the_error_names_the_range(self):
+        desc = descriptor_of([("i", "int32", 1), ("u", "uint64", 2)])
+        with pytest.raises(ValueError,
+                           match=r"integers in \[-2\*\*31, 2\*\*31\)"):
+            desc(i=2**40)
+        with pytest.raises(ValueError,
+                           match=r"non-negative integers below 2\*\*64"):
+            desc(u=-1)
+
+    def test_subclasses_are_range_checked_too(self):
+        class Big(int):
+            pass
+
+        desc = descriptor_of([("n", "int32", 1)])
+        assert desc(n=Big(5)).n == 5
+        with pytest.raises(ValueError):
+            desc(n=Big(2**31))
+
+    def test_parsing_does_not_range_check(self):
+        wide = descriptor_of([("n", "uint64", 1), ("s", "sint64", 2)])
+        narrow = descriptor_of([("n", "uint32", 1), ("s", "int32", 2)])
+        data = wide(n=2**40, s=-2**40).to_bytes()
+        decoded = Message.from_bytes(narrow, data)
+        assert (decoded.n, decoded.s) == (2**40, -2**40)
+
+
+class TestCopies:
+    def test_copy_and_deepcopy(self):
+        desc = descriptor_of([("inst", "netrpc.INTINTMap", 1),
+                              ("t", "netrpc.FPArray", 2),
+                              ("s", "string", 3)])
+        msg = desc(inst={1: 2}, t=[0.5], s="x")
+        shallow, deep = copy.copy(msg), copy.deepcopy(msg)
+        assert shallow == msg and deep == msg
+        assert type(shallow) is type(msg) and type(deep) is type(msg)
+        assert shallow.inst is msg.inst
+        deep.inst[3] = 4
+        deep.t.append(1.0)
+        assert msg.inst == {1: 2} and msg.t == [0.5]
+        with pytest.raises(TypeError):
+            deep.s = 1                      # the copy still validates
+
+
+class TestGeneratedCode:
+    def test_is_counted_for_core(self):
+        cls = grad_descriptor().message_class
+        for function in (cls.__init__, cls.to_bytes, cls.parse):
+            filename = function.__code__.co_filename
+            assert filename.startswith(messages.__file__ + "<NewGrad")
+            assert package_of(filename) == "core"
+
+    def test_a_validation_traceback_shows_the_generated_line(self):
+        desc = MessageDescriptor("TracebackProbe",
+                                 [FieldDescriptor("n", "int32", 1)])
+        with pytest.raises(ValueError) as raised:
+            desc(n=2**40)
+        text = "".join(traceback.format_exception(
+            raised.type, raised.value, raised.tb))
+        generated = desc.message_class.__init__.__code__.co_filename
+        assert f'File "{generated}", line' in text
+        assert "n = field0.validate(n, 'TracebackProbe')" in text
+
+    def test_reparsing_a_message_reuses_its_code(self):
+        first, second = grad_descriptor(), grad_descriptor()
+        assert first.message_class is not second.message_class
+        assert first.message_class.parse.__code__ is \
+            second.message_class.parse.__code__

@@ -85,6 +85,7 @@ KEEP = {
     ]),
     "b": ("input validation and error paths", [
         "core/messages.py:_decode_field_value",
+        "core/messages.py:_parse_rest", "core/messages.py:_unknown_fields",
         "core/messages.py:Message.__getattr__",
         "core/status.py:RpcError.__init__",
         "netsim/events.py:EventFailed.__init__",
@@ -115,11 +116,8 @@ KEEP = {
         "inc/server_agent.py:_payload_size",
         "core/stubs.py:ServerStub.bind", "core/stubs.py:ServerStub._on_call",
         "core/service.py:RegisteredService.binding_for_gaid",
-        "core/messages.py:_encoder.<locals>.encode",
-        "core/messages.py:_decoder.<locals>.decode",
-        "core/messages.py:_decode_bool",
         "core/messages.py:_encode_iedt", "core/messages.py:_decode_iedt",
-        "core/messages.py:Message.__eq__", "core/wire.py:encode_*",
+        "core/messages.py:Message.__eq__", "core/wire.py:*",
         # gRPC-style stubs
         "core/stubs.py:ClientStub.__getattr__*",
         "core/stubs.py:ServerStub.bind_round",
