@@ -85,7 +85,7 @@ def drive_link(n_packets: int = LINK_PACKETS) -> float:
     dst = Host(sim, "dst", cores=1, rx_cpu_cost_s=0.0)
     delivered = [0]
 
-    def on_packet(_pkt, _link):
+    def on_packet(_pkt):
         delivered[0] += 1
 
     dst.set_handler(on_packet)

@@ -56,7 +56,6 @@ class MonitorStats:
     packets_observed: int
     batches_sent: int
     elapsed_s: float
-    query_latencies: List[float]
 
 
 class FlowMonitor:
@@ -123,7 +122,7 @@ class FlowMonitor:
         sim.run_until(sim.all_of(processes), limit=start + limit)
         return MonitorStats(packets_observed=self.packets_observed,
                             batches_sent=self.batches_sent,
-                            elapsed_s=sim.now - start, query_latencies=[])
+                            elapsed_s=sim.now - start)
 
     # ------------------------------------------------------------------
     def query(self, flow_ids: Iterable[str], monitor: Optional[str] = None,

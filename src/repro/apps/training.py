@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.control import Deployment
@@ -75,7 +75,6 @@ class TrainingReport:
     elapsed_s: float
     samples_per_iteration: int
     scale: int
-    per_worker_speeds: List[float] = field(default_factory=list)
 
     @property
     def images_per_second(self) -> float:
@@ -171,7 +170,7 @@ class ConvergenceReport:
 
 
 def _make_dataset(dim: int, workers: int, samples: int, seed: int
-                  ) -> Tuple[List[float], List[Tuple[list, list]]]:
+                  ) -> List[Tuple[list, list]]:
     """Deterministic linear-regression shards: one (X, y) per worker."""
     rng = random.Random(seed)
     w_true = [rng.gauss(0.0, 1.0) for _ in range(dim)]
@@ -183,7 +182,7 @@ def _make_dataset(dim: int, workers: int, samples: int, seed: int
         ys = [sum(a * b for a, b in zip(x, w_true)) + wrng.gauss(0.0, 0.01)
               for x in xs]
         shards.append((xs, ys))
-    return w_true, shards
+    return shards
 
 
 def _shard_gradient(weights: Sequence[float], xs: list, ys: list
@@ -250,7 +249,7 @@ class ConvergenceJob:
         self.lr = lr
         self.topk = min(topk, dim)
         self.deployment = deployment
-        self.w_true, self.shards = _make_dataset(dim, workers, samples, seed)
+        self.shards = _make_dataset(dim, workers, samples, seed)
         self.overflow_chunks = 0
         self._int8 = Int8BlockCodec()
         self.config = None

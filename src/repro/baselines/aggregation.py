@@ -20,7 +20,6 @@ measured behaviour:
 
 from __future__ import annotations
 
-import itertools
 from array import array
 from dataclasses import dataclass, field
 from typing import Dict, List, Set, Tuple
@@ -38,7 +37,6 @@ from repro.switchsim import PlainSwitch
 __all__ = ["AggChunkPacket", "BaselineAggSwitch", "AggregationJob",
            "build_aggregation_job"]
 
-_uid = itertools.count()
 
 _CHUNK_VALUES = 32
 _DATA_TEMPLATE = array("q", [1]) * _CHUNK_VALUES
@@ -64,7 +62,6 @@ class AggChunkPacket:
     values: array = field(default_factory=lambda: array("q"))
     size_bytes: int = _PKT_BYTES
     ecn: bool = False
-    uid: int = field(default_factory=lambda: next(_uid))
 
 
 class BaselineAggSwitch(PlainSwitch):
@@ -89,7 +86,7 @@ class BaselineAggSwitch(PlainSwitch):
         self._completed: Dict[int, int] = {}
         self._recirc_busy_until = 0.0
 
-    def receive(self, packet, link) -> None:
+    def receive(self, packet) -> None:
         self.stats.add("rx_pkts")
         if isinstance(packet, AggChunkPacket) and packet.kind == "result" \
                 and packet.dst == "*workers*":
@@ -245,7 +242,7 @@ class _WorkerBase:
             return
         self._transmit(chunk)
 
-    def _on_packet(self, packet, _link) -> None:
+    def _on_packet(self, packet) -> None:
         if not isinstance(packet, AggChunkPacket) or \
                 packet.kind != "result":
             return
@@ -296,11 +293,11 @@ class ATPWorker(_WorkerBase):
             self.window = max(self.MIN_WINDOW, self.window // 2)
         super()._timeout(pair)
 
-    def _on_packet(self, packet, _link) -> None:
+    def _on_packet(self, packet) -> None:
         if isinstance(packet, AggChunkPacket) and packet.kind == "result" \
                 and self.window < self._max_window:
             self.window += 1  # additive recovery per completion
-        super()._on_packet(packet, _link)
+        super()._on_packet(packet)
 
 
 class BytePSWorker(_WorkerBase):
@@ -331,7 +328,7 @@ class _ParameterServer:
         self._completed: Set[int] = set()
         host.set_handler(self._on_packet)
 
-    def _on_packet(self, packet, _link) -> None:
+    def _on_packet(self, packet) -> None:
         if not isinstance(packet, AggChunkPacket):
             return
         if packet.kind == "result":

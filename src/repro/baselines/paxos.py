@@ -12,8 +12,7 @@
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set
 
 from repro.netsim import (
@@ -28,7 +27,6 @@ from repro.switchsim import PlainSwitch
 
 __all__ = ["P4xosCluster", "SoftwarePaxosCluster", "PaxosBaselineReport"]
 
-_uid = itertools.count()
 
 # Per-message processing cost of the two software consensus stacks
 # (protocol logic + stack traversal), calibrated so the libpaxos:DPDK
@@ -48,7 +46,6 @@ class PaxosMsg:
     sent_at: float
     size_bytes: int = 128
     ecn: bool = False
-    uid: int = field(default_factory=lambda: next(_uid))
 
 
 @dataclass
@@ -76,7 +73,7 @@ class P4xosSwitch(PlainSwitch):
         self.acceptor_replicas = acceptor_replicas
         self._decided: Set[int] = set()
 
-    def receive(self, packet, link) -> None:
+    def receive(self, packet) -> None:
         self.stats.add("rx_pkts")
         if isinstance(packet, PaxosMsg) and packet.kind == "propose":
             self.sim.schedule(self.cal.switch_pipeline_delay_s,
@@ -109,7 +106,7 @@ class _Learner:
         self.is_learner = is_learner
         host.set_handler(self._on_packet)
 
-    def _on_packet(self, packet, _link) -> None:
+    def _on_packet(self, packet) -> None:
         if isinstance(packet, PaxosMsg) and packet.kind == "learn":
             self.cluster.record_decision(packet, self.is_learner)
 
@@ -255,7 +252,7 @@ class SoftwarePaxosCluster(_BaseCluster):
                        sent_at=self.sim.now)
         host.send(msg, "sw0")
 
-    def _leader_packet(self, packet, _link) -> None:
+    def _leader_packet(self, packet) -> None:
         if not isinstance(packet, PaxosMsg):
             return
         if packet.kind == "propose":
@@ -278,7 +275,7 @@ class SoftwarePaxosCluster(_BaseCluster):
                                    sent_at=packet.sent_at)
                     self.leader.send(out, "sw0")
 
-    def _acceptor_packet(self, packet, link) -> None:
+    def _acceptor_packet(self, packet) -> None:
         if isinstance(packet, PaxosMsg) and packet.kind == "accept":
             host = self.acceptors[0] if packet.dst == self.acceptors[0].name \
                 else next(a for a in self.acceptors if a.name == packet.dst)

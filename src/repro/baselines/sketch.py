@@ -10,7 +10,6 @@ switch bounce, like a hand-optimised INC monitoring deployment.
 
 from __future__ import annotations
 
-import itertools
 import zlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -19,8 +18,6 @@ from repro.netsim import Calibration, DEFAULT_CALIBRATION, Simulator
 from repro.switchsim import PlainSwitch
 
 __all__ = ["ElasticSketch", "SketchSwitch", "SketchPacket"]
-
-_uid = itertools.count()
 
 
 def _hash(key: str, salt: int) -> int:
@@ -95,7 +92,6 @@ class SketchPacket:
     flows: Dict[str, int] = field(default_factory=dict)
     size_bytes: int = 256
     ecn: bool = False
-    uid: int = field(default_factory=lambda: next(_uid))
 
 
 class SketchSwitch(PlainSwitch):
@@ -107,7 +103,7 @@ class SketchSwitch(PlainSwitch):
         super().__init__(sim, name, cal)
         self.sketch = sketch or ElasticSketch()
 
-    def receive(self, packet, link) -> None:
+    def receive(self, packet) -> None:
         self.stats.add("rx_pkts")
         if isinstance(packet, SketchPacket):
             self.sim.schedule(self.cal.switch_pipeline_delay_s,

@@ -112,7 +112,6 @@ class Registration:
     configs: List[AppConfig]
     server: str
     clients: Tuple[str, ...]
-    first_timeout_fired: bool = False
 
     @property
     def gaids(self) -> List[int]:
@@ -249,8 +248,7 @@ class Controller:
                 clients=tuple(clients), value_region=value_region,
                 counter_region=counter_region, linear=linear_flag,
                 cache_policy=cache_policy, cc_enabled=cc_enabled,
-                cc_mode=cc_mode, flows_per_host=flows,
-                has_switch=has_switch)
+                cc_mode=cc_mode, has_switch=has_switch)
             configs.append(config)
 
         groups = list(mcast_groups) if mcast_groups is not None \

@@ -35,6 +35,12 @@ class ProtoSyntaxError(ValueError):
     """Raised on malformed IDL input, with a line number."""
 
 
+# Field numbers protobuf accepts: 1 .. 2**29 - 1, minus the block it
+# reserves for its own implementation.
+MAX_FIELD_TAG = 2**29 - 1
+RESERVED_TAGS = range(19000, 20000)
+
+
 @dataclass
 class MethodDescriptor:
     """One ``rpc`` definition inside a service."""
@@ -178,9 +184,24 @@ class _Parser:
                 raise ProtoSyntaxError(
                     f"line {line}: field tag must be a number")
             self.expect("punct", ";")
+            tag = int(tag_text)
+            where = f"line {line}: field {field_name!r} of message {name}"
+            if not 1 <= tag <= MAX_FIELD_TAG:
+                raise ProtoSyntaxError(
+                    f"{where}: tag {tag} outside [1, {MAX_FIELD_TAG}]")
+            if tag in RESERVED_TAGS:
+                raise ProtoSyntaxError(
+                    f"{where}: tags {RESERVED_TAGS.start}-"
+                    f"{RESERVED_TAGS.stop - 1} are reserved")
+            for other in fields:
+                if other.name == field_name:
+                    raise ProtoSyntaxError(f"{where}: duplicate field name")
+                if other.tag == tag:
+                    raise ProtoSyntaxError(
+                        f"{where}: tag {tag} already used by field "
+                        f"{other.name!r}")
             try:
-                fields.append(FieldDescriptor(field_name, type_name,
-                                              int(tag_text)))
+                fields.append(FieldDescriptor(field_name, type_name, tag))
             except ValueError as exc:
                 raise ProtoSyntaxError(f"line {line}: {exc}") from None
         return MessageDescriptor(name, fields)

@@ -52,7 +52,6 @@ class Channel:
                 f"{registered.clients}")
         self.registered = registered
         self.deployment = registered.deployment
-        self.client_host = client_host
         self.agent = self.deployment.client_agents[client_host]
 
     def stub(self) -> "ClientStub":
@@ -215,7 +214,6 @@ class ServerStub:
         self._app_key = registered.service.app_name
         self._call_handlers: Dict[str, Callable[[str, Message], Message]] = {}
         self._data_handlers: Dict[str, Callable[[str, Message], None]] = {}
-        self._round_handler: Optional[Callable[[int, dict], None]] = None
         self.agent.set_call_handler(self._app_key, self._on_call)
         self.agent.set_data_handler(self._app_key, self._on_data)
 
@@ -241,7 +239,6 @@ class ServerStub:
         every round whose first chunk arrives after this call — bind it
         before the first call of a round.
         """
-        self._round_handler = handler
         self.agent.set_round_handler(self._app_key, handler)
 
     # ------------------------------------------------------------------

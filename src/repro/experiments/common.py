@@ -19,7 +19,6 @@ from repro.netsim import (
     ChaosSchedule,
     InvariantChecker,
     RandomLoss,
-    RateMeter,
     SimulationError,
     SwitchReboot,
     scaled,
@@ -81,7 +80,6 @@ class SyncResult:
     elapsed_s: float
     overflow_chunks: int = 0
     retransmits: int = 0
-    meter: Optional[RateMeter] = None
 
 
 def run_sync_aggregation(n_clients: int = 2, n_values: int = 128_000,
@@ -174,7 +172,6 @@ class AsyncResult:
     goodput_gbps: float
     cache_hit_ratio: float
     elapsed_s: float
-    distinct_keys: int
 
 
 def run_async_aggregation(n_clients: int = 2, distinct_keys: int = 4096,
@@ -252,7 +249,7 @@ def run_async_aggregation(n_clients: int = 2, distinct_keys: int = 4096,
     return AsyncResult(
         goodput_gbps=payload_bits / elapsed / 1e9,
         cache_hit_ratio=mapped_total / total if total else 0.0,
-        elapsed_s=elapsed, distinct_keys=distinct_keys)
+        elapsed_s=elapsed)
 
 
 # ---------------------------------------------------------------------------
@@ -302,13 +299,10 @@ class ChaosRunResult:
 
     ok: bool
     failure: Optional[str]
-    expected: Dict[int, int]
     values: Optional[Dict[int, int]]       # client 0's view (if resolved)
-    baseline_elapsed_s: float
     final_time_s: float
     fingerprint: Optional[str]
     violations: List[str]
-    residue: int
     switch_stats: Dict[str, float]
     server_stats: Dict[str, float]
     # Failover audit trail (controller-recorded; both picklable so the
@@ -360,7 +354,7 @@ def run_chaos_sync_round(n_clients: int = 2, n_values: int = 256,
             linear=True)
         checker = fingerprint = None
         if arm is not None:
-            checker, fingerprint = arm(deployment, config)
+            checker, fingerprint = arm(deployment)
         sim = deployment.sim
         start = sim.now
         events = [deployment.client_agent(i).submit(
@@ -375,12 +369,11 @@ def run_chaos_sync_round(n_clients: int = 2, n_values: int = 256,
             except SimulationError as exc:
                 failure = f"explicit failure: {exc}"
                 break
-        return config, checker, fingerprint, results, failure, \
-            sim.now - start
+        return checker, fingerprint, results, failure, sim.now - start
 
     # -- no-fault baseline ---------------------------------------------
     baseline = build_rack(n_clients, 1, cal=cal, seed=seed)
-    _, _, _, base_results, base_failure, base_elapsed = _run(baseline, None)
+    _, _, base_results, base_failure, base_elapsed = _run(baseline, None)
     if base_failure is not None:   # pragma: no cover - harness sanity
         raise RuntimeError(f"no-fault baseline did not complete: "
                            f"{base_failure}")
@@ -390,7 +383,7 @@ def run_chaos_sync_round(n_clients: int = 2, n_values: int = 256,
                                "in-memory sum")
 
     # -- chaos run ------------------------------------------------------
-    def arm(deployment, config):
+    def arm(deployment):
         if schedule is not None:
             plan = schedule
         elif schedule_factory is not None:
@@ -410,8 +403,7 @@ def run_chaos_sync_round(n_clients: int = 2, n_values: int = 256,
         return checker, plan.fingerprint()
 
     deployment = build_rack(n_clients, 1, cal=cal, seed=seed)
-    config, checker, fingerprint, results, failure, _ = \
-        _run(deployment, arm)
+    checker, fingerprint, results, failure, _ = _run(deployment, arm)
 
     # Drain in-flight retransmissions/clears before judging quiescent
     # state (bounded: flows idle once every chunk and return is acked).
@@ -427,12 +419,9 @@ def run_chaos_sync_round(n_clients: int = 2, n_values: int = 256,
         if not checker.check_result(f"client {index}", expected,
                                     result.values):
             ok = False
-    residue = checker.register_residue(config)
     return ChaosRunResult(
-        ok=ok, failure=failure, expected=expected, values=values,
-        baseline_elapsed_s=base_elapsed, final_time_s=sim.now,
+        ok=ok, failure=failure, values=values, final_time_s=sim.now,
         fingerprint=fingerprint, violations=list(checker.violations),
-        residue=residue,
         switch_stats=deployment.switches[0].stats.as_dict(),
         server_stats=dict(deployment.server_agent(0).stats),
         audit=deployment.controller.audit.as_dict(),

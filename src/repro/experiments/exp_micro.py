@@ -69,7 +69,7 @@ def monitor_delay_sketch(seed: int = 0) -> float:
                 for i in range(2)]
     star(sim, switch, monitors, cal=MON_CAL)
     replies = []
-    monitors[0].set_handler(lambda p, l: replies.append(p))
+    monitors[0].set_handler(replies.append)
     trace = SyntheticTrace(n_flows=500, seed=seed)
     records = list(trace.packets(_MONITOR_OBSERVATIONS))
     start = sim.now

@@ -43,7 +43,6 @@ class AppConfig:
     cache_policy: str = "netrpc"
     cc_enabled: bool = True
     cc_mode: str = "aimd"              # or "dctcp" (§7 future-work mode)
-    flows_per_host: int = 4
     has_switch: bool = True            # False = pure software fallback
 
     def __post_init__(self):

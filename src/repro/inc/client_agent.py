@@ -120,8 +120,7 @@ class _TaskState:
 class _AppClientState:
     """Shared per-application state (all RPC methods of the app)."""
 
-    def __init__(self, app_key: str):
-        self.app_key = app_key
+    def __init__(self):
         self.configs: Dict[int, AppConfig] = {}     # gaid -> config
         self.flows: List[ReliableFlow] = []
         self.next_flow = 0
@@ -184,7 +183,7 @@ class ClientAgent:
         key = config.program.app_name
         state = self._apps.get(key)
         if state is None:
-            state = _AppClientState(key)
+            state = _AppClientState()
             self._apps[key] = state
         if not state.flows:
             def chunk_still_pending(packet, _state=state):
@@ -516,7 +515,7 @@ class ClientAgent:
     # ------------------------------------------------------------------
     # receive path
     # ------------------------------------------------------------------
-    def _on_packet(self, pkt: Packet, _link) -> None:
+    def _on_packet(self, pkt: Packet) -> None:
         app_key = self._gaid_to_app.get(pkt.gaid)
         if app_key is None:
             return
@@ -656,13 +655,12 @@ class ClientAgent:
         if tstate.column is not None and tstate.assign(chunk, pkt.kv):
             values: Dict[Any, int] = {}    # already in the result column
         else:
-            values = self._extract_values(state, config, tstate, chunk, pkt,
+            values = self._extract_values(state, config, pkt,
                                           corrected=corrected)
-        self._resolve_chunk(state, config, tstate, chunk, values)
+        self._resolve_chunk(state, tstate, chunk, values)
 
     def _extract_values(self, state: _AppClientState, config: AppConfig,
-                        tstate: _TaskState, chunk: _ChunkState, pkt: Packet,
-                        corrected: bool) -> Dict[Any, int]:
+                        pkt: Packet, corrected: bool) -> Dict[Any, int]:
         lazy = config.program.clear is ClearPolicy.LAZY
         block = pkt.kv
         keys = block.keys
@@ -702,8 +700,8 @@ class ClientAgent:
             out[key] = value
         return out
 
-    def _resolve_chunk(self, state: _AppClientState, config: AppConfig,
-                       tstate: _TaskState, chunk: _ChunkState,
+    def _resolve_chunk(self, state: _AppClientState, tstate: _TaskState,
+                       chunk: _ChunkState,
                        values: Optional[Dict[Any, int]]) -> None:
         if chunk.resolved:
             return
@@ -727,11 +725,10 @@ class ClientAgent:
         chunk = tstate.chunks.get(original.offset)
         if chunk is None:
             return
-        config = state.configs[original.gaid]
         if not chunk.awaiting_result:
-            self._resolve_chunk(state, config, tstate, chunk, None)
+            self._resolve_chunk(state, tstate, chunk, None)
         elif values:
-            self._resolve_chunk(state, config, tstate, chunk, values)
+            self._resolve_chunk(state, tstate, chunk, values)
 
     # ------------------------------------------------------------------
     def _resend_overflow(self, state: _AppClientState, config: AppConfig,

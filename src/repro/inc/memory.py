@@ -171,7 +171,7 @@ class MemoryManager:
         self._window_counts[logical] = \
             self._window_counts.get(logical, 0) + count
 
-    def end_window(self, now: float) -> List[Tuple[int, int]]:
+    def end_window(self) -> List[Tuple[int, int]]:
         """Close the cache-update window (§5.2.2).
 
         Feeds the window's counts to the policy and returns the
@@ -210,11 +210,3 @@ class MemoryManager:
         while self._quarantined and self._quarantined[0][0] <= now:
             _, phys = self._quarantined.popleft()
             self._free.append(phys)
-
-    # ------------------------------------------------------------------
-    def force_unmap(self, logical: int, now: float) -> Optional[int]:
-        """Immediate unmap (overflow fallback); returns the physical addr."""
-        phys = self._logical_to_phys.get(logical)
-        if phys is not None:
-            self.finish_eviction(logical, now)
-        return phys

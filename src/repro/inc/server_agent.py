@@ -101,8 +101,7 @@ class _McastFlow:
 
 
 class _AppServerState:
-    def __init__(self, app_key: str):
-        self.app_key = app_key
+    def __init__(self):
         self.configs: Dict[int, AppConfig] = {}
         self.soft = SoftwareINCMap()
         self.mm: Optional[MemoryManager] = None
@@ -161,7 +160,7 @@ class ServerAgent:
         key = config.program.app_name
         state = self._apps.get(key)
         if state is None:
-            state = _AppServerState(key)
+            state = _AppServerState()
             self._apps[key] = state
             state.switches = list(switches)
             mcast_flows = [
@@ -221,7 +220,7 @@ class ServerAgent:
     # ------------------------------------------------------------------
     # receive path
     # ------------------------------------------------------------------
-    def _on_packet(self, pkt: Packet, _link) -> None:
+    def _on_packet(self, pkt: Packet) -> None:
         app_key = self._gaid_to_app.get(pkt.gaid)
         if app_key is None:
             return
@@ -261,7 +260,7 @@ class ServerAgent:
         seen = state.seen.setdefault(flow_key, set())
         if pkt.seq in seen:
             if pkt.seq in state.acked.get(flow_key, set()):
-                self._send_ack(state, config, pkt)
+                self._send_ack(state, pkt)
             return
         seen.add(pkt.seq)
 
@@ -297,8 +296,8 @@ class ServerAgent:
                 flow.ack(seq, ecn=pkt.ecn)
 
     # ------------------------------------------------------------------
-    def _send_ack(self, state: _AppServerState, config: AppConfig,
-                  pkt: Packet, extra_grants: Tuple = ()) -> None:
+    def _send_ack(self, state: _AppServerState, pkt: Packet,
+                  extra_grants: Tuple = ()) -> None:
         proto = self._protos.get((pkt.gaid, pkt.src))
         if proto is None:
             proto = self._prototype(pkt.gaid, pkt.src)
@@ -319,7 +318,7 @@ class ServerAgent:
             gaid=gaid, src=self.host.name, dst=dst)
         return proto
 
-    def _reply(self, state: _AppServerState, config: AppConfig, client: str,
+    def _reply(self, state: _AppServerState, client: str,
                pkt_fields: dict) -> None:
         """Send a reliable unicast reply (is_sa data packet) to a client."""
         reply = Packet(gaid=pkt_fields.pop("gaid"), src=self.host.name,
@@ -366,7 +365,7 @@ class ServerAgent:
                         state.soft.clear_counter(key)
             state.unicast[pkt.src].enqueue(ret)
             return
-        self._send_ack(state, config, pkt)
+        self._send_ack(state, pkt)
 
     def _on_sync_trigger(self, state: _AppServerState, config: AppConfig,
                          pkt: Packet) -> None:
@@ -427,13 +426,13 @@ class ServerAgent:
                 pkt.payload[0] == "rpc-call" and not pkt.kv:
             # A plain (non-INC) call: hand it to the server stub and
             # carry its reply back on the unicast return flow.
-            self._send_ack(state, config, pkt)
+            self._send_ack(state, pkt)
             reply_payload: Any = ("rpc-reply", b"")
             if state.on_call is not None:
                 reply_payload = ("rpc-reply",
                                  state.on_call(pkt.src, pkt.gaid,
                                                pkt.payload[1]))
-            self._reply(state, config, pkt.src,
+            self._reply(state, pkt.src,
                         dict(gaid=pkt.gaid, task_id=pkt.task_id,
                              offset=pkt.offset, round=pkt.round,
                              payload=reply_payload,
@@ -536,15 +535,15 @@ class ServerAgent:
                 state.mcast.send(result)
             else:
                 for client in config.clients:
-                    self._reply(state, config, client,
+                    self._reply(state, client,
                                 dict(gaid=pkt.gaid,
                                      kv=kv_out.copy(),
                                      task_id=pkt.task_id, offset=pkt.offset,
                                      round=pkt.round))
             return
-        self._send_ack(state, config, pkt)
+        self._send_ack(state, pkt)
         if values and (prog.uses_get or prog.cntfwd.counts):
-            self._reply(state, config, pkt.src,
+            self._reply(state, pkt.src,
                         dict(gaid=pkt.gaid, kv=_result_block(values),
                              task_id=pkt.task_id, offset=pkt.offset,
                              round=pkt.round))
@@ -667,11 +666,11 @@ class ServerAgent:
         if absorbed:
             return  # like a switch drop: the client retries/waits
         if not needs_reply:
-            self._send_ack(state, config, origin)
+            self._send_ack(state, origin)
             return
 
         def finish(_):
-            self._send_ack(state, config, origin)
+            self._send_ack(state, origin)
             if not values:
                 return
             kv_out = _result_block(values)
@@ -686,7 +685,7 @@ class ServerAgent:
                 result.select_all_slots()
                 state.mcast.send(result)
                 return
-            self._reply(state, config, origin.src,
+            self._reply(state, origin.src,
                         dict(gaid=origin.gaid, kv=kv_out,
                              task_id=origin.task_id, offset=origin.offset,
                              round=origin.round))
@@ -699,7 +698,7 @@ class ServerAgent:
     def _on_overflow_replay(self, state: _AppServerState, config: AppConfig,
                             pkt: Packet) -> None:
         prog = config.program
-        self._send_ack(state, config, pkt)
+        self._send_ack(state, pkt)
         if config.linear and prog.cntfwd.counts:
             # SyncAgtr: collect every client's raw chunk, then send the
             # corrected aggregate computed in 64-bit software.
@@ -744,7 +743,7 @@ class ServerAgent:
                         state.soft.fmax_to(key, value, codec)
                 if prog.uses_get:
                     reg = codec.decode(
-                        self._register_part(state, config, key))
+                        self._register_part(state, key))
                     soft = state.soft.fvalue(key)
                     total = soft + reg if prog.agg is AggOp.FADD \
                         else max(soft, reg)
@@ -754,15 +753,14 @@ class ServerAgent:
                 state.soft.add_to(key, value)
             if prog.uses_get:
                 values[key] = state.soft.get(key) + \
-                    self._register_part(state, config, key)
+                    self._register_part(state, key)
         if values:
-            self._reply(state, config, pkt.src,
+            self._reply(state, pkt.src,
                         dict(gaid=pkt.gaid, kv=_result_block(values),
                              task_id=pkt.task_id, offset=pkt.offset,
                              round=pkt.round))
 
-    def _register_part(self, state: _AppServerState, config: AppConfig,
-                       key: Any) -> int:
+    def _register_part(self, state: _AppServerState, key: Any) -> int:
         """Exact register contribution of a (possibly sticky) mapped key."""
         if state.mm is None:
             return 0
@@ -819,7 +817,7 @@ class ServerAgent:
             state.pending_revokes = []
             if state.mm is None:
                 continue
-            victims = state.mm.end_window(self.sim.now)
+            victims = state.mm.end_window()
             if not victims:
                 continue
             yield self.sim.timeout(self.cal.ctrl_rtt_s)

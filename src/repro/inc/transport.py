@@ -120,7 +120,6 @@ class ReliableFlow:
         else:
             self._pending[packet.seq].restore_payload()
             wire = packet.copy()
-        wire.is_retransmit = not first
         rto = max(self.cal.retransmit_timeout_s, 2.0 * self.cc.rtt_estimate)
         if not first:
             entry = self._pending[packet.seq]
@@ -194,7 +193,6 @@ class ReliableFlow:
                 return
             entry.restore_payload()
             retry = entry.packet.copy()
-            retry.is_retransmit = False
             self.stats["fresh_retries"] += 1
             self.sim.schedule(self.cal.fresh_retry_delay_s,
                               self._fresh_enqueue, retry)

@@ -6,7 +6,7 @@ DESIGN.md §1 for the substitution rationale.
 """
 
 from .calibration import Calibration, DEFAULT_CALIBRATION, scaled
-from .events import AllOf, AnyOf, Event, EventFailed, Interrupt, Timeout
+from .events import AllOf, Event, EventFailed, Interrupt, Timeout
 from .faults import (
     ChaosSchedule,
     CompositeFault,
@@ -45,7 +45,7 @@ from .trace import Counter, LatencyRecorder, RateMeter, mean, percentile
 
 __all__ = [
     "Simulator", "Process", "SimulationError", "WallClockExceeded",
-    "Event", "Timeout", "AnyOf", "AllOf", "Interrupt", "EventFailed",
+    "Event", "Timeout", "AllOf", "Interrupt", "EventFailed",
     "Link", "duplex_link", "LossModel", "NoLoss", "RandomLoss", "BurstLoss",
     "ScriptedLoss", "ETHERNET_OVERHEAD_BYTES",
     "FaultModel", "Reorder", "Duplicate", "Corrupt", "LinkFlap",

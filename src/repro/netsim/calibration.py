@@ -39,8 +39,6 @@ class Calibration:
     # primitives in software (the fallback path / pure-software baseline).
     server_sw_inc_pkt_cpu_s: float = 1.1e-6
     host_agent_cores: int = 14                 # cores given to the agent
-    # Extra fixed cost to traverse the user-space RPC layer once per call.
-    rpc_call_overhead_s: float = 4.0e-6
 
     # --- transport ---------------------------------------------------  ---
     w_max: int = 256                           # paper §5.1
@@ -51,10 +49,8 @@ class Calibration:
     # Aggressive: the flip-bit protocol makes spurious retransmissions
     # harmless (idempotent), so the timeout sits just past the loaded RTT.
     retransmit_timeout_s: float = 20e-6
-    ack_every_pkts: int = 1
     aimd_increase: int = 16                    # packets per RTT
     aimd_decrease: float = 0.8                 # gentle multiplicative cut
-    kv_pairs_per_packet: int = 32              # paper §5.1 / §6.1
     # How long a recorded ECN mark keeps tainting return packets ("the
     # retransmission packets carry ECN until cleared", §5.1).  Scaled to
     # roughly one queue-drain time plus an RTT so a single congestion
@@ -64,9 +60,6 @@ class Calibration:
     # --- switch memory -----------------------------------------------  ---
     memory_segments: int = 32                  # one per kv slot
     segment_registers: int = 40_000            # 40K 32-bit units each
-    pipeline_stages: int = 12
-    map_stages: int = 8                        # stages used for map access
-    register_groups_per_stage: int = 4
 
     # --- agents ------------------------------------------------------  ---
     flows_per_app: int = 4                     # parallel worker threads (§4)

@@ -20,7 +20,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
 __all__ = [
     "Event",
     "Timeout",
-    "AnyOf",
     "AllOf",
     "Interrupt",
     "EventFailed",
@@ -113,43 +112,27 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that triggers after ``delay`` simulated seconds.
+    """An event that triggers after ``delay`` simulated seconds."""
 
-    Backed by a cancellable scheduler timer: :meth:`cancel` is O(1)
-    lazy cancellation (the schedule entry is blanked in place, never
-    popped or dispatched as a tombstone), so timeout-race patterns —
-    retransmission timers, watchdogs racing an ack — cost nothing at
-    dispatch time for the losing branch.
-    """
-
-    __slots__ = ("delay", "_handle")
+    __slots__ = ()
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):
         if delay < 0:
             raise ValueError(f"timeout delay must be >= 0, got {delay}")
         super().__init__(sim)
-        self.delay = delay
-        self._handle = sim.call_later(delay, self._fire, value)
+        sim.call_later(delay, self._fire, value)
 
     def _fire(self, value: Any) -> None:
         if not self._triggered:
             self.succeed(value)
 
-    def cancel(self) -> bool:
-        """Prevent the timeout from firing; True if this call did it.
 
-        A no-op (returning ``False``) once the timeout has triggered.
-        Waiting processes are *not* resumed — a cancelled timeout simply
-        never fires, so only cancel timeouts nothing is left waiting on
-        (e.g. the losing side of an :class:`AnyOf` race).
-        """
-        if self._triggered:
-            return False
-        return self._handle.cancel()
+class AllOf(Event):
+    """Triggers when every child event has triggered.
 
-
-class _Condition(Event):
-    """Base for AnyOf/AllOf composite events."""
+    ``value`` is a dict mapping each child event to its value.  Fails as
+    soon as any child fails.
+    """
 
     __slots__ = ("events", "_remaining")
 
@@ -163,39 +146,6 @@ class _Condition(Event):
             event.add_callback(self._child_triggered)
 
     def _child_triggered(self, event: Event) -> None:
-        raise NotImplementedError
-
-    def _results(self) -> dict:
-        return {e: e.value for e in self.events if e.triggered}
-
-
-class AnyOf(_Condition):
-    """Triggers when the first child event triggers.
-
-    ``value`` is a dict of the events that have triggered so far, mapping
-    event to its value.  If the first child fails the condition fails.
-    """
-
-    __slots__ = ()
-
-    def _child_triggered(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if event.ok:
-            self.succeed(self._results())
-        else:
-            self.fail(event.value)
-
-
-class AllOf(_Condition):
-    """Triggers when every child event has triggered.
-
-    Fails as soon as any child fails.
-    """
-
-    __slots__ = ()
-
-    def _child_triggered(self, event: Event) -> None:
         if self.triggered:
             return
         if not event.ok:
@@ -204,3 +154,6 @@ class AllOf(_Condition):
         self._remaining -= 1
         if self._remaining == 0:
             self.succeed(self._results())
+
+    def _results(self) -> dict:
+        return {e: e.value for e in self.events if e.triggered}

@@ -467,10 +467,7 @@ class InvariantChecker:
       (a :class:`~repro.netsim.simulator.SimulationError` timeout).
 
     Violations accumulate in :attr:`violations`; tests assert the list
-    is empty.  :meth:`register_residue` additionally exposes leftover
-    register occupancy inside an app's regions (possible after a reboot
-    interleaves with in-flight clears) so harnesses can scrub it between
-    rounds — an explicit control-plane action, never a silent one.
+    is empty.
     """
 
     def __init__(self, deployment: Any):
@@ -542,19 +539,6 @@ class InvariantChecker:
         if self.violations:
             raise AssertionError("invariants violated:\n" +
                                  "\n".join(self.violations))
-
-    # -- register residue -----------------------------------------------
-    def register_residue(self, config: Any) -> int:
-        """Occupied registers inside ``config``'s regions right now."""
-        count = 0
-        for switch in self.deployment.switches:
-            base = switch.phys_base
-            for region in (config.value_region, config.counter_region):
-                lo, hi = region.base, region.base + region.size
-                for local in switch.registers.occupied_addrs():
-                    if lo <= base + local < hi:
-                        count += 1
-        return count
 
     # -- internals ------------------------------------------------------
     def _violate(self, message: str) -> None:

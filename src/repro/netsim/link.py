@@ -292,7 +292,7 @@ class Link:
         stats.sent_pkts += 1
         stats.sent_bytes += size
         stats.delivered_pkts += 1
-        self.dst.receive(packet, self)
+        self.dst.receive(packet)
 
     # -- legacy (lossy) path -------------------------------------------
     def _transmit_next(self) -> None:
@@ -342,7 +342,7 @@ class Link:
 
     def _deliver(self, packet: Any) -> None:
         self.stats.delivered_pkts += 1
-        self.dst.receive(packet, self)
+        self.dst.receive(packet)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Link {self.name} {self.bandwidth_bps / 1e9:g}Gbps>"

@@ -50,7 +50,7 @@ class Node:
             link = self.link_to(peer_name)   # raises the descriptive error
         return link.send(packet)
 
-    def receive(self, packet: Any, link: Link) -> None:
+    def receive(self, packet: Any) -> None:
         raise NotImplementedError
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -74,12 +74,11 @@ class Host(Node):
         super().__init__(sim, name)
         if cores < 1:
             raise ValueError("a host needs at least one core")
-        self.cores = cores
         self.rx_cpu_cost_s = rx_cpu_cost_s
         # Min-heap of the times at which each core becomes free.
         self._core_free: List[float] = [0.0] * cores
         heapify(self._core_free)
-        self._handler: Optional[Callable[[Any, Link], None]] = None
+        self._handler: Optional[Callable[[Any], None]] = None
         # Fault injection: while paused the host buffers arrivals and
         # flushes them, in order, on resume (a GC / scheduler stall).
         self._paused_until: Optional[float] = None
@@ -108,21 +107,21 @@ class Host(Node):
             return
         self._paused_until = None
         buffered, self._pause_buffer = self._pause_buffer, []
-        for packet, link in buffered:
-            self.receive(packet, link)
+        for packet in buffered:
+            self.receive(packet)
 
-    def set_handler(self, handler: Callable[[Any, Link], None]) -> None:
+    def set_handler(self, handler: Callable[[Any], None]) -> None:
         """Install the upcall invoked for every processed packet."""
         self._handler = handler
 
-    def receive(self, packet: Any, link: Link) -> None:
+    def receive(self, packet: Any) -> None:
         if self._paused_until is not None:
-            self._pause_buffer.append((packet, link))
+            self._pause_buffer.append(packet)
             return
         self.stats["rx_pkts"] += 1
         cost = self.rx_cpu_cost_s
         if cost <= 0.0:
-            self._dispatch((packet, link))
+            self._dispatch(packet)
             return
         core_free = self._core_free
         free_at = heappop(core_free)
@@ -131,18 +130,17 @@ class Host(Node):
         start = now if now > free_at else free_at
         done = start + cost
         heappush(core_free, done)
-        sim.schedule(done - now, self._dispatch, (packet, link))
+        sim.schedule(done - now, self._dispatch, packet)
         if TRACE.enabled:
             TRACE.record("host.cpu", start, done, self.name)
 
-    def _dispatch(self, pair) -> None:
-        packet, link = pair
+    def _dispatch(self, packet: Any) -> None:
         stats = self.stats
         stats["processed_pkts"] += 1
         if self._handler is None:
             stats.add("dropped_no_handler")
             return
-        self._handler(packet, link)
+        self._handler(packet)
 
     def run_on_core(self, cost_s: float, fn: Callable[[Any], None],
                     arg: Any = None) -> None:

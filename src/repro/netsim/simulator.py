@@ -58,7 +58,7 @@ from typing import Any, Callable, Dict, Generator, Iterable, List, Optional
 
 from repro.obs.tracer import TRACE
 
-from .events import AllOf, AnyOf, Event, EventFailed, Interrupt, Timeout
+from .events import AllOf, Event, EventFailed, Interrupt, Timeout
 
 __all__ = ["Simulator", "Process", "TimerHandle", "SimulationError",
            "WallClockExceeded", "set_global_wall_deadline",
@@ -87,7 +87,9 @@ _SIM_SINK: Optional[list] = None
 
 
 class SimulationError(RuntimeError):
-    """Raised for fatal simulator misuse (e.g. running a finished sim)."""
+    """Raised for fatal simulator misuse: running to a time already
+    past, or awaiting an event that cannot trigger (the schedule drains
+    first, or the limit passes)."""
 
 
 class WallClockExceeded(SimulationError):
@@ -141,8 +143,7 @@ class TimerHandle(list):
         already fired or was already cancelled).  Cancelling *at* the
         timer's exact timestamp, from a later entry of the same cohort,
         blanks the entry after the callback ran — harmless, but the
-        caller is expected to know its own timer fired (as
-        ``Timeout.cancel`` does via its triggered flag).
+        caller is expected to know its own timer fired.
         """
         if self[0] is None or self.when < self._sim.now:
             return False
@@ -260,7 +261,6 @@ class Simulator:
         self._ready_i = 0
         self._sequence = 0
         self.rng = random.Random(seed)
-        self._finished = False
         self.set_wall_deadline(_GLOBAL_WALL_DEADLINE)
         self._wall_countdown = _WALL_CHECK_EVERY
         # Scheduler statistics.  The dispatch loops write none of them
@@ -402,9 +402,6 @@ class Simulator:
 
     def process(self, generator: Generator, name: str = "") -> Process:
         return Process(self, generator, name=name)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)

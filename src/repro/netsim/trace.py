@@ -128,14 +128,3 @@ class LatencyRecorder:
 
     def p(self, pct: float) -> float:
         return percentile(self._sorted, pct)
-
-    def summary(self) -> Dict[str, float]:
-        if not self._sorted:
-            return {"count": 0}
-        return {
-            "count": len(self._sorted),
-            "mean": self.mean(),
-            "p50": self.p(50),
-            "p99": self.p(99),
-            "max": self._sorted[-1],
-        }

@@ -7,8 +7,8 @@ A :class:`MetricsRegistry` subsumes them:
 * ``register(name, obj)`` files any instrument under a dotted name
   (``"link.c0->sw0"``, ``"pipeline.sw0"``, ``"control.audit"``);
   duplicate names get a ``#N`` suffix instead of clobbering;
-* ``snapshot()`` / ``diff()`` flatten everything into one
-  ``{"entry.key": value}`` dict for judging and export.
+* ``snapshot()`` flattens everything into one ``{"entry.key": value}``
+  dict for judging and export.
 
 Instruments always record: benchmark fingerprints are metrics
 snapshots, so the registry has no off switch.
@@ -23,9 +23,8 @@ snapshot — so the end-of-run metrics dump can see deployments that
 would otherwise be dead by export time.
 
 Duck-typed snapshots keep this module import-free of the instrument
-classes (no cycles): anything with ``as_dict``/``summary``/
-``average_gbps`` — or a ``snapshot`` callable passed at registration —
-participates.
+classes (no cycles): anything with ``as_dict``/``average_gbps`` — or a
+``snapshot`` callable passed at registration — participates.
 """
 
 from __future__ import annotations
@@ -57,9 +56,6 @@ def _auto_snapshot(obj: Any) -> Dict[str, Any]:
     as_dict = getattr(obj, "as_dict", None)
     if as_dict is not None:                       # Counter
         return as_dict()
-    summary = getattr(obj, "summary", None)
-    if summary is not None:                       # LatencyRecorder
-        return summary()
     if hasattr(obj, "average_gbps"):              # RateMeter
         return {"total_bytes": obj.total_bytes,
                 "average_gbps": obj.average_gbps()}
@@ -78,7 +74,7 @@ def _has_strategy(obj: Any) -> bool:
     if isinstance(obj, dict):
         return True
     if any(hasattr(obj, attr) for attr in
-           ("as_dict", "summary", "average_gbps")):
+           ("as_dict", "average_gbps")):
         return True
     stats = getattr(obj, "stats", None)
     return stats is not None and _has_strategy(stats)
@@ -114,7 +110,7 @@ class MetricsRegistry:
         return obj
 
     # ------------------------------------------------------------------
-    # snapshot / diff / export
+    # snapshot / export
     # ------------------------------------------------------------------
     def snapshot(self) -> Dict[str, Any]:
         """Flat ``{"entry.key": value}`` view of every instrument."""
@@ -128,30 +124,6 @@ class MetricsRegistry:
         """Per-entry view (one dict per instrument), for JSONL export."""
         return {name: dict(snap(obj))
                 for name, (obj, snap) in self._entries.items()}
-
-    @staticmethod
-    def diff(before: Dict[str, Any], after: Dict[str, Any]
-             ) -> Dict[str, Any]:
-        """Numeric deltas between two snapshots (changed keys only).
-
-        Keys present on one side only appear verbatim under ``+key`` /
-        ``-key`` so a diff never silently hides a metric appearing or
-        vanishing between the two snapshots.
-        """
-        out: Dict[str, Any] = {}
-        for key, value in after.items():
-            if key not in before:
-                out[f"+{key}"] = value
-            elif isinstance(value, (int, float)) and \
-                    isinstance(before[key], (int, float)):
-                if value != before[key]:
-                    out[key] = value - before[key]
-            elif value != before[key]:
-                out[key] = (before[key], value)
-        for key, value in before.items():
-            if key not in after:
-                out[f"-{key}"] = value
-        return out
 
 
 # ---------------------------------------------------------------------------

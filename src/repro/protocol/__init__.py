@@ -21,7 +21,7 @@ from .fpcodec import (
 )
 from .kvblock import KVBlock
 from .ops import StreamOp, apply_stream_op
-from .packets import KV_PAIRS_PER_PACKET, Packet, full_bitmap
+from .packets import KV_PAIRS_PER_PACKET, Packet
 from .quantize import Int8BlockCodec, topk_indices
 from .rips import (
     AggOp,
@@ -39,7 +39,6 @@ __all__ = [
     "Int8BlockCodec", "topk_indices",
     "StreamOp", "apply_stream_op",
     "Packet", "KVBlock", "KV_PAIRS_PER_PACKET",
-    "full_bitmap",
     "RIPProgram", "CntFwdSpec", "ClearPolicy", "ForwardTarget", "RetryMode",
     "AggOp",
 ]

@@ -1,9 +1,11 @@
 """The NetRPC packet format (paper Figure 14, Appendix B.1).
 
 One packet carries up to 32 key-value pairs plus three groups of header
-fields: computation control (primitive selection, op type, bitmap,
-CntFwd counter index), transmission control (GAID, sequence number,
-flip bit, SRRT slot, routing flags), and optional non-INC payload.
+fields: computation control (bitmap, CntFwd fields), transmission
+control (GAID, sequence number, flip bit, SRRT slot, routing flags), and
+optional non-INC payload.  The switch takes the operation from the
+GAID's admission entry, so Figure 14's op-type, op-parameter and
+client-id fields are counted in the header budget but not modelled.
 
 The size model follows the paper's reported range: 192 bytes for a
 fully linear packet (keys elided) up to 320 bytes with explicit keys
@@ -13,14 +15,12 @@ keys, plain gRPC fields) and only contributes its byte count.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Any, Optional, Tuple
 
 from .kvblock import KVBlock
-from .ops import StreamOp
 
-__all__ = ["KVBlock", "Packet", "KV_PAIRS_PER_PACKET", "full_bitmap"]
+__all__ = ["KVBlock", "Packet", "KV_PAIRS_PER_PACKET"]
 
 KV_PAIRS_PER_PACKET = 32
 
@@ -34,15 +34,7 @@ _CNTFWD_FIELD_BYTES = 8
 _GRANT_BYTES = 8
 _ACK_SEQ_BYTES = 4
 
-_next_uid = itertools.count().__next__
 _new = object.__new__
-
-
-def full_bitmap(n: int = KV_PAIRS_PER_PACKET) -> int:
-    """Bitmap selecting the first ``n`` kv slots for processing."""
-    if not 0 <= n <= KV_PAIRS_PER_PACKET:
-        raise ValueError(f"bitmap width must be in [0, {KV_PAIRS_PER_PACKET}]")
-    return (1 << n) - 1
 
 
 @dataclass
@@ -63,8 +55,6 @@ class Packet:
     flow_id: int = 0               # sender-local flow (worker thread) index
 
     # --- computation control ------------------------------------------
-    op_type: StreamOp = StreamOp.NOP
-    op_para: int = 0
     bitmap: int = 0
     is_cnf: bool = False
     cnt_index: int = 0
@@ -85,7 +75,6 @@ class Packet:
     # paper's "ECN written to the INC map", §5.1): tells the *sender's*
     # flows to slow down, independent of reverse-path congestion.
     ecn_echo: bool = False
-    client_id: int = 0
 
     # --- data -----------------------------------------------------------
     # Stored columnar: one KVBlock, built with KVBlock.from_columns.
@@ -105,9 +94,7 @@ class Packet:
     offset: int = 0                # first kv's position within the task
     task_total: int = 0            # total kv pairs in the task (0 = unknown)
     round: int = 0                 # application round (RPC call ordinal)
-    uid: int = field(default_factory=_next_uid)
     sent_at: float = 0.0
-    is_retransmit: bool = False
 
     # Cached wire size (plain class attribute, not a dataclass field).
     # Every size-affecting field is settled before a packet first hits a
@@ -144,20 +131,11 @@ class Packet:
         self._size = size
         return size
 
-    @property
-    def chunk_id(self) -> Tuple[int, int]:
-        """Identifies the logical data chunk across all senders.
-
-        Used to match CntFwd result packets back to each client's pending
-        sequence number.
-        """
-        return (self.task_id, self.offset)
-
     def select_all_slots(self) -> None:
         self.bitmap = (1 << len(self.kv.addrs)) - 1
 
     def copy(self, kv: Optional[KVBlock] = None) -> "Packet":
-        """A new packet with this one's header and a fresh ``uid``.
+        """A new packet with this one's header.
 
         Carries ``kv`` when given, else a copy of this packet's block
         (which shares its read-only columns).  This is the one fast way
@@ -167,7 +145,7 @@ class Packet:
         differ.
         """
         # Hand-rolled (no dataclasses.replace): replace() re-runs the
-        # 37-field __init__.  The instance dict is copied once and handed
+        # 32-field __init__.  The instance dict is copied once and handed
         # over; non-field state deliberately does not carry over,
         # matching replace() semantics.
         dup = _new(Packet)
@@ -182,7 +160,6 @@ class Packet:
             kv.mapped_mask = own.mapped_mask
             kv.keys = own.keys
         state["kv"] = kv
-        state["uid"] = _next_uid()
         # Instance state that is not a dataclass field: the size cache
         # and the switch's recirculation and processed marks.  First
         # transmissions put the pending-table entry itself on the wire,

@@ -54,7 +54,7 @@ class RemoteNode:
     def __init__(self, name: str):
         self.name = name
 
-    def receive(self, packet: Any, link: Any) -> None:
+    def receive(self, packet: Any) -> None:
         raise AssertionError(
             f"packet delivered locally to remote node {self.name!r}; "
             f"boundary egress must route through the outbox")
@@ -154,21 +154,16 @@ class ShardEgressLink(Link):
 class IngressBridge:
     """Receiver half of a cut link: replays boundary deliveries.
 
-    Quacks enough like a :class:`~repro.netsim.link.Link` (``name``,
-    ``src``/``dst``, ``delay_s``, ``stats``) for receive handlers that
-    inspect their ingress link.  ``inject`` is called by the shard
-    runner at a barrier, always with ``when`` strictly ahead of this
-    shard's clock — the conservative bound guarantees it, and
-    ``schedule_at`` enforces it.
+    Named and counted like a :class:`~repro.netsim.link.Link` (``name``,
+    ``stats``), so the fabric's link results cover both halves of a cut
+    link.  ``inject`` is called by the shard runner at a barrier, always
+    with ``when`` strictly ahead of this shard's clock — the
+    conservative bound guarantees it, and ``schedule_at`` enforces it.
     """
 
-    def __init__(self, sim: Simulator, dst: Any, src_name: str,
-                 bandwidth_bps: float, delay_s: float):
+    def __init__(self, sim: Simulator, dst: Any, src_name: str):
         self.sim = sim
-        self.src = RemoteNode(src_name)
         self.dst = dst
-        self.bandwidth_bps = bandwidth_bps
-        self.delay_s = delay_s
         self.name = f"{src_name}->{getattr(dst, 'name', dst)}"
         self.stats = LinkStats()
 
@@ -182,7 +177,7 @@ class IngressBridge:
             TRACE.instant("boundary.deliver", self.sim.now, self.name,
                           None if flow_id is None
                           else (flow_id, getattr(packet, "seq", -1)))
-        self.dst.receive(packet, self)
+        self.dst.receive(packet)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<IngressBridge {self.name}>"

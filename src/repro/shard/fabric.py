@@ -117,7 +117,7 @@ class FabricSwitch(Node):
         self.routes: Dict[str, Tuple[str, ...]] = {}
         self._flow_link: Dict[int, Link] = {}
 
-    def receive(self, packet: Any, link: Any) -> None:
+    def receive(self, packet: Any) -> None:
         flow_id = packet.flow_id
         out = self._flow_link.get(flow_id)
         if out is None:
@@ -147,7 +147,7 @@ class FabricHost(Node):
         self.rx: Dict[int, List[float]] = {}
         self._uplink: Optional[str] = None
 
-    def receive(self, packet: Any, link: Any) -> None:
+    def receive(self, packet: Any) -> None:
         if packet.dst != self.name:
             self.stats.add("misrouted_pkts")
             return
@@ -311,6 +311,6 @@ def build_fabric(sim: Simulator, structure: Structure,
             out.dst_shard = shard_of[remote]
             node.attach_egress(out)
             egress[out.name] = out
-            bridge = IngressBridge(sim, node, remote, bandwidth, delay)
+            bridge = IngressBridge(sim, node, remote)
             ingress[bridge.name] = bridge
     return ShardFabric(sim, topo, egress, ingress)

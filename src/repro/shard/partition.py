@@ -35,7 +35,6 @@ class CutLink:
 
     src: str
     dst: str
-    tier: str
     delay_s: float
     src_shard: int
     dst_shard: int
@@ -58,8 +57,6 @@ class Partition:
 
     n_shards: int
     shard_of: Tuple[Tuple[str, int], ...]          # (node, shard) pairs
-    members: Tuple[Tuple[str, ...], ...]           # nodes per shard
-    rack_shard: Tuple[Tuple[str, int], ...]        # (rack, shard) pairs
     cut_links: Tuple[CutLink, ...]                 # sorted by name
     channels: Tuple[Tuple[Tuple[int, int], Tuple[CutLink, ...]], ...]
     lookahead: Tuple[Tuple[Tuple[int, int], float], ...]
@@ -134,9 +131,6 @@ def partition_structure(structure: Structure, n_shards: int,
             rack_shard[rack] = index % n_shards
 
     shard_of = {name: rack_shard[rack_of[name]] for name, _r, _k in nodes}
-    members: List[List[str]] = [[] for _ in range(n_shards)]
-    for name, _role, _rack in nodes:
-        members[shard_of[name]].append(name)
 
     cuts: List[CutLink] = []
     for a, b, tier in edges:
@@ -150,8 +144,8 @@ def partition_structure(structure: Structure, n_shards: int,
                 f"zero-lookahead cuts cannot be synchronized "
                 f"conservatively — keep racks {rack_of[a]!r} and "
                 f"{rack_of[b]!r} together or give the link delay")
-        cuts.append(CutLink(a, b, tier, delay, sa, sb))
-        cuts.append(CutLink(b, a, tier, delay, sb, sa))
+        cuts.append(CutLink(a, b, delay, sa, sb))
+        cuts.append(CutLink(b, a, delay, sb, sa))
     cuts.sort(key=lambda c: (c.src, c.dst))
 
     channels: Dict[Tuple[int, int], List[CutLink]] = {}
@@ -166,8 +160,6 @@ def partition_structure(structure: Structure, n_shards: int,
     return Partition(
         n_shards=n_shards,
         shard_of=tuple(sorted(shard_of.items())),
-        members=tuple(tuple(m) for m in members),
-        rack_shard=tuple(sorted(rack_shard.items())),
         cut_links=tuple(cuts),
         channels=channel_items,
         lookahead=lookahead)

@@ -152,8 +152,6 @@ class _ChannelMap:
     def __init__(self, partition: Partition):
         pairs = [pair for pair, _links in partition.channels]
         self.pairs: Tuple[Tuple[int, int], ...] = tuple(pairs)
-        self.chan_id: Dict[Tuple[int, int], int] = {
-            pair: i for i, pair in enumerate(pairs)}
         self.dst_of: Dict[int, int] = {
             i: pair[1] for i, pair in enumerate(pairs)}
         # in_channels[sid]: [(src_shard, channel_id)] ascending by src —
@@ -266,7 +264,6 @@ class _ShardWorker:
             "work_s": self.work_s,
             "frames_sent": self.frames_sent,
             "frame_bytes": self.frame_bytes,
-            "profile": self.profile_path,
         }
 
 
@@ -463,7 +460,6 @@ class _SubprocessPool:
                       for sid in range(partition.n_shards)}
         self.conns = []
         self.procs = []
-        self.round_no = 0
         self.shm_spills = 0
         self._spills: Dict[int, bytes] = {}          # chan -> frame
         self._inbound: Dict[int, List[_Message]] = {
@@ -495,7 +491,6 @@ class _SubprocessPool:
         return payload
 
     def run_round(self, horizons):
-        self.round_no += 1
         shm = self.transport == "shm"
         dst_of = self.channels.dst_of
         for w, conn in enumerate(self.conns):
@@ -580,7 +575,6 @@ class ShardRunResult:
     transport_bytes: int = 0
     horizon_rounds_skipped: int = 0
     shm_spills: int = 0
-    profiles: List[Optional[str]] = field(default_factory=list)
     # Observability side-band: the per-shard scheduler/sync metrics
     # namespace (always present) and, when the run executed with the
     # flight recorder armed, the merged-trace input (worker captures +
@@ -913,7 +907,6 @@ def run_sharded(scenario: ShardScenario,
         transport_bytes=sum(p["frame_bytes"] for p in ordered),
         horizon_rounds_skipped=skipped,
         shm_spills=pool.shm_spills,
-        profiles=[p.get("profile") for p in ordered],
         registry=registry,
         obs=obs)
 

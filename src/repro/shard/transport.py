@@ -69,7 +69,6 @@ class ShmChannelBus:
         if slot_bytes < RECORD.size:
             raise ValueError(f"slot_bytes {slot_bytes} below one record "
                              f"({RECORD.size}B)")
-        self.n_channels = n_channels
         self.slot_bytes = slot_bytes
         self._stride = _SLOT_HEADER_BYTES + slot_bytes
         size = max(1, n_channels * 2 * self._stride)

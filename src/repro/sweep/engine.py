@@ -125,7 +125,7 @@ def _outcome(index: int, spec: RunSpec,
              payload: Tuple[str, Any, str, float]) -> Outcome:
     status, value, tb, wall = payload
     if status == "ok":
-        return RunResult(index=index, spec=spec, value=value, wall_s=wall)
+        return RunResult(index=index, value=value, wall_s=wall)
     return RunFailure(index=index, spec=spec, kind=status,
                       message=str(value), traceback=tb, wall_s=wall)
 

@@ -74,7 +74,6 @@ class RunResult:
     """A completed run, tagged with its spec index for ordered merge."""
 
     index: int
-    spec: RunSpec
     value: Any
     wall_s: float = 0.0
 

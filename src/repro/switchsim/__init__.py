@@ -9,13 +9,13 @@ admission entries, and line-rate recirculation costs.
 from .admission import AdmissionTable, AppEntry
 from .flowstate import FlowStateTable
 from .pipeline import Action, RIPPipeline, Verdict
-from .registers import RegisterFile, StageLayout
+from .registers import RegisterFile
 from .switch import NetRPCSwitch, PlainSwitch
 
 __all__ = [
     "AdmissionTable", "AppEntry",
     "FlowStateTable",
     "Action", "RIPPipeline", "Verdict",
-    "RegisterFile", "StageLayout",
+    "RegisterFile",
     "NetRPCSwitch", "PlainSwitch",
 ]

@@ -56,9 +56,6 @@ class AdmissionTable:
             return None
         return entry
 
-    def update_clients(self, gaid: int, clients: Tuple[str, ...]) -> None:
-        self._entries[gaid].clients = clients
-
     def clear(self) -> None:
         """Reboot: match-action entries are part of the volatile config.
 

@@ -44,9 +44,6 @@ class FlowStateTable:
         self._bits[slot] = self._all_ones
         return slot
 
-    def release(self, slot: int) -> None:
-        self._bits.pop(slot, None)
-
     def check_and_update(self, slot: int, seq: int, flip: int) -> bool:
         """Returns True when the packet is a retransmission.
 
@@ -95,7 +92,3 @@ class FlowStateTable:
         if not 0 <= slot < self.slots:
             raise ValueError(f"slot {slot} out of range [0, {self.slots})")
         self._bits[slot] = bits & self._all_ones
-
-    def memory_bits(self) -> int:
-        """Total switch memory consumed by reliable-flow state."""
-        return len(self._bits) * self.w_max

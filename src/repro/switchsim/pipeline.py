@@ -100,7 +100,6 @@ class RIPPipeline:
         if pkt.srrt >= 0:
             retrans = self.flow_state.check_and_update(pkt.srrt, pkt.seq,
                                                        pkt.flip)
-        pkt.is_retransmit = retrans
 
         if pkt.is_ack:
             self.stats["ack_pkts"] += 1

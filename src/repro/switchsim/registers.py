@@ -30,49 +30,27 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.protocol import DEFAULT_FP_CODEC, INT32_MAX, INT32_MIN
 
-__all__ = ["RegisterFile", "StageLayout"]
+__all__ = ["RegisterFile"]
 
 
-class StageLayout:
-    """Maps memory segments onto pipeline stages and register groups.
-
-    Purely structural — used to validate that a configuration fits the
-    chip (``segments <= map_stages * groups_per_stage``) and to report
-    resource usage.
-    """
-
-    def __init__(self, pipeline_stages: int = 12, map_stages: int = 8,
-                 groups_per_stage: int = 4, segments: int = 32):
-        if map_stages > pipeline_stages:
-            raise ValueError("map stages cannot exceed pipeline stages")
-        if segments > map_stages * groups_per_stage:
-            raise ValueError(
-                f"{segments} segments do not fit in {map_stages} stages x "
-                f"{groups_per_stage} groups")
-        self.pipeline_stages = pipeline_stages
-        self.map_stages = map_stages
-        self.groups_per_stage = groups_per_stage
-        self.segments = segments
-
-    def placement(self, segment: int) -> Tuple[int, int]:
-        """(stage, group) hosting a given segment."""
-        if not 0 <= segment < self.segments:
-            raise ValueError(f"segment {segment} out of range")
-        return segment // self.groups_per_stage, \
-            segment % self.groups_per_stage
+# The chip (§6.1): the map's segments spread over 8 pipeline stages with
+# 4 register groups each; a configuration with more segments does not fit.
+MAP_STAGES = 8
+GROUPS_PER_STAGE = 4
 
 
 class RegisterFile:
     """32-bit register memory with per-register sticky overflow bits."""
 
-    def __init__(self, segments: int = 32, registers_per_segment: int = 40_000,
-                 layout: StageLayout = None):
+    def __init__(self, segments: int = 32, registers_per_segment: int = 40_000):
         if segments < 1 or registers_per_segment < 1:
             raise ValueError("segments and registers_per_segment must be >= 1")
+        if segments > MAP_STAGES * GROUPS_PER_STAGE:
+            raise ValueError(
+                f"{segments} segments do not fit in {MAP_STAGES} stages x "
+                f"{GROUPS_PER_STAGE} groups")
         self.segments = segments
-        self.registers_per_segment = registers_per_segment
         self.capacity = segments * registers_per_segment
-        self.layout = layout or StageLayout(segments=segments)
         # Sparse rows: register ``p`` is ``_rows[p // segments][p %
         # segments]``.  A row exists once one of its registers was written
         # and goes away on a whole-row clear; absent rows read as zeros.
@@ -84,11 +62,6 @@ class RegisterFile:
         if not 0 <= addr < self.capacity:
             raise IndexError(
                 f"physical address {addr} out of range [0, {self.capacity})")
-
-    def segment_of(self, addr: int) -> int:
-        """Which memory segment (= packet kv slot) an address lives in."""
-        self._check(addr)
-        return addr % self.segments
 
     def _get(self, addr: int) -> int:
         row = self._rows.get(addr // self.segments)

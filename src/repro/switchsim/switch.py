@@ -19,9 +19,9 @@ Behavioural model notes:
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Tuple
 
-from repro.netsim import Calibration, DEFAULT_CALIBRATION, Link, Node, Simulator
+from repro.netsim import Calibration, DEFAULT_CALIBRATION, Node, Simulator
 from repro.obs.tracer import TRACE
 from repro.protocol import Packet
 
@@ -59,7 +59,7 @@ class PlainSwitch(Node):
                 f"{self.name}: no route to {dst!r} "
                 f"(direct: {sorted(self.egress)})") from None
 
-    def receive(self, packet: Any, link: Optional[Link]) -> None:
+    def receive(self, packet: Any) -> None:
         self.stats.add("rx_pkts")
         self.sim.schedule(self.cal.switch_pipeline_delay_s,
                           self._forward, packet)
@@ -195,7 +195,7 @@ class NetRPCSwitch(PlainSwitch):
     # ------------------------------------------------------------------
     # data plane
     # ------------------------------------------------------------------
-    def receive(self, packet: Any, link: Optional[Link]) -> None:
+    def receive(self, packet: Any) -> None:
         sim = self.sim
         stats = self.stats
         stats["rx_pkts"] += 1

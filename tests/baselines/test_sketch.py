@@ -93,7 +93,7 @@ class TestSketchSwitch:
     def test_queries_bounce_with_estimates(self):
         sim, switch, monitor = self.build()
         replies = []
-        monitor.set_handler(lambda p, l: replies.append(p))
+        monitor.set_handler(lambda p: replies.append(p))
         monitor.send(SketchPacket(kind="report", src="m0", dst="sw0",
                                   flows={"f": 7}), "sw0")
         monitor.send(SketchPacket(kind="query", src="m0", dst="sw0",

@@ -126,3 +126,49 @@ class TestErrors:
             proto.message("Nope")
         with pytest.raises(KeyError):
             proto.service("Nope")
+
+
+class TestFieldNumbers:
+    """Field tags follow protobuf: 1 .. 2**29 - 1, never 19000-19999, and
+    unique per message, like field names; every rejection names the line
+    and the field."""
+
+    def test_largest_tag_accepted(self):
+        proto = parse_proto("message M { int32 a = 536870911; }")
+        assert proto.message("M").fields[0].tag == 2**29 - 1
+
+    def test_tag_above_the_maximum_rejected(self):
+        with pytest.raises(ProtoSyntaxError,
+                           match=r"line 1: field 'a' of message M: tag "
+                                 r"536870912 outside"):
+            parse_proto("message M { int32 a = 536870912; }")
+
+    def test_huge_tag_rejected(self):
+        with pytest.raises(ProtoSyntaxError, match="line 1: field 'a'"):
+            parse_proto("message M { int32 a = 99999999999999999999; }")
+
+    def test_tag_zero_rejected(self):
+        with pytest.raises(ProtoSyntaxError, match="line 1: field 'a'"):
+            parse_proto("message M { int32 a = 0; }")
+
+    @pytest.mark.parametrize("tag", [19000, 19500, 19999])
+    def test_reserved_tag_range_rejected(self, tag):
+        with pytest.raises(ProtoSyntaxError,
+                           match="line 1: field 'a' .* reserved"):
+            parse_proto(f"message M {{ int32 a = {tag}; }}")
+
+    def test_tags_around_the_reserved_range_accepted(self):
+        proto = parse_proto("message M { int32 a = 18999; bool b = 20000; }")
+        assert [f.tag for f in proto.message("M").fields] == [18999, 20000]
+
+    def test_duplicate_field_name_names_its_line(self):
+        with pytest.raises(ProtoSyntaxError,
+                           match="line 3: field 'a' of message M: "
+                                 "duplicate field name"):
+            parse_proto("message M {\n  int32 a = 1;\n  bool a = 2;\n}")
+
+    def test_duplicate_tag_names_its_line(self):
+        with pytest.raises(ProtoSyntaxError,
+                           match="line 3: field 'b' of message M: tag 1 "
+                                 "already used by field 'a'"):
+            parse_proto("message M {\n  int32 a = 1;\n  bool b = 1;\n}")

@@ -48,7 +48,7 @@ def test_carried_grants_and_revokes_are_applied(kind):
     agent, state = _agent()
     fields = {"src": "s0", **KINDS[kind]}
     agent._on_packet(Packet(gaid=1, dst="c0", grants=((7, 50),),
-                            revokes=(9,), **fields), None)
+                            revokes=(9,), **fields))
     assert _mapping(state) == ({7: 50}, {50: "k7"}, {})
 
 
@@ -57,5 +57,5 @@ def test_a_packet_carrying_none_leaves_the_mapping_alone(kind):
     agent, state = _agent()
     before = _mapping(state)
     agent._on_packet(Packet(gaid=1, dst="c0", **{"src": "s0",
-                                                 **KINDS[kind]}), None)
+                                                 **KINDS[kind]}))
     assert _mapping(state) == before

@@ -101,14 +101,12 @@ class TestIdempotenceUnderDuplication:
         switch = dep.switches[0]
         original_receive = switch.receive
 
-        def duplicating_receive(packet, link):
-            original_receive(packet, link)
+        def duplicating_receive(packet):
+            original_receive(packet)
             from repro.protocol import Packet
             if isinstance(packet, Packet) and not packet.is_ack and \
                     not packet.is_sa and packet.srrt >= 0:
-                dup = packet.copy()
-                dup.is_retransmit = True
-                original_receive(dup, link)
+                original_receive(packet.copy())
 
         switch.receive = duplicating_receive
         (config,) = dep.controller.register(

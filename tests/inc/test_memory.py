@@ -77,7 +77,7 @@ class TestMemoryManager:
         mm.note_use(1, 1)
         mm.request(2, 0.0)   # denied, becomes pending-hot
         mm.note_use(2, 100)
-        victims = mm.end_window(now=1.0)
+        victims = mm.end_window()
         assert victims and victims[0][0] == 1
 
     def test_hash_policy_uses_fixed_slots(self):
@@ -86,12 +86,6 @@ class TestMemoryManager:
         assert phys == 10 % 8
         # A colliding logical address is denied permanently.
         assert mm.request(18, 0.0) is None
-
-    def test_force_unmap_returns_physical(self):
-        mm = MemoryManager(MemoryRegion(0, 4))
-        phys = mm.request(5, 0.0)
-        assert mm.force_unmap(5, 0.0) == phys
-        assert mm.lookup(5) is None
 
     def test_mapped_count_and_capacity(self):
         mm = MemoryManager(MemoryRegion(0, 4))
@@ -142,7 +136,7 @@ class _CopyingManager(MemoryManager):
         self._grant(logical, phys)
         return phys
 
-    def end_window(self, now):
+    def end_window(self):
         self.policy.window_update(self._window_counts)
         self._window_counts = {}
         victims = self.policy.evictions(set(self._logical_to_phys),
@@ -177,7 +171,7 @@ def _drive(manager_cls, policy_name, seed, capacity=24, steps=1500):
             mm.note_use(universe[(pick + shift) % len(universe)],
                         rng.randint(1, 5))
         else:
-            victims = mm.end_window(now)
+            victims = mm.end_window()
             log.append(("victims", tuple(victims)))
             for logical, _phys in victims:
                 # Quarantine (3.0) outlasts a few steps, so some requests

@@ -44,16 +44,15 @@ class _CaptureHost:
 
 
 def _same_packet(built, reference):
-    """Field-by-field equality, ``uid`` aside; the kv block by column."""
+    """Field-by-field equality; the kv block by column."""
     assert set(vars(built)) == set(FIELDS)        # no non-field state
     for name in FIELDS:
-        if name not in ("uid", "kv"):
+        if name != "kv":
             assert getattr(built, name) == getattr(reference, name), name
     columns = [(list(pkt.kv.addrs), list(pkt.kv.values),
                 pkt.kv.mapped_mask, pkt.kv.keys)
                for pkt in (built, reference)]
     assert columns[0] == columns[1]
-    assert built.uid != reference.uid
 
 
 def _config(linear, counting=True):
@@ -107,14 +106,13 @@ def test_a_server_ack_equals_the_constructor_built_packet():
     sim = Simulator()
     host = _CaptureHost("s0")
     server = ServerAgent(sim, host, tor="sw0")
-    config = _config(linear=False)
-    state = _AppServerState("PP")
+    state = _AppServerState()
     state.pending_grants["c1"] = [(4, 40), (5, 41)]
     state.pending_revokes = [7]
     data = Packet(gaid=3, src="c1", dst="s0", seq=23, flow_id=1,
                   is_cross=True, ecn=True, acks=(2,), task_id=5)
-    server._send_ack(state, config, data, extra_grants=((6, 42),))
-    server._send_ack(state, config, data)
+    server._send_ack(state, data, extra_grants=((6, 42),))
+    server._send_ack(state, data)
     first, second = host.sent
     _same_packet(first, Packet(gaid=3, src="s0", dst="c1", is_ack=True,
                                acks=(23,), ack_flow=1,
@@ -130,7 +128,7 @@ def test_a_sync_return_equals_the_constructor_built_packet(is_of):
     sim = Simulator()
     server = ServerAgent(sim, _CaptureHost("s0"), tor="sw0")
     config = _config(linear=True)
-    state = _AppServerState("PP")
+    state = _AppServerState()
     sent = []
     state.mcast = SimpleNamespace(send=sent.append)
     for offset in (0, 32):
@@ -164,7 +162,7 @@ def test_a_keyed_chunk_replays_exactly_its_columns_on_overflow():
     sim = Simulator()
     agent = ClientAgent(sim, _CaptureHost("c0"), tor="sw0")
     config = _config(linear=False, counting=False)
-    state = _AppClientState("PP")
+    state = _AppClientState()
     state.configs[config.gaid] = config
     sent = []
     state.flows = [_CaptureFlow(0, sent)]

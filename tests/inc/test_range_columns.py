@@ -95,17 +95,12 @@ def _client():
 def test_extract_values_agrees(clear):
     results = []
     for as_range in (True, False):
-        agent, sim = _client()
+        agent, _sim = _client()
         config = _config(clear)
-        state = _AppClientState("RC")
+        state = _AppClientState()
         state.configs[1] = config
         state.lazy_baseline[ADDRS[1]] = 4
-        task = Task(app=config, column=[0] * (OFFSET + COUNT),
-                    expect_result=True)
-        tstate = _TaskState(task, sim.event())
-        chunk = _ChunkState(OFFSET, KEYS, [0] * COUNT, mapped=True,
-                            awaiting_result=True)
-        values = agent._extract_values(state, config, tstate, chunk,
+        values = agent._extract_values(state, config,
                                        _packet(as_range, is_mcast=True),
                                        corrected=False)
         results.append((values, dict(state.lazy_baseline)))
@@ -136,7 +131,7 @@ def test_server_round_store_agrees():
     for as_range in (True, False):
         sim = Simulator()
         server = ServerAgent(sim, Host(sim, "s0"), tor="sw0")
-        state = _AppServerState("RC")
+        state = _AppServerState()
         state.on_round = lambda round_no, values: rounds.append(
             (round_no, values))
         pkt = _packet(as_range, round=3)

@@ -96,7 +96,7 @@ def _reference(rows, config, task):
 def _send(config, task):
     sim = Simulator()
     agent = ClientAgent(sim, Host(sim, "c0"), tor="sw0")
-    state = _AppClientState(config.program.app_name)
+    state = _AppClientState()
     state.configs[config.gaid] = config
     sent = []
     state.flows = [_CaptureFlow(0, sent), _CaptureFlow(1, sent)]

@@ -167,7 +167,7 @@ def test_send_map_emits_the_row_object_packet_sequence(
             else:
                 granted[logical] = grant_seed.randrange(
                     3 if placement == "narrow" else 4096)
-    state = _AppClientState(program.app_name)
+    state = _AppClientState()
     state.configs[config.gaid] = config
     sent = []
     state.flows = [_CaptureFlow(0, sent), _CaptureFlow(1, sent)]

@@ -53,7 +53,7 @@ class TestServerDedup:
                         kv=KVBlock.from_columns([0], [5], keys=["k"]))
         replay.select_all_slots()
         before = dict(state.soft.snapshot())
-        dep.server_agent(0)._on_packet(replay, None)
+        dep.server_agent(0)._on_packet(replay)
         dep.sim.run(until=dep.sim.now + 0.01)
         # Seen-set dedup: the value must not be double-counted.
         total = state.soft.get("k")

@@ -80,7 +80,7 @@ class _Collector(Node):
         super().__init__(sim, name)
         self.received = []
 
-    def receive(self, packet, link):
+    def receive(self, packet):
         self.received.append(packet)
 
 
@@ -152,7 +152,8 @@ class TestReliableFlow:
         sim.run(until=10 * CAL.retransmit_timeout_s)
         assert flow.stats["retransmits"] >= 1
         assert len(sink.received) >= 2
-        assert sink.received[1].is_retransmit
+        assert sink.received[1] is not sink.received[0]
+        assert sink.received[1].seq == sink.received[0].seq
 
     def test_retransmission_preserves_seq_and_flip(self):
         sim = Simulator()
@@ -264,7 +265,7 @@ class TestFastRetransmit:
         sim.run(until=sim.now + 1e-5)
         head_copies = [p for p in sink.received if p.seq == 0]
         assert len(head_copies) == 2
-        assert head_copies[1].is_retransmit
+        assert head_copies[1] is not head_copies[0]
         assert head_copies[1].flip == head_copies[0].flip
 
     def test_duplicate_ack_does_not_fire_twice(self):

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.netsim import Calibration, DEFAULT_CALIBRATION, Host, Simulator, scaled
+from repro.protocol import KV_PAIRS_PER_PACKET
+from repro.switchsim.registers import GROUPS_PER_STAGE, MAP_STAGES
 
 
 class TestCalibration:
@@ -10,11 +12,10 @@ class TestCalibration:
         cal = DEFAULT_CALIBRATION
         assert cal.link_bandwidth_bps == 100e9
         assert cal.w_max == 256
-        assert cal.kv_pairs_per_packet == 32
+        assert KV_PAIRS_PER_PACKET == 32
         assert cal.memory_segments == 32
         assert cal.segment_registers == 40_000
-        assert cal.pipeline_stages == 12
-        assert cal.map_stages == 8
+        assert (MAP_STAGES, GROUPS_PER_STAGE) == (8, 4)
 
     def test_scaled_overrides_single_field(self):
         cal = scaled(w_max=64)
@@ -50,12 +51,12 @@ class TestHostCpuModel:
         sim = Simulator()
         host = Host(sim, "h", cores=1, rx_cpu_cost_s=1e-3)
         order = []
-        host.set_handler(lambda p, l: order.append(("pkt", sim.now)))
+        host.set_handler(lambda p: order.append(("pkt", sim.now)))
 
         class P:
             size_bytes = 10
 
-        host.receive(P(), None)
+        host.receive(P())
         host.run_on_core(1e-3, lambda _: order.append(("work", sim.now)))
         sim.run()
         assert order == [("pkt", pytest.approx(1e-3)),
@@ -69,9 +70,9 @@ class TestHostCpuModel:
             size_bytes = 10
 
         done = []
-        host.set_handler(lambda p, l: done.append(sim.now))
+        host.set_handler(lambda p: done.append(sim.now))
         for _ in range(4):
-            host.receive(P(), None)
+            host.receive(P())
         sim.run()
         # 4 packets x 1 ms over 2 cores: two finish at 1 ms, two at 2 ms.
         assert done == [pytest.approx(1e-3)] * 2 + [pytest.approx(2e-3)] * 2

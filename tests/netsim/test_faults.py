@@ -29,7 +29,7 @@ class _Sink(Node):
         super().__init__(sim, name)
         self.received = []
 
-    def receive(self, packet, link):
+    def receive(self, packet):
         self.received.append((self.sim.now, packet))
 
     @property
@@ -157,7 +157,7 @@ class TestHostPause:
         sim = Simulator(seed=1)
         host = Host(sim, "h0")
         seen = []
-        host.set_handler(lambda pkt, link: seen.append((sim.now, pkt.seq)))
+        host.set_handler(lambda pkt: seen.append((sim.now, pkt.seq)))
         link = Link(sim, _Sink(sim, "src"), host, bandwidth_bps=1e9,
                     delay_s=1e-6)
         host.pause(1e-3)
@@ -173,7 +173,7 @@ class TestHostPause:
         sim = Simulator(seed=1)
         host = Host(sim, "h0")
         seen = []
-        host.set_handler(lambda pkt, link: seen.append(sim.now))
+        host.set_handler(lambda pkt: seen.append(sim.now))
         link = Link(sim, _Sink(sim, "src"), host, bandwidth_bps=1e9,
                     delay_s=1e-6)
         host.pause(1e-3)
@@ -215,9 +215,6 @@ class TestFlowStateResync:
                                 delay_s=1e-6))
         flow = ReliableFlow(sim, host, "sink", srrt=0, cal=cal)
         for i in range(20):
-            pkt = _FakePacket(i)
-            pkt.task_id, pkt.offset = 1, i * 32
-            pkt.chunk_id = (1, i * 32)
             from repro.protocol import KVBlock, Packet
             flow.enqueue(Packet(gaid=1, src="h0", dst="server",
                                 kv=KVBlock.from_columns([0], [1]),

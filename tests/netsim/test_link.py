@@ -36,7 +36,7 @@ class Sink(Node):
         super().__init__(sim, name)
         self.received = []
 
-    def receive(self, packet, link):
+    def receive(self, packet):
         self.received.append((self.sim.now, packet))
 
 
@@ -190,39 +190,39 @@ class TestHost:
     def test_zero_cpu_cost_delivers_immediately(self, sim):
         host = Host(sim, "h", cores=1, rx_cpu_cost_s=0.0)
         seen = []
-        host.set_handler(lambda p, l: seen.append(sim.now))
-        host.receive(FakePacket(), None)
+        host.set_handler(lambda p: seen.append(sim.now))
+        host.receive(FakePacket())
         assert seen == [0.0]
 
     def test_cpu_cost_delays_delivery(self, sim):
         host = Host(sim, "h", cores=1, rx_cpu_cost_s=1e-3)
         seen = []
-        host.set_handler(lambda p, l: seen.append(sim.now))
-        host.receive(FakePacket(), None)
+        host.set_handler(lambda p: seen.append(sim.now))
+        host.receive(FakePacket())
         sim.run()
         assert seen == [pytest.approx(1e-3)]
 
     def test_single_core_serializes_processing(self, sim):
         host = Host(sim, "h", cores=1, rx_cpu_cost_s=1e-3)
         seen = []
-        host.set_handler(lambda p, l: seen.append(sim.now))
-        host.receive(FakePacket(), None)
-        host.receive(FakePacket(), None)
+        host.set_handler(lambda p: seen.append(sim.now))
+        host.receive(FakePacket())
+        host.receive(FakePacket())
         sim.run()
         assert seen == [pytest.approx(1e-3), pytest.approx(2e-3)]
 
     def test_multiple_cores_process_in_parallel(self, sim):
         host = Host(sim, "h", cores=2, rx_cpu_cost_s=1e-3)
         seen = []
-        host.set_handler(lambda p, l: seen.append(sim.now))
-        host.receive(FakePacket(), None)
-        host.receive(FakePacket(), None)
+        host.set_handler(lambda p: seen.append(sim.now))
+        host.receive(FakePacket())
+        host.receive(FakePacket())
         sim.run()
         assert seen == [pytest.approx(1e-3), pytest.approx(1e-3)]
 
     def test_no_handler_counts_drop(self, sim):
         host = Host(sim, "h")
-        host.receive(FakePacket(), None)
+        host.receive(FakePacket())
         sim.run()
         assert host.stats["dropped_no_handler"] == 1
 
@@ -280,7 +280,7 @@ class TestLinkStats:
 
     def test_every_link_type_uses_it(self, sim):
         egress = boundary.ShardEgressLink(sim, Sink(sim), "far", 1e9, 1e-6)
-        bridge = boundary.IngressBridge(sim, Sink(sim), "far", 1e9, 1e-6)
+        bridge = boundary.IngressBridge(sim, Sink(sim), "far")
         for link in (Link(sim, None, Sink(sim), 1e9, 0.0), egress, bridge):
             assert type(link.stats) is LinkStats
 

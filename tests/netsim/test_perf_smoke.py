@@ -26,7 +26,7 @@ def _rig(n_packets, **link_kwargs):
     src = Node(sim, "src")
     dst = Host(sim, "dst", cores=1, rx_cpu_cost_s=0.0)
     delivered = []
-    dst.set_handler(lambda pkt, link: delivered.append(pkt))
+    dst.set_handler(lambda pkt: delivered.append(pkt))
     link = Link(sim, src, dst, bandwidth_bps=10e9, delay_s=1e-6,
                 queue_capacity_pkts=n_packets + 1,
                 ecn_threshold_pkts=n_packets + 1, **link_kwargs)

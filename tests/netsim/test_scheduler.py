@@ -59,29 +59,6 @@ class TestTimers:
         with pytest.raises(ValueError):
             sim.call_at(0.5, lambda v: None)
 
-    def test_timeout_cancel(self):
-        sim = Simulator(seed=0)
-        resumed = []
-
-        def proc():
-            yield sim.timeout(1.0)
-            resumed.append(sim.now)
-
-        sim.process(proc())
-        victim = sim.timeout(0.5, "gone")
-        assert victim.cancel() is True
-        assert victim.cancel() is False
-        sim.run()
-        assert resumed == [1.0]
-        assert not victim.triggered
-
-    def test_timeout_cancel_after_trigger_is_noop(self):
-        sim = Simulator(seed=0)
-        timeout = sim.timeout(1.0, "v")
-        sim.run()
-        assert timeout.triggered and timeout.value == "v"
-        assert timeout.cancel() is False
-
 
 class TestSharedDispatchState:
     def test_step_then_run_continues_mid_cohort(self):
@@ -155,7 +132,7 @@ class _Sink:
         self.sim = sim
         self.deliveries = []
 
-    def receive(self, packet, link):
+    def receive(self, packet):
         self.deliveries.append((self.sim.now, packet.index, packet.ecn))
 
 

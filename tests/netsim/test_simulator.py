@@ -4,7 +4,6 @@ import pytest
 
 from repro.netsim import (
     AllOf,
-    AnyOf,
     Event,
     EventFailed,
     Interrupt,
@@ -247,20 +246,6 @@ class TestProcesses:
 
 
 class TestConditions:
-    def test_any_of_triggers_on_first(self, sim):
-        t1 = sim.timeout(1.0, value="one")
-        t2 = sim.timeout(2.0, value="two")
-        cond = sim.any_of([t1, t2])
-
-        def proc():
-            results = yield cond
-            return results
-
-        p = sim.process(proc())
-        results = sim.run_until(p)
-        assert results == {t1: "one"}
-        assert sim.now == pytest.approx(1.0)
-
     def test_all_of_waits_for_every_event(self, sim):
         t1 = sim.timeout(1.0, value="one")
         t2 = sim.timeout(2.0, value="two")
@@ -282,8 +267,6 @@ class TestConditions:
         assert cond.triggered and not cond.ok
 
     def test_empty_condition_rejected(self, sim):
-        with pytest.raises(ValueError):
-            sim.any_of([])
         with pytest.raises(ValueError):
             sim.all_of([])
 

@@ -16,7 +16,7 @@ from repro.netsim import (DEFAULT_CALIBRATION, Node, Simulator, fat_tree,
 
 
 class _Sink(Node):
-    def receive(self, packet, link):
+    def receive(self, packet):
         pass
 
 

@@ -107,11 +107,10 @@ class TestLatencyRecorder:
         rec = LatencyRecorder("rpc")
         for v in [1.0, 2.0, 3.0, 4.0, 100.0]:
             rec.record(v)
-        s = rec.summary()
-        assert s["count"] == 5
-        assert s["mean"] == pytest.approx(22.0)
-        assert s["p50"] == 3.0
-        assert s["max"] == 100.0
+        assert rec.count == 5
+        assert rec.mean() == pytest.approx(22.0)
+        assert rec.p(50) == 3.0
+        assert rec.p(100) == 100.0
 
     def test_p99_dominated_by_tail(self):
         rec = LatencyRecorder()
@@ -127,7 +126,7 @@ class TestLatencyRecorder:
             LatencyRecorder().record(-1.0)
 
     def test_empty_summary(self):
-        assert LatencyRecorder().summary() == {"count": 0}
+        assert LatencyRecorder().count == 0
 
 
 class TestPercentileEdges:

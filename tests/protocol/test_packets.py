@@ -8,7 +8,6 @@ from repro.protocol import (
     KV_PAIRS_PER_PACKET,
     KVBlock,
     Packet,
-    full_bitmap,
 )
 
 
@@ -21,13 +20,9 @@ def make_packet(n_kv=0, **kwargs):
 
 class TestBitmap:
     def test_full_bitmap_widths(self):
-        assert full_bitmap(0) == 0
-        assert full_bitmap(1) == 1
-        assert full_bitmap(32) == 2**32 - 1
-
-    def test_full_bitmap_range_check(self):
-        with pytest.raises(ValueError):
-            full_bitmap(33)
+        assert make_packet(0).bitmap == 0
+        assert make_packet(1).bitmap == 1
+        assert make_packet(32).bitmap == 2**32 - 1
 
     # make_packet puts address i in slot i.
     def test_slot_selection(self):
@@ -98,18 +93,14 @@ class TestCopySemantics:
         assert dup.cnt_index == 7
         assert dup.is_cnf
 
-    def test_copy_gets_fresh_uid(self):
-        pkt = make_packet(1)
-        assert pkt.copy().uid != pkt.uid
-
     @pytest.mark.parametrize("marked", [True, False],
                              ids=["switch-marked", "never-sent"])
     def test_copy_contract(self, marked):
         # What multicast and retransmission rely on: every dataclass
         # field carries over, the kv block is a new one whose value
         # column is detached and whose read-only address and key columns
-        # are shared, the uid is fresh and no non-field state (size
-        # cache, recirculation and processed marks) follows — whether
+        # are shared, and no non-field state (size cache, recirculation
+        # and processed marks) follows — whether
         # the original had any or not.
         kv = KVBlock.from_columns([8, 9], [5, 6], 0b01, ["k", None])
         pkt = Packet(gaid=3, src="c1", dst="s0", seq=4, flip=1, srrt=2,
@@ -128,9 +119,8 @@ class TestCopySemantics:
         names = [f.name for f in dataclasses.fields(Packet)]
         assert set(vars(dup)) == set(names)       # fields, nothing else
         for name in names:
-            if name not in ("uid", "kv"):
+            if name != "kv":
                 assert getattr(dup, name) == getattr(pkt, name), name
-        assert dup.uid != pkt.uid
         assert dup.kv is not pkt.kv
         assert (list(dup.kv.addrs), list(dup.kv.values), dup.kv.mapped_mask,
                 dup.kv.keys) == ([8, 9], [5, 6], 0b01, ["k", None])
@@ -154,9 +144,5 @@ class TestCopySemantics:
         kv = KVBlock.from_columns([7], [1], keys=["x"])
         dup = pkt.copy(kv)
         assert dup.kv is kv and pkt.kv is not kv
-        assert dup.task_id == 4 and dup.uid != pkt.uid
+        assert dup.task_id == 4
         assert not hasattr(dup, "switch_processed")
-
-    def test_chunk_id_identifies_task_and_offset(self):
-        pkt = make_packet(1, task_id=5, offset=64)
-        assert pkt.chunk_id == (5, 64)

@@ -26,7 +26,7 @@ class _Recorder(Node):
         super().__init__(sim, name)
         self.seen = []
 
-    def receive(self, packet, link):
+    def receive(self, packet):
         self.seen.append((self.sim.now, packet.flow_id, packet.seq,
                           packet.ecn))
 
@@ -100,7 +100,7 @@ def test_counter_split_sums_to_link_counters():
     # the receiver-side half of the cut link.
     sim = Simulator(seed=0)
     dst = _Recorder(sim, "dst")
-    bridge = IngressBridge(sim, dst, "src", BW, DELAY)
+    bridge = IngressBridge(sim, dst, "src")
     for when, seq, ecn in stub:
         bridge.inject(when, FlowPacket(1, seq, "a", "b", 1480, ecn))
     sim.run()
@@ -145,6 +145,6 @@ def test_egress_half_never_delivers_locally():
     sim = Simulator(seed=0)
     stub = ShardEgressLink(sim, _Recorder(sim, "src"), "dst", BW, DELAY)
     for deliver in (stub._deliver, stub._deliver_fused,
-                    lambda pkt: RemoteNode("dst").receive(pkt, stub)):
+                    RemoteNode("dst").receive):
         with pytest.raises(AssertionError, match="locally"):
             deliver(_pkt(0))

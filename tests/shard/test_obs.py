@@ -28,7 +28,7 @@ import pytest
 from repro.experiments.exp_fattree import build_scenario
 from repro.obs.export import validate_chrome_trace, write_metrics_jsonl
 from repro.obs.merge import merged_chrome_trace, stitch_flow_pairs
-from repro.obs.registry import MetricsRegistry, keep_registries
+from repro.obs.registry import keep_registries
 from repro.obs.tracer import DEFAULT_CAPACITY, TRACE
 from repro.shard import partition_structure, run_sharded, run_unsharded
 
@@ -216,8 +216,7 @@ class TestRegistryNamespace:
             == result.events_per_shard[0]
         assert snap["transport"]["rounds"] == result.rounds
         assert snap["transport"]["frames_sent"] == result.frames_sent
-        assert MetricsRegistry.diff(registry.snapshot(),
-                                    registry.snapshot()) == {}
+        assert registry.snapshot() == registry.snapshot()
 
     def test_export_jsonl_covers_sharded_run(self, tmp_path):
         result = _run(traced=False, workers=1)

@@ -20,15 +20,13 @@ def test_true_partition_and_membership():
     part = partition_structure(structure, 4, cal=CAL)
     shard_of = part.shard_map()
     assert set(shard_of) == {name for name, _r, _k in structure[0]}
-    seen = set()
-    for members in part.members:
-        assert not (set(members) & seen)
-        seen.update(members)
-    assert len(seen) == len(structure[0])
+    assert len(shard_of) == len(structure[0])
+    assert set(shard_of.values()) == set(range(part.n_shards))
     # Racks are atomic: every node of a rack lands in its rack's shard.
-    rack_shard = dict(part.rack_shard)
+    rack_shards = {}
     for name, _role, rack in structure[0]:
-        assert shard_of[name] == rack_shard[rack]
+        rack_shards.setdefault(rack, set()).add(shard_of[name])
+    assert all(len(shards) == 1 for shards in rack_shards.values())
 
 
 def test_cut_links_have_positive_delay_and_sorted_channels():

@@ -30,13 +30,6 @@ class TestAdmissionTable:
         entry.enabled = True
         assert table.lookup(1) is entry
 
-    def test_update_clients(self):
-        table = AdmissionTable()
-        table.install(AppEntry(gaid=1, program=PROG, server="s0",
-                               clients=("a",)))
-        table.update_clients(1, ("a", "b"))
-        assert table.lookup(1).clients == ("a", "b")
-
     def test_len_and_contains(self):
         table = AdmissionTable()
         table.install(AppEntry(gaid=3, program=PROG, server="s0"))
@@ -56,7 +49,7 @@ class TestSwitchRemoval:
                      kv=KVBlock.from_columns([0], [1], mapped_mask=-1))
         pkt.select_all_slots()
         pkt.ecn = True
-        hosts[1].set_handler(lambda p, l: None)
+        hosts[1].set_handler(lambda p: None)
         hosts[0].send(pkt, "sw0")
         sim.run()
         assert switch._ecn_marked_at.get(1) is not None

@@ -26,12 +26,6 @@ class TestAllocation:
         with pytest.raises(RuntimeError):
             table.allocate()
 
-    def test_memory_accounting(self):
-        table = FlowStateTable(slots=8, w_max=256)
-        table.allocate()
-        table.allocate()
-        assert table.memory_bits() == 2 * 256
-
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             FlowStateTable(slots=0)
@@ -88,13 +82,6 @@ class TestFlipBitProtocol:
             table.check_and_update(slot, -1, 0)
         with pytest.raises(ValueError):
             table.check_and_update(slot, 0, 2)
-
-    def test_release_frees_state(self):
-        table = FlowStateTable(slots=4, w_max=8)
-        slot = table.allocate()
-        table.check_and_update(slot, 0, 0)
-        table.release(slot)
-        assert table.memory_bits() == 0
 
 
 @settings(max_examples=200)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.protocol import INT32_MAX, INT32_MIN
-from repro.switchsim import RegisterFile, StageLayout
+from repro.switchsim import RegisterFile
 
 
 @pytest.fixture
@@ -14,25 +14,11 @@ def regs():
 
 class TestStageLayout:
     def test_default_layout_fits(self):
-        layout = StageLayout()
-        assert layout.segments == 32
-
-    def test_placement_spreads_over_stages(self):
-        layout = StageLayout()
-        assert layout.placement(0) == (0, 0)
-        assert layout.placement(3) == (0, 3)
-        assert layout.placement(4) == (1, 0)
-        assert layout.placement(31) == (7, 3)
-
-    def test_placement_range_checked(self):
-        with pytest.raises(ValueError):
-            StageLayout().placement(32)
+        assert RegisterFile(registers_per_segment=1).segments == 32
 
     def test_oversized_configuration_rejected(self):
-        with pytest.raises(ValueError):
-            StageLayout(map_stages=2, groups_per_stage=4, segments=32)
-        with pytest.raises(ValueError):
-            StageLayout(pipeline_stages=4, map_stages=8)
+        with pytest.raises(ValueError, match="do not fit in 8 stages x 4"):
+            RegisterFile(segments=33, registers_per_segment=1)
 
 
 class TestBasicAccess:
@@ -65,11 +51,6 @@ class TestBasicAccess:
             regs.read(regs.capacity)
         with pytest.raises(IndexError):
             regs.add(-1, 1)
-
-    def test_segment_of_is_modulo(self, regs):
-        assert regs.segment_of(0) == 0
-        assert regs.segment_of(33) == 1
-        assert regs.segment_of(64) == 0
 
     def test_occupied_counts_nonzero(self, regs):
         regs.add(1, 5)

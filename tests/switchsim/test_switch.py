@@ -26,7 +26,7 @@ def build_rack(sim, n_hosts=3, switch_cls=NetRPCSwitch):
 
 def collect(host):
     received = []
-    host.set_handler(lambda p, l: received.append(p))
+    host.set_handler(lambda p: received.append(p))
     return received
 
 
@@ -196,7 +196,7 @@ class TestNetRPCSwitchDataPath:
             switch.install_app(AppEntry(gaid=1, program=prog, server="h2",
                                         clients=("h0",)))
             rx = []
-            hosts[2].set_handler(lambda p, l: rx.append(sim.now))
+            hosts[2].set_handler(lambda p: rx.append(sim.now))
             hosts[0].send(kv_packet(**extra), "sw0")
             sim.run()
             times[name] = rx[0]

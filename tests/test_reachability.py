@@ -1,9 +1,10 @@
-"""The census collector of ``tools/reachability.py`` sees every call.
+"""``tools/reachability.py``: the census collector sees every call, and
+the state census classifies state as documented and passes on the tree.
 
-Each case below was once lost by a naive collector: a ``setprofile``
-hook is removed by ``sys.setprofile(None)`` and replaced by cProfile,
-and an ``atexit`` dump never runs in a fork-started ``multiprocessing``
-child, which leaves through ``os._exit``.
+Each collector case below was once lost by a naive collector: a
+``setprofile`` hook is removed by ``sys.setprofile(None)`` and replaced
+by cProfile, and an ``atexit`` dump never runs in a fork-started
+``multiprocessing`` child, which leaves through ``os._exit``.
 """
 
 import importlib.util
@@ -74,3 +75,40 @@ def test_collector_records_calls_every_naive_hook_misses(tmp_path):
     assert {"after_setprofile_none", "inside_cprofile",
             "in_fork_child"} <= names
     assert "never_called" not in names
+
+
+FIXTURE = os.path.join(os.path.dirname(__file__), "state_fixture")
+
+
+def test_state_census_verdicts_on_the_fixture():
+    rows = reachability.state_census(
+        src=os.path.join(FIXTURE, "src"),
+        prod=[os.path.join(FIXTURE, "readers", "prod.py")],
+        tests=[os.path.join(FIXTURE, "readers", "tests.py")])
+    verdicts = {row["item"]: (row["class"], row.get("keep"))
+                for row in rows}
+    shapes = "probe/shapes.py:"
+    assert verdicts["attr " + shapes + "ProbeChild.probe_write_only"] \
+        == ("unread", None)
+    assert verdicts["field " + shapes + "ProbeRecord.probe_test_field"] \
+        == ("test-only", None)
+    assert verdicts["field " + shapes + "ProbeRecord.probe_read"][0] \
+        == "prod"
+    assert verdicts["attr " + shapes + "ProbeChild.probe_by_name"][0] \
+        == "prod"
+    assert verdicts["param " + shapes + "ProbeChild.probe_hook(probe_arg)"] \
+        == ("unread", "override")
+    assert verdicts["param " + shapes + "probe_function(_probe_private)"] \
+        == ("unread", "underscore")
+    assert verdicts["param " + shapes + "probe_function(probe_plain)"] \
+        == ("unread", None)
+
+
+def test_state_census_passes_on_the_tree():
+    # Every stored attribute, dataclass field and parameter under
+    # src/repro is read by production code or kept by a named rule.
+    run = subprocess.run([sys.executable, _TOOL, "--state"],
+                         capture_output=True, text=True, timeout=120)
+    unclassified = [line for line in run.stdout.splitlines()
+                    if "UNCLASSIFIED" in line]
+    assert run.returncode == 0, "\n".join(unclassified) + run.stderr

@@ -1,8 +1,9 @@
 """Reachability census: which ``src/repro`` functions production code enters.
 
-Usage (from the repo root; stdlib only, about 25 min on 2 vCPUs):
+Usage (from the repo root; stdlib only, about 9 min on 2 vCPUs):
 
     python tools/reachability.py
+    python tools/reachability.py --state     # static, a few seconds
 
 It runs every run set, two at a time, then tabulates.  Every function
 defined under ``src/repro`` lands in one of three classes:
@@ -53,6 +54,25 @@ through the harness (and CI's ``pytest benchmarks/e2e``, whose
 gates cannot pass under ``sys.settrace``.  Dumps and logs go to
 ``--out`` (default ``.reachability/``); ``census.json`` there holds
 every verdict.
+
+``--state`` is the same census for state, from the source alone (stdlib
+``ast``, no run sets).  Its items are every attribute stored under
+``src/repro`` (``attr``: ``self.x = ...``, a ``__slots__`` name, or a
+store on another object whose name no class owns), every dataclass
+field (``field``) and every function parameter (``param``).  An
+attribute or field is ``prod`` when ``src/``, ``benchmarks/``,
+``examples/``, ``tools/`` or ``scripts/`` reads it, ``test-only`` when
+only ``tests/`` does, ``unread`` otherwise.  A read is an attribute load
+(``self.x`` counts for the class's own hierarchy, any other ``obj.x``
+for every class with an ``x``) or the name as a string (``getattr``, a
+dict key) — except a string that is stored under (``d["x"] = ...``,
+``setattr``) or declared (``__slots__``, ``__all__``).  A parameter is
+``prod`` when its function's body uses the name.  A non-``prod`` item
+is kept by a :data:`KEEP` rule (groups g-i), or automatically as a
+method's ``self``, an ``_``-prefixed or dunder-method parameter, an
+``override`` (an ancestor's definition reads it) or an ``abstract``
+method's parameter some implementation reads; anything else is
+``UNCLASSIFIED`` and the exit status is 1.
 """
 
 import json
@@ -161,6 +181,33 @@ KEEP = {
         "netsim/topology.py:_build_structure",
         "shard/placement.py:*",
         "control/controller.py:Controller.managed_switch_names",
+    ]),
+    # State keep groups (``--state``): items are ``"<kind> <pkg>/<module>
+    # .py:<owner>.<name>"``, or ``...:<qualname>(<param>)`` for a
+    # parameter, so no function pattern above matches one.
+    "g": ("public API state: the status of a failed call and the "
+          "server-side stub an app hands its user", [
+        "attr core/status.py:RpcError.*",
+        "attr apps/*.py:*.server_stub",
+    ]),
+    "h": ("interface parameters a caller or base signature fixes", [
+        "param netsim/link.py:*.drops(*)",
+        "param netsim/faults.py:*.apply(packet)",
+        "param inc/cache.py:*.wants(*)", "param inc/cache.py:*.evictions(*)",
+        "param inc/cache.py:*.window_update(*)",
+        "param inc/congestion.py:*Controller.on_*(now)",
+        "param inc/transport.py:ReliableFlow._on_timer(when)",
+        "param baselines/aggregation.py:*._dst_for(chunk)",
+        "param baselines/aggregation.py:*._may_send(chunk)",
+        "param shard/boundary.py:RemoteNode.receive(packet)",
+    ]),
+    "i": ("outputs of public result records that tests assert on", [
+        "field experiments/common.py:ChaosRunResult.failure",
+        "field experiments/common.py:ChaosRunResult.final_time_s",
+        "field experiments/common.py:ChaosRunResult.switch_stats",
+        "field experiments/common.py:ChaosRunResult.server_stats",
+        "field experiments/common.py:ChaosRunResult.audit_trail",
+        "field shard/placement.py:ControlPlacement.shard_of_controller",
     ]),
 }
 
@@ -404,6 +451,23 @@ def run_sets(out):
 # ---------------------------------------------------------------------------
 # tabulation
 # ---------------------------------------------------------------------------
+def _py_files(root):
+    if os.path.isfile(root):
+        yield root
+        return
+    for dirpath, dirnames, filenames in os.walk(root):
+        dirnames.sort()
+        for filename in sorted(filenames):
+            if filename.endswith(".py"):
+                yield os.path.join(dirpath, filename)
+
+
+def _parse(path):
+    import ast
+    with open(path) as fh:
+        return ast.parse(fh.read(), path)
+
+
 def index_functions(root=SRC):
     """Every ``def`` under ``root``: ``[(file, first line, qualname,
     span lines, abstract)]``."""
@@ -426,13 +490,9 @@ def index_functions(root=SRC):
             else:
                 visit(child, prefix, path)
 
-    for dirpath, dirnames, filenames in os.walk(root):
-        dirnames.sort()
-        for filename in sorted(filenames):
-            if filename.endswith(".py"):
-                path = os.path.realpath(os.path.join(dirpath, filename))
-                with open(path) as fh:
-                    visit(ast.parse(fh.read(), path), "", path)
+    for path in _py_files(root):
+        path = os.path.realpath(path)
+        visit(_parse(path), "", path)
     return found
 
 
@@ -451,13 +511,18 @@ def _is_abstract(fn):
 
 def verdict(name, klass, abstract):
     """Why a test-only or unreached function stays, or None."""
-    from fnmatch import fnmatchcase
     if name.endswith(".__repr__"):
         return "repr"
     if abstract:
         return "abstract"
     if klass == "none":
         return "blind" if name in BLIND_SPOTS else None
+    return keep_group(name)
+
+
+def keep_group(name):
+    """The :data:`KEEP` group with a pattern matching ``name``, or None."""
+    from fnmatch import fnmatchcase
     for group, (_title, patterns) in KEEP.items():
         if any(fnmatchcase(name, p) for p in patterns):
             return group
@@ -509,12 +574,354 @@ def tabulate(out):
     return unclassified
 
 
+# ---------------------------------------------------------------------------
+# state census (--state): static, no run sets
+# ---------------------------------------------------------------------------
+STATE_PROD = ("src", "benchmarks", "examples", "tools", "scripts")
+STATE_TESTS = ("tests",)
+
+
+def _last_name(node):
+    """``x`` of ``x``, ``a.x`` or ``x(...)``."""
+    import ast
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return getattr(node, "id", None)
+
+
+def _stored_attrs(target):
+    """The ``ast.Attribute`` nodes a store target writes."""
+    import ast
+    if isinstance(target, ast.Attribute):
+        yield target
+    elif isinstance(target, (ast.Tuple, ast.List)):
+        for element in target.elts:
+            yield from _stored_attrs(element)
+    elif isinstance(target, ast.Starred):
+        yield from _stored_attrs(target.value)
+
+
+class _Model:
+    """What the tree under ``src`` defines: its classes, the state they
+    store and every function's parameters."""
+
+    def __init__(self, src):
+        self.src = os.path.realpath(src)
+        self.classes = {}        # (rel, qualname) -> ast.ClassDef
+        self.by_name = {}        # class name -> [(rel, qualname)]
+        self.state = {}          # (kind, rel, "Owner.attr") -> class key
+        self.foreign = {}        # attr -> (rel, "expr.attr") of the first
+        self.params = []         # (rel, qualname, class key or None,
+        #                            function name, param, read, method's
+        #                            first parameter)
+        self.abstract = set()    # (class key, method name)
+        trees = [(os.path.relpath(os.path.realpath(path), self.src),
+                  _parse(path)) for path in _py_files(src)]
+        for rel, tree in trees:
+            self._index(tree, rel, "")
+        for rel, tree in trees:
+            self._collect(tree, rel, "", None)
+        # a store on anything but ``self`` belongs to every class that
+        # stores or declares that name; an item of its own otherwise
+        owned = {key[2].rsplit(".", 1)[1] for key in self.state}
+        for attr, (rel, name) in self.foreign.items():
+            if attr not in owned:
+                self.state[("attr", rel, name)] = None
+
+    def _index(self, node, rel, prefix):
+        import ast
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                key = (rel, prefix + child.name)
+                self.classes[key] = child
+                self.by_name.setdefault(child.name, []).append(key)
+                self._index(child, rel, key[1] + ".")
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                self._index(child, rel, prefix + child.name + ".<locals>.")
+            else:
+                self._index(child, rel, prefix)
+
+    def bases(self, key):
+        return [base for node in self.classes[key].bases
+                for base in self.by_name.get(_last_name(node), ())]
+
+    def ancestors(self, key):
+        """The class and every ancestor of it under ``src``."""
+        seen, todo = set(), [key]
+        while todo:
+            k = todo.pop()
+            if k not in seen:
+                seen.add(k)
+                todo.extend(self.bases(k))
+        return seen
+
+    def family(self, key):
+        """The class, its ancestors and its descendants."""
+        return self.ancestors(key) | {k for k in self.classes
+                                      if key in self.ancestors(k)}
+
+    def _collect(self, node, rel, prefix, klass):
+        import ast
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                key = (rel, prefix + child.name)
+                dataclass = any(_last_name(d) == "dataclass"
+                                for d in child.decorator_list)
+                for stmt in child.body:
+                    if (dataclass and isinstance(stmt, ast.AnnAssign) and
+                            isinstance(stmt.target, ast.Name) and
+                            "ClassVar" not in ast.unparse(stmt.annotation)):
+                        self.state[("field", rel,
+                                    f"{key[1]}.{stmt.target.id}")] = key
+                    elif isinstance(stmt, ast.Assign) and any(
+                            getattr(t, "id", None) == "__slots__"
+                            for t in stmt.targets):
+                        self._slots(stmt.value, rel, key)
+                self._collect(child, rel, key[1] + ".", key)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                qualname = prefix + child.name
+                method = klass is not None and prefix == klass[1] + "."
+                self._function(child, rel, qualname,
+                               klass if method else None)
+                self._collect(child, rel, qualname + ".<locals>.", klass)
+            else:
+                if isinstance(child, (ast.Assign, ast.AnnAssign,
+                                      ast.AugAssign, ast.For, ast.AsyncFor)):
+                    targets = getattr(child, "targets", None) or \
+                        [child.target]
+                    for target in targets:
+                        for attr in _stored_attrs(target):
+                            self._store(attr, rel, klass)
+                self._collect(child, rel, prefix, klass)
+
+    def _slots(self, value, rel, key):
+        """A ``__slots__`` name is the class's own, stored or not."""
+        import ast
+        for node in ast.walk(value):
+            if isinstance(node, ast.Constant) and \
+                    isinstance(node.value, str) and \
+                    node.value.isidentifier() and \
+                    not node.value.startswith("__"):
+                self.state.setdefault(
+                    ("attr", rel, f"{key[1]}.{node.value}"), key)
+
+    def _store(self, attr, rel, klass):
+        import ast
+        if (klass is not None and isinstance(attr.value, ast.Name) and
+                attr.value.id == "self"):
+            name = attr.attr
+            if not any(("field", k[0], f"{k[1]}.{name}") in self.state
+                       for k in self.ancestors(klass)):
+                self.state.setdefault(
+                    ("attr", klass[0], f"{klass[1]}.{name}"), klass)
+        else:
+            self.foreign.setdefault(
+                attr.attr, (rel, f"{ast.unparse(attr.value)}.{attr.attr}"))
+
+    def _function(self, fn, rel, qualname, klass):
+        import ast
+        args = fn.args
+        params = [*args.posonlyargs, *args.args, *args.kwonlyargs]
+        params += [a for a in (args.vararg, args.kwarg) if a is not None]
+        used = {n.id for stmt in fn.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name)}
+        static = any(_last_name(d) == "staticmethod"
+                     for d in fn.decorator_list)
+        if klass is not None and _is_abstract(fn):
+            self.abstract.add((klass, fn.name))
+        for i, param in enumerate(params):
+            self.params.append((rel, qualname, klass, fn.name, param.arg,
+                                param.arg in used,
+                                klass is not None and i == 0 and not static))
+
+    def definers(self, klass, method):
+        """``(ancestors, descendants)`` of ``klass`` that define
+        ``method``, neither including ``klass``."""
+        import ast
+
+        def defines(k):
+            return any(isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
+                       and n.name == method for n in self.classes[k].body)
+
+        up = self.ancestors(klass) - {klass}
+        return ({k for k in up if defines(k)},
+                {k for k in self.classes
+                 if k != klass and klass in self.ancestors(k) and defines(k)})
+
+
+class _Reads:
+    """Every attribute name a tree reads: ``names`` through a load on
+    anything but ``self`` or as a string, ``own`` as ``(class key,
+    name)`` through ``self`` inside a class the model knows."""
+
+    def __init__(self, model):
+        self.model = model
+        self.names = set()
+        self.own = set()
+
+    def scan(self, path):
+        import ast
+        tree = _parse(path)
+        real = os.path.realpath(path)
+        rel = os.path.relpath(real, self.model.src) \
+            if real.startswith(self.model.src + os.sep) else None
+        skip = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Subscript) and \
+                    not isinstance(node.ctx, ast.Load):
+                skip.add(id(node.slice))        # d["x"] = ... stores
+            elif isinstance(node, ast.Call) and \
+                    _last_name(node.func) in ("setattr", "__setattr__") \
+                    and len(node.args) > 1:
+                skip.add(id(node.args[1]))      # setattr(obj, "x", v)
+            elif isinstance(node, ast.Assign) and any(
+                    getattr(t, "id", None) in ("__slots__", "__all__")
+                    for t in node.targets):
+                skip.update(id(n) for n in ast.walk(node.value))
+        self._walk(tree, rel, "", None, skip)
+
+    def _walk(self, node, rel, prefix, klass, skip):
+        import ast
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                self._walk(child, rel, prefix + child.name + ".",
+                           self._class_key(child, rel, prefix), skip)
+                continue
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                self._walk(child, rel, prefix + child.name + ".<locals>.",
+                           klass, skip)
+                continue
+            if isinstance(child, ast.Attribute) and \
+                    not isinstance(child.ctx, ast.Store):
+                if isinstance(child.value, ast.Name) and \
+                        child.value.id == "self" and klass is not False:
+                    if klass is not None:
+                        self.own.add((klass, child.attr))
+                else:
+                    self.names.add(child.attr)
+            elif (isinstance(child, ast.Constant) and
+                  isinstance(child.value, str) and
+                  child.value.isidentifier() and id(child) not in skip):
+                self.names.add(child.value)
+            self._walk(child, rel, prefix, klass, skip)
+
+    def _class_key(self, node, rel, prefix):
+        """The model's key for a class: itself under ``src``, else the
+        first base the model knows (a test subclass of a src class), else
+        False (a class of the reader's own, whose ``self`` reads are its
+        own business)."""
+        if rel is not None:
+            return (rel, prefix + node.name)
+        for base in node.bases:
+            for key in self.model.by_name.get(_last_name(base), ()):
+                return key
+        return False
+
+
+def state_census(src=SRC, prod=None, tests=None):
+    """Classify every stored attribute, dataclass field and parameter
+    under ``src``: ``[{"item", "class", "keep"}]``, with ``class`` one
+    of ``prod``, ``test-only``, ``unread``."""
+    prod = [os.path.join(ROOT, d) for d in STATE_PROD] if prod is None \
+        else prod
+    tests = [os.path.join(ROOT, d) for d in STATE_TESTS] if tests is None \
+        else tests
+    model = _Model(src)
+    reads = {}
+    for side, roots in (("prod", prod), ("test", tests)):
+        reads[side] = _Reads(model)
+        for root in roots:
+            for path in _py_files(root):
+                reads[side].scan(path)
+    families = {}
+
+    def read_by(side, klass, attr):
+        r = reads[side]
+        if attr in r.names:
+            return True
+        if klass is None:        # stored from outside: anyone's ``self``
+            return any(a == attr for _k, a in r.own)
+        if klass not in families:
+            families[klass] = model.family(klass)
+        return any((k, attr) in r.own for k in families[klass])
+
+    rows = []
+    for (kind, rel, name), klass in sorted(model.state.items()):
+        attr = name.rsplit(".", 1)[1]
+        item = f"{kind} {rel}:{name}"
+        if read_by("prod", klass, attr):
+            rows.append({"item": item, "class": "prod", "keep": None})
+        else:
+            rows.append({"item": item, "keep": keep_group(item),
+                         "class": "test-only" if read_by("test", klass, attr)
+                         else "unread"})
+    used = {(klass, fn, param)
+            for _r, _q, klass, fn, param, read, _first in model.params
+            if read and klass is not None}
+    for rel, qualname, klass, fn, param, read, first in model.params:
+        item = f"param {rel}:{qualname}({param})"
+        if read:
+            rows.append({"item": item, "class": "prod", "keep": None})
+            continue
+        keep = None
+        if first:
+            keep = "self"
+        elif param.startswith("_"):
+            keep = "underscore"
+        elif fn.startswith("__") and fn.endswith("__"):
+            keep = "dunder"
+        elif klass is not None:
+            up, down = model.definers(klass, fn)
+            if any((k, fn, param) in used for k in up):
+                keep = "override"
+            elif (klass, fn) in model.abstract and \
+                    any((k, fn, param) in used for k in down):
+                keep = "abstract"
+        rows.append({"item": item, "class": "unread",
+                     "keep": keep or keep_group(item)})
+    return rows
+
+
+def state_main():
+    import time
+    start = time.perf_counter()
+    rows = state_census()
+    counts = {}
+    for row in rows:
+        kind = row["item"].split(" ", 1)[0]
+        c = counts.setdefault(kind, {"prod": 0, "test-only": 0, "unread": 0})
+        c[row["class"]] += 1
+    print(f"{'kind':<8} {'prod':>6} {'test-only':>10} {'unread':>7}")
+    for kind in ("field", "attr", "param"):
+        c = counts.get(kind, {"prod": 0, "test-only": 0, "unread": 0})
+        print(f"{kind:<8} {c['prod']:>6} {c['test-only']:>10} "
+              f"{c['unread']:>7}")
+    print()
+    flagged = [row for row in rows if row["class"] != "prod"]
+    for row in flagged:
+        print(f"{row['class']:<9} {row['keep'] or 'UNCLASSIFIED':<12} "
+              f"{row['item']}")
+    unclassified = sum(1 for row in flagged if row["keep"] is None)
+    print(f"\n{len(flagged)} items not read by production; "
+          f"{unclassified} unclassified "
+          f"({time.perf_counter() - start:.1f} s)")
+    return 1 if unclassified else 0
+
+
 def main(argv=None):
     import argparse
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default=os.path.join(ROOT, ".reachability"),
                         help="dump/log directory (default: %(default)s)")
-    out = os.path.abspath(parser.parse_args(argv).out)
+    parser.add_argument("--state", action="store_true",
+                        help="run the static state census instead (no run "
+                             "sets, seconds)")
+    args = parser.parse_args(argv)
+    if args.state:
+        return state_main()
+    out = os.path.abspath(args.out)
     failed = {name: exits for name, exits in run_sets(out).items()
               if any(exits)}
     if failed:
