@@ -378,11 +378,24 @@ class ClientAgent:
             return
         # Classification fills (addr, value, key) columns — mapped pairs
         # carry the granted physical address, cross pairs the logical one
-        # (0 if collided) — so emitting a chunk is three column slices
-        # straight into a KVBlock, with no per-pair object in between.
-        m_addrs: List[int] = []
-        m_values: List[int] = []
-        m_keys: List[Any] = []
+        # (0 if collided) — so emitting a chunk hands its columns straight
+        # to a KVBlock, with no per-pair object in between.
+        #
+        # Mapped pairs are packed first-fit by memory segment: a packet
+        # may access each segment once (§5.2.2 "implementation on the
+        # switch"), so packet j carries the j-th mapped pair of every
+        # segment, in task order.  That is the fewest packets the rule
+        # allows, and a key's pairs (one register, one segment) still go
+        # out in order.  The chip has at most KV_PAIRS_PER_PACKET segments
+        # (``switchsim.registers``), so no packet outgrows its slots.
+        # Counting applications (locks, votes) send one key per packet so
+        # that each packet has a well-defined counter register: packing
+        # over a single segment does exactly that.
+        counts = prog.cntfwd.counts
+        n_segments = 1 if counts else self.cal.memory_segments
+        segment_fill = [0] * n_segments
+        m_packets: List[Tuple[List[int], List[int], List[Any]]] = []
+        n_packets = 0
         x_addrs: List[int] = []
         x_values: List[int] = []
         x_keys: List[Any] = []
@@ -417,44 +430,25 @@ class ClientAgent:
                 x_keys.append(key)
             else:
                 phys_to_key[phys] = key
-                m_addrs.append(phys)
-                m_values.append(value)
-                m_keys.append(key)
+                segment = phys % n_segments
+                j = segment_fill[segment]
+                segment_fill[segment] = j + 1
+                if j < n_packets:
+                    addrs, values, keys = m_packets[j]
+                    addrs.append(phys)
+                    values.append(value)
+                    keys.append(key)
+                else:
+                    m_packets.append(([phys], [value], [key]))
+                    n_packets += 1
 
         offset = 0
-        if prog.cntfwd.counts:
-            # Counting applications (locks, votes): one key per packet so
-            # each packet has a well-defined counter register.
-            for addr, value, key in zip(m_addrs, m_values, m_keys):
-                offset = emit(state, config, tstate, [addr], [value], [key],
-                              offset, cross=False, cnt_index=addr)
-            for addr, value, key in zip(x_addrs, x_values, x_keys):
-                offset = emit(state, config, tstate, [addr], [value], [key],
-                              offset, cross=True)
-            return
-
-        # Pack mapped pairs subject to the one-access-per-segment rule:
-        # two pairs whose registers share a memory segment cannot ride the
-        # same packet (§5.2.2 "implementation on the switch").
-        start = 0
-        used_segments: set = set()
-        mem_segments = self.cal.memory_segments
-        for i, addr in enumerate(m_addrs):
-            segment = addr % mem_segments
-            if segment in used_segments or \
-                    i - start >= KV_PAIRS_PER_PACKET:
-                offset = emit(state, config, tstate, m_addrs[start:i],
-                              m_values[start:i], m_keys[start:i], offset,
-                              cross=False)
-                start = i
-                used_segments = set()
-            used_segments.add(segment)
-        if start < len(m_addrs):
-            offset = emit(state, config, tstate, m_addrs[start:],
-                          m_values[start:], m_keys[start:], offset,
-                          cross=False)
-        for start in range(0, len(x_addrs), KV_PAIRS_PER_PACKET):
-            stop = start + KV_PAIRS_PER_PACKET
+        for addrs, values, keys in m_packets:
+            offset = emit(state, config, tstate, addrs, values, keys, offset,
+                          cross=False, cnt_index=addrs[0])
+        x_size = 1 if counts else KV_PAIRS_PER_PACKET
+        for start in range(0, len(x_addrs), x_size):
+            stop = start + x_size
             offset = emit(state, config, tstate, x_addrs[start:stop],
                           x_values[start:stop], x_keys[start:stop], offset,
                           cross=True)

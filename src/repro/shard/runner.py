@@ -61,8 +61,8 @@ from .spec import ShardScenario
 from .transport import ShmChannelBus, TRANSPORTS
 
 __all__ = ["WORKERS_ENV", "default_workers", "ShardRunResult",
-           "UnshardedRunResult", "run_sharded", "run_unsharded",
-           "results_identical"]
+           "UnshardedRunResult", "ShardWorkerDied", "run_sharded",
+           "run_unsharded", "results_identical"]
 
 WORKERS_ENV = "REPRO_SHARD_WORKERS"
 
@@ -70,6 +70,21 @@ WORKERS_ENV = "REPRO_SHARD_WORKERS"
 _Message = Tuple[str, float, Any]
 
 _INF = float("inf")
+
+
+class ShardWorkerDied(RuntimeError):
+    """A ``workers>1`` shard worker process ended without reporting:
+    killed by a signal, or gone before it could send its error.
+    ``round`` is the last round the coordinator started (0 while the
+    workers start up); ``exitcode`` is the process's exit code, negative
+    for a signal, None if it had not exited yet."""
+
+    def __init__(self, worker: int, round: int, exitcode: Optional[int]):
+        super().__init__(f"shard worker {worker} died in round {round} "
+                         f"(exit code {exitcode})")
+        self.worker = worker
+        self.round = round
+        self.exitcode = exitcode
 
 
 def default_workers() -> int:
@@ -371,7 +386,10 @@ def _subprocess_main(conn, scenario, partition, shard_ids,
         idle = {sid: 0.0 for sid in shard_ids}
         round_no = 0
         while True:
-            command, payload = conn.recv()
+            try:
+                command, payload = conn.recv()
+            except EOFError:          # the coordinator gave the run up
+                return
             if command == "round":
                 round_no += 1
                 out = {}
@@ -461,6 +479,7 @@ class _SubprocessPool:
         self.conns = []
         self.procs = []
         self.shm_spills = 0
+        self.round_no = 0
         self._spills: Dict[int, bytes] = {}          # chan -> frame
         self._inbound: Dict[int, List[_Message]] = {
             sid: [] for sid in self.owner}
@@ -478,12 +497,27 @@ class _SubprocessPool:
             child_conn.close()
             self.conns.append(parent_conn)
             self.procs.append(proc)
-        for conn in self.conns:
-            self._expect(conn, "ready")
+        for w in range(n_workers):
+            self._expect(w, "ready")
 
-    @staticmethod
-    def _expect(conn, kind):
-        tag, payload = conn.recv()
+    def _died(self, w: int) -> ShardWorkerDied:
+        # Its end of the pipe is closed, so it is exiting: reap it for
+        # its exit code.
+        proc = self.procs[w]
+        proc.join(timeout=5)
+        return ShardWorkerDied(w, self.round_no, proc.exitcode)
+
+    def _send(self, w: int, message) -> None:
+        try:
+            self.conns[w].send(message)
+        except OSError as exc:      # BrokenPipeError, ConnectionResetError
+            raise self._died(w) from exc
+
+    def _expect(self, w: int, kind):
+        try:
+            tag, payload = self.conns[w].recv()
+        except (EOFError, OSError) as exc:
+            raise self._died(w) from exc
         if tag == "error":
             raise RuntimeError(f"shard worker failed: {payload}")
         if tag != kind:  # pragma: no cover - protocol guard
@@ -493,7 +527,8 @@ class _SubprocessPool:
     def run_round(self, horizons):
         shm = self.transport == "shm"
         dst_of = self.channels.dst_of
-        for w, conn in enumerate(self.conns):
+        self.round_no += 1
+        for w in range(len(self.conns)):
             payload = {}
             for sid, owner in self.owner.items():
                 if owner != w:
@@ -505,10 +540,10 @@ class _SubprocessPool:
                 else:
                     extra = self._inbound[sid]
                 payload[sid] = (horizons[sid], extra)
-            conn.send(("round", payload))
+            self._send(w, ("round", payload))
         merged = {}
-        for conn in self.conns:
-            merged.update(self._expect(conn, "round"))
+        for w in range(len(self.conns)):
+            merged.update(self._expect(w, "round"))
         reports = {}
         new_spills: Dict[int, bytes] = {}
         new_inbound: Dict[int, List[_Message]] = {
@@ -528,11 +563,11 @@ class _SubprocessPool:
         return reports
 
     def finish(self):
-        for conn in self.conns:
-            conn.send(("finish", None))
+        for w in range(len(self.conns)):
+            self._send(w, ("finish", None))
         merged = {}
-        for conn in self.conns:
-            merged.update(self._expect(conn, "finish"))
+        for w in range(len(self.conns)):
+            merged.update(self._expect(w, "finish"))
         return merged
 
     def close(self):

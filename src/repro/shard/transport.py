@@ -30,13 +30,16 @@ change results, only speed.
 Lifecycle / crash cleanup: the coordinator creates the block *before*
 forking (workers inherit the mapping — no attach, no resource-tracker
 races), workers ``close()`` their mapping on exit, and the coordinator
-``close()`` + ``unlink()`` in a ``finally``.  A hard-killed run can
-leak a segment under ``/dev/shm/repro_shard_*``; ``unlink`` tolerates
-the name being gone already, so cleanup is idempotent.
+``close()`` + ``unlink()`` in a ``finally`` — also when a killed
+worker ends the run with ``ShardWorkerDied``.  A hard-killed
+coordinator can leak its segment under ``/dev/shm/repro_shard_*``;
+``unlink`` tolerates the name being gone already, so cleanup is
+idempotent.
 """
 
 from __future__ import annotations
 
+import os
 import pickle
 import struct
 from typing import List, Optional, Sequence
@@ -50,6 +53,7 @@ __all__ = ["TRANSPORTS", "DEFAULT_SLOT_BYTES", "ShmChannelBus"]
 # over the control pipes) its fallback on hosts without POSIX shm.
 TRANSPORTS = ("shm", "pipe")
 DEFAULT_SLOT_BYTES = 1 << 18           # 256 KiB per (channel, parity) slot
+SEGMENT_PREFIX = "repro_shard_"        # /dev/shm/repro_shard_<pid>_<hex>
 
 # stamp (1-based round), payload nbytes, record count, frame kind
 _SLOT_HEADER = struct.Struct("<QIIB")
@@ -72,7 +76,11 @@ class ShmChannelBus:
         self.slot_bytes = slot_bytes
         self._stride = _SLOT_HEADER_BYTES + slot_bytes
         size = max(1, n_channels * 2 * self._stride)
-        self._shm = shared_memory.SharedMemory(create=True, size=size)
+        # Named after the creating process, so a leaked segment shows
+        # whose run left it.
+        self._shm = shared_memory.SharedMemory(
+            name=f"{SEGMENT_PREFIX}{os.getpid()}_{os.urandom(4).hex()}",
+            create=True, size=size)
         self.name = self._shm.name
 
     # -- geometry -------------------------------------------------------

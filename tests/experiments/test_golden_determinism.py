@@ -131,17 +131,21 @@ def test_chaos_run_is_bit_identical():
 # A small keyed run whose vocabulary (512) is four times the switch
 # reservation (128), with a cache-update window short enough that the
 # counting-LRU evicts and re-grants: the denial path, the victim choice
-# and the quarantine are all live.  Values captured on the commit before
-# the admission path stopped copying the mapping per miss; any later
-# "speed-up" that changes which keys are granted, denied or evicted —
-# even only the tie order among equally cold victims — moves them.
+# and the quarantine are all live.  Any "speed-up" that changes which
+# keys are granted, denied or evicted — even only the tie order among
+# equally cold victims — moves them.  The client data packets and the
+# switch's kernel ops and pairs also pin how keyed pairs are packed, so
+# a packing regression fails here on any machine.
 GOLDEN_KEYED = {
-    "event_count": 10902,
-    "final_time_s": 0.00039574400000000245,
-    "link_pkts": 3834,
-    "cache_hit_ratio": 0.5393229166666667,
-    "software_pairs": 3538,
-    "mm_stats": {"grants": 178, "denied": 3194, "evictions": 58},
+    "event_count": 10132,
+    "final_time_s": 0.00039517088000000383,
+    "link_pkts": 3472,
+    "data_pkts": 1546,
+    "kernel_ops": 1386,
+    "kernel_pairs": 4146,
+    "cache_hit_ratio": 0.53984375,
+    "software_pairs": 3534,
+    "mm_stats": {"grants": 178, "denied": 3193, "evictions": 58},
 }
 
 
@@ -179,6 +183,11 @@ def _run_keyed_once():
         "link_pkts": sum(value for name, value in snap.items()
                          if name.startswith("link.")
                          and name.endswith(".sent_pkts")),
+        "data_pkts": sum(value for name, value in snap.items()
+                         if name.startswith("client.")
+                         and name.endswith(".flows.sent")),
+        "kernel_ops": snap["pipeline.sw0.kernel_ops"],
+        "kernel_pairs": snap["pipeline.sw0.kernel_pairs"],
         "cache_hit_ratio":
             pairs["mapped"] / (pairs["mapped"] + pairs["fallback"]),
         "software_pairs": server.stats["software_pairs"],

@@ -1,12 +1,16 @@
 """Packetisation differential for the keyed (map-addressed) send path.
 
-``ClientAgent._send_map`` classifies a task's pairs into column lists and
-slices them straight into ``KVBlock.from_columns``.  The path it replaced
-built one row object per pair and re-walked the rows into columns.  That
-row-object packetiser lives on here as the reference: for random key sets — segment conflicts, hash
+``ClientAgent._send_map`` classifies a task's pairs into per-packet
+column lists and hands them straight to ``KVBlock.from_columns``.  The
+reference here is a row-object packetiser: one row per pair, mapped rows
+placed first-fit — each into the first packet that does not yet access
+its memory segment and has a free slot (§5.2.2: a packet touches each
+segment at most once).  For random key sets — segment conflicts, hash
 collisions, ungranted keys, no switch, counting and routing-only
-programs — both must emit exactly the same packet sequence and leave the
-same chunk and address-space state behind.
+programs, 32 and 4 segments — both must emit exactly the same packet
+sequence and leave the same chunk and address-space state behind.
+Separate properties pin what first-fit buys: the fewest packets the
+segment rule allows, with every key's pairs still in task order.
 """
 
 from collections import namedtuple
@@ -19,11 +23,12 @@ from repro.inc.app import AppConfig
 from repro.inc.client_agent import (ClientAgent, _AppClientState,
                                     _TaskState)
 from repro.inc.memory import MemoryRegion
-from repro.netsim import DEFAULT_CALIBRATION, Host, Simulator
+from repro.netsim import DEFAULT_CALIBRATION, Host, Simulator, scaled
 from repro.protocol import (CntFwdSpec, ForwardTarget, KV_PAIRS_PER_PACKET,
                             KVBlock, Packet, RIPProgram)
 
-SEGMENTS = DEFAULT_CALIBRATION.memory_segments
+# The paper's chip, and a small one on which segment conflicts dominate.
+SEGMENT_COUNTS = (DEFAULT_CALIBRATION.memory_segments, 4)
 
 KVPair = namedtuple("KVPair", "addr value mapped key")
 
@@ -75,7 +80,7 @@ def _block(pairs):
         keys if any(key is not None for key in keys) else None)
 
 
-def _reference(items, granted, has_switch, program):
+def _reference(items, granted, has_switch, program, segments):
     """The row-object packetiser: ``[(packet fields, (chunk keys, chunk
     values))]``."""
     def packet(pairs, offset, cross, cnt_index=0):
@@ -116,19 +121,20 @@ def _reference(items, granted, has_switch, program):
             out.append(packet([pair], offset, True))
             offset += 1
         return out
-    packet_pairs, used_segments = [], set()
+    packed = []                           # [(rows, segments they use)]
     for pair in mapped_pairs:
-        segment = pair.addr % SEGMENTS
-        if segment in used_segments or \
-                len(packet_pairs) >= KV_PAIRS_PER_PACKET:
-            out.append(packet(packet_pairs, offset, False))
-            offset += len(packet_pairs)
-            packet_pairs, used_segments = [], set()
-        packet_pairs.append(pair)
-        used_segments.add(segment)
-    if packet_pairs:
-        out.append(packet(packet_pairs, offset, False))
-        offset += len(packet_pairs)
+        segment = pair.addr % segments
+        for rows, used in packed:
+            if segment not in used and len(rows) < KV_PAIRS_PER_PACKET:
+                break
+        else:
+            rows, used = [], set()
+            packed.append((rows, used))
+        rows.append(pair)
+        used.add(segment)
+    for rows, _used in packed:
+        out.append(packet(rows, offset, False))
+        offset += len(rows)
     for start in range(0, len(cross_pairs), KV_PAIRS_PER_PACKET):
         chunk = cross_pairs[start:start + KV_PAIRS_PER_PACKET]
         out.append(packet(chunk, offset, True))
@@ -136,26 +142,11 @@ def _reference(items, granted, has_switch, program):
     return out
 
 
-@settings(max_examples=60, deadline=None)
-@given(items=items_strategy,
-       program=st.sampled_from(sorted(PROGRAMS)),
-       has_switch=st.booleans(),
-       grant_seed=st.randoms(use_true_random=False),
-       grant_share=st.sampled_from([0.0, 0.5, 1.0]),
-       placement=st.sampled_from(["dense", "random", "narrow"]))
-def test_send_map_emits_the_row_object_packet_sequence(
-        items, program, has_switch, grant_seed, grant_share, placement):
-    program = PROGRAMS[program]
-    sim = Simulator()
-    agent = ClientAgent(sim, Host(sim, "c0"), tor="sw0")
-    config = AppConfig(gaid=1, program=program, server="s0",
-                       clients=("c0",), value_region=MemoryRegion(0, 4096),
-                       counter_region=MemoryRegion(4096, 64),
-                       has_switch=has_switch)
-    # Grant a share of the logical addresses.  "dense" hands out
-    # consecutive registers (distinct segments: packets fill to 32),
-    # "random" scatters them, "narrow" draws from three memory segments
-    # so most neighbouring pairs conflict and packets close early.
+def _grant(items, grant_seed, grant_share, placement):
+    """Grant a share of the logical addresses.  "dense" hands out
+    consecutive registers (distinct segments: packets fill up), "random"
+    scatters them, "narrow" draws from three registers so most pairs
+    conflict and mapped packets stay small."""
     space = LogicalSpace()
     granted = {}
     for key, _value in items:
@@ -167,17 +158,47 @@ def test_send_map_emits_the_row_object_packet_sequence(
             else:
                 granted[logical] = grant_seed.randrange(
                     3 if placement == "narrow" else 4096)
+    return granted
+
+
+def _send(items, granted, program, has_switch, segments):
+    """Run ``_send_map`` on one task; ``(sent, task state, app state)``
+    with ``sent`` the ``(flow index, packet)`` log."""
+    sim = Simulator()
+    agent = ClientAgent(sim, Host(sim, "c0"), tor="sw0",
+                        cal=scaled(memory_segments=segments))
+    config = AppConfig(gaid=1, program=program, server="s0",
+                       clients=("c0",), value_region=MemoryRegion(0, 4096),
+                       counter_region=MemoryRegion(4096, 64),
+                       has_switch=has_switch)
     state = _AppClientState()
     state.configs[config.gaid] = config
     sent = []
     state.flows = [_CaptureFlow(0, sent), _CaptureFlow(1, sent)]
     state.grants = dict(granted)
-
     task = Task(app=config, items=list(items), expect_result=False)
     tstate = _TaskState(task, sim.event())
     agent._send_map(state, config, tstate)
+    return sent, tstate, state
 
-    want = _reference(items, granted, has_switch, program)
+
+@settings(max_examples=60, deadline=None)
+@given(segments=st.sampled_from(SEGMENT_COUNTS),
+       items=items_strategy,
+       program=st.sampled_from(sorted(PROGRAMS)),
+       has_switch=st.booleans(),
+       grant_seed=st.randoms(use_true_random=False),
+       grant_share=st.sampled_from([0.0, 0.5, 1.0]),
+       placement=st.sampled_from(["dense", "random", "narrow"]))
+def test_send_map_emits_the_row_object_packet_sequence(
+        segments, items, program, has_switch, grant_seed, grant_share,
+        placement):
+    program = PROGRAMS[program]
+    granted = _grant(items, grant_seed, grant_share, placement)
+    sent, tstate, state = _send(items, granted, program, has_switch,
+                                segments)
+
+    want = _reference(items, granted, has_switch, program, segments)
     assert [_describe(pkt) for _flow, pkt in sent] == [d for d, _ in want]
     assert [flow for flow, _pkt in sent] == \
         [n % 2 for n in range(len(sent))]          # round-robin flows
@@ -196,6 +217,7 @@ def test_send_map_emits_the_row_object_packet_sequence(
     assert tstate.fallback_pairs == len(items) - mapped_pairs
     if has_switch and program.uses_map:
         # Side tables the receive path and the LRU report rely on.
+        space = LogicalSpace()
         resolved = [space.resolve(key) for key, _ in items]
         assert state.usage_counts == {
             logical: resolved.count(logical)
@@ -203,3 +225,38 @@ def test_send_map_emits_the_row_object_packet_sequence(
         assert state.phys_to_key == {
             granted[space.resolve(key)]: key for key, _ in items
             if space.resolve(key) in granted}
+
+
+@settings(max_examples=60, deadline=None)
+@given(segments=st.sampled_from(SEGMENT_COUNTS),
+       task_keys=st.lists(keys, max_size=100),
+       grant_seed=st.randoms(use_true_random=False),
+       placement=st.sampled_from(["dense", "random", "narrow"]))
+def test_mapped_packets_are_the_fewest_the_segment_rule_allows(
+        segments, task_keys, grant_seed, placement):
+    # Each pair's value is its task position, so order is observable.
+    items = [(key, position) for position, key in enumerate(task_keys)]
+    granted = _grant(items, grant_seed, 1.0, placement)
+    sent, _tstate, _state = _send(items, granted, PROGRAMS["reduce"],
+                                  True, segments)
+    mapped = [pkt.kv for _flow, pkt in sent if not pkt.is_cross]
+    for block in mapped:
+        used = [addr % segments for addr in block.addrs]
+        assert len(used) == len(set(used)) <= KV_PAIRS_PER_PACKET
+        assert list(block.values) == sorted(block.values)
+    # A key's pairs share one register: across packets they go out in
+    # task order, duplicates included.
+    positions = {}
+    for block in mapped:
+        for key, position in zip(block.keys, block.values):
+            positions.setdefault(key, []).append(position)
+    for key, seen in positions.items():
+        assert seen == sorted(seen), key
+    # Packet j carries the j-th pair of every segment: as many packets
+    # as the busiest segment has pairs.
+    per_segment = {}
+    for block in mapped:
+        for addr in block.addrs:
+            segment = addr % segments
+            per_segment[segment] = per_segment.get(segment, 0) + 1
+    assert len(mapped) == max(per_segment.values(), default=0)

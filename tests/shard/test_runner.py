@@ -6,14 +6,21 @@ run fingerprint as one ``Simulator`` executing the whole structure —
 and it terminates with every shard's clock at exactly ``until``.
 """
 
+import glob
+import os
+import signal
+
 import pytest
 
 from repro.experiments.exp_fattree import build_scenario
 from repro.netsim import scaled
 from repro.netsim.topology import multi_rack_structure
-from repro.shard import (PartitionError, ShardScenario, partition_structure,
+from repro.shard import (PartitionError, ShardScenario, ShardWorkerDied,
+                         TRANSPORTS, partition_structure,
                          rack_chaos_schedule, results_identical, run_sharded,
                          run_unsharded, synth_workload)
+from repro.shard.runner import _ShardWorker
+from repro.shard.transport import SEGMENT_PREFIX
 
 CAL = scaled(switch_link_delay_s=10e-6)
 
@@ -76,3 +83,29 @@ def test_chaos_run_matches_unsharded():
     reference = run_unsharded(scenario_obj)
     assert results_identical(sharded, reference)
     assert sharded.chaos_fingerprint is not None
+
+
+@pytest.mark.parametrize("transport", TRANSPORTS)
+def test_a_killed_worker_raises_a_typed_error_and_leaks_no_segment(
+        monkeypatch, transport):
+    scenario_obj, partition = build_scenario("rack2", fast=True, seed=2)
+    real_round = _ShardWorker.run_round
+    rounds = []
+
+    def run_round(self, horizon, inbound):
+        # Runs in the forked worker: shard 1 (worker 1 of 2) is killed
+        # in the middle of its third round.
+        if self.shard_id == 1:
+            rounds.append(horizon)
+            if len(rounds) == 3:
+                os.kill(os.getpid(), signal.SIGKILL)
+        return real_round(self, horizon, inbound)
+
+    monkeypatch.setattr(_ShardWorker, "run_round", run_round)
+    segments = set(glob.glob(f"/dev/shm/{SEGMENT_PREFIX}*"))
+    with pytest.raises(ShardWorkerDied) as died:
+        run_sharded(scenario_obj, partition=partition, workers=2,
+                    transport=transport)
+    assert (died.value.worker, died.value.round, died.value.exitcode) == \
+        (1, 3, -signal.SIGKILL)
+    assert set(glob.glob(f"/dev/shm/{SEGMENT_PREFIX}*")) == segments
