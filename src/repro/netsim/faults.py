@@ -22,10 +22,9 @@ what :meth:`ChaosSchedule.fingerprint` pins across PRs.
 A link fault model is a :class:`FaultModel`: instead of the boolean
 ``drops`` decision it *plans* the delivery of each packet as a list of
 ``(extra_delay, packet)`` tuples — the empty list is a drop, two tuples
-are a duplicate, a positive extra delay is reordering.  The
-:class:`~repro.netsim.link.Link` legacy (lossy) path consults ``plan``
-when present, so installing any fault model automatically moves the
-link off the fused lossless fast path, exactly like a loss model does.
+are a duplicate, a positive extra delay is reordering.  A
+:class:`~repro.netsim.link.Link` consults ``plan`` (when present) inside
+each packet's delivery event, exactly where it draws a loss model.
 """
 
 from __future__ import annotations
@@ -62,10 +61,11 @@ class FaultModel(LossModel):
 
     Subclasses implement :meth:`apply`, which maps one packet to the
     list of ``(extra_delay_s, packet)`` deliveries it becomes; links
-    consult :meth:`plan`, never ``drops``.  Faults are active only
-    inside the ``[start, until)`` window; outside it the packet passes
-    through untouched and — crucially for determinism — no RNG draw is
-    made.
+    consult :meth:`plan`, never ``drops``, at the packet's arrival (its
+    delivery event), so the extra delay is added after propagation.
+    Faults are active only inside the ``[start, until)`` window, judged
+    at that arrival time; outside it the packet passes through untouched
+    and — crucially for determinism — no RNG draw is made.
     """
 
     def __init__(self, start: float = 0.0, until: float = _INF):
@@ -504,16 +504,6 @@ class InvariantChecker:
         if total != self._pool_baseline:
             self._violate(f"register pool leaked: accounted {total} slots, "
                           f"expected {self._pool_baseline}")
-
-        # Fused-path gating: a link carrying a fault/loss model must
-        # run the two-event path (the injector draws at serialization
-        # end), so it must never be fused.
-        topology = getattr(self.deployment, "topology", None)
-        links = getattr(topology, "links", None) or {}
-        for key, link in links.items():
-            if type(link.loss) is not NoLoss and link._fused:
-                self._violate(f"link {key}: fault model installed but "
-                              f"fused fast path still active")
 
     def check_result(self, label: str, expected: Any, got: Any) -> bool:
         """Bit-exact result comparison; a mismatch is a silent wrong

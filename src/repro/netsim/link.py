@@ -5,6 +5,10 @@ another with a serialization rate, a propagation delay, a bounded
 drop-tail queue, and an optional loss model.  :func:`duplex_link` wires
 two symmetric directions.
 
+There is one transmit model: serialization and queueing are computed
+at enqueue time, each accepted packet costs one scheduled event (its
+delivery), and the loss model is applied inside that event.
+
 Any object with a ``size_bytes`` attribute can be transmitted.  If the
 queue occupancy exceeds the ECN threshold at enqueue time, the packet's
 ``ecn`` attribute is set (when the object has one), mirroring how the
@@ -153,17 +157,22 @@ class ScriptedLoss(LossModel):
 class Link:
     """Unidirectional link with a drop-tail queue and ECN marking.
 
-    Lossless links (the overwhelmingly common case) take a *fused* fast
-    path: the transmitter's busy-until time is tracked analytically in
-    ``_free_at`` and a packet that finds the transmitter idle costs a
-    single scheduled event (its delivery), instead of the classic
-    serialization-done + propagation-done pair.  Packets that queue get
-    one extra ``_start_next`` event at their serialization start, which
-    keeps queue occupancy — and therefore drop-tail and ECN decisions —
-    identical to the two-event model at every instant.  Links with a
-    loss model installed fall back to the two-event path because the
-    loss decision must be drawn from the simulator RNG at serialization
-    end.
+    The transmitter is modelled analytically.  ``_free_at`` is the time
+    the transmitter finishes its last accepted packet, so a packet sent
+    at ``now`` starts serializing at ``max(now, _free_at)`` and its
+    delivery is scheduled right away, at serialization end plus the
+    propagation delay: one scheduled event per accepted packet.  Queue
+    occupancy — what drop-tail and ECN decide on — is the number of
+    accepted packets whose serialization has not started yet; their
+    starts wait in ``_starts`` and leave it once the clock reaches them.
+
+    A loss or fault model runs inside the delivery event, so it draws
+    from the simulator RNG at the packet's arrival and a fault window is
+    judged at arrival time.  ``NoLoss`` (the default) draws nothing.
+
+    Where a finished ``(deliver_time, packet)`` goes is ``_post``, bound
+    once: the simulator's ``schedule_at`` here, the outbox for the shard
+    boundary stub (:class:`repro.shard.boundary.ShardEgressLink`).
     """
 
     def __init__(self, sim: Simulator, src: Any, dst: Any,
@@ -187,31 +196,13 @@ class Link:
                                    else max(1, queue_capacity_pkts // 8))
         self.name = name or f"{getattr(src, 'name', src)}->" \
                             f"{getattr(dst, 'name', dst)}"
-        self._queue: Deque[Any] = deque()
-        self._busy = False          # legacy (lossy) path state
-        self._free_at = 0.0         # fused path: transmitter busy until
-        self._pop_pending = False   # fused path: _start_next scheduled
+        self._free_at = 0.0         # transmitter busy until
+        # Serialization starts of accepted packets still waiting for the
+        # transmitter: the queue occupancy.
+        self._starts: Deque[float] = deque()
+        self._post = sim.schedule_at
         self.stats = LinkStats()
         self.loss = loss or NoLoss()
-
-    # ------------------------------------------------------------------
-    @property
-    def loss(self) -> LossModel:
-        return self._loss
-
-    @loss.setter
-    def loss(self, model: LossModel) -> None:
-        # The model's type selects the transmit path, so a swap while a
-        # packet is queued or serializing would leave both state
-        # machines live (packets stranded in _queue).  Every installer
-        # (deployment loss injection, chaos schedules) swaps at setup.
-        if self._queue or self._busy or self._pop_pending \
-                or self.sim.now < self._free_at:
-            raise RuntimeError(
-                f"link {self.name}: loss model swapped while the "
-                f"transmitter is busy; install it while the link is idle")
-        self._loss = model
-        self._fused = type(model) is NoLoss
 
     def send(self, packet: Any) -> bool:
         """Enqueue ``packet`` for transmission.
@@ -220,127 +211,76 @@ class Link:
         """
         stats = self.stats
         stats.offered_pkts += 1
-        queue = self._queue
-        qlen = len(queue)
+        now = self.sim.now
+        starts = self._starts
+        while starts and starts[0] <= now:
+            starts.popleft()
+        qlen = len(starts)
         if qlen >= self.queue_capacity_pkts:
             stats.queue_drops += 1
             if TRACE.enabled:
-                TRACE.instant("link.drop", self.sim.now, self.name,
-                              ("queue",))
+                TRACE.instant("link.drop", now, self.name, ("queue",))
             return False
         if qlen >= self.ecn_threshold_pkts and hasattr(packet, "ecn"):
             packet.ecn = True
             stats.ecn_marks += 1
             if TRACE.enabled:
-                TRACE.instant("link.ecn", self.sim.now, self.name)
-        if self._fused:
-            sim = self.sim
-            now = sim.now
-            if not qlen and now >= self._free_at:
-                # Idle transmitter: serialization starts immediately and
-                # the single event is the delivery itself.  (size_bytes is
-                # a caching property; read the cache slot directly.)
-                size = getattr(packet, "_size", None) or packet.size_bytes
-                wire_bytes = size + ETHERNET_OVERHEAD_BYTES
-                free = now + wire_bytes * 8.0 / self.bandwidth_bps
-                self._free_at = free
-                sim.schedule_at(free + self.delay_s, self._deliver_fused,
-                                packet)
-                if TRACE.enabled:
-                    TRACE.record("link.serialize", now, free, self.name)
-                    TRACE.record("link.propagate", free,
-                                 free + self.delay_s, self.name)
-            else:
-                queue.append(packet)
-                if not self._pop_pending:
-                    self._pop_pending = True
-                    sim.schedule_at(self._free_at, self._start_next, None)
-            return True
-        queue.append(packet)
-        if not self._busy:
-            self._transmit_next()
-        return True
-
-    # -- fused (lossless) path -----------------------------------------
-    def _start_next(self, _unused: Any) -> None:
-        # Fires at a serialization start (== previous serialization end),
-        # the same instant the two-event model pops the queue.  Assigning
-        # delivery-event sequence numbers here (not at enqueue) keeps
-        # same-timestamp tie-breaking identical to the two-event model;
-        # scheduling every queued delivery at enqueue time was measurably
-        # faster but reordered equal-time events.
-        queue = self._queue
-        packet = queue.popleft()
-        sim = self.sim
+                TRACE.instant("link.ecn", now, self.name)
+        free_at = self._free_at
+        start = free_at if free_at > now else now
+        # size_bytes is a caching property; read the cache slot directly.
         size = getattr(packet, "_size", None) or packet.size_bytes
-        wire_bytes = size + ETHERNET_OVERHEAD_BYTES
-        free = sim.now + wire_bytes * 8.0 / self.bandwidth_bps
+        free = start + (size + ETHERNET_OVERHEAD_BYTES) * 8.0 \
+            / self.bandwidth_bps
         self._free_at = free
-        sim.schedule_at(free + self.delay_s, self._deliver_fused, packet)
+        if start > now:
+            starts.append(start)
+        self._post(free + self.delay_s, self._deliver, packet)
         if TRACE.enabled:
-            TRACE.record("link.serialize", sim.now, free, self.name)
+            TRACE.record("link.serialize", start, free, self.name,
+                         self._stitch_key(packet))
             TRACE.record("link.propagate", free, free + self.delay_s,
                          self.name)
-        if queue:
-            sim.schedule_at(free, self._start_next, None)
-        else:
-            self._pop_pending = False
+        return True
 
-    def _deliver_fused(self, packet: Any) -> None:
-        size = getattr(packet, "_size", None) or packet.size_bytes
+    def _stitch_key(self, _packet: Any) -> Optional[tuple]:
+        """Args of the ``link.serialize`` span: none here; a cut link's
+        spans carry a cross-shard stitch key."""
+        return None
+
+    def _deliver(self, packet: Any) -> None:
         stats = self.stats
         stats.sent_pkts += 1
-        stats.sent_bytes += size
+        stats.sent_bytes += getattr(packet, "_size", None) \
+            or packet.size_bytes
+        loss = self.loss
+        if type(loss) is not NoLoss:
+            self._apply_loss(loss, packet)
+            return
         stats.delivered_pkts += 1
         self.dst.receive(packet)
 
-    # -- legacy (lossy) path -------------------------------------------
-    def _transmit_next(self) -> None:
-        if not self._queue:
-            self._busy = False
-            return
-        self._busy = True
-        packet = self._queue.popleft()
-        wire_bytes = packet.size_bytes + ETHERNET_OVERHEAD_BYTES
-        tx_time = wire_bytes * 8.0 / self.bandwidth_bps
-        self.sim.schedule(tx_time, self._tx_done, packet)
-        if TRACE.enabled:
-            now = self.sim.now
-            TRACE.record("link.serialize", now, now + tx_time, self.name)
-
-    def _tx_done(self, packet: Any) -> None:
-        stats = self.stats
-        stats.sent_pkts += 1
-        stats.sent_bytes += packet.size_bytes
-        plan = getattr(self._loss, "plan", None)
+    def _apply_loss(self, loss: LossModel, packet: Any) -> None:
+        # A fault model plans the arrival as (extra_delay, packet) tuples
+        # — empty = dropped, two entries = duplicated, positive extra
+        # delay = reordered; a plain loss model drops or passes.
+        plan = getattr(loss, "plan", None)
         if plan is not None:
-            # Fault-model path: the model plans each packet's deliveries
-            # as (extra_delay, packet) tuples — empty = dropped, two
-            # entries = duplicated, positive extra delay = reordered.
-            deliveries = list(plan(packet, self))
-            if TRACE.enabled and not deliveries:
-                TRACE.instant("link.drop", self.sim.now, self.name,
-                              ("wire",))
-            for extra, out in deliveries:
-                self.sim.schedule(self.delay_s + extra, self._deliver, out)
-                if TRACE.enabled:
-                    now = self.sim.now
-                    TRACE.record("link.propagate", now,
-                                 now + self.delay_s + extra, self.name)
-        elif self._loss.drops(packet, self.sim.rng):
-            stats.wire_drops += 1
-            if TRACE.enabled:
-                TRACE.instant("link.drop", self.sim.now, self.name,
-                              ("wire",))
+            deliveries = plan(packet, self)
+        elif loss.drops(packet, self.sim.rng):
+            self.stats.wire_drops += 1
+            deliveries = ()
         else:
-            self.sim.schedule(self.delay_s, self._deliver, packet)
-            if TRACE.enabled:
-                now = self.sim.now
-                TRACE.record("link.propagate", now, now + self.delay_s,
-                             self.name)
-        self._transmit_next()
+            deliveries = ((0.0, packet),)
+        if TRACE.enabled and not deliveries:
+            TRACE.instant("link.drop", self.sim.now, self.name, ("wire",))
+        for extra, out in deliveries:
+            if extra > 0.0:
+                self.sim.schedule(extra, self._arrive, out)
+            else:
+                self._arrive(out)
 
-    def _deliver(self, packet: Any) -> None:
+    def _arrive(self, packet: Any) -> None:
         self.stats.delivered_pkts += 1
         self.dst.receive(packet)
 

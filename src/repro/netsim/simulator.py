@@ -325,8 +325,8 @@ class Simulator:
 
         Equivalent to :meth:`schedule` with ``delay = when - now`` but
         free of the float round-trip, so a caller can hit an exact
-        timestamp computed elsewhere (the link fast path relies on this
-        to keep delivery times bit-identical to the two-event model).
+        timestamp computed elsewhere (a link schedules each delivery at
+        the serialization end plus delay it computed at enqueue).
         """
         if when < self.now:
             raise ValueError(

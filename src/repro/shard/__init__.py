@@ -18,9 +18,9 @@ from .fabric import (FabricHost, FabricSwitch, FlowPacket, ShardFabric,
 from .partition import (CutLink, Partition, PartitionError,
                         partition_structure)
 from .placement import ControlPlacement, plan_control_placement
-from .runner import (ShardRunResult, ShardWorkerDied, UnshardedRunResult,
-                     WORKERS_ENV, default_workers, results_identical,
-                     run_sharded, run_unsharded)
+from .runner import (ShardRunResult, ShardWorkerDied, ShardWorkerHung,
+                     UnshardedRunResult, WORKERS_ENV, default_workers,
+                     results_identical, run_sharded, run_unsharded)
 from .spec import (FlowSpec, ShardScenario, rack_chaos_schedule,
                    synth_workload)
 from .transport import ShmChannelBus, TRANSPORTS
@@ -33,7 +33,8 @@ __all__ = [
     "build_fabric", "compute_routes",
     "ControlPlacement", "plan_control_placement",
     "WORKERS_ENV", "default_workers", "ShardRunResult",
-    "UnshardedRunResult", "ShardWorkerDied", "run_sharded", "run_unsharded",
+    "UnshardedRunResult", "ShardWorkerDied", "ShardWorkerHung",
+    "run_sharded", "run_unsharded",
     "results_identical",
     "CodecTables", "encode_frame", "decode_frame", "frame_nbytes",
     "TRANSPORTS", "ShmChannelBus",

@@ -2,43 +2,31 @@
 
 Every cut link becomes a pair: a :class:`ShardEgressLink` in the
 sender's shard and an :class:`IngressBridge` in the receiver's shard.
-The egress half keeps the *entire* transmitter model — drop-tail queue
-occupancy, ECN marking, serialization timing — and emits finished
-``(deliver_time, packet)`` records into an outbox instead of scheduling
-local delivery events.  The ingress half replays those records with
-``schedule_at``, so the receiver sees deliveries at the very same
-float timestamps a same-simulator :class:`~repro.netsim.link.Link`
-would have produced.
+The egress half *is* a :class:`~repro.netsim.link.Link` — the same
+drop-tail occupancy, ECN marking and serialization arithmetic, no copy
+of it — except for where a finished ``(deliver_time, packet)`` goes:
+into an outbox instead of a local delivery event.  The ingress half
+replays those records with ``schedule_at``, so the receiver sees
+deliveries at the very same float timestamps a same-simulator ``Link``
+would have produced (pinned by ``tests/shard/test_boundary.py``).
 
-Timing identity is load-bearing and pinned by a differential test
-(``tests/shard/test_boundary.py``): the serialization expression below
-must stay *byte-identical* to ``Link``'s fused path —
+Lookahead comes for free: ``Link`` knows a packet's delivery time when
+it accepts the packet, a full propagation delay before the delivery,
+so the barrier protocol always has ``delay_s`` of safe horizon per
+channel.
 
-* idle transmitter:   ``free = now + (size + OH) * 8.0 / bandwidth``
-* queued packet:      same expression evaluated at ``now == _free_at``
-
-both of which reduce to the single accumulation used here.  The stub is
-analytic where ``Link`` is event-driven: a queued packet leaves no
-``_start_next`` event behind, its serialization start is parked in the
-virtual-occupancy deque and counts as queued until that instant passes.
-Lookahead comes for free: the record for a packet is known at
-serialization-*scheduling* time, a full propagation delay before its
-delivery, so the barrier protocol always has ``delay_s`` of safe horizon
-per channel.
-
-That is also why a cut link must stay lossless: a loss or fault model
-draws at serialization *end*, after the record would already have been
-handed to the receiving shard.  The stub rejects one outright
-(``_install_chaos`` already refuses a fault on a cut link).
+That is also why a cut link must stay lossless: ``Link`` applies a
+loss or fault model inside the delivery event, which for a cut link
+runs in the receiving shard, after the record was handed over.  The
+stub rejects one outright (``_install_chaos`` already refuses a fault
+on a cut link).
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Any, Deque, List, Tuple
+from typing import Any, List, Optional, Tuple
 
-from repro.netsim.link import (ETHERNET_OVERHEAD_BYTES, Link, LinkStats,
-                               LossModel, NoLoss)
+from repro.netsim.link import Link, LinkStats, LossModel, NoLoss
 from repro.netsim.simulator import Simulator
 from repro.obs.tracer import TRACE
 
@@ -64,10 +52,13 @@ class RemoteNode:
 
 
 class ShardEgressLink(Link):
-    """Sender half of a cut link: a full transmitter, no local delivery.
+    """Sender half of a cut link: a ``Link`` with no local delivery.
 
-    ``outbox`` accumulates ``(deliver_time, packet)`` in emission order;
-    the shard runner drains it at every barrier.  Counter split across
+    It changes only where ``Link`` posts a finished delivery (``_post``,
+    bound once: the outbox instead of ``schedule_at``), refuses any loss
+    model, and puts the stitch key on its serialize spans.  ``outbox``
+    accumulates ``(deliver_time, packet)`` in emission order; the shard
+    runner drains it at every barrier.  Counter split across
     the cut: this side counts ``offered_pkts``/``queue_drops``/
     ``ecn_marks``/``sent_pkts``/``sent_bytes``; the matching
     :class:`IngressBridge` counts ``delivered_pkts``.  Summing the two
@@ -82,15 +73,17 @@ class ShardEgressLink(Link):
                 f"(it is the channel lookahead), got {delay_s!r}")
         super().__init__(sim, src, RemoteNode(dst_name), bandwidth_bps,
                          delay_s, **kwargs)
-        # Serialization starts of packets still waiting for the
-        # transmitter: the queue occupancy drop-tail and ECN decide on.
-        self._virtual_starts: Deque[float] = deque()
         self.outbox: List[Tuple[float, Any]] = []
+        self._post = self._to_outbox
         # The receiving shard, set by build_fabric; lets the runner
         # group drained records into one frame per (channel, round).
         self.dst_shard: int = -1
 
-    @Link.loss.setter
+    @property
+    def loss(self) -> LossModel:
+        return self._loss
+
+    @loss.setter
     def loss(self, model: LossModel) -> None:
         if type(model) is not NoLoss:
             raise ValueError(
@@ -100,55 +93,21 @@ class ShardEgressLink(Link):
                 f"a loss model could draw; got {type(model).__name__}")
         self._loss = model
 
-    def send(self, packet: Any) -> bool:
+    def _to_outbox(self, when: float, _deliver: Any, packet: Any) -> None:
         stats = self.stats
-        stats.offered_pkts += 1
-        now = self.sim.now
-        starts = self._virtual_starts
-        while starts and starts[0] <= now:
-            starts.popleft()
-        qlen = len(starts)
-        if qlen >= self.queue_capacity_pkts:
-            stats.queue_drops += 1
-            if TRACE.enabled:
-                TRACE.instant("link.drop", now, self.name, ("queue",))
-            return False
-        if qlen >= self.ecn_threshold_pkts and hasattr(packet, "ecn"):
-            packet.ecn = True
-            stats.ecn_marks += 1
-            if TRACE.enabled:
-                TRACE.instant("link.ecn", now, self.name)
-        free_at = self._free_at
-        start = free_at if free_at > now else now
-        size = getattr(packet, "_size", None) or packet.size_bytes
-        free = start + (size + ETHERNET_OVERHEAD_BYTES) * 8.0 \
-            / self.bandwidth_bps
-        self._free_at = free
-        if start > now:
-            # A queued packet occupies the queue until its serialization
-            # start passes: "start <= now means popped", the instant
-            # Link._start_next pops it.
-            starts.append(start)
         stats.sent_pkts += 1
-        stats.sent_bytes += size
-        self.outbox.append((free + self.delay_s, packet))
-        if TRACE.enabled:
-            # (flow, seq) is one half of the cross-shard stitch key —
-            # the matching IngressBridge records the other half under
-            # the same cut-link name (DESIGN.md §4.11).
-            flow_id = getattr(packet, "flow_id", None)
-            TRACE.record("link.serialize", start, free, self.name,
-                         None if flow_id is None
-                         else (flow_id, getattr(packet, "seq", -1)))
-            TRACE.record("link.propagate", free, free + self.delay_s,
-                         self.name)
-        return True
+        stats.sent_bytes += getattr(packet, "_size", None) \
+            or packet.size_bytes
+        self.outbox.append((when, packet))
 
-    def _deliver_fused(self, packet: Any) -> None:
-        raise AssertionError("egress stub must never deliver locally")
-
-    def _deliver(self, packet: Any) -> None:
-        raise AssertionError("egress stub must never deliver locally")
+    def _stitch_key(self, packet: Any) -> Optional[tuple]:
+        # (flow, seq) is one half of the cross-shard stitch key — the
+        # matching IngressBridge records the other half under the same
+        # cut-link name (DESIGN.md §4.11).
+        flow_id = getattr(packet, "flow_id", None)
+        if flow_id is None:
+            return None
+        return (flow_id, getattr(packet, "seq", -1))
 
 
 class IngressBridge:

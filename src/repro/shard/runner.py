@@ -45,11 +45,13 @@ import zlib
 from dataclasses import dataclass, field
 from hashlib import sha256
 from multiprocessing import get_context
+from multiprocessing.connection import wait
 from time import perf_counter
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.netsim import CompositeFault, NoLoss, Simulator
 from repro.netsim.faults import LinkFault
+from repro.netsim.simulator import global_wall_deadline
 from repro.obs.capture import ShardCapture, ShardObs, capture_shards
 from repro.obs.registry import MetricsRegistry, keep_registries
 from repro.obs.tracer import TRACE
@@ -61,10 +63,18 @@ from .spec import ShardScenario
 from .transport import ShmChannelBus, TRANSPORTS
 
 __all__ = ["WORKERS_ENV", "default_workers", "ShardRunResult",
-           "UnshardedRunResult", "ShardWorkerDied", "run_sharded",
-           "run_unsharded", "results_identical"]
+           "UnshardedRunResult", "ShardWorkerDied", "ShardWorkerHung",
+           "run_sharded", "run_unsharded", "results_identical"]
 
 WORKERS_ENV = "REPRO_SHARD_WORKERS"
+
+# How long the coordinator waits for one worker's reply.  Under a wall
+# guard (``set_global_wall_deadline``) it waits until the guard's
+# deadline plus a grace, so a worker whose own simulator trips the guard
+# reports that error first; without one, a worker silent this long is
+# taken as hung.
+_REPLY_GRACE_S = 1.0
+_REPLY_TIMEOUT_S = 600.0
 
 # Messages on a channel: (cut_link_name, deliver_time, packet).
 _Message = Tuple[str, float, Any]
@@ -85,6 +95,26 @@ class ShardWorkerDied(RuntimeError):
         self.worker = worker
         self.round = round
         self.exitcode = exitcode
+
+
+class ShardWorkerHung(RuntimeError):
+    """A ``workers>1`` shard worker process is alive but sent no reply
+    before the coordinator's deadline (stopped, or stuck outside any
+    simulator loop).  ``round`` is the round it owes a reply for (0
+    while the workers start up).  The coordinator kills it."""
+
+    def __init__(self, worker: int, round: int):
+        super().__init__(f"shard worker {worker} sent no reply in round "
+                         f"{round} before the deadline")
+        self.worker = worker
+        self.round = round
+
+
+def _reply_timeout() -> float:
+    deadline = global_wall_deadline()
+    if deadline is None:
+        return _REPLY_TIMEOUT_S
+    return max(0.0, deadline + _REPLY_GRACE_S - perf_counter())
 
 
 def default_workers() -> int:
@@ -353,9 +383,14 @@ def _attach_captures(workers: Dict[int, _ShardWorker],
         payloads[sid]["obs"] = cap.to_wire()
 
 
-def _subprocess_main(conn, scenario, partition, shard_ids,
-                     profile_paths, transport, bus, capture,
+def _subprocess_main(conn, coordinator_ends, scenario, partition,
+                     shard_ids, profile_paths, transport, bus, capture,
                      trace_capacity) -> None:
+    # Fork copied the coordinator's ends of this and every earlier
+    # worker's pipe: close them, so that a coordinator that gives the
+    # run up leaves every worker reading EOF.
+    for end in coordinator_ends:
+        end.close()
     try:
         if capture:
             # Fork inherited the parent's armed recorder *and* a copy
@@ -478,6 +513,7 @@ class _SubprocessPool:
                       for sid in range(partition.n_shards)}
         self.conns = []
         self.procs = []
+        self.hung: List[int] = []
         self.shm_spills = 0
         self.round_no = 0
         self._spills: Dict[int, bytes] = {}          # chan -> frame
@@ -489,9 +525,9 @@ class _SubprocessPool:
             profile_paths = {sid: profile_for(sid) for sid in mine}
             proc = ctx.Process(
                 target=_subprocess_main,
-                args=(child_conn, scenario, partition, mine,
-                      profile_paths, transport, self.bus, capture,
-                      TRACE.capacity),
+                args=(child_conn, self.conns + [parent_conn], scenario,
+                      partition, mine, profile_paths, transport, self.bus,
+                      capture, TRACE.capacity),
                 daemon=True)
             proc.start()
             child_conn.close()
@@ -514,8 +550,13 @@ class _SubprocessPool:
             raise self._died(w) from exc
 
     def _expect(self, w: int, kind):
+        conn = self.conns[w]
+        # A dead worker's pipe reads EOF; a stopped one stays silent.
+        if not wait([conn, self.procs[w].sentinel], _reply_timeout()):
+            self.hung.append(w)
+            raise ShardWorkerHung(w, self.round_no)
         try:
-            tag, payload = self.conns[w].recv()
+            tag, payload = conn.recv()
         except (EOFError, OSError) as exc:
             raise self._died(w) from exc
         if tag == "error":
@@ -573,6 +614,8 @@ class _SubprocessPool:
     def close(self):
         for conn in self.conns:
             conn.close()
+        for w in self.hung:
+            self.procs[w].kill()       # SIGKILL also ends a stopped one
         for proc in self.procs:
             proc.join(timeout=30)
             if proc.is_alive():  # pragma: no cover - hung worker

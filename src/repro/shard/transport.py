@@ -30,15 +30,20 @@ change results, only speed.
 Lifecycle / crash cleanup: the coordinator creates the block *before*
 forking (workers inherit the mapping — no attach, no resource-tracker
 races), workers ``close()`` their mapping on exit, and the coordinator
-``close()`` + ``unlink()`` in a ``finally`` — also when a killed
-worker ends the run with ``ShardWorkerDied``.  A hard-killed
-coordinator can leak its segment under ``/dev/shm/repro_shard_*``;
+``close()`` + ``unlink()`` in a ``finally`` — also when a killed or hung
+worker ends the run with ``ShardWorkerDied`` / ``ShardWorkerHung``.  An
+``atexit`` hook unlinks the segment of a coordinator that exits without
+reaching that ``finally``.  Only a hard-killed coordinator (SIGKILL)
+leaves ``/dev/shm/repro_shard_<pid>_<hex>`` behind; the next bus created
+on the machine sweeps every such segment whose ``<pid>`` is dead.
 ``unlink`` tolerates the name being gone already, so cleanup is
 idempotent.
 """
 
 from __future__ import annotations
 
+import atexit
+import glob
 import os
 import pickle
 import struct
@@ -47,7 +52,8 @@ from typing import List, Optional, Sequence
 from .codec import (CodecTables, KIND_PACKED, KIND_PICKLED, Message, RECORD,
                     pack_records, packable, unpack_records)
 
-__all__ = ["TRANSPORTS", "DEFAULT_SLOT_BYTES", "ShmChannelBus"]
+__all__ = ["TRANSPORTS", "DEFAULT_SLOT_BYTES", "ShmChannelBus",
+           "sweep_orphaned_segments"]
 
 # ``workers>1`` interconnects: shm is the default, pipe (pickled frames
 # over the control pipes) its fallback on hosts without POSIX shm.
@@ -58,6 +64,40 @@ SEGMENT_PREFIX = "repro_shard_"        # /dev/shm/repro_shard_<pid>_<hex>
 # stamp (1-based round), payload nbytes, record count, frame kind
 _SLOT_HEADER = struct.Struct("<QIIB")
 _SLOT_HEADER_BYTES = 24                # header padded to a fixed stride
+
+
+_SHM_DIR = "/dev/shm"                  # where POSIX shm names live
+
+
+def _pid_alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:            # exists, owned by someone else
+        pass
+    return True
+
+
+def sweep_orphaned_segments() -> List[str]:
+    """Unlink the bus segments of coordinators that are gone.
+
+    A segment is named after the process that created it; one whose
+    process no longer exists can only be a hard-killed coordinator's
+    leftover.  Returns the names unlinked.
+    """
+    swept = []
+    for path in glob.glob(os.path.join(_SHM_DIR, SEGMENT_PREFIX + "*")):
+        name = os.path.basename(path)
+        pid = name[len(SEGMENT_PREFIX):].partition("_")[0]
+        if not pid.isdigit() or _pid_alive(int(pid)):
+            continue
+        try:
+            os.unlink(path)
+        except FileNotFoundError:      # a concurrent sweep got it first
+            continue
+        swept.append(name)
+    return swept
 
 
 class ShmChannelBus:
@@ -76,12 +116,14 @@ class ShmChannelBus:
         self.slot_bytes = slot_bytes
         self._stride = _SLOT_HEADER_BYTES + slot_bytes
         size = max(1, n_channels * 2 * self._stride)
+        sweep_orphaned_segments()
         # Named after the creating process, so a leaked segment shows
         # whose run left it.
         self._shm = shared_memory.SharedMemory(
             name=f"{SEGMENT_PREFIX}{os.getpid()}_{os.urandom(4).hex()}",
             create=True, size=size)
         self.name = self._shm.name
+        atexit.register(self.unlink)
 
     # -- geometry -------------------------------------------------------
     def _base(self, channel: int, round_no: int) -> int:
@@ -140,6 +182,7 @@ class ShmChannelBus:
             pass
 
     def unlink(self) -> None:
+        atexit.unregister(self.unlink)
         try:
             self._shm.unlink()
         except FileNotFoundError:  # pragma: no cover - already gone

@@ -38,10 +38,11 @@ from ..switchsim.test_kvblock_kernels import SLOT_KERNELS
 GOLDEN_GOODPUT_GBPS = 17.283429680577207
 GOLDEN_FINAL_TIME_S = 7.583680000000015e-06
 # The internal event count is the one number that legitimately moved:
-# the fused link path schedules one event per idle-transmitter packet
-# instead of two (pre-optimization: 2714).  Pinned so an accidental
-# return to the two-event model — or a new per-packet event — is caught.
-GOLDEN_EVENT_COUNT = 2186
+# a link schedules one event per accepted packet, its delivery
+# (pre-optimization two per packet: 2714; with an event per queued
+# packet's serialization start: 2186).  Pinned so a new per-packet
+# event is caught.
+GOLDEN_EVENT_COUNT = 1568
 GOLDEN_SWITCH_STATS = {"cntfwd_absorbed": 128, "inc_pkts": 384,
                        "multicasts": 128, "rx_pkts": 384, "tx_pkts": 384}
 GOLDEN_CLIENT0_STATS = {"processed_pkts": 128, "rx_pkts": 128,
@@ -137,7 +138,7 @@ def test_chaos_run_is_bit_identical():
 # switch's kernel ops and pairs also pin how keyed pairs are packed, so
 # a packing regression fails here on any machine.
 GOLDEN_KEYED = {
-    "event_count": 10132,
+    "event_count": 7367,
     "final_time_s": 0.00039517088000000383,
     "link_pkts": 3472,
     "data_pkts": 1546,
@@ -211,7 +212,7 @@ def test_keyed_admission_matches_golden_snapshot():
 # back): packets, bytes, event order and every reply float must not
 # move when host-side work is removed.
 GOLDEN_DENSE = {
-    "event_count": 1457,
+    "event_count": 1210,
     "final_time_s": 1.775135999999998e-05,
     "link_pkts": 584,
     "link_bytes": 109824,
@@ -307,7 +308,7 @@ def test_dense_region_off_a_row_boundary_walks_the_slots(monkeypatch):
 # the descriptors and call_async got a per-method plan: host-side work
 # may go, the simulated outcome may not move.
 GOLDEN_ONEPAIR = {
-    "event_count": 9981,
+    "event_count": 8771,
     "final_time_s": 0.002454857439999998,
     "link_pkts": 4200,
     "link_bytes": 413660,

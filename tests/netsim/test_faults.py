@@ -62,10 +62,17 @@ def _wire(sim, loss, bandwidth_bps=1e9, delay_s=1e-6):
 
 
 class TestFaultModels:
-    def test_fault_model_forces_lossy_path(self):
+    def test_fault_window_is_judged_at_arrival(self):
+        # Sent before the flap, arriving inside it: dropped.  Sent
+        # inside it, arriving after: delivered.
         sim = Simulator(seed=1)
-        link, _ = _wire(sim, Reorder(1e-6))
-        assert not link._fused
+        link, sink = _wire(sim, LinkFlap(down_at=5e-6, up_at=2e-5),
+                           delay_s=1e-5)
+        link.send(_FakePacket(0))
+        sim.schedule_at(1.5e-5, lambda p: link.send(p), _FakePacket(1))
+        sim.run()
+        assert sink.seqs == [1]
+        assert link.stats.as_dict()["flap_drops"] == 1
 
     def test_reorder_shuffles_arrivals_but_loses_nothing(self):
         sim = Simulator(seed=3)

@@ -163,27 +163,17 @@ class TestLossModels:
         assert link.stats["wire_drops"] == 1
         assert len(sink.received) == 1
 
-    @pytest.mark.parametrize("first, second", [
-        (NoLoss, lambda: RandomLoss(0.0)),      # fused -> two-event
-        (lambda: RandomLoss(0.0), NoLoss),      # two-event -> fused
-    ], ids=["from-fused", "from-two-event"])
-    def test_loss_swap_needs_idle_transmitter(self, sim, first, second):
-        # The model's type picks the transmit state machine; swapping it
-        # mid-serialization would leave both live and strand the queue.
+    def test_loss_is_drawn_at_arrival(self, sim):
+        # The loss model runs inside the delivery event: one installed
+        # while packets are on the wire decides their fate.
         sink = Sink(sim)
-        link = Link(sim, None, sink, bandwidth_bps=1e9, delay_s=1e-3,
-                    loss=first(), name="l")
+        link = Link(sim, None, sink, bandwidth_bps=1e9, delay_s=1e-3)
         link.send(FakePacket())
-        with pytest.raises(RuntimeError, match="link l.*busy"):
-            link.loss = second()                # serializing
         link.send(FakePacket())
-        with pytest.raises(RuntimeError, match="link l.*busy"):
-            link.loss = second()                # serializing + queued
-        sim.run(until=5e-4)                     # both on the wire: idle
-        link.loss = second()
-        link.send(FakePacket())
+        link.loss = ScriptedLoss([0])
         sim.run()
-        assert len(sink.received) == 3
+        assert link.stats["wire_drops"] == 1
+        assert len(sink.received) == 1
 
 
 class TestHost:

@@ -1,16 +1,15 @@
 """Perf-regression smoke guards for the simulation core.
 
 These do not time anything (wall-clock assertions are flaky in CI);
-they bound the *event count* instead, which is what the fused link
-fast path actually buys: a packet crossing a lossless link must cost
-at most two scheduled events (delivery, plus at most one shared
-``_start_next`` pop when it queued behind another packet), and exactly
-one when it finds the transmitter idle.  A regression to the classic
-serialization-done + propagation-done model doubles these numbers and
+they pin the *event count* instead, which is what the analytic link
+transmitter buys: a packet crossing a link costs exactly one scheduled
+event, its delivery, whether it finds the transmitter idle or queues
+behind other packets.  A regression to an event per serialization
+start, or to the classic serialization-done + propagation-done model,
 fails loudly here.
 """
 
-from repro.netsim import Host, Link, RandomLoss, Simulator
+from repro.netsim import Host, Link, Simulator
 from repro.netsim.node import Node
 
 
@@ -42,10 +41,8 @@ def test_queued_packets_cost_at_most_two_events_each():
     sim.run()
     scheduled = sim._sequence - before
     assert len(delivered) == n
-    # n deliveries + (n - 1) _start_next pops: the first packet finds
-    # the transmitter idle and costs a single event.
-    assert scheduled <= 2 * n
-    assert scheduled == 2 * n - 1
+    # One delivery each, queued or not: well inside the two-event bound.
+    assert scheduled == n
 
 
 def test_idle_transmitter_costs_one_event_per_packet():
@@ -57,16 +54,3 @@ def test_idle_transmitter_costs_one_event_per_packet():
         assert sim._sequence - before == 1
     assert len(delivered) == 16
 
-
-def test_lossy_link_keeps_two_event_model():
-    # The fused path must not engage when a loss model is installed
-    # (the loss draw happens at serialization end, between the two
-    # events); rate 0.0 keeps the run deterministic.
-    n = 100
-    sim, link, delivered = _rig(n, loss=RandomLoss(0.0))
-    before = sim._sequence
-    for _ in range(n):
-        assert link.send(_Packet())
-    sim.run()
-    assert len(delivered) == n
-    assert sim._sequence - before == 2 * n

@@ -1,11 +1,12 @@
 """Unit tests for the tiered scheduler: cancellable timers, cohort
 semantics, shared step()/run() dispatch state, scheduler statistics,
-and the two link transmit models compared packet by packet."""
+and the link transmit model against a reference transmitter."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.netsim import Simulator
-from repro.netsim.link import Link, NoLoss, RandomLoss
+from repro.netsim.link import ETHERNET_OVERHEAD_BYTES, Link
 
 
 class TestTimers:
@@ -119,7 +120,7 @@ class TestSchedulerStats:
 
 
 class _Packet:
-    def __init__(self, index, size_bytes=1500):
+    def __init__(self, index, size_bytes):
         self.index = index
         self.size_bytes = size_bytes
         self.ecn = False
@@ -136,41 +137,92 @@ class _Sink:
         self.deliveries.append((self.sim.now, packet.index, packet.ecn))
 
 
-def _drive(loss, n=600, capacity=200):
+BANDWIDTH = 10e9
+DELAY = 1e-6
+
+
+def _reference(arrivals, capacity):
+    """A transmitter written out by hand: each accepted packet
+    serializes from ``max(arrival, previous end)``; drop-tail and ECN
+    decide on the occupancy at enqueue — the accepted packets whose
+    serialization has not started yet.  Returns the accept pattern,
+    the (time, index, ecn) deliveries in time order and the counters."""
+    threshold = max(1, capacity // 8)
+    accepted, deliveries, starts = [], [], []
+    end = 0.0
+    stats = dict.fromkeys(("offered_pkts", "queue_drops", "ecn_marks",
+                           "sent_pkts", "sent_bytes", "delivered_pkts"), 0)
+    for index, (when, size) in enumerate(arrivals):
+        stats["offered_pkts"] += 1
+        waiting = sum(1 for start in starts if start > when)
+        if waiting >= capacity:
+            stats["queue_drops"] += 1
+            accepted.append(False)
+            continue
+        ecn = waiting >= threshold
+        stats["ecn_marks"] += ecn
+        start = max(when, end)
+        end = start + (size + ETHERNET_OVERHEAD_BYTES) * 8.0 / BANDWIDTH
+        starts.append(start)
+        deliveries.append((end + DELAY, index, ecn))
+        stats["sent_pkts"] += 1
+        stats["sent_bytes"] += size
+        stats["delivered_pkts"] += 1
+        accepted.append(True)
+    deliveries.sort(key=lambda d: d[0])    # stable: FIFO among equals
+    return accepted, deliveries, {k: v for k, v in stats.items() if v}
+
+
+def _drive(arrivals, capacity):
     sim = Simulator(seed=0)
     sink = _Sink(sim)
-    link = Link(sim, "src", sink, 10e9, 1e-6,
-                queue_capacity_pkts=capacity, loss=loss, name="t")
-    accepted = [link.send(_Packet(i)) for i in range(n)]
-    late = []
-
-    def arrival(_):
-        late.append(link.send(_Packet(9000)))
-
-    sim.schedule(2e-5, arrival, None)   # lands mid-drain
+    link = Link(sim, "src", sink, BANDWIDTH, DELAY,
+                queue_capacity_pkts=capacity, name="t")
+    accepted = []
+    for index, (when, size) in enumerate(arrivals):
+        sim.schedule_at(when, lambda p: accepted.append(link.send(p)),
+                        _Packet(index, size))
+    before = sim._sequence
     sim.run()
-    return accepted + late, sink.deliveries, sim._sequence, link
+    return accepted, sink.deliveries, link.stats.as_dict(), \
+        sim._sequence - before
 
 
-class TestTransmitModels:
-    """``Link`` picks its transmit model from the installed loss model's
-    type: fused for ``NoLoss``, two-event for anything else.  That is
-    only safe if the two agree on everything but the event count, so
-    the same offered schedule goes through both.  ``RandomLoss(0.0)``
-    forces the two-event path and, unlike ``NoLoss``, is not special-
-    cased; at rate 0 it draws nothing from the RNG."""
+# Arrival schedules: bursts of packets sharing one timestamp, separated
+# by gaps from zero up to ~100 serialization times of a full frame.
+BURSTS = st.lists(st.tuples(st.integers(0, 120_000),     # gap, ns
+                            st.integers(1, 120),          # burst length
+                            st.integers(64, 1500)),       # frame bytes
+                  min_size=1, max_size=12)
 
-    @pytest.mark.parametrize("capacity", [200, 64])
-    def test_fused_path_identical_to_two_event_path(self, capacity):
-        ref_accepted, ref_deliveries, ref_events, ref_link = _drive(
-            RandomLoss(0.0), capacity=capacity)
-        accepted, deliveries, events, link = _drive(
-            NoLoss(), capacity=capacity)
-        assert link._fused and not ref_link._fused
-        assert accepted == ref_accepted     # same accept/drop pattern
-        assert False in accepted and accepted[-1] is True
-        # Same delivery timestamps (== on floats) and ECN bits.
+
+class TestTransmitModel:
+    """``Link`` against the hand-written reference transmitter: same
+    delivery floats, accept/drop pattern, ECN bits and counters, with
+    exactly one scheduled event (the delivery) per accepted packet."""
+
+    @pytest.mark.parametrize("capacity", [64, 200])
+    @given(bursts=BURSTS)
+    @settings(max_examples=40, deadline=None)
+    def test_matches_reference_transmitter(self, capacity, bursts):
+        arrivals, when = [], 0.0
+        for gap_ns, length, size in bursts:
+            when += gap_ns * 1e-9
+            arrivals += [(when, size)] * length
+        ref_accepted, ref_deliveries, ref_stats = _reference(arrivals,
+                                                             capacity)
+        accepted, deliveries, stats, events = _drive(arrivals, capacity)
+        assert accepted == ref_accepted
         assert deliveries == ref_deliveries
-        assert any(ecn for _t, _i, ecn in deliveries)
-        assert link.stats.as_dict() == ref_link.stats.as_dict()
-        assert events < ref_events          # fewer scheduler entries
+        assert stats == ref_stats
+        assert events == sum(accepted)
+
+    def test_schedules_reach_drops_and_marks(self):
+        # The strategy's largest burst overflows both capacities.
+        arrivals = [(0.0, 1500)] * 250 + [(2e-5, 700)] * 10
+        for capacity in (64, 200):
+            accepted, deliveries, stats = _reference(arrivals, capacity)
+            assert _drive(arrivals, capacity)[:3] == (accepted, deliveries,
+                                                      stats)
+            assert stats["queue_drops"] and stats["ecn_marks"]
+            assert accepted[-1] is True      # the late burst finds room

@@ -144,7 +144,6 @@ def test_egress_half_never_delivers_locally():
     # delivery would mean a packet skipped the shard channel.
     sim = Simulator(seed=0)
     stub = ShardEgressLink(sim, _Recorder(sim, "src"), "dst", BW, DELAY)
-    for deliver in (stub._deliver, stub._deliver_fused,
-                    RemoteNode("dst").receive):
+    for deliver in (stub._deliver, RemoteNode("dst").receive):
         with pytest.raises(AssertionError, match="locally"):
             deliver(_pkt(0))

@@ -9,18 +9,22 @@ and it terminates with every shard's clock at exactly ``until``.
 import glob
 import os
 import signal
+import subprocess
+import sys
+from time import perf_counter
 
 import pytest
 
 from repro.experiments.exp_fattree import build_scenario
 from repro.netsim import scaled
+from repro.netsim.simulator import set_global_wall_deadline
 from repro.netsim.topology import multi_rack_structure
 from repro.shard import (PartitionError, ShardScenario, ShardWorkerDied,
-                         TRANSPORTS, partition_structure,
+                         ShardWorkerHung, TRANSPORTS, partition_structure,
                          rack_chaos_schedule, results_identical, run_sharded,
                          run_unsharded, synth_workload)
 from repro.shard.runner import _ShardWorker
-from repro.shard.transport import SEGMENT_PREFIX
+from repro.shard.transport import SEGMENT_PREFIX, sweep_orphaned_segments
 
 CAL = scaled(switch_link_delay_s=10e-6)
 
@@ -109,3 +113,55 @@ def test_a_killed_worker_raises_a_typed_error_and_leaks_no_segment(
     assert (died.value.worker, died.value.round, died.value.exitcode) == \
         (1, 3, -signal.SIGKILL)
     assert set(glob.glob(f"/dev/shm/{SEGMENT_PREFIX}*")) == segments
+
+
+@pytest.mark.parametrize("transport", TRANSPORTS)
+def test_a_stopped_worker_raises_a_typed_error_and_leaks_no_segment(
+        monkeypatch, transport):
+    scenario_obj, partition = build_scenario("rack2", fast=True, seed=2)
+    real_round = _ShardWorker.run_round
+    rounds = []
+
+    def run_round(self, horizon, inbound):
+        # Runs in the forked worker: shard 1 (worker 1 of 2) stops in
+        # the middle of its third round and never replies.
+        if self.shard_id == 1:
+            rounds.append(horizon)
+            if len(rounds) == 3:
+                os.kill(os.getpid(), signal.SIGSTOP)
+        return real_round(self, horizon, inbound)
+
+    monkeypatch.setattr(_ShardWorker, "run_round", run_round)
+    segments = set(glob.glob(f"/dev/shm/{SEGMENT_PREFIX}*"))
+    budget_s = 3.0
+    start = perf_counter()
+    set_global_wall_deadline(start + budget_s)
+    try:
+        with pytest.raises(ShardWorkerHung) as hung:
+            run_sharded(scenario_obj, partition=partition, workers=2,
+                        transport=transport)
+    finally:
+        set_global_wall_deadline(None)
+    waited = perf_counter() - start
+    assert (hung.value.worker, hung.value.round) == (1, 3)
+    assert budget_s <= waited < budget_s + 5.0
+    assert set(glob.glob(f"/dev/shm/{SEGMENT_PREFIX}*")) == segments
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="no /dev/shm")
+def test_segments_of_dead_coordinators_are_swept():
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait()                       # its pid now names no process
+    orphan = f"{SEGMENT_PREFIX}{child.pid}_0badcafe"
+    mine = f"{SEGMENT_PREFIX}{os.getpid()}_0badcafe"
+    for name in (orphan, mine):
+        with open(os.path.join("/dev/shm", name), "wb") as f:
+            f.write(b"\0" * 64)
+    try:
+        assert sweep_orphaned_segments() == [orphan]
+        assert not os.path.exists(os.path.join("/dev/shm", orphan))
+        assert os.path.exists(os.path.join("/dev/shm", mine))
+    finally:
+        for name in (orphan, mine):
+            if os.path.exists(os.path.join("/dev/shm", name)):
+                os.unlink(os.path.join("/dev/shm", name))

@@ -26,11 +26,11 @@ _WORKLOADS_PY = (Path(__file__).resolve().parent.parent / "benchmarks"
 #: workload -> (netsim.events, netsim.link_pkts, protocol.pkts_per_op,
 #: protocol.wire_bytes_per_op)
 GOLDEN_WORK = {
-    "fabric_rackscale": (10849, 9074, 5.155681818181818, 4029.2363636363634),
-    "paxos_small": (6669, 2800, 14.0, 1376.3),
-    "train_lossy": (4550, 1453, 0.22703125, 41.16625),
-    "train_sync": (3029, 1248, 0.195, 36.795),
-    "wordcount_zipf": (1230, 416, 0.06837606837606838, 19.789612097304406),
+    "fabric_rackscale": (9474, 9074, 5.155681818181818, 4029.2363636363634),
+    "paxos_small": (5859, 2800, 14.0, 1376.3),
+    "train_lossy": (3115, 1453, 0.22703125, 41.16625),
+    "train_sync": (2570, 1248, 0.195, 36.795),
+    "wordcount_zipf": (912, 416, 0.06837606837606838, 19.789612097304406),
 }
 
 

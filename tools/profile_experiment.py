@@ -43,7 +43,10 @@ measurement.  What does not depend on the machine or the profiler is the
 per RPC where the workload counts them) and per ``repro.<package>`` —
 the harness's ``<layer>.calls``, the figure the call-count pins in
 ``tests/`` bound — then the ten functions called most, per op and per
-RPC: the ledger a call budget is written in.  Code compiled from a string
+RPC: the ledger a call budget is written in — and, from one more
+unprofiled iteration, the scheduled events by callback owner
+(``Link._deliver``, ``Host._dispatch``, timers, ...), which says where a
+change in ``netsim.events`` comes from.  Code compiled from a string
 (a dataclass's generated ``__init__``/``__eq__``) has one row per owning
 function in every table here, e.g.
 ``<string>:2(repro.protocol.packets.Packet.__init__)``, where stock
@@ -475,6 +478,54 @@ def _print_top_calls(stats: dict, ops: int, rpcs: int, top: int = 10) -> None:
               f"{_where(filename)}:{line}({name})")
 
 
+class _EventMix:
+    """Counts scheduled events by callback owner while active.
+
+    Wraps the four ``Simulator`` scheduling methods on the class (in this
+    tool only), so every simulator built inside the block is counted:
+    ``Link._deliver``, ``Host._dispatch``, a transport's timer, ...  A
+    change in ``netsim.events`` is then attributable to the callbacks
+    that gained or lost events.  Cancellable timers (``call_later``/
+    ``call_at``) are listed apart, since a cancelled one still counts.
+    """
+
+    _METHODS = ("schedule", "schedule_at", "call_later", "call_at")
+
+    def __init__(self):
+        self.counts: Counter = Counter()
+
+    def _wrap(self, original, timer: bool):
+        counts = self.counts
+
+        def counted(sim, when, callback, value=None):
+            owner = getattr(callback, "__qualname__", None) \
+                or type(callback).__qualname__
+            counts[f"{owner} (timer)" if timer else owner] += 1
+            return original(sim, when, callback, value)
+        return counted
+
+    def __enter__(self) -> "_EventMix":
+        from repro.netsim.simulator import Simulator
+        self._originals = {name: getattr(Simulator, name)
+                           for name in self._METHODS}
+        for name, original in self._originals.items():
+            setattr(Simulator, name,
+                    self._wrap(original, name.startswith("call_")))
+        return self
+
+    def __exit__(self, *_exc) -> None:
+        from repro.netsim.simulator import Simulator
+        for name, original in self._originals.items():
+            setattr(Simulator, name, original)
+
+    def show(self, ops: int, rpcs: int) -> None:
+        total = sum(self.counts.values())
+        print(f"scheduled events (unprofiled iteration): {total:,} "
+              f"({_per(total, ops, rpcs)}), by callback owner:")
+        for owner, count in self.counts.most_common():
+            print(f"  {count:>9,} ({count / total:6.1%})  {owner}")
+
+
 def profile_e2e(args) -> int:
     """Profile one iteration of a ``benchmarks/e2e`` workload.
 
@@ -522,6 +573,9 @@ def profile_e2e(args) -> int:
     rpcs = int(report.counters.get("core.rpcs", 0))
     _print_python_calls(attribute(stats.stats), report.ops, rpcs)
     _print_top_calls(stats.stats, report.ops, rpcs)
+    with _EventMix() as mix:
+        workload.run(workload.setup(args.seed), inputs)
+    mix.show(report.ops, rpcs)
     print(f"cyclic GC (unprofiled iteration, {warm_wall:.2f} s wall): "
           f"{sum(collector.collections)} collections (gen0/1/2 = "
           f"{'/'.join(map(str, collector.collections))}), "
