@@ -84,7 +84,7 @@ class BaselineAggSwitch(PlainSwitch):
         # is claimed by a newer chunk) so a worker that lost the result
         # can be answered from the cache instead of deadlocking the pool.
         self._completed: Dict[int, int] = {}
-        self._recirc_busy_until = 0.0
+        self._recirc_free_at = 0.0
 
     def receive(self, packet) -> None:
         self.stats.add("rx_pkts")
@@ -158,8 +158,8 @@ class BaselineAggSwitch(PlainSwitch):
         self._completed[slot_index] = chunk
         self.stats.add("completions")
         tx = _RESULT_BYTES * 8.0 / self.cal.link_bandwidth_bps
-        start = max(self.sim.now, self._recirc_busy_until)
-        self._recirc_busy_until = start + tx
+        start = max(self.sim.now, self._recirc_free_at)
+        self._recirc_free_at = start + tx
         delay = (start + tx + self.cal.switch_recirculation_delay_s
                  - self.sim.now)
         self.sim.schedule(delay, self._emit_result, packet.chunk)

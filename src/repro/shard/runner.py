@@ -45,7 +45,6 @@ import zlib
 from dataclasses import dataclass, field
 from hashlib import sha256
 from multiprocessing import get_context
-from multiprocessing.connection import wait
 from time import perf_counter
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -550,6 +549,8 @@ class _SubprocessPool:
             raise self._died(w) from exc
 
     def _expect(self, w: int, kind):
+        # Imported here, so that in-process runs never load it.
+        from multiprocessing.connection import wait
         conn = self.conns[w]
         # A dead worker's pipe reads EOF; a stopped one stays silent.
         if not wait([conn, self.procs[w].sentinel], _reply_timeout()):

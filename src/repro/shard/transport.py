@@ -43,7 +43,6 @@ idempotent.
 from __future__ import annotations
 
 import atexit
-import glob
 import os
 import pickle
 import struct
@@ -86,14 +85,19 @@ def sweep_orphaned_segments() -> List[str]:
     process no longer exists can only be a hard-killed coordinator's
     leftover.  Returns the names unlinked.
     """
+    try:
+        names = os.listdir(_SHM_DIR)
+    except FileNotFoundError:          # POSIX shm kept elsewhere
+        return []
     swept = []
-    for path in glob.glob(os.path.join(_SHM_DIR, SEGMENT_PREFIX + "*")):
-        name = os.path.basename(path)
+    for name in names:
+        if not name.startswith(SEGMENT_PREFIX):
+            continue
         pid = name[len(SEGMENT_PREFIX):].partition("_")[0]
         if not pid.isdigit() or _pid_alive(int(pid)):
             continue
         try:
-            os.unlink(path)
+            os.unlink(os.path.join(_SHM_DIR, name))
         except FileNotFoundError:      # a concurrent sweep got it first
             continue
         swept.append(name)

@@ -91,7 +91,7 @@ class NetRPCSwitch(PlainSwitch):
         self._ecn_marked_at: Dict[int, float] = {}
         # The internal recirculation port serialises at line rate; heavy
         # recirculation (shadow clears, baseline designs) contends here.
-        self._recirc_busy_until = 0.0
+        self._recirc_free_at = 0.0
 
     # ------------------------------------------------------------------
     # control-plane interface (invoked by the controller / server agents)
@@ -190,7 +190,7 @@ class NetRPCSwitch(PlainSwitch):
         self.flow_state.clear_state()
         self.admission.clear()
         self._ecn_marked_at.clear()
-        self._recirc_busy_until = 0.0
+        self._recirc_free_at = 0.0
 
     # ------------------------------------------------------------------
     # data plane
@@ -251,8 +251,8 @@ class NetRPCSwitch(PlainSwitch):
             packet._recirculated = True
             self.stats.add("recirculations")
             tx_time = packet.size_bytes * 8.0 / self.cal.link_bandwidth_bps
-            start = max(self.sim.now, self._recirc_busy_until)
-            self._recirc_busy_until = start + tx_time
+            start = max(self.sim.now, self._recirc_free_at)
+            self._recirc_free_at = start + tx_time
             done = (start + tx_time + self.cal.switch_recirculation_delay_s
                     - self.sim.now)
             if TRACE.enabled:

@@ -141,36 +141,47 @@ BANDWIDTH = 10e9
 DELAY = 1e-6
 
 
-def _reference(arrivals, capacity):
+class _Reference:
     """A transmitter written out by hand: each accepted packet
     serializes from ``max(arrival, previous end)``; drop-tail and ECN
     decide on the occupancy at enqueue — the accepted packets whose
-    serialization has not started yet.  Returns the accept pattern,
-    the (time, index, ecn) deliveries in time order and the counters."""
-    threshold = max(1, capacity // 8)
-    accepted, deliveries, starts = [], [], []
-    end = 0.0
-    stats = dict.fromkeys(("offered_pkts", "queue_drops", "ecn_marks",
-                           "sent_pkts", "sent_bytes", "delivered_pkts"), 0)
-    for index, (when, size) in enumerate(arrivals):
-        stats["offered_pkts"] += 1
-        waiting = sum(1 for start in starts if start > when)
-        if waiting >= capacity:
-            stats["queue_drops"] += 1
-            accepted.append(False)
-            continue
-        ecn = waiting >= threshold
-        stats["ecn_marks"] += ecn
-        start = max(when, end)
-        end = start + (size + ETHERNET_OVERHEAD_BYTES) * 8.0 / BANDWIDTH
-        starts.append(start)
-        deliveries.append((end + DELAY, index, ecn))
-        stats["sent_pkts"] += 1
-        stats["sent_bytes"] += size
-        stats["delivered_pkts"] += 1
-        accepted.append(True)
-    deliveries.sort(key=lambda d: d[0])    # stable: FIFO among equals
-    return accepted, deliveries, {k: v for k, v in stats.items() if v}
+    serialization has not started yet (one starting right now has)."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.threshold = max(1, capacity // 8)
+        self.end = 0.0
+        self.starts, self.accepted, self.deliveries = [], [], []
+        self.stats = dict.fromkeys(("offered_pkts", "queue_drops",
+                                    "ecn_marks", "sent_pkts", "sent_bytes",
+                                    "delivered_pkts"), 0)
+
+    def offer(self, when, size):
+        index = len(self.accepted)
+        self.stats["offered_pkts"] += 1
+        waiting = sum(1 for start in self.starts if start > when)
+        if waiting >= self.capacity:
+            self.stats["queue_drops"] += 1
+            self.accepted.append(False)
+            return
+        ecn = waiting >= self.threshold
+        self.stats["ecn_marks"] += ecn
+        start = max(when, self.end)
+        self.end = start + (size + ETHERNET_OVERHEAD_BYTES) * 8.0 / BANDWIDTH
+        self.starts.append(start)
+        self.deliveries.append((self.end + DELAY, index, ecn))
+        self.stats["sent_pkts"] += 1
+        self.stats["sent_bytes"] += size
+        self.stats["delivered_pkts"] += 1
+        self.accepted.append(True)
+
+    def next_start(self, when):
+        """The earliest serialization start after ``when``, or None."""
+        return min((start for start in self.starts if start > when),
+                   default=None)
+
+    def counters(self):
+        return {key: value for key, value in self.stats.items() if value}
 
 
 def _drive(arrivals, capacity):
@@ -188,11 +199,15 @@ def _drive(arrivals, capacity):
         sim._sequence - before
 
 
-# Arrival schedules: bursts of packets sharing one timestamp, separated
-# by gaps from zero up to ~100 serialization times of a full frame.
+# Arrival schedules: bursts of packets sharing one timestamp.  A burst
+# comes a gap after the previous one (zero up to ~100 serialization
+# times of a full frame) or, when ``on_start`` is drawn, at exactly the
+# next pending serialization start, the instant a packet leaves the
+# queue.
 BURSTS = st.lists(st.tuples(st.integers(0, 120_000),     # gap, ns
                             st.integers(1, 120),          # burst length
-                            st.integers(64, 1500)),       # frame bytes
+                            st.integers(64, 1500),        # frame bytes
+                            st.booleans()),               # on_start
                   min_size=1, max_size=12)
 
 
@@ -205,24 +220,34 @@ class TestTransmitModel:
     @given(bursts=BURSTS)
     @settings(max_examples=40, deadline=None)
     def test_matches_reference_transmitter(self, capacity, bursts):
+        ref = _Reference(capacity)
         arrivals, when = [], 0.0
-        for gap_ns, length, size in bursts:
-            when += gap_ns * 1e-9
-            arrivals += [(when, size)] * length
-        ref_accepted, ref_deliveries, ref_stats = _reference(arrivals,
-                                                             capacity)
+        for gap_ns, length, size, on_start in bursts:
+            start = ref.next_start(when) if on_start else None
+            when = when + gap_ns * 1e-9 if start is None else start
+            for _ in range(length):
+                ref.offer(when, size)
+                arrivals.append((when, size))
         accepted, deliveries, stats, events = _drive(arrivals, capacity)
-        assert accepted == ref_accepted
-        assert deliveries == ref_deliveries
-        assert stats == ref_stats
+        assert accepted == ref.accepted
+        assert deliveries == ref.deliveries
+        assert stats == ref.counters()
         assert events == sum(accepted)
 
-    def test_schedules_reach_drops_and_marks(self):
-        # The strategy's largest burst overflows both capacities.
-        arrivals = [(0.0, 1500)] * 250 + [(2e-5, 700)] * 10
-        for capacity in (64, 200):
-            accepted, deliveries, stats = _reference(arrivals, capacity)
-            assert _drive(arrivals, capacity)[:3] == (accepted, deliveries,
-                                                      stats)
-            assert stats["queue_drops"] and stats["ecn_marks"]
-            assert accepted[-1] is True      # the late burst finds room
+    @pytest.mark.parametrize("capacity", [64, 200])
+    def test_a_packet_leaves_the_queue_at_its_start(self, capacity):
+        # A full queue behind one serializing packet; at the instant
+        # the first queued packet starts, exactly one slot is free.
+        ref = _Reference(capacity)
+        arrivals = [(0.0, 1500)] * (capacity + 10)
+        for when, size in arrivals:
+            ref.offer(when, size)
+        opening = ref.next_start(0.0)
+        arrivals += [(opening, 700)] * 2
+        for when, size in arrivals[-2:]:
+            ref.offer(when, size)
+        accepted, deliveries, stats, _events = _drive(arrivals, capacity)
+        assert accepted[-2:] == [True, False]
+        assert (accepted, deliveries, stats) == \
+            (ref.accepted, ref.deliveries, ref.counters())
+        assert stats["queue_drops"] == 10 and stats["ecn_marks"]
