@@ -29,6 +29,12 @@ from repro.shard.transport import SEGMENT_PREFIX, sweep_orphaned_segments
 CAL = scaled(switch_link_delay_s=10e-6)
 
 
+def _own_segments():
+    # Bus segments are named after the coordinator, this process; other
+    # runs on the machine create and remove theirs meanwhile.
+    return set(glob.glob(f"/dev/shm/{SEGMENT_PREFIX}{os.getpid()}_*"))
+
+
 @pytest.mark.parametrize("scenario", ["rack2", "rack4", "fattree4"])
 def test_sharded_matches_unsharded(scenario):
     scenario_obj, partition = build_scenario(scenario, fast=True, seed=2)
@@ -106,13 +112,13 @@ def test_a_killed_worker_raises_a_typed_error_and_leaks_no_segment(
         return real_round(self, horizon, inbound)
 
     monkeypatch.setattr(_ShardWorker, "run_round", run_round)
-    segments = set(glob.glob(f"/dev/shm/{SEGMENT_PREFIX}*"))
+    segments = _own_segments()
     with pytest.raises(ShardWorkerDied) as died:
         run_sharded(scenario_obj, partition=partition, workers=2,
                     transport=transport)
     assert (died.value.worker, died.value.round, died.value.exitcode) == \
         (1, 3, -signal.SIGKILL)
-    assert set(glob.glob(f"/dev/shm/{SEGMENT_PREFIX}*")) == segments
+    assert _own_segments() == segments
 
 
 @pytest.mark.parametrize("transport", TRANSPORTS)
@@ -132,7 +138,7 @@ def test_a_stopped_worker_raises_a_typed_error_and_leaks_no_segment(
         return real_round(self, horizon, inbound)
 
     monkeypatch.setattr(_ShardWorker, "run_round", run_round)
-    segments = set(glob.glob(f"/dev/shm/{SEGMENT_PREFIX}*"))
+    segments = _own_segments()
     budget_s = 3.0
     start = perf_counter()
     set_global_wall_deadline(start + budget_s)
@@ -145,7 +151,7 @@ def test_a_stopped_worker_raises_a_typed_error_and_leaks_no_segment(
     waited = perf_counter() - start
     assert (hung.value.worker, hung.value.round) == (1, 3)
     assert budget_s <= waited < budget_s + 5.0
-    assert set(glob.glob(f"/dev/shm/{SEGMENT_PREFIX}*")) == segments
+    assert _own_segments() == segments
 
 
 @pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="no /dev/shm")
