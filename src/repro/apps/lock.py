@@ -93,17 +93,7 @@ class LockService:
     # ------------------------------------------------------------------
     def holder_view(self, lock_name: str) -> int:
         """Current raw counter value (diagnostic; >=1 means held)."""
-        state = self.deployment.server_agents[
-            self.registered.server].app_state(
-            self.registered.service.app_name)
-        from repro.inc.addressing import logical_address
-        if state.mm is None:
-            return state.soft.counter(lock_name) or \
-                state.soft.get(lock_name)
-        phys = state.mm.lookup(logical_address(lock_name))
-        if phys is None:
-            return state.soft.counter(lock_name)
-        for switch in state.switches:
-            if switch.owns(phys):
-                return switch.ctrl_read([phys])[0][1]
-        return 0
+        agent = self.deployment.server_agents[self.registered.server]
+        state = agent.app_state(self.registered.service.app_name)
+        value = agent.register_value(state, lock_name)
+        return state.soft.counter(lock_name) if value is None else value

@@ -252,15 +252,9 @@ class ServerStub:
         snapshot = dict(state.soft.snapshot())
         if include_switch and state.mm is not None:
             for logical in state.mm.mapped_logicals():
-                key = state.key_of_logical.get(logical)
-                phys = state.mm.lookup(logical)
-                if key is None or phys is None:
-                    continue
-                for switch in state.switches:
-                    if switch.owns(phys):
-                        value = switch.ctrl_read([phys])[0][1]
-                        snapshot[key] = snapshot.get(key, 0) + value
-                        break
+                key = state.key_of_logical[logical]
+                snapshot[key] = snapshot.get(key, 0) + \
+                    self.agent.register_value(state, key)
         return snapshot
 
     # ------------------------------------------------------------------

@@ -111,6 +111,10 @@ class SoftwareINCMap:
             return True
         return False
 
+    def counter(self, key: Any) -> int:
+        """The CntFwd counter (0 for absent keys, like a cleared one)."""
+        return self._counters.get(key, 0)
+
     def clear_counter(self, key: Any) -> int:
         return self._counters.pop(key, 0)
 

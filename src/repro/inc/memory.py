@@ -10,7 +10,9 @@ Evicted physical addresses go through a *quarantine* period before
 reuse so that clients holding a stale grant cannot write into memory
 that has been re-granted to another key (revocations are piggybacked on
 ACKs, so active clients learn quickly; quarantine covers the in-flight
-window).
+window).  A stale write that lands after the eviction read is folded
+back to the address's last owner when it is granted again
+(:meth:`MemoryManager.take_last_owner`).
 """
 
 from __future__ import annotations
@@ -105,6 +107,8 @@ class MemoryManager:
         self._phys_to_logical: Dict[int, int] = {}
         self._free = FreeList(region.base, region.size)
         self._quarantined: Deque[Tuple[float, int]] = deque()
+        # Evicted physical address -> the logical it held (take_last_owner).
+        self._last_owner: Dict[int, int] = {}
         self._pending_hot: Set[int] = set()
         self._window_counts: Dict[int, int] = {}
         self.stats = {"grants": 0, "evictions": 0, "denied": 0}
@@ -203,8 +207,14 @@ class MemoryManager:
         if phys is None:
             return
         del self._phys_to_logical[phys]
+        self._last_owner[phys] = logical
         self._quarantined.append((now + self.quarantine_s, phys))
         self.stats["evictions"] += 1
+
+    def take_last_owner(self, phys: int) -> Optional[int]:
+        """Pop the logical ``phys`` held before its eviction (None if
+        never evicted); asked once, when ``phys`` is granted again."""
+        return self._last_owner.pop(phys, None)
 
     def _release_expired(self, now: float) -> None:
         while self._quarantined and self._quarantined[0][0] <= now:

@@ -23,6 +23,7 @@ exactly one authoritative counter/accumulator at any time.
 
 from __future__ import annotations
 
+from itertools import groupby
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.netsim import Calibration, DEFAULT_CALIBRATION, Host, Simulator
@@ -583,8 +584,15 @@ class ServerAgent:
         phys = state.mm.request(logical, self.sim.now)
         if phys is None:
             return None
+        # A re-granted register may hold writes from its last owner's
+        # stale grants that landed after the eviction read: they belong
+        # to that key, not to this one's seed.
+        previous = state.mm.take_last_owner(phys)
+        residue = 0 if previous is None else self._owner_switch(
+            state, phys).ctrl_read_and_clear([phys])[0][1]
         # Seed the register with whatever accumulated in software so the
-        # switch becomes the single authority for this key.
+        # switch becomes the single authority for this key.  The write is
+        # posted: it lands before the grant can reach any client.
         if config.program.agg.is_float:
             # ``fget`` reads an absent key as raw 0 (a cleared register);
             # encoding 0.0 instead would seed fmax's biased zero, a real
@@ -595,7 +603,17 @@ class ServerAgent:
         else:
             seed = state.soft.clear(key) + state.soft.clear_counter(key)
         if seed:
-            self._ctrl(state, lambda sw: sw.ctrl_write(phys, seed))
+            self._owner_switch(state, phys).ctrl_write(phys, seed)
+        if residue:
+            # To the last owner's current register, else its software entry.
+            owner = state.key_of_logical[previous]
+            held = state.mm.lookup(previous)
+            if held is None:
+                self._merge_soft(state, state.any_config(), owner, residue)
+            else:
+                self._add_to_register(state, state.any_config(),
+                                      self._owner_switch(state, held),
+                                      held, owner, residue)
         for client in config.clients:
             state.pending_grants.setdefault(client, []).append(
                 (logical, phys))
@@ -603,10 +621,37 @@ class ServerAgent:
         return phys
 
     def _owner_switch(self, state: _AppServerState, phys: int):
+        """The switch whose register file holds global address ``phys``."""
         for switch in state.switches:
             if switch.owns(phys):
                 return switch
-        return None
+        raise LookupError(f"no switch holds physical register {phys}")
+
+    def register_value(self, state: _AppServerState,
+                       key: Any) -> Optional[int]:
+        """Exact value of ``key``'s switch register (a control-plane
+        read), or None while ``key`` holds no mapping."""
+        phys = None if state.mm is None else \
+            state.mm.lookup(logical_address(key))
+        if phys is None:
+            return None
+        return self._owner_switch(state, phys).ctrl_read([phys])[0][1]
+
+    def _add_to_register(self, state: _AppServerState, config: AppConfig,
+                         switch: Any, phys: int, key: Any,
+                         value: int) -> None:
+        """Posted atomic add of ``value`` into ``key``'s register ``phys``
+        in ``config``'s arithmetic.  An overflowing delta stays exact in
+        software; the sticky bit drives the overflow recovery."""
+        agg = config.program.agg
+        if agg is AggOp.FADD:
+            _new, overflowed = switch.ctrl_fadd(phys, value, config.codec)
+        elif agg is AggOp.FMAX:
+            _new, overflowed = switch.ctrl_fmax(phys, value)
+        else:
+            _new, overflowed = switch.ctrl_add(phys, value)
+        if overflowed:
+            self._merge_soft(state, config, key, value)
 
     def _fold_via_ctrl(self, state: _AppServerState, config: AppConfig,
                        origin: Packet, pairs: List[Tuple[int, Any, int]],
@@ -616,38 +661,20 @@ class ServerAgent:
 
         The update is an atomic driver-side register add, so the register
         stays the single authority for its key even while clients race on
-        the data plane.  Completion (ACK/reply/absorb) is deferred by the
-        control RTT.
+        the data plane.  Like every control-plane write (seeds, residue
+        folds, LAZY clears), it is *posted*: applied at once, like a
+        fire-and-forget PCIe write, so any later data-plane query reads
+        it.  Only read-backs pay the control RTT, before the reply.
         """
         self.stats["replays"] += 1
         prog = config.program
-        # Control-plane *writes* are posted (applied immediately, like
-        # fire-and-forget PCIe writes), which preserves read-after-write
-        # ordering for any later data-plane query.  Read-backs pay the
-        # control-plane RTT before the reply goes out.
         values = dict(partial_values)
         absorbed = False
         for phys, key, value in pairs:
             switch = self._owner_switch(state, phys)
-            if switch is None:  # pragma: no cover - defensive
-                continue
             if prog.uses_add_to:
-                if prog.agg is AggOp.FADD:
-                    _new, overflowed = switch.ctrl_fadd(phys, value,
-                                                        config.codec)
-                elif prog.agg is AggOp.FMAX:
-                    _new, overflowed = switch.ctrl_fmax(phys, value)
-                else:
-                    _new, overflowed = switch.ctrl_add(phys, value)
-                if overflowed:
-                    # Keep the delta exact in software; the sticky bit
-                    # drives the normal overflow recovery downstream.
-                    if prog.agg is AggOp.FADD:
-                        state.soft.fadd_to(key, value, config.codec)
-                    elif prog.agg is AggOp.FMAX:
-                        state.soft.fmax_to(key, value, config.codec)
-                    else:
-                        state.soft.add_to(key, value)
+                self._add_to_register(state, config, switch, phys, key,
+                                      value)
             if prog.uses_get:
                 values[key] = switch.ctrl_read([phys])[0][1]
             if prog.cntfwd.counts:
@@ -743,7 +770,7 @@ class ServerAgent:
                         state.soft.fmax_to(key, value, codec)
                 if prog.uses_get:
                     reg = codec.decode(
-                        self._register_part(state, key))
+                        self.register_value(state, key) or 0)
                     soft = state.soft.fvalue(key)
                     total = soft + reg if prog.agg is AggOp.FADD \
                         else max(soft, reg)
@@ -753,24 +780,12 @@ class ServerAgent:
                 state.soft.add_to(key, value)
             if prog.uses_get:
                 values[key] = state.soft.get(key) + \
-                    self._register_part(state, key)
+                    (self.register_value(state, key) or 0)
         if values:
             self._reply(state, pkt.src,
                         dict(gaid=pkt.gaid, kv=_result_block(values),
                              task_id=pkt.task_id, offset=pkt.offset,
                              round=pkt.round))
-
-    def _register_part(self, state: _AppServerState, key: Any) -> int:
-        """Exact register contribution of a (possibly sticky) mapped key."""
-        if state.mm is None:
-            return 0
-        phys = state.mm.lookup(logical_address(key))
-        if phys is None:
-            return 0
-        for switch in state.switches:
-            if switch.owns(phys):
-                return switch.ctrl_read([phys])[0][1]
-        return 0
 
     def _finish_corrected_chunk(self, state: _AppServerState,
                                 config: AppConfig, pkt: Packet,
@@ -781,9 +796,11 @@ class ServerAgent:
         base = config.value_region.base + parity * half
         addrs = [base + (pkt.offset + j) % half for j in range(len(corrected))]
         if prog.clear is ClearPolicy.LAZY:
-            # Reset the sticky registers so later rounds reuse them.
-            self._ctrl(state,
-                       lambda sw, a=tuple(addrs): sw.ctrl_read_and_clear(a))
+            # Reset the sticky registers so later rounds reuse them: a
+            # posted read-and-clear per run of addresses on one switch.
+            for switch, owned in groupby(
+                    addrs, lambda addr: self._owner_switch(state, addr)):
+                switch.ctrl_read_and_clear(list(owned))
         key_range = range(pkt.offset, pkt.offset + len(corrected))
         kv = KVBlock.from_columns(addrs, corrected, mapped_mask=-1,
                                   keys=list(key_range))
@@ -795,11 +812,10 @@ class ServerAgent:
         state.mcast.send(result)
         self._store_round_chunk(state, pkt, corrected)
 
-    def _merge_evicted(self, state: _AppServerState, key: Any,
-                       value: int) -> None:
-        """Fold an evicted register back into the software map, in the
-        application's aggregation arithmetic."""
-        config = state.any_config()
+    def _merge_soft(self, state: _AppServerState, config: AppConfig,
+                    key: Any, value: int) -> None:
+        """Fold a register value into ``key``'s software entry, in
+        ``config``'s aggregation arithmetic."""
         agg = config.program.agg
         if agg is AggOp.FADD:
             state.soft.fadd_to(key, value, config.codec)
@@ -821,18 +837,22 @@ class ServerAgent:
             if not victims:
                 continue
             yield self.sim.timeout(self.cal.ctrl_rtt_s)
-            for logical, phys in victims:
-                value = 0
-                for switch in state.switches:
-                    if switch.owns(phys):
-                        value = switch.ctrl_read_and_clear([phys])[0][1]
-                        break
-                key = state.key_of_logical.get(logical)
-                if key is not None and value:
-                    self._merge_evicted(state, key, value)
-                state.mm.finish_eviction(logical, self.sim.now)
-                state.pending_revokes.append(logical)
-                self.stats["evictions"] += 1
+            self._drain(state, victims)
+            self.stats["evictions"] += len(victims)
+
+    def _drain(self, state: _AppServerState,
+               victims: Sequence[Tuple[int, int]]) -> None:
+        """Evict ``(logical, physical)`` mappings: read and clear each
+        register, fold its value into the software map, unmap and
+        quarantine the address, and queue the revocation."""
+        for logical, phys in victims:
+            value = self._owner_switch(state, phys).ctrl_read_and_clear(
+                [phys])[0][1]
+            if value:
+                self._merge_soft(state, state.any_config(),
+                                 state.key_of_logical[logical], value)
+            state.mm.finish_eviction(logical, self.sim.now)
+            state.pending_revokes.append(logical)
 
     # ------------------------------------------------------------------
     # two-level timeout support (§5.2.2, invoked by the controller)
@@ -847,20 +867,10 @@ class ServerAgent:
         state = self._apps.get(app_key)
         if state is None or state.mm is None:
             return 0
-        retrieved = 0
-        for logical in list(state.mm.mapped_logicals()):
-            phys = state.mm.lookup(logical)
-            key = state.key_of_logical.get(logical)
-            for switch in state.switches:
-                if switch.owns(phys):
-                    value = switch.ctrl_read_and_clear([phys])[0][1]
-                    if key is not None and value:
-                        self._merge_evicted(state, key, value)
-                    retrieved += 1
-                    break
-            state.mm.finish_eviction(logical, self.sim.now)
-            state.pending_revokes.append(logical)
-        return retrieved
+        victims = [(logical, state.mm.lookup(logical))
+                   for logical in state.mm.mapped_logicals()]
+        self._drain(state, victims)
+        return len(victims)
 
     def expire_app(self, app_key: str) -> Dict[Any, int]:
         """Second-level timeout: hand the saved data back (or drop it)."""
@@ -868,15 +878,3 @@ class ServerAgent:
         if state is None:
             return {}
         return state.soft.drain()
-
-    # ------------------------------------------------------------------
-    def _ctrl(self, state: _AppServerState, fn: Callable) -> None:
-        """Run a control-plane switch operation after the control RTT."""
-        def do(_):
-            for switch in state.switches:
-                try:
-                    fn(switch)
-                    return
-                except IndexError:
-                    continue
-        self.sim.schedule(self.cal.ctrl_rtt_s, do, None)

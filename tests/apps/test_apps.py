@@ -239,6 +239,17 @@ class TestLock:
         lock.release("c0", "L")
         dep.sim.run_until(blocked, limit=dep.sim.now + 5.0)
 
+    def test_holder_view_of_a_lock_without_a_register(self):
+        # No switch memory reserved: the server's software CntFwd holds
+        # the lock, and holder_view reads its counter.
+        dep = build_rack(2, 1, cal=CAL)
+        lock = LockService(dep, value_slots=0)
+        lock.acquire("c0", "L")
+        assert lock.holder_view("L") == 1
+        lock.release("c0", "L")
+        dep.sim.run(until=dep.sim.now + 0.01)
+        assert lock.holder_view("L") == 0
+
     def test_independent_locks_do_not_interfere(self):
         dep = build_rack(2, 1, cal=CAL)
         lock = LockService(dep)

@@ -138,7 +138,7 @@ def test_chaos_run_is_bit_identical():
 # switch's kernel ops and pairs also pin how keyed pairs are packed, so
 # a packing regression fails here on any machine.
 GOLDEN_KEYED = {
-    "event_count": 7367,
+    "event_count": 7319,
     "final_time_s": 0.00039517088000000383,
     "link_pkts": 3472,
     "data_pkts": 1546,
@@ -150,25 +150,34 @@ GOLDEN_KEYED = {
 }
 
 
-def _run_keyed_once():
+def run_keyed_rack(seed=7):
+    """Run the keyed admission rack at ``seed``.
+
+    Returns the deployment, the mapped/fallback pair counts the clients
+    were told, and the count submitted per key (what the server's
+    software map plus the mapped registers must add up to).
+    """
     distinct, tasks, batch = 512, 60, 64
     cal = scaled(cache_update_window_s=25e-6, mapping_quarantine_s=30e-6)
-    dep = build_rack(2, 1, cal=cal, seed=7)
+    dep = build_rack(2, 1, cal=cal, seed=seed)
     reduce_cfg, _query_cfg = dep.controller.register(
         async_programs("GOLD"), server="s0", clients=dep.client_names,
         value_slots=128, cache_policy="netrpc")
     sim = dep.sim
     pairs = {"mapped": 0, "fallback": 0}
+    submitted = {}
 
     def client(index):
         # One outstanding 64-pair call per client, Zipf keys whose hot
         # set rotates twice so the policy has something to chase.
-        zipf = ZipfGenerator(distinct, s=1.1, seed=7 + index)
+        zipf = ZipfGenerator(distinct, s=1.1, seed=seed + index)
         agent = dep.client_agent(index)
         for n in range(tasks):
             shift = n * 3 // tasks * (distinct // 3)
             items = [(f"key-{(zipf.sample_index() + shift) % distinct}", 1)
                      for _ in range(batch)]
+            for key, count in items:
+                submitted[key] = submitted.get(key, 0) + count
             result = yield agent.submit(
                 Task(app=reduce_cfg, items=items, expect_result=False))
             pairs["mapped"] += result.mapped_pairs
@@ -176,6 +185,12 @@ def _run_keyed_once():
 
     sim.run_until(sim.all_of([sim.process(client(i)) for i in range(2)]),
                   limit=1.0)
+    return dep, pairs, submitted
+
+
+def _run_keyed_once():
+    dep, pairs, _submitted = run_keyed_rack()
+    sim = dep.sim
     snap = dep.metrics.snapshot()
     server = dep.server_agent(0)
     return {

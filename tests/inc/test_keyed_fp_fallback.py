@@ -12,8 +12,11 @@ wire: within ``sum_error_bound`` for fadd, exactly for fmax (an integer
 max of ordered encodings loses nothing).
 
 The default calibration's 5 ms LRU window outlasts the run, so no
-mapping is evicted mid-run: window eviction still loses updates on the
-integer path as well (see the eviction reproducer in ROADMAP.md).
+mapping is evicted mid-run.  At the eviction calibration the overflow
+key is lost (``big`` reads 0.0 instead of 5.1e38 under fadd, -6.8e38
+instead of 6.8e38 under fmax: evicting a sticky register drops it,
+ROADMAP item 2); integer eviction is judged against its oracles in
+``test_eviction_oracle.py``.
 """
 
 import math

@@ -130,6 +130,7 @@ KEEP = {
         "inc/incmap.py:SoftwareINCMap.modify",
         # CntFwd on the server (software-only apps)
         "inc/incmap.py:SoftwareINCMap.count_forward",
+        "inc/incmap.py:SoftwareINCMap.counter",
         "inc/server_agent.py:ServerAgent._software_count",
         # plain (non-INC) calls and the message marshalling they use
         "inc/client_agent.py:ClientAgent._send_plain",
@@ -143,7 +144,6 @@ KEEP = {
         "core/stubs.py:ServerStub.bind_round",
         "inc/server_agent.py:ServerAgent.set_round_handler",
         "core/stubs.py:ServerStub.inc_map_snapshot",
-        "inc/server_agent.py:ServerAgent._register_part",
         "inc/incmap.py:SoftwareINCMap.snapshot",
         # the §5.2.2 two-level timeout (nothing in production arms it) ...
         "control/timeout.py:TimeoutMonitor.*",
