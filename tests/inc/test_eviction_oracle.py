@@ -16,7 +16,7 @@ after a quarantine.  Two oracles judge the result:
 One defect is still open (ROADMAP item 2): a stale grant can write into
 a register that is still in quarantine when its key is queried, and the
 write reaches the key only when the address is granted again.  The
-word-count ceilings pin what this tree loses to it; the strict xfail
+word-count ceilings pin what is still lost to it; the strict xfail
 demands zero, so a fix shows up here as an unexpected pass.
 """
 
@@ -34,8 +34,10 @@ from ..experiments.test_golden_determinism import run_keyed_rack
 WINDOW_S = 25e-6
 QUARANTINES_S = [30e-6, 5e-3]
 SEEDS = [0, 1, 2]
-# Lost ops measured on this tree, per (quarantine, seed).  The parent
-# of the posted-write change lost 3,876 / 3,789 / 3,581 at 30 us.
+# Lost ops per (quarantine, seed) as measured when these were pinned.
+# Before control-plane writes were posted (a grant's seed landed one
+# control RTT late, as an overwrite), the 30 us runs lost 3,876 / 3,789
+# / 3,581.
 LOST_OPS_CEILING = {
     (30e-6, 0): 16, (30e-6, 1): 0, (30e-6, 2): 0,
     (5e-3, 0): 39, (5e-3, 1): 45, (5e-3, 2): 30,
