@@ -23,8 +23,7 @@ POLICIES = ("netrpc", "fcfs", "hash", "pon")
 # The paper's cache-update window spans many millions of packets on a
 # second-long run; scaled proportionally to the simulated run length so
 # several update windows elapse within the experiment.
-CACHE_CAL = scaled(cache_update_window_s=25e-6,
-                   mapping_quarantine_s=30e-6)
+CACHE_CAL = scaled(cache_update_window_s=25e-6)
 
 
 def _policy_point(policy: str, distinct: int, slots: int, repeats: int,

@@ -25,8 +25,7 @@ __all__ = ["run", "TWO_SWITCH_CAL"]
 # 32 segments x 512 registers = 16K slots per switch (the paper's 32x40K
 # scaled 80x so the key sweep stays simulable).
 TWO_SWITCH_CAL = scaled(segment_registers=512,
-                        cache_update_window_s=25e-6,
-                        mapping_quarantine_s=30e-6)
+                        cache_update_window_s=25e-6)
 
 
 def run(fast: bool = True, seed: int = 0) -> dict:

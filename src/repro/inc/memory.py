@@ -6,13 +6,10 @@ and hands out *grants* piggybacked on ACKs.  A pluggable
 :class:`~repro.inc.cache.CachePolicy` drives admission and the periodic
 eviction that implements NetRPC's counting-LRU cache.
 
-Evicted physical addresses go through a *quarantine* period before
-reuse so that clients holding a stale grant cannot write into memory
-that has been re-granted to another key (revocations are piggybacked on
-ACKs, so active clients learn quickly; quarantine covers the in-flight
-window).  A stale write that lands after the eviction read is folded
-back to the address's last owner when it is granted again
-(:meth:`MemoryManager.take_last_owner`).
+An evicted address is free again at once: eviction bumped its
+register's generation, and a grant carries the generation in the
+address word, so the switch diverts a stale grant's access to the
+server's software path (DESIGN.md §4.1(5)).
 """
 
 from __future__ import annotations
@@ -20,63 +17,11 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Dict, KeysView, List, Optional, Set, Tuple
 
+from repro.protocol import ADDR_BITS
+
 from .cache import CachePolicy, HashAddressPolicy, PeriodicLRUPolicy
 
-__all__ = ["MemoryRegion", "MemoryManager", "FreeList"]
-
-
-class FreeList:
-    """FIFO free list over ``[base, base + size)`` with O(1) removal.
-
-    Replaces the seed's ``deque`` (whose ``remove`` was an O(n) scan over
-    up to ``size`` entries — ~0.3 ms per call on a 1.3M-slot region).
-    Pop order is identical to the deque it replaces: the initial address
-    range drains lowest-first, recycled addresses follow in append
-    (FIFO) order.  The untouched portion of the initial range is kept as
-    a pair of bounds instead of materialised entries, so construction is
-    O(1) too.
-    """
-
-    __slots__ = ("_fresh_next", "_fresh_end", "_holes", "_recycled")
-
-    def __init__(self, base: int, size: int):
-        self._fresh_next = base          # next never-granted address
-        self._fresh_end = base + size
-        self._holes: Set[int] = set()    # fresh-range addrs removed early
-        # dict used as an ordered set: O(1) append / popleft / discard.
-        self._recycled: Dict[int, None] = {}
-
-    def __len__(self) -> int:
-        fresh = self._fresh_end - self._fresh_next - len(self._holes)
-        return fresh + len(self._recycled)
-
-    def __bool__(self) -> bool:
-        return len(self) > 0
-
-    def popleft(self) -> int:
-        holes = self._holes
-        while self._fresh_next < self._fresh_end:
-            addr = self._fresh_next
-            self._fresh_next = addr + 1
-            if addr in holes:
-                holes.discard(addr)
-            else:
-                return addr
-        if not self._recycled:
-            raise IndexError("pop from an empty free list")
-        addr = next(iter(self._recycled))
-        del self._recycled[addr]
-        return addr
-
-    def append(self, addr: int) -> None:
-        self._recycled[addr] = None
-
-    def discard(self, addr: int) -> None:
-        """Remove ``addr`` if present (hash-addressing grant path)."""
-        if addr in self._recycled:
-            del self._recycled[addr]
-        elif self._fresh_next <= addr < self._fresh_end:
-            self._holes.add(addr)
+__all__ = ["MemoryRegion", "MemoryManager"]
 
 
 class MemoryRegion:
@@ -95,20 +40,21 @@ class MemoryRegion:
 class MemoryManager:
     """Logical -> physical mapping plus grant/evict lifecycle for one app."""
 
-    def __init__(self, region: MemoryRegion, policy: Optional[CachePolicy] = None,
-                 quarantine_s: float = 5e-3):
+    def __init__(self, region: MemoryRegion,
+                 policy: Optional[CachePolicy] = None):
         self.region = region
         self.policy = policy or PeriodicLRUPolicy()
-        self.quarantine_s = quarantine_s
         self._logical_to_phys: Dict[int, int] = {}
         # Live read-only set view of the mapped logicals, created once:
         # the dict is only ever mutated in place, so the view tracks it.
         self._mapped = self._logical_to_phys.keys()
         self._phys_to_logical: Dict[int, int] = {}
-        self._free = FreeList(region.base, region.size)
-        self._quarantined: Deque[Tuple[float, int]] = deque()
-        # Evicted physical address -> the logical it held (take_last_owner).
-        self._last_owner: Dict[int, int] = {}
+        # Free registers: the never-granted rest of the region, kept as a
+        # bound and handed out lowest first, then evicted ones in order.
+        self._fresh = region.base
+        self._evicted: Deque[int] = deque()
+        # Evicted physical address -> its register's generation.
+        self._generations: Dict[int, int] = {}
         self._pending_hot: Set[int] = set()
         self._window_counts: Dict[int, int] = {}
         self.stats = {"grants": 0, "evictions": 0, "denied": 0}
@@ -130,7 +76,12 @@ class MemoryManager:
         return self._mapped
 
     # ------------------------------------------------------------------
-    def request(self, logical: int, now: float) -> Optional[int]:
+    def address_word(self, phys: int) -> int:
+        """What a grant of ``phys`` carries: the address and its
+        register's current generation."""
+        return phys | self._generations.get(phys, 0) << ADDR_BITS
+
+    def request(self, logical: int) -> Optional[int]:
         """Try to grant a mapping for ``logical``; None if denied.
 
         Called when the server sees an unmapped key.  Hash addressing is
@@ -140,7 +91,6 @@ class MemoryManager:
         existing = self._logical_to_phys.get(logical)
         if existing is not None:
             return existing
-        self._release_expired(now)
 
         if isinstance(self.policy, HashAddressPolicy):
             slot = self.region.base + HashAddressPolicy.slot_for(
@@ -149,20 +99,23 @@ class MemoryManager:
                 self.stats["denied"] += 1
                 return None
             self._grant(logical, slot)
-            self._free.discard(slot)
             return slot
 
-        if not self.policy.wants(logical, self._mapped, self.capacity):
+        phys = None
+        if self.policy.wants(logical, self._mapped, self.capacity):
+            phys = self._pop_free()
+        if phys is None:
             self._pending_hot.add(logical)
             self.stats["denied"] += 1
             return None
-        if not self._free:
-            self._pending_hot.add(logical)
-            self.stats["denied"] += 1
-            return None
-        phys = self._free.popleft()
         self._grant(logical, phys)
         return phys
+
+    def _pop_free(self) -> Optional[int]:
+        if self._fresh < self.region.base + self.region.size:
+            self._fresh += 1
+            return self._fresh - 1
+        return self._evicted.popleft() if self._evicted else None
 
     def _grant(self, logical: int, phys: int) -> None:
         self._logical_to_phys[logical] = phys
@@ -201,22 +154,13 @@ class MemoryManager:
                 out.append((logical, phys))
         return out
 
-    def finish_eviction(self, logical: int, now: float) -> None:
-        """Complete an eviction: unmap and quarantine the register."""
+    def finish_eviction(self, logical: int, generation: int) -> None:
+        """Complete an eviction: unmap and free the register, noting the
+        generation the eviction gave it."""
         phys = self._logical_to_phys.pop(logical, None)
         if phys is None:
             return
         del self._phys_to_logical[phys]
-        self._last_owner[phys] = logical
-        self._quarantined.append((now + self.quarantine_s, phys))
+        self._generations[phys] = generation
+        self._evicted.append(phys)
         self.stats["evictions"] += 1
-
-    def take_last_owner(self, phys: int) -> Optional[int]:
-        """Pop the logical ``phys`` held before its eviction (None if
-        never evicted); asked once, when ``phys`` is granted again."""
-        return self._last_owner.pop(phys, None)
-
-    def _release_expired(self, now: float) -> None:
-        while self._quarantined and self._quarantined[0][0] <= now:
-            _, phys = self._quarantined.popleft()
-            self._free.append(phys)

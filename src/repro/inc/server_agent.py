@@ -188,8 +188,7 @@ class ServerAgent:
             # created on the first such method of the app.
             state.mm = MemoryManager(
                 config.value_region,
-                policy=make_policy(config.cache_policy),
-                quarantine_s=self.cal.mapping_quarantine_s)
+                policy=make_policy(config.cache_policy))
             self.sim.process(self._window_loop(state),
                              name=f"window-{key}")
         state.configs[config.gaid] = config
@@ -297,8 +296,7 @@ class ServerAgent:
                 flow.ack(seq, ecn=pkt.ecn)
 
     # ------------------------------------------------------------------
-    def _send_ack(self, state: _AppServerState, pkt: Packet,
-                  extra_grants: Tuple = ()) -> None:
+    def _send_ack(self, state: _AppServerState, pkt: Packet) -> None:
         proto = self._protos.get((pkt.gaid, pkt.src))
         if proto is None:
             proto = self._prototype(pkt.gaid, pkt.src)
@@ -306,8 +304,7 @@ class ServerAgent:
         ack.is_ack = True
         ack.acks = (pkt.seq,)
         ack.ack_flow = pkt.flow_id
-        ack.grants = tuple(state.pending_grants.pop(pkt.src, ())) \
-            + extra_grants
+        ack.grants = tuple(state.pending_grants.pop(pkt.src, ()))
         ack.revokes = tuple(state.pending_revokes)
         state.acked.setdefault((pkt.src, pkt.flow_id), set()).add(pkt.seq)
         self.host.send(ack, self.tor)
@@ -443,7 +440,6 @@ class ServerAgent:
             state.on_data(pkt.src, pkt)
         values: Dict[Any, int] = {}
         replay_pairs: List[Tuple[int, Any, int]] = []
-        grants: List[Tuple[int, int]] = []
         absorbed = False
         self.stats["software_pairs"] += len(pkt.kv)
         # Hot per-kv loop: the common already-granted case is inlined
@@ -457,6 +453,14 @@ class ServerAgent:
         block = pkt.kv
         keys_col = block.keys
         values_col = block.values
+        if pkt.bitmap != (1 << len(values_col)) - 1:
+            # A chain's edge switch diverted it: the upstream switch
+            # applied (and read) the deselected pairs.
+            if prog.uses_get:
+                values.update(zip(keys_col, values_col))
+            owed = [i for i in range(len(values_col)) if pkt.bitmap >> i & 1]
+            keys_col = [keys_col[i] for i in owed]
+            values_col = [values_col[i] for i in owed]
         for index in range(len(values_col)):
             key = keys_col[index] if keys_col is not None else None
             value = values_col[index]
@@ -464,11 +468,11 @@ class ServerAgent:
             if switch_path:
                 outcome = outcome_get(key)
                 if outcome is None:
-                    phys = mapping_for(state, config, key, grants)
+                    phys = mapping_for(state, config, key)
                 elif outcome >= 0:
                     phys = mm_lookup(outcome)
                     if phys is None:
-                        phys = mapping_for(state, config, key, grants)
+                        phys = mapping_for(state, config, key)
             if phys is not None:
                 replay_append((phys, key, value))
                 continue
@@ -564,11 +568,8 @@ class ServerAgent:
         return state.soft.count_forward(key, threshold)
 
     def _mapping_for(self, state: _AppServerState, config: AppConfig,
-                     key: Any, grants: List[Tuple[int, int]]
-                     ) -> Optional[int]:
+                     key: Any) -> Optional[int]:
         """Existing or fresh physical mapping for ``key`` (None = software)."""
-        if state.mm is None or not config.has_switch:
-            return None
         outcome = state.map_outcome.get(key)
         if outcome is None:
             logical = logical_address(key)
@@ -581,15 +582,9 @@ class ServerAgent:
         existing = state.mm.lookup(logical)
         if existing is not None:
             return existing
-        phys = state.mm.request(logical, self.sim.now)
+        phys = state.mm.request(logical)
         if phys is None:
             return None
-        # A re-granted register may hold writes from its last owner's
-        # stale grants that landed after the eviction read: they belong
-        # to that key, not to this one's seed.
-        previous = state.mm.take_last_owner(phys)
-        residue = 0 if previous is None else self._owner_switch(
-            state, phys).ctrl_read_and_clear([phys])[0][1]
         # Seed the register with whatever accumulated in software so the
         # switch becomes the single authority for this key.  The write is
         # posted: it lands before the grant can reach any client.
@@ -604,20 +599,9 @@ class ServerAgent:
             seed = state.soft.clear(key) + state.soft.clear_counter(key)
         if seed:
             self._owner_switch(state, phys).ctrl_write(phys, seed)
-        if residue:
-            # To the last owner's current register, else its software entry.
-            owner = state.key_of_logical[previous]
-            held = state.mm.lookup(previous)
-            if held is None:
-                self._merge_soft(state, state.any_config(), owner, residue)
-            else:
-                self._add_to_register(state, state.any_config(),
-                                      self._owner_switch(state, held),
-                                      held, owner, residue)
+        grant = (logical, state.mm.address_word(phys))
         for client in config.clients:
-            state.pending_grants.setdefault(client, []).append(
-                (logical, phys))
-        grants.append((logical, phys))
+            state.pending_grants.setdefault(client, []).append(grant)
         return phys
 
     def _owner_switch(self, state: _AppServerState, phys: int):
@@ -637,22 +621,6 @@ class ServerAgent:
             return None
         return self._owner_switch(state, phys).ctrl_read([phys])[0][1]
 
-    def _add_to_register(self, state: _AppServerState, config: AppConfig,
-                         switch: Any, phys: int, key: Any,
-                         value: int) -> None:
-        """Posted atomic add of ``value`` into ``key``'s register ``phys``
-        in ``config``'s arithmetic.  An overflowing delta stays exact in
-        software; the sticky bit drives the overflow recovery."""
-        agg = config.program.agg
-        if agg is AggOp.FADD:
-            _new, overflowed = switch.ctrl_fadd(phys, value, config.codec)
-        elif agg is AggOp.FMAX:
-            _new, overflowed = switch.ctrl_fmax(phys, value)
-        else:
-            _new, overflowed = switch.ctrl_add(phys, value)
-        if overflowed:
-            self._merge_soft(state, config, key, value)
-
     def _fold_via_ctrl(self, state: _AppServerState, config: AppConfig,
                        origin: Packet, pairs: List[Tuple[int, Any, int]],
                        partial_values: Dict[Any, int],
@@ -661,10 +629,10 @@ class ServerAgent:
 
         The update is an atomic driver-side register add, so the register
         stays the single authority for its key even while clients race on
-        the data plane.  Like every control-plane write (seeds, residue
-        folds, LAZY clears), it is *posted*: applied at once, like a
-        fire-and-forget PCIe write, so any later data-plane query reads
-        it.  Only read-backs pay the control RTT, before the reply.
+        the data plane.  Like every control-plane write (seeds, LAZY
+        clears), it is *posted*: applied at once, like a fire-and-forget
+        PCIe write, so any later data-plane query reads it.  Only
+        read-backs pay the control RTT, before the reply.
         """
         self.stats["replays"] += 1
         prog = config.program
@@ -673,8 +641,17 @@ class ServerAgent:
         for phys, key, value in pairs:
             switch = self._owner_switch(state, phys)
             if prog.uses_add_to:
-                self._add_to_register(state, config, switch, phys, key,
-                                      value)
+                # In the app's arithmetic; an overflowing delta stays exact
+                # in software and the sticky bit drives the recovery.
+                if prog.agg is AggOp.FADD:
+                    _new, overflowed = switch.ctrl_fadd(phys, value,
+                                                        config.codec)
+                elif prog.agg is AggOp.FMAX:
+                    _new, overflowed = switch.ctrl_fmax(phys, value)
+                else:
+                    _new, overflowed = switch.ctrl_add(phys, value)
+                if overflowed:
+                    self._merge_soft(state, config, key, value)
             if prog.uses_get:
                 values[key] = switch.ctrl_read([phys])[0][1]
             if prog.cntfwd.counts:
@@ -831,8 +808,6 @@ class ServerAgent:
         while True:
             yield self.sim.timeout(self.cal.cache_update_window_s)
             state.pending_revokes = []
-            if state.mm is None:
-                continue
             victims = state.mm.end_window()
             if not victims:
                 continue
@@ -843,15 +818,16 @@ class ServerAgent:
     def _drain(self, state: _AppServerState,
                victims: Sequence[Tuple[int, int]]) -> None:
         """Evict ``(logical, physical)`` mappings: read and clear each
-        register, fold its value into the software map, unmap and
-        quarantine the address, and queue the revocation."""
+        register and bump its generation, fold the value into the
+        software map (software holds what overflowed a sticky one), free
+        the address, and queue the revocation."""
         for logical, phys in victims:
-            value = self._owner_switch(state, phys).ctrl_read_and_clear(
-                [phys])[0][1]
+            value, generation = self._owner_switch(state, phys).ctrl_evict(
+                phys)
             if value:
                 self._merge_soft(state, state.any_config(),
                                  state.key_of_logical[logical], value)
-            state.mm.finish_eviction(logical, self.sim.now)
+            state.mm.finish_eviction(logical, generation)
             state.pending_revokes.append(logical)
 
     # ------------------------------------------------------------------

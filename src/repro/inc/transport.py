@@ -45,7 +45,9 @@ class _PendingEntry:
         # not whatever register state the first trip read back — a
         # reboot-resynced switch classifies that retransmission as fresh
         # and would otherwise re-add a partial aggregate.  The value
-        # column is one buffer copy each way.
+        # column is one buffer copy each way.  A stale grant's divert
+        # (``is_cross``, ``bitmap``) is kept: retransmissions follow the
+        # first copy to the server (``RIPPipeline._divert``).
         self._kv_values = packet.kv.values[:]
         self._is_of = packet.is_of
         self._ecn = packet.ecn

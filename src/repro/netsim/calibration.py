@@ -65,7 +65,6 @@ class Calibration:
     flows_per_app: int = 4                     # parallel worker threads (§4)
     # Control-plane register access (PCIe to the switch ASIC driver).
     ctrl_rtt_s: float = 20e-6
-    mapping_quarantine_s: float = 5e-3         # evicted-register grace
     ack_batch_pkts: int = 32                   # client ACK coalescing
     ack_batch_delay_s: float = 10e-6
     # Spin interval for fresh-retry (test&set) attempts: locks poll the

@@ -21,7 +21,8 @@ from .fpcodec import (
 )
 from .kvblock import KVBlock
 from .ops import StreamOp, apply_stream_op
-from .packets import KV_PAIRS_PER_PACKET, Packet
+from .packets import (ADDR_BITS, ADDR_MASK, GENERATION_MASK,
+                      KV_PAIRS_PER_PACKET, Packet)
 from .quantize import Int8BlockCodec, topk_indices
 from .rips import (
     AggOp,
@@ -38,7 +39,8 @@ __all__ = [
     "FPCodec", "OrderedMaxCodec", "DEFAULT_FP_CODEC", "DEFAULT_FMAX_CODEC",
     "Int8BlockCodec", "topk_indices",
     "StreamOp", "apply_stream_op",
-    "Packet", "KVBlock", "KV_PAIRS_PER_PACKET",
+    "Packet", "KVBlock", "KV_PAIRS_PER_PACKET", "ADDR_BITS", "ADDR_MASK",
+    "GENERATION_MASK",
     "RIPProgram", "CntFwdSpec", "ClearPolicy", "ForwardTarget", "RetryMode",
     "AggOp",
 ]

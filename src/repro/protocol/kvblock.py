@@ -7,10 +7,10 @@ retransmission, and server return pay 32 object constructions and every
 pipeline primitive pay 32 rounds of attribute chasing.  :class:`KVBlock`
 stores the same data as parallel columns:
 
-* ``addrs``  — ``array('q')`` of switch addresses (physical when mapped,
-  logical otherwise), or a step-1 ``range`` when they are consecutive;
-* ``values`` — ``array('q')`` of slot values (int32 payloads; 64-bit
-  headroom for the software path's exact arithmetic);
+* ``addrs``  — a list of address words (a mapped slot's grant, see
+  ``packets.ADDR_BITS``; logical otherwise), or a step-1 ``range``;
+* ``values`` — a list of int32 slot values, like the task columns and
+  register rows it is copied from and into (no boundary boxes an int);
 * ``mapped_mask`` — an int bitmask, bit *i* set when slot *i* carries a
   granted physical address;
 * ``keys``   — a side sequence of opaque application keys (a list, or a
@@ -39,7 +39,6 @@ the columns (``pkt.kv.values[0]``); there is no per-slot row object.
 
 from __future__ import annotations
 
-from array import array
 from typing import Any, Iterable, List, Optional, Sequence
 
 from .ops import StreamOp, apply_stream_op
@@ -55,11 +54,11 @@ class KVBlock:
     __slots__ = ("addrs", "values", "mapped_mask", "keys")
 
     def __init__(self, addrs: Optional[Sequence[int]] = None,
-                 values: Optional[array] = None,
+                 values: Optional[List[int]] = None,
                  mapped_mask: int = 0,
                  keys: Optional[Sequence[Any]] = None):
-        self.addrs = addrs if addrs is not None else array("q")
-        self.values = values if values is not None else array("q")
+        self.addrs = addrs if addrs is not None else []
+        self.values = values if values is not None else []
         self.mapped_mask = mapped_mask
         self.keys = keys
 
@@ -80,8 +79,8 @@ class KVBlock:
         # chunk on every send path.
         block = _new(cls)
         block.addrs = addr_col = \
-            addrs if type(addrs) is range else array("q", addrs)
-        block.values = array("q", values)
+            addrs if type(addrs) is range else list(addrs)
+        block.values = list(values)
         block.mapped_mask = mapped_mask if mapped_mask >= 0 \
             else (1 << len(addr_col)) - 1
         block.keys = keys
@@ -140,7 +139,7 @@ class KVBlock:
 
     def values_list(self) -> List[int]:
         """Plain-list snapshot of the value column."""
-        return self.values.tolist()
+        return list(self.values)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<KVBlock n={len(self.addrs)} "

@@ -24,6 +24,13 @@ __all__ = ["KVBlock", "Packet", "KV_PAIRS_PER_PACKET"]
 
 KV_PAIRS_PER_PACKET = 32
 
+# A mapped slot's 4-byte address word: the physical register in the low
+# ADDR_BITS (§6.6's chain needs 2 x 32 x 40K < 2**22), its grant's
+# generation above them (DESIGN.md §4.1(5)).
+ADDR_BITS = 22
+ADDR_MASK = (1 << ADDR_BITS) - 1
+GENERATION_MASK = (1 << (32 - ADDR_BITS)) - 1
+
 # Header byte budget (matching the paper's 192-320 byte packets):
 #   Ethernet + IPv4 + UDP framing               42
 #   GAID, seq, flip/SRRT, flags, bitmap, op     14
@@ -85,7 +92,7 @@ class Packet:
 
     # --- piggybacked transport/control info -----------------------------
     acks: Tuple[int, ...] = ()
-    grants: Tuple[Tuple[int, int], ...] = ()   # (logical, physical) pairs
+    grants: Tuple[Tuple[int, int], ...] = ()   # (logical, address word)
     revokes: Tuple[int, ...] = ()              # logical addrs being evicted
     ack_flow: int = 0                          # flow the acks refer to
 

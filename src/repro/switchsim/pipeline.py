@@ -12,8 +12,8 @@ Processing order mirrors the paper's flowchart:
 2. bypasses: ACKs, overflow-marked packets, unmapped (``is_cross``)
    packets go straight through;
 3. server-return path: execute ``Map.clear`` and multicast;
-4. data path: ``Stream.modify`` -> shadow mirror clear -> ``Map.addTo``
-   -> ``Map.get`` -> ``CntFwd`` decision.
+4. data path: grant-generation check -> ``Stream.modify`` -> shadow
+   mirror clear -> ``Map.addTo`` -> ``Map.get`` -> ``CntFwd`` decision.
 """
 
 from __future__ import annotations
@@ -25,6 +25,8 @@ from typing import Optional, Tuple
 from repro.netsim import Counter
 from repro.obs.tracer import TRACE
 from repro.protocol import (
+    ADDR_BITS,
+    ADDR_MASK,
     AggOp,
     ClearPolicy,
     ForwardTarget,
@@ -84,13 +86,6 @@ class RIPPipeline:
         if TRACE.enabled:
             TRACE.instant("regs.kernel", now, self.name, (op, pairs))
 
-    def _local(self, addr: int) -> Optional[int]:
-        """Translate a global physical address, or None if not ours."""
-        local = addr - self.phys_base
-        if 0 <= local < self.registers.capacity:
-            return local
-        return None
-
     # ------------------------------------------------------------------
     def process(self, pkt: Packet, entry: AppEntry, now: float) -> Verdict:
         entry.last_seen = now
@@ -131,6 +126,11 @@ class RIPPipeline:
         if pkt.is_clr and not retrans:
             block = pkt.kv
             select = block.mapped_mask & pkt.bitmap
+            if select and self.registers.generations:
+                # Not the registers evicted since the call's grant.
+                block, stale = self.registers.untag(block, select,
+                                                    self.phys_base)
+                select &= ~stale
             if select:
                 self.registers.clear_block(block.addrs, select,
                                            -self.phys_base)
@@ -141,8 +141,11 @@ class RIPPipeline:
                     TRACE.instant("regs.kernel", now, self.name,
                                   ("clear", pairs))
             if pkt.is_cnf:
-                local = self._local(pkt.cnt_index)
-                if local is not None:
+                word = pkt.cnt_index
+                local = (word & ADDR_MASK) - self.phys_base
+                if 0 <= local < self.registers.capacity and \
+                        self.registers.generations.get(local, 0) == \
+                        word >> ADDR_BITS:
                     self.registers.clear(local)
             if prog.clear is ClearPolicy.SHADOW:
                 recirc = True
@@ -167,6 +170,12 @@ class RIPPipeline:
         select = block.mapped_mask & bitmap
         stats = self.stats
         stats["data_pkts"] += 1
+
+        # --- grant generations (checked once some register was evicted) --
+        if regs.generations and prog.uses_map:
+            block, stale = regs.untag(block, select, base)
+            if stale:
+                return self._divert(pkt, prog, entry, block, retrans)
 
         # --- Stream.modify (stateless; the edge switch applies it once) --
         if prog.modify_op is not StreamOp.NOP and entry.edge:
@@ -236,7 +245,8 @@ class RIPPipeline:
         # --- CntFwd (edge switch only) -----------------------------------
         spec = prog.cntfwd
         if pkt.is_cnf and spec.counts:
-            cnt_local = pkt.cnt_index - base
+            cnt_index = pkt.cnt_index & ADDR_MASK
+            cnt_local = cnt_index - base
             if not 0 <= cnt_local < regs.capacity:
                 return Verdict(Action.FORWARD, dst=pkt.dst,
                                recirculate=recirc, retransmission=retrans)
@@ -247,7 +257,7 @@ class RIPPipeline:
             # (Fp aggs never count via addTo: their kernels write fp
             # encodings, not +1 increments, so the side counter is used.)
             counted_by_add = prog.uses_add_to and not prog.agg.is_float and \
-                block.selected_contains(pkt.cnt_index, select)
+                block.selected_contains(cnt_index, select)
             if not retrans and not counted_by_add:
                 regs.add(cnt_local, 1)
             count = regs.read_raw(cnt_local)
@@ -296,6 +306,29 @@ class RIPPipeline:
         return self._target_verdict(spec.target, pkt, entry, recirc, retrans)
 
     # ------------------------------------------------------------------
+    def _divert(self, pkt: Packet, prog: RIPProgram, entry: AppEntry,
+                block, retrans: bool) -> Verdict:
+        """A slot's grant predates its register's eviction: apply nothing
+        here and send the packet down the server's software path
+        (DESIGN.md §4.1(5) says why retransmissions differ)."""
+        self.stats["stale_pkts"] += 1
+        spec = prog.cntfwd
+        if retrans and (prog.uses_add_to or spec.counts):
+            if spec.counts:
+                return Verdict(Action.DROP, retransmission=True)
+            if not entry.edge:
+                return Verdict(Action.FORWARD, dst=pkt.dst,
+                               retransmission=True)
+            return self._target_verdict(spec.target, pkt, entry, False, True)
+        if entry.edge:     # deselect what an upstream switch applied
+            base, capacity = self.phys_base, self.registers.capacity
+            for index, addr in enumerate(block.addrs):
+                if not 0 <= addr - base < capacity:
+                    pkt.bitmap &= ~(1 << index)
+        pkt.is_cross = True
+        return Verdict(Action.FORWARD, dst=entry.server,
+                       retransmission=retrans)
+
     @staticmethod
     def _target_verdict(target: ForwardTarget, pkt: Packet, entry: AppEntry,
                         recirc: bool, retrans: bool) -> Verdict:

@@ -20,15 +20,19 @@ sidecar* is set and the register is left intact.  Reads of a sticky
 register return the MAX_INT sentinel, so every downstream host detects
 the overflow exactly as in the paper, while the pre-overflow total
 remains recoverable by the control plane (see DESIGN.md §4.3).
+
+Each register is the lo half of a paired register whose hi half is its
+grant *generation* (DESIGN.md §4.1(5)): eviction bumps it, and an
+access whose address word carries another one must not touch it.
 """
 
 from __future__ import annotations
 
-from array import array
 from operator import add
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.protocol import DEFAULT_FP_CODEC, INT32_MAX, INT32_MIN
+from repro.protocol import (ADDR_BITS, ADDR_MASK, DEFAULT_FP_CODEC,
+                            GENERATION_MASK, INT32_MAX, INT32_MIN, KVBlock)
 
 __all__ = ["RegisterFile"]
 
@@ -49,6 +53,8 @@ class RegisterFile:
             raise ValueError(
                 f"{segments} segments do not fit in {MAP_STAGES} stages x "
                 f"{GROUPS_PER_STAGE} groups")
+        if segments & (segments - 1):     # else a generation moves it
+            raise ValueError(f"{segments} segments is not a power of two")
         self.segments = segments
         self.capacity = segments * registers_per_segment
         # Sparse rows: register ``p`` is ``_rows[p // segments][p %
@@ -56,6 +62,8 @@ class RegisterFile:
         # and goes away on a whole-row clear; absent rows read as zeros.
         self._rows: Dict[int, List[int]] = {}
         self._sticky_overflow: set = set()
+        # Generation per evicted register: while empty, nothing checks.
+        self.generations: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
     def _check(self, addr: int) -> None:
@@ -187,7 +195,7 @@ class RegisterFile:
                    base: int) -> Optional[int]:
         """Row that ``addrs`` (translated by ``-base``) covers from its
         first register, or None when the whole-row path does not apply.
-        Callers test ``type(addrs) is range`` first, so that array blocks
+        Callers test ``type(addrs) is range`` first, so that list blocks
         reach the per-slot loop with no call in between."""
         if self._sticky_overflow:
             return None
@@ -249,7 +257,7 @@ class RegisterFile:
         if type(block.addrs) is range:
             sums = self._row_add(block, select, base)
             if sums is not None:
-                block.values[:] = array("q", sums)
+                block.values[:] = sums
                 return False
         return self._add_slots(block, select, base, True)
 
@@ -303,8 +311,7 @@ class RegisterFile:
             return self._get_slots(block, select, base)
         row = self._rows.get(index)
         count = len(block.values)
-        block.values[:] = array("q", [0] * count if row is None
-                                else row[:count])
+        block.values[:] = [0] * count if row is None else row[:count]
         return False
 
     def _get_slots(self, block, select: int, base: int) -> bool:
@@ -436,6 +443,30 @@ class RegisterFile:
         self.clear_block(addr_list)
         return out
 
+    def evict(self, addr: int) -> Tuple[int, int]:
+        """Control-plane eviction: ``(exact value, new generation)``; the
+        register is cleared and no earlier grant matches it again."""
+        (_addr, value, _sticky), = self.read_and_clear([addr])
+        generation = (self.generations.get(addr, 0) + 1) & GENERATION_MASK
+        self.generations[addr] = generation
+        return value, generation
+
+    def untag(self, block, select: int, base: int) -> Tuple[KVBlock, int]:
+        """``block`` with plain addresses (sharing its value column) and
+        the mask of selected in-window slots whose address word carries
+        another generation than the register's."""
+        words = block.addrs
+        generations, capacity = self.generations, self.capacity
+        addrs = [word & ADDR_MASK for word in words]
+        stale = 0
+        for index, addr in enumerate(addrs):
+            local = addr - base
+            if select >> index & 1 and 0 <= local < capacity and \
+                    generations.get(local, 0) != words[index] >> ADDR_BITS:
+                stale |= 1 << index
+        return KVBlock(addrs, block.values, block.mapped_mask,
+                       block.keys), stale
+
     def occupied_addrs(self) -> List[int]:
         """Addresses of all non-zero registers (diagnostic snapshot)."""
         segments = self.segments
@@ -443,6 +474,7 @@ class RegisterFile:
                 for slot, value in enumerate(self._rows[index]) if value]
 
     def power_cycle(self) -> None:
-        """Reboot: register memory and sticky bits are volatile SRAM."""
+        """Reboot: register memory and sticky bits are volatile SRAM.
+        Generations are kept: the server agent would rewrite them."""
         self._rows.clear()
         self._sticky_overflow.clear()

@@ -116,6 +116,11 @@ class NetRPCSwitch(PlainSwitch):
         out = self.registers.read_and_clear([a - base for a in addrs])
         return [(a + base, v, s) for a, v, s in out]
 
+    def ctrl_evict(self, addr: int) -> Tuple[int, int]:
+        """Control-plane eviction read (``RegisterFile.evict``)."""
+        self.stats.add("ctrl_reads")
+        return self.registers.evict(addr - self.phys_base)
+
     def ctrl_read(self, addrs) -> list:
         """Control-plane non-destructive read of exact register values."""
         self.stats.add("ctrl_reads")

@@ -132,21 +132,21 @@ def test_chaos_run_is_bit_identical():
 # A small keyed run whose vocabulary (512) is four times the switch
 # reservation (128), with a cache-update window short enough that the
 # counting-LRU evicts and re-grants: the denial path, the victim choice
-# and the quarantine are all live.  Any "speed-up" that changes which
-# keys are granted, denied or evicted — even only the tie order among
-# equally cold victims — moves them.  The client data packets and the
-# switch's kernel ops and pairs also pin how keyed pairs are packed, so
-# a packing regression fails here on any machine.
+# and the grant-generation check are all live.  Any "speed-up" that
+# changes which keys are granted, denied or evicted — even only the tie
+# order among equally cold victims — moves them.  The client data
+# packets and the switch's kernel ops and pairs also pin how keyed pairs
+# are packed, so a packing regression fails here on any machine.
 GOLDEN_KEYED = {
-    "event_count": 7319,
-    "final_time_s": 0.00039517088000000383,
-    "link_pkts": 3472,
-    "data_pkts": 1546,
-    "kernel_ops": 1386,
-    "kernel_pairs": 4146,
-    "cache_hit_ratio": 0.53984375,
-    "software_pairs": 3534,
-    "mm_stats": {"grants": 178, "denied": 3193, "evictions": 58},
+    "event_count": 8122,
+    "final_time_s": 0.0003959411200000046,
+    "link_pkts": 3864,
+    "data_pkts": 1723,
+    "kernel_ops": 1544,
+    "kernel_pairs": 3993,
+    "cache_hit_ratio": 0.525390625,
+    "software_pairs": 3687,
+    "mm_stats": {"grants": 186, "denied": 3292, "evictions": 58},
 }
 
 
@@ -158,7 +158,7 @@ def run_keyed_rack(seed=7):
     software map plus the mapped registers must add up to).
     """
     distinct, tasks, batch = 512, 60, 64
-    cal = scaled(cache_update_window_s=25e-6, mapping_quarantine_s=30e-6)
+    cal = scaled(cache_update_window_s=25e-6)
     dep = build_rack(2, 1, cal=cal, seed=seed)
     reduce_cfg, _query_cfg = dep.controller.register(
         async_programs("GOLD"), server="s0", clients=dep.client_names,

@@ -68,9 +68,9 @@ class TestHashAddress:
         # Admission is the hash slot's availability alone: the manager
         # grants every logical address whose slot is free, until full.
         mm = MemoryManager(MemoryRegion(0, 2), policy=HashAddressPolicy())
-        assert mm.request(1, 0.0) == 1
-        assert mm.request(2, 0.0) == 0
-        assert mm.request(3, 0.0) is None       # slot 1 is taken
+        assert mm.request(1) == 1
+        assert mm.request(2) == 0
+        assert mm.request(3) is None       # slot 1 is taken
 
 
 class TestPeriodicLRU:

@@ -8,7 +8,7 @@ from repro.netsim import scaled
 from repro.protocol import CntFwdSpec, ForwardTarget, RIPProgram
 
 # Windows scaled so several cache-update cycles fit inside a short run.
-CAL = scaled(cache_update_window_s=25e-6, mapping_quarantine_s=30e-6)
+CAL = scaled(cache_update_window_s=25e-6)
 
 
 def make_app(dep, value_slots, policy="netrpc"):

@@ -12,11 +12,13 @@ wire: within ``sum_error_bound`` for fadd, exactly for fmax (an integer
 max of ordered encodings loses nothing).
 
 The default calibration's 5 ms LRU window outlasts the run, so no
-mapping is evicted mid-run.  At the eviction calibration the overflow
-key is lost (``big`` reads 0.0 instead of 5.1e38 under fadd, -6.8e38
-instead of 6.8e38 under fmax: evicting a sticky register drops it,
-ROADMAP item 2); integer eviction is judged against its oracles in
-``test_eviction_oracle.py``.
+mapping is evicted mid-run.  At the eviction calibration (25 us
+windows) keys are evicted and re-granted under a new generation (under
+fadd the overflow key's sticky register too, once per run at seeds 0
+and 1); reads still carrying the old one are answered by the server.  Before grant generations they
+read the cleared register (``big`` as 0.0 instead of 5.1e38 under fadd,
+as -6.8e38, raw 0, instead of 6.8e38 under fmax).  Integer eviction is
+judged against its oracles in ``test_eviction_oracle.py``.
 """
 
 import math
@@ -26,16 +28,16 @@ import pytest
 
 from repro.control import build_rack
 from repro.inc import Task
-from repro.netsim import scaled
+from repro.netsim import DEFAULT_CALIBRATION, scaled
 from repro.protocol import AggOp, CntFwdSpec, ForwardTarget, RIPProgram
 
-CAL = scaled()
+EVICTION_CAL = scaled(cache_update_window_s=25e-6)
 KEYS = [f"k{i}" for i in range(12)]
 BIG = "big"
 
 
-def build(agg, seed):
-    dep = build_rack(2, 1, cal=CAL, seed=seed)
+def build(agg, seed, cal):
+    dep = build_rack(2, 1, cal=cal, seed=seed)
     spec = CntFwdSpec(target=ForwardTarget.SRC)
     reduce_prog = RIPProgram(app_name="FP", add_to_field="r.kvs", agg=agg,
                              cntfwd=spec)
@@ -67,11 +69,26 @@ class Oracle:
                 self.codec.sum_error_bound(values), key
 
 
-@pytest.mark.parametrize("seed", [0, 1])
-@pytest.mark.parametrize("agg", [AggOp.FADD, AggOp.FMAX],
-                         ids=["fadd", "fmax"])
+SEEDS = pytest.mark.parametrize("seed", [0, 1])
+AGGS = pytest.mark.parametrize("agg", [AggOp.FADD, AggOp.FMAX],
+                               ids=["fadd", "fmax"])
+
+
+@SEEDS
+@AGGS
 def test_keyed_fp_matches_float64_oracle(agg, seed):
-    dep, (reduce_cfg, query_cfg) = build(agg, seed)
+    run_against_oracle(agg, seed, DEFAULT_CALIBRATION)
+
+
+@SEEDS
+@AGGS
+def test_keyed_fp_matches_float64_oracle_under_eviction(agg, seed):
+    run_against_oracle(agg, seed, EVICTION_CAL)
+
+
+def run_against_oracle(agg, seed, cal):
+    evicting = cal is EVICTION_CAL
+    dep, (reduce_cfg, query_cfg) = build(agg, seed, cal)
     codec = reduce_cfg.codec
     oracle = Oracle(agg, codec)
     sim = dep.sim
@@ -127,8 +144,8 @@ def test_keyed_fp_matches_float64_oracle(agg, seed):
             query(client, sorted(oracle.contributions))
     assert state.mm.stats["denied"] > 0           # reservation < key set
     assert server.stats["software_pairs"] > 0
-    assert state.mm.stats["evictions"] == 0
-    if agg is AggOp.FADD:
+    assert (state.mm.stats["evictions"] > 0) == evicting
+    if agg is AggOp.FADD and not evicting:
         # The sticky register answers every query through the overflow
         # replay: preserved register value + float64 residue.
         assert query(0, [BIG]).overflow_chunks == 1
@@ -136,6 +153,8 @@ def test_keyed_fp_matches_float64_oracle(agg, seed):
     # Drain the switch into software: the server's final state alone
     # must now hold every key's aggregate.
     sim.run(until=sim.now + 1e-4)
-    assert server.retrieve_app("FP") == state.mm.capacity
+    mapped = len(state.mm.mapped_logicals())
+    assert evicting or mapped == state.mm.capacity
+    assert server.retrieve_app("FP") == mapped
     for key in oracle.contributions:
         oracle.check(key, state.soft.fvalue(key))

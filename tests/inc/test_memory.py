@@ -6,14 +6,14 @@ import pytest
 
 from repro.inc import AppConfig, MemoryManager, MemoryRegion
 from repro.inc.cache import FCFSPolicy, HashAddressPolicy, make_policy
-from repro.protocol import RIPProgram
+from repro.protocol import ADDR_BITS, RIPProgram
 
 
 class TestMemoryRegion:
     def test_contains(self):
         # A manager on the region grants exactly [base, base + size).
         mm = MemoryManager(MemoryRegion(100, 50), policy=FCFSPolicy())
-        granted = {mm.request(logical, 0.0) for logical in range(60)}
+        granted = {mm.request(logical) for logical in range(60)}
         assert granted == set(range(100, 150)) | {None}
 
     def test_invalid_region(self):
@@ -45,62 +45,62 @@ class TestLinearAllocator:
 class TestMemoryManager:
     def test_grant_assigns_from_region(self):
         mm = MemoryManager(MemoryRegion(500, 4))
-        phys = mm.request(logical=777, now=0.0)
+        phys = mm.request(logical=777)
         assert 500 <= phys < 504
         assert mm.lookup(777) == phys
         assert 777 in mm.mapped_logicals()
 
     def test_repeat_request_returns_same_mapping(self):
         mm = MemoryManager(MemoryRegion(0, 4))
-        assert mm.request(1, 0.0) == mm.request(1, 0.0)
+        assert mm.request(1) == mm.request(1)
 
     def test_denies_when_full(self):
         mm = MemoryManager(MemoryRegion(0, 2))
-        mm.request(1, 0.0)
-        mm.request(2, 0.0)
-        assert mm.request(3, 0.0) is None
+        mm.request(1)
+        mm.request(2)
+        assert mm.request(3) is None
         assert mm.stats["denied"] == 1
 
-    def test_eviction_lifecycle_with_quarantine(self):
-        mm = MemoryManager(MemoryRegion(0, 1), quarantine_s=1.0)
-        phys = mm.request(1, now=0.0)
-        mm.finish_eviction(1, now=0.0)
+    def test_eviction_frees_the_register_under_a_new_generation(self):
+        mm = MemoryManager(MemoryRegion(0, 1))
+        phys = mm.request(1)
+        assert mm.address_word(phys) == phys
+        mm.finish_eviction(1, generation=1)
         assert mm.lookup(1) is None
-        # Still quarantined: the slot must not be reused yet.
-        assert mm.request(2, now=0.5) is None
-        # After the grace period the register is free again.
-        assert mm.request(2, now=1.5) == phys
+        # Free again at once; its grants now carry the new generation.
+        assert mm.request(2) == phys
+        assert mm.address_word(phys) == phys | 1 << ADDR_BITS
 
     def test_window_reports_evictions_for_hot_pending(self):
-        mm = MemoryManager(MemoryRegion(0, 1), quarantine_s=0.0)
-        mm.request(1, 0.0)
+        mm = MemoryManager(MemoryRegion(0, 1))
+        mm.request(1)
         mm.note_use(1, 1)
-        mm.request(2, 0.0)   # denied, becomes pending-hot
+        mm.request(2)   # denied, becomes pending-hot
         mm.note_use(2, 100)
         victims = mm.end_window()
         assert victims and victims[0][0] == 1
 
     def test_hash_policy_uses_fixed_slots(self):
         mm = MemoryManager(MemoryRegion(0, 8), policy=HashAddressPolicy())
-        phys = mm.request(10, 0.0)
+        phys = mm.request(10)
         assert phys == 10 % 8
         # A colliding logical address is denied permanently.
-        assert mm.request(18, 0.0) is None
+        assert mm.request(18) is None
 
     def test_mapped_count_and_capacity(self):
         mm = MemoryManager(MemoryRegion(0, 4))
         assert mm.capacity == 4
-        mm.request(1, 0.0)
+        mm.request(1)
         assert len(mm.mapped_logicals()) == 1
 
     def test_mapped_logicals_is_a_live_view(self):
         mm = MemoryManager(MemoryRegion(0, 4))
         view = mm.mapped_logicals()
         assert len(view) == 0
-        mm.request(7, 0.0)
-        mm.request(9, 0.0)
+        mm.request(7)
+        mm.request(9)
         assert set(view) == {7, 9} and 7 in view
-        mm.finish_eviction(7, 0.0)
+        mm.finish_eviction(7, 1)
         assert set(view) == {9} and 7 not in view
         assert mm.mapped_logicals() is view
 
@@ -112,11 +112,10 @@ class _CopyingManager(MemoryManager):
     """Reference: ``request``/``end_window`` as they were before the live
     view — every policy call gets a fresh ``set`` copy of the mapping."""
 
-    def request(self, logical, now):
+    def request(self, logical):
         existing = self._logical_to_phys.get(logical)
         if existing is not None:
             return existing
-        self._release_expired(now)
         if isinstance(self.policy, HashAddressPolicy):
             slot = self.region.base + HashAddressPolicy.slot_for(
                 logical, self.region.size)
@@ -124,15 +123,14 @@ class _CopyingManager(MemoryManager):
                 self.stats["denied"] += 1
                 return None
             self._grant(logical, slot)
-            self._free.discard(slot)
             return slot
         mapped = set(self._logical_to_phys)
-        if not self.policy.wants(logical, mapped, self.capacity) \
-                or not self._free:
+        phys = self._pop_free() \
+            if self.policy.wants(logical, mapped, self.capacity) else None
+        if phys is None:
             self._pending_hot.add(logical)
             self.stats["denied"] += 1
             return None
-        phys = self._free.popleft()
         self._grant(logical, phys)
         return phys
 
@@ -148,24 +146,22 @@ class _CopyingManager(MemoryManager):
 
 def _drive(manager_cls, policy_name, seed, capacity=24, steps=1500):
     """One seeded schedule of request / note_use / end_window /
-    finish_eviction with quarantine expiry; returns the decision log."""
+    finish_eviction; returns the decision log."""
     rng = random.Random(seed)
     mm = manager_cls(MemoryRegion(100, capacity),
-                     policy=make_policy(policy_name), quarantine_s=3.0)
+                     policy=make_policy(policy_name))
     universe = [rng.getrandbits(32) for _ in range(capacity * 4)]
     # Zipf-ish popularity so a hot set exists and drifts: the hot head
     # rotates through the universe as the schedule advances.
     weights = [1.0 / (rank + 1) for rank in range(len(universe))]
     log = []
-    now = 0.0
     for step in range(steps):
-        now += rng.random()
         shift = step // 300 * capacity
         roll = rng.random()
         if roll < 0.70:
             pick = rng.choices(range(len(universe)), weights)[0]
             logical = universe[(pick + shift) % len(universe)]
-            log.append(("request", logical, mm.request(logical, now)))
+            log.append(("request", logical, mm.request(logical)))
         elif roll < 0.95:
             pick = rng.choices(range(len(universe)), weights)[0]
             mm.note_use(universe[(pick + shift) % len(universe)],
@@ -174,9 +170,7 @@ def _drive(manager_cls, policy_name, seed, capacity=24, steps=1500):
             victims = mm.end_window()
             log.append(("victims", tuple(victims)))
             for logical, _phys in victims:
-                # Quarantine (3.0) outlasts a few steps, so some requests
-                # land while the freed register is still held back.
-                mm.finish_eviction(logical, now)
+                mm.finish_eviction(logical, 1)
     log.append(("stats", tuple(sorted(mm.stats.items())),
                 tuple(sorted(mm.mapped_logicals()))))
     return log
@@ -211,10 +205,10 @@ class _SpyPolicy(FCFSPolicy):
 def test_request_passes_the_same_view_on_successive_misses():
     spy = _SpyPolicy()
     mm = MemoryManager(MemoryRegion(0, 2), policy=spy)
-    mm.request(1, 0.0)
-    mm.request(2, 0.0)
-    assert mm.request(3, 0.0) is None      # full: denied
-    assert mm.request(4, 0.0) is None
+    mm.request(1)
+    mm.request(2)
+    assert mm.request(3) is None      # full: denied
+    assert mm.request(4) is None
     # No per-miss copy: both denials saw one object, the live view.
     assert spy.seen[-1] is spy.seen[-2]
     assert spy.seen[-1] is mm.mapped_logicals()

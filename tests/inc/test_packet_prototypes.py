@@ -107,11 +107,11 @@ def test_a_server_ack_equals_the_constructor_built_packet():
     host = _CaptureHost("s0")
     server = ServerAgent(sim, host, tor="sw0")
     state = _AppServerState()
-    state.pending_grants["c1"] = [(4, 40), (5, 41)]
+    state.pending_grants["c1"] = [(4, 40), (5, 41), (6, 42)]
     state.pending_revokes = [7]
     data = Packet(gaid=3, src="c1", dst="s0", seq=23, flow_id=1,
                   is_cross=True, ecn=True, acks=(2,), task_id=5)
-    server._send_ack(state, data, extra_grants=((6, 42),))
+    server._send_ack(state, data)
     server._send_ack(state, data)
     first, second = host.sent
     _same_packet(first, Packet(gaid=3, src="s0", dst="c1", is_ack=True,

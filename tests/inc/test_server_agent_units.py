@@ -80,3 +80,25 @@ class TestServerDedup:
         # Unknown apps are no-ops.
         assert server.retrieve_app("missing") == 0
         assert server.expire_app("missing") == {}
+
+
+class TestDivertedPackets:
+    def test_a_chain_edge_divert_applies_only_its_selected_pairs(self):
+        # The deselected pair was applied by the upstream switch of a
+        # chain before the edge switch found a stale grant.
+        from repro.protocol import KVBlock, Packet
+        dep = build_rack(1, 1, cal=CAL)
+        config = make_app(dep, name="D")
+        server = dep.server_agent(0)
+        diverted = Packet(gaid=config.gaid, src="c0", dst="s0", seq=0,
+                          is_cross=True, kv=KVBlock.from_columns(
+                              [7, 8, 9], [1, 2, 3], keys=["a", "b", "c"]))
+        diverted.bitmap = 0b101
+        diverted.switch_processed = True
+        server._on_packet(diverted)
+        dep.sim.run(until=dep.sim.now + 0.01)
+        state = server.app_state("D")
+        held = {key: state.soft.get(key)
+                + (server.register_value(state, key) or 0)
+                for key in "abc"}
+        assert held == {"a": 1, "b": 0, "c": 3}

@@ -113,6 +113,15 @@ KEEP = {
         "protocol/rips.py:RetryMode.parse",
         "shard/boundary.py:RemoteNode.receive",
         "shard/boundary.py:ShardEgressLink._deliver*",
+        # A shard worker that dies or stops replying, a loss model set
+        # on a cut link (refused), and the liveness check behind the
+        # sweep of a dead coordinator's bus segments: failures no
+        # production run provokes.
+        "shard/boundary.py:ShardEgressLink.loss",
+        "shard/runner.py:ShardWorkerDied.__init__",
+        "shard/runner.py:ShardWorkerHung.__init__",
+        "shard/runner.py:_SubprocessPool._died",
+        "shard/transport.py:_pid_alive",
         "shard/codec.py:encode_frame", "shard/codec.py:decode_frame",
         "sweep/engine.py:SweepEngine._run_quarantined",
         "sweep/spec.py:RunFailure.*", "sweep/spec.py:RunResult.ok",
