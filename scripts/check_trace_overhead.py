@@ -16,7 +16,7 @@ A/B-benchmarking two checkouts (which is hostage to machine load):
 3. assert ``guard_cost * GUARDS_PER_PACKET / per_packet_cost <= 2%``,
    with ``GUARDS_PER_PACKET`` a deliberate over-count of the trace
    guards a packet can cross per simulated hop;
-4. repeat the amortization for a *sharded* run (rack2, workers=1):
+4. repeat the amortization for a *sharded* run (rack2):
    the per-event cost of the shard fabric — whose boundary stubs
    (``repro.shard.boundary``) carry their own TRACE call sites,
    including the PR 10 ``boundary.deliver`` instant — must likewise
@@ -125,7 +125,7 @@ def _guard_cost_s() -> float:
 
 
 def _sharded_per_event_s() -> float:
-    """Untraced per-event cost of the sharded fabric (rack2, workers=1).
+    """Untraced per-event cost of the sharded fabric (rack2).
 
     ``sum(work_s)`` is pure shard simulation time (injection, run,
     drain) — coordinator bookkeeping is excluded, which makes the
@@ -138,7 +138,7 @@ def _sharded_per_event_s() -> float:
     scenario, partition = build_scenario("rack2", fast=True, seed=0)
     best = float("inf")
     for _ in range(3):
-        result = run_sharded(scenario, partition=partition, workers=1)
+        result = run_sharded(scenario, partition=partition)
         best = min(best, sum(result.work_s) / result.total_events)
     return best
 
@@ -157,7 +157,7 @@ def main() -> int:
     print(f"lossless link      : {link_pps:12,.0f} pkts/s "
           f"({per_packet * 1e9:.0f} ns/pkt)")
     print(f"sharded fabric     : {shard_events_per_sec:12,.0f} events/s "
-          f"({shard_per_event * 1e9:.0f} ns/event, rack2 workers=1)")
+          f"({shard_per_event * 1e9:.0f} ns/event, rack2)")
     print(f"worst-case overhead: {overhead:.2%} "
           f"({GUARDS_PER_PACKET} guards/pkt, budget "
           f"{MAX_OVERHEAD_FRACTION:.0%})")

@@ -146,17 +146,6 @@ class Controller:
         self.audit = Counter()
         self.audit_log: List[tuple] = []
 
-    def managed_switch_names(self) -> Tuple[str, ...]:
-        """Names of the switches this controller configures, in path order.
-
-        Shard planning (:mod:`repro.shard.placement`) consumes this to
-        decide which shard must host the control plane: the controller
-        reconfigures its switches synchronously (same-simulator method
-        calls), so every managed switch has to live in the controller's
-        own shard.
-        """
-        return tuple(sw.name for sw in self.switches)
-
     # ------------------------------------------------------------------
     # agent registry (hosts announce their agents at startup)
     # ------------------------------------------------------------------

@@ -77,29 +77,16 @@ def parse_netfilter(source: Any) -> RIPProgram:
     get_field = _field_or_none(config.get("get", "nop"), "get")
     add_field = _field_or_none(config.get("addTo", "nop"), "addTo")
 
-    clear_text = config.get("clear", "nop")
-    try:
-        clear = ClearPolicy.parse(clear_text)
-    except ValueError as exc:
-        raise NetFilterError(str(exc)) from None
+    clear = _parse_enum(ClearPolicy, config.get("clear", "nop"), "clear")
 
     modify_op, modify_para = _parse_modify(config.get("modify", "nop"))
     cntfwd = _parse_cntfwd(config.get("CntFwd"))
 
-    agg_text = config.get("agg", "add")
-    if not isinstance(agg_text, str):
-        raise NetFilterError("agg must be a string operator name")
-    try:
-        agg = AggOp.parse(agg_text)
-    except ValueError as exc:
-        raise NetFilterError(str(exc)) from None
+    agg = _parse_enum(AggOp, config.get("agg", "add"), "agg")
 
     retry_text = config.get("retry")
     if retry_text is not None:
-        try:
-            retry = RetryMode.parse(retry_text)
-        except ValueError as exc:
-            raise NetFilterError(str(exc)) from None
+        retry = _parse_enum(RetryMode, retry_text, "retry")
     else:
         # test&set (threshold 1) implies re-arm-on-retry spin semantics.
         retry = RetryMode.FRESH if cntfwd.is_test_and_set \
@@ -110,6 +97,18 @@ def parse_netfilter(source: Any) -> RIPProgram:
             app_name=app_name, precision=precision, get_field=get_field,
             add_to_field=add_field, clear=clear, modify_op=modify_op,
             modify_para=modify_para, cntfwd=cntfwd, retry=retry, agg=agg)
+    except ValueError as exc:
+        raise NetFilterError(str(exc)) from None
+
+
+def _parse_enum(kind, value: Any, which: str):
+    """``kind.parse(value)`` for a string ``value``; anything else, and
+    an unknown name, is a :class:`NetFilterError` naming ``which``."""
+    if not isinstance(value, str):
+        raise NetFilterError(f"{which} must be a string, got "
+                             f"{type(value).__name__}")
+    try:
+        return kind.parse(value)
     except ValueError as exc:
         raise NetFilterError(str(exc)) from None
 
@@ -138,15 +137,9 @@ def _parse_modify(value: Any) -> Tuple[StreamOp, int]:
                     f"{para_text!r}") from None
         else:
             op_text, para = value, 0
-        try:
-            return StreamOp.parse(op_text), para
-        except ValueError as exc:
-            raise NetFilterError(str(exc)) from None
+        return _parse_enum(StreamOp, op_text, "modify"), para
     if isinstance(value, dict):
-        try:
-            op = StreamOp.parse(value.get("op", "nop"))
-        except ValueError as exc:
-            raise NetFilterError(str(exc)) from None
+        op = _parse_enum(StreamOp, value.get("op", "nop"), "modify op")
         para = value.get("para", 0)
         if not isinstance(para, int):
             raise NetFilterError("modify para must be an integer")
@@ -163,10 +156,8 @@ def _parse_cntfwd(value: Any) -> CntFwdSpec:
     unknown = set(value) - {"to", "threshold", "key"}
     if unknown:
         raise NetFilterError(f"unknown CntFwd keys: {sorted(unknown)}")
-    try:
-        target = ForwardTarget.parse(value.get("to", "SERVER"))
-    except ValueError as exc:
-        raise NetFilterError(str(exc)) from None
+    target = _parse_enum(ForwardTarget, value.get("to", "SERVER"),
+                         "CntFwd to")
     threshold = value.get("threshold", 0)
     if not isinstance(threshold, int) or threshold < 0:
         raise NetFilterError("CntFwd threshold must be a non-negative int")

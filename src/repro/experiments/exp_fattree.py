@@ -5,9 +5,8 @@ simulated counterpart that stresses the event core is a multi-rack /
 fat-tree fabric pushing tens of thousands of flow packets through the
 ``Link`` transmit model.  This experiment family drives that fabric
 through :mod:`repro.shard`: the structure is partitioned at rack
-boundaries, each shard runs in its own worker process, and the merged
-result is bit-identical to the ``workers=1`` in-process run (and
-results-identical to the single-simulator reference).
+boundaries, the shards run in lockstep rounds in one process, and the
+merged result is results-identical to the single-simulator reference.
 
 Scenarios
 ---------
@@ -20,8 +19,8 @@ Scenarios
     pods, 4 shards (one per pod) plus the core rack.
 ``rackscale``
     A k=8 fat tree (128 hosts, 80 switches) with tens of thousands of
-    flows in non-fast mode — the shard-speedup workload (the
-    ``fabric_rackscale`` end-to-end benchmark runs it).
+    flows in non-fast mode (the ``fabric_rackscale`` end-to-end
+    benchmark runs its shape).
 """
 
 from __future__ import annotations
@@ -88,18 +87,18 @@ def build_scenario(scenario: str = "rack4", fast: bool = True,
 
 
 def run(scenario: str = "rack4", fast: bool = True, seed: int = 0,
-        workers: Optional[int] = None, chaos: bool = False,
+        chaos: bool = False,
         compare_unsharded: Optional[bool] = None,
         profile_dir: Optional[str] = None,
         trace: Optional[str] = None) -> dict:
     """Run one scenario sharded; optionally diff against the reference.
 
     ``compare_unsharded`` defaults to True everywhere but ``rackscale``
-    (where the single-core reference is the expensive thing the sharding
-    exists to avoid).
+    (where the reference doubles an already long run).  ``profile_dir``
+    collects one cProfile dump per shard.
 
     ``trace`` names a Perfetto JSON output path: the run executes with
-    the flight recorder armed (worker capture + coordinator telemetry,
+    the flight recorder armed (shard capture + coordinator telemetry,
     DESIGN.md §4.11) and the merged timeline plus its metrics JSONL are
     written there.  Tracing observes only — fingerprints and event
     censuses are bit-identical either way.
@@ -114,7 +113,7 @@ def run(scenario: str = "rack4", fast: bool = True, seed: int = 0,
         TRACE.start()
     try:
         result = run_sharded(scenario_obj, partition=partition,
-                             workers=workers, profile_dir=profile_dir)
+                             profile_dir=profile_dir)
     finally:
         if trace and not tracing_was_on:
             TRACE.stop()
@@ -135,20 +134,17 @@ def run(scenario: str = "rack4", fast: bool = True, seed: int = 0,
         identical = results_identical(result, reference)
         unsharded_events = reference.events
 
-    rows = [[sid, f"{clock * 1e3:.3f}", events, f"{work * 1e3:.1f}",
-             f"{wait * 1e3:.1f}"]
-            for sid, (clock, events, work, wait)
+    rows = [[sid, f"{clock * 1e3:.3f}", events, f"{work * 1e3:.1f}"]
+            for sid, (clock, events, work)
             in enumerate(zip(result.shard_clocks, result.events_per_shard,
-                             result.work_s, result.barrier_wait_s))]
+                             result.work_s))]
     table = format_table(
-        f"Sharded fat-tree [{scenario}]: {result.n_shards} shards / "
-        f"{result.workers} workers, {result.rounds} barriers",
-        ["shard", "clock ms", "events", "work ms", "barrier-wait ms"],
-        rows)
+        f"Sharded fat-tree [{scenario}]: {result.n_shards} shards, "
+        f"{result.rounds} barriers",
+        ["shard", "clock ms", "events", "work ms"], rows)
     return {
         "scenario": scenario,
         "n_shards": result.n_shards,
-        "workers": result.workers,
         "cut_links": len(partition.cut_links),
         "lookahead_s": partition.min_lookahead,
         "rounds": result.rounds,
@@ -161,17 +157,14 @@ def run(scenario: str = "rack4", fast: bool = True, seed: int = 0,
         "wall_s": result.wall_s,
         "events_per_sec": result.events_per_sec,
         "barriers_per_sec": result.barriers_per_sec,
-        "transport": result.transport,
         "messages_relayed": result.messages_relayed,
         "frames_sent": result.frames_sent,
         "transport_bytes": result.transport_bytes,
         "bytes_per_round": result.bytes_per_round,
         "barriers_per_sim_sec": result.barriers_per_sim_sec,
         "horizon_rounds_skipped": result.horizon_rounds_skipped,
-        "shm_spills": result.shm_spills,
         "scheduler_stats": result.scheduler_stats,
         "work_s": result.work_s,
-        "barrier_wait_s": result.barrier_wait_s,
         "trace_path": None if trace_path is None else str(trace_path),
         "metrics_path": None if metrics_path is None
         else str(metrics_path),

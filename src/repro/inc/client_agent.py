@@ -25,6 +25,7 @@ from repro.netsim import Calibration, DEFAULT_CALIBRATION, Host, Simulator
 from repro.netsim.events import Event
 from repro.obs.tracer import TRACE
 from repro.protocol import (
+    INT32_MAX,
     ClearPolicy,
     ForwardTarget,
     KVBlock,
@@ -643,7 +644,8 @@ class ClientAgent:
             if not chunk.overflowed:
                 chunk.overflowed = True
                 tstate.overflow_chunks += 1
-                self._resend_overflow(state, config, tstate, chunk)
+                self._resend_overflow(state, config, tstate, chunk,
+                                      self._unapplied(config, chunk, pkt.kv))
             return
 
         if tstate.column is not None and tstate.assign(chunk, pkt.kv):
@@ -725,9 +727,36 @@ class ClientAgent:
             self._resolve_chunk(state, tstate, chunk, values)
 
     # ------------------------------------------------------------------
+    @staticmethod
+    def _unapplied(config: AppConfig, chunk: _ChunkState,
+                   result: KVBlock) -> int:
+        """Mask of the chunk's slots the switch did not apply.
+
+        The switch writes the ``INT32_MAX`` mark into every slot whose
+        register overflowed or was already sticky and applies the rest
+        (``RegisterFile.add_block``).  When the result answers this chunk
+        slot for slot, the marked slots are the ones owed; otherwise, and
+        for a counting linear chunk, whose server re-reduces every
+        client's whole raw column, all of them are.
+        """
+        every = (1 << len(chunk.values)) - 1
+        if (config.linear and config.program.cntfwd.counts) or \
+                result.keys != chunk.keys:
+            return every
+        owed = 0
+        for index, value in enumerate(result.values):
+            if value == INT32_MAX:
+                owed |= 1 << index
+        return owed
+
     def _resend_overflow(self, state: _AppClientState, config: AppConfig,
-                         tstate: _TaskState, chunk: _ChunkState) -> None:
-        """Replay a chunk's raw data through the server (§5.2.1)."""
+                         tstate: _TaskState, chunk: _ChunkState,
+                         owed: int) -> None:
+        """Replay a chunk's raw data through the server (§5.2.1).
+
+        The replay's bitmap selects the ``owed`` slots: the server
+        applies only those and answers a query for every slot.
+        """
         self.stats["overflow_resends"] += 1
         values = chunk.values
         kv = KVBlock.from_columns([0] * len(values), values,
@@ -737,8 +766,7 @@ class ClientAgent:
             kv=kv, is_of=True, is_cross=True,
             task_id=tstate.task.task_id,
             offset=chunk.offset, task_total=tstate.task.size,
-            round=tstate.task.round)
-        pkt.select_all_slots()
+            round=tstate.task.round, bitmap=owed)
         state.pick_flow().enqueue(pkt)
 
     # ------------------------------------------------------------------

@@ -731,16 +731,20 @@ class ServerAgent:
             self.stats["corrected_chunks"] += 1
             self._finish_corrected_chunk(state, config, pkt, corrected)
             return
-        # Map-addressed applications: exact software accumulation; the
-        # register keeps its recoverable pre-overflow value until eviction.
+        # Map-addressed applications: exact software accumulation of the
+        # slots the switch did not apply (the replay's bitmap); the
+        # register keeps its recoverable pre-overflow value until
+        # eviction.  A query answers every slot.
         values: Dict[Any, int] = {}
         block = pkt.kv
         keys_col = block.keys
+        owed = pkt.bitmap
         for index, value in enumerate(block.values):
             key = keys_col[index] if keys_col is not None else None
+            apply = prog.uses_add_to and owed >> index & 1
             if prog.agg.is_float:
                 codec = config.codec
-                if prog.uses_add_to:
+                if apply:
                     if prog.agg is AggOp.FADD:
                         state.soft.fadd_to(key, value, codec)
                     else:
@@ -753,7 +757,7 @@ class ServerAgent:
                         else max(soft, reg)
                     values[key] = codec.encode(total)[0]
                 continue
-            if prog.uses_add_to:
+            if apply:
                 state.soft.add_to(key, value)
             if prog.uses_get:
                 values[key] = state.soft.get(key) + \

@@ -35,9 +35,7 @@ from .simulator import Process, SimulationError, Simulator, WallClockExceeded
 from .topology import (
     Topology,
     chain,
-    fat_tree,
     fat_tree_structure,
-    multi_rack,
     multi_rack_structure,
     star,
 )
@@ -53,7 +51,7 @@ __all__ = [
     "ChaosSchedule", "InvariantChecker",
     "Node", "Host",
     "Topology", "star", "chain",
-    "multi_rack_structure", "fat_tree_structure", "multi_rack", "fat_tree",
+    "multi_rack_structure", "fat_tree_structure",
     "Counter", "RateMeter", "LatencyRecorder",
     "mean", "percentile",
     "Calibration", "DEFAULT_CALIBRATION", "scaled",

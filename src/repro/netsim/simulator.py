@@ -62,7 +62,7 @@ from .events import AllOf, Event, EventFailed, Interrupt, Timeout
 
 __all__ = ["Simulator", "Process", "TimerHandle", "SimulationError",
            "WallClockExceeded", "set_global_wall_deadline",
-           "global_wall_deadline", "track_simulators"]
+           "track_simulators"]
 
 _heappush = heapq.heappush
 _heappop = heapq.heappop
@@ -104,10 +104,6 @@ def set_global_wall_deadline(deadline: Optional[float]) -> None:
     """
     global _GLOBAL_WALL_DEADLINE
     _GLOBAL_WALL_DEADLINE = deadline
-
-
-def global_wall_deadline() -> Optional[float]:
-    return _GLOBAL_WALL_DEADLINE
 
 
 def track_simulators(sink: Optional[list]) -> None:

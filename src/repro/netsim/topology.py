@@ -3,20 +3,15 @@
 The builders are agnostic to node types — any :class:`~repro.netsim.node.Node`
 subclass works — so the same functions build NetRPC dataplanes and
 baseline dataplanes.  The paper's testbed is a dumbbell: two switches,
-four hosts on each side (§6.1); the rack-scale builders (`multi_rack`,
-`fat_tree`) grow that shape to the fabrics the shard runner
-(:mod:`repro.shard`) partitions across cores.
-
-Each rack-scale builder has a pure *structure* companion
-(`multi_rack_structure`, `fat_tree_structure`) that returns only names,
-roles, rack labels, and edges — the shard partitioner consumes the
-structure without constructing live nodes, so worker processes can
-rebuild exactly their own shard.
+four hosts on each side (§6.1).  The rack-scale fabrics the shard runner
+(:mod:`repro.shard`) partitions are pure *structures*
+(`multi_rack_structure`, `fat_tree_structure`): names, roles, rack
+labels and edges only, from which each shard builds its own nodes.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .calibration import Calibration, DEFAULT_CALIBRATION
 from .link import Link, LossModel, duplex_link
@@ -24,16 +19,15 @@ from .node import Node
 from .simulator import Simulator
 
 __all__ = ["Topology", "star", "chain",
-           "multi_rack_structure", "fat_tree_structure",
-           "multi_rack", "fat_tree"]
+           "multi_rack_structure", "fat_tree_structure"]
 
 
 class Topology:
     """A set of nodes plus a registry of the directed links between them.
 
     ``rack_of`` maps node names to rack labels for builders that have a
-    rack notion (`multi_rack`, `fat_tree`); nodes of rack-less builders
-    simply do not appear in it.
+    rack notion (the shard fabric); nodes of rack-less builders simply
+    do not appear in it.
     """
 
     def __init__(self, sim: Simulator):
@@ -104,8 +98,8 @@ def chain(sim: Simulator, nodes: Sequence[Node],
 #          tier selects host-link vs switch-link calibration parameters.
 # Both lists are emitted in a fixed deterministic order (hosts of rack 0,
 # then its switch, then rack 1, ... then the spine/core tier), so every
-# consumer — live builders, the shard partitioner, worker processes —
-# sees identical orderings.
+# consumer — the shard partitioner and each shard's fabric — sees
+# identical orderings.
 
 Structure = Tuple[List[Tuple[str, str, str]], List[Tuple[str, str, str]]]
 
@@ -169,46 +163,3 @@ def fat_tree_structure(k: int) -> Structure:
             for c in range(a * half, (a + 1) * half):
                 edges.append((f"p{p}a{a}", f"core{c}", "fabric"))
     return nodes, edges
-
-
-def _build_structure(sim: Simulator, structure: Structure,
-                     host_factory: Callable[[Simulator, str], Node],
-                     switch_factory: Callable[[Simulator, str], Node],
-                     cal: Calibration,
-                     loss: Optional[LossModel]) -> Topology:
-    nodes, edges = structure
-    topo = Topology(sim)
-    for name, role, rack in nodes:
-        factory = host_factory if role == "host" else switch_factory
-        topo.add_node(factory(sim, name))
-        topo.rack_of[name] = rack
-    for a, b, tier in edges:
-        delay = (cal.host_link_delay_s if tier == "host"
-                 else cal.switch_link_delay_s)
-        topo.connect(topo.nodes[a], topo.nodes[b],
-                     cal.link_bandwidth_bps, delay, loss=loss,
-                     queue_capacity_pkts=cal.switch_queue_capacity_pkts,
-                     ecn_threshold_pkts=cal.switch_ecn_threshold_pkts)
-    return topo
-
-
-def multi_rack(sim: Simulator, n_racks: int, hosts_per_rack: int,
-               host_factory: Callable[[Simulator, str], Node],
-               switch_factory: Callable[[Simulator, str], Node],
-               n_spines: int = 1,
-               cal: Calibration = DEFAULT_CALIBRATION,
-               loss: Optional[LossModel] = None) -> Topology:
-    """Build a live leaf-spine fabric (see :func:`multi_rack_structure`)."""
-    return _build_structure(
-        sim, multi_rack_structure(n_racks, hosts_per_rack, n_spines),
-        host_factory, switch_factory, cal, loss)
-
-
-def fat_tree(sim: Simulator, k: int,
-             host_factory: Callable[[Simulator, str], Node],
-             switch_factory: Callable[[Simulator, str], Node],
-             cal: Calibration = DEFAULT_CALIBRATION,
-             loss: Optional[LossModel] = None) -> Topology:
-    """Build a live k-ary fat-tree (see :func:`fat_tree_structure`)."""
-    return _build_structure(sim, fat_tree_structure(k), host_factory,
-                            switch_factory, cal, loss)

@@ -1,47 +1,33 @@
-"""Worker-side capture of observability state for the shard merge.
+"""Per-shard capture of observability state for the shard merge.
 
-Sharded runs (``repro.shard.runner``) execute each shard's simulator in
-a forked worker, so the process-wide :data:`~repro.obs.tracer.TRACE`
-ring and any worker :class:`~repro.obs.registry.MetricsRegistry` live
-(and would die) in the child.  This module defines what a worker ships
-back over the control channel at run end:
+A sharded run (``repro.shard.runner``) interleaves every shard's
+simulator in one process, so the process-wide
+:data:`~repro.obs.tracer.TRACE` ring holds all shards' records, one
+tracer epoch per shard.  At run end the runner buckets them:
 
 * :class:`ShardCapture` — one shard's surviving flight-recorder records
   (epoch already rewritten to the shard's merged-trace ``pid`` lane),
-  its per-kind span census, the worker ring's total/dropped counters,
-  and the shard registry's nested metrics snapshot;
-* :class:`ShardObs` — the coordinator-side container the merge exporter
-  consumes: per-shard captures plus the per-round barrier telemetry and
-  transport totals only the coordinator can see.
+  its per-kind span census, the ring's total/dropped counters, and the
+  shard registry's nested metrics snapshot;
+* :class:`ShardObs` — the container the merge exporter consumes:
+  per-shard captures plus the per-round barrier telemetry and transport
+  totals only the coordinator can see.
 
-Records go over the wire in the fixed-width-codec spirit of
-``repro.shard.codec``: one packed struct per record (lane, interned
-kind/where ids, flags, start, end) with the kind/where string tables
-shipped once per capture and the rare ``args`` tuples as a sparse
-``(index, args)`` exception list — no per-record pickling.
-
-Capture is observe-only by construction: bucketing, lane rewriting and
-encoding all happen *after* ``Simulator.run`` has finished the last
-round, touch no simulator state, and draw from no RNG, so a traced
-sharded run stays bit-identical to an untraced one (the soundness
-argument is spelled out in DESIGN.md §4.11).
+Capture is observe-only by construction: bucketing and lane rewriting
+happen *after* ``Simulator.run`` has finished the last round, touch no
+simulator state, and draw from no RNG, so a traced sharded run stays
+bit-identical to an untraced one (the soundness argument is spelled
+out in DESIGN.md §4.11).
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from .tracer import FlightRecorder, Record, TRACE
 
-__all__ = ["ShardCapture", "ShardObs", "capture_shards",
-           "encode_records", "decode_records", "shard_lane"]
-
-# lane (u32), kind id (u16), where id (u16), flags (u8), start, end
-_REC = struct.Struct("<IHHBdd")
-_FLAG_END = 1            # record has an end timestamp (span, not instant)
-_MAX_INTERN = 0xFFFF
+__all__ = ["ShardCapture", "ShardObs", "capture_shards", "shard_lane"]
 
 
 def shard_lane(shard_id: int) -> int:
@@ -49,91 +35,27 @@ def shard_lane(shard_id: int) -> int:
     return shard_id + 1
 
 
-def encode_records(records: List[Record]) -> Dict[str, Any]:
-    """Pack records into one fixed-width blob + interned string tables.
-
-    ``args`` tuples are rare (only flow-stitch and taxonomy-named spans
-    carry them), so they ride a sparse ``(record index, args)`` list
-    instead of widening every record.  Falls back to the raw list if a
-    capture somehow interns more than 2**16 distinct strings.
-    """
-    kinds: Dict[str, int] = {}
-    wheres: Dict[str, int] = {}
-    blob = bytearray(_REC.size * len(records))
-    args_exc: List[Tuple[int, tuple]] = []
-    offset = 0
-    for i, (lane, kind, start, end, where, args) in enumerate(records):
-        kid = kinds.setdefault(kind, len(kinds))
-        wid = wheres.setdefault(where, len(wheres))
-        if kid > _MAX_INTERN or wid > _MAX_INTERN:
-            return {"n": len(records), "raw": list(records)}
-        flags = 0
-        end_f = 0.0
-        if end is not None:
-            flags |= _FLAG_END
-            end_f = end
-        if args is not None:
-            args_exc.append((i, args))
-        _REC.pack_into(blob, offset, lane, kid, wid, flags, start, end_f)
-        offset += _REC.size
-    return {"n": len(records), "blob": bytes(blob),
-            "kinds": list(kinds), "wheres": list(wheres),
-            "args": args_exc}
-
-
-def decode_records(wire: Dict[str, Any]) -> List[Record]:
-    raw = wire.get("raw")
-    if raw is not None:
-        return [tuple(rec) for rec in raw]
-    kinds = wire["kinds"]
-    wheres = wire["wheres"]
-    args_of = dict(wire["args"])
-    out: List[Record] = []
-    for i, (lane, kid, wid, flags, start, end_f) in enumerate(
-            _REC.iter_unpack(wire["blob"])):
-        end = end_f if flags & _FLAG_END else None
-        out.append((lane, kinds[kid], start, end, wheres[wid],
-                    args_of.get(i)))
-    return out
-
-
 @dataclass
 class ShardCapture:
-    """One shard's observability state, as shipped by its worker.
+    """One shard's observability state at the end of a sharded run.
 
     ``records`` carry the shard's merged-trace lane in the epoch slot
     (``shard_lane(shard_id)``), normalized at capture time so a capture
-    is byte-equal no matter which pool/transport produced it.  ``total``
-    counts this shard's surviving records; ``dropped`` is the *worker
-    ring's* eviction count (shared by co-resident shards — nonzero means
-    censuses under-report and span/count cross-checks go best-effort).
-    ``metrics`` is the shard registry's ``snapshot_nested()``; worker
-    registries hold only deterministic values (simulated clocks, event
-    and frame counts — never wall time), so it too is pool-invariant.
+    is byte-equal across runs.  ``total`` counts this shard's surviving
+    records; ``dropped`` is the *ring's* eviction count (shared by every
+    shard — nonzero means censuses under-report and span/count
+    cross-checks go best-effort).  ``metrics`` is the shard registry's
+    ``snapshot_nested()``; shard registries hold only deterministic
+    values (simulated clocks, event and frame counts — never wall time),
+    so it too is byte-equal across runs.
     """
 
     shard_id: int
-    lane: int
     records: List[Record] = field(default_factory=list)
     span_counts: Dict[str, int] = field(default_factory=dict)
     total: int = 0
     dropped: int = 0
     metrics: Dict[str, Dict[str, Any]] = field(default_factory=dict)
-
-    def to_wire(self) -> Dict[str, Any]:
-        return {"shard_id": self.shard_id, "lane": self.lane,
-                "records": encode_records(self.records),
-                "span_counts": dict(self.span_counts),
-                "total": self.total, "dropped": self.dropped,
-                "metrics": self.metrics}
-
-    @classmethod
-    def from_wire(cls, wire: Dict[str, Any]) -> "ShardCapture":
-        return cls(shard_id=wire["shard_id"], lane=wire["lane"],
-                   records=decode_records(wire["records"]),
-                   span_counts=dict(wire["span_counts"]),
-                   total=wire["total"], dropped=wire["dropped"],
-                   metrics=wire["metrics"])
 
 
 @dataclass
@@ -142,8 +64,8 @@ class ShardObs:
 
     ``rounds`` is the coordinator's per-barrier telemetry log (clocks
     before the round, granted horizons, earliest-action bases, messages
-    moved, frames/bytes shipped, cumulative skips/spills) — the
-    coordinator-side view no per-process tracer can record.  ``shards``
+    moved, frames/bytes shipped, cumulative skips) — the
+    coordinator-side view no simulator's tracer epoch records.  ``shards``
     maps shard id to its wall/clock summary and ``transport`` holds the
     run-level interconnect totals.
     """
@@ -155,7 +77,7 @@ class ShardObs:
 
     @property
     def dropped_records(self) -> int:
-        """Worst worker-ring eviction count (0 = every census exact)."""
+        """The ring's eviction count (0 = every census exact)."""
         return max((cap.dropped for cap in self.captures.values()),
                    default=0)
 
@@ -171,12 +93,10 @@ def capture_shards(epoch_of: Dict[int, int],
     """Bucket a recorder's surviving records into per-shard captures.
 
     ``epoch_of`` maps shard id -> the tracer epoch that shard's
-    ``Simulator`` opened in *this* process (workers=1 shares one ring
-    across every shard; forked workers each hold their resident subset).
-    Epochs not owned by any listed shard (reference runs, earlier
-    experiments) are ignored; each record's epoch is rewritten to the
-    shard's stable merged-trace lane so captures compare byte-equal
-    across pools and transports.
+    ``Simulator`` opened (one ring holds every shard).  Epochs not owned
+    by any listed shard (reference runs, earlier experiments) are
+    ignored; each record's epoch is rewritten to the shard's stable
+    merged-trace lane so captures compare byte-equal across runs.
     """
     if recorder is None:
         recorder = TRACE
@@ -200,7 +120,7 @@ def capture_shards(epoch_of: Dict[int, int],
             kind = rec[1]
             counts[kind] = counts.get(kind, 0) + 1
         out[sid] = ShardCapture(
-            shard_id=sid, lane=shard_lane(sid), records=records,
+            shard_id=sid, records=records,
             span_counts=counts, total=len(records), dropped=dropped,
             metrics=(metrics_of or {}).get(sid, {}))
     return out

@@ -3,22 +3,22 @@
 One sharded run becomes one trace file with a process lane per shard
 (``pid = shard_id + 1``, reusing the exporter's epoch→pid mapping — a
 shard capture's records already carry their lane in the epoch slot)
-plus a coordinator lane at ``pid 0`` holding what no per-process tracer
-can see:
+plus a coordinator lane at ``pid 0`` holding what no shard's tracer
+epoch records:
 
 * **barrier-round spans** — for every round and shard, one ``"X"`` span
   from the shard's clock at the barrier to the horizon the coordinator
   granted it, with the earliest-action base and messages-moved count in
-  the args pane: the compute-vs-barrier-wait structure of the run in
-  simulated time;
+  the args pane: the synchronization structure of the run in simulated
+  time;
 * **counter tracks** — ``"C"`` events per round for the transport
-  (frames, bytes, cumulative shm spills) and synchronization (messages
+  (frames, bytes) and synchronization (messages
   moved, cumulative ``horizon_rounds_skipped``);
 * **cross-shard flow stitching** — Perfetto flow events (``ph: "s"`` /
   ``"f"``) keyed on ``(cut link, flow, seq)`` linking each egress
   ``link.serialize`` span in the sending shard to its
   ``boundary.deliver`` instant in the receiving shard, so a packet can
-  be followed across the process-lane boundary in the UI.
+  be followed across the shard-lane boundary in the UI.
 
 ``otherData`` carries the merged span census (cross-checked by
 ``validate_chrome_trace``), per-shard summaries, and the transport
@@ -134,8 +134,7 @@ def merged_chrome_trace(obs: ShardObs) -> Dict[str, Any]:
             "pid": COORDINATOR_PID, "tid": coord_tid("transport"),
             "ts": ts,
             "args": {"frames": entry["frames"],
-                     "bytes": entry["bytes"],
-                     "shm_spills": entry["spills"]},
+                     "bytes": entry["bytes"]},
         })
         events.append({
             "name": "sync", "ph": "C", "cat": "barrier",

@@ -144,8 +144,8 @@ class FlightRecorder:
         """Surviving records bucketed by epoch, insertion order kept.
 
         Epochs are the exporter's ``pid`` lanes; shard capture uses this
-        to attribute a worker ring shared by co-resident shards back to
-        the shard whose ``Simulator`` opened each epoch.
+        to attribute the ring every shard shares back to the shard whose
+        ``Simulator`` opened each epoch.
         """
         out: Dict[int, List[Record]] = {}
         for rec in self.records():

@@ -1,164 +1,23 @@
-"""Fixed-width binary codec for boundary records.
+"""Logical frame size of boundary traffic.
 
-Boundary messages are ``(cut_link_name, deliver_time, FlowPacket)``
-triples.  Pickling them per-object is what made the PR-8 pipes the
-shard fabric's hot-path tax: every tuple paid a reduce call, a class
-lookup, and two interned-string copies per packet.  This codec packs
-each record into a fixed 41-byte ``struct`` layout instead:
-
-====================  ====  ======================================
-field                 wire  notes
-====================  ====  ======================================
-``link_id``           u32   interned cut-link name (table below)
-``deliver_time``      f64   IEEE double — ``.hex()``-exact round trip
-``flow_id``           i64   full signed 64-bit range
-``seq``               i64   full signed 64-bit range
-``src_id``            u32   interned node name
-``dst_id``            u32   interned node name
-``size_bytes``        u32
-``ecn``               u8    bool flag
-====================  ====  ======================================
-
-The interning tables (:class:`CodecTables`) are pure functions of
-``(structure, partition)`` — sorted node names, the partition's
-name-sorted cut links — so every worker process derives identical
-tables with no negotiation.  A *frame* is one round's deliveries for
-one directed shard channel: a 5-byte header (kind, count) followed by
-``count`` records in emission order.  Frames that contain anything the
-fixed layout cannot represent (a non-``FlowPacket`` payload, an
-out-of-range field) fall back to a pickled frame body — order still
-preserved, correctness never traded for speed.
-
-``frame_nbytes`` is the *logical* frame size (header + packed records)
-used for transport telemetry; it is deliberately independent of which
-encoding or transport actually carried the frame, so byte counts are
-comparable across ``workers=1`` / shm / pipe runs.
+A *frame* is one round's deliveries for one directed shard channel:
+``count`` records of ``(cut link, deliver time, FlowPacket)``.  Its
+logical size is that of a fixed-width wire form — a 5-byte header
+(kind u8, count u32) and 41 bytes per record (link id u32, deliver
+time f64, flow id i64, seq i64, src id u32, dst id u32, size u32, ecn
+u8) — which the transport telemetry (``frames_sent``,
+``transport_bytes``) counts.  Frames themselves stay Python lists:
+every shard runs in one process.
 """
 
 from __future__ import annotations
 
-import pickle
-import struct
-from typing import Any, Dict, List, Sequence, Tuple
+__all__ = ["frame_nbytes"]
 
-from .fabric import FlowPacket
-from .partition import Partition
-
-__all__ = ["RECORD", "FRAME_HEADER", "KIND_PACKED", "KIND_PICKLED",
-           "CodecTables", "packable", "pack_records", "unpack_records",
-           "encode_frame", "decode_frame", "frame_nbytes"]
-
-# link_id, deliver_time, flow_id, seq, src_id, dst_id, size_bytes, ecn
-RECORD = struct.Struct("<IdqqIIIB")
-FRAME_HEADER = struct.Struct("<BI")            # kind, record count
-KIND_PACKED = 1
-KIND_PICKLED = 2
-
-_I64_MIN = -(1 << 63)
-_I64_MAX = (1 << 63) - 1
-_U32_MAX = (1 << 32) - 1
-
-# Messages on a channel: (cut_link_name, deliver_time, packet).
-Message = Tuple[str, float, Any]
-
-
-class CodecTables:
-    """Name-interning tables shared by every shard of one scenario.
-
-    ``node_id``/``node_names`` cover every node in the structure (sorted
-    name order); ``link_id``/``link_names`` cover the partition's cut
-    links (already name-sorted by construction).  Both are pure
-    functions of their inputs, so independently-built tables in
-    different processes always agree on every id.
-    """
-
-    __slots__ = ("node_names", "node_id", "link_names", "link_id")
-
-    def __init__(self, structure, partition: Partition):
-        nodes, _edges = structure
-        self.node_names: Tuple[str, ...] = tuple(
-            sorted(name for name, _role, _rack in nodes))
-        self.node_id: Dict[str, int] = {
-            name: i for i, name in enumerate(self.node_names)}
-        self.link_names: Tuple[str, ...] = tuple(
-            cut.name for cut in partition.cut_links)
-        self.link_id: Dict[str, int] = {
-            name: i for i, name in enumerate(self.link_names)}
-
-
-def packable(messages: Sequence[Message], tables: CodecTables) -> bool:
-    """True if every message fits the fixed-width record layout."""
-    node_id = tables.node_id
-    for _name, _when, packet in messages:
-        if type(packet) is not FlowPacket:
-            return False
-        if packet.src not in node_id or packet.dst not in node_id:
-            return False
-        if not (_I64_MIN <= packet.flow_id <= _I64_MAX):
-            return False
-        if not (_I64_MIN <= packet.seq <= _I64_MAX):
-            return False
-        if not (0 <= packet.size_bytes <= _U32_MAX):
-            return False
-    return True
-
-
-def pack_records(messages: Sequence[Message], tables: CodecTables,
-                 buf, offset: int) -> int:
-    """Pack ``messages`` into ``buf`` at ``offset``; returns the end
-    offset.  Callers must have verified :func:`packable` and capacity —
-    this is the hot path, it does no checking of its own."""
-    pack = RECORD.pack_into
-    link_id = tables.link_id
-    node_id = tables.node_id
-    for name, when, packet in messages:
-        pack(buf, offset, link_id[name], when, packet.flow_id, packet.seq,
-             node_id[packet.src], node_id[packet.dst], packet.size_bytes,
-             1 if packet.ecn else 0)
-        offset += 41
-    return offset
-
-
-def unpack_records(view, offset: int, count: int,
-                   tables: CodecTables) -> List[Message]:
-    """Decode ``count`` records from ``view`` starting at ``offset``."""
-    link_names = tables.link_names
-    node_names = tables.node_names
-    end = offset + count * RECORD.size
-    return [(link_names[link], when,
-             FlowPacket(flow_id, seq, node_names[src], node_names[dst],
-                        size, ecn == 1))
-            for link, when, flow_id, seq, src, dst, size, ecn
-            in RECORD.iter_unpack(bytes(view[offset:end]))]
-
-
-def encode_frame(messages: Sequence[Message],
-                 tables: CodecTables) -> bytes:
-    """One standalone frame: header + packed records (or a pickled body
-    for non-conforming messages).  Used for spilled shm frames and by
-    the codec test suite; the shm slots use the same record layout with
-    their own slot header."""
-    count = len(messages)
-    if packable(messages, tables):
-        buf = bytearray(FRAME_HEADER.size + count * RECORD.size)
-        FRAME_HEADER.pack_into(buf, 0, KIND_PACKED, count)
-        pack_records(messages, tables, buf, FRAME_HEADER.size)
-        return bytes(buf)
-    body = pickle.dumps(list(messages), protocol=pickle.HIGHEST_PROTOCOL)
-    return FRAME_HEADER.pack(KIND_PICKLED, count) + body
-
-
-def decode_frame(payload, tables: CodecTables) -> List[Message]:
-    """Inverse of :func:`encode_frame`; preserves message order."""
-    kind, count = FRAME_HEADER.unpack_from(payload, 0)
-    if kind == KIND_PACKED:
-        return unpack_records(payload, FRAME_HEADER.size, count, tables)
-    if kind == KIND_PICKLED:
-        return pickle.loads(bytes(payload[FRAME_HEADER.size:]))
-    raise ValueError(f"unknown frame kind {kind}")
+_HEADER_BYTES = 5
+_RECORD_BYTES = 41
 
 
 def frame_nbytes(count: int) -> int:
-    """Logical frame size for telemetry: header plus ``count`` packed
-    records, independent of the encoding/transport that carried it."""
-    return FRAME_HEADER.size + count * RECORD.size
+    """Logical frame size for telemetry: header plus ``count`` records."""
+    return _HEADER_BYTES + count * _RECORD_BYTES

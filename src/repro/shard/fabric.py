@@ -36,8 +36,7 @@ __all__ = ["FlowPacket", "FabricSwitch", "FabricHost", "compute_routes",
 
 
 class FlowPacket:
-    """A minimal forwarded unit: addressable, sized, ECN-markable, and
-    cheap to pickle across shard channels."""
+    """A minimal forwarded unit: addressable, sized, ECN-markable."""
 
     __slots__ = ("flow_id", "seq", "src", "dst", "size_bytes", "ecn")
 
@@ -49,10 +48,6 @@ class FlowPacket:
         self.dst = dst
         self.size_bytes = size_bytes
         self.ecn = ecn
-
-    def __reduce__(self):
-        return (FlowPacket, (self.flow_id, self.seq, self.src, self.dst,
-                             self.size_bytes, self.ecn))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<FlowPacket f{self.flow_id}#{self.seq} "
@@ -66,7 +61,7 @@ def compute_routes(structure: Structure
     One BFS per destination host over the undirected structure graph;
     ``routes[node][dst_host]`` is the sorted tuple of neighbors that lie
     on some shortest path to ``dst_host``.  Everything is derived from
-    sorted names and fixed edge order, so all processes agree.
+    sorted names and fixed edge order, so every shard agrees.
     """
     nodes, edges = structure
     adjacency: Dict[str, List[str]] = {name: [] for name, _r, _k in nodes}
@@ -206,13 +201,12 @@ class ShardFabric:
     def drain_boundary(self) -> Dict[int, List[Tuple[str, float, Any]]]:
         """Drain every egress outbox into per-destination-shard message
         groups — exactly one group per directed channel this shard fed
-        this round, each a frame's payload for the transport layer.
+        this round, each one frame's payload.
 
         Order is load-bearing: outboxes are walked in sorted link-name
         order (``egress_names``) and each keeps emission order, so a
-        group's record sequence is identical no matter which pool or
-        transport carries it — that is what keeps ``workers=1`` and
-        ``workers=N`` injections byte-identical.
+        group's record sequence is a pure function of the round — that
+        is what keeps reruns' injections byte-identical.
         """
         out: Dict[int, List[Tuple[str, float, Any]]] = {}
         egress = self.egress

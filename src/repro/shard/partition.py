@@ -9,8 +9,8 @@ the barrier protocol in :mod:`repro.shard.runner` runs on, and a
 zero-delay cut would stall the simulation clock.
 
 The partition is a pure function of ``(structure, n_shards, together)``
-— no RNG, no dict-order dependence — so every worker process derives
-the identical decomposition independently.
+— no RNG, no dict-order dependence — so every run derives the
+identical decomposition.
 """
 
 from __future__ import annotations
@@ -39,26 +39,19 @@ class CutLink:
     src_shard: int
     dst_shard: int
 
-    @property
-    def name(self) -> str:
-        return f"{self.src}->{self.dst}"
-
 
 @dataclass(frozen=True)
 class Partition:
     """A validated decomposition of a structure into shards.
 
-    ``channels`` maps each directed shard pair that exchanges traffic to
-    its cut links, sorted by name — the fixed order every injection and
-    merge walks, which is what keeps ``workers=1`` and ``workers=N``
-    byte-identical.  ``lookahead`` is the per-channel conservative bound:
-    the minimum propagation delay over the channel's links.
+    ``lookahead`` holds, for each directed shard pair (*channel*) that
+    exchanges traffic, in sorted order, its conservative bound: the
+    minimum propagation delay over the channel's cut links.
     """
 
     n_shards: int
     shard_of: Tuple[Tuple[str, int], ...]          # (node, shard) pairs
     cut_links: Tuple[CutLink, ...]                 # sorted by name
-    channels: Tuple[Tuple[Tuple[int, int], Tuple[CutLink, ...]], ...]
     lookahead: Tuple[Tuple[Tuple[int, int], float], ...]
 
     def shard_map(self) -> Dict[str, int]:
@@ -84,8 +77,8 @@ def partition_structure(structure: Structure, n_shards: int,
     Racks are taken in order of first appearance in the structure's node
     list (a deterministic order by construction) and grouped by the
     ``together`` affinity sets — every rack named in one affinity set
-    lands in the same shard, which is how a controller's racks are kept
-    co-resident (:mod:`repro.shard.placement`).  If there are fewer rack
+    lands in the same shard, which is how racks that must share one
+    simulator are kept co-resident.  If there are fewer rack
     groups than requested shards, the shard count silently shrinks to
     the group count: an empty shard would add a barrier participant that
     can never do work.
@@ -148,18 +141,13 @@ def partition_structure(structure: Structure, n_shards: int,
         cuts.append(CutLink(b, a, delay, sb, sa))
     cuts.sort(key=lambda c: (c.src, c.dst))
 
-    channels: Dict[Tuple[int, int], List[CutLink]] = {}
+    bound: Dict[Tuple[int, int], float] = {}
     for cut in cuts:
-        channels.setdefault((cut.src_shard, cut.dst_shard), []).append(cut)
-    channel_items = tuple(
-        (pair, tuple(channels[pair])) for pair in sorted(channels))
-    lookahead = tuple(
-        (pair, min(c.delay_s for c in links))
-        for pair, links in channel_items)
+        pair = (cut.src_shard, cut.dst_shard)
+        bound[pair] = min(bound.get(pair, cut.delay_s), cut.delay_s)
 
     return Partition(
         n_shards=n_shards,
         shard_of=tuple(sorted(shard_of.items())),
         cut_links=tuple(cuts),
-        channels=channel_items,
-        lookahead=lookahead)
+        lookahead=tuple(sorted(bound.items())))

@@ -1,8 +1,7 @@
 """Conservative time-synced execution of a partitioned fabric.
 
 The protocol is conservative null-message style (SimBricks' fixed
-link-latency synchronization, specialized to rounds) over a zero-copy
-shard interconnect:
+link-latency synchronization, specialized to rounds):
 
 * The coordinator holds each shard's clock and, after every round, its
   *earliest-action bound*: nothing can happen in shard ``s`` before
@@ -17,23 +16,16 @@ shard interconnect:
   (the adaptive multi-round horizon; soundness in DESIGN.md §4.10).
 * Each shard injects the messages the previous round produced, runs to
   its horizon, and drains its egress outboxes into one *frame* per
-  out-channel.  With ``workers>1`` frames travel through per-channel
-  shared-memory slots (`repro.shard.transport`) packed by the binary
-  codec (`repro.shard.codec`) — no pickle on the hot path — while the
-  pipes carry only tiny control words (horizons, peeks, per-channel
-  counts and earliest-delivery bounds).  ``transport="pipe"`` — also the
-  automatic fallback on hosts without POSIX shm — sends the frames
-  pickled over the pipes instead; ``workers=1`` stays in-process with
-  plain calls.  All three paths run the identical protocol.
+  destination shard.  Every shard lives in this process, so a frame is
+  a plain list handed to its destination's next round; its logical
+  size (`repro.shard.codec.frame_nbytes`) is the transport telemetry.
 
 Determinism: shard decomposition, per-shard seeds, channel order, and
 injection order are all pure functions of ``(scenario, partition)``;
 rounds are lockstep; frames preserve per-channel emission order and
-are injected in ascending source-shard order.  Hence ``workers=N`` is
-byte-identical to ``workers=1`` under *either* transport — same
-per-shard event counts, same scheduler stats, same fingerprints, same
-frame/byte telemetry — and lossless scenarios are result-identical to
-the unsharded single simulator (see ``results_identical``).
+are injected in ascending source-shard order.  Lossless scenarios are
+result-identical to the unsharded single simulator (see
+``results_identical``).
 """
 
 from __future__ import annotations
@@ -44,83 +36,27 @@ import random
 import zlib
 from dataclasses import dataclass, field
 from hashlib import sha256
-from multiprocessing import get_context
 from time import perf_counter
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.netsim import CompositeFault, NoLoss, Simulator
 from repro.netsim.faults import LinkFault
-from repro.netsim.simulator import global_wall_deadline
-from repro.obs.capture import ShardCapture, ShardObs, capture_shards
-from repro.obs.registry import MetricsRegistry, keep_registries
+from repro.obs.capture import ShardObs, capture_shards
+from repro.obs.registry import MetricsRegistry
 from repro.obs.tracer import TRACE
 
-from .codec import CodecTables, decode_frame, encode_frame, frame_nbytes
+from .codec import frame_nbytes
 from .fabric import ShardFabric, build_fabric, compute_routes
 from .partition import Partition, PartitionError, partition_structure
 from .spec import ShardScenario
-from .transport import ShmChannelBus, TRANSPORTS
 
-__all__ = ["WORKERS_ENV", "default_workers", "ShardRunResult",
-           "UnshardedRunResult", "ShardWorkerDied", "ShardWorkerHung",
-           "run_sharded", "run_unsharded", "results_identical"]
-
-WORKERS_ENV = "REPRO_SHARD_WORKERS"
-
-# How long the coordinator waits for one worker's reply.  Under a wall
-# guard (``set_global_wall_deadline``) it waits until the guard's
-# deadline plus a grace, so a worker whose own simulator trips the guard
-# reports that error first; without one, a worker silent this long is
-# taken as hung.
-_REPLY_GRACE_S = 1.0
-_REPLY_TIMEOUT_S = 600.0
+__all__ = ["ShardRunResult", "UnshardedRunResult", "run_sharded",
+           "run_unsharded", "results_identical"]
 
 # Messages on a channel: (cut_link_name, deliver_time, packet).
 _Message = Tuple[str, float, Any]
 
 _INF = float("inf")
-
-
-class ShardWorkerDied(RuntimeError):
-    """A ``workers>1`` shard worker process ended without reporting:
-    killed by a signal, or gone before it could send its error.
-    ``round`` is the last round the coordinator started (0 while the
-    workers start up); ``exitcode`` is the process's exit code, negative
-    for a signal, None if it had not exited yet."""
-
-    def __init__(self, worker: int, round: int, exitcode: Optional[int]):
-        super().__init__(f"shard worker {worker} died in round {round} "
-                         f"(exit code {exitcode})")
-        self.worker = worker
-        self.round = round
-        self.exitcode = exitcode
-
-
-class ShardWorkerHung(RuntimeError):
-    """A ``workers>1`` shard worker process is alive but sent no reply
-    before the coordinator's deadline (stopped, or stuck outside any
-    simulator loop).  ``round`` is the round it owes a reply for (0
-    while the workers start up).  The coordinator kills it."""
-
-    def __init__(self, worker: int, round: int):
-        super().__init__(f"shard worker {worker} sent no reply in round "
-                         f"{round} before the deadline")
-        self.worker = worker
-        self.round = round
-
-
-def _reply_timeout() -> float:
-    deadline = global_wall_deadline()
-    if deadline is None:
-        return _REPLY_TIMEOUT_S
-    return max(0.0, deadline + _REPLY_GRACE_S - perf_counter())
-
-
-def default_workers() -> int:
-    env = os.environ.get(WORKERS_ENV)
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
 
 
 def _shard_seed(seed: int, shard_id: int) -> int:
@@ -189,30 +125,8 @@ def _install_chaos(fabric: ShardFabric, scenario: ShardScenario,
              + zlib.crc32(f"{key[0]}->{key[1]}".encode())) & 0x7FFFFFFF)
 
 
-class _ChannelMap:
-    """Channel ids and per-shard adjacency, identical in every process
-    (pure function of the partition's sorted channel table)."""
-
-    def __init__(self, partition: Partition):
-        pairs = [pair for pair, _links in partition.channels]
-        self.pairs: Tuple[Tuple[int, int], ...] = tuple(pairs)
-        self.dst_of: Dict[int, int] = {
-            i: pair[1] for i, pair in enumerate(pairs)}
-        # in_channels[sid]: [(src_shard, channel_id)] ascending by src —
-        # the injection order every pool reproduces.
-        self.in_channels: Dict[int, List[Tuple[int, int]]] = {}
-        # out_chan[sid]: dst_shard -> channel_id
-        self.out_chan: Dict[int, Dict[int, int]] = {}
-        for i, (src, dst) in enumerate(pairs):
-            self.in_channels.setdefault(dst, []).append((src, i))
-            self.out_chan.setdefault(src, {})[dst] = i
-        for chans in self.in_channels.values():
-            chans.sort()
-
-
-class _ShardWorker:
-    """One shard's live state plus its round step; used verbatim by the
-    in-process pool and inside subprocess workers."""
+class _Shard:
+    """One shard's live state plus its round step."""
 
     def __init__(self, scenario: ShardScenario, partition: Partition,
                  shard_id: int, routes=None,
@@ -221,7 +135,7 @@ class _ShardWorker:
         self.shard_id = shard_id
         self.sim = Simulator(seed=_shard_seed(scenario.seed, shard_id))
         # The simulator just opened a tracer epoch if tracing is armed;
-        # that epoch is this shard's lane in the process-local ring —
+        # that epoch is this shard's lane in the process-wide ring —
         # capture_shards() rewrites it to the stable merged-trace pid.
         self.trace_epoch = TRACE.epoch if TRACE.enabled else 0
         shard_map = partition.shard_map()
@@ -249,23 +163,20 @@ class _ShardWorker:
                                   self.fabric.ingress[name].stats)
             # Deterministic sync summary only (simulated clock, event
             # and frame counts) — wall-time accounting stays out so a
-            # capture is byte-equal across pools and transports.
+            # capture is byte-equal across runs.
             registry.register("sync", self.obs_sync)
             self.registry = registry
 
     def run_round(self, horizon: float, inbound: List[_Message]
-                  ) -> Tuple[Dict[int, List[_Message]], float,
-                             Dict[int, Tuple[int, float]]]:
-        """Inject, run to ``horizon``, drain.  Returns the per-channel
-        outbound groups, the post-run ``peek``, and the control meta
-        ``{dst_shard: (count, earliest deliver time)}`` the coordinator
-        steers adaptive horizons with."""
+                  ) -> Dict[int, List[_Message]]:
+        """Inject, run to ``horizon``, drain.  Returns the outbound
+        messages grouped by destination shard (non-empty groups only)."""
         start = perf_counter()
         profiler = self._profiler
         if profiler is not None:
             profiler.enable()
         if self.trace_epoch and TRACE.enabled:
-            # Unlike sequential single-sim runs, a pool interleaves
+            # Unlike sequential single-sim runs, the shards interleave
             # live simulators in one process — restore this shard's
             # epoch so its records land in its own lane.  Pure record
             # stamping; no simulator state involved.
@@ -277,21 +188,16 @@ class _ShardWorker:
                     ingress[link_name].inject(when, packet)
             self.sim.run(until=horizon)
             outmap = self.fabric.drain_boundary()
-            meta: Dict[int, Tuple[int, float]] = {}
-            if outmap:
-                for dst, messages in outmap.items():
-                    count = len(messages)
-                    meta[dst] = (count,
-                                 min(record[1] for record in messages))
-                    self.frames_sent += 1
-                    self.frame_bytes += frame_nbytes(count)
+            for messages in outmap.values():
+                self.frames_sent += 1
+                self.frame_bytes += frame_nbytes(len(messages))
         finally:
             if profiler is not None:
                 profiler.disable()
         self.work_s += perf_counter() - start
-        return outmap, self.sim.peek(), meta
+        return outmap
 
-    def finish(self) -> Dict[str, Any]:
+    def finish(self) -> None:
         if self._profiler is not None:
             self._profiler.dump_stats(self.profile_path)
         if self.registry is not None:
@@ -299,332 +205,6 @@ class _ShardWorker:
                 clock_s=self.sim.now, events=self.sim._sequence,
                 frames_sent=self.frames_sent,
                 frame_bytes=self.frame_bytes)
-        return {
-            "flows": self.fabric.flow_results(),
-            "links": self.fabric.link_results(),
-            "clock": self.sim.now,
-            "events": self.sim._sequence,
-            "scheduler_stats": self.sim.scheduler_stats(),
-            "work_s": self.work_s,
-            "frames_sent": self.frames_sent,
-            "frame_bytes": self.frame_bytes,
-        }
-
-
-# ---------------------------------------------------------------------------
-# worker pools
-# ---------------------------------------------------------------------------
-class _InProcessPool:
-    """``workers=1``: every shard lives in this process — no subprocess,
-    no serialization, same protocol, same per-channel frame accounting."""
-
-    transport = "inproc"
-    shm_spills = 0
-
-    def __init__(self, scenario, partition, profile_for,
-                 capture: bool = False):
-        routes = compute_routes(scenario.structure)
-        self.capture = capture
-        self.workers = {
-            sid: _ShardWorker(scenario, partition, sid, routes=routes,
-                              profile_path=profile_for(sid),
-                              capture=capture)
-            for sid in range(partition.n_shards)}
-        self._order = sorted(self.workers)
-        self._inboxes: Dict[int, List[_Message]] = {
-            sid: [] for sid in self.workers}
-
-    def run_round(self, horizons):
-        reports = {}
-        inboxes = self._inboxes
-        routed: Dict[int, List[_Message]] = {sid: []
-                                             for sid in self._order}
-        # Ascending shard order: a destination's inbox concatenates its
-        # sources' frames lowest source first — the same order the shm
-        # readers walk their in-channels.
-        for sid in self._order:
-            outmap, peek, meta = self.workers[sid].run_round(
-                horizons[sid], inboxes[sid])
-            reports[sid] = (peek, meta)
-            if outmap:
-                for dst, messages in outmap.items():
-                    routed[dst].extend(messages)
-        self._inboxes = routed
-        return reports
-
-    def finish(self):
-        payloads = {sid: worker.finish()
-                    for sid, worker in sorted(self.workers.items())}
-        for payload in payloads.values():
-            payload["barrier_wait_s"] = 0.0
-        if self.capture:
-            _attach_captures(self.workers, payloads)
-        return payloads
-
-    def close(self):
-        pass
-
-
-def _attach_captures(workers: Dict[int, _ShardWorker],
-                     payloads: Dict[int, Dict[str, Any]]) -> None:
-    """Bucket this process's tracer ring into per-shard captures and
-    attach the wire form to each shard's finish payload.  Used both by
-    the in-process pool (one shared ring, every shard) and inside each
-    forked worker (its own ring, its resident shards) — the capture a
-    shard ships is byte-identical either way."""
-    metrics = {sid: worker.registry.snapshot_nested()
-               for sid, worker in workers.items()
-               if worker.registry is not None}
-    captures = capture_shards(
-        {sid: worker.trace_epoch for sid, worker in workers.items()},
-        TRACE, metrics)
-    for sid, cap in captures.items():
-        payloads[sid]["obs"] = cap.to_wire()
-
-
-def _subprocess_main(conn, coordinator_ends, scenario, partition,
-                     shard_ids, profile_paths, transport, bus, capture,
-                     trace_capacity) -> None:
-    # Fork copied the coordinator's ends of this and every earlier
-    # worker's pipe: close them, so that a coordinator that gives the
-    # run up leaves every worker reading EOF.
-    for end in coordinator_ends:
-        end.close()
-    try:
-        if capture:
-            # Fork inherited the parent's armed recorder *and* a copy
-            # of its buffer — restart for a clean per-worker ring (and
-            # drop inherited registry collection) before any simulator
-            # opens an epoch, so only this worker's shards record here.
-            TRACE.clear()
-            keep_registries(False)
-            TRACE.start(trace_capacity)
-        routes = compute_routes(scenario.structure)
-        workers = {sid: _ShardWorker(scenario, partition, sid,
-                                     routes=routes,
-                                     profile_path=profile_paths.get(sid),
-                                     capture=capture)
-                   for sid in shard_ids}
-        shm = transport == "shm"
-        tables = CodecTables(scenario.structure, partition) if shm \
-            else None
-        channels = _ChannelMap(partition)
-        conn.send(("ready", None))
-        # Per-shard idle accounting: everything between one shard's
-        # round work ending and its next round work starting — pipe
-        # waits plus co-resident shards' run time — is that shard's
-        # barrier wait.  (PR 8 charged the whole worker's pipe wait to
-        # every shard it hosted, which is why BENCH_simcore.json showed
-        # shards 4-7 repeating shards 0-3's values.)
-        last_end = {sid: perf_counter() for sid in shard_ids}
-        idle = {sid: 0.0 for sid in shard_ids}
-        round_no = 0
-        while True:
-            try:
-                command, payload = conn.recv()
-            except EOFError:          # the coordinator gave the run up
-                return
-            if command == "round":
-                round_no += 1
-                out = {}
-                for sid in sorted(payload):
-                    horizon, extra = payload[sid]
-                    if shm:
-                        inbound: List[_Message] = []
-                        for _src, chan in channels.in_channels.get(sid,
-                                                                   ()):
-                            messages = bus.read_frame(chan, round_no - 1,
-                                                      tables)
-                            if messages is None and chan in extra:
-                                messages = decode_frame(extra[chan],
-                                                        tables)
-                            if messages:
-                                inbound.extend(messages)
-                    else:
-                        inbound = extra
-                    start = perf_counter()
-                    idle[sid] += start - last_end[sid]
-                    outmap, peek, meta = workers[sid].run_round(horizon,
-                                                                inbound)
-                    last_end[sid] = perf_counter()
-                    if shm:
-                        out_chan = channels.out_chan.get(sid, {})
-                        spills = {}
-                        for dst, messages in outmap.items():
-                            chan = out_chan[dst]
-                            if not bus.write_frame(chan, round_no,
-                                                   messages, tables):
-                                spills[chan] = encode_frame(messages,
-                                                            tables)
-                        out[sid] = (peek, meta, spills)
-                    else:
-                        out[sid] = (peek, meta, outmap)
-                conn.send(("round", out))
-            elif command == "finish":
-                results = {}
-                for sid, worker in sorted(workers.items()):
-                    result = worker.finish()
-                    result["barrier_wait_s"] = idle[sid]
-                    results[sid] = result
-                if capture:
-                    _attach_captures(workers, results)
-                conn.send(("finish", results))
-                return
-            else:  # pragma: no cover - protocol guard
-                raise RuntimeError(f"unknown command {command!r}")
-    except Exception as exc:  # pragma: no cover - crash reporting
-        try:
-            conn.send(("error", f"{type(exc).__name__}: {exc}"))
-        except Exception:
-            pass
-        raise
-    finally:
-        if bus is not None:
-            bus.close()
-
-
-class _SubprocessPool:
-    """``workers>1``: shards spread round-robin over forked workers.
-
-    Frames travel worker-to-worker through the shared-memory channel
-    bus (created *before* forking, so children inherit the mapping);
-    the duplex pipes carry control words — horizons and spilled frames
-    down, peeks / per-channel meta / spills up.  With
-    ``transport="pipe"`` the frames ride the pipes too (pickled), as
-    the PR-8 fallback path.  The strict send-all / recv-all alternation
-    cannot deadlock: a worker blocked sending a round reply has a
-    parent that will reach its ``recv``, and the parent only sends the
-    next command after draining every worker's previous reply.
-    """
-
-    def __init__(self, scenario, partition, n_workers, profile_for,
-                 transport, capture: bool = False):
-        ctx = get_context("fork")
-        self.channels = _ChannelMap(partition)
-        self.transport = transport
-        self.bus = None
-        if transport == "shm":
-            try:
-                self.bus = ShmChannelBus(len(self.channels.pairs))
-            except OSError:            # no POSIX shm on this box
-                self.transport = transport = "pipe"
-        self.owner = {sid: sid % n_workers
-                      for sid in range(partition.n_shards)}
-        self.conns = []
-        self.procs = []
-        self.hung: List[int] = []
-        self.shm_spills = 0
-        self.round_no = 0
-        self._spills: Dict[int, bytes] = {}          # chan -> frame
-        self._inbound: Dict[int, List[_Message]] = {
-            sid: [] for sid in self.owner}
-        for w in range(n_workers):
-            mine = [sid for sid, owner in self.owner.items() if owner == w]
-            parent_conn, child_conn = ctx.Pipe()
-            profile_paths = {sid: profile_for(sid) for sid in mine}
-            proc = ctx.Process(
-                target=_subprocess_main,
-                args=(child_conn, self.conns + [parent_conn], scenario,
-                      partition, mine, profile_paths, transport, self.bus,
-                      capture, TRACE.capacity),
-                daemon=True)
-            proc.start()
-            child_conn.close()
-            self.conns.append(parent_conn)
-            self.procs.append(proc)
-        for w in range(n_workers):
-            self._expect(w, "ready")
-
-    def _died(self, w: int) -> ShardWorkerDied:
-        # Its end of the pipe is closed, so it is exiting: reap it for
-        # its exit code.
-        proc = self.procs[w]
-        proc.join(timeout=5)
-        return ShardWorkerDied(w, self.round_no, proc.exitcode)
-
-    def _send(self, w: int, message) -> None:
-        try:
-            self.conns[w].send(message)
-        except OSError as exc:      # BrokenPipeError, ConnectionResetError
-            raise self._died(w) from exc
-
-    def _expect(self, w: int, kind):
-        # Imported here, so that in-process runs never load it.
-        from multiprocessing.connection import wait
-        conn = self.conns[w]
-        # A dead worker's pipe reads EOF; a stopped one stays silent.
-        if not wait([conn, self.procs[w].sentinel], _reply_timeout()):
-            self.hung.append(w)
-            raise ShardWorkerHung(w, self.round_no)
-        try:
-            tag, payload = conn.recv()
-        except (EOFError, OSError) as exc:
-            raise self._died(w) from exc
-        if tag == "error":
-            raise RuntimeError(f"shard worker failed: {payload}")
-        if tag != kind:  # pragma: no cover - protocol guard
-            raise RuntimeError(f"expected {kind!r}, got {tag!r}")
-        return payload
-
-    def run_round(self, horizons):
-        shm = self.transport == "shm"
-        dst_of = self.channels.dst_of
-        self.round_no += 1
-        for w in range(len(self.conns)):
-            payload = {}
-            for sid, owner in self.owner.items():
-                if owner != w:
-                    continue
-                if shm:
-                    extra = {chan: frame
-                             for chan, frame in self._spills.items()
-                             if dst_of[chan] == sid}
-                else:
-                    extra = self._inbound[sid]
-                payload[sid] = (horizons[sid], extra)
-            self._send(w, ("round", payload))
-        merged = {}
-        for w in range(len(self.conns)):
-            merged.update(self._expect(w, "round"))
-        reports = {}
-        new_spills: Dict[int, bytes] = {}
-        new_inbound: Dict[int, List[_Message]] = {
-            sid: [] for sid in self.owner}
-        for sid in sorted(merged):
-            peek, meta, extra = merged[sid]
-            reports[sid] = (peek, meta)
-            if shm:
-                for chan, frame in extra.items():
-                    new_spills[chan] = frame
-                    self.shm_spills += 1
-            else:
-                for dst, messages in extra.items():
-                    new_inbound[dst].extend(messages)
-        self._spills = new_spills
-        self._inbound = new_inbound
-        return reports
-
-    def finish(self):
-        for w in range(len(self.conns)):
-            self._send(w, ("finish", None))
-        merged = {}
-        for w in range(len(self.conns)):
-            merged.update(self._expect(w, "finish"))
-        return merged
-
-    def close(self):
-        for conn in self.conns:
-            conn.close()
-        for w in self.hung:
-            self.procs[w].kill()       # SIGKILL also ends a stopped one
-        for proc in self.procs:
-            proc.join(timeout=30)
-            if proc.is_alive():  # pragma: no cover - hung worker
-                proc.terminate()
-        if self.bus is not None:
-            self.bus.close()
-            self.bus.unlink()
-            self.bus = None
 
 
 # ---------------------------------------------------------------------------
@@ -639,24 +219,23 @@ class ShardRunResult:
     fingerprint: str
     chaos_fingerprint: Optional[str]
     n_shards: int
-    workers: int
     rounds: int
     until: float
     shard_clocks: List[float]
     events_per_shard: List[int]
     scheduler_stats: List[Dict[str, float]]
     work_s: List[float]
+    # Zero per shard: every shard runs in this process, so none waits
+    # at a barrier.  Kept for benchmarks/e2e/workloads.py, which sums it.
     barrier_wait_s: List[float]
     wall_s: float
-    transport: str = "inproc"
     messages_relayed: int = 0
     frames_sent: int = 0
     transport_bytes: int = 0
     horizon_rounds_skipped: int = 0
-    shm_spills: int = 0
     # Observability side-band: the per-shard scheduler/sync metrics
     # namespace (always present) and, when the run executed with the
-    # flight recorder armed, the merged-trace input (worker captures +
+    # flight recorder armed, the merged-trace input (shard captures +
     # coordinator round telemetry).  Excluded from comparisons — they
     # describe the run, they are not part of its result.
     registry: Optional[MetricsRegistry] = field(
@@ -687,11 +266,10 @@ class ShardRunResult:
         return self.rounds / self.until if self.until > 0 else 0.0
 
     def comparable_state(self) -> Dict[str, Any]:
-        """Everything that must be byte-identical across worker counts
-        *and* transports: results, fingerprints, per-shard event totals
-        and scheduler stats, the barrier count, the final clocks, and
-        the logical transport telemetry — all wall-time accounting
-        excluded."""
+        """Everything a rerun of the scenario must reproduce byte for
+        byte: results, fingerprints, per-shard event totals and scheduler
+        stats, the barrier count, the final clocks, and the logical
+        transport telemetry — all wall-time accounting excluded."""
         return {
             "flows": self.flows,
             "link_stats": self.link_stats,
@@ -716,7 +294,6 @@ class UnshardedRunResult:
     flows: Dict[int, Tuple[int, int, float, float]]
     link_stats: Dict[str, Dict[str, float]]
     fingerprint: str
-    clock: float
     events: int
     scheduler_stats: Dict[str, float]
     wall_s: float
@@ -726,8 +303,7 @@ def results_identical(sharded: ShardRunResult,
                       unsharded: UnshardedRunResult) -> bool:
     """Result-level equality: same per-flow records, same (merged) link
     counters, same fingerprint.  Event *counts* are not compared here —
-    the boundary stubs restructure events across simulators by design;
-    count equality is asserted between worker counts instead."""
+    the boundary stubs restructure events across simulators by design."""
     return (sharded.flows == unsharded.flows
             and sharded.link_stats == unsharded.link_stats
             and sharded.fingerprint == unsharded.fingerprint)
@@ -736,7 +312,7 @@ def results_identical(sharded: ShardRunResult,
 # ---------------------------------------------------------------------------
 # drivers
 # ---------------------------------------------------------------------------
-def _coordinate(pool, partition: Partition, until: float,
+def _coordinate(shards: List[_Shard], partition: Partition, until: float,
                 log: Optional[List[Dict[str, Any]]] = None
                 ) -> Tuple[int, int, int]:
     """Run rounds until every clock reaches ``until`` and a full round
@@ -744,8 +320,8 @@ def _coordinate(pool, partition: Partition, until: float,
     horizon_rounds_skipped).  When ``log`` is given (traced runs), one
     telemetry dict per round is appended — the coordinator-side view
     (pre-round clocks, granted horizons, relaxed earliest-action bases,
-    frame/byte traffic, cumulative skips and spills) that the merge
-    exporter turns into barrier spans and counter tracks.
+    frame/byte traffic, cumulative skips) that the merge exporter turns
+    into barrier spans and counter tracks.
 
     Horizons are *adaptive*: shard ``s`` cannot act before
     ``E_s = min(peek_s, earliest pending boundary delivery to s)``,
@@ -755,9 +331,6 @@ def _coordinate(pool, partition: Partition, until: float,
     boundary delivery into ``dst`` is then ``>= E_src + L``, so one
     barrier may advance ``dst`` through every lookahead window below
     that bound — ``k`` quiet windows cost one barrier, not ``k``.
-    PR 8's quiescent-round promotion is the special case with nothing
-    in flight; carrying the pending-delivery bounds in the control
-    words makes it sound on *every* round.
     """
     n = partition.n_shards
     shard_range = range(n)
@@ -773,6 +346,7 @@ def _coordinate(pool, partition: Partition, until: float,
     clocks = [0.0] * n
     peeks = [0.0] * n
     inbound_min = [_INF] * n
+    inboxes: List[List[_Message]] = [[] for _ in shard_range]
     rounds = 0
     relayed = 0
     skipped = 0
@@ -801,8 +375,7 @@ def _coordinate(pool, partition: Partition, until: float,
         if rounds and track_skips:
             # Telemetry: windows this barrier proved safe beyond the
             # single-window BSP advance (0 when any shard moved by just
-            # one lookahead; pure arithmetic, so identical across
-            # pools and transports).
+            # one lookahead; pure arithmetic, so identical across runs).
             least = _INF
             for horizon, clock in zip(horizons, clocks):
                 advance = horizon - clock
@@ -812,31 +385,34 @@ def _coordinate(pool, partition: Partition, until: float,
                 extra = int(least / min_la) - 1
                 if extra > 0:
                     skipped += extra
-        reports = pool.run_round(horizons)
-        rounds += 1
-        prev_clocks = clocks
-        clocks = horizons
+        # Ascending shard order: a destination's inbox concatenates its
+        # sources' frames lowest source first.
+        routed: List[List[_Message]] = [[] for _ in shard_range]
         inbound_min = [_INF] * n
         moved = 0
-        # Order-free merge: peek assignment is per-shard, the pending
-        # minima commute.
-        for sid, (peek, meta) in reports.items():
-            peeks[sid] = peek
-            for dst, (count, earliest) in meta.items():
+        frames = 0
+        frame_bytes = 0
+        for sid in shard_range:
+            shard = shards[sid]
+            outmap = shard.run_round(horizons[sid], inboxes[sid])
+            peeks[sid] = shard.sim.peek()
+            for dst, messages in outmap.items():
+                count = len(messages)
                 moved += count
+                earliest = min(record[1] for record in messages)
                 if earliest < inbound_min[dst]:
                     inbound_min[dst] = earliest
+                routed[dst].extend(messages)
+                if log is not None:
+                    frames += 1
+                    frame_bytes += frame_nbytes(count)
+        inboxes = routed
+        rounds += 1
         relayed += moved
         if log is not None:
-            frames = 0
-            frame_bytes = 0
-            for _sid, (_peek, meta) in reports.items():
-                frames += len(meta)
-                for count, _earliest in meta.values():
-                    frame_bytes += frame_nbytes(count)
             log.append({
                 "round": rounds,
-                "clocks": list(prev_clocks),
+                "clocks": list(clocks),
                 "horizons": list(horizons),
                 "bases": [base if base < _INF else None
                           for base in bases],
@@ -844,8 +420,8 @@ def _coordinate(pool, partition: Partition, until: float,
                 "frames": frames,
                 "bytes": frame_bytes,
                 "skipped": skipped,
-                "spills": getattr(pool, "shm_spills", 0),
             })
+        clocks = horizons
         if moved == 0 and all(clock >= until for clock in clocks):
             return rounds, relayed, skipped
 
@@ -853,28 +429,21 @@ def _coordinate(pool, partition: Partition, until: float,
 def run_sharded(scenario: ShardScenario,
                 partition: Optional[Partition] = None,
                 n_shards: Optional[int] = None,
-                workers: Optional[int] = None,
-                transport: Optional[str] = None,
+                workers: int = 1,
                 profile_dir: Optional[str] = None) -> ShardRunResult:
-    """Execute ``scenario`` sharded; ``workers=1`` stays in-process.
+    """Execute ``scenario`` sharded, every shard in this process.
 
-    ``transport`` picks the ``workers>1`` interconnect: ``"shm"``
-    (zero-copy shared-memory frames, the default, falling back to pipes
-    on a host without POSIX shm) or ``"pipe"`` (pickled frames over the
-    control pipes).  Results are bit-identical either way.
+    ``workers`` must be 1 (the only value callers pass); ``profile_dir``
+    collects one cProfile dump per shard, ``shard<N>.prof``.
     """
-    transport = transport or "shm"
-    if transport not in TRANSPORTS:
-        raise ValueError(f"transport={transport!r}; choose from "
-                         f"{TRANSPORTS}")
+    if workers != 1:
+        raise ValueError(f"workers={workers!r}: sharded runs execute in "
+                         f"one process, so workers must be 1")
     if partition is None:
         if n_shards is None:
             raise ValueError("pass a partition or n_shards")
         partition = partition_structure(scenario.structure, n_shards,
                                         cal=scenario.cal)
-    if workers is None:
-        workers = default_workers()
-    workers = max(1, min(workers, partition.n_shards))
 
     def profile_for(sid: int) -> Optional[str]:
         if profile_dir is None:
@@ -882,34 +451,34 @@ def run_sharded(scenario: ShardScenario,
         os.makedirs(profile_dir, exist_ok=True)
         return os.path.join(profile_dir, f"shard{sid}.prof")
 
-    # Distributed capture piggybacks on the armed process-wide recorder:
-    # a traced run (TRACE armed by the caller) makes every worker arm
-    # its own ring and ship per-shard captures home at finish.
+    # Capture piggybacks on the armed process-wide recorder: a traced
+    # run (TRACE armed by the caller) buckets each shard's records into
+    # its own capture at finish.
     capture = TRACE.enabled
 
     start = perf_counter()
-    if workers == 1:
-        pool = _InProcessPool(scenario, partition, profile_for, capture)
-    else:
-        pool = _SubprocessPool(scenario, partition, workers, profile_for,
-                               transport, capture)
-    try:
-        rounds_log: Optional[List[Dict[str, Any]]] = \
-            [] if capture else None
-        rounds, relayed, skipped = _coordinate(pool, partition,
-                                               scenario.until,
-                                               log=rounds_log)
-        payloads = pool.finish()
-    finally:
-        pool.close()
+    routes = compute_routes(scenario.structure)
+    shards = [_Shard(scenario, partition, sid, routes=routes,
+                     profile_path=profile_for(sid), capture=capture)
+              for sid in range(partition.n_shards)]
+    rounds_log: Optional[List[Dict[str, Any]]] = [] if capture else None
+    rounds, relayed, skipped = _coordinate(shards, partition,
+                                           scenario.until, log=rounds_log)
+    for shard in shards:
+        shard.finish()
+    captures = None
+    if capture:
+        captures = capture_shards(
+            {shard.shard_id: shard.trace_epoch for shard in shards}, TRACE,
+            {shard.shard_id: shard.registry.snapshot_nested()
+             for shard in shards})
     wall = perf_counter() - start
 
     flows: Dict[int, Tuple[int, int, float, float]] = {}
     links: Dict[str, Dict[str, float]] = {}
-    for sid in sorted(payloads):
-        payload = payloads[sid]
-        flows.update(payload["flows"])
-        for name, counters in payload["links"].items():
+    for shard in shards:
+        flows.update(shard.fabric.flow_results())
+        for name, counters in shard.fabric.link_results().items():
             # Cut links report one half from each side; key-wise sums
             # reproduce the unsharded link's counters.
             if name in links:
@@ -919,50 +488,44 @@ def run_sharded(scenario: ShardScenario,
             else:
                 links[name] = dict(counters)
 
-    ordered = [payloads[sid] for sid in range(partition.n_shards)]
-
+    clocks = [shard.sim.now for shard in shards]
+    events = [shard.sim._sequence for shard in shards]
+    scheduler_stats = [shard.sim.scheduler_stats() for shard in shards]
+    work_s = [shard.work_s for shard in shards]
+    frames_sent = sum(shard.frames_sent for shard in shards)
+    transport_bytes = sum(shard.frame_bytes for shard in shards)
     transport_totals: Dict[str, Any] = {
-        "transport": pool.transport,
-        "workers": workers,
         "rounds": rounds,
         "messages_relayed": relayed,
-        "frames_sent": sum(p["frames_sent"] for p in ordered),
-        "transport_bytes": sum(p["frame_bytes"] for p in ordered),
-        "shm_spills": pool.shm_spills,
+        "frames_sent": frames_sent,
+        "transport_bytes": transport_bytes,
         "horizon_rounds_skipped": skipped,
     }
     # The sharded-run metrics namespace (always built, traced or not):
-    # per-shard scheduler stats and barrier-wait accounting become
-    # first-class registry entries so the metrics JSONL / snapshot-diff
-    # cover sharded runs like any single-simulator deployment.
+    # per-shard scheduler stats and sync accounting become first-class
+    # registry entries so the metrics JSONL / snapshot-diff cover
+    # sharded runs like any single-simulator deployment.
     registry = MetricsRegistry("shard-run")
-    for sid, payload in enumerate(ordered):
+    for sid, shard in enumerate(shards):
         registry.register(f"shard{sid}.scheduler",
-                          dict(payload["scheduler_stats"]))
+                          dict(scheduler_stats[sid]))
         registry.register(f"shard{sid}.sync", {
-            "clock_s": payload["clock"],
-            "events": payload["events"],
-            "work_s": payload["work_s"],
-            "barrier_wait_s": payload["barrier_wait_s"],
-            "frames_sent": payload["frames_sent"],
-            "frame_bytes": payload["frame_bytes"]})
+            "clock_s": clocks[sid],
+            "events": events[sid],
+            "work_s": work_s[sid],
+            "frames_sent": shard.frames_sent,
+            "frame_bytes": shard.frame_bytes})
     registry.register("transport", transport_totals)
 
     obs: Optional[ShardObs] = None
-    if capture:
-        captures: Dict[int, ShardCapture] = {}
-        for sid, payload in enumerate(ordered):
-            wire = payload.get("obs")
-            if wire is not None:
-                captures[sid] = ShardCapture.from_wire(wire)
+    if captures is not None:
         obs = ShardObs(
             captures=captures,
             rounds=rounds_log or [],
-            shards={sid: {"events": payload["events"],
-                          "clock_s": payload["clock"],
-                          "work_s": payload["work_s"],
-                          "barrier_wait_s": payload["barrier_wait_s"]}
-                    for sid, payload in enumerate(ordered)},
+            shards={sid: {"events": events[sid],
+                          "clock_s": clocks[sid],
+                          "work_s": work_s[sid]}
+                    for sid in range(len(shards))},
             transport=dict(transport_totals))
 
     return ShardRunResult(
@@ -971,21 +534,18 @@ def run_sharded(scenario: ShardScenario,
         fingerprint=_fingerprint(flows, links),
         chaos_fingerprint=scenario.chaos_fingerprint(),
         n_shards=partition.n_shards,
-        workers=workers,
         rounds=rounds,
         until=scenario.until,
-        shard_clocks=[p["clock"] for p in ordered],
-        events_per_shard=[p["events"] for p in ordered],
-        scheduler_stats=[p["scheduler_stats"] for p in ordered],
-        work_s=[p["work_s"] for p in ordered],
-        barrier_wait_s=[p["barrier_wait_s"] for p in ordered],
+        shard_clocks=clocks,
+        events_per_shard=events,
+        scheduler_stats=scheduler_stats,
+        work_s=work_s,
+        barrier_wait_s=[0.0] * len(shards),
         wall_s=wall,
-        transport=pool.transport,
         messages_relayed=relayed,
-        frames_sent=sum(p["frames_sent"] for p in ordered),
-        transport_bytes=sum(p["frame_bytes"] for p in ordered),
+        frames_sent=frames_sent,
+        transport_bytes=transport_bytes,
         horizon_rounds_skipped=skipped,
-        shm_spills=pool.shm_spills,
         registry=registry,
         obs=obs)
 
@@ -1005,7 +565,6 @@ def run_unsharded(scenario: ShardScenario) -> UnshardedRunResult:
         flows=flows,
         link_stats=links,
         fingerprint=_fingerprint(flows, links),
-        clock=sim.now,
         events=sim._sequence,
         scheduler_stats=sim.scheduler_stats(),
         wall_s=wall)

@@ -1,12 +1,11 @@
-"""Picklable scenario specs for sharded runs.
+"""Scenario specs for sharded runs.
 
-A sharded run ships *specifications*, never live objects, to its worker
-processes: the topology structure (names/roles/racks/edges from
+A sharded run is built from *specifications*, never live objects: the
+topology structure (names/roles/racks/edges from
 :mod:`repro.netsim.topology`), a flow workload, and an optional chaos
 schedule.  Everything here is a pure function of its inputs — the same
 ``(structure, seed)`` always yields the same workload and the same
-chaos schedule, which is what makes ``workers=1`` and ``workers=N``
-runs byte-comparable.
+chaos schedule, which is what makes runs byte-comparable.
 """
 
 from __future__ import annotations
@@ -38,11 +37,11 @@ class FlowSpec:
 
 @dataclass(frozen=True)
 class ShardScenario:
-    """Everything a worker needs to rebuild its shard of the world.
+    """Everything a shard needs to build its part of the world.
 
-    ``structure`` is the pure topology description; workers reconstruct
-    only their own shard's nodes from it, but compute routes over the
-    whole structure so forwarding decisions are globally consistent.
+    ``structure`` is the pure topology description; each shard builds
+    only its own nodes from it, but routes are computed over the whole
+    structure so forwarding decisions are globally consistent.
     """
 
     structure: Structure

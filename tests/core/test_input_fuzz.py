@@ -1,0 +1,118 @@
+"""Malformed user input fails with the parser's own typed error.
+
+``parse_netfilter`` and ``parse_proto`` read what a user writes, so
+whatever they are fed, the only exception that may escape is
+``NetFilterError`` or ``ProtoSyntaxError`` — never an
+``AttributeError`` or ``TypeError`` from deeper down.
+"""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.core import (NetFilterError, ProtoSyntaxError, parse_netfilter,
+                        parse_proto)
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2**40, 2**40)
+    | st.floats(allow_nan=False) | st.text(max_size=12),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=6)
+
+# Names the parsers know, so that the fuzz reaches past the key checks.
+WORDS = st.sampled_from([
+    "nop", "copy", "shadow", "lazy", "add", "fadd", "fmax", "ALL", "SRC",
+    "SERVER", "persist", "fresh", "M.f", "ClientID", "NULL", "max:3",
+    "min", "shift:2", ""])
+VALUE = st.one_of(WORDS, JSON)
+CNTFWD = st.one_of(
+    JSON, st.dictionaries(st.sampled_from(["to", "threshold", "key"]),
+                          VALUE, max_size=3))
+MODIFY = st.one_of(
+    VALUE, st.dictionaries(st.sampled_from(["op", "para"]), VALUE,
+                           max_size=2))
+NETFILTER = st.fixed_dictionaries({}, optional={
+    "AppName": st.one_of(st.just("app"), VALUE),
+    "Precision": VALUE,
+    "get": VALUE,
+    "addTo": VALUE,
+    "clear": VALUE,
+    "modify": MODIFY,
+    "CntFwd": CNTFWD,
+    "retry": VALUE,
+    "agg": VALUE,
+})
+
+
+@pytest.mark.parametrize("config", [
+    {"AppName": "a", "clear": {}},
+    {"AppName": "a", "clear": 1},
+    {"AppName": "a", "retry": 3},
+    {"AppName": "a", "agg": ["add"]},
+    {"AppName": "a", "modify": {"op": 2}},
+    {"AppName": "a", "CntFwd": {"to": None}},
+])
+def test_non_string_names_are_netfilter_errors(config):
+    with pytest.raises(NetFilterError):
+        parse_netfilter(config)
+
+
+@settings(max_examples=400, deadline=None)
+@given(config=NETFILTER)
+def test_netfilter_rejects_with_netfilter_error_only(config):
+    try:
+        parse_netfilter(config)
+    except NetFilterError:
+        pass
+
+
+VALID_PROTO = """
+import "netrpc.proto";
+
+// Figure 2, plus a scalar field and a second method.
+message NewGrad {
+  netrpc.FPArray tensor = 1;
+  string note = 2;
+}
+message AgtrGrad {
+  netrpc.FPArray tensor = 1;
+}
+service GradientService {
+  rpc Update (NewGrad) returns (AgtrGrad) {} filter "agtr.nf"
+  rpc Peek (NewGrad) returns (AgtrGrad) {}
+}
+"""
+
+PIECES = st.sampled_from([
+    "{", "}", "(", ")", ";", "=", "\"", "//", "\n", " ", "0", "-1",
+    "19000", "536870912", "message", "service", "rpc", "returns",
+    "filter", "import", "repeated", "netrpc.", "int32", "M", "."])
+EDIT = st.tuples(st.sampled_from(["delete", "insert", "replace"]),
+                 st.integers(0, len(VALID_PROTO)), st.integers(1, 8),
+                 PIECES)
+
+
+def mutate(text, edits):
+    for kind, position, length, piece in edits:
+        position = min(position, len(text))
+        if kind == "delete":
+            text = text[:position] + text[position + length:]
+        elif kind == "insert":
+            text = text[:position] + piece + text[position:]
+        else:
+            text = text[:position] + piece + text[position + length:]
+    return text
+
+
+def test_the_unmutated_proto_parses():
+    proto = parse_proto(VALID_PROTO)
+    assert set(proto.messages) == {"NewGrad", "AgtrGrad"}
+
+
+@settings(max_examples=400, deadline=None)
+@given(edits=st.lists(EDIT, min_size=1, max_size=4))
+def test_proto_rejects_with_syntax_error_only(edits):
+    try:
+        parse_proto(mutate(VALID_PROTO, edits))
+    except ProtoSyntaxError:
+        pass

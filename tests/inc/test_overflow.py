@@ -111,6 +111,39 @@ class TestAsyncOverflow:
         qr = dep.sim.run_until(query, limit=10.0)
         assert qr.values["k"] == 2 * BIG
 
+    def test_replay_applies_only_the_slots_the_switch_did_not(self):
+        # One chunk, two mapped keys: the switch applies "a" and refuses
+        # "big" (its register overflows).  The replay must add "big"
+        # alone; adding "a" again read it as 3.
+        reduce_prog = RIPProgram(
+            app_name="MR", add_to_field="r.kvs",
+            cntfwd=CntFwdSpec(target=ForwardTarget.SRC, threshold=0))
+        query_prog = RIPProgram(
+            app_name="MR", get_field="q.kvs",
+            cntfwd=CntFwdSpec(target=ForwardTarget.SRC, threshold=0))
+        dep = build_rack(1, 1, cal=CAL)
+        reduce_cfg, query_cfg = dep.controller.register(
+            [reduce_prog, query_prog], server="s0", clients=["c0"],
+            value_slots=64)
+        agent = dep.client_agent(0)
+
+        def submit(config, items, expect_result):
+            done = agent.submit(Task(app=config, items=items,
+                                     expect_result=expect_result))
+            result = dep.sim.run_until(done, limit=10.0)
+            dep.sim.run(until=dep.sim.now + 0.05)
+            return result
+
+        big = INT32_MAX - 10
+        submit(reduce_cfg, [("a", 1), ("big", big)], False)
+        pushed = submit(reduce_cfg, [("a", 1), ("big", 100)], False)
+        assert pushed.mapped_pairs == 2 and pushed.overflow_chunks == 1
+        result = submit(query_cfg, [("a", 0), ("big", 0)], True)
+        assert result.values == {"a": 2, "big": big + 100}
+        # The query's chunk overflowed too (the sticky register), and
+        # its replay still answered both slots.
+        assert result.overflow_chunks == 1
+
     def test_quantizer_precheck_catches_oversized_floats(self):
         from repro.protocol import Quantizer
         q = Quantizer(8)

@@ -176,7 +176,8 @@ def test_a_keyed_chunk_replays_exactly_its_columns_on_overflow():
         chunk = tstate.chunks[offset]
         assert chunk.keys is originals[offset].kv.keys
         del sent[:]
-        agent._resend_overflow(state, config, tstate, chunk)
+        agent._resend_overflow(state, config, tstate, chunk,
+                               (1 << (stop - offset)) - 1)
         (_flow, replay), = sent
         assert (replay.is_of, replay.is_cross, replay.offset,
                 replay.task_id) == (True, True, offset, task.task_id)

@@ -216,7 +216,8 @@ def test_overflow_resend_rebuilds_keys_from_the_offset(values, offset):
     offset = min(offset * 32, (len(values) - 1) // 32 * 32)
     chunk = tstate.chunks[offset]
     del sent[:]
-    agent._resend_overflow(state, config, tstate, chunk)
+    agent._resend_overflow(state, config, tstate, chunk,
+                           (1 << len(chunk.values)) - 1)
     (_flow, pkt), = sent
     stop = min(offset + 32, len(values))
     assert (pkt.is_of, pkt.is_cross, pkt.offset, pkt.task_total,

@@ -11,10 +11,7 @@ from repro.netsim import (
     Simulator,
     WallClockExceeded,
 )
-from repro.netsim.simulator import (
-    global_wall_deadline,
-    set_global_wall_deadline,
-)
+from repro.netsim.simulator import set_global_wall_deadline
 
 
 @pytest.fixture
@@ -337,7 +334,7 @@ class TestWallClockDeadline:
                 sim.run()
         finally:
             set_global_wall_deadline(None)
-        assert global_wall_deadline() is None
+        assert Simulator(seed=0)._wall_deadline == float("inf")
         # Unset again: a simulator built now runs past the old deadline
         # (one that expired long ago) without the guard ever firing.
         log = []

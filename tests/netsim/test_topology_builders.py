@@ -1,23 +1,14 @@
-"""Fat-tree and multi-rack topology builders (DESIGN.md §4.9).
+"""Fat-tree and multi-rack topology structures (DESIGN.md §4.9).
 
 The structures are pure data — ``(nodes, edges)`` name tuples — so the
 counting identities of the canonical topologies are checked exactly:
 a k-ary fat tree has ``5k²/4`` switches and ``k³/4`` hosts; a rack
 fabric has one ToR per rack and a full ToR x spine bipartite core.
-The live builders must realize every edge as a duplex link with the
-tier's calibrated delay and record each node's rack label.
 """
 
 import pytest
 
-from repro.netsim import (DEFAULT_CALIBRATION, Node, Simulator, fat_tree,
-                          fat_tree_structure, multi_rack,
-                          multi_rack_structure)
-
-
-class _Sink(Node):
-    def receive(self, packet):
-        pass
+from repro.netsim import fat_tree_structure, multi_rack_structure
 
 
 def _degrees(edges):
@@ -95,29 +86,3 @@ def test_fat_tree_structure_rejects_odd_k():
         fat_tree_structure(3)
     with pytest.raises(ValueError):
         fat_tree_structure(0)
-
-
-def test_multi_rack_live_build_links_and_delays():
-    sim = Simulator(seed=0)
-    topo = multi_rack(sim, 2, 2, _Sink, _Sink, n_spines=1)
-    nodes, edges = multi_rack_structure(2, 2, n_spines=1)
-    assert set(topo.nodes) == {name for name, _r, _k in nodes}
-    assert topo.rack_of["r0h0"] == "rack0"
-    assert topo.rack_of["spine0"] == "spine"
-    # Duplex: both directions registered for every structure edge.
-    for a, b, tier in edges:
-        link = topo.links[(a, b)]
-        want = (DEFAULT_CALIBRATION.host_link_delay_s if tier == "host"
-                else DEFAULT_CALIBRATION.switch_link_delay_s)
-        assert link.delay_s == want
-        assert (b, a) in topo.links
-
-
-def test_fat_tree_live_build_smoke():
-    sim = Simulator(seed=0)
-    topo = fat_tree(sim, 2, _Sink, _Sink)
-    nodes, edges = fat_tree_structure(2)
-    assert set(topo.nodes) == {name for name, _r, _k in nodes}
-    assert len(edges) == 2 + 2 + 2                 # 2 hosts, k=2 mesh
-    host = topo.nodes["p0e0h0"]
-    assert host.egress                             # uplink attached

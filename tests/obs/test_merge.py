@@ -1,5 +1,5 @@
-"""Capture codec + merge exporter unit tests (no sharded runs here;
-the end-to-end merged-trace contract lives in tests/shard/test_obs.py).
+"""Capture + merge exporter unit tests (no sharded runs here; the
+end-to-end merged-trace contract lives in tests/shard/test_obs.py).
 """
 
 import pytest
@@ -8,8 +8,6 @@ from repro.obs.capture import (
     ShardCapture,
     ShardObs,
     capture_shards,
-    decode_records,
-    encode_records,
     shard_lane,
 )
 from repro.obs.export import validate_chrome_trace
@@ -17,46 +15,7 @@ from repro.obs.merge import merged_chrome_trace, stitch_flow_pairs
 from repro.obs.tracer import FlightRecorder
 
 
-class TestRecordCodec:
-    def test_round_trip(self):
-        records = [
-            (1, "link.serialize", 0.0, 1.5e-6, "a->b", (7, 3)),
-            (1, "link.propagate", 1.5e-6, 1.15e-5, "a->b", None),
-            (2, "boundary.deliver", 1.15e-5, None, "a->b", (7, 3)),
-            (2, "flow.ack", 2e-5, None, "flow-7", None),
-        ]
-        assert decode_records(encode_records(records)) == records
-
-    def test_empty(self):
-        assert decode_records(encode_records([])) == []
-
-    def test_interning_shares_strings(self):
-        records = [(1, "k", float(i), None, "w", None)
-                   for i in range(100)]
-        wire = encode_records(records)
-        assert wire["kinds"] == ["k"]
-        assert wire["wheres"] == ["w"]
-        assert len(wire["blob"]) == 100 * 25
-        assert decode_records(wire) == records
-
-    def test_args_ride_exception_list(self):
-        records = [(1, "k", 0.0, None, "w", None),
-                   (1, "k", 1.0, None, "w", ("x", 2))]
-        wire = encode_records(records)
-        assert wire["args"] == [(1, ("x", 2))]
-        assert decode_records(wire) == records
-
-
 class TestShardCapture:
-    def test_wire_round_trip(self):
-        cap = ShardCapture(
-            shard_id=3, lane=shard_lane(3),
-            records=[(4, "flow.tx", 0.0, None, "f", (1, 0))],
-            span_counts={"flow.tx": 1}, total=1, dropped=0,
-            metrics={"sync": {"events": 10}})
-        again = ShardCapture.from_wire(cap.to_wire())
-        assert again == cap
-
     def test_capture_shards_buckets_by_epoch(self):
         rec = FlightRecorder(capacity=32)
         rec.start()
@@ -87,13 +46,13 @@ def _obs_with(records_by_shard, rounds=None):
         for rec in records:
             counts[rec[1]] = counts.get(rec[1], 0) + 1
         captures[sid] = ShardCapture(
-            shard_id=sid, lane=shard_lane(sid), records=records,
+            shard_id=sid, records=records,
             span_counts=counts, total=len(records), dropped=0)
     return ShardObs(captures=captures, rounds=rounds or [],
                     shards={sid: {"events": len(records), "work_s": 0.0,
-                                  "barrier_wait_s": 0.0, "clock_s": 1.0}
+                                  "clock_s": 1.0}
                             for sid, records in records_by_shard.items()},
-                    transport={"transport": "inproc", "rounds": 1})
+                    transport={"rounds": 1})
 
 
 class TestStitching:
@@ -127,7 +86,7 @@ class TestMergedTrace:
         return {"round": n, "clocks": [0.0, 0.0],
                 "horizons": [1e-5, 2e-5], "bases": [None, 5e-6],
                 "moved": 2, "frames": 1, "bytes": 100,
-                "skipped": 0, "spills": 0}
+                "skipped": 0}
 
     def test_merged_trace_validates(self):
         obs = _obs_with(

@@ -1,109 +1,10 @@
-"""Hypothesis round-trip suite for the fixed-width boundary codec.
+"""The logical frame size the shard transport telemetry counts."""
 
-The codec replaces pickle on the shard interconnect's hot path, so the
-one property that matters is *exactness*: encode→decode must reproduce
-every field bit-for-bit — IEEE-double deliver times compared via
-``float.hex()``, full-range signed-64 flow/seq ids, the ecn flag, and
-per-frame record order.  The pickled fallback (non-``FlowPacket``
-payloads, out-of-range fields) must round-trip too, just slower.
-"""
-
-from hypothesis import given, settings, strategies as st
-
-from repro.netsim import scaled
-from repro.netsim.topology import multi_rack_structure
-from repro.shard import partition_structure
-from repro.shard.codec import (CodecTables, FRAME_HEADER, KIND_PACKED,
-                               KIND_PICKLED, RECORD, decode_frame,
-                               encode_frame, frame_nbytes, packable)
-from repro.shard.fabric import FlowPacket
-
-CAL = scaled(switch_link_delay_s=10e-6)
-
-STRUCTURE = multi_rack_structure(3, 3, n_spines=2)
-PARTITION = partition_structure(STRUCTURE, 3, cal=CAL)
-TABLES = CodecTables(STRUCTURE, PARTITION)
-
-NODE_NAMES = st.sampled_from(TABLES.node_names)
-LINK_NAMES = st.sampled_from(TABLES.link_names)
-
-I64 = st.integers(-(1 << 63), (1 << 63) - 1)
-# Finite doubles only: NaN never appears in deliver times (they are
-# sums of positive delays) and breaks equality-based comparison.
-TIMES = st.floats(allow_nan=False, allow_infinity=False)
-
-MESSAGES = st.lists(
-    st.tuples(LINK_NAMES, TIMES,
-              st.builds(FlowPacket,
-                        flow_id=I64, seq=I64,
-                        src=NODE_NAMES, dst=NODE_NAMES,
-                        size_bytes=st.integers(0, (1 << 32) - 1),
-                        ecn=st.booleans())),
-    max_size=40)
-
-
-def assert_messages_equal(decoded, original):
-    assert len(decoded) == len(original)
-    for (name_d, when_d, pkt_d), (name_o, when_o, pkt_o) in zip(
-            decoded, original):
-        assert name_d == name_o
-        assert when_d.hex() == when_o.hex()
-        assert (pkt_d.flow_id, pkt_d.seq, pkt_d.src, pkt_d.dst,
-                pkt_d.size_bytes, pkt_d.ecn) == \
-               (pkt_o.flow_id, pkt_o.seq, pkt_o.src, pkt_o.dst,
-                pkt_o.size_bytes, pkt_o.ecn)
-
-
-@given(messages=MESSAGES)
-@settings(max_examples=200, deadline=None)
-def test_frame_round_trip_exact(messages):
-    assert packable(messages, TABLES)
-    frame = encode_frame(messages, TABLES)
-    kind, count = FRAME_HEADER.unpack_from(frame, 0)
-    assert kind == KIND_PACKED
-    assert count == len(messages)
-    assert len(frame) == frame_nbytes(len(messages))
-    assert_messages_equal(decode_frame(frame, TABLES), messages)
-
-
-@given(messages=MESSAGES, extra=st.tuples(LINK_NAMES, TIMES))
-@settings(max_examples=50, deadline=None)
-def test_pickled_fallback_round_trip(messages, extra):
-    # One non-FlowPacket payload poisons the whole frame into the
-    # pickled encoding — order must still survive.
-    name, when = extra
-    poisoned = list(messages) + [(name, when, {"opaque": True})]
-    assert not packable(poisoned, TABLES)
-    frame = encode_frame(poisoned, TABLES)
-    kind, count = FRAME_HEADER.unpack_from(frame, 0)
-    assert kind == KIND_PICKLED
-    assert count == len(poisoned)
-    decoded = decode_frame(frame, TABLES)
-    assert_messages_equal(decoded[:-1], messages)
-    assert decoded[-1] == (name, when, {"opaque": True})
-
-
-def test_out_of_range_fields_fall_back():
-    big = FlowPacket(1 << 63, 0, TABLES.node_names[0],
-                     TABLES.node_names[1], 100)
-    unknown = FlowPacket(1, 0, "no-such-node", TABLES.node_names[0], 100)
-    for packet in (big, unknown):
-        messages = [(TABLES.link_names[0], 1.0, packet)]
-        assert not packable(messages, TABLES)
-        decoded = decode_frame(encode_frame(messages, TABLES), TABLES)
-        assert decoded[0][2].flow_id == packet.flow_id
-        assert decoded[0][2].src == packet.src
-
-
-def test_tables_are_pure_functions_of_inputs():
-    again = CodecTables(STRUCTURE, PARTITION)
-    assert again.node_names == TABLES.node_names
-    assert again.link_names == TABLES.link_names
+from repro.shard.codec import frame_nbytes
 
 
 def test_record_layout_is_pinned():
-    # 41 bytes/record and a 5-byte header: the shm slot geometry and
-    # the logical-bytes telemetry both bake these in.
-    assert RECORD.size == 41
-    assert FRAME_HEADER.size == 5
+    # 41 bytes/record and a 5-byte header: ``transport_bytes`` and the
+    # benchmark's ``shard.transport_bytes`` bake these in.
+    assert frame_nbytes(0) == 5
     assert frame_nbytes(10) == 5 + 410

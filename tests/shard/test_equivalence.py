@@ -1,12 +1,8 @@
-"""workers=1 vs workers=N bit-identity, plus the golden fingerprint pin.
+"""The golden fingerprint pins of the sharded rack2 scenario.
 
-The in-process pool and the fork-based subprocess pool run the *same*
-barrier protocol over the *same* per-shard simulators, so everything
-except wall-clock accounting must be byte-identical — flows, link
-counters, fingerprints, per-shard event totals, scheduler stats, final
-clocks, barrier count.  The golden pin freezes the rack2 fingerprint:
-any change to link timing, ECMP hashing, workload synthesis, or the
-barrier protocol that shifts a single float breaks it loudly.
+The pin freezes the rack2 fingerprint: any change to link timing, ECMP
+hashing, workload synthesis, or the barrier protocol that shifts a
+single float breaks it loudly.
 """
 
 from repro.experiments.exp_fattree import build_scenario
@@ -18,27 +14,9 @@ GOLDEN_RACK2_SEED0_CHAOS = ("951e13b542d3c483c4bc2e824b6efe9d"
                             "db4c0bcbfa8184a11daad8a74ffbca96")
 
 
-def test_workers_equivalence_rack4():
-    scenario_obj, partition = build_scenario("rack4", fast=True, seed=1)
-    one = run_sharded(scenario_obj, partition=partition, workers=1)
-    two = run_sharded(scenario_obj, partition=partition, workers=2)
-    assert one.comparable_state() == two.comparable_state()
-    assert one.workers == 1 and two.workers == 2
-
-
-def test_workers_equivalence_under_chaos():
-    scenario_obj, partition = build_scenario("rack4", fast=True, seed=1,
-                                             chaos=True)
-    one = run_sharded(scenario_obj, partition=partition, workers=1)
-    two = run_sharded(scenario_obj, partition=partition, workers=2)
-    assert one.comparable_state() == two.comparable_state()
-    assert one.chaos_fingerprint == two.chaos_fingerprint
-    assert one.chaos_fingerprint is not None
-
-
 def test_golden_fingerprint_rack2():
     scenario_obj, partition = build_scenario("rack2", fast=True, seed=0)
-    result = run_sharded(scenario_obj, partition=partition, workers=1)
+    result = run_sharded(scenario_obj, partition=partition)
     assert result.fingerprint == GOLDEN_RACK2_SEED0
     assert result.events_per_shard == [417, 359]
     # Adaptive multi-round horizons (DESIGN.md §4.10) prove several
@@ -53,5 +31,5 @@ def test_golden_fingerprint_rack2():
 def test_golden_fingerprint_rack2_chaos():
     scenario_obj, partition = build_scenario("rack2", fast=True, seed=0,
                                              chaos=True)
-    result = run_sharded(scenario_obj, partition=partition, workers=1)
+    result = run_sharded(scenario_obj, partition=partition)
     assert result.fingerprint == GOLDEN_RACK2_SEED0_CHAOS

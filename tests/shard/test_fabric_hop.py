@@ -39,8 +39,7 @@ FABRIC_HOP_NETSIM_BUDGET = 19.0
 def test_fabric_hop_call_budget():
     scenario = _scenario()
     partition = partition_structure(scenario.structure, 4, cal=CAL)
-    result, calls = count_calls(run_sharded, scenario, partition=partition,
-                                workers=1)
+    result, calls = count_calls(run_sharded, scenario, partition=partition)
     emitted = sum(flow.n_pkts for flow in scenario.flows)
     delivered = sum(rec[0] for rec in result.flows.values())
     assert delivered == emitted > 1000

@@ -4,10 +4,7 @@ The contract under test (ISSUE 10 / DESIGN.md §4.11):
 
 * arming the flight recorder around ``run_sharded`` leaves every
   result bit (fingerprints, flow records, link counters, event
-  censuses) identical — across worker counts and both subprocess
-  transports;
-* the per-shard captures themselves are byte-equal no matter which
-  pool/transport executed the shards;
+  censuses) identical;
 * the merged Chrome/Perfetto trace is schema-valid, has one pid lane
   per shard plus the coordinator, barrier-round spans, transport
   counter tracks, and cross-shard flow events whose s/f endpoints
@@ -17,8 +14,8 @@ The contract under test (ISSUE 10 / DESIGN.md §4.11):
 * the always-on ``shard-run`` registry namespace exposes per-shard
   scheduler/sync stats to the metrics JSONL and diff.
 
-Runs are memoized per (traced, workers, transport, scenario) so the
-suite pays for each configuration once.
+Runs are memoized per (scenario, traced) so the suite pays for each
+configuration once.
 """
 
 import json
@@ -46,8 +43,8 @@ def clean_trace():
 _RUNS = {}
 
 
-def _run(scenario="rack2", traced=False, workers=1, transport=None):
-    key = (scenario, traced, workers, transport)
+def _run(scenario="rack2", traced=False):
+    key = (scenario, traced)
     if key not in _RUNS:
         scenario_obj, partition = build_scenario(scenario, fast=True,
                                                  seed=0)
@@ -57,8 +54,7 @@ def _run(scenario="rack2", traced=False, workers=1, transport=None):
             # process-wide ring, and start() inherits the last size
             TRACE.start(capacity=DEFAULT_CAPACITY)
         try:
-            _RUNS[key] = run_sharded(scenario_obj, partition=partition,
-                                     workers=workers, transport=transport)
+            _RUNS[key] = run_sharded(scenario_obj, partition=partition)
         finally:
             if traced:
                 TRACE.stop()
@@ -69,34 +65,15 @@ def _run(scenario="rack2", traced=False, workers=1, transport=None):
 
 class TestTracingObservesOnly:
     def test_traced_inprocess_bit_identical(self):
-        baseline = _run(traced=False, workers=1)
-        traced = _run(traced=True, workers=1)
+        baseline = _run(traced=False)
+        traced = _run(traced=True)
         assert traced.comparable_state() == baseline.comparable_state()
-
-    @pytest.mark.parametrize("transport", ["shm", "pipe"])
-    def test_traced_subprocess_bit_identical(self, transport):
-        baseline = _run(traced=False, workers=1)
-        traced = _run(traced=True, workers=2, transport=transport)
-        assert traced.transport == transport
-        assert traced.comparable_state() == baseline.comparable_state()
-
-    def test_captures_identical_across_pools(self):
-        inproc = _run(traced=True, workers=1).obs
-        shm = _run(traced=True, workers=2, transport="shm").obs
-        pipe = _run(traced=True, workers=2, transport="pipe").obs
-        assert set(inproc.captures) == {0, 1}
-        for sid in inproc.captures:
-            ref = inproc.captures[sid]
-            assert ref.total > 0 and ref.dropped == 0
-            for other in (shm, pipe):
-                cap = other.captures[sid]
-                assert cap.records == ref.records
-                assert cap.span_counts == ref.span_counts
-                assert cap.metrics == ref.metrics
-                assert cap.dropped == 0
+        assert set(traced.obs.captures) == {0, 1}
+        for cap in traced.obs.captures.values():
+            assert cap.total > 0 and cap.dropped == 0
 
     def test_untraced_run_carries_no_obs(self):
-        result = _run(traced=False, workers=1)
+        result = _run(traced=False)
         assert result.obs is None
         # ... but the metrics namespace is always there (satellite 1)
         assert result.registry is not None
@@ -104,7 +81,7 @@ class TestTracingObservesOnly:
 
 class TestMergedTrace:
     def test_rack4_merged_trace_shape(self, tmp_path):
-        result = _run("rack4", traced=True, workers=2)
+        result = _run("rack4", traced=True)
         obs = result.obs
         trace = merged_chrome_trace(obs)
         assert validate_chrome_trace(trace) == []
@@ -132,10 +109,10 @@ class TestMergedTrace:
             == result.transport_bytes
 
         assert trace["otherData"]["flow_pairs"] >= 1
-        assert trace["otherData"]["transport"]["workers"] == 2
+        assert trace["otherData"]["transport"]["rounds"] == result.rounds
 
     def test_flow_endpoints_pair_across_lanes(self):
-        obs = _run("rack4", traced=True, workers=2).obs
+        obs = _run("rack4", traced=True).obs
         trace = merged_chrome_trace(obs)
         starts = {}
         finishes = {}
@@ -158,7 +135,7 @@ class TestMergedTrace:
     def test_write_merged_trace_files(self, tmp_path):
         from repro.obs.merge import write_merged_trace
 
-        obs = _run(traced=True, workers=1).obs
+        obs = _run(traced=True).obs
         trace_path, metrics_path = write_merged_trace(
             obs, tmp_path / "shard_trace.json")
         trace = json.loads(trace_path.read_text())
@@ -182,8 +159,7 @@ class TestSingleShardReference:
         TRACE.clear()
         TRACE.start(capacity=DEFAULT_CAPACITY)
         try:
-            sharded = run_sharded(scenario_obj, partition=partition,
-                                  workers=1)
+            sharded = run_sharded(scenario_obj, partition=partition)
             capture = sharded.obs.captures[0]
             TRACE.start()          # fresh buffer, still armed
             reference = run_unsharded(scenario_obj)
@@ -205,7 +181,7 @@ class TestSingleShardReference:
 
 class TestRegistryNamespace:
     def test_shard_run_registry_contents(self):
-        result = _run(traced=False, workers=1)
+        result = _run(traced=False)
         registry = result.registry
         assert registry is not None
         names = set(registry.snapshot_nested())
@@ -219,7 +195,7 @@ class TestRegistryNamespace:
         assert registry.snapshot() == registry.snapshot()
 
     def test_export_jsonl_covers_sharded_run(self, tmp_path):
-        result = _run(traced=False, workers=1)
+        result = _run(traced=False)
         path = tmp_path / "shard_metrics.jsonl"
         write_metrics_jsonl(path)
         lines = [json.loads(line) for line in

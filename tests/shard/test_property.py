@@ -5,7 +5,7 @@ properties that must hold for *every* draw:
 
 * the partitioner yields a true partition whose cut edges all carry
   positive delay (the lookahead the barrier protocol runs on), and
-* a sharded ``workers=1`` run is results-identical to the unsharded
+* a sharded run is results-identical to the unsharded
   single-simulator run of the same scenario.
 
 Example counts are small — each example is a pair of full simulation
@@ -46,7 +46,7 @@ def test_partition_properties(shape):
         assert shard_of[cut.src] != shard_of[cut.dst]
     shard_pairs = {(shard_of[a], shard_of[b])
                    for a, b, _t in structure[1] if shard_of[a] != shard_of[b]}
-    channel_pairs = {pair for pair, _links in part.channels}
+    channel_pairs = {pair for pair, _bound in part.lookahead}
     assert channel_pairs == shard_pairs | {(b, a) for a, b in shard_pairs}
 
 
@@ -64,7 +64,7 @@ def test_sharded_equals_unsharded(shape, seed, n_flows):
     scenario = ShardScenario(structure=structure, flows=flows, until=2e-3,
                              seed=seed, cal=CAL)
     partition = partition_structure(structure, n_shards, cal=CAL)
-    sharded = run_sharded(scenario, partition=partition, workers=1)
+    sharded = run_sharded(scenario, partition=partition)
     reference = run_unsharded(scenario)
     assert results_identical(sharded, reference)
     assert all(clock == scenario.until for clock in sharded.shard_clocks)

@@ -125,42 +125,33 @@ def _print_scheduler_stats(sims: list) -> None:
 
 
 def _print_shard_imbalance(result: dict) -> None:
-    """Barrier-wait / compute imbalance summary after a sharded run."""
+    """Compute imbalance summary after a sharded run."""
     works = result.get("work_s") or []
-    waits = result.get("barrier_wait_s") or []
     if not works:
         return
-    total_work = sum(works)
-    total_wait = sum(waits)
-    busy = total_work + total_wait
-    avg = total_work / len(works)
+    avg = sum(works) / len(works)
     slowest = max(range(len(works)), key=works.__getitem__)
     print(f"imbalance         : max/mean work "
           f"{works[slowest] / avg if avg > 0 else 0.0:.2f}x "
-          f"(slowest shard {slowest}, {works[slowest] * 1e3:.1f} ms); "
-          f"barrier wait {total_wait * 1e3:.1f} ms of "
-          f"{busy * 1e3:.1f} ms busy "
-          f"({total_wait / busy if busy > 0 else 0.0:.1%})")
+          f"(slowest shard {slowest}, {works[slowest] * 1e3:.1f} ms)")
 
 
 def profile_sharded(name: str, run, kwargs: dict, args) -> int:
-    """Profile a sharded experiment: one cProfile per shard worker.
+    """Profile a sharded experiment: one cProfile per shard.
 
-    Requires a ``run()`` that accepts ``workers=`` and ``profile_dir=``
-    (the ``exp_fattree`` scenario family).  Each shard's simulation
-    work — and only that work; barrier waits and pipe traffic are
-    outside the profiled region — lands in ``DIR/shard<N>.prof``, and
-    the per-shard work vs barrier-wait breakdown shows where the wall
-    time actually went.
+    Requires a ``run()`` that accepts ``profile_dir=`` (the
+    ``exp_fattree`` scenario family).  Each shard's simulation work —
+    and only that work; the coordinator's barrier arithmetic is outside
+    the profiled region — lands in ``DIR/shard<N>.prof``, and the
+    per-shard work shows how evenly the partition split the run.
 
-    With ``--trace PATH`` the run also captures per-worker flight
+    With ``--trace PATH`` the run also captures per-shard flight
     recorders and writes the merged multi-lane Perfetto timeline
     (``run()`` must accept ``trace=``; see DESIGN.md §4.11).
     """
     profile_dir = Path(args.profile_dir)
     profile_dir.mkdir(parents=True, exist_ok=True)
-    run_kwargs = {**kwargs, "workers": args.shards,
-                  "profile_dir": str(profile_dir)}
+    run_kwargs = {**kwargs, "profile_dir": str(profile_dir)}
     if args.trace:
         run_kwargs["trace"] = args.trace
     start = perf_counter()
@@ -192,15 +183,14 @@ def profile_sharded(name: str, run, kwargs: dict, args) -> int:
           f"{result['barriers_per_sec']:,.0f} barriers/s, "
           f"{wall:.2f}s wall (includes profiler overhead)")
     rounds = result["rounds"]
-    print(f"transport         : {result['transport']}, "
+    print(f"transport         : "
           f"{result['messages_relayed']:,} boundary messages in "
           f"{result['frames_sent']:,} frames "
           f"({result['transport_bytes']:,} logical bytes, "
           f"{result['bytes_per_round']:,.0f} B/round, "
           f"{result['frames_sent'] / rounds if rounds else 0.0:.1f} "
           f"frames/round), "
-          f"{result['horizon_rounds_skipped']:,} horizon rounds skipped"
-          f"{', %d shm spills' % result['shm_spills'] if result['shm_spills'] else ''}")
+          f"{result['horizon_rounds_skipped']:,} horizon rounds skipped")
 
     missing = 0
     for dump in sorted(profile_dir.glob("shard*.prof")):
@@ -657,12 +647,11 @@ def main(argv=None) -> int:
     parser.add_argument("--dump", default=None, metavar="PATH",
                         help="also save raw stats for pstats/snakeviz "
                              "(single-run mode)")
-    parser.add_argument("--shards", type=int, default=None, metavar="N",
-                        help="sharded mode: run the experiment through "
-                             "N shard workers, dumping one cProfile per "
-                             "shard into --profile-dir plus the barrier-"
-                             "wait breakdown (run() must accept workers= "
-                             "and profile_dir=, e.g. exp_fattree)")
+    parser.add_argument("--shards", action="store_true",
+                        help="sharded mode: dump one cProfile per shard "
+                             "into --profile-dir plus the per-shard work "
+                             "(run() must accept profile_dir=, e.g. "
+                             "exp_fattree)")
     parser.add_argument("--sweep", default=None, metavar="JSON",
                         help="JSON list of kwargs overlays; profile the "
                              "whole grid through the sweep engine")
@@ -671,13 +660,13 @@ def main(argv=None) -> int:
                              "$REPRO_SWEEP_WORKERS or cpu count)")
     parser.add_argument("--profile-dir", default="prof_sweep",
                         metavar="DIR",
-                        help="per-run .prof dump directory in sweep mode "
-                             "(default: %(default)s)")
+                        help="per-run .prof dump directory in sweep "
+                             "and --shards mode (default: %(default)s)")
     parser.add_argument("--trace", default=None, metavar="PATH",
                         help="record a flight-recorder trace of the "
                              "profiled run: Perfetto JSON at PATH plus a "
                              "metrics JSONL next to it; with --shards the "
-                             "workers' captures merge into one multi-lane "
+                             "shards' captures merge into one multi-lane "
                              "timeline (run() must accept trace=)")
     args = parser.parse_args(argv)
     if args.trace and args.sweep is not None:
@@ -686,7 +675,7 @@ def main(argv=None) -> int:
     if (args.e2e is None) == (args.experiment is None):
         parser.error("give an experiment module or --e2e WORKLOAD")
     if args.e2e is not None:
-        if args.shards is not None or args.sweep is not None or args.trace:
+        if args.shards or args.sweep is not None or args.trace:
             parser.error("--e2e combines only with --seed, --sort, --top "
                          "and --dump")
         return profile_e2e(args)
@@ -706,7 +695,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         parser.error(f"--kwargs must be a JSON object: {exc}")
 
-    if args.shards is not None:
+    if args.shards:
         if args.sweep is not None:
             parser.error("--shards is exclusive with --sweep")
         return profile_sharded(name, run, kwargs, args)

@@ -89,6 +89,7 @@ SRC = os.path.join(ROOT, "src", "repro")
 KEEP = {
     "a": ("fault model and chaos machinery", [
         "netsim/faults.py:*", "netsim/link.py:*Loss.*",
+        "netsim/link.py:LinkStats.add",
         "netsim/node.py:Host.pause", "netsim/node.py:Host._resume",
         "switchsim/switch.py:NetRPCSwitch.reboot",
         "switchsim/registers.py:RegisterFile.power_cycle",
@@ -102,6 +103,7 @@ KEEP = {
         "experiments/common.py:run_chaos_*",
         "experiments/common.py:chaos_task_values",
         "experiments/common.py:reboot_schedule_factory*",
+        "shard/spec.py:rack_chaos_schedule",
     ]),
     "b": ("input validation and error paths", [
         "core/messages.py:_decode_field_value",
@@ -109,20 +111,13 @@ KEEP = {
         "core/messages.py:Message.__getattr__",
         "core/status.py:RpcError.__init__",
         "netsim/events.py:EventFailed.__init__",
-        "netsim/simulator.py:*global_wall_deadline",
+        "netsim/simulator.py:set_global_wall_deadline",
         "protocol/rips.py:RetryMode.parse",
         "shard/boundary.py:RemoteNode.receive",
         "shard/boundary.py:ShardEgressLink._deliver*",
-        # A shard worker that dies or stops replying, a loss model set
-        # on a cut link (refused), and the liveness check behind the
-        # sweep of a dead coordinator's bus segments: failures no
+        # A loss model set on a cut link (refused): a failure no
         # production run provokes.
         "shard/boundary.py:ShardEgressLink.loss",
-        "shard/runner.py:ShardWorkerDied.__init__",
-        "shard/runner.py:ShardWorkerHung.__init__",
-        "shard/runner.py:_SubprocessPool._died",
-        "shard/transport.py:_pid_alive",
-        "shard/codec.py:encode_frame", "shard/codec.py:decode_frame",
         "sweep/engine.py:SweepEngine._run_quarantined",
         "sweep/spec.py:RunFailure.*", "sweep/spec.py:RunResult.ok",
         "sweep/spec.py:RunSpec.describe", "sweep/spec.py:format_exception",
@@ -185,12 +180,6 @@ KEEP = {
     "e": ("test support worker processes must import", [
         "sweep/diagnostics.py:*",
     ]),
-    "f": ("what the one-network-model item builds on", [
-        "netsim/topology.py:fat_tree", "netsim/topology.py:multi_rack",
-        "netsim/topology.py:_build_structure",
-        "shard/placement.py:*",
-        "control/controller.py:Controller.managed_switch_names",
-    ]),
     # State keep groups (``--state``): items are ``"<kind> <pkg>/<module>
     # .py:<owner>.<name>"``, or ``...:<qualname>(<param>)`` for a
     # parameter, so no function pattern above matches one.
@@ -216,7 +205,6 @@ KEEP = {
         "field experiments/common.py:ChaosRunResult.switch_stats",
         "field experiments/common.py:ChaosRunResult.server_stats",
         "field experiments/common.py:ChaosRunResult.audit_trail",
-        "field shard/placement.py:ControlPlacement.shard_of_controller",
     ]),
 }
 
@@ -367,8 +355,7 @@ TRACED_MICRO = ("from repro.experiments import exp_micro; "
 
 TRACED_FATTREE = (
     "from repro.experiments import exp_fattree; "
-    "r = exp_fattree.run('rack4', fast=True, workers=2, "
-    "trace='shard_trace.json'); "
+    "r = exp_fattree.run('rack4', fast=True, trace='shard_trace.json'); "
     "assert r['results_identical_to_unsharded'] is True")
 
 
@@ -377,7 +364,6 @@ def command_sets():
     working directory."""
     py = sys.executable
     tool = os.path.join(ROOT, "tools")
-    script = os.path.join(ROOT, "scripts")
     examples = sorted(f for f in os.listdir(os.path.join(ROOT, "examples"))
                       if f.endswith(".py"))
     profile = [py, os.path.join(tool, "profile_experiment.py")]
@@ -400,10 +386,8 @@ def command_sets():
              "--top", "3"],
             # the profiler's other two modes: single run and sharded
             [*profile, "exp_micro", "--top", "3"],
-            [*profile, "exp_fattree", "--shards", "2", "--top", "3",
+            [*profile, "exp_fattree", "--shards", "--top", "3",
              "--profile-dir", "prof_shards"],
-            [py, os.path.join(script, "check_shard_acceptance.py"),
-             "--fast"],
             [py, "-c", TRACED_MICRO],
             [*report, "validate", "trace.json", "--metrics",
              "trace.metrics.jsonl"],
@@ -438,7 +422,6 @@ def run_sets(out):
             shutil.rmtree(path, ignore_errors=True)
             os.makedirs(path)
         env = traced_env(site, dumps)
-        env.setdefault("REPRO_SHARD_WORKERS", "2")
         codes = []
         with open(os.path.join(out, f"{name}.log"), "w") as log:
             for argv in sets[name]:

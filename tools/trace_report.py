@@ -13,8 +13,8 @@ Usage (from the repo root):
     PYTHONPATH=src python tools/trace_report.py validate trace.json \
         --metrics trace.metrics.jsonl
 
-    # merged sharded-run report: per-shard lanes, barrier-wait
-    # breakdown, compute imbalance, transport counters, flow stitches
+    # merged sharded-run report: per-shard lanes, compute imbalance,
+    # transport counters, flow stitches
     PYTHONPATH=src python tools/trace_report.py shards shard_trace.json
 
 The input is the Chrome/Perfetto trace-event JSON written by
@@ -202,32 +202,25 @@ def cmd_shards(args) -> int:
     print(f"merged sharded trace: {args.trace}")
     transport = other.get("transport", {})
     if transport:
-        print(f"  transport: {transport.get('transport', '?')}  "
-              f"workers: {transport.get('workers', '?')}  "
-              f"rounds: {transport.get('rounds', '?')}  "
+        print(f"  rounds: {transport.get('rounds', '?')}  "
               f"frames: {transport.get('frames_sent', '?')}  "
               f"bytes: {transport.get('transport_bytes', '?')}  "
-              f"spills: {transport.get('shm_spills', '?')}  "
               f"skipped: {transport.get('horizon_rounds_skipped', '?')}")
     print(f"  flow stitches (cross-shard s/f pairs): "
           f"{other.get('flow_pairs', 0)}  "
           f"dropped records: {other.get('dropped_records', 0)}")
 
-    # -- barrier-wait / compute breakdown per shard --------------------
-    print("\nper-shard compute vs barrier wait (wall time):")
+    # -- compute per shard ---------------------------------------------
+    print("\nper-shard compute (wall time):")
     print(f"  {'shard':>5} {'events':>9} {'records':>9} {'work ms':>9} "
-          f"{'wait ms':>9} {'wait %':>7} {'clock ms':>9}")
+          f"{'clock ms':>9}")
     works = []
     for sid in sorted(shards, key=int):
         info = shards[sid]
         work = float(info.get("work_s", 0.0))
-        wait = float(info.get("barrier_wait_s", 0.0))
-        busy = work + wait
         works.append(work)
         print(f"  {sid:>5} {info.get('events', '?'):>9} "
               f"{info.get('records', '?'):>9} {work * 1e3:>9.1f} "
-              f"{wait * 1e3:>9.1f} "
-              f"{(100.0 * wait / busy) if busy > 0 else 0.0:>6.1f}% "
               f"{float(info.get('clock_s', 0.0)) * 1e3:>9.3f}")
     if works and max(works) > 0:
         avg = mean(works)
@@ -284,7 +277,7 @@ def main(argv=None) -> int:
     p_val.set_defaults(fn=cmd_validate)
 
     p_sh = sub.add_parser(
-        "shards", help="per-shard lanes / barrier / imbalance report "
+        "shards", help="per-shard lanes / imbalance report "
         "for a merged sharded-run trace")
     p_sh.add_argument("trace")
     p_sh.add_argument("--top", type=int, default=8,
