@@ -279,7 +279,7 @@ class ConvergenceJob:
         decode the switch's broadcast aggregate."""
         deployment = self.deployment
         config = self.config
-        codec = config.codec
+        codec = config.program.codec
         indexed = False
         if self.mode == "fp":
             per_worker = [[(j, codec.encode(g[j])[0])

@@ -180,6 +180,13 @@ class Controller:
         if any(p.app_name != app_name for p in programs):
             raise ValueError("all programs of a registration must share "
                              "one AppName")
+        # An app has one software map and one register region, so one
+        # aggregation arithmetic.
+        aggs = sorted({p.agg.value for p in programs})
+        if len(aggs) > 1:
+            raise ValueError(f"application {app_name!r} mixes aggregation "
+                             f"ops {' and '.join(aggs)}; all its programs "
+                             f"must share one agg")
         if app_name in self._registrations:
             raise ValueError(f"application {app_name!r} already registered")
         if server not in self._server_agents:

@@ -116,7 +116,8 @@ class _Parser:
     def next(self):
         token = self.peek()
         if token is None:
-            raise ProtoSyntaxError("unexpected end of input")
+            line = self.tokens[-1][2] if self.tokens else 1
+            raise ProtoSyntaxError(f"line {line}: unexpected end of input")
         self.pos += 1
         return token
 
@@ -212,6 +213,7 @@ class _Parser:
         self.expect("punct", "{")
         while not self.accept("punct", "}"):
             self.expect("ident", "rpc")
+            line = self.tokens[self.pos - 1][2]
             method_name = self.expect("ident")
             self.expect("punct", "(")
             request_type = self.expect("ident")
@@ -229,8 +231,9 @@ class _Parser:
             for type_name in (request_type, reply_type):
                 if type_name not in proto.messages:
                     raise ProtoSyntaxError(
-                        f"rpc {method_name}: undefined message type "
-                        f"{type_name!r} (define messages before services)")
+                        f"line {line}: rpc {method_name}: undefined message "
+                        f"type {type_name!r} (define messages before "
+                        f"services)")
             service.methods.append(MethodDescriptor(
                 method_name, request_type, reply_type, filter_file))
         return service

@@ -38,9 +38,18 @@ __all__ = ["parse_netfilter", "NetFilterError"]
 _KNOWN_KEYS = {"AppName", "Precision", "get", "addTo", "clear", "modify",
                "CntFwd", "retry", "agg"}
 
+# What a NetFilter names with each enum's values, for error messages.
+_ENUM_NOUNS = {ClearPolicy: "clear policy", AggOp: "agg op",
+               RetryMode: "retry mode", StreamOp: "Stream.modify op",
+               ForwardTarget: "CntFwd target"}
+
 
 class NetFilterError(ValueError):
-    """Raised for malformed NetFilter configurations."""
+    """Raised for malformed NetFilter configurations.
+
+    A rejected field starts the message: ``"clear: unknown clear policy
+    'sometimes'; ..."`` (a sub-field as ``CntFwd.to``).
+    """
 
 
 def parse_netfilter(source: Any) -> RIPProgram:
@@ -68,11 +77,11 @@ def parse_netfilter(source: Any) -> RIPProgram:
 
     app_name = config.get("AppName")
     if not app_name or not isinstance(app_name, str):
-        raise NetFilterError("NetFilter requires a string AppName")
+        raise NetFilterError("AppName: NetFilter requires a string AppName")
 
     precision = config.get("Precision", 0)
-    if not isinstance(precision, int):
-        raise NetFilterError("Precision must be an integer")
+    if not isinstance(precision, int) or not 0 <= precision <= 9:
+        raise NetFilterError("Precision: must be an integer in [0, 9]")
 
     get_field = _field_or_none(config.get("get", "nop"), "get")
     add_field = _field_or_none(config.get("addTo", "nop"), "addTo")
@@ -98,30 +107,36 @@ def parse_netfilter(source: Any) -> RIPProgram:
             add_to_field=add_field, clear=clear, modify_op=modify_op,
             modify_para=modify_para, cntfwd=cntfwd, retry=retry, agg=agg)
     except ValueError as exc:
-        raise NetFilterError(str(exc)) from None
+        # The fields are valid one by one: what RIPProgram rejects is
+        # how an fp agg combines with the others.
+        raise NetFilterError(f"agg: {exc}") from None
 
 
-def _parse_enum(kind, value: Any, which: str):
-    """``kind.parse(value)`` for a string ``value``; anything else, and
-    an unknown name, is a :class:`NetFilterError` naming ``which``."""
+def _parse_enum(kind, value: Any, field: str):
+    """The ``kind`` member a NetFilter spells ``value`` (any case, blanks
+    around it ignored); anything else is a :class:`NetFilterError` naming
+    ``field``."""
     if not isinstance(value, str):
-        raise NetFilterError(f"{which} must be a string, got "
+        raise NetFilterError(f"{field}: must be a string, got "
                              f"{type(value).__name__}")
     try:
-        return kind.parse(value)
-    except ValueError as exc:
-        raise NetFilterError(str(exc)) from None
+        return kind(value.strip().lower())
+    except ValueError:
+        valid = ", ".join(member.value for member in kind)
+        raise NetFilterError(
+            f"{field}: unknown {_ENUM_NOUNS[kind]} {value!r}; expected one "
+            f"of: {valid}") from None
 
 
-def _field_or_none(value: Any, which: str) -> Optional[str]:
+def _field_or_none(value: Any, field: str) -> Optional[str]:
     if not isinstance(value, str):
-        raise NetFilterError(f"{which} must be a string field reference "
+        raise NetFilterError(f"{field}: must be a string field reference "
                              f"or \"nop\"")
     if value.lower() == "nop":
         return None
     if "." not in value:
         raise NetFilterError(
-            f"{which} must reference Message.field, got {value!r}")
+            f"{field}: must reference Message.field, got {value!r}")
     return value
 
 
@@ -133,18 +148,18 @@ def _parse_modify(value: Any) -> Tuple[StreamOp, int]:
                 para = int(para_text)
             except ValueError:
                 raise NetFilterError(
-                    f"modify parameter must be an integer, got "
+                    f"modify: parameter must be an integer, got "
                     f"{para_text!r}") from None
         else:
             op_text, para = value, 0
         return _parse_enum(StreamOp, op_text, "modify"), para
     if isinstance(value, dict):
-        op = _parse_enum(StreamOp, value.get("op", "nop"), "modify op")
+        op = _parse_enum(StreamOp, value.get("op", "nop"), "modify.op")
         para = value.get("para", 0)
         if not isinstance(para, int):
-            raise NetFilterError("modify para must be an integer")
+            raise NetFilterError("modify.para: must be an integer")
         return op, para
-    raise NetFilterError("modify must be \"op\", \"op:para\", or "
+    raise NetFilterError("modify: must be \"op\", \"op:para\", or "
                          "{\"op\": ..., \"para\": ...}")
 
 
@@ -152,18 +167,19 @@ def _parse_cntfwd(value: Any) -> CntFwdSpec:
     if value is None:
         return CntFwdSpec()
     if not isinstance(value, dict):
-        raise NetFilterError("CntFwd must be an object")
+        raise NetFilterError("CntFwd: must be an object")
     unknown = set(value) - {"to", "threshold", "key"}
     if unknown:
-        raise NetFilterError(f"unknown CntFwd keys: {sorted(unknown)}")
+        raise NetFilterError(f"CntFwd: unknown CntFwd keys: "
+                             f"{sorted(unknown)}")
     target = _parse_enum(ForwardTarget, value.get("to", "SERVER"),
-                         "CntFwd to")
+                         "CntFwd.to")
     threshold = value.get("threshold", 0)
     if not isinstance(threshold, int) or threshold < 0:
-        raise NetFilterError("CntFwd threshold must be a non-negative int")
+        raise NetFilterError("CntFwd.threshold: must be a non-negative int")
     key = value.get("key", "NULL")
     if not isinstance(key, str):
-        raise NetFilterError("CntFwd key must be a string")
+        raise NetFilterError("CntFwd.key: must be a string")
     return CntFwdSpec(target=target, threshold=threshold, key=key)
 
 

@@ -145,7 +145,7 @@ class NetRPCService:
                 f"unknown field of {message.name}")
         if not fd.is_iedt:
             raise NetFilterError(
-                f"rpc {method.name}: field {reference!r} is not an "
+                f"rpc {method.name}: {which}={reference!r} is not an "
                 f"INC-enabled data type")
         return fd
 

@@ -72,7 +72,7 @@ class _CallPlan:
         self.binding = binding
         self.config = config
         self.reply_class = binding.reply.message_class
-        self.codec = config.codec
+        self.codec = config.program.codec
         stream = binding.stream_field
         self.stream: Optional[str] = None if stream is None else stream.name
         self.stream_kind = None if stream is None else stream.kind
@@ -249,12 +249,13 @@ class ServerStub:
         values of every granted key (a control-plane read).
         """
         state = self.agent.app_state(self._app_key)
-        snapshot = dict(state.soft.snapshot())
+        soft = state.soft
+        snapshot = {key: soft.get(key) for key in soft.snapshot()}
         if include_switch and state.mm is not None:
             for logical in state.mm.mapped_logicals():
                 key = state.key_of_logical[logical]
-                snapshot[key] = snapshot.get(key, 0) + \
-                    self.agent.register_value(state, key)
+                snapshot[key] = soft.get_with(
+                    key, self.agent.register_value(state, key))
         return snapshot
 
     # ------------------------------------------------------------------

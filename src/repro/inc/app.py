@@ -13,14 +13,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Tuple
 
-from repro.protocol import (
-    DEFAULT_FMAX_CODEC,
-    DEFAULT_FP_CODEC,
-    AggOp,
-    ClearPolicy,
-    Quantizer,
-    RIPProgram,
-)
+from repro.protocol import ClearPolicy, RIPProgram
 
 from .memory import MemoryRegion
 
@@ -49,27 +42,9 @@ class AppConfig:
         if self.linear and self.value_region.size % 32 != 0:
             raise ValueError("linear regions must be multiples of 32")
 
-    @cached_property
-    def codec(self):
-        """The value codec for this app's wire format (built once).
-
-        Fp aggregations carry ordered fp encodings — the shared table-fp
-        codec for agg=fadd, its biased variant for agg=fmax (a cleared
-        register must sit below every value there).  Everything else
-        keeps the paper's fixed-point :class:`Quantizer`.  All three
-        expose the same ``encode(float) -> (int, bool)`` /
-        ``decode(int) -> float`` surface, and its whole-tensor form
-        ``encode_many`` / ``decode_many``, which the RPC layer codes
-        against.
-        """
-        if self.program.agg is AggOp.FMAX:
-            return DEFAULT_FMAX_CODEC
-        if self.program.agg is AggOp.FADD:
-            return DEFAULT_FP_CODEC
-        return Quantizer(self.program.precision)
-
     # ``program`` and ``value_region`` are fixed at construction, so what
-    # follows from them is derived once, like ``codec``.
+    # follows from them is derived once (the value codec is the
+    # program's own, ``program.codec``).
     @cached_property
     def shadow(self) -> bool:
         return self.program.clear is ClearPolicy.SHADOW

@@ -25,7 +25,6 @@ from repro.netsim import Calibration, DEFAULT_CALIBRATION, Host, Simulator
 from repro.netsim.events import Event
 from repro.obs.tracer import TRACE
 from repro.protocol import (
-    INT32_MAX,
     ClearPolicy,
     ForwardTarget,
     KVBlock,
@@ -645,7 +644,7 @@ class ClientAgent:
                 chunk.overflowed = True
                 tstate.overflow_chunks += 1
                 self._resend_overflow(state, config, tstate, chunk,
-                                      self._unapplied(config, chunk, pkt.kv))
+                                      self._unapplied(config, chunk, pkt))
             return
 
         if tstate.column is not None and tstate.assign(chunk, pkt.kv):
@@ -729,25 +728,20 @@ class ClientAgent:
     # ------------------------------------------------------------------
     @staticmethod
     def _unapplied(config: AppConfig, chunk: _ChunkState,
-                   result: KVBlock) -> int:
+                   result: Packet) -> int:
         """Mask of the chunk's slots the switch did not apply.
 
-        The switch writes the ``INT32_MAX`` mark into every slot whose
-        register overflowed or was already sticky and applies the rest
-        (``RegisterFile.add_block``).  When the result answers this chunk
-        slot for slot, the marked slots are the ones owed; otherwise, and
-        for a counting linear chunk, whose server re-reduces every
-        client's whole raw column, all of them are.
+        The switch reports them in the result's ``of_mask``: the slots
+        whose register overflowed or was already sticky (DESIGN.md
+        §4.1(1)).  When the result answers this chunk slot for slot, those
+        are the ones owed; otherwise, and for a counting linear chunk,
+        whose server re-reduces every client's whole raw column, all of
+        them are.
         """
-        every = (1 << len(chunk.values)) - 1
         if (config.linear and config.program.cntfwd.counts) or \
-                result.keys != chunk.keys:
-            return every
-        owed = 0
-        for index, value in enumerate(result.values):
-            if value == INT32_MAX:
-                owed |= 1 << index
-        return owed
+                result.kv.keys != chunk.keys:
+            return (1 << len(chunk.values)) - 1
+        return result.of_mask
 
     def _resend_overflow(self, state: _AppClientState, config: AppConfig,
                          tstate: _TaskState, chunk: _ChunkState,

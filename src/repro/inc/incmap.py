@@ -3,12 +3,18 @@
 Host agents "emulate all switch operations in software and thus can
 always provide correct INC results to the RPCLayer regardless of the
 switch's ability or resource".  This class implements the five RIPs
-over 64-bit integers (no saturation), keyed by the application's
-original keys, and is used for:
+exactly, in one application's aggregation arithmetic, keyed by the
+application's original keys, and is used for:
 
 * keys without a physical mapping (cache misses / collisions);
 * overflow recovery (exact re-execution of clamped packets);
 * deployments with no programmable switch at all.
+
+The arithmetic is the app's codec's (``RIPProgram.codec``): each entry
+holds an exact total — a 64-bit integer sum (no saturation), a float64
+sum of decoded fp words, or the largest fp max word — which ``exact_add``
+accumulates and ``exact_word`` reads back as a wire word.  An absent
+entry is 0 in every arithmetic, like a cleared register.
 
 It is also the reference model property-based tests compare the switch
 dataplane against.
@@ -18,7 +24,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterable, List
 
-from repro.protocol import DEFAULT_FP_CODEC, StreamOp, apply_stream_op
+from repro.protocol import StreamOp, apply_stream_op
 
 __all__ = ["SoftwareINCMap"]
 
@@ -26,73 +32,38 @@ __all__ = ["SoftwareINCMap"]
 class SoftwareINCMap:
     """Exact software implementation of the INC map primitives."""
 
-    def __init__(self):
-        self._values: Dict[Any, int] = {}
+    def __init__(self, codec):
+        self._values: Dict[Any, Any] = {}
         self._counters: Dict[Any, int] = {}
-        # Fp entries (agg=fadd/fmax) accumulate in float64 — the software
-        # path is the *exact* executor, strictly better than the switch's
-        # table arithmetic; reads re-encode for the wire.
-        self._floats: Dict[Any, float] = {}
+        self._add = codec.exact_add
+        self._word = codec.exact_word
 
     # ------------------------------------------------------------------
-    # Map primitives (Table 2 semantics, unbounded precision)
+    # Map primitives (Table 2 semantics, exact arithmetic)
     # ------------------------------------------------------------------
-    def add_to(self, key: Any, value: int) -> int:
-        """Map.addTo: accumulate; returns the new total."""
-        total = self._values.get(key, 0) + value
+    def add_to(self, key: Any, word: int) -> Any:
+        """Map.addTo: accumulate; returns the new exact total."""
+        total = self._add(self._values.get(key, 0), word)
         self._values[key] = total
         return total
 
     def get(self, key: Any) -> int:
-        """Map.get: read (0 for absent keys, like a cleared register)."""
-        return self._values.get(key, 0)
+        """Map.get: the total as a wire word (0 for absent keys)."""
+        return self._word(self._values.get(key, 0))
+
+    def get_with(self, key: Any, register: int) -> int:
+        """Map.get of the total with a switch register's word folded in
+        (the register keeps its value)."""
+        return self._word(self._add(self._values.get(key, 0), register))
 
     def clear(self, key: Any) -> int:
-        """Map.clear: zero the entry; returns the value it held."""
-        return self._values.pop(key, 0)
+        """Map.clear: drop the entry; returns its word."""
+        return self._word(self._values.pop(key, 0))
 
     def modify(self, op: StreamOp, values: Iterable[int], para: int
                ) -> List[int]:
         """Stream.modify applied to a value stream (no map access)."""
         return [apply_stream_op(op, v, para)[0] for v in values]
-
-    def fadd_to(self, key: Any, ordered: int,
-                codec=DEFAULT_FP_CODEC) -> float:
-        """Fp Map.addTo: decode the wire encoding, accumulate in float64."""
-        total = self._floats.get(key, 0.0) + codec.decode(ordered)
-        self._floats[key] = total
-        return total
-
-    def fmax_to(self, key: Any, ordered: int,
-                codec=DEFAULT_FP_CODEC) -> float:
-        """Fp max-combine over the float64 shadow value.
-
-        An absent key is the max *identity* (first contribution wins
-        outright) — not 0.0, which would floor negative maxima.
-        """
-        value = codec.decode(ordered)
-        if key not in self._floats or value > self._floats[key]:
-            self._floats[key] = value
-        return self._floats[key]
-
-    def fget(self, key: Any, codec=DEFAULT_FP_CODEC) -> int:
-        """Fp Map.get: the accumulated float re-encoded for the wire.
-
-        Absent keys read as raw 0 — exactly what a cleared switch
-        register reads as under either fp codec.
-        """
-        if key not in self._floats:
-            return 0
-        ordered, _ = codec.encode(self._floats[key])
-        return ordered
-
-    def fclear(self, key: Any) -> float:
-        """Fp Map.clear: drop the entry; returns the float it held."""
-        return self._floats.pop(key, 0.0)
-
-    def fvalue(self, key: Any) -> float:
-        """The accumulated float itself (no re-encoding; recovery math)."""
-        return self._floats.get(key, 0.0)
 
     def count_forward(self, key: Any, threshold: int) -> bool:
         """CntFwd: increment and report whether the threshold was reached.
@@ -121,14 +92,11 @@ class SoftwareINCMap:
     # ------------------------------------------------------------------
     # bulk helpers used by the server agent
     # ------------------------------------------------------------------
-    def merge_register(self, key: Any, register_value: int) -> int:
-        """Fold an evicted switch register into the software total."""
-        return self.add_to(key, register_value)
-
-    def drain(self) -> Dict[Any, int]:
-        """Remove and return every entry (second-level timeout path)."""
+    def drain(self) -> Dict[Any, Any]:
+        """Remove and return every exact total (second-level timeout)."""
         values, self._values = self._values, {}
         return values
 
-    def snapshot(self) -> Dict[Any, int]:
+    def snapshot(self) -> Dict[Any, Any]:
+        """A copy of every exact total."""
         return dict(self._values)

@@ -23,13 +23,13 @@ exactly one authoritative counter/accumulator at any time.
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import groupby
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.netsim import Calibration, DEFAULT_CALIBRATION, Host, Simulator
 from repro.obs.tracer import TRACE
 from repro.protocol import (
-    AggOp,
     ClearPolicy,
     ForwardTarget,
     KVBlock,
@@ -102,9 +102,11 @@ class _McastFlow:
 
 
 class _AppServerState:
-    def __init__(self):
+    def __init__(self, codec):
         self.configs: Dict[int, AppConfig] = {}
-        self.soft = SoftwareINCMap()
+        # One arithmetic per app: controller.register rejects programs
+        # that mix aggregation ops.
+        self.soft = SoftwareINCMap(codec)
         self.mm: Optional[MemoryManager] = None
         self.switches: List[Any] = []
         self.mcast: Optional[_McastFlow] = None
@@ -127,9 +129,6 @@ class _AppServerState:
         self.on_round: Optional[Callable[[int, Dict[Any, int]], None]] = None
         self.on_data: Optional[Callable[[str, Packet], None]] = None
         self.on_call: Optional[Callable[[str, int, Any], Any]] = None
-
-    def any_config(self) -> AppConfig:
-        return next(iter(self.configs.values()))
 
 
 class ServerAgent:
@@ -161,7 +160,7 @@ class ServerAgent:
         key = config.program.app_name
         state = self._apps.get(key)
         if state is None:
-            state = _AppServerState()
+            state = _AppServerState(config.program.codec)
             self._apps[key] = state
             state.switches = list(switches)
             mcast_flows = [
@@ -476,30 +475,6 @@ class ServerAgent:
             if phys is not None:
                 replay_append((phys, key, value))
                 continue
-            if prog.agg.is_float:
-                # Fp software path: values are ordered encodings; the
-                # float64 shadow accumulator is the exact executor.
-                # (Validation forbids Stream.modify and LAZY for fp.)
-                codec = config.codec
-                if prog.uses_add_to:
-                    if prog.agg is AggOp.FADD:
-                        state.soft.fadd_to(key, value, codec)
-                    else:
-                        state.soft.fmax_to(key, value, codec)
-                if prog.uses_get:
-                    values[key] = state.soft.fget(key, codec)
-                if prog.cntfwd.counts:
-                    # Fp accumulators never double as counters — always
-                    # the side counter, mirroring the switch pipeline.
-                    if state.soft.count_forward(key, prog.cntfwd.threshold):
-                        values.setdefault(key, state.soft.fget(key, codec))
-                    else:
-                        absorbed = True
-                if prog.clear is ClearPolicy.COPY and not prog.cntfwd.counts:
-                    values.setdefault(key, state.soft.fget(key, codec))
-                    state.soft.fclear(key)
-                    state.soft.clear_counter(key)
-                continue
             if prog.modify_op is not StreamOp.NOP:
                 value = state.soft.modify(prog.modify_op, [value],
                                           prog.modify_para)[0]
@@ -557,8 +532,10 @@ class ServerAgent:
                         key: Any) -> bool:
         """Software CntFwd with the same re-arm/test&set semantics."""
         threshold = prog.cntfwd.threshold
-        if prog.uses_add_to:
+        if prog.uses_add_to and not prog.agg.is_float:
             # The Map.addTo above already incremented the accumulator.
+            # (An fp accumulator holds encodings, not counts: the side
+            # counter counts, as on the switch.)
             count = state.soft.get(key)
             if count == threshold:
                 if threshold > 1:
@@ -587,16 +564,9 @@ class ServerAgent:
             return None
         # Seed the register with whatever accumulated in software so the
         # switch becomes the single authority for this key.  The write is
-        # posted: it lands before the grant can reach any client.
-        if config.program.agg.is_float:
-            # ``fget`` reads an absent key as raw 0 (a cleared register);
-            # encoding 0.0 instead would seed fmax's biased zero, a real
-            # value that floors every negative maximum.
-            state.soft.clear_counter(key)
-            seed = state.soft.fget(key, config.codec)
-            state.soft.fclear(key)
-        else:
-            seed = state.soft.clear(key) + state.soft.clear_counter(key)
+        # posted: it lands before the grant can reach any client.  (An
+        # fp key never counts here: counting fp programs are linear.)
+        seed = state.soft.clear(key) + state.soft.clear_counter(key)
         if seed:
             self._owner_switch(state, phys).ctrl_write(phys, seed)
         grant = (logical, state.mm.address_word(phys))
@@ -636,6 +606,7 @@ class ServerAgent:
         """
         self.stats["replays"] += 1
         prog = config.program
+        add_bits = prog.codec.add_bits
         values = dict(partial_values)
         absorbed = False
         for phys, key, value in pairs:
@@ -643,20 +614,14 @@ class ServerAgent:
             if prog.uses_add_to:
                 # In the app's arithmetic; an overflowing delta stays exact
                 # in software and the sticky bit drives the recovery.
-                if prog.agg is AggOp.FADD:
-                    _new, overflowed = switch.ctrl_fadd(phys, value,
-                                                        config.codec)
-                elif prog.agg is AggOp.FMAX:
-                    _new, overflowed = switch.ctrl_fmax(phys, value)
-                else:
-                    _new, overflowed = switch.ctrl_add(phys, value)
+                _new, overflowed = switch.ctrl_add(phys, value, add_bits)
                 if overflowed:
-                    self._merge_soft(state, config, key, value)
+                    state.soft.add_to(key, value)
             if prog.uses_get:
                 values[key] = switch.ctrl_read([phys])[0][1]
             if prog.cntfwd.counts:
                 if not prog.uses_add_to:
-                    switch.ctrl_add(phys, 1)
+                    switch.ctrl_add(phys, 1, add_bits)
                 count = switch.ctrl_read([phys])[0][1]
                 if count == prog.cntfwd.threshold:
                     if prog.cntfwd.threshold > 1:
@@ -711,23 +676,12 @@ class ServerAgent:
             if len(buf) < prog.cntfwd.threshold:
                 return
             contributions = state.overflow_buf.pop((pkt.round, pkt.offset))
-            columns = zip(*contributions.values())
-            if prog.agg is AggOp.FADD:
-                # Exact float64 re-reduction of the raw encodings; the
-                # corrected value saturates only if it is genuinely
-                # beyond the format (then MAX is the honest answer).
-                codec = config.codec
-                corrected = [
-                    codec.encode(sum(codec.decode(v) for v in col))[0]
-                    for col in columns]
-            elif prog.agg is AggOp.FMAX:
-                # Ordered encodings compare like floats: integer max of
-                # the raw replays IS the exact fp max.
-                corrected = [max(col) for col in columns]
-            else:
-                # Integer (incl. qadd codes / topk coordinates): 64-bit
-                # software sum.
-                corrected = [sum(col) for col in columns]
+            # Exact re-reduction of the raw words in the app's arithmetic;
+            # a corrected fp value saturates only if it is genuinely
+            # beyond the format (then MAX is the honest answer).
+            codec = prog.codec
+            corrected = [codec.exact_word(reduce(codec.exact_add, column, 0))
+                         for column in zip(*contributions.values())]
             self.stats["corrected_chunks"] += 1
             self._finish_corrected_chunk(state, config, pkt, corrected)
             return
@@ -741,27 +695,11 @@ class ServerAgent:
         owed = pkt.bitmap
         for index, value in enumerate(block.values):
             key = keys_col[index] if keys_col is not None else None
-            apply = prog.uses_add_to and owed >> index & 1
-            if prog.agg.is_float:
-                codec = config.codec
-                if apply:
-                    if prog.agg is AggOp.FADD:
-                        state.soft.fadd_to(key, value, codec)
-                    else:
-                        state.soft.fmax_to(key, value, codec)
-                if prog.uses_get:
-                    reg = codec.decode(
-                        self.register_value(state, key) or 0)
-                    soft = state.soft.fvalue(key)
-                    total = soft + reg if prog.agg is AggOp.FADD \
-                        else max(soft, reg)
-                    values[key] = codec.encode(total)[0]
-                continue
-            if apply:
+            if prog.uses_add_to and owed >> index & 1:
                 state.soft.add_to(key, value)
             if prog.uses_get:
-                values[key] = state.soft.get(key) + \
-                    (self.register_value(state, key) or 0)
+                values[key] = state.soft.get_with(
+                    key, self.register_value(state, key) or 0)
         if values:
             self._reply(state, pkt.src,
                         dict(gaid=pkt.gaid, kv=_result_block(values),
@@ -793,18 +731,6 @@ class ServerAgent:
         state.mcast.send(result)
         self._store_round_chunk(state, pkt, corrected)
 
-    def _merge_soft(self, state: _AppServerState, config: AppConfig,
-                    key: Any, value: int) -> None:
-        """Fold a register value into ``key``'s software entry, in
-        ``config``'s aggregation arithmetic."""
-        agg = config.program.agg
-        if agg is AggOp.FADD:
-            state.soft.fadd_to(key, value, config.codec)
-        elif agg is AggOp.FMAX:
-            state.soft.fmax_to(key, value, config.codec)
-        else:
-            state.soft.merge_register(key, value)
-
     # ------------------------------------------------------------------
     # cache-update window: periodic LRU eviction (§5.2.2)
     # ------------------------------------------------------------------
@@ -829,8 +755,7 @@ class ServerAgent:
             value, generation = self._owner_switch(state, phys).ctrl_evict(
                 phys)
             if value:
-                self._merge_soft(state, state.any_config(),
-                                 state.key_of_logical[logical], value)
+                state.soft.add_to(state.key_of_logical[logical], value)
             state.mm.finish_eviction(logical, generation)
             state.pending_revokes.append(logical)
 

@@ -40,7 +40,8 @@ class _PendingEntry:
         self.sent_at = sent_at
         # First transmissions put this very object on the wire, and the
         # switch pipeline rewrites it in place (Map.get / Stream.modify
-        # overwrite kv.value; overflow and ECN set flags).  Snapshot the
+        # overwrite kv.value; overflow and ECN set flags, an overflow its
+        # mask, which a retransmission starts without).  Snapshot the
         # payload so a retransmission resends what the application wrote,
         # not whatever register state the first trip read back — a
         # reboot-resynced switch classifies that retransmission as fresh
@@ -56,6 +57,7 @@ class _PendingEntry:
         pkt = self.packet
         pkt.kv.values[:] = self._kv_values
         pkt.is_of = self._is_of
+        pkt.of_mask = 0
         pkt.ecn = self._ecn
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from itertools import repeat
-from operator import mul, truediv
+from operator import add, index, mul, truediv
 from typing import Callable, Collection, Iterable, List, Tuple
 
 __all__ = [
@@ -81,7 +81,18 @@ class Quantizer:
     ``precision`` is the number of decimal digits preserved after the
     point (the NetFilter ``Precision`` field).  ``precision=0`` means the
     application's values are already integers.
+
+    Like every value codec it states its op's arithmetic once (DESIGN.md
+    §4.8): ``add_bits`` combines a word into a 32-bit register and
+    reports overflow, ``exact_add`` accumulates a word into the software
+    executor's exact total and ``exact_word`` reads a total back as a
+    wire word.  Here that is the saturating int32 add, a 64-bit integer
+    sum, and the total itself.
     """
+
+    add_bits = staticmethod(saturating_add)
+    exact_add = staticmethod(add)
+    exact_word = staticmethod(index)
 
     def __init__(self, precision: int = 0):
         if precision < 0:

@@ -40,6 +40,7 @@ IEEE float64 reference and asserts the bound.
 from __future__ import annotations
 
 import math
+from operator import index
 from typing import Iterable, List, Optional, Tuple
 
 from .arith import encode_each
@@ -202,10 +203,15 @@ class FPCodec:
             bits = (exp << mant_bits) | (sig - self._implicit)
         return (-bits if negative else bits), False
 
-    @staticmethod
-    def max_bits(a: int, b: int) -> int:
-        """Fp max over ordered encodings: a plain integer max."""
-        return a if a >= b else b
+    def exact_add(self, total: float, word: int) -> float:
+        """Software ``Map.addTo``: a float64 sum of decoded words, the
+        exact executor the table add approximates."""
+        return total + self.decode(word)
+
+    def exact_word(self, total: float) -> int:
+        """A float64 total as its wire word (an absent total, 0, reads
+        as a cleared register)."""
+        return self.encode(total)[0]
 
     # ------------------------------------------------------------------
     # documented error bounds (what the differential tests assert)
@@ -251,11 +257,24 @@ class OrderedMaxCodec:
     kernel remains a plain integer max.  A cleared register (0) then
     compares below every contribution and decodes to ``-max_value``
     (the finite stand-in for the max identity).
+
+    Because the biased encodings compare like the floats they encode,
+    the op's arithmetic is integer max throughout: on the register
+    (``add_bits``, which cannot overflow) and in software, where the
+    exact total is the largest word seen and 0 stays the identity.
     """
+
+    exact_add = staticmethod(max)
+    exact_word = staticmethod(index)
 
     def __init__(self, base: Optional[FPCodec] = None):
         self.base = base if base is not None else FPCodec()
         self.offset = self.base.max_ordered + 1
+
+    @staticmethod
+    def add_bits(register: int, word: int) -> Tuple[int, bool]:
+        """Max-combine on the register: never overflows."""
+        return (word if word > register else register), False
 
     def encode(self, value: float) -> Tuple[int, bool]:
         ordered, overflowed = self.base.encode(value)

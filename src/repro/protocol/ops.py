@@ -31,17 +31,6 @@ class StreamOp(enum.Enum):
     BNOT = "bnot"
     BXOR = "bxor"
 
-    @classmethod
-    def parse(cls, text: str) -> "StreamOp":
-        """Parse the NetFilter spelling of an operation (case-insensitive)."""
-        try:
-            return cls(text.strip().lower())
-        except ValueError:
-            valid = ", ".join(op.value for op in cls)
-            raise ValueError(
-                f"unknown Stream.modify op {text!r}; expected one of: {valid}"
-            ) from None
-
 
 def apply_stream_op(op: StreamOp, value: int, para: int) -> Tuple[int, bool]:
     """Apply ``op`` to one stream value; returns ``(result, overflowed)``.

@@ -67,6 +67,10 @@ class Packet:
     cnt_index: int = 0
     is_clr: bool = False
     is_of: bool = False
+    # The slots whose Map.addTo the switch refused (DESIGN.md §4.1(1));
+    # sized into the header budget's op fields, which a result does not
+    # need.
+    of_mask: int = 0
     # Shadow clear policy: signed offset from each kv address to its
     # mirror register, cleared while this packet's data accumulates in
     # the active region (§5.2.2, "shadow").  0 disables.

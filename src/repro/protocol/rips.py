@@ -20,6 +20,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
+from .arith import Quantizer
+from .fpcodec import DEFAULT_FMAX_CODEC, DEFAULT_FP_CODEC
 from .ops import StreamOp
 
 __all__ = [
@@ -49,8 +51,8 @@ class AggOp(enum.Enum):
       integer kernel.
 
     ``QADD``/``TOPK`` therefore change nothing in the dataplane — the op
-    tag exists so hosts choose the right codec and the overflow-recovery
-    path computes corrected aggregates in the right arithmetic.
+    tag exists so hosts choose the right codec.  The arithmetic of every
+    op lives in its codec (:attr:`RIPProgram.codec`).
     """
 
     ADD = "add"
@@ -58,16 +60,6 @@ class AggOp(enum.Enum):
     FMAX = "fmax"
     QADD = "qadd"
     TOPK = "topk"
-
-    @classmethod
-    def parse(cls, text: str) -> "AggOp":
-        try:
-            return cls(text.strip().lower())
-        except ValueError:
-            valid = ", ".join(op.value for op in cls)
-            raise ValueError(
-                f"unknown agg op {text!r}; expected one of: {valid}"
-            ) from None
 
     @property
     def is_float(self) -> bool:
@@ -83,16 +75,6 @@ class ClearPolicy(enum.Enum):
     SHADOW = "shadow"  # double-buffered registers, recirculating clear
     LAZY = "lazy"      # never clear; hosts subtract the saved baseline
 
-    @classmethod
-    def parse(cls, text: str) -> "ClearPolicy":
-        try:
-            return cls(text.strip().lower())
-        except ValueError:
-            valid = ", ".join(p.value for p in cls)
-            raise ValueError(
-                f"unknown clear policy {text!r}; expected one of: {valid}"
-            ) from None
-
 
 class ForwardTarget(enum.Enum):
     """Where CntFwd sends a packet once the threshold is reached."""
@@ -100,16 +82,6 @@ class ForwardTarget(enum.Enum):
     SERVER = "server"  # continue to the server agent
     SRC = "src"        # bounce back to the sender (sub-RTT response)
     ALL = "all"        # multicast to every registered client
-
-    @classmethod
-    def parse(cls, text: str) -> "ForwardTarget":
-        try:
-            return cls(text.strip().lower())
-        except ValueError:
-            valid = ", ".join(t.value for t in cls)
-            raise ValueError(
-                f"unknown CntFwd target {text!r}; expected one of: {valid}"
-            ) from None
 
 
 class RetryMode(enum.Enum):
@@ -125,16 +97,6 @@ class RetryMode(enum.Enum):
 
     PERSIST = "persist"
     FRESH = "fresh"
-
-    @classmethod
-    def parse(cls, text: str) -> "RetryMode":
-        try:
-            return cls(text.strip().lower())
-        except ValueError:
-            valid = ", ".join(m.value for m in cls)
-            raise ValueError(
-                f"unknown retry mode {text!r}; expected one of: {valid}"
-            ) from None
 
 
 @dataclass(frozen=True)
@@ -208,6 +170,26 @@ class RIPProgram:
                 raise ValueError(
                     f"agg={self.agg.value} cannot use clear=lazy: hosts "
                     f"cannot subtract a baseline in table-fp arithmetic")
+
+    @cached_property
+    def codec(self):
+        """The value codec: the wire format and the op's arithmetic.
+
+        Fp aggregations carry ordered fp encodings — the shared table-fp
+        codec for agg=fadd, its biased variant for agg=fmax (a cleared
+        register must sit below every value there).  Everything else
+        keeps the paper's fixed-point :class:`Quantizer`.  All three
+        expose the same ``encode``/``decode`` surface (and the
+        whole-tensor ``encode_many``/``decode_many``) the RPC layer codes
+        against, and the same arithmetic surface the switch and the
+        software executor run: ``add_bits``, ``exact_add`` and
+        ``exact_word`` (DESIGN.md §4.8).
+        """
+        if self.agg is AggOp.FADD:
+            return DEFAULT_FP_CODEC
+        if self.agg is AggOp.FMAX:
+            return DEFAULT_FMAX_CODEC
+        return Quantizer(self.precision)
 
     # ------------------------------------------------------------------
     # Derived flags are read per packet (switch pipeline, host agents);

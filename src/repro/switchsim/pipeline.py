@@ -27,12 +27,12 @@ from repro.obs.tracer import TRACE
 from repro.protocol import (
     ADDR_BITS,
     ADDR_MASK,
-    AggOp,
     ClearPolicy,
     ForwardTarget,
     Packet,
     RIPProgram,
     StreamOp,
+    saturating_add,
 )
 
 from .admission import AppEntry
@@ -197,42 +197,33 @@ class RIPPipeline:
 
         # --- Map.addTo + Map.get -----------------------------------------
         # Linear-addressed packets carry distinct consecutive addresses,
-        # so addTo and get fuse into one pass; the general path keeps the
-        # two-pass order (all adds before all gets) that duplicate
-        # addresses require.
+        # so the integer addTo and get fuse into one pass; the general
+        # path keeps the two-pass order (all adds before all gets) that
+        # duplicate addresses require.  Another op combines through its
+        # codec's ``add_bits`` (the table fp add is a multi-table pass of
+        # its own, with no fused kernel).  The packet reports the slots
+        # its add did not apply; a retransmission, which adds nothing,
+        # reports the slots that read sticky.
         if select:
             do_add = prog.uses_add_to and not retrans
-            agg = prog.agg
-            if agg is AggOp.FADD or agg is AggOp.FMAX:
-                # Table-fp aggregation: no fused kernel (the fp add is a
-                # multi-table pass of its own), so addTo then get, same
-                # two-pass order and sticky semantics as the integer path.
-                if do_add:
-                    if agg is AggOp.FADD:
-                        if regs.fadd_block(block, select, base):
-                            pkt.is_of = True
-                        self._observe_kernel(stats, select, "fadd", now)
-                    else:
-                        if regs.fmax_block(block, select, base):
-                            pkt.is_of = True
-                        self._observe_kernel(stats, select, "fmax", now)
-                if prog.uses_get:
-                    if regs.get_block(block, select, base):
-                        pkt.is_of = True
-                    self._observe_kernel(stats, select, "get", now)
-            elif do_add and prog.uses_get and pkt.linear_base is not None:
-                if regs.add_get_block(block, select, base):
-                    pkt.is_of = True
+            add_bits = prog.codec.add_bits
+            unapplied = sticky = 0
+            if do_add and prog.uses_get and pkt.linear_base is not None \
+                    and add_bits is saturating_add:
+                unapplied = regs.add_get_block(block, select, base)
                 self._observe_kernel(stats, select, "add_get", now)
             else:
                 if do_add:
-                    if regs.add_block(block, select, base):
-                        pkt.is_of = True
+                    unapplied = regs.add_block(block, select, base) \
+                        if add_bits is saturating_add else \
+                        regs.combine_block(block, select, base, add_bits)
                     self._observe_kernel(stats, select, "add", now)
                 if prog.uses_get:
-                    if regs.get_block(block, select, base):
-                        pkt.is_of = True
+                    sticky = regs.get_block(block, select, base)
                     self._observe_kernel(stats, select, "get", now)
+            if unapplied or sticky:
+                pkt.is_of = True
+                pkt.of_mask |= unapplied if do_add else sticky
             if pkt.is_of:
                 stats["overflow_pkts"] += 1
 
@@ -254,7 +245,7 @@ class RIPPipeline:
             # addresses, the Map.addTo above already incremented it (the
             # paper's §5.2.3: CntFwd rides the normal map-access pipeline);
             # only ClientID-style side counters need the extra add.
-            # (Fp aggs never count via addTo: their kernels write fp
+            # (Fp aggs never count via addTo: their registers hold fp
             # encodings, not +1 increments, so the side counter is used.)
             counted_by_add = prog.uses_add_to and not prog.agg.is_float and \
                 block.selected_contains(cnt_index, select)

@@ -31,8 +31,8 @@ from __future__ import annotations
 from operator import add
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.protocol import (ADDR_BITS, ADDR_MASK, DEFAULT_FP_CODEC,
-                            GENERATION_MASK, INT32_MAX, INT32_MIN, KVBlock)
+from repro.protocol import (ADDR_BITS, ADDR_MASK, GENERATION_MASK, INT32_MAX,
+                            INT32_MIN, KVBlock)
 
 __all__ = ["RegisterFile"]
 
@@ -138,38 +138,20 @@ class RegisterFile:
         self._check(addr)
         return addr in self._sticky_overflow
 
-    # ------------------------------------------------------------------
-    # Table floating point (agg=fadd / agg=fmax).  Registers hold
-    # ordered fp encodings (see repro.protocol.fpcodec): 0 is +0.0, so a
-    # cleared register is the fp additive identity, and the encodings
-    # never reach INT32_MAX — the sticky-read sentinel stays unambiguous.
-    # Sticky/overflow semantics mirror the integer :meth:`add` exactly:
-    # on exponent overflow the stored value is preserved, the sticky bit
-    # set, and the packet replays through the server agent.
-    # ------------------------------------------------------------------
-    def fadd(self, addr: int, ordered: int, codec=DEFAULT_FP_CODEC) -> bool:
-        """Fp ``Map.addTo`` via the lookup-table add.  True on overflow."""
+    def combine(self, addr: int, word: int, add_bits) -> bool:
+        """``Map.addTo`` in an op's arithmetic: ``add_bits(register,
+        word) -> (word, overflowed)`` from the app's codec.  Returns True
+        on overflow, with the sticky contract of :meth:`add` (which is
+        this, specialised to the integer add, for the CntFwd counters)."""
         if addr < 0 or addr >= self.capacity:
             self._check(addr)
         if addr in self._sticky_overflow:
             return True
-        result, overflowed = codec.add_bits(self._get(addr), ordered)
+        result, overflowed = add_bits(self._get(addr), word)
         if overflowed:
             self._sticky_overflow.add(addr)
             return True
         self._set(addr, result)
-        return False
-
-    def fmax(self, addr: int, ordered: int) -> bool:
-        """Fp ``Map.addTo`` with max combine: plain integer max on the
-        ordered encodings.  Cannot itself overflow, but adds to a sticky
-        register still report True (the replay contract)."""
-        if addr < 0 or addr >= self.capacity:
-            self._check(addr)
-        if addr in self._sticky_overflow:
-            return True
-        if ordered > self._get(addr):
-            self._set(addr, ordered)
         return False
 
     # ------------------------------------------------------------------
@@ -231,20 +213,20 @@ class RegisterFile:
             row[:count] = sums
         return sums
 
-    def add_block(self, block, select: int, base: int = 0) -> bool:
+    def add_block(self, block, select: int, base: int = 0) -> int:
         """Batch ``Map.addTo``: one :meth:`add` per selected in-window slot.
 
-        Sticky or overflowing slots get the ``INT32_MAX`` sentinel written
-        back into the block (the on-wire overflow mark); the return value
-        says whether any slot overflowed, so the caller can set the
-        packet's ``is_of`` flag.
+        Sticky or overflowing slots are not applied: they get the
+        ``INT32_MAX`` sentinel written back into the block (the on-wire
+        overflow mark) and their bits make up the returned mask — 0 when
+        every slot was applied — which the pipeline reports in the packet.
         """
         if type(block.addrs) is range and \
                 self._row_add(block, select, base) is not None:
-            return False
+            return 0
         return self._add_slots(block, select, base, False)
 
-    def add_get_block(self, block, select: int, base: int = 0) -> bool:
+    def add_get_block(self, block, select: int, base: int = 0) -> int:
         """Fused ``Map.addTo`` + ``Map.get`` in one pass over the block.
 
         Only valid when the selected slots carry *distinct* addresses
@@ -252,18 +234,20 @@ class RegisterFile:
         addresses): with duplicates, the two-pass kernels would return
         the final register value for every duplicate slot, while a fused
         pass would return partial sums.  Callers gate on
-        ``pkt.linear_base is not None``.
+        ``pkt.linear_base is not None``.  Returns the mask of unapplied
+        slots, as :meth:`add_block` does.
         """
         if type(block.addrs) is range:
             sums = self._row_add(block, select, base)
             if sums is not None:
                 block.values[:] = sums
-                return False
+                return 0
         return self._add_slots(block, select, base, True)
 
     def _add_slots(self, block, select: int, base: int,
-                   readback: bool) -> bool:
-        """Per-slot ``Map.addTo``, writing each sum back when ``readback``."""
+                   readback: bool) -> int:
+        """Per-slot ``Map.addTo``, writing each sum back when ``readback``;
+        returns the mask of unapplied slots."""
         addrs = block.addrs
         slot_values = block.values
         rows = self._rows
@@ -271,7 +255,7 @@ class RegisterFile:
         segments = self.segments
         sticky = self._sticky_overflow
         capacity = self.capacity
-        overflowed = False
+        unapplied = 0
         full = select == (1 << len(addrs)) - 1
         for index, addr in enumerate(addrs):
             if full or select >> index & 1:
@@ -282,7 +266,7 @@ class RegisterFile:
                     # duplicate addresses after a mid-packet overflow.
                     if sticky and local in sticky:
                         slot_values[index] = INT32_MAX
-                        overflowed = True
+                        unapplied |= 1 << index
                         continue
                     row = get_row(local // segments)
                     if row is None:
@@ -292,18 +276,18 @@ class RegisterFile:
                     if result > INT32_MAX or result < INT32_MIN:
                         sticky.add(local)
                         slot_values[index] = INT32_MAX
-                        overflowed = True
+                        unapplied |= 1 << index
                     else:
                         row[slot] = result
                         if readback:
                             slot_values[index] = result
-        return overflowed
+        return unapplied
 
-    def get_block(self, block, select: int, base: int = 0) -> bool:
+    def get_block(self, block, select: int, base: int = 0) -> int:
         """Batch ``Map.get``: read each selected in-window slot's register.
 
-        Sticky registers read as ``INT32_MAX``; returns whether any slot
-        was sticky (the packet-level overflow signal).
+        Sticky registers read as ``INT32_MAX``; returns the mask of the
+        slots that read sticky (the packet-level overflow signal).
         """
         index = None if type(block.addrs) is not range else \
             self._row_index(block.addrs, select, base)
@@ -312,16 +296,16 @@ class RegisterFile:
         row = self._rows.get(index)
         count = len(block.values)
         block.values[:] = [0] * count if row is None else row[:count]
-        return False
+        return 0
 
-    def _get_slots(self, block, select: int, base: int) -> bool:
+    def _get_slots(self, block, select: int, base: int) -> int:
         addrs = block.addrs
         slot_values = block.values
         get_row = self._rows.get
         segments = self.segments
         sticky = self._sticky_overflow
         capacity = self.capacity
-        overflowed = False
+        sticky_slots = 0
         full = select == (1 << len(addrs)) - 1
         for index, addr in enumerate(addrs):
             if full or select >> index & 1:
@@ -329,28 +313,29 @@ class RegisterFile:
                 if 0 <= local < capacity:
                     if sticky and local in sticky:
                         slot_values[index] = INT32_MAX
-                        overflowed = True
+                        sticky_slots |= 1 << index
                     else:
                         row = get_row(local // segments)
                         slot_values[index] = \
                             0 if row is None else row[local % segments]
-        return overflowed
+        return sticky_slots
 
-    def fadd_block(self, block, select: int, base: int = 0,
-                   codec=DEFAULT_FP_CODEC) -> bool:
-        """Batch fp ``Map.addTo``: one :meth:`fadd` per selected slot.
+    def combine_block(self, block, select: int, base: int,
+                      add_bits) -> int:
+        """Batch :meth:`combine`: ``Map.addTo`` in an op's arithmetic.
 
-        Mirrors :meth:`add_block` slot for slot — sticky/overflowing
-        slots get the ``INT32_MAX`` sentinel written back (never a valid
-        fp encoding), the return value drives the packet's ``is_of``.
+        :meth:`add_block` is this kernel specialised to the integer add
+        (``Quantizer.add_bits``), slot for slot; other ops (the table fp
+        add, the fp max) run here.  Unapplied slots get the ``INT32_MAX``
+        sentinel written back (never a valid fp encoding) and make up the
+        returned mask.
         """
         addrs = block.addrs
         slot_values = block.values
         sticky = self._sticky_overflow
         capacity = self.capacity
-        overflowed = False
+        unapplied = 0
         get, put = self._get, self._set
-        add_bits = codec.add_bits
         full = select == (1 << len(addrs)) - 1
         for index, addr in enumerate(addrs):
             if full or select >> index & 1:
@@ -358,43 +343,17 @@ class RegisterFile:
                 if 0 <= local < capacity:
                     if sticky and local in sticky:
                         slot_values[index] = INT32_MAX
-                        overflowed = True
+                        unapplied |= 1 << index
                         continue
-                    result, slot_of = add_bits(get(local),
-                                               slot_values[index])
-                    if slot_of:
+                    result, overflowed = add_bits(get(local),
+                                                  slot_values[index])
+                    if overflowed:
                         sticky.add(local)
                         slot_values[index] = INT32_MAX
-                        overflowed = True
+                        unapplied |= 1 << index
                     else:
                         put(local, result)
-        return overflowed
-
-    def fmax_block(self, block, select: int, base: int = 0) -> bool:
-        """Batch fp max-combine: integer max over ordered encodings.
-
-        Same sticky contract as :meth:`fadd_block`; the max itself can
-        never overflow, so only pre-existing sticky slots report.
-        """
-        addrs = block.addrs
-        slot_values = block.values
-        sticky = self._sticky_overflow
-        capacity = self.capacity
-        overflowed = False
-        get, put = self._get, self._set
-        full = select == (1 << len(addrs)) - 1
-        for index, addr in enumerate(addrs):
-            if full or select >> index & 1:
-                local = addr - base
-                if 0 <= local < capacity:
-                    if sticky and local in sticky:
-                        slot_values[index] = INT32_MAX
-                        overflowed = True
-                        continue
-                    ordered = slot_values[index]
-                    if ordered > get(local):
-                        put(local, ordered)
-        return overflowed
+        return unapplied
 
     def clear_block(self, addrs: Iterable[int], select: int = -1,
                     offset: int = 0) -> None:

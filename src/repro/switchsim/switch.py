@@ -133,40 +133,20 @@ class NetRPCSwitch(PlainSwitch):
         self.stats.add("ctrl_writes")
         self.registers.write(addr - self.phys_base, value)
 
-    def ctrl_add(self, addr: int, delta: int) -> Tuple[int, bool]:
-        """Atomic control-plane read-modify-write add.
+    def ctrl_add(self, addr: int, word: int, add_bits) -> Tuple[int, bool]:
+        """Atomic control-plane read-modify-write ``Map.addTo``.
 
-        Returns ``(new_value, overflowed)``.  Models the switch driver's
-        register update; atomicity holds because the simulator executes
-        it as one event.  Used by the server agent to fold late
-        software-path contributions into an already-granted register
-        without a race against the dataplane.
+        Combines ``word`` into the register with ``add_bits``, the app's
+        op (``RIPProgram.codec.add_bits``); returns ``(new_value,
+        overflowed)``.  Models the control plane's register update;
+        atomicity holds because the simulator executes it as one event.
+        Used by the server agent to fold late software-path contributions
+        into an already-granted register without a race against the
+        dataplane.
         """
         self.stats.add("ctrl_writes")
         local = addr - self.phys_base
-        overflowed = self.registers.add(local, delta)
-        return self.registers.read_raw(local), overflowed
-
-    def ctrl_fadd(self, addr: int, ordered: int,
-                  codec=None) -> Tuple[int, bool]:
-        """Atomic control-plane table-fp add (agg=fadd recovery folds).
-
-        ``ordered`` is an fp ordered encoding; returns the stored
-        encoding plus the overflow flag, mirroring :meth:`ctrl_add`.
-        """
-        self.stats.add("ctrl_writes")
-        local = addr - self.phys_base
-        if codec is None:
-            overflowed = self.registers.fadd(local, ordered)
-        else:
-            overflowed = self.registers.fadd(local, ordered, codec)
-        return self.registers.read_raw(local), overflowed
-
-    def ctrl_fmax(self, addr: int, ordered: int) -> Tuple[int, bool]:
-        """Atomic control-plane fp max-combine (agg=fmax recovery folds)."""
-        self.stats.add("ctrl_writes")
-        local = addr - self.phys_base
-        overflowed = self.registers.fmax(local, ordered)
+        overflowed = self.registers.combine(local, word, add_bits)
         return self.registers.read_raw(local), overflowed
 
     def owns(self, addr: int) -> bool:

@@ -1,11 +1,13 @@
 """Tests for registration, memory reservation, and multi-app admission."""
 
+import dataclasses
+
 import pytest
 
 from repro.control import Controller, MemoryPool, build_rack
 from repro.inc import Task
 from repro.netsim import scaled
-from repro.protocol import CntFwdSpec, ForwardTarget, RIPProgram
+from repro.protocol import AggOp, CntFwdSpec, ForwardTarget, RIPProgram
 
 CAL = scaled()
 
@@ -72,6 +74,22 @@ class TestRegistration:
             dep.controller.register(
                 [reduce_prog("A"), reduce_prog("B")], server="s0",
                 clients=["c0"], value_slots=64)
+
+    def test_mixed_aggregation_ops_rejected(self):
+        # One app has one software map and one register region, hence
+        # one arithmetic: an fadd and an add program cannot share them.
+        dep = build_rack(1, 1, cal=CAL)
+        fadd = RIPProgram(app_name="APP", add_to_field="r.kvs",
+                          agg=AggOp.FADD,
+                          cntfwd=CntFwdSpec(target=ForwardTarget.SRC))
+        with pytest.raises(ValueError, match="mixes aggregation ops add "
+                                             "and fadd"):
+            dep.controller.register([fadd, reduce_prog()], server="s0",
+                                    clients=["c0"], value_slots=64)
+        assert dep.controller.register(
+            [fadd, dataclasses.replace(fadd, add_to_field=None,
+                                       get_field="q.kvs")],
+            server="s0", clients=["c0"], value_slots=64)
 
     def test_unknown_hosts_rejected(self):
         dep = build_rack(1, 1, cal=CAL)

@@ -283,7 +283,7 @@ class TestServerRoundStore:
             lambda r, values: rounds.setdefault(r, dict(values)))
         grads = random_tensors(2, 3, 70, seed=4)
         out = all_reduce(dep, reg, stubs, grads)
-        codec = reg.config("Update").codec
+        codec = reg.config("Update").program.codec
         assert sorted(rounds) == [0, 1, 2]
         for r, values in rounds.items():
             assert sorted(values) == list(range(70))

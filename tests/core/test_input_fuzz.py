@@ -3,8 +3,12 @@
 ``parse_netfilter`` and ``parse_proto`` read what a user writes, so
 whatever they are fed, the only exception that may escape is
 ``NetFilterError`` or ``ProtoSyntaxError`` — never an
-``AttributeError`` or ``TypeError`` from deeper down.
+``AttributeError`` or ``TypeError`` from deeper down — and it says
+where: a ``NetFilterError`` starts with the field it rejects, a
+``ProtoSyntaxError`` with the line.
 """
+
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -43,6 +47,18 @@ NETFILTER = st.fixed_dictionaries({}, optional={
     "agg": VALUE,
 })
 
+# What a NetFilterError may start with: a top-level key or a sub-field.
+FIELDS = {"AppName", "Precision", "get", "addTo", "clear", "modify",
+          "modify.op", "modify.para", "CntFwd", "CntFwd.to",
+          "CntFwd.threshold", "CntFwd.key", "retry", "agg"}
+
+
+def rejected_field(exc):
+    """The field a NetFilterError names: the text before its colon."""
+    field, colon, _ = str(exc).partition(":")
+    assert colon and field in FIELDS, str(exc)
+    return field
+
 
 @pytest.mark.parametrize("config", [
     {"AppName": "a", "clear": {}},
@@ -53,8 +69,10 @@ NETFILTER = st.fixed_dictionaries({}, optional={
     {"AppName": "a", "CntFwd": {"to": None}},
 ])
 def test_non_string_names_are_netfilter_errors(config):
-    with pytest.raises(NetFilterError):
+    with pytest.raises(NetFilterError) as caught:
         parse_netfilter(config)
+    (key,) = set(config) - {"AppName"}
+    assert rejected_field(caught.value) in {key, f"{key}.op", f"{key}.to"}
 
 
 @settings(max_examples=400, deadline=None)
@@ -62,8 +80,9 @@ def test_non_string_names_are_netfilter_errors(config):
 def test_netfilter_rejects_with_netfilter_error_only(config):
     try:
         parse_netfilter(config)
-    except NetFilterError:
-        pass
+    except NetFilterError as exc:
+        key = rejected_field(exc).partition(".")[0]
+        assert key in config or key == "AppName"      # AppName may lack
 
 
 VALID_PROTO = """
@@ -112,7 +131,19 @@ def test_the_unmutated_proto_parses():
 @settings(max_examples=400, deadline=None)
 @given(edits=st.lists(EDIT, min_size=1, max_size=4))
 def test_proto_rejects_with_syntax_error_only(edits):
+    text = mutate(VALID_PROTO, edits)
     try:
-        parse_proto(mutate(VALID_PROTO, edits))
-    except ProtoSyntaxError:
-        pass
+        parse_proto(text)
+    except ProtoSyntaxError as exc:
+        match = re.match(r"line (\d+): ", str(exc))
+        assert match, str(exc)
+        assert 1 <= int(match.group(1)) <= text.count("\n") + 1
+
+
+@pytest.mark.parametrize("text", [
+    "message M { int32 a = 1;",                 # input ends in a message
+    "message M { int32 a = 1; }\nservice S {\n rpc R (M) returns (N) {}\n}",
+])
+def test_every_proto_rejection_names_a_line(text):
+    with pytest.raises(ProtoSyntaxError, match=r"^line \d+: "):
+        parse_proto(text)

@@ -89,7 +89,7 @@ def test_keyed_fp_matches_float64_oracle_under_eviction(agg, seed):
 def run_against_oracle(agg, seed, cal):
     evicting = cal is EVICTION_CAL
     dep, (reduce_cfg, query_cfg) = build(agg, seed, cal)
-    codec = reduce_cfg.codec
+    codec = reduce_cfg.program.codec
     oracle = Oracle(agg, codec)
     sim = dep.sim
     server = dep.server_agent(0)
@@ -156,5 +156,8 @@ def run_against_oracle(agg, seed, cal):
     mapped = len(state.mm.mapped_logicals())
     assert evicting or mapped == state.mm.capacity
     assert server.retrieve_app("FP") == mapped
+    # The exact totals: float64 sums under fadd, max words under fmax.
+    totals = state.soft.snapshot()
     for key in oracle.contributions:
-        oracle.check(key, state.soft.fvalue(key))
+        total = totals[key]
+        oracle.check(key, total if agg is AggOp.FADD else codec.decode(total))

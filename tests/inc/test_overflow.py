@@ -144,6 +144,37 @@ class TestAsyncOverflow:
         # its replay still answered both slots.
         assert result.overflow_chunks == 1
 
+    def test_an_applied_slot_reading_int32_max_is_not_replayed(self):
+        # "a" is applied with exactly INT32_MAX in the chunk where "big"
+        # overflows, so its slot reads like the overflow mark.  The
+        # switch's mask, not the value, says which slot it refused:
+        # reading values replayed "a" as well (4,294,967,289).
+        reduce_prog = RIPProgram(
+            app_name="MR", add_to_field="r.kvs",
+            cntfwd=CntFwdSpec(target=ForwardTarget.SRC, threshold=0))
+        query_prog = RIPProgram(
+            app_name="MR", get_field="q.kvs",
+            cntfwd=CntFwdSpec(target=ForwardTarget.SRC, threshold=0))
+        dep = build_rack(1, 1, cal=CAL)
+        reduce_cfg, query_cfg = dep.controller.register(
+            [reduce_prog, query_prog], server="s0", clients=["c0"],
+            value_slots=64)
+        agent = dep.client_agent(0)
+
+        def submit(config, items, expect_result):
+            done = agent.submit(Task(app=config, items=items,
+                                     expect_result=expect_result))
+            result = dep.sim.run_until(done, limit=10.0)
+            dep.sim.run(until=dep.sim.now + 0.05)
+            return result
+
+        big = INT32_MAX - 10
+        submit(reduce_cfg, [("a", -5), ("big", big)], False)
+        pushed = submit(reduce_cfg, [("a", INT32_MAX), ("big", 100)], False)
+        assert pushed.mapped_pairs == 2 and pushed.overflow_chunks == 1
+        result = submit(query_cfg, [("a", 0), ("big", 0)], True)
+        assert result.values == {"a": INT32_MAX - 5, "big": big + 100}
+
     def test_quantizer_precheck_catches_oversized_floats(self):
         from repro.protocol import Quantizer
         q = Quantizer(8)

@@ -21,7 +21,7 @@ from repro.inc.memory import MemoryRegion
 from repro.inc.server_agent import ServerAgent, _AppServerState
 from repro.netsim import Simulator
 from repro.protocol import (ClearPolicy, CntFwdSpec, ForwardTarget, KVBlock,
-                            Packet, RIPProgram)
+                            Packet, Quantizer, RIPProgram)
 
 from .test_send_map_packets import _CaptureFlow
 
@@ -106,7 +106,7 @@ def test_a_server_ack_equals_the_constructor_built_packet():
     sim = Simulator()
     host = _CaptureHost("s0")
     server = ServerAgent(sim, host, tor="sw0")
-    state = _AppServerState()
+    state = _AppServerState(Quantizer())
     state.pending_grants["c1"] = [(4, 40), (5, 41), (6, 42)]
     state.pending_revokes = [7]
     data = Packet(gaid=3, src="c1", dst="s0", seq=23, flow_id=1,
@@ -128,7 +128,7 @@ def test_a_sync_return_equals_the_constructor_built_packet(is_of):
     sim = Simulator()
     server = ServerAgent(sim, _CaptureHost("s0"), tor="sw0")
     config = _config(linear=True)
-    state = _AppServerState()
+    state = _AppServerState(Quantizer())
     sent = []
     state.mcast = SimpleNamespace(send=sent.append)
     for offset in (0, 32):

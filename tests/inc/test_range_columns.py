@@ -18,7 +18,7 @@ from repro.inc.memory import MemoryRegion
 from repro.inc.server_agent import ServerAgent, _AppServerState
 from repro.netsim import Host, Simulator
 from repro.protocol import (ClearPolicy, CntFwdSpec, ForwardTarget, KVBlock,
-                            Packet, RIPProgram)
+                            Packet, Quantizer, RIPProgram)
 
 OFFSET, COUNT = 32, 8
 ADDRS = range(96 + OFFSET, 96 + OFFSET + COUNT)
@@ -130,7 +130,7 @@ def test_server_round_store_agrees():
     for as_range in (True, False):
         sim = Simulator()
         server = ServerAgent(sim, Host(sim, "s0"), tor="sw0")
-        state = _AppServerState()
+        state = _AppServerState(Quantizer())
         state.on_round = lambda round_no, values: rounds.append(
             (round_no, values))
         pkt = _packet(as_range, round=3)

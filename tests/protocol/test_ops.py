@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.core import NetFilterError, parse_netfilter
 from repro.protocol import (
     INT32_MAX,
     INT32_MIN,
@@ -13,15 +14,26 @@ from repro.protocol import (
 int32s = st.integers(min_value=INT32_MIN, max_value=INT32_MAX)
 
 
+def _modify_op(spelling):
+    return parse_netfilter({"AppName": "A", "modify": spelling}).modify_op
+
+
 class TestParsing:
+    """The NetFilter spelling of an op (``parse_netfilter``)."""
+
     def test_parse_known_ops(self):
-        assert StreamOp.parse("ADD") is StreamOp.ADD
-        assert StreamOp.parse("nop") is StreamOp.NOP
-        assert StreamOp.parse(" Max ") is StreamOp.MAX
+        assert _modify_op("ADD") is StreamOp.ADD
+        assert _modify_op("nop") is StreamOp.NOP
+        assert _modify_op(" Max ") is StreamOp.MAX
+        assert _modify_op({"op": "Max", "para": 3}) is StreamOp.MAX
 
     def test_parse_unknown_op_raises(self):
-        with pytest.raises(ValueError, match="unknown Stream.modify op"):
-            StreamOp.parse("mul")
+        with pytest.raises(NetFilterError,
+                           match="^modify: unknown Stream.modify op"):
+            _modify_op("mul")
+        with pytest.raises(NetFilterError,
+                           match="^modify.op: unknown Stream.modify op"):
+            _modify_op({"op": "mul"})
 
 
 class TestSemantics:

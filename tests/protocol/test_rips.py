@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.core import NetFilterError, parse_netfilter
 from repro.protocol import (
+    AggOp,
     ClearPolicy,
     CntFwdSpec,
     ForwardTarget,
@@ -11,33 +13,49 @@ from repro.protocol import (
 )
 
 
+def _compile(**fields):
+    return parse_netfilter({"AppName": "A", **fields})
+
+
 class TestEnumParsing:
+    """The NetFilter spellings of the enums: any case, blanks around the
+    name ignored, and a rejection naming the field."""
+
     def test_clear_policy_parse(self):
-        assert ClearPolicy.parse("copy") is ClearPolicy.COPY
-        assert ClearPolicy.parse(" SHADOW ") is ClearPolicy.SHADOW
-        assert ClearPolicy.parse("lazy") is ClearPolicy.LAZY
-        assert ClearPolicy.parse("nop") is ClearPolicy.NOP
+        assert _compile(clear="copy").clear is ClearPolicy.COPY
+        assert _compile(clear=" SHADOW ").clear is ClearPolicy.SHADOW
+        assert _compile(clear="lazy").clear is ClearPolicy.LAZY
+        assert _compile(clear="nop").clear is ClearPolicy.NOP
 
     def test_clear_policy_unknown(self):
-        with pytest.raises(ValueError, match="unknown clear policy"):
-            ClearPolicy.parse("sometimes")
+        with pytest.raises(NetFilterError,
+                           match="^clear: unknown clear policy"):
+            _compile(clear="sometimes")
 
     def test_forward_target_parse(self):
-        assert ForwardTarget.parse("ALL") is ForwardTarget.ALL
-        assert ForwardTarget.parse("src") is ForwardTarget.SRC
-        assert ForwardTarget.parse("Server") is ForwardTarget.SERVER
+        def target(text):
+            return _compile(CntFwd={"to": text}).cntfwd.target
+        assert target("ALL") is ForwardTarget.ALL
+        assert target("src") is ForwardTarget.SRC
+        assert target("Server") is ForwardTarget.SERVER
 
     def test_forward_target_unknown(self):
-        with pytest.raises(ValueError, match="unknown CntFwd target"):
-            ForwardTarget.parse("everyone")
+        with pytest.raises(NetFilterError,
+                           match="^CntFwd.to: unknown CntFwd target"):
+            _compile(CntFwd={"to": "everyone"})
 
     def test_retry_mode_parse(self):
-        assert RetryMode.parse("persist") is RetryMode.PERSIST
-        assert RetryMode.parse("FRESH") is RetryMode.FRESH
+        assert _compile(retry="persist").retry is RetryMode.PERSIST
+        assert _compile(retry="FRESH").retry is RetryMode.FRESH
 
     def test_retry_mode_unknown(self):
-        with pytest.raises(ValueError, match="unknown retry mode"):
-            RetryMode.parse("maybe")
+        with pytest.raises(NetFilterError, match="^retry: unknown retry mode"):
+            _compile(retry="maybe")
+
+    def test_agg_op_parse(self):
+        assert _compile(agg=" FMax").agg is AggOp.FMAX
+        with pytest.raises(NetFilterError, match="^agg: unknown agg op"):
+            _compile(agg="mul")
 
 
 class TestCntFwdSpec:

@@ -1,12 +1,13 @@
 """Differential proof of the table-based fp kernels (agg=fadd / fmax).
 
 Mirrors the scalar-vs-kernel structure of ``test_kvblock_kernels.py``:
-Hypothesis drives the batch kernels (``fadd_block`` / ``fmax_block``)
-and a scalar per-slot reference loop with the same random program
-(slots — scattered, or a consecutive run carried as a ``range`` address
-column — selection bitmap, phys-base window, pre-existing register
-state including sticky bits) — final register state, payload
-mutations, and overflow flags must agree bit for bit.
+Hypothesis drives the batch kernel (``combine_block``) and a scalar
+per-slot reference loop over ``RegisterFile.combine``, under each fp
+codec's ``add_bits``, with the same random program (slots — scattered,
+or a consecutive run carried as a ``range`` address column — selection
+bitmap, phys-base window, pre-existing register state including sticky
+bits) — final register state, payload mutations, and unapplied masks
+must agree bit for bit.
 
 On top of that, the *arithmetic* itself is differentially verified
 against the IEEE float64 reference: table-accumulated sums must stay
@@ -102,63 +103,38 @@ def seeded_registers(pre_values, pre_sticky):
 
 
 # ----------------------------------------------------------------------
-# Scalar references: per-slot loops over the scalar fp methods.
+# Scalar reference: a per-slot loop over the scalar combine.
 # ----------------------------------------------------------------------
-def scalar_fadd(regs, slots, select, base):
-    overflowed = False
+def scalar_combine(regs, slots, select, base, add_bits):
+    """The mask of the slots the combines did not apply."""
+    unapplied = 0
     for index, (addr, ordered) in enumerate(slots):
         if select >> index & 1:
             local = addr - base
             if 0 <= local < regs.capacity:
-                if regs.fadd(local, ordered):
+                if regs.combine(local, ordered, add_bits):
                     slots[index] = (addr, INT32_MAX)
-                    overflowed = True
-    return overflowed
-
-
-def scalar_fmax(regs, slots, select, base):
-    overflowed = False
-    for index, (addr, ordered) in enumerate(slots):
-        if select >> index & 1:
-            local = addr - base
-            if 0 <= local < regs.capacity:
-                if regs.fmax(local, ordered):
-                    slots[index] = (addr, INT32_MAX)
-                    overflowed = True
-    return overflowed
+                    unapplied |= 1 << index
+    return unapplied
 
 
 # ----------------------------------------------------------------------
-# kernel-vs-scalar differentials
+# kernel-vs-scalar differential, under both fp codecs
 # ----------------------------------------------------------------------
 @settings(max_examples=FP_EXAMPLES, deadline=None)
 @given(slots=slots_st, select=select_st, base=base_st,
        pre_values=pre_values_st, pre_sticky=pre_sticky_st)
-def test_fadd_block_matches_scalar_fadd(slots, select, base, pre_values,
-                                        pre_sticky):
+@pytest.mark.parametrize("codec", [C, MC], ids=["fadd", "fmax"])
+def test_combine_block_matches_scalar_combine(codec, slots, select, base,
+                                              pre_values, pre_sticky):
     kernel_regs, ref_regs = seeded_registers(pre_values, pre_sticky)
     block = slot_block(slots)
     ref_slots = list(slots)
 
-    kernel_of = kernel_regs.fadd_block(block, select, base)
-    ref_of = scalar_fadd(ref_regs, ref_slots, select, base)
-
-    assert kernel_of == ref_of
-    assert block.values_list() == [value for _, value in ref_slots]
-    assert state(kernel_regs) == state(ref_regs)
-
-
-@settings(max_examples=FP_EXAMPLES, deadline=None)
-@given(slots=slots_st, select=select_st, base=base_st,
-       pre_values=pre_values_st, pre_sticky=pre_sticky_st)
-def test_fmax_block_matches_scalar_fmax(slots, select, base, pre_values,
-                                        pre_sticky):
-    kernel_regs, ref_regs = seeded_registers(pre_values, pre_sticky)
-    block = slot_block(slots)
-    ref_slots = list(slots)
-
-    kernel_of = kernel_regs.fmax_block(block, select, base)
-    ref_of = scalar_fmax(ref_regs, ref_slots, select, base)
+    kernel_of = kernel_regs.combine_block(block, select, base,
+                                          codec.add_bits)
+    ref_of = scalar_combine(ref_regs, ref_slots, select, base,
+                            codec.add_bits)
 
     assert kernel_of == ref_of
     assert block.values_list() == [value for _, value in ref_slots]
@@ -247,7 +223,7 @@ def test_fmax_matches_float_max(tensor):
     acc = None
     for value in tensor:
         ordered, _ = C.encode(value)
-        acc = ordered if acc is None else C.max_bits(acc, ordered)
+        acc = ordered if acc is None else MC.add_bits(acc, ordered)[0]
     assert abs(C.decode(acc) - exact) <= C.roundtrip_error_bound(exact)
 
 
@@ -272,16 +248,16 @@ def test_overflow_saturates_and_sets_sticky():
                         registers_per_segment=REGS_PER_SEGMENT)
     big, overflowed = C.encode(C.max_value * 0.75)
     assert not overflowed
-    assert not regs.fadd(0, big)
+    assert not regs.combine(0, big, C.add_bits)
     # Second add pushes past the largest exponent: sticky set, stored
     # value preserved, reads return the sentinel.
-    assert regs.fadd(0, big)
+    assert regs.combine(0, big, C.add_bits)
     assert regs.read_raw(0) == big
     assert regs.is_sticky(0)
     assert regs.read(0) == INT32_MAX
     # Batch kernel agrees.
     block = KVBlock.from_columns([0], [big])
-    assert regs.fadd_block(block, 1)
+    assert regs.combine_block(block, 1, 0, C.add_bits) == 1
     assert block.values_list() == [INT32_MAX]
 
 
@@ -317,12 +293,12 @@ def test_cleared_register_is_fp_zero():
     regs = RegisterFile(segments=SEGMENTS,
                         registers_per_segment=REGS_PER_SEGMENT)
     value, _ = C.encode(2.5)
-    regs.fadd(4, value)
+    regs.combine(4, value, C.add_bits)
     regs.clear(4)
     assert regs.read(4) == 0
     assert C.decode(regs.read(4)) == 0.0
     # Adding x to a cleared register stores exactly encode(x).
-    assert not regs.fadd(4, value)
+    assert not regs.combine(4, value, C.add_bits)
     assert regs.read_raw(4) == value
 
 
@@ -330,9 +306,9 @@ def test_fadd_exact_cancellation_evicts_register():
     regs = RegisterFile(segments=SEGMENTS,
                         registers_per_segment=REGS_PER_SEGMENT)
     value, _ = C.encode(1.5)
-    regs.fadd(2, value)
+    regs.combine(2, value, C.add_bits)
     assert len(regs.occupied_addrs()) == 1
-    regs.fadd(2, -value)
+    regs.combine(2, -value, C.add_bits)
     assert len(regs.occupied_addrs()) == 0
     assert regs.read(2) == 0
 
@@ -344,5 +320,5 @@ def test_fmax_out_of_window_slots_are_skipped():
     encoded = MC.encode(3.0)[0]
     block = KVBlock.from_columns([0, CAPACITY, CAPACITY + 1],
                                  [encoded] * 3)
-    assert not regs.fmax_block(block, 7, base)
+    assert not regs.combine_block(block, 7, base, MC.add_bits)
     assert regs.occupied_addrs() == [0, 1]

@@ -7,7 +7,8 @@ address/value lists calling ``RegisterFile.add`` / ``read`` / ``clear`` exactly 
 pre-columnar pipeline did.  Hypothesis drives both implementations with
 the same random program (slots, selection bitmap, phys-base window,
 pre-existing register state including sticky bits) and the final
-register state, payload mutations, and overflow flags must agree.
+register state, payload mutations, and the returned masks (the
+unapplied slots of an add, the sticky slots of a get) must agree.
 
 Covered corners, per the scalar contract:
 
@@ -18,6 +19,9 @@ Covered corners, per the scalar contract:
 * zero-result adds leaving the register zero and out of ``occupied``;
 * ``add_get_block`` equivalence to ``add_block`` + ``get_block`` for
   distinct addresses (the linear-packet precondition it is gated on);
+* ``combine_block`` under the integer codec's ``add_bits`` equal to
+  ``add_block``: the generic kernel the fp ops run and the integer fast
+  kernel are one arithmetic;
 * whole-row blocks — a ``range`` address column, as dense linear chunks
   carry — at aligned and unaligned starts, in and out of window, with
   sticky registers present and sums past either int32 bound, under 4
@@ -32,7 +36,7 @@ Register state is read through the public API only (``occupied_addrs``,
 from hypothesis import given, settings, strategies as st
 import pytest
 
-from repro.protocol import INT32_MAX, INT32_MIN, KVBlock
+from repro.protocol import INT32_MAX, INT32_MIN, KVBlock, Quantizer
 from repro.switchsim import RegisterFile
 
 SEGMENTS = 4
@@ -94,27 +98,29 @@ def state(regs):
 # Scalar references: the pre-columnar per-kv loops, verbatim semantics.
 # ----------------------------------------------------------------------
 def scalar_add(regs, addrs, values, select, base):
-    overflowed = False
+    """The mask of the slots the adds did not apply."""
+    unapplied = 0
     for index, addr in enumerate(addrs):
         if select >> index & 1:
             local = addr - base
             if 0 <= local < regs.capacity:
                 if regs.add(local, values[index]):
                     values[index] = INT32_MAX
-                    overflowed = True
-    return overflowed
+                    unapplied |= 1 << index
+    return unapplied
 
 
 def scalar_get(regs, addrs, values, select, base):
-    overflowed = False
+    """The mask of the slots that read sticky."""
+    sticky = 0
     for index, addr in enumerate(addrs):
         if select >> index & 1:
             local = addr - base
             if 0 <= local < regs.capacity:
                 if regs.is_sticky(local):
-                    overflowed = True
+                    sticky |= 1 << index
                 values[index] = regs.read(local)
-    return overflowed
+    return sticky
 
 
 def scalar_clear(regs, addrs, select, offset):
@@ -181,9 +187,33 @@ def test_add_get_block_matches_two_pass_for_distinct_addrs(
     add_of = two_pass_regs.add_block(two_pass, select, base)
     get_of = two_pass_regs.get_block(two_pass, select, base)
 
-    assert fused_of == (add_of or get_of)
+    # Distinct addresses: a slot reads sticky exactly when its add was
+    # refused.
+    assert fused_of == add_of == get_of
     assert fused.values_list() == two_pass.values_list()
     assert state(fused_regs) == state(two_pass_regs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(slots=slots_st, select=select_st, base=base_st,
+       pre_values=pre_values_st, pre_sticky=pre_sticky_st)
+def test_combine_block_under_the_integer_add_equals_add_block(
+        slots, select, base, pre_values, pre_sticky):
+    """``add_block`` is ``combine_block`` specialised to
+    ``Quantizer.add_bits``: values, sticky set and unapplied mask agree
+    slot for slot."""
+    combine_regs, add_regs = seeded_registers(pre_values, pre_sticky)
+    combined = KVBlock.from_columns([addr for addr, _ in slots],
+                                    [value for _, value in slots])
+    added = combined.copy()
+
+    combine_mask = combine_regs.combine_block(combined, select, base,
+                                              Quantizer.add_bits)
+    add_mask = add_regs.add_block(added, select, base)
+
+    assert combine_mask == add_mask
+    assert combined.values_list() == added.values_list()
+    assert state(combine_regs) == state(add_regs)
 
 
 @settings(max_examples=200, deadline=None)
@@ -345,7 +375,7 @@ def test_range_blocks_match_scalar_reference(program, kernel):
     if kernel == "clear":
         kernel_regs.clear_block(addrs, select, -base)
         scalar_clear(ref_regs, list(addrs), select, -base)
-        kernel_of = ref_of = False
+        kernel_of = ref_of = 0
     elif kernel == "add":
         kernel_of = kernel_regs.add_block(block, select, base)
         ref_of = scalar_add(ref_regs, list(addrs), ref_values, select, base)
@@ -355,8 +385,8 @@ def test_range_blocks_match_scalar_reference(program, kernel):
     else:
         kernel_of = kernel_regs.add_get_block(block, select, base)
         ref_of = scalar_add(ref_regs, list(addrs), ref_values, select, base)
-        ref_of = scalar_get(ref_regs, list(addrs), ref_values, select,
-                            base) or ref_of
+        assert scalar_get(ref_regs, list(addrs), ref_values, select,
+                          base) == ref_of
 
     assert kernel_of == ref_of
     assert block.values_list() == ref_values
@@ -388,7 +418,7 @@ def test_permuted_row_in_an_array_walks_the_slots(geometry, data):
     ref_values = list(values)
     kernel_of = kernel_regs.add_get_block(block, full)
     ref_of = scalar_add(ref_regs, addrs, ref_values, full, 0)
-    ref_of = scalar_get(ref_regs, addrs, ref_values, full, 0) or ref_of
+    assert scalar_get(ref_regs, addrs, ref_values, full, 0) == ref_of
     assert kernel_of == ref_of
     assert block.values_list() == ref_values
     assert state(kernel_regs) == state(ref_regs)

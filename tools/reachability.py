@@ -112,7 +112,6 @@ KEEP = {
         "core/status.py:RpcError.__init__",
         "netsim/events.py:EventFailed.__init__",
         "netsim/simulator.py:set_global_wall_deadline",
-        "protocol/rips.py:RetryMode.parse",
         "shard/boundary.py:RemoteNode.receive",
         "shard/boundary.py:ShardEgressLink._deliver*",
         # A loss model set on a cut link (refused): a failure no
@@ -123,11 +122,11 @@ KEEP = {
         "sweep/spec.py:RunSpec.describe", "sweep/spec.py:format_exception",
     ]),
     "c": ("the paper's programming model and mechanisms", [
-        # fp/fmax kernels and their software twins
-        "switchsim/registers.py:RegisterFile.f*",
-        "switchsim/switch.py:NetRPCSwitch.ctrl_f*",
-        "inc/incmap.py:SoftwareINCMap.f*",
+        # agg=fmax, whose codec holds its arithmetic, and a key's
+        # software total read with its register folded in (keyed
+        # overflow replies, inc_map_snapshot)
         "protocol/fpcodec.py:OrderedMaxCodec.*",
+        "inc/incmap.py:SoftwareINCMap.get_with",
         # stream modify
         "protocol/ops.py:apply_stream_op",
         "protocol/kvblock.py:KVBlock.modify",
