@@ -76,8 +76,8 @@ class NetRPCService:
             self._by_name.setdefault(binding.name, binding)
         if len(app_names) > 1:
             raise NetFilterError(
-                f"all NetFilters of service {service_name} must share one "
-                f"AppName; got {sorted(app_names)}")
+                f"service {service_name}: all its NetFilters must share "
+                f"one AppName; got {sorted(app_names)}")
         self.app_name = app_name or (app_names.pop() if app_names
                                      else service_name)
 
@@ -100,10 +100,13 @@ class NetRPCService:
             source = filters[method.filter_file]
         except KeyError:
             raise NetFilterError(
-                f"rpc {method.name} references NetFilter "
+                f"rpc {method.name}: references NetFilter "
                 f"{method.filter_file!r} but no such filter was provided; "
                 f"available: {sorted(filters)}") from None
-        return parse_netfilter(source)
+        try:
+            return parse_netfilter(source)
+        except NetFilterError as exc:
+            raise NetFilterError(f"rpc {method.name}: {exc}") from exc
 
     def _bind(self, method: MethodDescriptor, program: RIPProgram
               ) -> _MethodBinding:

@@ -460,6 +460,11 @@ class ServerAgent:
             owed = [i for i in range(len(values_col)) if pkt.bitmap >> i & 1]
             keys_col = [keys_col[i] for i in owed]
             values_col = [values_col[i] for i in owed]
+        if prog.modify_op is not StreamOp.NOP:
+            # Stream.modify once per value, before any path adds it: a
+            # cross packet bypassed the switch's modify.
+            values_col = state.soft.modify(prog.modify_op, values_col,
+                                           prog.modify_para)
         for index in range(len(values_col)):
             key = keys_col[index] if keys_col is not None else None
             value = values_col[index]
@@ -475,16 +480,18 @@ class ServerAgent:
             if phys is not None:
                 replay_append((phys, key, value))
                 continue
-            if prog.modify_op is not StreamOp.NOP:
-                value = state.soft.modify(prog.modify_op, [value],
-                                          prog.modify_para)[0]
             if prog.uses_add_to:
                 state.soft.add_to(key, value)
             if prog.uses_get:
                 values[key] = state.soft.get(key)
             if prog.cntfwd.counts:
-                if self._software_count(state, prog, key):
+                if self._software_count(state, config, key):
                     values.setdefault(key, state.soft.get(key))
+                    if config.linear and prog.cntfwd.threshold > 1:
+                        # The round's aggregate is out: the next round
+                        # starts from zero, as the copy policy's clearing
+                        # return stream leaves the switch registers.
+                        state.soft.clear(key)
                 else:
                     absorbed = True  # below threshold: drop, like the switch
             if prog.clear is ClearPolicy.COPY and not prog.cntfwd.counts:
@@ -528,14 +535,16 @@ class ServerAgent:
                              task_id=pkt.task_id, offset=pkt.offset,
                              round=pkt.round))
 
-    def _software_count(self, state: _AppServerState, prog: RIPProgram,
+    def _software_count(self, state: _AppServerState, config: AppConfig,
                         key: Any) -> bool:
         """Software CntFwd with the same re-arm/test&set semantics."""
+        prog = config.program
         threshold = prog.cntfwd.threshold
-        if prog.uses_add_to and not prog.agg.is_float:
-            # The Map.addTo above already incremented the accumulator.
-            # (An fp accumulator holds encodings, not counts: the side
-            # counter counts, as on the switch.)
+        if prog.uses_add_to and not prog.agg.is_float and not config.linear:
+            # A keyed counter is the key's own register, which the
+            # Map.addTo above already incremented.  (A linear app counts
+            # on a side register and an fp accumulator holds encodings,
+            # not counts: the side counter counts, as on the switch.)
             count = state.soft.get(key)
             if count == threshold:
                 if threshold > 1:
@@ -672,7 +681,7 @@ class ServerAgent:
             # SyncAgtr: collect every client's raw chunk, then send the
             # corrected aggregate computed in 64-bit software.
             buf = state.overflow_buf.setdefault((pkt.round, pkt.offset), {})
-            buf[pkt.src] = pkt.kv.values_list()
+            buf[pkt.src] = self._replayed_values(state, prog, pkt.kv)
             if len(buf) < prog.cntfwd.threshold:
                 return
             contributions = state.overflow_buf.pop((pkt.round, pkt.offset))
@@ -693,7 +702,8 @@ class ServerAgent:
         block = pkt.kv
         keys_col = block.keys
         owed = pkt.bitmap
-        for index, value in enumerate(block.values):
+        for index, value in enumerate(
+                self._replayed_values(state, prog, block)):
             key = keys_col[index] if keys_col is not None else None
             if prog.uses_add_to and owed >> index & 1:
                 state.soft.add_to(key, value)
@@ -705,6 +715,16 @@ class ServerAgent:
                         dict(gaid=pkt.gaid, kv=_result_block(values),
                              task_id=pkt.task_id, offset=pkt.offset,
                              round=pkt.round))
+
+    @staticmethod
+    def _replayed_values(state: _AppServerState, prog: RIPProgram,
+                         block: KVBlock) -> List[int]:
+        """A replay's values with the Stream.modify the switch applies
+        before its add: the client replays the raw values it sent."""
+        if prog.modify_op is StreamOp.NOP:
+            return block.values_list()
+        return state.soft.modify(prog.modify_op, block.values,
+                                 prog.modify_para)
 
     def _finish_corrected_chunk(self, state: _AppServerState,
                                 config: AppConfig, pkt: Packet,

@@ -12,7 +12,10 @@ delivery), and the loss model is applied inside that event.
 Any object with a ``size_bytes`` attribute can be transmitted.  If the
 queue occupancy exceeds the ECN threshold at enqueue time, the packet's
 ``ecn`` attribute is set (when the object has one), mirroring how the
-NetRPC switch marks congestion on queue buildup (paper §5.1).
+NetRPC switch marks congestion on queue buildup (paper §5.1).  A packet
+with a ``marked()`` method is marked through it instead: the link sends
+what it returns, so a packet other receivers also hold (a multicast
+group packet) can hand back a private marked copy.
 """
 
 from __future__ import annotations
@@ -222,7 +225,11 @@ class Link:
                 TRACE.instant("link.drop", now, self.name, ("queue",))
             return False
         if qlen >= self.ecn_threshold_pkts and hasattr(packet, "ecn"):
-            packet.ecn = True
+            marked = getattr(packet, "marked", None)
+            if marked is None:
+                packet.ecn = True
+            else:
+                packet = marked()
             stats.ecn_marks += 1
             if TRACE.enabled:
                 TRACE.instant("link.ecn", now, self.name)

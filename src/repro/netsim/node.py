@@ -9,7 +9,7 @@ in-network computation win in the paper's evaluation.
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush
+from heapq import heapify, heapreplace
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.obs.tracer import TRACE
@@ -123,13 +123,15 @@ class Host(Node):
         if cost <= 0.0:
             self._dispatch(packet)
             return
+        # The earliest-free core takes the packet: the heap holds floats
+        # and only its minimum is read, so one heapreplace does it.
         core_free = self._core_free
-        free_at = heappop(core_free)
+        free_at = core_free[0]
         sim = self.sim
         now = sim.now
         start = now if now > free_at else free_at
         done = start + cost
-        heappush(core_free, done)
+        heapreplace(core_free, done)
         sim.schedule(done - now, self._dispatch, packet)
         if TRACE.enabled:
             TRACE.record("host.cpu", start, done, self.name)
@@ -154,12 +156,12 @@ class Host(Node):
             fn(arg)
             return
         core_free = self._core_free
-        free_at = heappop(core_free)
+        free_at = core_free[0]
         sim = self.sim
         now = sim.now
         start = now if now > free_at else free_at
         done = start + cost_s
-        heappush(core_free, done)
+        heapreplace(core_free, done)
         sim.schedule(done - now, fn, arg)
         if TRACE.enabled:
             TRACE.record("host.cpu", start, done, self.name)

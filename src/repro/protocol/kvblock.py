@@ -26,10 +26,12 @@ place — not by the switch, not by the agents, not by a copy's owner —
 and are assigned only when a block is built.  Only ``values`` is
 rewritten (the switch's in-network computation).  So a copy shares the
 two read-only columns and duplicates just the value buffer
-(:meth:`KVBlock.copy`): a multicast fan-out or a retransmission pays one
-C-level slice, not three: the copy-on-write payload sharing that ns-3's
-``Packet::Copy`` does, for the same reason.  Hand :meth:`from_columns`
-a key list nobody will append to afterwards.
+(:meth:`KVBlock.copy`): a retransmission pays one C-level slice, not
+three: the copy-on-write payload sharing that ns-3's ``Packet::Copy``
+does, for the same reason.  A switch multicast shares more: its group
+packet's block, value column frozen to a tuple, goes to every directly
+attached receiver of the group, and receivers only read it.  Hand
+:meth:`from_columns` a key list nobody will append to afterwards.
 
 Slot access from the batch kernels
 (:meth:`~repro.switchsim.registers.RegisterFile.add_block` and friends)

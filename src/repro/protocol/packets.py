@@ -49,8 +49,10 @@ class Packet:
     """A NetRPC wire packet.
 
     Mutable on purpose: the switch rewrites values in place as the paper's
-    pipeline does.  Use :meth:`copy` before multicasting or retransmitting
-    so receivers do not alias each other's data.
+    pipeline does.  Use :meth:`copy` before retransmitting.  A switch
+    multicast is one packet per fan-out group: every directly attached
+    member receives the same object, its value column frozen to a tuple,
+    and only reads it (:meth:`marked` puts a link's ECN mark on a copy).
     """
 
     gaid: int
@@ -110,8 +112,8 @@ class Packet:
     # Cached wire size (plain class attribute, not a dataclass field).
     # Every size-affecting field is settled before a packet first hits a
     # link, so the first ``size_bytes`` read freezes the value; ``copy``
-    # drops the cache (only the switch's multicast fan-out, which changes
-    # no size-affecting field, hands it on to its copies).
+    # drops the cache (only the switch's multicast fan-out and ``marked``,
+    # which change no size-affecting field, hand it on to their copies).
     _size = None
 
     def __post_init__(self):
@@ -181,6 +183,24 @@ class Packet:
         pop("_recirculated", None)
         pop("switch_processed", None)
         dup.__dict__ = state
+        return dup
+
+    def marked(self) -> "Packet":
+        """This packet with its link-level ECN mark set (``Link.send``).
+
+        A multicast group packet (value column frozen to a tuple) is held
+        by every member of its group, so the mark goes on a private copy
+        with a list column and the same wire size; any other packet is
+        marked in place.
+        """
+        values = self.kv.values
+        if type(values) is not tuple:
+            self.ecn = True
+            return self
+        dup = self.copy()
+        dup.kv.values = list(values)
+        dup._size = self._size
+        dup.ecn = True
         return dup
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

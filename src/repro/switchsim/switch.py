@@ -257,25 +257,35 @@ class NetRPCSwitch(PlainSwitch):
         if action is Action.MULTICAST:
             stats = self.stats
             stats["multicasts"] += 1
-            # A copy differs from the packet only in dst, is_mcast and
-            # ecn_echo — no size-affecting field — so the group shares the
-            # packet's wire size and one ECN-echo decision.  Each copy
-            # then takes Node.send's two steps inline.
+            # One copy of the packet in hand (never the sender's
+            # pending-table entry) is the group's packet: every directly
+            # attached member receives that same object, its value column
+            # frozen so that no receiver can write what the others read.
+            # It differs from the packet only in is_mcast and ecn_echo, no
+            # size-affecting field, so it keeps the packet's wire size.
+            # Each send takes Node.send's two steps inline.
             size = packet.size_bytes
-            echo = self._ecn_echo(packet.gaid)
+            group = packet.copy()
+            group.is_mcast = True
+            group._size = size
+            if self._ecn_echo(packet.gaid):
+                group.ecn_echo = True
+            kv = group.kv
+            kv.values = tuple(kv.values)
             egress = self.egress
             for target in verdict.group or (packet.dst,):
-                copy = packet.copy()
-                copy.dst = target
-                copy.is_mcast = True
-                copy._size = size
-                if echo:
-                    copy.ecn_echo = True
+                out = group
                 link = egress.get(target)
                 if link is None:
+                    # Behind another switch, which routes on dst and
+                    # rewrites it: a private copy with a list column.
                     link = self.link_to(self.next_hop_for(target))
+                    out = group.copy()
+                    out.dst = target
+                    out._size = size
+                    out.kv.values = list(kv.values)
                 stats["tx_pkts"] += 1
-                link.send(copy)
+                link.send(out)
             return
 
         # FORWARD / BOUNCE

@@ -93,3 +93,35 @@ class TestChain:
             counter_slots=64, linear=True)
         per_switch = dep.switches[0].registers.capacity
         assert config.counter_region.base >= per_switch
+
+    def test_threshold_multicast_across_the_chain(self):
+        # The edge switch (sw1) fires the threshold multicast; both group
+        # members sit behind sw0, so each gets its own copy addressed to
+        # it, which sw0 routes on (only directly attached members share
+        # one group packet).
+        dep = build_chain(2, 2, 1, cal=CAL)
+        prog = RIPProgram(
+            app_name="V", get_field="v.kvs", add_to_field="v.kvs",
+            cntfwd=CntFwdSpec(target=ForwardTarget.ALL, threshold=2))
+        (config,) = dep.controller.register(
+            [prog], server="s0", clients=["c0", "c1"], value_slots=64,
+            counter_slots=64, linear=True)
+        results = {}
+        for agent in dep.client_agents.values():
+            handler = agent.host._handler
+
+            def spy(pkt, _handler=handler, _name=agent.host.name):
+                if pkt.is_mcast:
+                    results.setdefault(_name, []).append(pkt)
+                _handler(pkt)
+
+            agent.host.set_handler(spy)
+        done = [dep.client_agent(index).submit(
+            Task(app=config, items=[(0, 1 + index), (1, 10 * (index + 1))],
+                 expect_result=True)) for index in range(2)]
+        for event in done:
+            assert dep.sim.run_until(event, limit=5.0).column == [3, 30]
+        (c0,), (c1,) = results["c0"], results["c1"]
+        assert c0 is not c1
+        assert (c0.dst, c1.dst) == ("c0", "c1")
+        assert list(c0.kv.values) == list(c1.kv.values) == [3, 30]

@@ -5,7 +5,9 @@ whatever they are fed, the only exception that may escape is
 ``NetFilterError`` or ``ProtoSyntaxError`` — never an
 ``AttributeError`` or ``TypeError`` from deeper down — and it says
 where: a ``NetFilterError`` starts with the field it rejects, a
-``ProtoSyntaxError`` with the line.
+``ProtoSyntaxError`` with the line.  The service binder, which compiles
+each method's filter against its messages, puts the method (or for a
+service-wide rule, the service) in front: ``rpc <Method>: …``.
 """
 
 import re
@@ -13,8 +15,8 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import (NetFilterError, ProtoSyntaxError, parse_netfilter,
-                        parse_proto)
+from repro.core import (NetFilterError, NetRPCService, ProtoSyntaxError,
+                        parse_netfilter, parse_proto)
 
 JSON = st.recursive(
     st.none() | st.booleans() | st.integers(-2**40, 2**40)
@@ -27,7 +29,8 @@ JSON = st.recursive(
 WORDS = st.sampled_from([
     "nop", "copy", "shadow", "lazy", "add", "fadd", "fmax", "ALL", "SRC",
     "SERVER", "persist", "fresh", "M.f", "ClientID", "NULL", "max:3",
-    "min", "shift:2", ""])
+    "min", "shift:2", "", "Grad.values", "Grad.note", "Sum.values",
+    "Sum.total"])
 VALUE = st.one_of(WORDS, JSON)
 CNTFWD = st.one_of(
     JSON, st.dictionaries(st.sampled_from(["to", "threshold", "key"]),
@@ -83,6 +86,45 @@ def test_netfilter_rejects_with_netfilter_error_only(config):
     except NetFilterError as exc:
         key = rejected_field(exc).partition(".")[0]
         assert key in config or key == "AppName"      # AppName may lack
+
+
+# One method whose filter is the fuzzed one: references can name a real
+# IEDT field, a scalar, an unknown field or another message.  The filters
+# keep a valid AppName and mostly known words, so that most get past
+# ``parse_netfilter`` to the binder's own checks.
+BIND_PROTO = """
+import "netrpc.proto";
+message Grad { netrpc.INT32Array values = 1; string note = 2; }
+message Sum { netrpc.INT32Array values = 1; }
+service Sync { rpc Update (Grad) returns (Sum) {} filter "f.nf" }
+"""
+BIND_FILTER = st.fixed_dictionaries({"AppName": st.just("app")}, optional={
+    "get": WORDS, "addTo": WORDS, "clear": WORDS, "agg": WORDS,
+    "modify": MODIFY, "CntFwd": CNTFWD,
+})
+
+
+@settings(max_examples=400, deadline=None)
+@given(config=st.one_of(BIND_FILTER, NETFILTER))
+def test_service_binder_rejects_naming_the_method(config):
+    try:
+        NetRPCService.from_text(BIND_PROTO, "Sync", {"f.nf": config})
+    except NetFilterError as exc:
+        assert str(exc).startswith("rpc Update: "), str(exc)
+
+
+def test_binder_errors_name_the_method_or_service():
+    with pytest.raises(NetFilterError, match=r"^rpc Update: .*no such filter"):
+        NetRPCService.from_text(BIND_PROTO, "Sync", {})
+    with pytest.raises(NetFilterError, match=r"^rpc Update: clear: "):
+        NetRPCService.from_text(BIND_PROTO, "Sync",
+                                {"f.nf": {"AppName": "a", "clear": 1}})
+    two = BIND_PROTO.replace(
+        '"f.nf" }', '"f.nf"\n  rpc Peek (Grad) returns (Sum) {} filter "g.nf" }')
+    with pytest.raises(NetFilterError,
+                       match=r"^service Sync: .*share one AppName"):
+        NetRPCService.from_text(two, "Sync", {"f.nf": {"AppName": "a"},
+                                              "g.nf": {"AppName": "b"}})
 
 
 VALID_PROTO = """

@@ -121,6 +121,41 @@ class TestSyncAggregationRPC:
         assert rounds[0][0] == 2_000_000
 
 
+    def test_software_only_linear_rounds_resolve_and_start_fresh(self):
+        # With no switch the server counts each index's contributions on
+        # a side counter, as the switch does for a linear app, and clears
+        # the sum once the round's result is out.
+        proto = """
+        import "netrpc.proto";
+        message Grad { netrpc.INT32Array values = 1; }
+        message Sum { netrpc.INT32Array values = 1; }
+        service Sync { rpc Update (Grad) returns (Sum) {} filter "s.nf" }
+        """
+        netfilter = """{
+          "AppName": "SYNC", "Precision": 0,
+          "get": "Sum.values", "addTo": "Grad.values",
+          "clear": "copy", "modify": "nop",
+          "CntFwd": {"to": "ALL", "threshold": 2, "key": "ClientID"}
+        }"""
+        dep = build_rack(2, 1, cal=CAL)
+        service = NetRPCService.from_text(proto, "Sync", {"s.nf": netfilter})
+        registered = register_service(dep, service, server="s0",
+                                      clients=["c0", "c1"],
+                                      software_only=True)
+        assert not registered.config("Update").has_switch
+        stubs = [Channel(registered, c).stub() for c in ("c0", "c1")]
+        req_type = registered.binding("Update").request
+        rounds = [([1, 2, 3, 4], [10, 20, 30, 40], [11, 22, 33, 44]),
+                  ([5, 6, 7, 8], [100, 200, 300, 400], [105, 206, 307, 408])]
+        for round_no, (first, second, total) in enumerate(rounds):
+            events = [stub.call_async("Update", req_type(values=values),
+                                      round=round_no)
+                      for stub, values in zip(stubs, (first, second))]
+            for event in events:
+                reply, _ = dep.sim.run_until(event, limit=0.5)
+                assert reply.values == total
+
+
 class TestMapReduceRPC:
     def test_reduce_then_query(self):
         dep = build_rack(1, 1, cal=CAL)

@@ -16,6 +16,7 @@ from repro.protocol import (
     CntFwdSpec,
     ForwardTarget,
     RIPProgram,
+    StreamOp,
 )
 
 CAL = scaled()
@@ -174,6 +175,41 @@ class TestAsyncOverflow:
         assert pushed.mapped_pairs == 2 and pushed.overflow_chunks == 1
         result = submit(query_cfg, [("a", 0), ("big", 0)], True)
         assert result.values == {"a": INT32_MAX - 5, "big": big + 100}
+
+    def test_modify_applies_once_on_the_software_paths(self):
+        # Stream.modify "add:1" on a keyed add.  The first push maps both
+        # keys from the server's software path, which folds them into
+        # their fresh registers; the second overflows "big", whose slot
+        # the client replays raw.  Both paths must add modified values,
+        # exactly as the switch does: a = 2 + 2, big = (BIG + 1) + 101.
+        reduce_prog = RIPProgram(
+            app_name="MR", add_to_field="r.kvs",
+            modify_op=StreamOp.ADD, modify_para=1,
+            cntfwd=CntFwdSpec(target=ForwardTarget.SRC, threshold=0))
+        query_prog = RIPProgram(
+            app_name="MR", get_field="q.kvs",
+            cntfwd=CntFwdSpec(target=ForwardTarget.SRC, threshold=0))
+        dep = build_rack(1, 1, cal=CAL)
+        reduce_cfg, query_cfg = dep.controller.register(
+            [reduce_prog, query_prog], server="s0", clients=["c0"],
+            value_slots=64)
+        agent = dep.client_agent(0)
+
+        def submit(config, items, expect_result):
+            done = agent.submit(Task(app=config, items=items,
+                                     expect_result=expect_result))
+            result = dep.sim.run_until(done, limit=10.0)
+            dep.sim.run(until=dep.sim.now + 0.05)
+            return result
+
+        big = INT32_MAX - 10
+        first = submit(reduce_cfg, [("a", 1), ("big", big)], False)
+        assert first.fallback_pairs == 2
+        assert dep.server_agent(0).stats["replays"] == 1
+        pushed = submit(reduce_cfg, [("a", 1), ("big", 100)], False)
+        assert pushed.mapped_pairs == 2 and pushed.overflow_chunks == 1
+        result = submit(query_cfg, [("a", 0), ("big", 0)], True)
+        assert result.values == {"a": 4, "big": 2**31 + 91}
 
     def test_quantizer_precheck_catches_oversized_floats(self):
         from repro.protocol import Quantizer

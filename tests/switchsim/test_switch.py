@@ -108,9 +108,67 @@ class TestNetRPCSwitchDataPath:
         sim.run()
         assert len(rx0) == 1 and len(rx1) == 1
         assert not rx2  # server not involved: sub-RTT path
-        # Copies must not alias.
-        rx0[0].kv.values[0] = 777
-        assert rx1[0].kv.values[0] != 777
+        # One group packet for both receivers, and no receiver can write
+        # what the other reads: its value column is frozen.
+        assert rx0[0] is rx1[0] and rx0[0].is_mcast
+        with pytest.raises(TypeError):
+            rx0[0].kv.values[0] = 777
+        assert rx0[0].kv.values[0] == rx1[0].kv.values[0] == 10
+        assert switch.registers.read(0) == 10
+
+    def test_ecn_mark_on_one_egress_reaches_only_that_receiver(self):
+        vote = RIPProgram(app_name="v", get_field="v.k", add_to_field="v.k",
+                          cntfwd=CntFwdSpec(target=ForwardTarget.ALL,
+                                            threshold=2))
+        sim = Simulator()
+        switch, hosts, _ = build_rack(sim)
+        switch.install_app(AppEntry(gaid=1, program=vote, server="h2",
+                                    clients=("h0", "h1")))
+        # The egress queue to h1 is past its ECN threshold (any occupancy
+        # is), the one to h0 is not.
+        switch.egress["h1"].ecn_threshold_pkts = 0
+        rx0, rx1 = (collect(h) for h in hosts[:2])
+        for host in hosts[:2]:
+            host.send(kv_packet(src=host.name, is_cnf=True, cnt_index=10),
+                      "sw0")
+        sim.run()
+        assert [len(rx0), len(rx1)] == [1, 1]
+        assert rx1[0].ecn and not rx0[0].ecn
+        assert switch.egress["h1"].stats["ecn_marks"] == 1
+        # h1's marked packet is its own copy: list column, same size.
+        assert rx1[0] is not rx0[0]
+        assert type(rx1[0].kv.values) is list
+        assert type(rx0[0].kv.values) is tuple
+        assert rx1[0].size_bytes == rx0[0].size_bytes == \
+            rx1[0].copy().size_bytes
+        assert list(rx1[0].kv.values) == list(rx0[0].kv.values) == [10]
+
+    def test_member_behind_another_switch_gets_its_own_copy(self):
+        # h0 sits on sw0 with the server h2; h3 sits on sw1, one hop away.
+        vote = RIPProgram(app_name="v", get_field="v.k", add_to_field="v.k",
+                          cntfwd=CntFwdSpec(target=ForwardTarget.ALL,
+                                            threshold=2))
+        sim = Simulator()
+        switch, hosts, topo = build_rack(sim)
+        far_switch = PlainSwitch(sim, "sw1", cal=CAL)
+        far_host = Host(sim, "h3")
+        for a, b in ((switch, far_switch), (far_host, far_switch)):
+            topo.connect(a, b, CAL.link_bandwidth_bps, CAL.host_link_delay_s)
+        switch.add_route("h3", "sw1")
+        far_switch.add_route("h2", "sw0")
+        switch.install_app(AppEntry(gaid=1, program=vote, server="h2",
+                                    clients=("h0", "h3")))
+        near, far = collect(hosts[0]), collect(far_host)
+        hosts[0].send(kv_packet(src="h0", is_cnf=True, cnt_index=10), "sw0")
+        far_host.send(kv_packet(src="h3", is_cnf=True, cnt_index=10), "sw1")
+        sim.run()
+        assert [len(near), len(far)] == [1, 1]
+        assert far[0] is not near[0]
+        assert far[0].dst == "h3" and far[0].is_mcast
+        assert type(far[0].kv.values) is list
+        assert type(near[0].kv.values) is tuple
+        assert list(far[0].kv.values) == list(near[0].kv.values) == [10]
+        assert switch.stats["tx_pkts"] == 2
 
     def test_multicast_copies_carry_the_size_of_their_own_fields(self):
         # The fan-out hands every copy the trigger's cached wire size.
