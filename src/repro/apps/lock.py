@@ -96,4 +96,4 @@ class LockService:
         agent = self.deployment.server_agents[self.registered.server]
         state = agent.app_state(self.registered.service.app_name)
         value = agent.register_value(state, lock_name)
-        return state.soft.counter(lock_name) if value is None else value
+        return state.soft.read_raw(lock_name) if value is None else value

@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.inc import AppConfig, ClientAgent, MemoryRegion, ServerAgent
 from repro.netsim import Calibration, Counter, DEFAULT_CALIBRATION, Simulator
 from repro.obs.tracer import TRACE
-from repro.protocol import RIPProgram
+from repro.protocol import ClearPolicy, RIPProgram
 from repro.switchsim import AppEntry, NetRPCSwitch
 
 __all__ = ["Controller", "Registration", "MemoryPool"]
@@ -196,9 +196,18 @@ class Controller:
                 raise KeyError(f"no client agent on host {client!r}")
 
         if isinstance(linear, (list, tuple)):
-            all_linear = all(linear)
+            linear_flags = list(linear)
+            if len(linear_flags) != len(programs):
+                raise ValueError("one linear flag per program required")
         else:
-            all_linear = bool(linear)
+            linear_flags = [bool(linear)] * len(programs)
+        all_linear = all(linear_flags)
+        # Lazy clearing reads against per-register baselines, which a key
+        # moving between the software map and a register cannot carry.
+        for program, linear_flag in zip(programs, linear_flags):
+            if program.clear is ClearPolicy.LAZY and not linear_flag:
+                raise ValueError(f"application {app_name!r}: clear=lazy "
+                                 f"needs linear addressing")
         # Fp accumulators hold ordered encodings, so they can never
         # double as CntFwd counters: a counting fp program needs the
         # linear layout's dedicated side-counter region.
@@ -231,12 +240,6 @@ class Controller:
             counter_region = MemoryRegion(0, 0)
 
         flows = flows_per_host or self.cal.flows_per_app
-        if isinstance(linear, (list, tuple)):
-            linear_flags = list(linear)
-            if len(linear_flags) != len(programs):
-                raise ValueError("one linear flag per program required")
-        else:
-            linear_flags = [bool(linear)] * len(programs)
         configs = []
         for program, linear_flag in zip(programs, linear_flags):
             config = AppConfig(

@@ -84,8 +84,7 @@ class _CallPlan:
                             and stream.kind.is_map)
         self.plain: bool = binding.is_plain
         program = binding.program
-        self.expect_result = bool(program.uses_get or program.cntfwd.counts
-                                  or self.plain)
+        self.expect_result = program.replies or self.plain
 
 
 class ClientStub:

@@ -128,7 +128,9 @@ class _AppClientState:
         self.grants: Dict[int, int] = {}            # logical -> physical
         self.logical_to_key: Dict[int, Any] = {}
         self.phys_to_key: Dict[int, Any] = {}
-        self.lazy_baseline: Dict[int, int] = {}     # phys addr -> baseline
+        # Lazy clear (linear apps): last total read per register address,
+        # or with no switch per array index.
+        self.lazy_baseline: Dict[int, int] = {}
         self.usage_counts: Dict[int, int] = {}      # logical -> window uses
         self.tasks: Dict[int, _TaskState] = {}
         self.round_chunks: Dict[Tuple[int, int, int], int] = {}
@@ -351,13 +353,14 @@ class ClientAgent:
             if not indexed:
                 pkt.linear_base = kv.addrs[0]
             pkt.shadow_offset = shadow_offset
-            if has_switch:
-                if counts:
-                    pkt.is_cnf = True
-                    pkt.cnt_index = config.counter_addr(
-                        first_index if indexed else first_index // 32)
-            else:
-                pkt.is_cross = True
+            if counts:
+                # The chunk's CntFwd counter: a register, or with no
+                # switch the server's software counter of that number.
+                counter = first_index if indexed else first_index // 32
+                pkt.is_cnf = has_switch
+                pkt.cnt_index = config.counter_addr(counter) \
+                    if has_switch else counter
+            pkt.is_cross = not has_switch
             round_chunks[(gaid, round_no, offset)] = task_id
             state.pick_flow().enqueue(pkt)
 
@@ -541,7 +544,6 @@ class ClientAgent:
             phys = state.grants.pop(logical, None)
             if phys is not None:
                 state.phys_to_key.pop(phys, None)
-                state.lazy_baseline.pop(phys, None)
 
     def _on_server_ack(self, state: _AppClientState, pkt: Packet) -> None:
         self.stats["acks_rx"] += 1
@@ -656,13 +658,16 @@ class ClientAgent:
 
     def _extract_values(self, state: _AppClientState, config: AppConfig,
                         pkt: Packet, corrected: bool) -> Dict[Any, int]:
-        lazy = config.program.clear is ClearPolicy.LAZY
         block = pkt.kv
         keys = block.keys
         values = block.values
         mapped_mask = block.mapped_mask
-        lazy_adjust = lazy and config.has_switch and mapped_mask
-        if not lazy_adjust and keys is not None and None not in keys:
+        # Lazy clear: subtract the last total read, per register address
+        # or, with no switch, per array index.
+        by_index = not config.has_switch
+        lazy = config.program.clear is ClearPolicy.LAZY and \
+            (mapped_mask or by_index)
+        if not lazy and keys is not None and None not in keys:
             # Fast path (the common linear/keyed result): every slot has
             # an explicit key and no baseline adjustment applies, so the
             # whole block folds in one C-level zip.  Duplicate keys keep
@@ -684,13 +689,13 @@ class ClientAgent:
                         continue
                     key = offset + slot
             value = values[slot]
-            if lazy_adjust and mapped:
-                addr = addrs[slot]
+            if lazy:
+                where = key if by_index else addrs[slot]
                 if corrected:
-                    state.lazy_baseline[addr] = 0
+                    state.lazy_baseline[where] = 0
                 else:
-                    baseline = state.lazy_baseline.get(addr, 0)
-                    state.lazy_baseline[addr] = value
+                    baseline = state.lazy_baseline.get(where, 0)
+                    state.lazy_baseline[where] = value
                     value = value - baseline
             out[key] = value
         return out

@@ -7,7 +7,7 @@ The server agent is the authority for one or more applications:
   application");
 * it executes every RIP in software for unmapped/collided keys and for
   deployments without a programmable switch (the fallback guarantee of
-  §3.2);
+  §3.2): the switch's own ``protocol.apply``, answered as the switch would;
 * it backs up and returns synchronous-aggregation rounds under the
   ``copy`` clear policy, clearing switch registers on the return path;
 * it reconstructs exact results for overflowed chunks from the clients'
@@ -15,15 +15,14 @@ The server agent is the authority for one or more applications:
 * it runs the periodic cache-update window: evictions, register
   drain-back, and grant revocations.
 
-Late cross-path traffic for keys that already hold a mapping is folded
-into the owning register through an atomic control-plane add
-(:meth:`~repro.switchsim.switch.NetRPCSwitch.ctrl_add`), so each key has
-exactly one authoritative counter/accumulator at any time.
+Late cross-path traffic for keys that already hold a mapping runs on
+the owning register through the control plane
+(:meth:`~repro.switchsim.switch.NetRPCSwitch.ctrl_apply`), so each key
+has exactly one authoritative counter/accumulator at any time.
 """
 
 from __future__ import annotations
 
-from functools import reduce
 from itertools import groupby
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -34,8 +33,7 @@ from repro.protocol import (
     ForwardTarget,
     KVBlock,
     Packet,
-    RIPProgram,
-    StreamOp,
+    apply,
 )
 
 from .addressing import logical_address
@@ -60,10 +58,11 @@ def _payload_size(payload: Any) -> int:
     return 16
 
 
-def _result_block(values: Dict[Any, int]) -> KVBlock:
-    """Software-computed results as an unmapped kv block (addr 0)."""
-    return KVBlock.from_columns([0] * len(values), values.values(),
-                                keys=list(values))
+def _framing(pkt: Packet, **fields) -> Dict[str, Any]:
+    """A result's packet fields: ``fields`` and ``pkt``'s call, chunk
+    and round."""
+    return dict(gaid=pkt.gaid, task_id=pkt.task_id, offset=pkt.offset,
+                round=pkt.round, **fields)
 
 
 class _McastFlow:
@@ -115,13 +114,16 @@ class _AppServerState:
         self.n_mcast_flows = 0
         self.seen: Dict[Tuple[str, int], Set[int]] = {}
         self.acked: Dict[Tuple[str, int], Set[int]] = {}
+        # Software-path packets left without an ACK (absorbed, or answered
+        # by a multicast), whose retransmissions read again.
+        self.unanswered: Set[Tuple[Tuple[str, int], int]] = set()
         self.pending_grants: Dict[str, List[Tuple[int, int]]] = {}
         self.pending_revokes: List[int] = []
         self.rounds: Dict[int, Dict[str, Any]] = {}
         # Chunks whose return stream already went out, so a re-triggered
         # retransmission (lost-trigger recovery) is not emitted twice.
         self.sync_emitted: Set[Tuple[int, int]] = set()
-        self.overflow_buf: Dict[Tuple[int, int], Dict[str, list]] = {}
+        self.overflow_buf: Dict[Tuple[int, int], SoftwareINCMap] = {}
         self.key_of_logical: Dict[int, Any] = {}
         # Memoized per-key mapping outcome: the key's logical address when
         # it owns it, -1 when it hash-collided (software path forever).
@@ -257,31 +259,30 @@ class ServerAgent:
                           (pkt.gaid, pkt.seq))
         flow_key = (pkt.src, pkt.flow_id)
         seen = state.seen.setdefault(flow_key, set())
+        cost = self.cal.server_sw_inc_pkt_cpu_s
         if pkt.seq in seen:
             if pkt.seq in state.acked.get(flow_key, set()):
                 self._send_ack(state, pkt)
+            elif (flow_key, pkt.seq) in state.unanswered:
+                self.host.run_on_core(cost, self._invoke,
+                                      (self._on_cross, state, config, pkt,
+                                       True))
             return
         seen.add(pkt.seq)
 
-        cost = self.cal.server_sw_inc_pkt_cpu_s
-        if pkt.is_of and not pkt.is_cross:
-            # An overflow-marked packet straight off the switch (e.g. a
-            # sentinel-carrying round trigger), not a client's raw replay.
-            self._on_switch_processed(state, config, pkt)
-        elif pkt.is_of:
-            self.host.run_on_core(cost, self._on_overflow_arg,
-                                  (state, config, pkt))
-        elif pkt.is_cross:
-            self.host.run_on_core(cost, self._on_cross_arg,
-                                  (state, config, pkt))
-        else:
-            self._on_switch_processed(state, config, pkt)
+        if not pkt.is_cross:
+            # Switch-processed, overflow-marked or not (e.g. a
+            # sentinel-carrying round trigger).
+            self._forwarded(state, config, pkt)
+        else:       # a client's raw overflow replay, or the software path
+            self.host.run_on_core(cost, self._invoke, (
+                self._on_overflow_replay if pkt.is_of else self._on_cross,
+                state, config, pkt))
 
-    def _on_cross_arg(self, args) -> None:
-        self._on_cross(*args)
-
-    def _on_overflow_arg(self, args) -> None:
-        self._on_overflow_replay(*args)
+    @staticmethod
+    def _invoke(call) -> None:
+        """Run ``(method, *args)``: a one-argument event callback."""
+        call[0](*call[1:])
 
     # ------------------------------------------------------------------
     def _route_ack(self, state: _AppServerState, pkt: Packet) -> None:
@@ -328,48 +329,63 @@ class ServerAgent:
             reply.revokes = tuple(state.pending_revokes)
         state.unicast[client].enqueue(reply)
 
-    # ------------------------------------------------------------------
-    # switch-processed data (mapped packets that reached the server)
-    # ------------------------------------------------------------------
-    def _on_switch_processed(self, state: _AppServerState, config: AppConfig,
-                             pkt: Packet) -> None:
-        prog = config.program
-        if state.on_data is not None and pkt.payload is not None:
-            state.on_data(pkt.src, pkt)
-        if pkt.is_cnf and config.linear:
-            # A SyncAgtr round chunk under the copy policy: back it up and
-            # immediately send the clearing return stream (Figure 5).
-            self._on_sync_trigger(state, config, pkt)
+    def _multicast(self, state: _AppServerState, config: AppConfig,
+                   packet: Packet) -> None:
+        """Send a result to every client: on the multicast flows, which
+        the switch replicates, or with no switch one unicast each."""
+        if config.has_switch:
+            state.mcast.send(packet)
             return
-        if prog.clear is ClearPolicy.COPY and pkt.kv.any_mapped:
+        for client in config.clients:
+            copy = packet.copy()
+            copy.dst = client
+            copy.is_mcast = True
+            state.unicast[client].enqueue(copy)
+
+    # ------------------------------------------------------------------
+    # packets the INC program forwards to the server
+    # ------------------------------------------------------------------
+    def _forwarded(self, state: _AppServerState, config: AppConfig,
+                   pkt: Packet, software: bool = False) -> bool:
+        """A packet its program sends on to the server, from the switch
+        or this agent's own ``software`` run.  Returns whether a clearing
+        return went out (which a software run then does itself)."""
+        prog = config.program
+        if not software and state.on_data is not None and \
+                pkt.payload is not None:
+            state.on_data(pkt.src, pkt)
+        if config.linear and (prog.cntfwd.counts if software
+                              else pkt.is_cnf):
+            # A SyncAgtr round chunk: back it up and immediately send the
+            # clearing return stream (Figure 5).
+            return self._on_sync_trigger(state, config, pkt)
+        if prog.clear is ClearPolicy.COPY and (software or pkt.kv.any_mapped):
             # A copy-clearing method (e.g. lock Release) detoured here for
             # backup: the return stream clears the registers on its way
             # back to the caller.
-            ret = Packet(gaid=pkt.gaid, src=self.host.name, dst=pkt.src,
-                         is_sa=True, is_clr=True,
-                         kv=pkt.kv.copy(),
-                         acks=(pkt.seq,), ack_flow=pkt.flow_id,
-                         task_id=pkt.task_id, offset=pkt.offset,
-                         round=pkt.round)
-            ret.select_all_slots()
             state.acked.setdefault((pkt.src, pkt.flow_id), set()).add(
                 pkt.seq)
-            keys = pkt.kv.keys
-            if keys is not None:
-                for key in keys:
-                    if key is not None:
-                        state.soft.clear(key)
-                        state.soft.clear_counter(key)
-            state.unicast[pkt.src].enqueue(ret)
-            return
-        self._send_ack(state, pkt)
+            if pkt.kv.keys is not None:
+                state.soft.clear_block(pkt.kv.keys, -1)
+            self._reply(state, pkt.src, _framing(
+                pkt, kv=pkt.kv.copy(), is_clr=True, acks=(pkt.seq,),
+                ack_flow=pkt.flow_id))
+            return True
+        if not pkt.is_of:
+            self._send_ack(state, pkt)
+        # An overflowed packet is answered like a bounce (no ACK), so its
+        # sender replays the slots not applied; a read, with what it read.
+        if pkt.is_of or prog.replies:
+            self._reply(state, pkt.src, _framing(
+                pkt, kv=pkt.kv.copy(), is_of=pkt.is_of, of_mask=pkt.of_mask))
+        return False
 
     def _on_sync_trigger(self, state: _AppServerState, config: AppConfig,
-                         pkt: Packet) -> None:
+                         pkt: Packet) -> bool:
         if (pkt.round, pkt.offset) in state.sync_emitted:
             # The return for this chunk is already (re)transmitting on the
             # reliable multicast flow; ignore the duplicate trigger.
-            return
+            return False
         state.sync_emitted.add((pkt.round, pkt.offset))
         if len(state.sync_emitted) > 1 << 17:
             state.sync_emitted.clear()  # bounded memory; ancient entries
@@ -388,10 +404,13 @@ class ServerAgent:
         ret.task_total = pkt.task_total
         ret.round = pkt.round
         ret.bitmap = (1 << len(kv.addrs)) - 1     # every slot selected
-        state.mcast.send(ret)
-        if pkt.is_of:
-            return  # corrected result will follow from the raw replays
-        self._store_round_chunk(state, pkt, pkt.kv.values)
+        if config.has_switch:
+            state.mcast.send(ret)
+        else:
+            self._multicast(state, config, ret)
+        if not pkt.is_of:   # else the corrected result follows the replays
+            self._store_round_chunk(state, pkt, pkt.kv.values)
+        return True
 
     def _store_round_chunk(self, state: _AppServerState, pkt: Packet,
                            values: Sequence[int]) -> None:
@@ -417,7 +436,10 @@ class ServerAgent:
     # software (cross) path
     # ------------------------------------------------------------------
     def _on_cross(self, state: _AppServerState, config: AppConfig,
-                  pkt: Packet) -> None:
+                  pkt: Packet, retrans: bool = False) -> None:
+        """Run a packet's program as the switch would: on the software
+        map, and for keys that hold a register there, through the control
+        plane.  A retransmission (``retrans``) changes no state."""
         prog = config.program
         if isinstance(pkt.payload, tuple) and pkt.payload and \
                 pkt.payload[0] == "rpc-call" and not pkt.kv:
@@ -429,129 +451,139 @@ class ServerAgent:
                 reply_payload = ("rpc-reply",
                                  state.on_call(pkt.src, pkt.gaid,
                                                pkt.payload[1]))
-            self._reply(state, pkt.src,
-                        dict(gaid=pkt.gaid, task_id=pkt.task_id,
-                             offset=pkt.offset, round=pkt.round,
-                             payload=reply_payload,
-                             payload_bytes=_payload_size(reply_payload)))
+            self._reply(state, pkt.src, _framing(
+                pkt, payload=reply_payload,
+                payload_bytes=_payload_size(reply_payload)))
             return
-        if state.on_data is not None and pkt.payload is not None:
-            state.on_data(pkt.src, pkt)
-        values: Dict[Any, int] = {}
-        replay_pairs: List[Tuple[int, Any, int]] = []
-        absorbed = False
-        self.stats["software_pairs"] += len(pkt.kv)
-        # Hot per-kv loop: the common already-granted case is inlined
-        # (memoized outcome + manager lookup); misses, evicted mappings,
-        # and fresh grants fall back to the full _mapping_for path.
-        switch_path = state.mm is not None and config.has_switch
-        mapping_for = self._mapping_for
-        outcome_get = state.map_outcome.get
-        mm_lookup = state.mm.lookup if state.mm is not None else None
-        replay_append = replay_pairs.append
         block = pkt.kv
-        keys_col = block.keys
-        values_col = block.values
-        if pkt.bitmap != (1 << len(values_col)) - 1:
-            # A chain's edge switch diverted it: the upstream switch
-            # applied (and read) the deselected pairs.
-            if prog.uses_get:
-                values.update(zip(keys_col, values_col))
-            owed = [i for i in range(len(values_col)) if pkt.bitmap >> i & 1]
-            keys_col = [keys_col[i] for i in owed]
-            values_col = [values_col[i] for i in owed]
-        if prog.modify_op is not StreamOp.NOP:
-            # Stream.modify once per value, before any path adds it: a
-            # cross packet bypassed the switch's modify.
-            values_col = state.soft.modify(prog.modify_op, values_col,
-                                           prog.modify_para)
-        for index in range(len(values_col)):
-            key = keys_col[index] if keys_col is not None else None
-            value = values_col[index]
-            phys = None
-            if switch_path:
-                outcome = outcome_get(key)
-                if outcome is None:
-                    phys = mapping_for(state, config, key)
-                elif outcome >= 0:
-                    phys = mm_lookup(outcome)
-                    if phys is None:
+        keys = block.keys
+        n_pairs = len(block.values)
+        if not retrans:
+            if state.on_data is not None and pkt.payload is not None:
+                state.on_data(pkt.src, pkt)
+            self.stats["software_pairs"] += n_pairs
+        # A chain's edge switch deselects what its upstream switch applied
+        # (and read) before diverting a stale packet here.
+        select = pkt.bitmap & ((1 << n_pairs) - 1)
+        # Keys holding a register; misses, evicted mappings and fresh
+        # grants take the full _mapping_for path.
+        registers = 0
+        words: List[int] = []
+        if select and state.mm is not None and config.has_switch:
+            mapping_for = self._mapping_for
+            outcome_get = state.map_outcome.get
+            mm_lookup = state.mm.lookup
+            words = [0] * n_pairs
+            for index in range(n_pairs):
+                if select >> index & 1:
+                    key = keys[index]
+                    outcome = outcome_get(key)
+                    if outcome is None:
                         phys = mapping_for(state, config, key)
-            if phys is not None:
-                replay_append((phys, key, value))
-                continue
-            if prog.uses_add_to:
-                state.soft.add_to(key, value)
-            if prog.uses_get:
-                values[key] = state.soft.get(key)
-            if prog.cntfwd.counts:
-                if self._software_count(state, config, key):
-                    values.setdefault(key, state.soft.get(key))
-                    if config.linear and prog.cntfwd.threshold > 1:
-                        # The round's aggregate is out: the next round
-                        # starts from zero, as the copy policy's clearing
-                        # return stream leaves the switch registers.
-                        state.soft.clear(key)
-                else:
-                    absorbed = True  # below threshold: drop, like the switch
-            if prog.clear is ClearPolicy.COPY and not prog.cntfwd.counts:
-                # Software Map.clear for a copy-clearing method.
-                values.setdefault(key, state.soft.get(key))
-                state.soft.clear(key)
-                state.soft.clear_counter(key)
+                    elif outcome >= 0:
+                        phys = mm_lookup(outcome)
+                        if phys is None:
+                            phys = mapping_for(state, config, key)
+                    else:
+                        continue
+                    if phys is not None:
+                        words[index] = phys
+                        registers |= 1 << index
+        soft = state.soft
+        soft_select = select & ~registers
+        soft_block = block
+        if prog.clear is ClearPolicy.SHADOW and pkt.shadow_offset:
+            # The double buffer in software: a round's entries are its
+            # parity's, and its first transmissions clear the other's.
+            parity = pkt.shadow_offset < 0
+            soft_block = KVBlock(block.addrs, block.values, 0,
+                                 [(parity, key) for key in keys])
+            if not retrans:
+                soft.clear_block([(not parity, key) for key in keys],
+                                 soft_select)
+        counter = None
+        if prog.cntfwd.counts:     # keyed: the one key's own entry
+            counter = ("CntFwd", pkt.cnt_index) if config.linear else keys[0]
+        outcome = apply(prog, soft, soft_block, soft_select, 0,
+                        None if registers else counter, retrans)
+        owned = self._owned(state, words, registers)
+        if owned:   # posted writes: later data-plane accesses see them
+            self.stats["replays"] += 1
+            phys_block = KVBlock(words, block.values, registers, keys)
+            target, mask, overflow, count = outcome
+            for switch, owned_select in owned:
+                target, owed, over, counted = switch.ctrl_apply(
+                    prog, phys_block, owned_select,
+                    None if counter is None else words[0], retrans)
+                mask |= owed
+                overflow = overflow or over
+                count = count if counted is None else counted
+            outcome = target, mask, overflow, count
+        target, mask, overflow, _count = outcome
+        if overflow:
+            pkt.is_of = True
+            pkt.of_mask |= mask
+        if target is None or target is ForwardTarget.ALL:
+            # Absorbed (the client retries or waits), or answered by a
+            # multicast: either way no ACK.
+            if len(state.unanswered) > 1 << 17:
+                state.unanswered.clear()
+            state.unanswered.add(((pkt.src, pkt.flow_id), pkt.seq))
+            if target is None:
+                return
+        if target is ForwardTarget.SERVER:
+            if not retrans and self._forwarded(state, config, pkt, True):
+                # What the clearing return stream clears on a switch.
+                soft.clear_block(soft_block.keys, soft_select)
+                if counter is not None and not registers:
+                    soft.write(counter, 0)
+                for switch, owned_select in owned:
+                    switch.ctrl_read_and_clear(
+                        [word for index, word in enumerate(words)
+                         if owned_select >> index & 1])
+            return      # a retransmission is a duplicate there
+        # What the run read, copied now: a retransmission restores the
+        # sender's packet.
+        call = (self._answer, state, config, pkt, block.copy(), outcome)
+        if owned and prog.replies:
+            # Reading back a register costs a control-plane round trip.
+            self.sim.schedule(self.cal.ctrl_rtt_s, self._invoke, call)
+        else:
+            self._invoke(call)
 
-        if replay_pairs:
-            self._fold_via_ctrl(state, config, pkt, replay_pairs, values,
-                                prog.uses_get or prog.cntfwd.counts)
-            return
-        if absorbed:
-            return  # no ACK: the eventual threshold result resolves it
-        if prog.cntfwd.counts and \
-                prog.cntfwd.target is ForwardTarget.ALL and values:
-            # Software equivalent of the switch's threshold multicast.
-            # Without switch support there is no multicast either, so the
-            # result goes out as one reliable unicast per client.
-            kv_out = _result_block(values)
-            if config.has_switch:
-                result = Packet(gaid=pkt.gaid, src=self.host.name,
-                                dst=config.clients[0], is_sa=True, kv=kv_out,
-                                task_id=pkt.task_id, offset=pkt.offset,
-                                round=pkt.round, payload=pkt.payload,
-                                payload_bytes=pkt.payload_bytes)
-                result.select_all_slots()
-                state.mcast.send(result)
-            else:
-                for client in config.clients:
-                    self._reply(state, client,
-                                dict(gaid=pkt.gaid,
-                                     kv=kv_out.copy(),
-                                     task_id=pkt.task_id, offset=pkt.offset,
-                                     round=pkt.round))
-            return
-        self._send_ack(state, pkt)
-        if values and (prog.uses_get or prog.cntfwd.counts):
-            self._reply(state, pkt.src,
-                        dict(gaid=pkt.gaid, kv=_result_block(values),
-                             task_id=pkt.task_id, offset=pkt.offset,
-                             round=pkt.round))
-
-    def _software_count(self, state: _AppServerState, config: AppConfig,
-                        key: Any) -> bool:
-        """Software CntFwd with the same re-arm/test&set semantics."""
+    def _answer(self, state: _AppServerState, config: AppConfig,
+                pkt: Packet, kv: KVBlock, outcome) -> None:
+        """Send a software run's result ``kv`` where the switch would: to
+        every client, as a bounce when it overflowed (no ACK: the sender
+        replays what was refused), or as an ACK and maybe a reply."""
         prog = config.program
-        threshold = prog.cntfwd.threshold
-        if prog.uses_add_to and not prog.agg.is_float and not config.linear:
-            # A keyed counter is the key's own register, which the
-            # Map.addTo above already incremented.  (A linear app counts
-            # on a side register and an fp accumulator holds encodings,
-            # not counts: the side counter counts, as on the switch.)
-            count = state.soft.get(key)
-            if count == threshold:
-                if threshold > 1:
-                    state.soft.clear(key)
-                return True
-            return False
-        return state.soft.count_forward(key, threshold)
+        target, mask, overflow, _count = outcome
+        result = _framing(pkt, kv=kv, is_of=overflow, of_mask=mask)
+        if target is ForwardTarget.ALL and config.has_switch:
+            packet = Packet(src=self.host.name, dst=config.clients[0],
+                            is_sa=True, payload=pkt.payload,
+                            payload_bytes=pkt.payload_bytes, **result)
+            packet.select_all_slots()
+            state.mcast.send(packet)
+        elif target is ForwardTarget.ALL:
+            for client in config.clients:
+                self._reply(state, client, dict(result, kv=kv.copy()))
+        elif overflow:
+            self._reply(state, pkt.src, result)
+        else:
+            self._send_ack(state, pkt)
+            if kv and prog.replies:
+                self._reply(state, pkt.src, result)
+
+    def _owned(self, state: _AppServerState, words: List[int],
+               registers: int):
+        """``(switch, select)`` per switch holding ``registers`` slots."""
+        owned: Dict[Any, int] = {}
+        for index, word in enumerate(words):
+            if registers >> index & 1:
+                switch = self._owner_switch(state, word)
+                owned[switch] = owned.get(switch, 0) | 1 << index
+        return list(owned.items())
 
     def _mapping_for(self, state: _AppServerState, config: AppConfig,
                      key: Any) -> Optional[int]:
@@ -573,9 +605,9 @@ class ServerAgent:
             return None
         # Seed the register with whatever accumulated in software so the
         # switch becomes the single authority for this key.  The write is
-        # posted: it lands before the grant can reach any client.  (An
-        # fp key never counts here: counting fp programs are linear.)
-        seed = state.soft.clear(key) + state.soft.clear_counter(key)
+        # posted: it lands before the grant can reach any client.  (A
+        # keyed counter is the key's own entry, so it moves with it.)
+        seed = state.soft.clear(key)
         if seed:
             self._owner_switch(state, phys).ctrl_write(phys, seed)
         grant = (logical, state.mm.address_word(phys))
@@ -600,76 +632,6 @@ class ServerAgent:
             return None
         return self._owner_switch(state, phys).ctrl_read([phys])[0][1]
 
-    def _fold_via_ctrl(self, state: _AppServerState, config: AppConfig,
-                       origin: Packet, pairs: List[Tuple[int, Any, int]],
-                       partial_values: Dict[Any, int],
-                       needs_reply: bool) -> None:
-        """Fold late cross traffic into granted registers (control plane).
-
-        The update is an atomic driver-side register add, so the register
-        stays the single authority for its key even while clients race on
-        the data plane.  Like every control-plane write (seeds, LAZY
-        clears), it is *posted*: applied at once, like a fire-and-forget
-        PCIe write, so any later data-plane query reads it.  Only
-        read-backs pay the control RTT, before the reply.
-        """
-        self.stats["replays"] += 1
-        prog = config.program
-        add_bits = prog.codec.add_bits
-        values = dict(partial_values)
-        absorbed = False
-        for phys, key, value in pairs:
-            switch = self._owner_switch(state, phys)
-            if prog.uses_add_to:
-                # In the app's arithmetic; an overflowing delta stays exact
-                # in software and the sticky bit drives the recovery.
-                _new, overflowed = switch.ctrl_add(phys, value, add_bits)
-                if overflowed:
-                    state.soft.add_to(key, value)
-            if prog.uses_get:
-                values[key] = switch.ctrl_read([phys])[0][1]
-            if prog.cntfwd.counts:
-                if not prog.uses_add_to:
-                    switch.ctrl_add(phys, 1, add_bits)
-                count = switch.ctrl_read([phys])[0][1]
-                if count == prog.cntfwd.threshold:
-                    if prog.cntfwd.threshold > 1:
-                        switch.ctrl_write(phys, 0)
-                    values.setdefault(key, count)
-                else:
-                    absorbed = True
-            if prog.clear is ClearPolicy.COPY and not prog.cntfwd.counts:
-                _addr, old, _sticky = switch.ctrl_read_and_clear([phys])[0]
-                values.setdefault(key, old)
-        if absorbed:
-            return  # like a switch drop: the client retries/waits
-        if not needs_reply:
-            self._send_ack(state, origin)
-            return
-
-        def finish(_):
-            self._send_ack(state, origin)
-            if not values:
-                return
-            kv_out = _result_block(values)
-            if prog.cntfwd.counts and \
-                    prog.cntfwd.target is ForwardTarget.ALL:
-                result = Packet(gaid=origin.gaid, src=self.host.name,
-                                dst=config.clients[0], is_sa=True,
-                                kv=kv_out, task_id=origin.task_id,
-                                offset=origin.offset, round=origin.round,
-                                payload=origin.payload,
-                                payload_bytes=origin.payload_bytes)
-                result.select_all_slots()
-                state.mcast.send(result)
-                return
-            self._reply(state, origin.src,
-                        dict(gaid=origin.gaid, kv=kv_out,
-                             task_id=origin.task_id, offset=origin.offset,
-                             round=origin.round))
-
-        self.sim.schedule(self.cal.ctrl_rtt_s, finish, None)
-
     # ------------------------------------------------------------------
     # overflow recovery (§5.2.1)
     # ------------------------------------------------------------------
@@ -677,64 +639,46 @@ class ServerAgent:
                             pkt: Packet) -> None:
         prog = config.program
         self._send_ack(state, pkt)
-        if config.linear and prog.cntfwd.counts:
-            # SyncAgtr: collect every client's raw chunk, then send the
-            # corrected aggregate computed in 64-bit software.
-            buf = state.overflow_buf.setdefault((pkt.round, pkt.offset), {})
-            buf[pkt.src] = self._replayed_values(state, prog, pkt.kv)
-            if len(buf) < prog.cntfwd.threshold:
-                return
-            contributions = state.overflow_buf.pop((pkt.round, pkt.offset))
-            # Exact re-reduction of the raw words in the app's arithmetic;
-            # a corrected fp value saturates only if it is genuinely
-            # beyond the format (then MAX is the honest answer).
-            codec = prog.codec
-            corrected = [codec.exact_word(reduce(codec.exact_add, column, 0))
-                         for column in zip(*contributions.values())]
-            self.stats["corrected_chunks"] += 1
-            self._finish_corrected_chunk(state, config, pkt, corrected)
-            return
-        # Map-addressed applications: exact software accumulation of the
-        # slots the switch did not apply (the replay's bitmap); the
-        # register keeps its recoverable pre-overflow value until
-        # eviction.  A query answers every slot.
-        values: Dict[Any, int] = {}
         block = pkt.kv
-        keys_col = block.keys
-        owed = pkt.bitmap
-        for index, value in enumerate(
-                self._replayed_values(state, prog, block)):
-            key = keys_col[index] if keys_col is not None else None
-            if prog.uses_add_to and owed >> index & 1:
-                state.soft.add_to(key, value)
-            if prog.uses_get:
-                values[key] = state.soft.get_with(
+        if config.linear and prog.cntfwd.counts:
+            # SyncAgtr: each client's raw chunk runs the program on the
+            # chunk's own exact store, whose totals, once the count fires,
+            # are the corrected aggregate (an fp one saturates only if it
+            # is genuinely beyond the format).
+            chunk = (pkt.round, pkt.offset)
+            store = state.overflow_buf.get(chunk)
+            if store is None:
+                store = state.overflow_buf[chunk] = \
+                    SoftwareINCMap(prog.codec)
+            every = (1 << len(block.values)) - 1
+            if apply(prog, store, block, every, 0, "CntFwd")[0] is None:
+                return
+            del state.overflow_buf[chunk]
+            store.get_block(block, every)
+            self.stats["corrected_chunks"] += 1
+            self._finish_corrected_chunk(state, config, pkt,
+                                         block.values_list())
+            return
+        # Map-addressed: the program runs in software on the slots the
+        # switch did not apply (the replay's bitmap), whose registers keep
+        # their pre-overflow value; a reply reads every slot with both.
+        apply(prog, state.soft, block, pkt.bitmap)
+        if prog.replies:
+            values = block.values
+            for index, key in enumerate(block.keys):
+                values[index] = state.soft.get_with(
                     key, self.register_value(state, key) or 0)
-        if values:
-            self._reply(state, pkt.src,
-                        dict(gaid=pkt.gaid, kv=_result_block(values),
-                             task_id=pkt.task_id, offset=pkt.offset,
-                             round=pkt.round))
-
-    @staticmethod
-    def _replayed_values(state: _AppServerState, prog: RIPProgram,
-                         block: KVBlock) -> List[int]:
-        """A replay's values with the Stream.modify the switch applies
-        before its add: the client replays the raw values it sent."""
-        if prog.modify_op is StreamOp.NOP:
-            return block.values_list()
-        return state.soft.modify(prog.modify_op, block.values,
-                                 prog.modify_para)
+            self._reply(state, pkt.src, _framing(pkt, kv=block.copy()))
 
     def _finish_corrected_chunk(self, state: _AppServerState,
                                 config: AppConfig, pkt: Packet,
                                 corrected: List[int]) -> None:
         prog = config.program
-        half = config.active_region_size
+        half = config.active_region_size or 1     # 0: no switch region
         parity = pkt.round % 2 if config.shadow else 0
         base = config.value_region.base + parity * half
         addrs = [base + (pkt.offset + j) % half for j in range(len(corrected))]
-        if prog.clear is ClearPolicy.LAZY:
+        if prog.clear is ClearPolicy.LAZY and config.has_switch:
             # Reset the sticky registers so later rounds reuse them: a
             # posted read-and-clear per run of addresses on one switch.
             for switch, owned in groupby(
@@ -743,12 +687,11 @@ class ServerAgent:
         key_range = range(pkt.offset, pkt.offset + len(corrected))
         kv = KVBlock.from_columns(addrs, corrected, mapped_mask=-1,
                                   keys=list(key_range))
-        result = Packet(gaid=pkt.gaid, src=self.host.name,
-                        dst=config.clients[0], is_sa=True, kv=kv,
-                        task_id=pkt.task_id, offset=pkt.offset,
-                        task_total=pkt.task_total, round=pkt.round)
+        result = Packet(src=self.host.name, dst=config.clients[0],
+                        is_sa=True, task_total=pkt.task_total,
+                        **_framing(pkt, kv=kv))
         result.select_all_slots()
-        state.mcast.send(result)
+        self._multicast(state, config, result)
         self._store_round_chunk(state, pkt, corrected)
 
     # ------------------------------------------------------------------

@@ -31,6 +31,7 @@ from .rips import (
     ForwardTarget,
     RIPProgram,
     RetryMode,
+    apply,
 )
 
 __all__ = [
@@ -42,5 +43,5 @@ __all__ = [
     "Packet", "KVBlock", "KV_PAIRS_PER_PACKET", "ADDR_BITS", "ADDR_MASK",
     "GENERATION_MASK",
     "RIPProgram", "CntFwdSpec", "ClearPolicy", "ForwardTarget", "RetryMode",
-    "AggOp",
+    "AggOp", "apply",
 ]

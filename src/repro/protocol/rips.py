@@ -9,8 +9,9 @@ what arguments.  The same object is consumed by three parties:
 * the host agents, to execute the identical semantics in software on
   the fallback path.
 
-Parsing of the user-facing JSON lives in :mod:`repro.core.netfilter`;
-this module only holds the validated, network-facing representation.
+The last two run it through one :func:`apply`.  Parsing of the
+user-facing JSON lives in :mod:`repro.core.netfilter`; this module only
+holds the validated, network-facing representation.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
-from .arith import Quantizer
+from .arith import Quantizer, saturating_add
 from .fpcodec import DEFAULT_FMAX_CODEC, DEFAULT_FP_CODEC
 from .ops import StreamOp
 
@@ -31,6 +32,7 @@ __all__ = [
     "RetryMode",
     "CntFwdSpec",
     "RIPProgram",
+    "apply",
 ]
 
 
@@ -204,6 +206,11 @@ class RIPProgram:
         return self.add_to_field is not None
 
     @cached_property
+    def replies(self) -> bool:
+        """Whether a call gets a result back (Map.get, or CntFwd's)."""
+        return self.uses_get or self.cntfwd.counts
+
+    @cached_property
     def uses_map(self) -> bool:
         """Whether any primitive touches INC map registers.
 
@@ -213,3 +220,90 @@ class RIPProgram:
         return (self.uses_get or self.uses_add_to or self.cntfwd.counts
                 or self.clear is not ClearPolicy.NOP)
 
+
+def apply(program: RIPProgram, store, block, select: int, base: int = 0,
+          counter=None, retrans: bool = False, edge: bool = True,
+          fuse: bool = False, observe=None):
+    """One packet's RIP semantics (Figure 15) over an INC map store: the
+    switch's register file or the server's software map, which share the
+    register file's block kernels and counter calls.
+
+    ``select`` masks the slots the store holds, ``base`` places it in
+    the address space, ``counter`` is its handle on the packet's CntFwd
+    counter (None: none here).  A retransmission (``retrans``) changes
+    no state but reads; only the edge switch (``edge``) modifies and
+    counts; ``fuse`` admits the fused add+get kernel (distinct, linear
+    addresses); ``observe(select, kernel)`` sees each kernel batch.
+    Returns ``(target, mask, overflow, count)``: the ``ForwardTarget``
+    (None: CntFwd absorbs it), the slots the add refused (a
+    retransmission's: those read sticky), whether anything overflowed,
+    Stream.modify included, and the count (None: not counted).
+    """
+    overflow = False
+    if edge and program.modify_op is not StreamOp.NOP:
+        overflow = block.modify(program.modify_op, program.modify_para,
+                                select)
+    mask = 0
+    if select:
+        # All adds before all gets: duplicate addresses read the sum.
+        do_add = program.uses_add_to and not retrans
+        add_bits = program.codec.add_bits
+        unapplied = sticky = 0
+        if do_add and program.uses_get and fuse and \
+                add_bits is saturating_add:
+            unapplied = store.add_get_block(block, select, base)
+            if observe is not None:
+                observe(select, "add_get")
+        else:
+            if do_add:
+                unapplied = store.add_block(block, select, base) \
+                    if add_bits is saturating_add else \
+                    store.combine_block(block, select, base, add_bits)
+                if observe is not None:
+                    observe(select, "add")
+            if program.uses_get:
+                sticky = store.get_block(block, select, base)
+                if observe is not None:
+                    observe(select, "get")
+        if unapplied or sticky:
+            overflow = True
+            mask = unapplied if do_add else sticky
+    if not edge:
+        return ForwardTarget.SERVER, mask, overflow, None
+
+    spec = program.cntfwd
+    target = spec.target
+    # Copy policy: a result, or a clearing method's packet, detours
+    # through the server for backup; its clearing return stream reaches
+    # the real target (Figure 5's black arrows).
+    detour = program.clear is ClearPolicy.COPY and \
+        target is not ForwardTarget.SERVER
+    if counter is None:
+        if detour and select:
+            target = ForwardTarget.SERVER
+        return target, mask, overflow, None
+    # A counter among the packet's own slots was incremented by its
+    # Map.addTo (§5.2.3); a side counter (a linear packet's always), or
+    # an fp register (which holds encodings, never counts), takes the
+    # extra add.
+    if not retrans and not (
+            program.uses_add_to and not program.agg.is_float and not fuse
+            and store.selects(block, select, counter, base)):
+        store.add(counter, 1)
+    count = store.read_raw(counter)
+    threshold = spec.threshold
+    if count == threshold:
+        if threshold > 1:
+            # Multi-party rounds re-arm; test&set (threshold 1) holds
+            # until an explicit clear releases it.
+            store.write(counter, 0)
+        return (ForwardTarget.SERVER if detour else target), mask, \
+            overflow, count
+    if retrans and threshold > 1 and count == 0:
+        # The round fired while this copy's first trip waited.  Copy: the
+        # trigger to the server was lost, or its return is in flight (the
+        # server dedups; its reliable return heals).  Otherwise the
+        # aggregate is still readable: bounce what Map.get just read.
+        return (ForwardTarget.SERVER if program.clear is ClearPolicy.COPY
+                else ForwardTarget.SRC), mask, overflow, count
+    return None, mask, overflow, count

@@ -12,8 +12,9 @@ Processing order mirrors the paper's flowchart:
 2. bypasses: ACKs, overflow-marked packets, unmapped (``is_cross``)
    packets go straight through;
 3. server-return path: execute ``Map.clear`` and multicast;
-4. data path: grant-generation check -> ``Stream.modify`` -> shadow
-   mirror clear -> ``Map.addTo`` -> ``Map.get`` -> ``CntFwd`` decision.
+4. data path: grant-generation check -> shadow mirror clear ->
+   ``protocol.apply`` (``Stream.modify`` -> ``Map.addTo`` -> ``Map.get``
+   -> ``CntFwd``), whose outcome becomes the verdict.
 """
 
 from __future__ import annotations
@@ -31,8 +32,7 @@ from repro.protocol import (
     ForwardTarget,
     Packet,
     RIPProgram,
-    StreamOp,
-    saturating_add,
+    apply,
 )
 
 from .admission import AppEntry
@@ -76,15 +76,16 @@ class RIPPipeline:
         # Stage occupancy and register-kernel batch sizes (kept separate
         # from the switch's own Counter: that dict is golden-pinned).
         self.stats = Counter()
+        self._now = 0.0                 # for kernel trace events
 
-    def _observe_kernel(self, stats: Counter, select: int, op: str,
-                        now: float) -> None:
-        """Record one register-kernel batch."""
+    def _observe_kernel(self, select: int, op: str) -> None:
+        """Record one register-kernel batch (``apply``'s ``observe``)."""
         pairs = select.bit_count()
+        stats = self.stats
         stats["kernel_ops"] += 1
         stats["kernel_pairs"] += pairs
         if TRACE.enabled:
-            TRACE.instant("regs.kernel", now, self.name, (op, pairs))
+            TRACE.instant("regs.kernel", self._now, self.name, (op, pairs))
 
     # ------------------------------------------------------------------
     def process(self, pkt: Packet, entry: AppEntry, now: float) -> Verdict:
@@ -158,16 +159,14 @@ class RIPPipeline:
     # ------------------------------------------------------------------
     def _data_path(self, pkt: Packet, prog: RIPProgram, entry: AppEntry,
                    retrans: bool, now: float = 0.0) -> Verdict:
-        # Batch kernels below run once per data packet per switch — the
-        # hottest switchsim code.  All per-kv work happens inside the
-        # KVBlock / RegisterFile bulk operations (the only sanctioned
-        # register access path); the pipeline just computes masks.
+        # The hottest switchsim code: ``protocol.apply`` over the
+        # register file's bulk kernels, wrapped in the switch's own
+        # decisions (generations, shadow mirror, counter window, verdict).
         regs = self.registers
         recirc = False
         block = pkt.kv
-        bitmap = pkt.bitmap
         base = self.phys_base
-        select = block.mapped_mask & bitmap
+        select = block.mapped_mask & pkt.bitmap
         stats = self.stats
         stats["data_pkts"] += 1
 
@@ -176,11 +175,6 @@ class RIPPipeline:
             block, stale = regs.untag(block, select, base)
             if stale:
                 return self._divert(pkt, prog, entry, block, retrans)
-
-        # --- Stream.modify (stateless; the edge switch applies it once) --
-        if prog.modify_op is not StreamOp.NOP and entry.edge:
-            if block.modify(prog.modify_op, prog.modify_para, bitmap):
-                pkt.is_of = True
 
         # --- shadow mirror clear (costs a recirculation) ----------------
         if prog.clear is ClearPolicy.SHADOW and pkt.shadow_offset:
@@ -195,106 +189,39 @@ class RIPPipeline:
                                   ("shadow_clear", pairs))
             recirc = True
 
-        # --- Map.addTo + Map.get -----------------------------------------
-        # Linear-addressed packets carry distinct consecutive addresses,
-        # so the integer addTo and get fuse into one pass; the general
-        # path keeps the two-pass order (all adds before all gets) that
-        # duplicate addresses require.  Another op combines through its
-        # codec's ``add_bits`` (the table fp add is a multi-table pass of
-        # its own, with no fused kernel).  The packet reports the slots
-        # its add did not apply; a retransmission, which adds nothing,
-        # reports the slots that read sticky.
-        if select:
-            do_add = prog.uses_add_to and not retrans
-            add_bits = prog.codec.add_bits
-            unapplied = sticky = 0
-            if do_add and prog.uses_get and pkt.linear_base is not None \
-                    and add_bits is saturating_add:
-                unapplied = regs.add_get_block(block, select, base)
-                self._observe_kernel(stats, select, "add_get", now)
-            else:
-                if do_add:
-                    unapplied = regs.add_block(block, select, base) \
-                        if add_bits is saturating_add else \
-                        regs.combine_block(block, select, base, add_bits)
-                    self._observe_kernel(stats, select, "add", now)
-                if prog.uses_get:
-                    sticky = regs.get_block(block, select, base)
-                    self._observe_kernel(stats, select, "get", now)
-            if unapplied or sticky:
-                pkt.is_of = True
-                pkt.of_mask |= unapplied if do_add else sticky
-            if pkt.is_of:
-                stats["overflow_pkts"] += 1
-
-        if not entry.edge:
-            # Upstream switch in a chain: local pairs are done, the
-            # server-edge switch makes the forwarding decision.
-            return Verdict(Action.FORWARD, dst=pkt.dst, recirculate=recirc,
-                           retransmission=retrans)
-
-        # --- CntFwd (edge switch only) -----------------------------------
+        # --- the RIPs; CntFwd at the edge switch only -------------------
         spec = prog.cntfwd
-        if pkt.is_cnf and spec.counts:
-            cnt_index = pkt.cnt_index & ADDR_MASK
-            cnt_local = cnt_index - base
-            if not 0 <= cnt_local < regs.capacity:
-                return Verdict(Action.FORWARD, dst=pkt.dst,
-                               recirculate=recirc, retransmission=retrans)
-            # When the counter register is one of the packet's own kv
-            # addresses, the Map.addTo above already incremented it (the
-            # paper's §5.2.3: CntFwd rides the normal map-access pipeline);
-            # only ClientID-style side counters need the extra add.
-            # (Fp aggs never count via addTo: their registers hold fp
-            # encodings, not +1 increments, so the side counter is used.)
-            counted_by_add = prog.uses_add_to and not prog.agg.is_float and \
-                block.selected_contains(cnt_index, select)
-            if not retrans and not counted_by_add:
-                regs.add(cnt_local, 1)
-            count = regs.read_raw(cnt_local)
+        edge = entry.edge
+        counter = None
+        stray = False
+        if edge and pkt.is_cnf and spec.counts:
+            counter = (pkt.cnt_index & ADDR_MASK) - base
+            if not 0 <= counter < regs.capacity:
+                counter, stray = None, True
+        self._now = now
+        target, mask, overflow, count = apply(
+            prog, regs, block, select, base, counter, retrans, edge,
+            pkt.linear_base is not None, self._observe_kernel)
+        # The packet reports the slots its add did not apply (a
+        # retransmission: the slots that read sticky).
+        if overflow:
+            pkt.is_of = True
+            pkt.of_mask |= mask
+        if select and pkt.is_of:
+            stats["overflow_pkts"] += 1
+        if count is not None:
             stats["cntfwd_checks"] += 1
             if count == spec.threshold:
                 stats["cntfwd_fires"] += 1
-                if spec.threshold > 1:
-                    # Multi-party rounds: re-arm the counter for the next
-                    # round.  test&set (threshold 1) persists until an
-                    # explicit clear releases it.
-                    regs.write(cnt_local, 0)
-                if prog.clear is ClearPolicy.COPY and \
-                        spec.target is not ForwardTarget.SERVER:
-                    # Copy policy: the result detours through the server
-                    # for backup (Figure 5's black arrows); the server's
-                    # clearing return stream reaches the real target.
-                    return Verdict(Action.FORWARD, dst=entry.server,
-                                   recirculate=recirc,
-                                   retransmission=retrans)
-                return self._target_verdict(spec.target, pkt, entry, recirc,
-                                            retrans)
-            if retrans and spec.threshold > 1 and count == 0:
-                if prog.clear is ClearPolicy.COPY:
-                    # Either the trigger to the server was lost (registers
-                    # still hold the aggregate: re-trigger with the values
-                    # Map.get just read) or the return is in flight (the
-                    # server dedups and its reliable return heals us).
-                    return Verdict(Action.FORWARD, dst=entry.server,
-                                   recirculate=recirc, retransmission=True)
-                # shadow/lazy: the aggregate is still readable on the
-                # switch; bounce it straight back (values were filled by
-                # Map.get above).
-                return Verdict(Action.BOUNCE, dst=pkt.src,
-                               recirculate=recirc, retransmission=True)
+        if not edge or stray:
+            # Upstream switch in a chain (the server-edge switch decides),
+            # or a counter this switch does not hold.
+            return Verdict(Action.FORWARD, dst=pkt.dst, recirculate=recirc,
+                           retransmission=retrans)
+        if target is None:
             return Verdict(Action.DROP, recirculate=recirc,
                            retransmission=retrans)
-
-        # threshold == 0 (or CntFwd disabled): unconditional forward.
-        if prog.clear is ClearPolicy.COPY and \
-                spec.target is not ForwardTarget.SERVER and \
-                block.any_mapped:
-            # A clearing method (e.g. lock Release): the server backs up
-            # the values and its return stream performs the clear.
-            return Verdict(Action.FORWARD, dst=entry.server,
-                           recirculate=recirc, retransmission=retrans)
-        return self._target_verdict(spec.target, pkt, entry, recirc, retrans)
+        return self._target_verdict(target, pkt, entry, recirc, retrans)
 
     # ------------------------------------------------------------------
     def _divert(self, pkt: Packet, prog: RIPProgram, entry: AppEntry,
@@ -305,12 +232,11 @@ class RIPPipeline:
         self.stats["stale_pkts"] += 1
         spec = prog.cntfwd
         if retrans and (prog.uses_add_to or spec.counts):
-            if spec.counts:
-                return Verdict(Action.DROP, retransmission=True)
-            if not entry.edge:
+            if not entry.edge and not spec.counts:
                 return Verdict(Action.FORWARD, dst=pkt.dst,
                                retransmission=True)
-            return self._target_verdict(spec.target, pkt, entry, False, True)
+            return self._target_verdict(None if spec.counts else spec.target,
+                                        pkt, entry, False, True)
         if entry.edge:     # deselect what an upstream switch applied
             base, capacity = self.phys_base, self.registers.capacity
             for index, addr in enumerate(block.addrs):
@@ -321,8 +247,12 @@ class RIPPipeline:
                        retransmission=retrans)
 
     @staticmethod
-    def _target_verdict(target: ForwardTarget, pkt: Packet, entry: AppEntry,
-                        recirc: bool, retrans: bool) -> Verdict:
+    def _target_verdict(target: Optional[ForwardTarget], pkt: Packet,
+                        entry: AppEntry, recirc: bool,
+                        retrans: bool) -> Verdict:
+        if target is None:          # CntFwd absorbed it
+            return Verdict(Action.DROP, recirculate=recirc,
+                           retransmission=retrans)
         if target is ForwardTarget.SRC:
             return Verdict(Action.BOUNCE, dst=pkt.src, recirculate=recirc,
                            retransmission=retrans)

@@ -100,7 +100,7 @@ class RegisterFile:
         return 0 if row is None else row[addr % self.segments]
 
     def add(self, addr: int, value: int) -> bool:
-        """Map.addTo.  Returns True when the add overflowed.
+        """Map.addTo (a CntFwd counter).  Returns True when it overflowed.
 
         On overflow (including adds to an already-sticky register) the
         stored value is left unchanged and the sticky bit is set, so the
@@ -134,25 +134,14 @@ class RegisterFile:
         self._set(addr, 0)
         self._sticky_overflow.discard(addr)
 
+    def selects(self, block, select: int, addr: int, base: int = 0) -> bool:
+        """Whether a ``select``-ed slot of ``block`` holds register
+        ``addr`` (local; the block carries global addresses)."""
+        return block.selected_contains(addr + base, select)
+
     def is_sticky(self, addr: int) -> bool:
         self._check(addr)
         return addr in self._sticky_overflow
-
-    def combine(self, addr: int, word: int, add_bits) -> bool:
-        """``Map.addTo`` in an op's arithmetic: ``add_bits(register,
-        word) -> (word, overflowed)`` from the app's codec.  Returns True
-        on overflow, with the sticky contract of :meth:`add` (which is
-        this, specialised to the integer add, for the CntFwd counters)."""
-        if addr < 0 or addr >= self.capacity:
-            self._check(addr)
-        if addr in self._sticky_overflow:
-            return True
-        result, overflowed = add_bits(self._get(addr), word)
-        if overflowed:
-            self._sticky_overflow.add(addr)
-            return True
-        self._set(addr, result)
-        return False
 
     # ------------------------------------------------------------------
     # Bulk kernels: the sanctioned batch API for the pipeline's fused
@@ -322,7 +311,9 @@ class RegisterFile:
 
     def combine_block(self, block, select: int, base: int,
                       add_bits) -> int:
-        """Batch :meth:`combine`: ``Map.addTo`` in an op's arithmetic.
+        """Batch ``Map.addTo`` in an op's arithmetic: ``add_bits(register,
+        word) -> (word, overflowed)`` from the app's codec, sticky on
+        overflow like :meth:`add`.
 
         :meth:`add_block` is this kernel specialised to the integer add
         (``Quantizer.add_bits``), slot for slot; other ops (the table fp

@@ -19,11 +19,11 @@ Behavioural model notes:
 
 from __future__ import annotations
 
-from typing import Any, Dict, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.netsim import Calibration, DEFAULT_CALIBRATION, Node, Simulator
 from repro.obs.tracer import TRACE
-from repro.protocol import Packet
+from repro.protocol import KVBlock, Packet, RIPProgram, apply
 
 from .admission import AdmissionTable, AppEntry
 from .flowstate import FlowStateTable
@@ -133,21 +133,28 @@ class NetRPCSwitch(PlainSwitch):
         self.stats.add("ctrl_writes")
         self.registers.write(addr - self.phys_base, value)
 
-    def ctrl_add(self, addr: int, word: int, add_bits) -> Tuple[int, bool]:
-        """Atomic control-plane read-modify-write ``Map.addTo``.
-
-        Combines ``word`` into the register with ``add_bits``, the app's
-        op (``RIPProgram.codec.add_bits``); returns ``(new_value,
-        overflowed)``.  Models the control plane's register update;
-        atomicity holds because the simulator executes it as one event.
-        Used by the server agent to fold late software-path contributions
-        into an already-granted register without a race against the
-        dataplane.
-        """
-        self.stats.add("ctrl_writes")
-        local = addr - self.phys_base
-        overflowed = self.registers.combine(local, word, add_bits)
-        return self.registers.read_raw(local), overflowed
+    def ctrl_apply(self, program: RIPProgram, block: KVBlock, select: int,
+                   counter: Optional[int] = None, retrans: bool = False):
+        """``protocol.apply`` on these registers via the control plane
+        (the server's software path for keys holding a register; one
+        atomic event).  ``block`` and ``counter`` carry global addresses.
+        Counts the accesses it stands for: a write per addTo slot, a read
+        per get slot and of the counter, a write to count and re-arm."""
+        base = self.phys_base
+        outcome = apply(program, self.registers, block, select, base,
+                        None if counter is None else counter - base, retrans)
+        pairs = select.bit_count()
+        count = outcome[3]
+        counted = count is not None
+        reads = pairs * program.uses_get + counted
+        writes = pairs * (program.uses_add_to and not retrans) + counted * (
+            (not program.uses_add_to and not retrans)
+            + (count == program.cntfwd.threshold > 1))
+        if reads:
+            self.stats["ctrl_reads"] += reads
+        if writes:
+            self.stats["ctrl_writes"] += writes
+        return outcome
 
     def owns(self, addr: int) -> bool:
         """Whether a global physical address lives on this switch."""
@@ -264,7 +271,8 @@ class NetRPCSwitch(PlainSwitch):
             # It differs from the packet only in is_mcast and ecn_echo, no
             # size-affecting field, so it keeps the packet's wire size.
             # Each send takes Node.send's two steps inline.
-            size = packet.size_bytes
+            # It came in over a link, which cached its wire size.
+            size = packet._size or packet.size_bytes
             group = packet.copy()
             group.is_mcast = True
             group._size = size

@@ -7,7 +7,8 @@ import pytest
 from repro.control import Controller, MemoryPool, build_rack
 from repro.inc import Task
 from repro.netsim import scaled
-from repro.protocol import AggOp, CntFwdSpec, ForwardTarget, RIPProgram
+from repro.protocol import (AggOp, ClearPolicy, CntFwdSpec, ForwardTarget,
+                            RIPProgram)
 
 CAL = scaled()
 
@@ -74,6 +75,17 @@ class TestRegistration:
             dep.controller.register(
                 [reduce_prog("A"), reduce_prog("B")], server="s0",
                 clients=["c0"], value_slots=64)
+
+    def test_lazy_clear_needs_linear_addressing(self):
+        # Lazy reads subtract per-register baselines, which a key moving
+        # between the software map and a register cannot carry.
+        dep = build_rack(1, 1, cal=CAL)
+        lazy = dataclasses.replace(reduce_prog(), clear=ClearPolicy.LAZY)
+        with pytest.raises(ValueError, match="clear=lazy needs linear"):
+            dep.controller.register([lazy], server="s0", clients=["c0"],
+                                    value_slots=64)
+        assert dep.controller.register([lazy], server="s0", clients=["c0"],
+                                       value_slots=64, linear=True)
 
     def test_mixed_aggregation_ops_rejected(self):
         # One app has one software map and one register region, hence

@@ -34,13 +34,11 @@ def _agent():
     state.logical_to_key.update({7: "k7", 9: "k9"})
     state.grants[9] = 100
     state.phys_to_key[100] = "k9"
-    state.lazy_baseline[100] = 3
     return agent, state
 
 
 def _mapping(state):
-    return (dict(state.grants), dict(state.phys_to_key),
-            dict(state.lazy_baseline))
+    return dict(state.grants), dict(state.phys_to_key)
 
 
 @pytest.mark.parametrize("kind", sorted(KINDS))
@@ -49,7 +47,7 @@ def test_carried_grants_and_revokes_are_applied(kind):
     fields = {"src": "s0", **KINDS[kind]}
     agent._on_packet(Packet(gaid=1, dst="c0", grants=((7, 50),),
                             revokes=(9,), **fields))
-    assert _mapping(state) == ({7: 50}, {50: "k7"}, {})
+    assert _mapping(state) == ({7: 50}, {50: "k7"})
 
 
 @pytest.mark.parametrize("kind", sorted(KINDS))

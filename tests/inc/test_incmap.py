@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.inc import SoftwareINCMap
-from repro.protocol import (DEFAULT_FMAX_CODEC, DEFAULT_FP_CODEC, Quantizer,
-                            StreamOp)
+from repro.protocol import (DEFAULT_FMAX_CODEC, DEFAULT_FP_CODEC, CntFwdSpec,
+                            ForwardTarget, KVBlock, Quantizer, RIPProgram,
+                            StreamOp, apply)
 
 INTEGER = Quantizer()
 
@@ -34,7 +35,12 @@ class TestMapPrimitives:
 
     def test_modify_applies_stream_op(self):
         m = SoftwareINCMap(INTEGER)
-        assert m.modify(StreamOp.ADD, [1, 2, 3], 10) == [11, 12, 13]
+        program = RIPProgram(app_name="m", add_to_field="r.kvs",
+                             modify_op=StreamOp.ADD, modify_para=10)
+        block = KVBlock.from_columns([0] * 3, [1, 2, 3], keys=["a", "b", "c"])
+        apply(program, m, block, 0b111)
+        assert block.values_list() == [11, 12, 13]
+        assert m.snapshot() == {"a": 11, "b": 12, "c": 13}
 
     def test_a_register_folds_in_with_the_maps_arithmetic(self):
         """An evicted register folds in with the map's own arithmetic, and
@@ -75,39 +81,51 @@ class TestFloatArithmetic:
         assert m.clear("k") == codec.encode(-3.0)[0]
 
 
+def _count(m, threshold, key="k"):
+    """One packet for ``key`` through ``apply``'s CntFwd on the map:
+    whether it fired (a non-None target) rather than being absorbed."""
+    program = RIPProgram(app_name="c", cntfwd=CntFwdSpec(
+        target=ForwardTarget.SRC, threshold=threshold))
+    block = KVBlock.from_columns([0], [0], keys=[key])
+    counter = key if threshold else None
+    return apply(program, m, block, 1, 0, counter)[0] is not None
+
+
 class TestCountForward:
+    """CntFwd runs through ``protocol.apply`` on the software map."""
+
     def test_threshold_zero_always_forwards(self):
         m = SoftwareINCMap(INTEGER)
-        assert m.count_forward("k", 0)
-        assert m.count_forward("k", 0)
+        assert _count(m, 0)
+        assert _count(m, 0)
 
     def test_reaches_threshold_exactly_once_per_round(self):
         m = SoftwareINCMap(INTEGER)
-        assert not m.count_forward("k", 3)
-        assert not m.count_forward("k", 3)
-        assert m.count_forward("k", 3)
+        assert not _count(m, 3)
+        assert not _count(m, 3)
+        assert _count(m, 3)
 
     def test_multi_party_counter_rearms(self):
         m = SoftwareINCMap(INTEGER)
         for _ in range(2):
-            m.count_forward("k", 3)
-        assert m.count_forward("k", 3)
+            _count(m, 3)
+        assert _count(m, 3)
         # re-armed: the next hit needs three more counts
-        assert not m.count_forward("k", 3)
-        assert not m.count_forward("k", 3)
-        assert m.count_forward("k", 3)
+        assert not _count(m, 3)
+        assert not _count(m, 3)
+        assert _count(m, 3)
 
     def test_test_and_set_persists(self):
         m = SoftwareINCMap(INTEGER)
-        assert m.count_forward("k", 1)
-        assert not m.count_forward("k", 1)  # still held
-        assert not m.count_forward("k", 1)
+        assert _count(m, 1)
+        assert not _count(m, 1)  # still held
+        assert not _count(m, 1)
 
     def test_clear_counter_releases(self):
         m = SoftwareINCMap(INTEGER)
-        m.count_forward("k", 1)
-        m.clear_counter("k")
-        assert m.count_forward("k", 1)  # reacquired
+        _count(m, 1)
+        m.clear("k")             # a keyed counter is the key's own entry
+        assert _count(m, 1)      # reacquired
 
 
 class TestBulkOperations:

@@ -211,6 +211,35 @@ class TestAsyncOverflow:
         result = submit(query_cfg, [("a", 0), ("big", 0)], True)
         assert result.values == {"a": 4, "big": 2**31 + 91}
 
+    def test_an_overflow_forwarded_to_the_server_is_replayed(self):
+        # A program whose result goes to the server: the overflowed push
+        # reaches it marked, and an ACK there dropped the refused slot
+        # (the query read BIG).  Answered like a bounce, it is replayed.
+        reduce_prog = RIPProgram(
+            app_name="MR", add_to_field="r.kvs",
+            cntfwd=CntFwdSpec(target=ForwardTarget.SERVER, threshold=0))
+        query_prog = RIPProgram(
+            app_name="MR", get_field="q.kvs",
+            cntfwd=CntFwdSpec(target=ForwardTarget.SRC, threshold=0))
+        dep = build_rack(1, 1, cal=CAL)
+        reduce_cfg, query_cfg = dep.controller.register(
+            [reduce_prog, query_prog], server="s0", clients=["c0"],
+            value_slots=64)
+        agent = dep.client_agent(0)
+
+        def submit(config, items, expect_result):
+            done = agent.submit(Task(app=config, items=items,
+                                     expect_result=expect_result))
+            result = dep.sim.run_until(done, limit=10.0)
+            dep.sim.run(until=dep.sim.now + 0.05)
+            return result
+
+        submit(reduce_cfg, [("k", BIG)], False)
+        pushed = submit(reduce_cfg, [("k", BIG)], False)
+        assert pushed.mapped_pairs == 1 and pushed.overflow_chunks == 1
+        result = submit(query_cfg, [("k", 0)], True)
+        assert result.values == {"k": 2 * BIG}
+
     def test_quantizer_precheck_catches_oversized_floats(self):
         from repro.protocol import Quantizer
         q = Quantizer(8)

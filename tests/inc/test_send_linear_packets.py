@@ -83,10 +83,15 @@ def _reference(rows, config, task):
         if not task.indexed:
             pkt.linear_base = kv.addrs[0]
         pkt.shadow_offset = shadow_offset
-        if config.program.cntfwd.counts and config.has_switch:
-            pkt.is_cnf = True
-            pkt.cnt_index = config.counter_addr(
-                indices[0] if task.indexed else indices[0] // 32)
+        if config.program.cntfwd.counts:
+            # The chunk's counter: a register, or the server's software
+            # counter of that number.
+            counter = indices[0] if task.indexed else indices[0] // 32
+            if config.has_switch:
+                pkt.is_cnf = True
+                pkt.cnt_index = config.counter_addr(counter)
+            else:
+                pkt.cnt_index = counter
         if not config.has_switch:
             pkt.is_cross = True
         out.append((_describe(pkt), len(chunk_items)))

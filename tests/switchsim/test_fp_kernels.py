@@ -2,7 +2,7 @@
 
 Mirrors the scalar-vs-kernel structure of ``test_kvblock_kernels.py``:
 Hypothesis drives the batch kernel (``combine_block``) and a scalar
-per-slot reference loop over ``RegisterFile.combine``, under each fp
+per-slot reference loop over :func:`combine`, under each fp
 codec's ``add_bits``, with the same random program (slots — scattered,
 or a consecutive run carried as a ``range`` address column — selection
 bitmap, phys-base window, pre-existing register state including sticky
@@ -105,6 +105,20 @@ def seeded_registers(pre_values, pre_sticky):
 # ----------------------------------------------------------------------
 # Scalar reference: a per-slot loop over the scalar combine.
 # ----------------------------------------------------------------------
+def combine(regs, addr, word, add_bits):
+    """One register's ``Map.addTo`` in an op's arithmetic: a sticky
+    register refuses; an overflow makes it sticky, keeping its value.
+    Returns True when the add was not applied."""
+    if regs.is_sticky(addr):
+        return True
+    result, overflowed = add_bits(regs.read_raw(addr), word)
+    if overflowed:
+        make_sticky(regs, addr)
+        return True
+    regs.write(addr, result)
+    return False
+
+
 def scalar_combine(regs, slots, select, base, add_bits):
     """The mask of the slots the combines did not apply."""
     unapplied = 0
@@ -112,7 +126,7 @@ def scalar_combine(regs, slots, select, base, add_bits):
         if select >> index & 1:
             local = addr - base
             if 0 <= local < regs.capacity:
-                if regs.combine(local, ordered, add_bits):
+                if combine(regs, local, ordered, add_bits):
                     slots[index] = (addr, INT32_MAX)
                     unapplied |= 1 << index
     return unapplied
@@ -248,10 +262,10 @@ def test_overflow_saturates_and_sets_sticky():
                         registers_per_segment=REGS_PER_SEGMENT)
     big, overflowed = C.encode(C.max_value * 0.75)
     assert not overflowed
-    assert not regs.combine(0, big, C.add_bits)
+    assert not combine(regs, 0, big, C.add_bits)
     # Second add pushes past the largest exponent: sticky set, stored
     # value preserved, reads return the sentinel.
-    assert regs.combine(0, big, C.add_bits)
+    assert combine(regs, 0, big, C.add_bits)
     assert regs.read_raw(0) == big
     assert regs.is_sticky(0)
     assert regs.read(0) == INT32_MAX
@@ -293,12 +307,12 @@ def test_cleared_register_is_fp_zero():
     regs = RegisterFile(segments=SEGMENTS,
                         registers_per_segment=REGS_PER_SEGMENT)
     value, _ = C.encode(2.5)
-    regs.combine(4, value, C.add_bits)
+    combine(regs, 4, value, C.add_bits)
     regs.clear(4)
     assert regs.read(4) == 0
     assert C.decode(regs.read(4)) == 0.0
     # Adding x to a cleared register stores exactly encode(x).
-    assert not regs.combine(4, value, C.add_bits)
+    assert not combine(regs, 4, value, C.add_bits)
     assert regs.read_raw(4) == value
 
 
@@ -306,9 +320,9 @@ def test_fadd_exact_cancellation_evicts_register():
     regs = RegisterFile(segments=SEGMENTS,
                         registers_per_segment=REGS_PER_SEGMENT)
     value, _ = C.encode(1.5)
-    regs.combine(2, value, C.add_bits)
+    combine(regs, 2, value, C.add_bits)
     assert len(regs.occupied_addrs()) == 1
-    regs.combine(2, -value, C.add_bits)
+    combine(regs, 2, -value, C.add_bits)
     assert len(regs.occupied_addrs()) == 0
     assert regs.read(2) == 0
 

@@ -127,14 +127,10 @@ KEEP = {
         # overflow replies, inc_map_snapshot)
         "protocol/fpcodec.py:OrderedMaxCodec.*",
         "inc/incmap.py:SoftwareINCMap.get_with",
-        # stream modify
+        # stream modify, and a software counter an addTo increments
         "protocol/ops.py:apply_stream_op",
         "protocol/kvblock.py:KVBlock.modify",
-        "inc/incmap.py:SoftwareINCMap.modify",
-        # CntFwd on the server (software-only apps)
-        "inc/incmap.py:SoftwareINCMap.count_forward",
-        "inc/incmap.py:SoftwareINCMap.counter",
-        "inc/server_agent.py:ServerAgent._software_count",
+        "inc/incmap.py:SoftwareINCMap.selects",
         # plain (non-INC) calls and the message marshalling they use
         "inc/client_agent.py:ClientAgent._send_plain",
         "inc/server_agent.py:_payload_size",
@@ -171,6 +167,7 @@ KEEP = {
     ]),
     "d": ("reference implementations tests compare against", [
         "protocol/arith.py:*", "protocol/fpcodec.py:FPCodec.*",
+        "inc/incmap.py:SoftwareINCMap.combine_block",
         "protocol/quantize.py:Int8BlockCodec.error_bound",
         "switchsim/registers.py:RegisterFile.read",
         "switchsim/registers.py:RegisterFile.occupied_addrs",
@@ -197,6 +194,10 @@ KEEP = {
         "param baselines/aggregation.py:*._dst_for(chunk)",
         "param baselines/aggregation.py:*._may_send(chunk)",
         "param shard/boundary.py:RemoteNode.receive(packet)",
+        # the register file's kernel signatures, which protocol.apply
+        # calls on the software map as well
+        "param inc/incmap.py:SoftwareINCMap.*(base)",
+        "param inc/incmap.py:SoftwareINCMap.combine_block(add_bits)",
     ]),
     "i": ("outputs of public result records that tests assert on", [
         "field experiments/common.py:ChaosRunResult.failure",
