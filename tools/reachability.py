@@ -127,10 +127,9 @@ KEEP = {
         # overflow replies, inc_map_snapshot)
         "protocol/fpcodec.py:OrderedMaxCodec.*",
         "inc/incmap.py:SoftwareINCMap.get_with",
-        # stream modify, and a software counter an addTo increments
+        # stream modify
         "protocol/ops.py:apply_stream_op",
         "protocol/kvblock.py:KVBlock.modify",
-        "inc/incmap.py:SoftwareINCMap.selects",
         # plain (non-INC) calls and the message marshalling they use
         "inc/client_agent.py:ClientAgent._send_plain",
         "inc/server_agent.py:_payload_size",
@@ -144,6 +143,7 @@ KEEP = {
         "inc/server_agent.py:ServerAgent.set_round_handler",
         "core/stubs.py:ServerStub.inc_map_snapshot",
         "inc/incmap.py:SoftwareINCMap.snapshot",
+        "inc/incmap.py:SoftwareINCMap.get",
         # the §5.2.2 two-level timeout (nothing in production arms it) ...
         "control/timeout.py:TimeoutMonitor.*",
         "control/controller.py:Controller.poll_switch_timestamps",
